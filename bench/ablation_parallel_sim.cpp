@@ -31,14 +31,12 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "serve/serve.hpp"
 #include "sim/parallel.hpp"
 #include "workloads/micro.hpp"
 #include "workloads/serve.hpp"
 
 namespace dqemu::bench {
 namespace {
-#if DQEMU_PARALLEL_SIM_ENABLED
 
 struct Scenario {
   std::string name;  ///< group name; samples append "_htN"
@@ -106,7 +104,6 @@ bool identical_virtual_time(const Sample& base, const Sample& s) {
          s.p50_ms == base.p50_ms && s.p99_ms == base.p99_ms;
 }
 
-#endif  // DQEMU_PARALLEL_SIM_ENABLED
 }  // namespace
 }  // namespace dqemu::bench
 
@@ -117,12 +114,6 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_parallel.json";
   print_header("ablation_parallel_sim — host threads vs wall clock",
                "conservative-window parallel scheduler (DESIGN.md §16)");
-#if !DQEMU_PARALLEL_SIM_ENABLED
-  std::printf("parallel scheduler compiled out (DQEMU_ENABLE_PARALLEL_SIM="
-              "OFF); nothing to measure\n");
-  (void)out_path;
-  return 0;
-#else
   const bool quick = quick_mode();
 
   // A speedup floor is only meaningful when the host can physically run
@@ -184,7 +175,7 @@ int main(int argc, char** argv) {
     s.floor_ht4 = modest;
     scenarios.push_back(std::move(s));
   }
-  if (serve::compiled_in()) {
+  {
     workloads::ServePoolParams pool;
     pool.workers = 16;
     const auto program = must_program(workloads::serve_pool(pool),
@@ -202,8 +193,6 @@ int main(int argc, char** argv) {
       s.floor_ht4 = modest;
       scenarios.push_back(std::move(s));
     }
-  } else {
-    std::printf("note: serving plane compiled out; serve scenarios skipped\n");
   }
 
   const std::uint32_t thread_counts[] = {1, 2, 4};
@@ -298,5 +287,4 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
   return 0;
-#endif
 }

@@ -23,9 +23,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "dsm/wire.hpp"
-#include "net/fault/node_faults.hpp"
-#include "serve/serve.hpp"
 #include "workloads/serve.hpp"
 
 namespace dqemu::bench {
@@ -99,21 +96,6 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_recovery.json";
   print_header("ablation_recovery — node crash / pause under serving load",
                "whole-node fault plane (DESIGN.md §18)");
-  if (!serve::compiled_in()) {
-    std::fprintf(stderr, "serving plane compiled out; nothing to measure\n");
-    return 0;
-  }
-  {
-    FaultConfig probe;
-    probe.enabled = true;
-    probe.node_faults.emplace_back();
-    if (!net::node_faults_on(probe)) {
-      std::fprintf(stderr,
-                   "node-fault plane compiled out; nothing to measure\n");
-      return 0;
-    }
-  }
-
   workloads::ServePoolParams pool;
   pool.workers = kWorkers;
   const auto program =
@@ -158,7 +140,7 @@ int main(int argc, char** argv) {
     s.config.faults.node_faults.push_back(nf);
     scenarios.push_back(std::move(s));
   }
-  if (dsm::home_sharding_compiled_in()) {
+  {
     // The hardest case: the dying node hosts a directory shard and a futex
     // home, so recovery includes the shard handoff and lease revocation.
     Scenario s;

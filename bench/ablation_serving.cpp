@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "serve/serve.hpp"
 #include "workloads/serve.hpp"
 
 namespace dqemu::bench {
@@ -114,12 +113,6 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_serving.json";
   print_header("ablation_serving — offered load vs tail latency",
                "request-serving plane, open/closed loop (DESIGN.md §14)");
-  if (!serve::compiled_in()) {
-    std::printf("serving plane compiled out (DQEMU_ENABLE_SERVING=OFF);"
-                " nothing to measure\n");
-    return 0;
-  }
-
   const std::uint32_t requests = scaled(8000);
   workloads::ServePoolParams pool;
   pool.workers = kWorkers;

@@ -30,8 +30,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "dsm/wire.hpp"
-#include "serve/serve.hpp"
 #include "workloads/micro.hpp"
 #include "workloads/serve.hpp"
 
@@ -169,12 +167,6 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_sharding.json";
   print_header("ablation_sharding — single-master vs home-sharded planes",
                "home-node sharding (DESIGN.md §17)");
-  if (!dsm::home_sharding_compiled_in()) {
-    std::printf("home sharding compiled out (DQEMU_ENABLE_HOME_SHARDING=OFF);"
-                " nothing to measure\n");
-    return 0;
-  }
-
   std::vector<Sample> samples;
   std::printf("%-24s %7s %11s %9s %7s %7s %7s %9s\n", "scenario", "slaves",
               "placement", "sim s", "homes", "spread", "relays", "p99 ms");
@@ -190,7 +182,7 @@ int main(int argc, char** argv) {
   // ---- 1. Serving tail at a fixed offered load ---------------------------
   // Same pool, same arrivals, same load; the only difference is where the
   // directory and futex tables live.
-  if (serve::compiled_in()) {
+  {
     const std::uint32_t requests = scaled(6000);
     workloads::ServePoolParams pool;
     pool.workers = kWorkers;
@@ -221,8 +213,6 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-  } else {
-    std::printf("(serving plane compiled out; tail-latency sweep skipped)\n");
   }
 
   // ---- 2. Directory-load evenness under hash placement -------------------

@@ -90,8 +90,7 @@ struct DbtConfig {
   std::uint32_t quantum_insns = 20'000;
   /// Host-side fast paths (software TLB, indirect-jump cache, LL/SC store
   /// filter). Affects wall-clock speed only: virtual-time results are
-  /// byte-identical either way (DESIGN.md section 10). Also gated at
-  /// compile time by the DQEMU_ENABLE_FASTPATH CMake option.
+  /// byte-identical either way (DESIGN.md section 10).
   bool enable_fastpath = true;
   /// Superblock hot-trace tier (DESIGN.md section 15): hot translation
   /// blocks are stitched into straight-line traces across their recorded
@@ -99,7 +98,6 @@ struct DbtConfig {
   /// instructions, and a specialized dispatch loop executes the trace with
   /// guards only at block boundaries and side exits. Host-side only:
   /// virtual-time results are byte-identical with superblocks on or off.
-  /// Also gated at compile time by the DQEMU_ENABLE_SUPERBLOCKS option.
   bool enable_superblocks = true;
   /// Executions of a block between superblock-formation attempts (the hot
   /// threshold). Low = eager trace selection, high = sticky block engine.
@@ -149,8 +147,7 @@ struct DsmConfig {
   /// instead of the full page whenever the receiver provably holds a known
   /// older version (twin/diff, TreadMarks-style). Virtual-time
   /// optimization: guest results are identical, transfer bytes and
-  /// sim_seconds improve. Also gated at compile time by the
-  /// DQEMU_ENABLE_DSM_DIFF CMake option.
+  /// sim_seconds improve.
   bool enable_diff_transfers = false;
   /// Per-page dirty-mask history depth the directory retains; a requester
   /// whose copy is more than this many content versions old falls back to
@@ -171,24 +168,22 @@ struct DsmConfig {
   /// directory and the futex/lease tables across per-page home nodes
   /// instead of funneling every protocol action through the master. The
   /// thin master keeps boot, placement authority, run control and the
-  /// serving plane. With this off (or the feature compiled out via the
-  /// DQEMU_ENABLE_HOME_SHARDING CMake option) every protocol message is
-  /// addressed to node 0 — bit-for-bit the single-master protocol.
+  /// serving plane. With this off every protocol message is addressed to
+  /// node 0 — bit-for-bit the single-master protocol.
   bool enable_home_sharding = false;
   HomePlacement home_placement = HomePlacement::kHash;
 };
 
 /// Deterministic network fault injection + the reliable-delivery sublayer
-/// (DESIGN.md section 13). With `enabled` false (or the feature compiled out
-/// via DQEMU_ENABLE_FAULTS=OFF) the interconnect is the original perfectly
-/// reliable FIFO wire, bit-for-bit. With it on, non-loopback messages may be
-/// dropped, duplicated, delay-jittered or reordered — all decided by a
-/// counter-based SplitMix64 stream keyed by `seed` and the transmission
-/// number, never by host randomness — and a go-back-N reliable channel
-/// (per-link sequence numbers, cumulative acks piggybacked on reverse
-/// traffic, retransmit timers with exponential backoff, receive-side
-/// duplicate suppression and reorder hold-back) restores exactly-once
-/// per-channel FIFO delivery above the lossy wire.
+/// (DESIGN.md section 13). With `enabled` false the interconnect is the
+/// original perfectly reliable FIFO wire, bit-for-bit. With it on,
+/// non-loopback messages may be dropped, duplicated, delay-jittered or
+/// reordered — all decided by a counter-based SplitMix64 stream keyed by
+/// `seed` and the transmission number, never by host randomness — and a
+/// go-back-N reliable channel (per-link sequence numbers, cumulative acks
+/// piggybacked on reverse traffic, retransmit timers with exponential
+/// backoff, receive-side duplicate suppression and reorder hold-back)
+/// restores exactly-once per-channel FIFO delivery above the lossy wire.
 struct FaultConfig {
   bool enabled = false;
   /// Seed of the fault decision stream. Same seed + same workload = same
@@ -237,10 +232,8 @@ struct FaultConfig {
   /// pause is normalized into a `Pause` window (the node's communicator
   /// wedges, then rejoins). node == 0 / at == 0 draw the target node and
   /// fault time from the same counter-based SplitMix64 stream as the wire
-  /// faults, so same-seed runs fail identically. Also gated at compile time
-  /// by the DQEMU_ENABLE_NODE_FAULTS CMake option; with the vector empty
-  /// (or the gate off) every code path is bit-for-bit the lossy-wire-only
-  /// plane.
+  /// faults, so same-seed runs fail identically. With the vector empty
+  /// every code path is bit-for-bit the lossy-wire-only plane.
   struct NodeFault {
     enum class Kind : std::uint8_t { kCrash, kPause };
     Kind kind = Kind::kCrash;
@@ -289,8 +282,7 @@ struct FaultConfig {
 /// lock agent services FUTEX_WAIT/WAKE locally while it holds a
 /// master-granted ownership lease for the futex address; everything else
 /// falls back to master delegation. Virtual-time optimization: guest
-/// results are identical, sim_seconds improves. Also gated at compile time
-/// by the DQEMU_ENABLE_LOCK_FASTPATH CMake option.
+/// results are identical, sim_seconds improves.
 struct SysConfig {
   bool enable_hierarchical_locking = false;
   /// Delegated futex ops a node observes on one address between lease
@@ -321,8 +313,7 @@ enum class ArrivalProcess : std::uint8_t {
 /// draw (inter-arrival gap, service class, think time) comes from a
 /// counter-based SplitMix64 stream keyed by `seed` and the request number
 /// — never host randomness — so same seed + same config reproduces every
-/// arrival time and latency sample byte-for-byte. Also gated at compile
-/// time by the DQEMU_ENABLE_SERVING CMake option; with either gate off the
+/// arrival time and latency sample byte-for-byte. With `enabled` false the
 /// batch workloads are bit-identical to a build without this subsystem.
 struct ServeConfig {
   bool enabled = false;
@@ -356,10 +347,9 @@ struct ServeConfig {
 };
 
 /// Host-side simulation kernel tuning (DESIGN.md §16). With host_threads
-/// == 1 (or the feature compiled out via DQEMU_ENABLE_PARALLEL_SIM=OFF)
-/// the cluster runs on the original single global event queue, bit-for-
-/// bit. With N > 1, the kernel is partitioned into one event queue per
-/// simulated node and executed on a pool of N host threads under
+/// == 1 the cluster runs on the original single global event queue,
+/// bit-for-bit. With N > 1, the kernel is partitioned into one event
+/// queue per simulated node and executed on a pool of N host threads under
 /// conservative (CMB-style) synchronization, with the modeled cross-node
 /// link latency as the lookahead window. Host-side only: virtual-time
 /// results are byte-identical for every N.

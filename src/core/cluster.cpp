@@ -52,7 +52,6 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
 
   const std::uint32_t total = config_.total_nodes();
 
-#if DQEMU_PARALLEL_SIM_ENABLED
   if (config_.sim.host_threads > 1 && total > 1) {
     // Partitioned kernel: node 0 (and with it the directory, the syscall
     // engine and the serving plane, which all captured queue_ below) stays
@@ -70,15 +69,6 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
     if (tracer_ != nullptr) tracer_->configure_shards(total);
     stats_.configure_shards(total);
   }
-#else
-  if (config_.sim.host_threads > 1) {
-    // Runtime gate on, compile-time gate off: refuse loudly rather than
-    // silently fall back to the serial kernel.
-    fatal_ =
-        "host_threads > 1 requested but the parallel scheduler is compiled "
-        "out (DQEMU_ENABLE_PARALLEL_SIM=OFF)";
-  }
-#endif
 
   nodes_.reserve(total);
   for (NodeId id = 0; id < total; ++id) {
@@ -171,27 +161,21 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
   syscalls_->set_hooks(std::move(sys_hooks));
 
   if (config_.serve.enabled) {
-    if (!serve::compiled_in()) {
-      // Runtime gate on, compile-time gate off: refuse loudly rather than
-      // silently run the batch semantics of a serving config.
-      fatal_ = "serving requested but compiled out (DQEMU_ENABLE_SERVING=OFF)";
-    } else {
-      serving_.emplace(
-          queue_, config_.serve, &stats_, tracer_,
-          [this](NodeId dst, GuestTid tid, std::int64_t result,
-                 std::uint64_t flow) {
-            // Every dispatch/EOF pays the same manager service delay as any
-            // other syscall response.
-            syscalls_->send_response(dst, tid, result, {}, flow);
-          });
-      syscalls_->set_serve_handler([this](const sys::SyscallRequest& req) {
-        if (req.num == isa::Sys::kServeGet) {
-          serving_->on_get_request(req.src, req.tid, req.flow);
-        } else {
-          serving_->on_done(req.src, req.tid, req.args[0], req.flow);
-        }
-      });
-    }
+    serving_.emplace(
+        queue_, config_.serve, &stats_, tracer_,
+        [this](NodeId dst, GuestTid tid, std::int64_t result,
+               std::uint64_t flow) {
+          // Every dispatch/EOF pays the same manager service delay as any
+          // other syscall response.
+          syscalls_->send_response(dst, tid, result, {}, flow);
+        });
+    syscalls_->set_serve_handler([this](const sys::SyscallRequest& req) {
+      if (req.num == isa::Sys::kServeGet) {
+        serving_->on_get_request(req.src, req.tid, req.flow);
+      } else {
+        serving_->on_done(req.src, req.tid, req.args[0], req.flow);
+      }
+    });
   }
 
   // Message routing: master traffic splits between the directory, the
@@ -204,17 +188,7 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
                     [node](net::Message msg) { node->handle_message(msg); });
   }
 
-  if (!config_.faults.node_faults.empty()) {
-    if (!net::node_faults_on(config_.faults)) {
-      // Runtime gate on, compile-time gate off: refuse loudly rather than
-      // silently run an immortal cluster under a fault config.
-      fatal_ =
-          "node faults requested but compiled out "
-          "(DQEMU_ENABLE_NODE_FAULTS=OFF)";
-    } else {
-      schedule_node_faults();
-    }
-  }
+  if (net::node_faults_on(config_.faults)) schedule_node_faults();
 }
 
 void Cluster::schedule_node_faults() {

@@ -89,15 +89,14 @@ class Cluster {
   }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   /// Placement authority (DESIGN.md §17). sharded() is false — and every
-  /// home is the master — unless home sharding is compiled in and enabled.
+  /// home is the master — unless home sharding is enabled.
   [[nodiscard]] const dsm::HomeMap& homes() const { return home_map_; }
   /// Directory shard hosted on slave `id`; null when sharding is off or
   /// `id` is not a home. The master's (boot) directory stays directory().
   [[nodiscard]] dsm::Directory* home_shard(NodeId id) {
     return id < home_shards_.size() ? home_shards_[id].get() : nullptr;
   }
-  /// Serving-plane load generator; null unless ServeConfig::enabled (and
-  /// the subsystem is compiled in — see DQEMU_ENABLE_SERVING).
+  /// Serving-plane load generator; null unless ServeConfig::enabled.
   [[nodiscard]] serve::LoadGenerator* serving() {
     return serving_.has_value() ? &*serving_ : nullptr;
   }

@@ -68,7 +68,7 @@ Node::Node(NodeId id, const ClusterConfig& config, sim::EventQueue& queue,
       [this](GuestAddr addr) { return futex_home(addr); });
   // Superblock lifecycle records ride the opt-in kDbt category (not in the
   // default set: formation is host-side and would differ with the trace
-  // tier compiled out). a = trace entry pc, b = guest insns covered.
+  // tier disabled). a = trace entry pc, b = guest insns covered.
   tcache_.set_sb_event_hook(
       [this](dbt::SbEvent event, const dbt::Superblock& sb) {
         note(event == dbt::SbEvent::kFormed ? "dbt.sb_formed"
@@ -579,7 +579,7 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
       // lease carries the master's queue, so FIFO semantics survive.
       const GuestAddr faddr = call.args[0];
       const std::uint32_t fop = call.args[1];
-      if (sys::hierarchical_locking(config_.sys) &&
+      if (config_.sys.enable_hierarchical_locking &&
           (fop == isa::kFutexWait || fop == isa::kFutexWake)) {
         if (!lock_agent_.owns(faddr)) {
           lock_agent_.note_delegated(faddr);

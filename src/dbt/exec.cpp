@@ -46,7 +46,6 @@ ExecEngine::ExecEngine(mem::AddressSpace& space, const mem::ShadowMap* shadow,
       check_protection_(check_protection),
       stats_(stats) {}
 
-#if DQEMU_FASTPATH_ENABLED
 void ExecEngine::sync_fast_caches() {
   // Nothing mutates protections, the shadow map or the translation cache
   // while run() is on the stack (sequential DES: DSM messages are handled
@@ -64,9 +63,7 @@ void ExecEngine::sync_fast_caches() {
     seen_tcache_gen_ = tcache;
   }
 }
-#endif
 
-#if DQEMU_SUPERBLOCKS_ENABLED
 void ExecEngine::sync_sb_epoch() {
   // Same invariant as sync_fast_caches(): protections and the shadow map
   // are stable for the duration of one run(), so traces entered this
@@ -80,25 +77,16 @@ void ExecEngine::sync_sb_epoch() {
     sb_seen_shadow_gen_ = shadow;
   }
 }
-#endif
 
 void ExecEngine::invalidate_fast_caches() {
-#if DQEMU_FASTPATH_ENABLED
   tlb_.fill(TlbEntry{});
   jmp_cache_.fill(JmpCacheEntry{});
-#endif
-#if DQEMU_SUPERBLOCKS_ENABLED
   ++sb_mem_epoch_;  // orphan every superblock's per-op TLB lines
-#endif
 }
 
 ExecResult ExecEngine::run(CpuContext& ctx, std::uint64_t max_insns) {
-#if DQEMU_FASTPATH_ENABLED
   if (config_.enable_fastpath) sync_fast_caches();
-#endif
-#if DQEMU_SUPERBLOCKS_ENABLED
   if (config_.enable_superblocks) sync_sb_epoch();
-#endif
   HotCounters hot;
   ExecResult result = run_loop(ctx, max_insns, hot);
   if (stats_ != nullptr) {
@@ -131,13 +119,9 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
     if (rd != 0) gpr[rd] = value;
   };
 
-#if DQEMU_FASTPATH_ENABLED
   const bool fast = config_.enable_fastpath;
-#endif
-#if DQEMU_SUPERBLOCKS_ENABLED
   const bool sb_on = config_.enable_superblocks;
-#endif
-  [[maybe_unused]] const GuestAddr page_mask = space_.page_size() - 1;
+  const GuestAddr page_mask = space_.page_size() - 1;
 
   // Validates a data access; on failure fills `result` and returns false.
   // `addr` is already shadow-resolved.
@@ -174,7 +158,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
   // whole shadow-resolve + page-table walk collapses to one tag compare.
   auto mem_access = [&](GuestAddr vaddr, unsigned bytes, bool write,
                         GuestAddr pc, GuestAddr& out) -> bool {
-#if DQEMU_FASTPATH_ENABLED
     if (fast) {
       const TlbEntry& entry = tlb_slot(vaddr);
       if (entry.tag == (vaddr & ~page_mask) &&
@@ -185,11 +168,9 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         return true;
       }
     }
-#endif
     const GuestAddr addr =
         shadow_ != nullptr ? shadow_->translate(vaddr) : vaddr;
     if (!check_access(addr, bytes, write, pc)) return false;
-#if DQEMU_FASTPATH_ENABLED
     if (fast) {
       ++hot.tlb_miss;
       if (addr == vaddr) {
@@ -210,7 +191,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         }
       }
     }
-#endif
     out = addr;
     return true;
   };
@@ -218,7 +198,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
   // Store snoop of the LL/SC table. Fast path: the table's line filter
   // proves most stores cannot break any reservation without a hash probe.
   auto snoop_store = [&](GuestAddr addr) {
-#if DQEMU_FASTPATH_ENABLED
     if (fast) {
       if (llsc_.may_match(addr)) {
         llsc_.on_store(addr, ctx.tid);
@@ -227,7 +206,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       }
       return;
     }
-#endif
     llsc_.on_store(addr, ctx.tid);
   };
 
@@ -240,7 +218,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       ++hot.chain_hit;
       return slot;
     }
-#if DQEMU_FASTPATH_ENABLED
     if (fast) {
       const JmpCacheEntry& entry = jmp_slot(target);
       if (entry.pc == target) {
@@ -249,7 +226,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         return entry.tb;
       }
     }
-#endif
     TranslationBlock* found = cache_.lookup(target);
     if (found != nullptr) slot = found;
     return found;
@@ -473,9 +449,7 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         const GuestAddr target =
             taken ? pc + 4 + to_unsigned(in.imm) * 4u : pc + 4;
         ctx.pc = target;
-#if DQEMU_SUPERBLOCKS_ENABLED
         cur->last_taken = taken;  // trace selection follows this edge
-#endif
         // Direct-jump chaining (targets are static).
         next_tb = chain_to(taken ? cur->next_taken : cur->next_fall, target);
         return OpOut::kEnd;
@@ -491,10 +465,7 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         const GuestAddr target = (gpr[in.rs1] + to_unsigned(in.imm)) & ~3u;
         write_gpr(in.rd, pc + 4);
         ctx.pc = target;  // indirect: no chain slot
-#if DQEMU_SUPERBLOCKS_ENABLED
         cur->last_indirect_target = target;
-#endif
-#if DQEMU_FASTPATH_ENABLED
         if (fast) {
           const JmpCacheEntry& entry = jmp_slot(target);
           if (entry.pc == target) {
@@ -502,7 +473,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
             next_tb = entry.tb;
           }
         }
-#endif
         return OpOut::kEnd;
       }
 
@@ -559,7 +529,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
     return OpOut::kNext;
   };
 
-#if DQEMU_SUPERBLOCKS_ENABLED
   // ---- superblock trace dispatch (DESIGN.md section 15) ----------------
   // The specialized loop below is the hot-path payoff: fused ops and
   // inlined ALU/mem fast kinds dispatch through one dense switch, and the
@@ -968,7 +937,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       }
     }
   };
-#endif  // DQEMU_SUPERBLOCKS_ENABLED
 
   TranslationBlock* tb = nullptr;
   while (true) {
@@ -998,7 +966,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         }
         tb = tr.tb;
       }
-#if DQEMU_FASTPATH_ENABLED
       if (fast) {
         // Fill the indirect-jump cache on the slow entry path so the next
         // jalr (or cold chain miss) to this pc skips the hash lookup.
@@ -1006,10 +973,8 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         entry.pc = ctx.pc;
         entry.tb = tb;
       }
-#endif
     }
 
-#if DQEMU_SUPERBLOCKS_ENABLED
     if (sb_on) {
       if (tb->sb == nullptr) {
         // Host-side hot counting; formation charges no virtual time.
@@ -1030,7 +995,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         continue;
       }
     }
-#endif
 
     // Execute the block.
     next_tb = nullptr;

@@ -12,11 +12,11 @@
 // direct-mapped indirect-jump cache (QEMU's tb_jmp_cache) skips the
 // translation-cache hash lookup on jalr and cold chain misses. Both are
 // host-side only — virtual-time results are byte-identical with the fast
-// paths compiled out (-DDQEMU_ENABLE_FASTPATH=OFF) or disabled at runtime
-// (DbtConfig::enable_fastpath = false). Invalidation is generation-based:
-// AddressSpace protection changes, ShadowMap splits and TranslationCache
-// drops each bump a counter that run() compares on entry; nothing mutates
-// those structures while run() is on the stack (sequential DES).
+// paths disabled (DbtConfig::enable_fastpath = false). Invalidation is
+// generation-based: AddressSpace protection changes, ShadowMap splits and
+// TranslationCache drops each bump a counter that run() compares on entry;
+// nothing mutates those structures while run() is on the stack
+// (sequential DES).
 #pragma once
 
 #include <array>
@@ -29,12 +29,6 @@
 #include "dbt/translation.hpp"
 #include "mem/address_space.hpp"
 #include "mem/shadow_map.hpp"
-
-/// Compile-time gate for the execution fast paths (CMake option
-/// DQEMU_ENABLE_FASTPATH; see src/dbt/CMakeLists.txt).
-#ifndef DQEMU_FASTPATH_ENABLED
-#define DQEMU_FASTPATH_ENABLED 1
-#endif
 
 namespace dqemu::dbt {
 
@@ -74,7 +68,7 @@ class ExecEngine {
   /// Normally unnecessary — run() revalidates against the generation
   /// counters of AddressSpace / ShadowMap / TranslationCache — but
   /// embedders mutating those structures behind the generations (tests)
-  /// can force a flush here. No-op when fast paths are compiled out.
+  /// can force a flush here.
   void invalidate_fast_caches();
 
  private:
@@ -104,7 +98,6 @@ class ExecEngine {
   bool check_protection_;
   StatsRegistry* stats_;
 
-#if DQEMU_FASTPATH_ENABLED
   /// Never a valid page-aligned tag or instruction address (low bits set).
   static constexpr GuestAddr kNoTag = ~GuestAddr{0};
 
@@ -142,19 +135,16 @@ class ExecEngine {
   std::uint64_t seen_protection_gen_ = ~std::uint64_t{0};
   std::uint64_t seen_shadow_gen_ = ~std::uint64_t{0};
   std::uint64_t seen_tcache_gen_ = ~std::uint64_t{0};
-#endif
 
-#if DQEMU_SUPERBLOCKS_ENABLED
   /// Advances the superblock memory epoch when page protections or the
   /// shadow map changed; traces whose per-op TLB tags were filled under an
   /// older epoch reset them lazily on entry. Independent of the software
-  /// TLB so superblocks stay correct with the fast paths compiled out.
+  /// TLB so superblocks stay correct with the fast paths disabled.
   void sync_sb_epoch();
 
   std::uint64_t sb_mem_epoch_ = 1;  ///< 0 is "never valid" (fresh traces)
   std::uint64_t sb_seen_protection_gen_ = ~std::uint64_t{0};
   std::uint64_t sb_seen_shadow_gen_ = ~std::uint64_t{0};
-#endif
 };
 
 }  // namespace dqemu::dbt

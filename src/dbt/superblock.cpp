@@ -16,8 +16,6 @@
 
 namespace dqemu::dbt {
 
-#if DQEMU_SUPERBLOCKS_ENABLED
-
 namespace {
 
 using isa::Opcode;
@@ -303,14 +301,5 @@ Superblock* TranslationCache::maybe_form_superblock(TranslationBlock* head) {
   if (sb_event_hook_) sb_event_hook_(SbEvent::kFormed, *raw);
   return raw;
 }
-
-#else  // !DQEMU_SUPERBLOCKS_ENABLED
-
-Superblock* TranslationCache::maybe_form_superblock(TranslationBlock* head) {
-  (void)head;
-  return nullptr;
-}
-
-#endif
 
 }  // namespace dqemu::dbt

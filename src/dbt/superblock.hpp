@@ -14,8 +14,7 @@
 // virtual-time cost of its unfused sequence, guards reproduce the block
 // engine's quantum stop points, and a superblock never outlives any of its
 // constituent blocks, so virtual-time results are byte-identical with
-// superblocks compiled out (-DDQEMU_ENABLE_SUPERBLOCKS=OFF) or disabled at
-// runtime (DbtConfig::enable_superblocks = false).
+// superblocks disabled (DbtConfig::enable_superblocks = false).
 #pragma once
 
 #include <cstdint>
@@ -23,12 +22,6 @@
 
 #include "common/types.hpp"
 #include "isa/isa.hpp"
-
-/// Compile-time gate for the superblock tier (CMake option
-/// DQEMU_ENABLE_SUPERBLOCKS; see src/dbt/CMakeLists.txt).
-#ifndef DQEMU_SUPERBLOCKS_ENABLED
-#define DQEMU_SUPERBLOCKS_ENABLED 1
-#endif
 
 namespace dqemu::dbt {
 

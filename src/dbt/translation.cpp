@@ -50,9 +50,7 @@ TranslateResult TranslationCache::translate(GuestAddr pc) {
 
   auto tb = std::make_unique<TranslationBlock>();
   tb->start_pc = pc;
-#if DQEMU_SUPERBLOCKS_ENABLED
   tb->next_hot_trigger = config_.sb_hot_threshold;
-#endif
   GuestAddr at = pc;
   // Blocks end at control transfers, at kMaxBlockInsns, or at a page
   // boundary (so a block's code always lives on one locally-present page).
@@ -104,7 +102,6 @@ void TranslationCache::invalidate_page(std::uint32_t page) {
       if (dropped.contains(tb->next_taken)) tb->next_taken = nullptr;
       if (dropped.contains(tb->next_fall)) tb->next_fall = nullptr;
     }
-#if DQEMU_SUPERBLOCKS_ENABLED
     // A superblock dies with any constituent block. Blocks never span a
     // page, so "some constituent block lives in `page`" is exactly "the
     // superblock's page set contains `page`". Surviving head blocks have
@@ -127,14 +124,12 @@ void TranslationCache::invalidate_page(std::uint32_t page) {
     if (sb_dropped != 0 && stats_ != nullptr) {
       stats_->add("dbt.sb_invalidated", sb_dropped);
     }
-#endif
     ++generation_;
     if (stats_ != nullptr) stats_->add("dbt.tcache_page_invalidations");
   }
 }
 
 void TranslationCache::flush() {
-#if DQEMU_SUPERBLOCKS_ENABLED
   if (sb_event_hook_) {
     for (const auto& [pc, sb] : superblocks_) {
       sb_event_hook_(SbEvent::kInvalidated, *sb);
@@ -144,7 +139,6 @@ void TranslationCache::flush() {
     stats_->add("dbt.sb_invalidated", superblocks_.size());
   }
   superblocks_.clear();  // heads die with blocks_ below
-#endif
   blocks_.clear();
   ++generation_;
 }
@@ -157,49 +151,33 @@ bool TranslationCache::contains_block(const TranslationBlock* tb) const {
 }
 
 bool TranslationCache::contains_superblock(const Superblock* sb) const {
-#if DQEMU_SUPERBLOCKS_ENABLED
   for (const auto& [pc, owned] : superblocks_) {
     if (owned.get() == sb) return true;
   }
-#else
-  (void)sb;
-#endif
   return false;
 }
 
 std::size_t TranslationCache::superblock_count() const {
-#if DQEMU_SUPERBLOCKS_ENABLED
   return superblocks_.size();
-#else
-  return 0;
-#endif
 }
 
 const Superblock* TranslationCache::superblock_at(GuestAddr entry_pc) const {
-#if DQEMU_SUPERBLOCKS_ENABLED
   const auto it = superblocks_.find(entry_pc);
   return it != superblocks_.end() ? it->second.get() : nullptr;
-#else
-  (void)entry_pc;
-  return nullptr;
-#endif
 }
 
 std::vector<HotBlockInfo> TranslationCache::hot_census() const {
   std::vector<HotBlockInfo> rows;
-#if DQEMU_SUPERBLOCKS_ENABLED
   rows.reserve(blocks_.size());
   for (const auto& [pc, tb] : blocks_) {
     rows.push_back(HotBlockInfo{pc, tb->insn_count(), tb->hot_count,
                                 tb->sb != nullptr});
   }
-#endif
   return rows;
 }
 
 std::vector<SuperblockInfo> TranslationCache::superblock_census() const {
   std::vector<SuperblockInfo> rows;
-#if DQEMU_SUPERBLOCKS_ENABLED
   rows.reserve(superblocks_.size());
   for (const auto& [pc, sb] : superblocks_) {
     rows.push_back(SuperblockInfo{
@@ -207,17 +185,12 @@ std::vector<SuperblockInfo> TranslationCache::superblock_census() const {
         sb->guest_insns, sb->fused_pairs, sb->loops, sb->exec_count,
         sb->side_exits});
   }
-#endif
   return rows;
 }
 
 void TranslationCache::set_sb_event_hook(
     std::function<void(SbEvent, const Superblock&)> hook) {
-#if DQEMU_SUPERBLOCKS_ENABLED
   sb_event_hook_ = std::move(hook);
-#else
-  (void)hook;
-#endif
 }
 
 }  // namespace dqemu::dbt

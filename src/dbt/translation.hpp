@@ -41,7 +41,6 @@ struct TranslationBlock {
   TranslationBlock* next_taken = nullptr;
   TranslationBlock* next_fall = nullptr;
 
-#if DQEMU_SUPERBLOCKS_ENABLED
   /// Superblock headed by this block, owned by the cache (nullptr until
   /// formed; cleared when the superblock dies).
   Superblock* sb = nullptr;
@@ -55,7 +54,6 @@ struct TranslationBlock {
   /// selection follows these edges.
   bool last_taken = false;
   GuestAddr last_indirect_target = 0;
-#endif
 
   [[nodiscard]] std::uint32_t insn_count() const {
     return static_cast<std::uint32_t>(ops.size());
@@ -139,8 +137,6 @@ class TranslationCache {
   [[nodiscard]] std::uint32_t op_cost(const isa::Insn& insn) const;
 
   // ---- superblock tier (DESIGN.md section 15) --------------------------
-  // All of these are safe to call with the tier compiled out; they then
-  // return nullptr/empty/false and form nothing.
 
   /// Attempts to stitch the chain headed by `head` into a superblock
   /// (implemented in superblock.cpp). Returns the superblock now heading
@@ -170,10 +166,8 @@ class TranslationCache {
   StatsRegistry* stats_;
   std::uint64_t generation_ = 0;
   std::unordered_map<GuestAddr, std::unique_ptr<TranslationBlock>> blocks_;
-#if DQEMU_SUPERBLOCKS_ENABLED
   std::unordered_map<GuestAddr, std::unique_ptr<Superblock>> superblocks_;
   std::function<void(SbEvent, const Superblock&)> sb_event_hook_;
-#endif
 };
 
 }  // namespace dqemu::dbt

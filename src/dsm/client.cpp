@@ -170,12 +170,8 @@ void DsmClient::handle_message(const net::Message& msg) {
 }
 
 void DsmClient::capture_twin(std::uint32_t page) {
-#if DQEMU_DSM_DIFF_ENABLED
   if (!enable_diff_) return;
   twins_.capture(page, space_.page_data(page));
-#else
-  (void)page;
-#endif
 }
 
 void DsmClient::on_page_data(const net::Message& msg, bool grant_only) {
@@ -201,7 +197,6 @@ void DsmClient::on_page_data(const net::Message& msg, bool grant_only) {
 }
 
 void DsmClient::on_page_diff(const net::Message& msg) {
-#if DQEMU_DSM_DIFF_ENABLED
   const auto page = static_cast<std::uint32_t>(msg.a);
   assert(diff_enabled() && "diff grant received with diff plane disabled");
   // The directory only serves a diff against a version this node provably
@@ -224,10 +219,6 @@ void DsmClient::on_page_diff(const net::Message& msg) {
   }
   note("dsm.diff_grant", msg.flow, page, mem::decode_diff_mask(msg.data));
   wake_page_(page);
-#else
-  (void)msg;
-  assert(false && "kPageDiff received but diff plane compiled out");
-#endif
 }
 
 void DsmClient::on_retry(const net::Message& msg) {
@@ -250,7 +241,6 @@ void DsmClient::drop_page_locally(std::uint32_t page) {
 void DsmClient::encode_writeback(net::Message& ack, std::uint32_t page,
                                  DsmMsg full_type, DsmMsg diff_type) {
   const auto data = space_.page_data(page);
-#if DQEMU_DSM_DIFF_ENABLED
   if (diff_enabled() && twins_.has(page)) {
     const std::uint32_t line_bytes =
         mem::diff_line_bytes(space_.page_size());
@@ -261,9 +251,6 @@ void DsmClient::encode_writeback(net::Message& ack, std::uint32_t page,
     if (stats_ != nullptr) stats_->add("dsm.diff_writebacks");
     return;
   }
-#else
-  (void)diff_type;
-#endif
   ack.type = static_cast<std::uint32_t>(full_type);
   ack.data.assign(data.begin(), data.end());
 }
@@ -333,7 +320,6 @@ void DsmClient::on_forward_data(const net::Message& msg) {
 }
 
 void DsmClient::on_forward_diff(const net::Message& msg) {
-#if DQEMU_DSM_DIFF_ENABLED
   const auto page = static_cast<std::uint32_t>(msg.a);
   assert(diff_enabled() && "diff forward received with diff plane disabled");
   // Same contract as a diff grant: the directory only diffs against a
@@ -346,10 +332,6 @@ void DsmClient::on_forward_diff(const net::Message& msg) {
   (void)applied;
   if (stats_ != nullptr) stats_->add("dsm.diff_forwards_received");
   finish_forward_install(msg);
-#else
-  (void)msg;
-  assert(false && "kForwardDiff received but diff plane compiled out");
-#endif
 }
 
 void DsmClient::finish_forward_install(const net::Message& msg) {

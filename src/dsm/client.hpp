@@ -69,13 +69,9 @@ class DsmClient {
 
   [[nodiscard]] NodeId self() const { return self_; }
 
-  /// True when the diff data plane is compiled in and runtime-enabled.
+  /// True when the diff data plane is enabled for this run.
   [[nodiscard]] bool diff_enabled() const {
-#if DQEMU_DSM_DIFF_ENABLED
     return enable_diff_;
-#else
-    return false;
-#endif
   }
 
   /// Twin (pristine writable-page copy) bookkeeping, for tests.

@@ -199,7 +199,6 @@ net::Message Directory::make_data_message(NodeId dst, std::uint32_t page,
   net::Message msg = make(
       dst, forward ? DsmMsg::kForwardData : DsmMsg::kPageData, page, access);
   const auto data = home_.page_data(page);
-#if DQEMU_DSM_DIFF_ENABLED
   if (diff_enabled()) {
     DiffState& st = diff_state(page);
     const std::uint64_t held = st.node_epoch[dst];
@@ -227,7 +226,6 @@ net::Message Directory::make_data_message(NodeId dst, std::uint32_t page,
                                    : "dsm.diff_fallback_stale");
     }
   }
-#endif
   msg.data.assign(data.begin(), data.end());
   return msg;
 }

@@ -93,13 +93,9 @@ class Directory {
   }
   [[nodiscard]] std::uint64_t splits_performed() const { return splits_; }
 
-  /// True when the diff data plane is compiled in and runtime-enabled.
+  /// True when the diff data plane is enabled for this run.
   [[nodiscard]] bool diff_enabled() const {
-#if DQEMU_DSM_DIFF_ENABLED
     return params_.dsm.enable_diff_transfers;
-#else
-    return false;
-#endif
   }
   /// Sentinel for "this node's retained copy has no known version".
   static constexpr std::uint64_t kNoEpoch = ~0ull;

@@ -43,8 +43,7 @@ NodeId HomeLayout::hash_home(std::uint64_t page) const {
 }
 
 HomeMap::HomeMap(const DsmConfig& dsm, const HomeLayout& layout)
-    : sharded_(DQEMU_HOME_SHARDING_ENABLED != 0 && dsm.enable_home_sharding &&
-               layout.slave_count > 0),
+    : sharded_(dsm.enable_home_sharding && layout.slave_count > 0),
       placement_(dsm.home_placement),
       layout_(layout) {}
 
@@ -79,8 +78,7 @@ NodeId HomeMap::home_of(std::uint64_t page) const {
 }
 
 HomeView::HomeView(const DsmConfig& dsm, const HomeLayout& layout)
-    : sharded_(DQEMU_HOME_SHARDING_ENABLED != 0 && dsm.enable_home_sharding &&
-               layout.slave_count > 0),
+    : sharded_(dsm.enable_home_sharding && layout.slave_count > 0),
       placement_(dsm.home_placement),
       layout_(layout) {}
 

@@ -22,9 +22,8 @@
 // own slice, so home_of stays a pure function of the page number for both
 // policies.
 //
-// With sharding off (runtime flag or the DQEMU_ENABLE_HOME_SHARDING CMake
-// gate) every function here returns kMasterNode and the protocol is
-// bit-for-bit the single-master one.
+// With DsmConfig::enable_home_sharding off every function here returns
+// kMasterNode and the protocol is bit-for-bit the single-master one.
 #pragma once
 
 #include <cstdint>

@@ -14,29 +14,7 @@
 #include "common/types.hpp"
 #include "net/message.hpp"
 
-// Compile-time gate for the diff-encoded data plane (DESIGN.md §12). With
-// DQEMU_DSM_DIFF_ENABLED == 0 (CMake -DDQEMU_ENABLE_DSM_DIFF=OFF) every
-// twin/diff code path in the client and directory compiles out and the
-// protocol is bit-for-bit the full-page one, regardless of
-// DsmConfig::enable_diff_transfers.
-#ifndef DQEMU_DSM_DIFF_ENABLED
-#define DQEMU_DSM_DIFF_ENABLED 1
-#endif
-
-// Compile-time gate for home-node sharding (DESIGN.md §17). With
-// DQEMU_HOME_SHARDING_ENABLED == 0 (CMake -DDQEMU_ENABLE_HOME_SHARDING=OFF)
-// the placement layer collapses to "every page is homed on the master" and
-// no per-node shards are constructed, so the protocol is bit-for-bit the
-// single-master one regardless of DsmConfig::enable_home_sharding.
-#ifndef DQEMU_HOME_SHARDING_ENABLED
-#define DQEMU_HOME_SHARDING_ENABLED 1
-#endif
-
 namespace dqemu::dsm {
-
-[[nodiscard]] constexpr bool home_sharding_compiled_in() {
-  return DQEMU_HOME_SHARDING_ENABLED != 0;
-}
 
 enum class DsmMsg : std::uint32_t {
   // Slave -> master (manager thread).

@@ -1,31 +1,21 @@
-// Whole-node fault plane gate (DESIGN.md §18).
+// Whole-node fault plane switch (DESIGN.md §18).
 //
 // Node crash / pause-and-rejoin faults extend the PR-5 lossy-wire plane to
-// dead nodes. Compiled out by -DDQEMU_ENABLE_NODE_FAULTS=OFF, in which case
-// node_faults_on() is constant-false, every sweep/recovery path is dead
-// code, and the wire behaves bit-for-bit like the lossy-links-only plane.
+// dead nodes. With no node fault configured node_faults_on() is false,
+// every sweep/recovery path is skipped, and the wire behaves bit-for-bit
+// like the lossy-links-only plane.
 #pragma once
 
 #include <cstdint>
 
 #include "common/config.hpp"
 
-#ifndef DQEMU_NODE_FAULTS_ENABLED
-#define DQEMU_NODE_FAULTS_ENABLED 1
-#endif
-
 namespace dqemu::net {
 
-/// True when the node-fault plane is both compiled in and configured for
-/// this run. All call sites gate on this so the OFF build and the empty
-/// config take the identical lossy-wire-only path.
+/// True when this run configures the node-fault plane. All call sites gate
+/// on this so a run without node faults takes the lossy-wire-only path.
 [[nodiscard]] inline bool node_faults_on(const FaultConfig& faults) {
-#if DQEMU_NODE_FAULTS_ENABLED
   return faults.enabled && !faults.node_faults.empty();
-#else
-  (void)faults;
-  return false;
-#endif
 }
 
 /// Crash-plane message types (core/wire.hpp 0x310..0x31F): exempt from

@@ -22,7 +22,6 @@ Network::Network(sim::EventQueue& queue, NetworkConfig config,
       post_order_(node_count, 0),
       faults_(std::move(faults)),
       peer_dead_(static_cast<std::size_t>(node_count) * node_count, 0) {
-#if DQEMU_FAULTS_ENABLED
   if (faults_.enabled) {
     injector_ = std::make_unique<FaultInjector>(faults_, node_count);
     reliable_ = std::make_unique<ReliableChannel>(
@@ -37,7 +36,6 @@ Network::Network(sim::EventQueue& queue, NetworkConfig config,
       if (user_peer_dead_) user_peer_dead_(self, peer);
     });
   }
-#endif
 }
 
 void Network::bind_queues(const std::vector<sim::EventQueue*>& queues) {

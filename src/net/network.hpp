@@ -8,12 +8,12 @@
 // software overhead. Messages between a given (src, dst) pair are delivered
 // FIFO, like a TCP stream.
 //
-// With fault injection active (DQEMU_ENABLE_FAULTS compiled in AND
-// FaultConfig::enabled), non-loopback traffic instead runs over a lossy
-// wire: a deterministic injector may drop/duplicate/delay each physical
-// transmission and a go-back-N reliable channel restores exactly-once FIFO
-// delivery above it (DESIGN.md §13). With either gate off, the original
-// perfectly reliable path runs unchanged, bit-for-bit.
+// With fault injection active (FaultConfig::enabled), non-loopback traffic
+// instead runs over a lossy wire: a deterministic injector may
+// drop/duplicate/delay each physical transmission and a go-back-N reliable
+// channel restores exactly-once FIFO delivery above it (DESIGN.md §13).
+// With it off, the original perfectly reliable path runs unchanged,
+// bit-for-bit.
 #pragma once
 
 #include <functional>
@@ -27,12 +27,6 @@
 #include "net/reliable/reliable_channel.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/tracer.hpp"
-
-// Compile-time gate (CMake option DQEMU_ENABLE_FAULTS). When defined to 0
-// the lossy-wire path is never taken and FaultConfig::enabled is inert.
-#ifndef DQEMU_FAULTS_ENABLED
-#define DQEMU_FAULTS_ENABLED 1
-#endif
 
 namespace dqemu::net {
 
@@ -92,8 +86,8 @@ class Network {
 
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
-  /// True when the lossy-wire + reliable-channel path is active (both the
-  /// compile-time and the runtime gate are on).
+  /// True when the lossy-wire + reliable-channel path is active
+  /// (FaultConfig::enabled).
   [[nodiscard]] bool faults_active() const { return reliable_ != nullptr; }
 
   // ---- whole-node fault plane (DESIGN.md §18) ---------------------------

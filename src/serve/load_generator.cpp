@@ -9,7 +9,6 @@
 
 namespace dqemu::serve {
 
-#if DQEMU_SERVING_ENABLED
 namespace {
 
 [[nodiscard]] std::uint64_t worker_key(NodeId node, GuestTid tid) {
@@ -17,7 +16,6 @@ namespace {
 }
 
 }  // namespace
-#endif
 
 LoadGenerator::LoadGenerator(sim::EventQueue& queue, const ServeConfig& config,
                              StatsRegistry* stats, trace::Tracer* tracer,
@@ -27,8 +25,6 @@ LoadGenerator::LoadGenerator(sim::EventQueue& queue, const ServeConfig& config,
       stats_(stats),
       tracer_(tracer),
       responder_(std::move(responder)) {}
-
-#if DQEMU_SERVING_ENABLED
 
 std::uint64_t LoadGenerator::draw(std::uint64_t counter,
                                   std::uint64_t salt) const {
@@ -316,35 +312,5 @@ void LoadGenerator::note(const char* name, trace::Kind kind,
   r.cat = trace::Cat::kServe;
   tracer_->record(r);
 }
-
-#else  // DQEMU_SERVING_ENABLED
-
-// Compiled-out stubs: the core layer refuses to construct a serving
-// cluster in this build (Cluster reports a fatal config error), so none of
-// these can be reached; they only keep the library linkable.
-std::uint64_t LoadGenerator::draw(std::uint64_t, std::uint64_t) const {
-  return 0;
-}
-double LoadGenerator::draw_unit(std::uint64_t, std::uint64_t) const {
-  return 0.0;
-}
-DurationPs LoadGenerator::draw_exponential(std::uint64_t, std::uint64_t,
-                                           double) const {
-  return 0;
-}
-void LoadGenerator::start() {}
-void LoadGenerator::schedule_open_arrival(std::uint64_t) {}
-void LoadGenerator::schedule_client_issue(std::uint32_t) {}
-void LoadGenerator::issue_request(std::uint32_t) {}
-void LoadGenerator::dispatch(std::uint32_t, const Parked&) {}
-void LoadGenerator::on_get_request(NodeId, GuestTid, std::uint64_t) {}
-void LoadGenerator::on_done(NodeId, GuestTid, std::uint32_t, std::uint64_t) {}
-void LoadGenerator::on_node_crash(NodeId, NodeId, std::span<const GuestTid>) {}
-std::uint64_t LoadGenerator::digest() const { return 0; }
-void LoadGenerator::release_parked_if_drained() {}
-void LoadGenerator::note(const char*, trace::Kind, std::uint64_t,
-                         std::uint64_t, std::uint64_t) {}
-
-#endif  // DQEMU_SERVING_ENABLED
 
 }  // namespace dqemu::serve

@@ -22,7 +22,6 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
-#include "serve/serve.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/tracer.hpp"
 

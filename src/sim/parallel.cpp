@@ -1,5 +1,7 @@
 #include "sim/parallel.hpp"
 
+#include <cassert>
+
 namespace dqemu::sim {
 namespace {
 
@@ -52,16 +54,17 @@ void ThreadPool::run_tasks(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  assert(n <= kIndexMask);
   fn_.store(&fn, std::memory_order_relaxed);
-  total_.store(n, std::memory_order_relaxed);
   done_.store(0, std::memory_order_relaxed);
-  // One release store publishes the whole batch: a new batch id with the
-  // claim index reset to zero. Every claim CAS validates the batch id
-  // first, so a straggler still inside work() from the previous batch can
-  // never claim into this one with stale state.
-  const std::uint64_t gen = (ticket_.load(std::memory_order_relaxed) >>
-                             kIndexBits) + 1;
-  ticket_.store(gen << kIndexBits, std::memory_order_release);
+  // One release store publishes the whole batch: a new batch id and task
+  // count with the claim index reset to zero. Every claim CAS compares the
+  // whole word, so a straggler still inside work() from the previous batch
+  // can never claim into this one with stale state.
+  const std::uint64_t gen =
+      (ticket_.load(std::memory_order_relaxed) >> kGenShift) + 1;
+  ticket_.store((gen << kGenShift) | (std::uint64_t{n} << kIndexBits),
+                std::memory_order_release);
   if (sleepers_.load(std::memory_order_acquire) > 0) {
     // The lock pairs with the sleeper's re-check under the same lock:
     // either it sees the new batch before parking or this notify reaches
@@ -92,14 +95,14 @@ void ThreadPool::worker_loop() {
     int spins = 0;
     for (;;) {
       if (stop_.load(std::memory_order_acquire)) return;
-      gen = ticket_.load(std::memory_order_acquire) >> kIndexBits;
+      gen = ticket_.load(std::memory_order_acquire) >> kGenShift;
       if (gen != seen) break;
       if (++spins >= spin_budget_) {
         std::unique_lock<std::mutex> lock(mutex_);
         sleepers_.fetch_add(1, std::memory_order_release);
         cv_work_.wait(lock, [&] {
           return stop_.load(std::memory_order_acquire) ||
-                 (ticket_.load(std::memory_order_acquire) >> kIndexBits) !=
+                 (ticket_.load(std::memory_order_acquire) >> kGenShift) !=
                      seen;
         });
         sleepers_.fetch_sub(1, std::memory_order_release);
@@ -116,9 +119,9 @@ void ThreadPool::worker_loop() {
 void ThreadPool::work(std::uint64_t gen) {
   for (;;) {
     std::uint64_t t = ticket_.load(std::memory_order_acquire);
-    if ((t >> kIndexBits) != gen) return;  // a newer batch superseded ours
+    if ((t >> kGenShift) != gen) return;  // a newer batch superseded ours
     const std::size_t index = t & kIndexMask;
-    if (index >= total_.load(std::memory_order_acquire)) return;
+    if (index >= ((t >> kIndexBits) & kIndexMask)) return;  // all claimed
     if (!ticket_.compare_exchange_weak(t, t + 1, std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
       cpu_relax();

@@ -20,13 +20,6 @@
 #include <thread>
 #include <vector>
 
-// Compile-time gate (CMake option DQEMU_ENABLE_PARALLEL_SIM). With the
-// feature off, Cluster::run rejects host_threads > 1 and always drives the
-// single global queue — bit-identical to builds predating this subsystem.
-#ifndef DQEMU_PARALLEL_SIM_ENABLED
-#define DQEMU_PARALLEL_SIM_ENABLED 1
-#endif
-
 namespace dqemu::sim {
 
 class ThreadPool {
@@ -40,8 +33,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Runs fn(0) .. fn(n-1), each exactly once, distributed over the pool
-  /// plus the calling thread. Returns once all n calls completed; the
-  /// return establishes happens-before from every task to the caller.
+  /// plus the calling thread; n is at most kIndexMask. Returns once all n
+  /// calls completed; the return establishes happens-before from every
+  /// task to the caller.
   void run_tasks(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::uint32_t threads() const {
@@ -49,12 +43,15 @@ class ThreadPool {
   }
 
  private:
-  /// ticket_ layout: one word carries the batch id (high bits) and the
-  /// next unclaimed task index (low bits), so publishing a batch and
-  /// resetting the claim counter is a single release store, and a claim
-  /// (CAS of index+1 with the batch id validated) can never cross batches.
-  static constexpr std::uint64_t kIndexBits = 24;
+  /// ticket_ layout: one word carries the batch id (high 32 bits), the
+  /// batch's task count and the next unclaimed task index (16 bits each).
+  /// Publishing a batch is a single release store, and a claim is a CAS
+  /// of index+1 that validates the batch id and reads the count from the
+  /// same word, so a straggler from an older batch can never pair its
+  /// stale index with a newer batch's count.
+  static constexpr std::uint64_t kIndexBits = 16;
   static constexpr std::uint64_t kIndexMask = (1ull << kIndexBits) - 1;
+  static constexpr std::uint64_t kGenShift = 2 * kIndexBits;
 
   void worker_loop();
   /// Claims and runs tasks of batch `gen` until none remain or a newer
@@ -62,8 +59,7 @@ class ThreadPool {
   void work(std::uint64_t gen);
 
   std::atomic<std::uint64_t> ticket_{0};
-  std::atomic<std::size_t> total_{0};  ///< tasks in the current batch
-  std::atomic<std::size_t> done_{0};   ///< tasks completed
+  std::atomic<std::size_t> done_{0};  ///< tasks completed
   std::atomic<const std::function<void(std::size_t)>*> fn_{nullptr};
   std::atomic<bool> stop_{false};
   /// Spin iterations before parking/yielding; 0 on hosts with fewer cores

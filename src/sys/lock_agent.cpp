@@ -43,9 +43,6 @@ std::size_t LockAgent::parked_waiters() const {
   return n;
 }
 
-// Defined outside the fast-path gate: with the fast path compiled out both
-// maps stay empty and these are no-ops, which is exactly right.
-
 void LockAgent::return_all(const LocalRevokeFn& local_revoke) {
   std::vector<GuestAddr> addrs;
   addrs.reserve(owned_.size());
@@ -139,8 +136,6 @@ void LockAgent::on_peer_dead(NodeId dead) {
     sent_returns_.erase(addr);
   }
 }
-
-#if DQEMU_LOCK_FASTPATH_ENABLED
 
 void LockAgent::local_wait(GuestAddr addr, GuestTid tid, std::uint64_t flow) {
   assert(owns(addr));
@@ -328,34 +323,5 @@ void LockAgent::on_wake_handoff(const net::Message& msg) {
   resp.flow = msg.flow;
   network_.send(std::move(resp));
 }
-
-#else  // !DQEMU_LOCK_FASTPATH_ENABLED — hierarchical_locking() is false, so
-       // none of these can be reached; keep link-compatible stubs.
-
-void LockAgent::local_wait(GuestAddr, GuestTid, std::uint64_t) {
-  assert(false && "lock fast path compiled out");
-}
-
-std::uint32_t LockAgent::local_wake(GuestAddr, std::uint32_t) {
-  assert(false && "lock fast path compiled out");
-  return 0;
-}
-
-std::uint32_t LockAgent::wake_from_entry(GuestAddr, Entry&, std::uint32_t) {
-  return 0;
-}
-
-void LockAgent::note_delegated(GuestAddr) {}
-
-void LockAgent::handle_message(const net::Message&) {
-  assert(false && "lock fast path compiled out");
-}
-
-void LockAgent::on_lease_grant(const net::Message&) {}
-void LockAgent::on_lease_recall(const net::Message&) {}
-void LockAgent::on_wait_handoff(const net::Message&) {}
-void LockAgent::on_wake_handoff(const net::Message&) {}
-
-#endif  // DQEMU_LOCK_FASTPATH_ENABLED
 
 }  // namespace dqemu::sys

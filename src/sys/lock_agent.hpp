@@ -13,11 +13,9 @@
 // for up to `lock_cohort_limit` consecutive local grants, then must serve
 // the oldest waiter overall. This keeps lock handoff on-node (the whole
 // point of the lease) while bounding cross-node starvation; with the limit
-// set to 0 the agent degenerates to strict global FIFO.
-//
-// Compiled out by -DDQEMU_ENABLE_LOCK_FASTPATH=OFF, in which case
-// hierarchical_locking() is constant-false and every futex op takes the
-// PR-0 master-delegation path bit-for-bit.
+// set to 0 the agent degenerates to strict global FIFO. With
+// SysConfig::enable_hierarchical_locking off no agent ever asks for a
+// lease, and every futex op takes the master-delegation path.
 #pragma once
 
 #include <cstdint>
@@ -33,23 +31,7 @@
 #include "sys/wire.hpp"
 #include "trace/tracer.hpp"
 
-#ifndef DQEMU_LOCK_FASTPATH_ENABLED
-#define DQEMU_LOCK_FASTPATH_ENABLED 1
-#endif
-
 namespace dqemu::sys {
-
-/// True when hierarchical locking is both compiled in and enabled in the
-/// run configuration. All call sites gate on this so the OFF build and the
-/// OFF config take the identical master-delegation path.
-[[nodiscard]] inline bool hierarchical_locking(const SysConfig& sys) {
-#if DQEMU_LOCK_FASTPATH_ENABLED
-  return sys.enable_hierarchical_locking;
-#else
-  (void)sys;
-  return false;
-#endif
-}
 
 class LockAgent {
  public:

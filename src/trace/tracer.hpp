@@ -9,6 +9,10 @@
 //   - no tracer attached          -> one null-pointer test per site
 //   - category masked off         -> one load + AND per site
 //   - DQEMU_TRACING_ENABLED == 0  -> sites compile to nothing at all
+// The per-site test is cheap, but the sites sit on the hottest protocol
+// paths, so the runtime-off build still measurably trails the compiled-out
+// one on serving workloads (DESIGN.md §9). That is why this is the one
+// compile-time gate kept.
 //
 // Instrumentation sites are written as
 //

@@ -84,9 +84,7 @@ case "$out" in
 esac
 
 # Home sharding: the run completes, prints the per-home evenness summary,
-# and is byte-reproducible. With the feature compiled out the flag is a
-# documented no-op (bit-for-bit single-master), so only exit status and
-# reproducibility are checked unconditionally.
+# and is byte-reproducible.
 s1=$("$RUN" "$GUEST" --nodes 3 --home-sharding --placement hash 2>&1)
 status=$?
 [ "$status" -eq 0 ] || fail "--home-sharding run exited $status: $s1"
@@ -101,57 +99,40 @@ s2=$("$RUN" "$GUEST" --nodes 3 --home-sharding --placement hash 2>&1)
 # Serving mode: --serve takes no program argument...
 "$RUN" "$GUEST" --serve >/dev/null 2>&1 && fail "--serve with a program exited 0"
 
-# ...and either runs the built-in pool (serving compiled in) or refuses
-# loudly (DQEMU_ENABLE_SERVING=OFF build).
+# ...and runs the built-in worker pool.
 out=$("$RUN" --serve --nodes 2 --requests 200 --rate 4000 \
       --serve-workers 8 --serve-seed 5 2>&1)
 status=$?
+[ "$status" -eq 0 ] || fail "--serve run exited $status: $out"
 case "$out" in
-  *"compiled out"*)
-    [ "$status" -ne 0 ] || fail "compiled-out --serve exited 0"
-    ;;
-  *)
-    [ "$status" -eq 0 ] || fail "--serve run exited $status: $out"
-    case "$out" in
-      *"serve: requests=200 retired=200"*) ;;
-      *) fail "--serve printed no serve summary: $out" ;;
-    esac
-    case "$out" in
-      *"p99="*) ;;
-      *) fail "--serve summary has no tail percentiles: $out" ;;
-    esac
-    # Same seed, same everything: the whole output must be byte-identical,
-    # lossy wire included.
-    two=$("$RUN" --serve --nodes 2 --requests 200 --rate 4000 \
-          --serve-workers 8 --serve-seed 5 2>&1)
-    [ "$(strip_host "$out")" = "$(strip_host "$two")" ] ||
-      fail "same-seed --serve runs differ"
-    f1=$("$RUN" --serve --nodes 2 --requests 200 --rate 4000 \
-         --serve-workers 8 --faults --drop-pct 2 2>&1)
-    f2=$("$RUN" --serve --nodes 2 --requests 200 --rate 4000 \
-         --serve-workers 8 --faults --drop-pct 2 2>&1)
-    [ "$(strip_host "$f1")" = "$(strip_host "$f2")" ] ||
-      fail "same-seed --serve --faults runs differ"
-    ;;
+  *"serve: requests=200 retired=200"*) ;;
+  *) fail "--serve printed no serve summary: $out" ;;
 esac
+case "$out" in
+  *"p99="*) ;;
+  *) fail "--serve summary has no tail percentiles: $out" ;;
+esac
+# Same seed, same everything: the whole output must be byte-identical,
+# lossy wire included.
+two=$("$RUN" --serve --nodes 2 --requests 200 --rate 4000 \
+      --serve-workers 8 --serve-seed 5 2>&1)
+[ "$(strip_host "$out")" = "$(strip_host "$two")" ] ||
+  fail "same-seed --serve runs differ"
+f1=$("$RUN" --serve --nodes 2 --requests 200 --rate 4000 \
+     --serve-workers 8 --faults --drop-pct 2 2>&1)
+f2=$("$RUN" --serve --nodes 2 --requests 200 --rate 4000 \
+     --serve-workers 8 --faults --drop-pct 2 2>&1)
+[ "$(strip_host "$f1")" = "$(strip_host "$f2")" ] ||
+  fail "same-seed --serve --faults runs differ"
 
 # The parallel scheduler must not change a single byte of the summary
 # (virtual time, counters, serve percentiles) — only the host cost line.
 par=$("$RUN" --serve --nodes 2 --requests 200 --rate 4000 \
       --serve-workers 8 --serve-seed 5 --host-threads 2 2>&1)
 status=$?
-case "$par" in
-  *"compiled out"*)
-    [ "$status" -ne 0 ] || fail "compiled-out --host-threads exited 0"
-    ;;
-  *)
-    [ "$status" -eq 0 ] || fail "--host-threads 2 run exited $status: $par"
-    one=$("$RUN" --serve --nodes 2 --requests 200 --rate 4000 \
-          --serve-workers 8 --serve-seed 5 2>&1)
-    [ "$(strip_host "$par")" = "$(strip_host "$one")" ] ||
-      fail "--host-threads 2 output differs from --host-threads 1"
-    ;;
-esac
+[ "$status" -eq 0 ] || fail "--host-threads 2 run exited $status: $par"
+[ "$(strip_host "$par")" = "$(strip_host "$out")" ] ||
+  fail "--host-threads 2 output differs from --host-threads 1"
 
 [ "$failures" -eq 0 ] && echo "PASS"
 exit "$failures"

@@ -138,6 +138,11 @@ struct OptimizationCase {
   SchedPolicy policy;
 };
 
+// gtest prints the parameter into the listed test name (and so the CTest
+// name). Its default byte dump would include the `name` pointer, which moves
+// with every load of the binary.
+void PrintTo(const OptimizationCase& c, std::ostream* os) { *os << c.name; }
+
 class OptimizationEquivalence
     : public ::testing::TestWithParam<OptimizationCase> {};
 

@@ -13,17 +13,18 @@
 // translation counters — must match exactly.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 
-#include "net/network.hpp"   // for DQEMU_FAULTS_ENABLED
-#include "serve/serve.hpp"   // for DQEMU_SERVING_ENABLED
 #include "testutil.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
 #include "workloads/micro.hpp"
+#include "workloads/parsec.hpp"
 #include "workloads/serve.hpp"
 
 namespace dqemu {
@@ -253,16 +254,6 @@ TEST(HierLockingDeterminism, EnabledModeIsRunToRunDeterministic) {
 // And because the reliable channel hides every fault from the layers above,
 // the *guest-visible* results of a faulty run must equal the clean run's.
 
-// With -DDQEMU_ENABLE_FAULTS=OFF the wire is always perfect; the tests that
-// need actual faults to prove anything are skipped in that build (the
-// bit-identity gates below still run).
-#if DQEMU_FAULTS_ENABLED
-#define SKIP_WITHOUT_FAULTS() (void)0
-#else
-#define SKIP_WITHOUT_FAULTS() \
-  GTEST_SKIP() << "built with DQEMU_ENABLE_FAULTS=OFF"
-#endif
-
 ClusterConfig fault_config(std::uint32_t nodes, std::uint32_t seed) {
   ClusterConfig config = test::test_config(nodes);
   config.dbt.quantum_insns = 500;
@@ -281,7 +272,6 @@ TEST(FaultDeterminism, SameSeedLossyRunsAreByteIdentical) {
 }
 
 TEST(FaultDeterminism, DifferentSeedsChangeTheWireButNotTheGuest) {
-  SKIP_WITHOUT_FAULTS();
   const auto program = must(workloads::mutex_stress(16, 100, /*global=*/true));
   const Observation a = observe_with(program, fault_config(2, 1));
   const Observation b = observe_with(program, fault_config(2, 2));
@@ -293,7 +283,6 @@ TEST(FaultDeterminism, DifferentSeedsChangeTheWireButNotTheGuest) {
 }
 
 TEST(FaultDeterminism, LossyGuestResultsMatchTheCleanRun) {
-  SKIP_WITHOUT_FAULTS();
   // Guest *results* (exit code, stdout) must survive the lossy wire
   // untouched. Retired-instruction counts may legitimately shift: delayed
   // lock handoffs change how long LL/SC retry loops spin.
@@ -341,13 +330,6 @@ TEST(FaultDeterminism, DisabledFaultsLeaveTheCleanRunUntouched) {
 // including the latency histograms (hist_dump) and the per-request trace
 // flows — and a serving-disabled config cannot perturb a batch run.
 
-#if DQEMU_SERVING_ENABLED
-#define SKIP_WITHOUT_SERVING() (void)0
-#else
-#define SKIP_WITHOUT_SERVING() \
-  GTEST_SKIP() << "built with DQEMU_ENABLE_SERVING=OFF"
-#endif
-
 ClusterConfig serving_config(std::uint32_t nodes, std::uint64_t seed) {
   ClusterConfig config = test::test_config(nodes);
   config.serve.enabled = true;
@@ -359,14 +341,12 @@ ClusterConfig serving_config(std::uint32_t nodes, std::uint64_t seed) {
 }
 
 TEST(ServeDeterminism, SameSeedRunsAreByteIdentical) {
-  SKIP_WITHOUT_SERVING();
   const auto program = must(workloads::serve_pool({.workers = 8}));
   expect_identical(observe_with(program, serving_config(2, 7)),
                    observe_with(program, serving_config(2, 7)));
 }
 
 TEST(ServeDeterminism, SameSeedRunsAreByteIdenticalUnderLoss) {
-  SKIP_WITHOUT_SERVING();
   const auto program = must(workloads::serve_pool({.workers = 8}));
   ClusterConfig config = serving_config(2, 7);
   config.faults.enabled = true;
@@ -379,7 +359,6 @@ TEST(ServeDeterminism, SameSeedRunsAreByteIdenticalUnderLoss) {
 }
 
 TEST(ServeDeterminism, DifferentServeSeedChangesOnlyTheServingPlane) {
-  SKIP_WITHOUT_SERVING();
   const auto program = must(workloads::serve_pool({.workers = 8}));
   const Observation a = observe_with(program, serving_config(2, 7));
   const Observation b = observe_with(program, serving_config(2, 8));
@@ -395,10 +374,8 @@ TEST(ServeDeterminism, DifferentServeSeedChangesOnlyTheServingPlane) {
 }
 
 TEST(ServeDeterminism, DisabledServingReproducesTheBatchBaseline) {
-  // The dual-gate contract: serve knobs set but enabled=false must not
-  // move a single picosecond of a batch run. Runs in every build flavor —
-  // with serving compiled out this doubles as the compiled-out-identity
-  // gate.
+  // The runtime-switch contract: serve knobs set but enabled=false must
+  // not move a single picosecond of a batch run.
   const auto program = must(workloads::mutex_stress(8, 50, /*global=*/true));
   ClusterConfig off = test::test_config(2);
   ClusterConfig constructed = test::test_config(2);
@@ -407,6 +384,211 @@ TEST(ServeDeterminism, DisabledServingReproducesTheBatchBaseline) {
   constructed.serve.rate = 1e6;
   expect_identical(observe_with(program, off),
                    observe_with(program, constructed));
+}
+
+
+// ---- the paper baseline, pinned -------------------------------------------
+//
+// Each feature added on top of the paper has exactly one switch, a runtime
+// config field, and with all of them off the simulator must still be the
+// paper's protocol, bit for bit. This pins that: one scenario per paper
+// figure or table, on the single-node baseline and on 2 and 4 slaves, run
+// once with every switch off and once with the default config. Both runs
+// must reproduce the constants below, which were recorded at commit
+// 7c7802f20cadedd7631fdf311efe68ecba28e6e0 with every feature compiled out,
+// configured by this one command line (bash brace expansion):
+//   cmake -S . -B build-off -DCMAKE_BUILD_TYPE=RelWithDebInfo
+//     -DDQEMU_ENABLE_{PARALLEL_SIM,FASTPATH,SUPERBLOCKS,LOCK_FASTPATH}=OFF
+//     -DDQEMU_ENABLE_{DSM_DIFF,FAULTS,SERVING,HOME_SHARDING,NODE_FAULTS}=OFF
+
+struct PaperScenario {
+  const char* name;
+  Result<isa::Program> (*build)();
+};
+
+constexpr PaperScenario kPaperScenarios[] = {
+    {"fig5_pi", [] { return workloads::pi_taylor(8, 1, 200); }},
+    {"fig6_mutex_global",
+     [] { return workloads::mutex_stress(8, 40, /*global=*/true); }},
+    {"fig7_blackscholes",
+     [] {
+       return workloads::blackscholes_like(
+           {.threads = 8, .options_n = 1024, .reps = 1});
+     }},
+    {"fig7_swaptions",
+     [] {
+       return workloads::swaptions_like(
+           {.threads = 8, .swaptions_n = 8, .trials = 40});
+     }},
+    {"fig7_x264",
+     [] {
+       return workloads::x264_like({.threads = 16,
+                                    .groups = 4,
+                                    .rounds = 2,
+                                    .frame_bytes = 4096,
+                                    .compute_words = 256});
+     }},
+    {"fig7_fluidanimate",
+     [] {
+       return workloads::fluidanimate_like({.threads = 16,
+                                            .rows_per_thread = 1,
+                                            .cols = 512,
+                                            .iters = 2,
+                                            .hint_groups = 4});
+     }},
+    {"fig8_table1_memwalk",
+     [] { return workloads::memwalk(64 * 1024, 1, /*touch_first=*/true); }},
+};
+
+struct PinnedRun {
+  const char* scenario;
+  std::uint32_t slaves;  ///< 0 = the single-node baseline
+  std::uint32_t exit_code;
+  TimePs sim_time;
+  std::uint64_t guest_insns;
+  const char* guest_stdout;
+  std::uint64_t counters_digest;  ///< FNV-1a over "name=value;" pairs
+};
+
+constexpr PinnedRun kPaperBaseline[] = {
+    {"fig5_pi", 0, 0, 86085446ull, 10640ull, "3136592\n",
+     0x3d8ca4ef738af64full},
+    {"fig5_pi", 2, 0, 3356129208ull, 10640ull, "3136592\n",
+     0x1d6e86eee50394c9ull},
+    {"fig5_pi", 4, 0, 4355592480ull, 10640ull, "3136592\n",
+     0x19f9075220799aadull},
+    {"fig6_mutex_global", 0, 0, 86520598ull, 8578ull, "320\n",
+     0xc5424effe72c7c55ull},
+    {"fig6_mutex_global", 2, 0, 10430681929ull, 10512ull, "320\n",
+     0x2c1c8901bd76c224ull},
+    {"fig6_mutex_global", 4, 0, 17215652106ull, 10526ull, "320\n",
+     0x22282af44b52bbfbull},
+    {"fig7_blackscholes", 0, 0, 113156964ull, 46110ull, "355118\n",
+     0x9a7d9d4ba5220519ull},
+    {"fig7_blackscholes", 2, 0, 5961523508ull, 46103ull, "355118\n",
+     0x2a6061abbba5f094ull},
+    {"fig7_blackscholes", 4, 0, 7497339386ull, 46103ull, "355118\n",
+     0x7af912bce4e01703ull},
+    {"fig7_swaptions", 0, 0, 87269083ull, 8787ull, "2102\n",
+     0xeed97da7e0179eb3ull},
+    {"fig7_swaptions", 2, 0, 3657860118ull, 8787ull, "2102\n",
+     0xb24d956df78a0536ull},
+    {"fig7_swaptions", 4, 0, 4632483997ull, 8787ull, "2102\n",
+     0x53d8a7f6955651b6ull},
+    {"fig7_x264", 0, 0, 322357554ull, 265963ull, "156672\n",
+     0xbb0e05beb6dc883cull},
+    {"fig7_x264", 2, 0, 13682774410ull, 266189ull, "156672\n",
+     0xe78a41450c8266abull},
+    {"fig7_x264", 4, 0, 19592050770ull, 266180ull, "156672\n",
+     0x54282b55476c2d59ull},
+    {"fig7_fluidanimate", 0, 0, 296867250ull, 183552ull, "333333\n",
+     0x30b108c3991bf0abull},
+    {"fig7_fluidanimate", 2, 0, 12923767378ull, 183638ull, "333333\n",
+     0xffbea801f7b9c974ull},
+    {"fig7_fluidanimate", 4, 0, 15187735866ull, 183659ull, "333333\n",
+     0xf26376e8e1be481full},
+    {"fig8_table1_memwalk", 0, 0, 407645452ull, 114899ull, "",
+     0x45601ec1d6ee4f4eull},
+    {"fig8_table1_memwalk", 2, 0, 9198036471ull, 114899ull, "",
+     0xba194c3cb79af703ull},
+    {"fig8_table1_memwalk", 4, 0, 9198036471ull, 114899ull, "",
+     0xba194c3cb79af703ull},
+};
+
+struct MeasuredRun {
+  std::uint32_t exit_code = 0;
+  TimePs sim_time = 0;
+  std::uint64_t guest_insns = 0;
+  std::string guest_stdout;
+  std::uint64_t counters_digest = 0;
+};
+
+ClusterConfig every_switch_off(ClusterConfig config) {
+  config.sim.host_threads = 1;
+  config.dbt.enable_fastpath = false;
+  config.dbt.enable_superblocks = false;
+  config.sys.enable_hierarchical_locking = false;
+  config.dsm.enable_diff_transfers = false;
+  config.dsm.enable_home_sharding = false;
+  config.faults.enabled = false;
+  config.faults.node_faults.clear();
+  config.serve.enabled = false;
+  return config;
+}
+
+MeasuredRun measure(const isa::Program& program, const ClusterConfig& config) {
+  MeasuredRun measured;
+  core::Cluster cluster(config);
+  const Status load_status = cluster.load(program);
+  EXPECT_TRUE(load_status.is_ok()) << load_status.to_string();
+  auto run = cluster.run();
+  EXPECT_TRUE(run.is_ok()) << run.status().to_string();
+  if (!run.is_ok()) return measured;
+  const core::Cluster::RunResult result = run.take();
+  measured.exit_code = result.exit_code;
+  measured.sim_time = result.sim_time;
+  measured.guest_insns = result.guest_insns;
+  measured.guest_stdout = result.guest_stdout;
+
+  const std::set<std::string> host_only = superblock_divergent_counters();
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (const auto& [name, value] : cluster.stats().counters()) {
+    if (host_only.contains(name)) continue;
+    for (const char c : name + "=" + std::to_string(value) + ";") {
+      digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+  }
+  measured.counters_digest = digest;
+  return measured;
+}
+
+/// The measured run as a kPaperBaseline row, for (re-)recording the table.
+std::string as_row(const char* scenario, std::uint32_t slaves,
+                   const MeasuredRun& m) {
+  std::string escaped;
+  for (const char c : m.guest_stdout) {
+    escaped += c == '\n' ? std::string("\\n") : std::string(1, c);
+  }
+  char row[256];
+  std::snprintf(row, sizeof row,
+                "{\"%s\", %u, %u, %" PRIu64 "ull, %" PRIu64 "ull, \"%s\",\n"
+                " 0x%016" PRIx64 "ull},",
+                scenario, slaves, m.exit_code, m.sim_time, m.guest_insns,
+                escaped.c_str(), m.counters_digest);
+  return row;
+}
+
+TEST(PaperBaseline, EverySwitchOffAndTheDefaultConfigMatchThePinnedRuns) {
+  for (const PaperScenario& scenario : kPaperScenarios) {
+    const isa::Program program = must(scenario.build());
+    for (const std::uint32_t slaves : {0u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(scenario.name) +
+                   " slaves=" + std::to_string(slaves));
+      const PinnedRun* pinned = nullptr;
+      for (const PinnedRun& row : kPaperBaseline) {
+        if (std::string(row.scenario) == scenario.name && row.slaves == slaves)
+          pinned = &row;
+      }
+      const ClusterConfig defaults = slaves == 0 ? test::baseline_config()
+                                                 : test::test_config(slaves);
+      const MeasuredRun off = measure(program, every_switch_off(defaults));
+      const MeasuredRun on = measure(program, defaults);
+      if (pinned == nullptr) {
+        ADD_FAILURE() << "no pinned row; measured\n"
+                      << as_row(scenario.name, slaves, off);
+        continue;
+      }
+      for (const MeasuredRun* got : {&off, &on}) {
+        SCOPED_TRACE(got == &off ? "every switch off" : "default config");
+        EXPECT_EQ(got->exit_code, pinned->exit_code);
+        EXPECT_EQ(got->sim_time, pinned->sim_time);
+        EXPECT_EQ(got->guest_insns, pinned->guest_insns);
+        EXPECT_EQ(got->guest_stdout, pinned->guest_stdout);
+        EXPECT_EQ(got->counters_digest, pinned->counters_digest)
+            << as_row(scenario.name, slaves, *got);
+      }
+    }
+  }
 }
 
 }  // namespace

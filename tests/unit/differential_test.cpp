@@ -295,13 +295,11 @@ TEST_P(LoopedDifferential, SuperblockEngineMatchesReference) {
     SCOPED_TRACE(mode.name);
     const EngineRun run = run_engine(program, *mode.dbt);
     ASSERT_EQ(run.result.reason, StopReason::kSyscall) << run.result.error;
-#if DQEMU_SUPERBLOCKS_ENABLED
     // The looped programs must actually reach the trace tier — a fuzz
     // pass that never forms a superblock would prove nothing.
     if (mode.dbt->enable_superblocks) {
       EXPECT_GT(run.superblocks, 0u);
     }
-#endif
     EXPECT_EQ(run.result.insns, ref.insns);
     EXPECT_EQ(run.ctx.pc, ref_ctx.pc);
     EXPECT_EQ(run.ctx.gpr, ref_ctx.gpr);

@@ -219,8 +219,6 @@ struct DiffProtocolFixture : ::testing::Test {
   std::vector<std::uint32_t> wakes[3];
 };
 
-#if DQEMU_DSM_DIFF_ENABLED
-
 TEST_F(DiffProtocolFixture, WriteGrantCapturesTwin) {
   clients[1]->request_page(10, 0, /*write=*/true, 1);
   settle();
@@ -407,8 +405,6 @@ TEST_F(DiffProtocolFixture, UpgradeStillCarriesNoPayload) {
   EXPECT_TRUE(clients[1]->has_twin(60));
 }
 
-#endif  // DQEMU_DSM_DIFF_ENABLED
-
 // ---- diff on/off equivalence ------------------------------------------------
 
 // Drives the same request/store script through a diff-on and a diff-off
@@ -503,10 +499,8 @@ TEST(DiffEquivalence, ProtocolStateMatchesFullPagePlane) {
           << "node " << n << " page " << page;
     }
   }
-#if DQEMU_DSM_DIFF_ENABLED
   EXPECT_GT(on->stats.get("dsm.diff_writebacks"), 0u);
   EXPECT_GT(on->stats.get("dsm.bytes_saved"), 0u);
-#endif
   EXPECT_EQ(off->stats.get("dsm.diff_writebacks"), 0u);
   EXPECT_EQ(off->stats.get("dsm.bytes_saved"), 0u);
 }

@@ -25,17 +25,6 @@ namespace {
 using time_literals::kMs;
 using time_literals::kUs;
 
-// The injector and Timer are plain classes that always compile, but the
-// Network only routes through the reliable channel when the fault plane is
-// built in; with -DDQEMU_ENABLE_FAULTS=OFF every wire is perfect and the
-// recovery scenarios are unreachable.
-#if DQEMU_FAULTS_ENABLED
-#define SKIP_WITHOUT_FAULTS() (void)0
-#else
-#define SKIP_WITHOUT_FAULTS() \
-  GTEST_SKIP() << "built with DQEMU_ENABLE_FAULTS=OFF"
-#endif
-
 // ---- sim::Timer ----------------------------------------------------------
 
 TEST(SimTimer, FiresOnceAndDisarms) {
@@ -192,8 +181,6 @@ TEST(FaultInjector, RuleTargetsTypeLinkAndBudget) {
 // ---- Reliable channel over a lossy raw Network ---------------------------
 
 struct LossyNetFixture : ::testing::Test {
-  void SetUp() override { SKIP_WITHOUT_FAULTS(); }
-
   /// Builds the network lazily so each test can set `faults` first.
   net::Network& build() {
     faults.enabled = true;
@@ -380,7 +367,6 @@ ClusterConfig faulty_config(std::uint32_t nodes) {
 }
 
 TEST(FaultRecovery, DropTheGrantStillCompletes) {
-  SKIP_WITHOUT_FAULTS();
   // The very first kPageData grant from the master vanishes; the reliable
   // channel must retransmit it and the guest must never notice.
   const auto program = must(workloads::memwalk(64 * 1024, 1, true));
@@ -402,7 +388,6 @@ TEST(FaultRecovery, DropTheGrantStillCompletes) {
 }
 
 TEST(FaultRecovery, DropTheAckStillCompletes) {
-  SKIP_WITHOUT_FAULTS();
   // An ownership-recall writeback (kInvAck, carrying the only fresh copy of
   // a dirty page) is dropped: retransmission must recover the content.
   const auto program =
@@ -429,7 +414,6 @@ TEST(FaultRecovery, DropTheAckStillCompletes) {
 }
 
 TEST(FaultRecovery, RandomLossMutexStressMatchesCleanRun) {
-  SKIP_WITHOUT_FAULTS();
   const auto program =
       must(workloads::mutex_stress(16, 100, /*global=*/true));
   ClusterConfig config = faulty_config(2);
@@ -450,7 +434,6 @@ TEST(FaultRecovery, RandomLossMutexStressMatchesCleanRun) {
 }
 
 TEST(FaultRecovery, DuplicatedRecallIsIgnoredByTheAgent) {
-  SKIP_WITHOUT_FAULTS();
   // Force the master's recall watchdog to fire while the lease return is
   // still in flight: the RTO is huge (so the dropped return sits unsent for
   // a long time) and the watchdog short (so the master re-recalls first).
@@ -482,7 +465,6 @@ TEST(FaultRecovery, DuplicatedRecallIsIgnoredByTheAgent) {
 }
 
 TEST(FaultRecovery, DsmWatchdogReissuesAStuckRequest) {
-  SKIP_WITHOUT_FAULTS();
   // Same trick for the DSM fault watchdog: the grant is dropped and the
   // channel's RTO is far beyond the watchdog, so the client re-issues the
   // request and the directory's benign re-grant completes the fault.

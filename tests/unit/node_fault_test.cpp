@@ -10,8 +10,7 @@
 //   - a checkpoint captured at a virtual-time cut is bit-identical between
 //     a fresh run and a re-executed ("restored") run;
 //   - a peer that stops acking is declared dead after the configured number
-//     of zero-progress retransmit rounds, and the sender then goes quiet;
-//   - with the plane compiled out, a node-fault config fails loudly.
+//     of zero-progress retransmit rounds, and the sender then goes quiet.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -22,10 +21,8 @@
 #include "core/checkpoint.hpp"
 #include "core/cluster.hpp"
 #include "dsm/placement.hpp"
-#include "dsm/wire.hpp"
 #include "net/fault/node_faults.hpp"
 #include "net/network.hpp"
-#include "serve/serve.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/parallel.hpp"
 #include "testutil.hpp"
@@ -36,13 +33,6 @@ namespace {
 
 using time_literals::kMs;
 using time_literals::kUs;
-
-#if DQEMU_NODE_FAULTS_ENABLED && DQEMU_FAULTS_ENABLED
-#define SKIP_WITHOUT_NODE_FAULTS() (void)0
-#else
-#define SKIP_WITHOUT_NODE_FAULTS() \
-  GTEST_SKIP() << "built without the node-fault plane"
-#endif
 
 // ---- full-cluster crash/pause scenarios ----------------------------------
 
@@ -112,8 +102,6 @@ ServeRun run_serving(const ClusterConfig& config,
 }
 
 TEST(NodeCrash, MidServingRunRecoversCompletely) {
-  SKIP_WITHOUT_NODE_FAULTS();
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
   const auto config =
       fault_config(FaultConfig::NodeFault::Kind::kCrash, 2, 900 * kUs);
   const ServeRun run = run_serving(config);
@@ -127,8 +115,6 @@ TEST(NodeCrash, MidServingRunRecoversCompletely) {
 }
 
 TEST(NodeCrash, SameSeedRunsAreIdentical) {
-  SKIP_WITHOUT_NODE_FAULTS();
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
   const auto config =
       fault_config(FaultConfig::NodeFault::Kind::kCrash, 2, 900 * kUs);
   const ServeRun a = run_serving(config);
@@ -140,8 +126,6 @@ TEST(NodeCrash, SameSeedRunsAreIdentical) {
 }
 
 TEST(NodeCrash, DrawnTargetAndTimeAreSeeded) {
-  SKIP_WITHOUT_NODE_FAULTS();
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
   // node == 0 and at == 0 mean "draw from the fault seed": two runs with
   // the same seed must pick the same victim at the same instant.
   auto config = fault_config(FaultConfig::NodeFault::Kind::kCrash, 0, 0);
@@ -156,10 +140,7 @@ TEST(NodeCrash, DrawnTargetAndTimeAreSeeded) {
   EXPECT_EQ(a.retired, config.serve.requests);
 }
 
-#if DQEMU_PARALLEL_SIM_ENABLED
 TEST(NodeCrash, IdenticalAcrossHostThreads) {
-  SKIP_WITHOUT_NODE_FAULTS();
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
   auto config = fault_config(FaultConfig::NodeFault::Kind::kCrash, 2, 900 * kUs);
   const ServeRun serial = run_serving(config);
   ASSERT_TRUE(serial.ok) << serial.error;
@@ -172,11 +153,8 @@ TEST(NodeCrash, IdenticalAcrossHostThreads) {
     EXPECT_EQ(parallel.stats, serial.stats) << "host_threads=" << threads;
   }
 }
-#endif
 
 TEST(NodePause, RejoinRecoversAndIsDeterministic) {
-  SKIP_WITHOUT_NODE_FAULTS();
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
   const auto config = fault_config(FaultConfig::NodeFault::Kind::kPause, 3,
                                    800 * kUs, 500 * kUs);
   const ServeRun a = run_serving(config);
@@ -192,10 +170,6 @@ TEST(NodePause, RejoinRecoversAndIsDeterministic) {
 }
 
 TEST(NodeCrash, ShardedHomeHandsOffToMaster) {
-  SKIP_WITHOUT_NODE_FAULTS();
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
-  if (!dsm::home_sharding_compiled_in())
-    GTEST_SKIP() << "home sharding compiled out";
   // The hardest recovery: the dead node hosted a directory shard and a
   // futex home. Its shard state must hand off to the master, survivors'
   // learned routes must invalidate, and the run must still fully retire.
@@ -213,8 +187,6 @@ TEST(NodeCrash, ShardedHomeHandsOffToMaster) {
 }
 
 TEST(NodeCrash, LossyWireCrashQuiescesWatchdogs) {
-  SKIP_WITHOUT_NODE_FAULTS();
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
   // Crash on an already-lossy wire: protocol watchdogs are armed when the
   // node dies, and the teardown must cancel every timer its agents own
   // (ASan builds of this test catch a timer firing into freed state).
@@ -233,8 +205,6 @@ TEST(NodeCrash, LossyWireCrashQuiescesWatchdogs) {
 // ---- checkpoint / restore ------------------------------------------------
 
 TEST(Checkpoint, RestoredRunMatchesUninterrupted) {
-  SKIP_WITHOUT_NODE_FAULTS();
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
   const auto config =
       fault_config(FaultConfig::NodeFault::Kind::kCrash, 2, 900 * kUs);
   const TimePs cut = 20 * kMs;
@@ -255,8 +225,6 @@ TEST(Checkpoint, RestoredRunMatchesUninterrupted) {
 }
 
 TEST(Checkpoint, DivergentConfigIsDetected) {
-  SKIP_WITHOUT_NODE_FAULTS();
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
   const auto config =
       fault_config(FaultConfig::NodeFault::Kind::kCrash, 2, 900 * kUs);
   auto other = config;
@@ -284,27 +252,9 @@ TEST(Checkpoint, ImageRoundTripsThroughDisk) {
   EXPECT_EQ(loaded.digests, image.digests);
 }
 
-// ---- feature gate --------------------------------------------------------
-
-TEST(NodeFaultGate, RuntimeEnabledButCompiledOutFailsLoudly) {
-#if DQEMU_NODE_FAULTS_ENABLED
-  GTEST_SKIP() << "node-fault plane compiled in";
-#else
-  if (!serve::compiled_in()) GTEST_SKIP() << "serving plane compiled out";
-  const auto config =
-      fault_config(FaultConfig::NodeFault::Kind::kCrash, 2, 900 * kUs);
-  const ServeRun run = run_serving(config);
-  EXPECT_FALSE(run.ok);
-  EXPECT_NE(run.error.find("compiled out"), std::string::npos) << run.error;
-#endif
-}
-
 // ---- bounded give-up (net.peer_dead) -------------------------------------
 
 TEST(ReliableGiveUp, DeclaresDeadPeerAndGoesQuiet) {
-#if !DQEMU_FAULTS_ENABLED
-  GTEST_SKIP() << "built with DQEMU_ENABLE_FAULTS=OFF";
-#else
   // A link that makes zero progress for giveup_retrans consecutive
   // retransmit rounds declares the peer dead and stops retransmitting.
   // Without the bound this queue never drains (retransmit forever).
@@ -350,7 +300,6 @@ TEST(ReliableGiveUp, DeclaresDeadPeerAndGoesQuiet) {
   }
   EXPECT_EQ(stats.get("net.messages"), wire_before);
   EXPECT_GE(stats.get("net.dead_dropped"), 1u);
-#endif
 }
 
 // ---- HomeView invalidation -----------------------------------------------
@@ -361,7 +310,7 @@ TEST(HomeViewCrash, InvalidateDropsLearnedRoutesAndRefusesRelearning) {
   config.dsm.home_placement = HomePlacement::kFirstTouch;
   const dsm::HomeLayout layout = dsm::home_layout(config);
   dsm::HomeView view(config.dsm, layout);
-  if (!view.sharded()) GTEST_SKIP() << "home sharding compiled out";
+  ASSERT_TRUE(view.sharded());
 
   // An ordinary (non-shadow) page: shadow-pool pages are statically sliced
   // and never learned.

@@ -16,7 +16,9 @@
 //      their timestamps — never their values — may differ).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <set>
@@ -24,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "net/network.hpp"  // DQEMU_FAULTS_ENABLED
-#include "serve/serve.hpp"  // serve::compiled_in()
 #include "sim/event_queue.hpp"
 #include "sim/parallel.hpp"
 #include "testutil.hpp"
@@ -80,6 +80,36 @@ TEST(ThreadPool, ManySmallBatchesStaySound) {
     expected += n * (n + 1) / 2;
   }
   EXPECT_EQ(sum.load(), expected);
+}
+
+TEST(ThreadPool, GrowingBatchesOnAnOversubscribedPoolStaySound) {
+  // A straggler still inside work() for batch k can hold that batch's
+  // exhausted ticket while run_tasks publishes batch k+1. Were it able to
+  // check that index against batch k+1's larger size, its stale claim
+  // would run a k+1 task twice. Growing sizes create that opening, and
+  // more pool threads than host cores get the straggler preempted inside
+  // it. Every task must run exactly once per batch, and run_tasks must not
+  // return before all of them have. One std::function outlives every
+  // batch, so a late task still lands in `hits` as a wrong count.
+  sim::ThreadPool pool(16);
+  constexpr std::size_t kMaxTasks = 16;
+  std::array<std::atomic<std::uint32_t>, kMaxTasks> hits{};
+  const std::function<void(std::size_t)> task = [&](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  };
+  int bad_batches = 0;
+  for (std::size_t batch = 0; batch < 100'000; ++batch) {
+    const std::size_t n = 1 + batch % kMaxTasks;
+    pool.run_tasks(n, task);
+    for (std::size_t i = 0; i < kMaxTasks; ++i) {
+      const std::uint32_t want = i < n ? 1u : 0u;
+      if (hits[i].exchange(0, std::memory_order_relaxed) != want) {
+        ++bad_batches;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(bad_batches, 0);
 }
 
 TEST(ThreadPool, ReturnEstablishesHappensBefore) {
@@ -205,8 +235,6 @@ isa::Program must(Result<isa::Program> r) {
   return r.is_ok() ? r.take() : isa::Program{};
 }
 
-#if DQEMU_PARALLEL_SIM_ENABLED
-
 struct Observation {
   core::Cluster::RunResult result;
   std::map<std::string, std::uint64_t, std::less<>> counters;
@@ -304,7 +332,6 @@ TEST(ParallelSimDeterminism, FalseSharing) {
   expect_thread_count_invisible(program, test::test_config(4));
 }
 
-#if DQEMU_FAULTS_ENABLED
 TEST(ParallelSimDeterminism, MutexStressUnderFaults) {
   // The lossy wire adds retransmission timers and duplicate deliveries —
   // all modeled delays, so the lookahead bound and the byte-identity
@@ -317,12 +344,8 @@ TEST(ParallelSimDeterminism, MutexStressUnderFaults) {
   config.faults.jitter_pct = 5.0;
   expect_thread_count_invisible(program, config);
 }
-#endif
 
 TEST(ParallelSimDeterminism, ServingPlane) {
-  if (!serve::compiled_in()) {
-    GTEST_SKIP() << "serving plane compiled out";
-  }
   workloads::ServePoolParams pool;
   pool.workers = 8;
   const auto program = must(workloads::serve_pool(pool));
@@ -352,24 +375,6 @@ TEST(ParallelSim, ValidateRejectsZeroLookahead) {
   config.net.bandwidth_gbps = 0.0;  // wire_time(0) == 0
   EXPECT_FALSE(config.validate().is_ok());
 }
-
-#else  // !DQEMU_PARALLEL_SIM_ENABLED
-
-TEST(ParallelSim, CompiledOutRejectsHostThreads) {
-  // With the scheduler compiled out, asking for host threads must fail
-  // loudly instead of silently running serial.
-  const auto program = must(workloads::pi_taylor(2, 1, 50));
-  ClusterConfig config = test::test_config(2);
-  config.sim.host_threads = 2;
-  core::Cluster cluster(config);
-  ASSERT_TRUE(cluster.load(program).is_ok());
-  const auto run = cluster.run();
-  ASSERT_FALSE(run.is_ok());
-  EXPECT_NE(run.status().to_string().find("compiled out"), std::string::npos)
-      << run.status().to_string();
-}
-
-#endif  // DQEMU_PARALLEL_SIM_ENABLED
 
 TEST(ParallelSim, ValidateRejectsZeroHostThreads) {
   ClusterConfig config = test::test_config(2);

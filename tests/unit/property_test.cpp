@@ -133,6 +133,11 @@ struct ImmCase {
   std::uint32_t expected;
 };
 
+// gtest prints the parameter into the listed test name (and so the CTest
+// name). Its default byte dump would include the `name` pointer, which moves
+// with every load of the binary.
+void PrintTo(const ImmCase& c, std::ostream* os) { *os << c.name; }
+
 class ImmSemantics : public ::testing::TestWithParam<ImmCase> {};
 
 TEST_P(ImmSemantics, ComputesExpected) {

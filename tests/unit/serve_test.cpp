@@ -9,20 +9,12 @@
 
 #include "common/stats.hpp"
 #include "serve/load_generator.hpp"
-#include "serve/serve.hpp"
 #include "sim/event_queue.hpp"
 #include "testutil.hpp"
 #include "workloads/serve.hpp"
 
 namespace dqemu {
 namespace {
-
-#if DQEMU_SERVING_ENABLED
-#define SKIP_WITHOUT_SERVING() (void)0
-#else
-#define SKIP_WITHOUT_SERVING() \
-  GTEST_SKIP() << "built with DQEMU_ENABLE_SERVING=OFF"
-#endif
 
 // ---------------------------------------------------------------------------
 // LoadGenerator against a fake pool: workers are (node, tid) pairs that ask
@@ -96,7 +88,6 @@ ServeConfig open_loop_config(std::uint64_t seed = 7) {
 }
 
 TEST(LoadGenerator, SameSeedReproducesScheduleAndLatencies) {
-  SKIP_WITHOUT_SERVING();
   Harness a(open_loop_config());
   Harness b(open_loop_config());
   a.run(4);
@@ -109,7 +100,6 @@ TEST(LoadGenerator, SameSeedReproducesScheduleAndLatencies) {
 }
 
 TEST(LoadGenerator, DifferentSeedsChangeThePoissonSchedule) {
-  SKIP_WITHOUT_SERVING();
   Harness a(open_loop_config(7));
   Harness b(open_loop_config(8));
   a.run(4);
@@ -120,7 +110,6 @@ TEST(LoadGenerator, DifferentSeedsChangeThePoissonSchedule) {
 }
 
 TEST(LoadGenerator, UniformArrivalsAreEquallySpaced) {
-  SKIP_WITHOUT_SERVING();
   ServeConfig config = open_loop_config();
   config.arrival = ArrivalProcess::kUniform;
   config.rate = 1000.0;  // gap = exactly 1 ms
@@ -135,7 +124,6 @@ TEST(LoadGenerator, UniformArrivalsAreEquallySpaced) {
 }
 
 TEST(LoadGenerator, PoissonArrivalRateIsRoughlyTheConfiguredRate) {
-  SKIP_WITHOUT_SERVING();
   ServeConfig config = open_loop_config();
   config.requests = 2000;
   config.rate = 10000.0;
@@ -151,7 +139,6 @@ TEST(LoadGenerator, PoissonArrivalRateIsRoughlyTheConfiguredRate) {
 }
 
 TEST(LoadGenerator, CloningRunsEveryCloneButRetiresOnce) {
-  SKIP_WITHOUT_SERVING();
   ServeConfig config = open_loop_config();
   config.requests = 100;
   config.clones = 2;
@@ -167,7 +154,6 @@ TEST(LoadGenerator, CloningRunsEveryCloneButRetiresOnce) {
 }
 
 TEST(LoadGenerator, ClosedLoopIssuesExactlyTheConfiguredRequests) {
-  SKIP_WITHOUT_SERVING();
   ServeConfig config;
   config.enabled = true;
   config.arrival = ArrivalProcess::kClosed;
@@ -182,7 +168,6 @@ TEST(LoadGenerator, ClosedLoopIssuesExactlyTheConfiguredRequests) {
 }
 
 TEST(LoadGenerator, EveryWorkerGetsExactlyOneEofAtDrain) {
-  SKIP_WITHOUT_SERVING();
   ServeConfig config = open_loop_config();
   config.requests = 50;
   Harness h(config);
@@ -194,7 +179,6 @@ TEST(LoadGenerator, EveryWorkerGetsExactlyOneEofAtDrain) {
 }
 
 TEST(LoadGenerator, ChecksumMismatchesAreCounted) {
-  SKIP_WITHOUT_SERVING();
   ServeConfig config = open_loop_config();
   config.requests = 30;
   Harness h(config);
@@ -205,7 +189,6 @@ TEST(LoadGenerator, ChecksumMismatchesAreCounted) {
 }
 
 TEST(LoadGenerator, LatencyHistogramMatchesRetiredCount) {
-  SKIP_WITHOUT_SERVING();
   Harness h(open_loop_config());
   h.run(4);
   const LogHistogram* lat = h.stats.find_histogram("serve.latency_ns");
@@ -276,7 +259,6 @@ ClusterOutcome run_serving(const ClusterConfig& config,
 }
 
 TEST(ServeCluster, EndToEndRetiresEverythingAndChecksums) {
-  SKIP_WITHOUT_SERVING();
   const auto program = must(workloads::serve_pool({.workers = 8}));
   const auto outcome = run_serving(serving_config(2, 300, 8), program);
   ASSERT_TRUE(outcome.ok) << outcome.error;
@@ -290,7 +272,6 @@ TEST(ServeCluster, EndToEndRetiresEverythingAndChecksums) {
 }
 
 TEST(ServeCluster, CloningDoublesExecutionsNotRetirements) {
-  SKIP_WITHOUT_SERVING();
   const auto program = must(workloads::serve_pool({.workers = 8}));
   ClusterConfig config = serving_config(2, 150, 8);
   config.serve.clones = 2;
@@ -303,7 +284,6 @@ TEST(ServeCluster, CloningDoublesExecutionsNotRetirements) {
 }
 
 TEST(ServeCluster, ClosedLoopOnFourNodes) {
-  SKIP_WITHOUT_SERVING();
   const auto program = must(workloads::serve_pool({.workers = 12}));
   ClusterConfig config = serving_config(4, 240, 12);
   config.serve.arrival = ArrivalProcess::kClosed;
@@ -317,7 +297,6 @@ TEST(ServeCluster, ClosedLoopOnFourNodes) {
 }
 
 TEST(ServeCluster, SurvivesTheLossyWire) {
-  SKIP_WITHOUT_SERVING();
   const auto program = must(workloads::serve_pool({.workers = 8}));
   ClusterConfig config = serving_config(2, 200, 8);
   config.faults.enabled = true;
@@ -329,17 +308,6 @@ TEST(ServeCluster, SurvivesTheLossyWire) {
   EXPECT_EQ(outcome.result.guest_stdout, "200\n");
   EXPECT_EQ(outcome.retired, 200u);
   EXPECT_EQ(outcome.checksum_errors, 0u);
-}
-
-TEST(ServeGate, RuntimeEnabledButCompiledOutFailsLoudly) {
-  if (serve::compiled_in()) {
-    GTEST_SKIP() << "serving compiled in; gate refusal untestable";
-  }
-  const auto program = must(workloads::serve_pool({.workers = 4}));
-  const auto outcome = run_serving(serving_config(2, 10, 4), program);
-  EXPECT_FALSE(outcome.ok);
-  EXPECT_NE(outcome.error.find("compiled out"), std::string::npos)
-      << outcome.error;
 }
 
 TEST(ServeGate, ServePoolRejectsBadParams) {

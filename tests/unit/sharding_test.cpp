@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "dsm/placement.hpp"
-#include "net/network.hpp"  // for DQEMU_FAULTS_ENABLED
 #include "testutil.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
@@ -32,13 +31,6 @@
 
 namespace dqemu {
 namespace {
-
-#if DQEMU_HOME_SHARDING_ENABLED
-#define SKIP_WITHOUT_SHARDING() (void)0
-#else
-#define SKIP_WITHOUT_SHARDING() \
-  GTEST_SKIP() << "built with DQEMU_ENABLE_HOME_SHARDING=OFF"
-#endif
 
 isa::Program must(Result<isa::Program> r) {
   EXPECT_TRUE(r.is_ok()) << r.status().to_string();
@@ -102,7 +94,6 @@ void expect_same_guest_results(const Observation& a, const Observation& b) {
 // ---- placement purity ------------------------------------------------------
 
 TEST(HomePlacement_, HashHomeIsPureStableAndCoversOnlySlaves) {
-  SKIP_WITHOUT_SHARDING();
   const ClusterConfig config = sharded_config(7);
   const dsm::HomeLayout layout = dsm::home_layout(config);
   dsm::HomeMap map_a(config.dsm, layout);
@@ -145,7 +136,6 @@ TEST(HomePlacement_, ShadowSlicesPartitionThePool) {
 }
 
 TEST(HomePlacement_, FirstTouchAssignsOnceAndNeverMoves) {
-  SKIP_WITHOUT_SHARDING();
   const ClusterConfig config = sharded_config(4, HomePlacement::kFirstTouch);
   const dsm::HomeLayout layout = dsm::home_layout(config);
   dsm::HomeMap map(config.dsm, layout);
@@ -170,7 +160,6 @@ TEST(HomePlacement_, ShardingOffMapsEverythingToTheMaster) {
 // ---- guest equivalence and determinism -------------------------------------
 
 TEST(ShardingDeterminism, HashShardingSameGuestResultsAsSingleMaster) {
-  SKIP_WITHOUT_SHARDING();
   const auto memwalk = must(workloads::memwalk(256 * 1024, 2, true));
   const auto mutex = must(workloads::mutex_stress(8, 100, /*global=*/true));
   for (const auto* program : {&memwalk, &mutex}) {
@@ -181,7 +170,6 @@ TEST(ShardingDeterminism, HashShardingSameGuestResultsAsSingleMaster) {
 }
 
 TEST(ShardingDeterminism, FirstTouchSameGuestResultsAndRelays) {
-  SKIP_WITHOUT_SHARDING();
   const auto program = must(workloads::memwalk(256 * 1024, 2, true));
   const Observation ft =
       observe(program, sharded_config(4, HomePlacement::kFirstTouch));
@@ -202,7 +190,6 @@ TEST(ShardingDeterminism, FirstTouchSameGuestResultsAndRelays) {
 }
 
 TEST(ShardingDeterminism, EachPlacementIsRunToRunByteIdentical) {
-  SKIP_WITHOUT_SHARDING();
   const auto program = must(workloads::mutex_stress(8, 100, /*global=*/true));
   for (const HomePlacement placement :
        {HomePlacement::kHash, HomePlacement::kFirstTouch}) {
@@ -212,10 +199,6 @@ TEST(ShardingDeterminism, EachPlacementIsRunToRunByteIdentical) {
 }
 
 TEST(ShardingDeterminism, HostThreadCountIsInvisible) {
-  SKIP_WITHOUT_SHARDING();
-#if !DQEMU_PARALLEL_SIM_ENABLED
-  GTEST_SKIP() << "built with DQEMU_ENABLE_PARALLEL_SIM=OFF";
-#endif
   const auto program = must(workloads::mutex_stress(8, 100, /*global=*/true));
   ClusterConfig serial = sharded_config(4);
   ClusterConfig parallel = sharded_config(4);
@@ -224,9 +207,8 @@ TEST(ShardingDeterminism, HostThreadCountIsInvisible) {
 }
 
 TEST(ShardingDeterminism, DisabledShardingReproducesTheBaselineBitForBit) {
-  // The dual-gate contract: sharding knobs set but enabled=false must not
-  // move a single picosecond. Runs in every build flavor — with sharding
-  // compiled out this doubles as the compiled-out-identity gate.
+  // The runtime-switch contract: sharding knobs set but enabled=false must
+  // not move a single picosecond.
   const auto program = must(workloads::mutex_stress(8, 50, /*global=*/true));
   ClusterConfig off = test::test_config(2);
   ClusterConfig constructed = test::test_config(2);
@@ -238,7 +220,6 @@ TEST(ShardingDeterminism, DisabledShardingReproducesTheBaselineBitForBit) {
 // ---- load spread -----------------------------------------------------------
 
 TEST(ShardingLoad, HashSpreadsDirectoryLoadAcrossHomes) {
-  SKIP_WITHOUT_SHARDING();
   // A multi-page walk touches enough distinct pages that splitmix64 should
   // spread the per-home message counts within the 2x evenness gate the
   // bench enforces at 64 nodes.
@@ -260,7 +241,6 @@ TEST(ShardingLoad, HashSpreadsDirectoryLoadAcrossHomes) {
 }
 
 TEST(ShardingLoad, FutexLeasesAreArbitratedByTheHome) {
-  SKIP_WITHOUT_SHARDING();
   // Contended global mutex with hierarchical locking: the lease protocol
   // must run against the futex's home, not the master.
   const auto program = must(workloads::mutex_stress(16, 300, /*global=*/true));
@@ -282,10 +262,6 @@ TEST(ShardingLoad, FutexLeasesAreArbitratedByTheHome) {
 // ---- fault tolerance -------------------------------------------------------
 
 TEST(ShardingFaults, HomeRecallsSurviveALossyWire) {
-#if !DQEMU_FAULTS_ENABLED
-  GTEST_SKIP() << "built with DQEMU_ENABLE_FAULTS=OFF";
-#endif
-  SKIP_WITHOUT_SHARDING();
   const auto program = must(workloads::mutex_stress(8, 100, /*global=*/true));
   ClusterConfig lossy = sharded_config(2);
   lossy.dbt.quantum_insns = 500;
@@ -308,7 +284,6 @@ TEST(ShardingFaults, HomeRecallsSurviveALossyWire) {
 // ---- scale -----------------------------------------------------------------
 
 TEST(ShardingScale, SixtyFourHomesServeAWalk) {
-  SKIP_WITHOUT_SHARDING();
   // 64 slave homes with a small per-node memory so the test stays light;
   // the Release-mode CI scale-smoke job runs the full scenario through
   // dqemu_run with byte-identity checked across two runs.

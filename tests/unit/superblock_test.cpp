@@ -1,10 +1,8 @@
 // Unit tests: DBT superblock hot-trace tier (DESIGN.md section 15).
 //
 // Formation, micro-op fusion cost equivalence, side exits, invalidation
-// and the virtual-time contract (byte-identical results with the tier on,
-// off, or compiled out). The equivalence tests run unconditionally — they
-// must hold with DQEMU_ENABLE_SUPERBLOCKS=OFF too; formation-introspection
-// tests are compiled only when the tier is present.
+// and the virtual-time contract (byte-identical results with the tier on
+// or off).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -101,7 +99,7 @@ FusionLoopModel fusion_loop_model(std::int64_t reps) {
   return m;
 }
 
-// ---- virtual-time contract (runs with the tier on, off or compiled out) ----
+// ---- virtual-time contract (the tier on or off) -----------------------------
 
 TEST(SuperblockEquivalence, VirtualTimeAndStateIdenticalOnOff) {
   const std::int64_t reps = 200;
@@ -207,9 +205,7 @@ TEST(SuperblockEquivalence, RuntimeDisabledFormsNothing) {
   EXPECT_EQ(h.stats.get("dbt.fused_ops"), 0u);
 }
 
-#if DQEMU_SUPERBLOCKS_ENABLED
-
-// ---- formation introspection (needs the tier compiled in) ------------------
+// ---- formation introspection ------------------------------------------------
 
 TEST(SuperblockFormation, HotLoopFormsLoopingTraceWithFusedPairs) {
   Harness h([](Assembler& a) { emit_fusion_loop(a, 200); }, false,
@@ -365,8 +361,6 @@ TEST(SuperblockInvalidation, EventHookSeesFormationAndFlush) {
   EXPECT_EQ(entries[0], entries[1]);
   EXPECT_EQ(h.cache.superblock_count(), 0u);
 }
-
-#endif  // DQEMU_SUPERBLOCKS_ENABLED
 
 }  // namespace
 }  // namespace dqemu::dbt

@@ -29,7 +29,6 @@
 #include "common/log.hpp"
 #include "core/cluster.hpp"
 #include "isa/text_asm.hpp"
-#include "serve/serve.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
 #include "workloads/serve.hpp"
@@ -380,11 +379,6 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  if (config.serve.enabled && !serve::compiled_in()) {
-    std::fprintf(stderr,
-                 "serving plane compiled out (DQEMU_ENABLE_SERVING=OFF)\n");
-    return 2;
-  }
   if (const Status valid = config.validate(); !valid.is_ok()) {
     std::fprintf(stderr, "bad configuration: %s\n", valid.to_string().c_str());
     return 2;
@@ -514,8 +508,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.get("dbt.llsc_fastpath")));
 
     // Superblock hot-trace tier (DESIGN.md §15). All host-side: the
-    // counters stay zero with --no-superblocks or the tier compiled out,
-    // while virtual time is byte-identical.
+    // counters stay zero with --no-superblocks, while virtual time is
+    // byte-identical.
     std::fprintf(
         stderr,
         "[dqemu_run] sb: formed=%llu invalidated=%llu exec=%llu "
