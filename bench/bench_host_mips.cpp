@@ -3,9 +3,9 @@
 // Unlike the fig*/table* benches (which report *virtual* time), this bench
 // measures how fast the DBT engine itself runs on the host: guest
 // instructions retired per host wall-clock second. It is the repo's
-// perf-trajectory datapoint for the execution hot path (software TLB,
-// indirect-jump cache, LL/SC store filter — DESIGN.md section 10 — and the
-// superblock hot-trace tier — DESIGN.md section 15).
+// perf-trajectory datapoint for the execution hot path (trace dispatch,
+// superblock stitching and fusion — DESIGN.md section 15 — and the software
+// TLB, indirect-jump cache and LL/SC store filter — DESIGN.md section 10).
 //
 // Scenarios:
 //   * hotloop_1node      — single-node baseline; main thread runs a
@@ -16,13 +16,9 @@
 //   * mutex_stress_4node — 4 slave nodes; lock-heavy loop (ll/sc + futex)
 //     with short straight-line critical sections between side exits.
 //
-// Each scenario runs three configurations — (fastpath on, superblocks on),
-// (fastpath on, superblocks off) and (fastpath off, superblocks off) — and
-// the per-scenario speedups (superblocks on/off at fastpath on; fastpath
-// on/off with superblocks off) land in BENCH_dbt.json (or argv[1]).
-// guest_insns and sim_seconds must be byte-identical across the three rows
-// of a scenario: both accelerations are host-side only. Compare two result
-// files with tools/bench_compare.py (which enforces exactly that).
+// One row per scenario lands in BENCH_dbt.json (or argv[1]). Compare two
+// result files with tools/bench_compare.py, which requires guest_insns and
+// sim_seconds to be byte-identical between runs of the same size.
 //
 // DQEMU_BENCH_QUICK=1 shrinks the workloads ~8x (CI smoke runs).
 #include <cstdio>
@@ -98,26 +94,19 @@ struct Scenario {
 
 struct Sample {
   std::string scenario;
-  bool fastpath = false;
-  bool superblocks = false;
   std::uint64_t guest_insns = 0;
   double wall_seconds = 0.0;
   double guest_mips = 0.0;
   double sim_seconds = 0.0;
 };
 
-Sample measure(const Scenario& s, bool fastpath, bool superblocks) {
-  ClusterConfig config = s.config;
-  config.dbt.enable_fastpath = fastpath;
-  config.dbt.enable_superblocks = superblocks;
+Sample measure(const Scenario& s) {
   // Warm-up run (page cache, allocator); then the measured run.
-  must_ok(run_cluster(config, s.program), s.name.c_str());
-  const BenchRun run = run_cluster(config, s.program);
+  must_ok(run_cluster(s.config, s.program), s.name.c_str());
+  const BenchRun run = run_cluster(s.config, s.program);
   must_ok(run, s.name.c_str());
   Sample out;
   out.scenario = s.name;
-  out.fastpath = fastpath;
-  out.superblocks = superblocks;
   out.guest_insns = run.result.guest_insns;
   out.wall_seconds = run.wall_seconds;
   out.guest_mips =
@@ -167,28 +156,14 @@ int main(int argc, char** argv) {
     scenarios.push_back(std::move(s));
   }
 
-  // Per scenario: superblocks on/off at fastpath on, then the legacy
-  // fastpath on/off pair (superblocks off) — triples are adjacent in
-  // `samples` and the speedup loop below indexes into them.
-  struct Mode {
-    bool fastpath;
-    bool superblocks;
-  };
-  constexpr Mode kModes[] = {{true, true}, {true, false}, {false, false}};
-
   std::vector<Sample> samples;
-  std::printf("%-18s %9s %12s %12s %9s %10s\n", "scenario", "fastpath",
-              "superblocks", "insns", "wall s", "MIPS");
+  std::printf("%-18s %12s %9s %10s\n", "scenario", "insns", "wall s", "MIPS");
   for (const Scenario& s : scenarios) {
-    for (const Mode mode : kModes) {
-      const Sample sample = measure(s, mode.fastpath, mode.superblocks);
-      std::printf("%-18s %9s %12s %12llu %9.3f %10.1f\n",
-                  sample.scenario.c_str(), sample.fastpath ? "on" : "off",
-                  sample.superblocks ? "on" : "off",
-                  static_cast<unsigned long long>(sample.guest_insns),
-                  sample.wall_seconds, sample.guest_mips);
-      samples.push_back(sample);
-    }
+    const Sample sample = measure(s);
+    std::printf("%-18s %12llu %9.3f %10.1f\n", sample.scenario.c_str(),
+                static_cast<unsigned long long>(sample.guest_insns),
+                sample.wall_seconds, sample.guest_mips);
+    samples.push_back(sample);
   }
 
   std::FILE* f = std::fopen(out_path, "w");
@@ -202,30 +177,15 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"fastpath\": %s, \"superblocks\": "
-                 "%s, \"guest_insns\": %llu, \"wall_seconds\": %.6f, "
-                 "\"guest_mips\": %.2f, \"sim_seconds\": %.6f}%s\n",
-                 s.scenario.c_str(), s.fastpath ? "true" : "false",
-                 s.superblocks ? "true" : "false",
+                 "    {\"name\": \"%s\", \"guest_insns\": %llu, "
+                 "\"wall_seconds\": %.6f, \"guest_mips\": %.2f, "
+                 "\"sim_seconds\": %.6f}%s\n",
+                 s.scenario.c_str(),
                  static_cast<unsigned long long>(s.guest_insns),
                  s.wall_seconds, s.guest_mips, s.sim_seconds,
                  i + 1 < samples.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"speedups\": {\n");
-  for (std::size_t i = 0; i + 2 < samples.size(); i += 3) {
-    const Sample& both = samples[i];      // fastpath on, superblocks on
-    const Sample& fp_only = samples[i + 1];  // fastpath on, superblocks off
-    const Sample& neither = samples[i + 2];  // fastpath off, superblocks off
-    const double sb_ratio = both.guest_mips / fp_only.guest_mips;
-    const double fp_ratio = fp_only.guest_mips / neither.guest_mips;
-    std::fprintf(f,
-                 "    \"%s\": {\"superblocks\": %.3f, \"fastpath\": %.3f}%s\n",
-                 both.scenario.c_str(), sb_ratio, fp_ratio,
-                 i + 3 < samples.size() ? "," : "");
-    std::printf("%-18s superblock speedup: %.2fx   fastpath speedup: %.2fx\n",
-                both.scenario.c_str(), sb_ratio, fp_ratio);
-  }
-  std::fprintf(f, "  }\n}\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
   return 0;

@@ -88,27 +88,11 @@ struct DbtConfig {
   std::uint32_t syscall_service_cycles = 1500;
   /// Maximum guest instructions executed per scheduling quantum.
   std::uint32_t quantum_insns = 20'000;
-  /// Host-side fast paths (software TLB, indirect-jump cache, LL/SC store
-  /// filter). Affects wall-clock speed only: virtual-time results are
-  /// byte-identical either way (DESIGN.md section 10).
-  bool enable_fastpath = true;
-  /// Superblock hot-trace tier (DESIGN.md section 15): hot translation
-  /// blocks are stitched into straight-line traces across their recorded
-  /// chain edges, a micro-op fusion pass combines adjacent guest
-  /// instructions, and a specialized dispatch loop executes the trace with
-  /// guards only at block boundaries and side exits. Host-side only:
-  /// virtual-time results are byte-identical with superblocks on or off.
-  bool enable_superblocks = true;
-  /// Executions of a block between superblock-formation attempts (the hot
-  /// threshold). Low = eager trace selection, high = sticky block engine.
+  /// Executions of a block's own trace between attempts to stitch the
+  /// chain it heads into a superblock (DESIGN.md section 15). Low = eager
+  /// trace selection, high = long one-block stretches. Host-side only:
+  /// virtual-time results do not depend on it.
   std::uint32_t sb_hot_threshold = 64;
-  /// Trace limits: constituent blocks and total guest instructions.
-  std::uint32_t sb_max_blocks = 16;
-  std::uint32_t sb_max_insns = 256;
-  /// Micro-op fusion pass on formed traces (compare+branch, load+ALU,
-  /// ALU+store, pre-resolved TLB lines). Differential-test toggle; fused
-  /// ops charge exactly the cost of their unfused sequence.
-  bool sb_fusion = true;
 };
 
 /// Placement policy mapping guest pages (and futex addresses, via their
@@ -426,14 +410,8 @@ struct ClusterConfig {
       return S::invalid_argument("split_shards must divide page_size");
     if (dbt.quantum_insns == 0)
       return S::invalid_argument("quantum_insns must be >= 1");
-    if (dbt.enable_superblocks) {
-      if (dbt.sb_hot_threshold == 0)
-        return S::invalid_argument("sb_hot_threshold must be >= 1");
-      if (dbt.sb_max_blocks == 0)
-        return S::invalid_argument("sb_max_blocks must be >= 1");
-      if (dbt.sb_max_insns == 0)
-        return S::invalid_argument("sb_max_insns must be >= 1");
-    }
+    if (dbt.sb_hot_threshold == 0)
+      return S::invalid_argument("sb_hot_threshold must be >= 1");
     if (sys.enable_hierarchical_locking && sys.lease_request_threshold == 0)
       return S::invalid_argument("lease_request_threshold must be >= 1");
     if (faults.enabled) {

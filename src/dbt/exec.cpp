@@ -1,5 +1,6 @@
 #include "dbt/exec.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <cstdio>
@@ -54,6 +55,7 @@ void ExecEngine::sync_fast_caches() {
   const std::uint64_t shadow = shadow_ != nullptr ? shadow_->generation() : 0;
   if (protection != seen_protection_gen_ || shadow != seen_shadow_gen_) {
     tlb_.fill(TlbEntry{});
+    ++trace_mem_epoch_;  // and every trace's per-op TLB lines with it
     seen_protection_gen_ = protection;
     seen_shadow_gen_ = shadow;
   }
@@ -64,33 +66,17 @@ void ExecEngine::sync_fast_caches() {
   }
 }
 
-void ExecEngine::sync_sb_epoch() {
-  // Same invariant as sync_fast_caches(): protections and the shadow map
-  // are stable for the duration of one run(), so traces entered this
-  // quantum may keep their per-op TLB lines until the next epoch move.
-  const std::uint64_t protection = space_.protection_generation();
-  const std::uint64_t shadow = shadow_ != nullptr ? shadow_->generation() : 0;
-  if (protection != sb_seen_protection_gen_ ||
-      shadow != sb_seen_shadow_gen_) {
-    ++sb_mem_epoch_;
-    sb_seen_protection_gen_ = protection;
-    sb_seen_shadow_gen_ = shadow;
-  }
-}
-
 void ExecEngine::invalidate_fast_caches() {
   tlb_.fill(TlbEntry{});
   jmp_cache_.fill(JmpCacheEntry{});
-  ++sb_mem_epoch_;  // orphan every superblock's per-op TLB lines
+  ++trace_mem_epoch_;
 }
 
 ExecResult ExecEngine::run(CpuContext& ctx, std::uint64_t max_insns) {
-  if (config_.enable_fastpath) sync_fast_caches();
-  if (config_.enable_superblocks) sync_sb_epoch();
+  sync_fast_caches();
   HotCounters hot;
   ExecResult result = run_loop(ctx, max_insns, hot);
   if (stats_ != nullptr) {
-    if (hot.chain_hit != 0) stats_->add("dbt.chain_hit", hot.chain_hit);
     if (hot.hints != 0) stats_->add("dbt.hints", hot.hints);
     if (hot.tlb_hit != 0) stats_->add("dbt.tlb_hit", hot.tlb_hit);
     if (hot.tlb_miss != 0) stats_->add("dbt.tlb_miss", hot.tlb_miss);
@@ -119,8 +105,6 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
     if (rd != 0) gpr[rd] = value;
   };
 
-  const bool fast = config_.enable_fastpath;
-  const bool sb_on = config_.enable_superblocks;
   const GuestAddr page_mask = space_.page_size() - 1;
 
   // Validates a data access; on failure fills `result` and returns false.
@@ -158,37 +142,32 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
   // whole shadow-resolve + page-table walk collapses to one tag compare.
   auto mem_access = [&](GuestAddr vaddr, unsigned bytes, bool write,
                         GuestAddr pc, GuestAddr& out) -> bool {
-    if (fast) {
-      const TlbEntry& entry = tlb_slot(vaddr);
-      if (entry.tag == (vaddr & ~page_mask) &&
-          (write ? entry.allow_write : entry.allow_read) &&
-          (vaddr & (bytes - 1)) == 0) {
-        ++hot.tlb_hit;
-        out = vaddr;
-        return true;
-      }
+    const TlbEntry& hit = tlb_slot(vaddr);
+    if (hit.tag == (vaddr & ~page_mask) &&
+        (write ? hit.allow_write : hit.allow_read) &&
+        (vaddr & (bytes - 1)) == 0) {
+      ++hot.tlb_hit;
+      out = vaddr;
+      return true;
     }
     const GuestAddr addr =
         shadow_ != nullptr ? shadow_->translate(vaddr) : vaddr;
     if (!check_access(addr, bytes, write, pc)) return false;
-    if (fast) {
-      ++hot.tlb_miss;
-      if (addr == vaddr) {
-        // Identity resolution == the page is unsplit (split shards never
-        // map to their own page), so the whole page is cacheable; a
-        // successful in-bounds access proves the page-aligned tag covers
-        // only in-bounds addresses (the space is page-granular).
-        TlbEntry& entry = tlb_slot(vaddr);
-        entry.tag = vaddr & ~page_mask;
-        if (check_protection_) {
-          const mem::PageAccess access =
-              space_.access(space_.page_of(vaddr));
-          entry.allow_read = access != mem::PageAccess::kNone;
-          entry.allow_write = access == mem::PageAccess::kReadWrite;
-        } else {
-          entry.allow_read = true;
-          entry.allow_write = true;
-        }
+    ++hot.tlb_miss;
+    if (addr == vaddr) {
+      // Identity resolution == the page is unsplit (split shards never map
+      // to their own page), so the whole page is cacheable; a successful
+      // in-bounds access proves the page-aligned tag covers only in-bounds
+      // addresses (the space is page-granular).
+      TlbEntry& entry = tlb_slot(vaddr);
+      entry.tag = vaddr & ~page_mask;
+      if (check_protection_) {
+        const mem::PageAccess access = space_.access(space_.page_of(vaddr));
+        entry.allow_read = access != mem::PageAccess::kNone;
+        entry.allow_write = access == mem::PageAccess::kReadWrite;
+      } else {
+        entry.allow_read = true;
+        entry.allow_write = true;
       }
     }
     out = addr;
@@ -198,343 +177,20 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
   // Store snoop of the LL/SC table. Fast path: the table's line filter
   // proves most stores cannot break any reservation without a hash probe.
   auto snoop_store = [&](GuestAddr addr) {
-    if (fast) {
-      if (llsc_.may_match(addr)) {
-        llsc_.on_store(addr, ctx.tid);
-      } else {
-        ++hot.llsc_fastpath;
-      }
-      return;
+    if (llsc_.may_match(addr)) {
+      llsc_.on_store(addr, ctx.tid);
+    } else {
+      ++hot.llsc_fastpath;
     }
-    llsc_.on_store(addr, ctx.tid);
   };
 
-  // Direct-jump chaining with the indirect-jump cache as a second level:
-  // a chain hit skips everything; a chain miss consults the jump cache
-  // before falling back to the translation-cache hash lookup.
-  auto chain_to = [&](TranslationBlock*& slot,
-                      GuestAddr target) -> TranslationBlock* {
-    if (slot != nullptr && slot->start_pc == target) {
-      ++hot.chain_hit;
-      return slot;
-    }
-    if (fast) {
-      const JmpCacheEntry& entry = jmp_slot(target);
-      if (entry.pc == target) {
-        ++hot.jmp_cache_hit;
-        slot = entry.tb;
-        return entry.tb;
-      }
-    }
-    TranslationBlock* found = cache_.lookup(target);
-    if (found != nullptr) slot = found;
-    return found;
-  };
-
-  // The interpreter switch, shared by the block loop (every op) and the
-  // superblock trace loop (kSimple fallback only, always with cur ==
-  // nullptr — formation keeps control flow out of kSimple, so the chain
-  // slots are never touched there). Plain ops return kNext and the caller
-  // charges insns/cycles; control ops set ctx.pc (and next_tb via `cur`)
-  // and return kEnd; faults and syscalls finalize `result` and return
-  // kReturn (syscall does its own accounting, faults retire nothing).
-  enum class OpOut : std::uint8_t { kNext, kEnd, kReturn };
-  TranslationBlock* next_tb = nullptr;
-
-  auto exec_op = [&](const isa::Insn& in, GuestAddr pc, std::uint32_t cost,
-                     TranslationBlock* cur) -> OpOut {
-    switch (in.op) {
-      // ---- integer R-type ------------------------------------------
-      case Opcode::kAdd: write_gpr(in.rd, gpr[in.rs1] + gpr[in.rs2]); break;
-      case Opcode::kSub: write_gpr(in.rd, gpr[in.rs1] - gpr[in.rs2]); break;
-      case Opcode::kMul: write_gpr(in.rd, gpr[in.rs1] * gpr[in.rs2]); break;
-      case Opcode::kDiv: {
-        const std::int32_t a = to_signed(gpr[in.rs1]);
-        const std::int32_t b = to_signed(gpr[in.rs2]);
-        std::int32_t q;
-        if (b == 0) {
-          q = -1;  // RISC-style: division by zero yields all ones
-        } else if (a == std::numeric_limits<std::int32_t>::min() && b == -1) {
-          q = a;   // overflow wraps
-        } else {
-          q = a / b;
-        }
-        write_gpr(in.rd, to_unsigned(q));
-        break;
-      }
-      case Opcode::kDivu: {
-        const std::uint32_t b = gpr[in.rs2];
-        write_gpr(in.rd, b == 0 ? ~0u : gpr[in.rs1] / b);
-        break;
-      }
-      case Opcode::kRem: {
-        const std::int32_t a = to_signed(gpr[in.rs1]);
-        const std::int32_t b = to_signed(gpr[in.rs2]);
-        std::int32_t r;
-        if (b == 0) {
-          r = a;
-        } else if (a == std::numeric_limits<std::int32_t>::min() && b == -1) {
-          r = 0;
-        } else {
-          r = a % b;
-        }
-        write_gpr(in.rd, to_unsigned(r));
-        break;
-      }
-      case Opcode::kRemu: {
-        const std::uint32_t b = gpr[in.rs2];
-        write_gpr(in.rd, b == 0 ? gpr[in.rs1] : gpr[in.rs1] % b);
-        break;
-      }
-      case Opcode::kAnd: write_gpr(in.rd, gpr[in.rs1] & gpr[in.rs2]); break;
-      case Opcode::kOr: write_gpr(in.rd, gpr[in.rs1] | gpr[in.rs2]); break;
-      case Opcode::kXor: write_gpr(in.rd, gpr[in.rs1] ^ gpr[in.rs2]); break;
-      case Opcode::kSll: write_gpr(in.rd, gpr[in.rs1] << (gpr[in.rs2] & 31)); break;
-      case Opcode::kSrl: write_gpr(in.rd, gpr[in.rs1] >> (gpr[in.rs2] & 31)); break;
-      case Opcode::kSra:
-        write_gpr(in.rd, to_unsigned(to_signed(gpr[in.rs1]) >>
-                                     (gpr[in.rs2] & 31)));
-        break;
-      case Opcode::kSlt:
-        write_gpr(in.rd, to_signed(gpr[in.rs1]) < to_signed(gpr[in.rs2]) ? 1 : 0);
-        break;
-      case Opcode::kSltu:
-        write_gpr(in.rd, gpr[in.rs1] < gpr[in.rs2] ? 1 : 0);
-        break;
-
-      // ---- integer I-type ------------------------------------------
-      case Opcode::kAddi:
-        write_gpr(in.rd, gpr[in.rs1] + to_unsigned(in.imm));
-        break;
-      case Opcode::kAndi:
-        write_gpr(in.rd, gpr[in.rs1] & to_unsigned(in.imm));
-        break;
-      case Opcode::kOri:
-        write_gpr(in.rd, gpr[in.rs1] | to_unsigned(in.imm));
-        break;
-      case Opcode::kXori:
-        write_gpr(in.rd, gpr[in.rs1] ^ to_unsigned(in.imm));
-        break;
-      case Opcode::kSlli:
-        write_gpr(in.rd, gpr[in.rs1] << (in.imm & 31));
-        break;
-      case Opcode::kSrli:
-        write_gpr(in.rd, gpr[in.rs1] >> (in.imm & 31));
-        break;
-      case Opcode::kSrai:
-        write_gpr(in.rd, to_unsigned(to_signed(gpr[in.rs1]) >> (in.imm & 31)));
-        break;
-      case Opcode::kSlti:
-        write_gpr(in.rd, to_signed(gpr[in.rs1]) < in.imm ? 1 : 0);
-        break;
-      case Opcode::kSltiu:
-        write_gpr(in.rd, gpr[in.rs1] < to_unsigned(in.imm) ? 1 : 0);
-        break;
-      case Opcode::kLui:
-        write_gpr(in.rd, to_unsigned(in.imm) << 12);
-        break;
-      case Opcode::kAuipc:
-        write_gpr(in.rd, pc + (to_unsigned(in.imm) << 12));
-        break;
-
-      // ---- loads ----------------------------------------------------
-      case Opcode::kLb:
-      case Opcode::kLbu:
-      case Opcode::kLh:
-      case Opcode::kLhu:
-      case Opcode::kLw:
-      case Opcode::kLl: {
-        const unsigned bytes = isa::insn_info(in.op).mem_bytes;
-        GuestAddr addr;
-        if (!mem_access(gpr[in.rs1] + to_unsigned(in.imm), bytes,
-                        /*write=*/false, pc, addr)) {
-          ctx.pc = pc;  // re-execute after the fault is serviced
-          return OpOut::kReturn;
-        }
-        const std::uint64_t raw = space_.load(addr, bytes);
-        std::uint32_t value = 0;
-        switch (in.op) {
-          case Opcode::kLb:
-            value = to_unsigned(static_cast<std::int8_t>(raw));
-            break;
-          case Opcode::kLbu: value = static_cast<std::uint8_t>(raw); break;
-          case Opcode::kLh:
-            value = to_unsigned(static_cast<std::int16_t>(raw));
-            break;
-          case Opcode::kLhu: value = static_cast<std::uint16_t>(raw); break;
-          default: value = static_cast<std::uint32_t>(raw); break;
-        }
-        write_gpr(in.rd, value);
-        if (in.op == Opcode::kLl) llsc_.on_ll(addr, ctx.tid);
-        break;
-      }
-      case Opcode::kFld: {
-        GuestAddr addr;
-        if (!mem_access(gpr[in.rs1] + to_unsigned(in.imm), 8,
-                        /*write=*/false, pc, addr)) {
-          ctx.pc = pc;
-          return OpOut::kReturn;
-        }
-        const std::uint64_t raw = space_.load(addr, 8);
-        double value;
-        static_assert(sizeof value == 8);
-        std::memcpy(&value, &raw, 8);
-        fpr[in.rd] = value;
-        break;
-      }
-
-      // ---- stores ---------------------------------------------------
-      case Opcode::kSb:
-      case Opcode::kSh:
-      case Opcode::kSw: {
-        const unsigned bytes = isa::insn_info(in.op).mem_bytes;
-        GuestAddr addr;
-        if (!mem_access(gpr[in.rs1] + to_unsigned(in.imm), bytes,
-                        /*write=*/true, pc, addr)) {
-          ctx.pc = pc;
-          return OpOut::kReturn;
-        }
-        space_.store(addr, gpr[in.rs2], bytes);
-        snoop_store(addr);
-        break;
-      }
-      case Opcode::kFsd: {
-        GuestAddr addr;
-        if (!mem_access(gpr[in.rs1] + to_unsigned(in.imm), 8,
-                        /*write=*/true, pc, addr)) {
-          ctx.pc = pc;
-          return OpOut::kReturn;
-        }
-        std::uint64_t raw;
-        std::memcpy(&raw, &fpr[in.rs2], 8);
-        space_.store(addr, raw, 8);
-        snoop_store(addr);
-        break;
-      }
-      case Opcode::kSc: {
-        GuestAddr addr;
-        if (!mem_access(gpr[in.rs1], 4, /*write=*/true, pc, addr)) {
-          ctx.pc = pc;
-          return OpOut::kReturn;
-        }
-        if (llsc_.on_sc(addr, ctx.tid)) {
-          space_.store(addr, gpr[in.rs2], 4);
-          write_gpr(in.rd, 0);
-        } else {
-          write_gpr(in.rd, 1);
-        }
-        break;
-      }
-
-      // ---- control flow ---------------------------------------------
-      case Opcode::kBeq:
-      case Opcode::kBne:
-      case Opcode::kBlt:
-      case Opcode::kBge:
-      case Opcode::kBltu:
-      case Opcode::kBgeu: {
-        bool taken = false;
-        switch (in.op) {
-          case Opcode::kBeq: taken = gpr[in.rs1] == gpr[in.rs2]; break;
-          case Opcode::kBne: taken = gpr[in.rs1] != gpr[in.rs2]; break;
-          case Opcode::kBlt:
-            taken = to_signed(gpr[in.rs1]) < to_signed(gpr[in.rs2]);
-            break;
-          case Opcode::kBge:
-            taken = to_signed(gpr[in.rs1]) >= to_signed(gpr[in.rs2]);
-            break;
-          case Opcode::kBltu: taken = gpr[in.rs1] < gpr[in.rs2]; break;
-          default: taken = gpr[in.rs1] >= gpr[in.rs2]; break;
-        }
-        const GuestAddr target =
-            taken ? pc + 4 + to_unsigned(in.imm) * 4u : pc + 4;
-        ctx.pc = target;
-        cur->last_taken = taken;  // trace selection follows this edge
-        // Direct-jump chaining (targets are static).
-        next_tb = chain_to(taken ? cur->next_taken : cur->next_fall, target);
-        return OpOut::kEnd;
-      }
-      case Opcode::kJal: {
-        const GuestAddr target = pc + 4 + to_unsigned(in.imm) * 4u;
-        write_gpr(in.rd, pc + 4);
-        ctx.pc = target;
-        next_tb = chain_to(cur->next_taken, target);
-        return OpOut::kEnd;
-      }
-      case Opcode::kJalr: {
-        const GuestAddr target = (gpr[in.rs1] + to_unsigned(in.imm)) & ~3u;
-        write_gpr(in.rd, pc + 4);
-        ctx.pc = target;  // indirect: no chain slot
-        cur->last_indirect_target = target;
-        if (fast) {
-          const JmpCacheEntry& entry = jmp_slot(target);
-          if (entry.pc == target) {
-            ++hot.jmp_cache_hit;
-            next_tb = entry.tb;
-          }
-        }
-        return OpOut::kEnd;
-      }
-
-      // ---- system ----------------------------------------------------
-      case Opcode::kFence:
-        break;  // sequential DES: ordering is already total
-      case Opcode::kSyscall:
-        ctx.pc = pc + 4;
-        ++result.insns;
-        result.exec_cycles += cost;
-        result.reason = StopReason::kSyscall;
-        result.syscall_num = in.imm;
-        return OpOut::kReturn;
-      case Opcode::kHint:
-        // 0xFFFF is the "no group" sentinel (N-format immediates are
-        // zero-extended on decode).
-        ctx.hint_group = in.imm == 0xFFFF ? -1 : in.imm;
-        ++hot.hints;
-        break;
-
-      // ---- FP ---------------------------------------------------------
-      case Opcode::kFadd: fpr[in.rd] = fpr[in.rs1] + fpr[in.rs2]; break;
-      case Opcode::kFsub: fpr[in.rd] = fpr[in.rs1] - fpr[in.rs2]; break;
-      case Opcode::kFmul: fpr[in.rd] = fpr[in.rs1] * fpr[in.rs2]; break;
-      case Opcode::kFdiv: fpr[in.rd] = fpr[in.rs1] / fpr[in.rs2]; break;
-      case Opcode::kFmin: fpr[in.rd] = std::fmin(fpr[in.rs1], fpr[in.rs2]); break;
-      case Opcode::kFmax: fpr[in.rd] = std::fmax(fpr[in.rs1], fpr[in.rs2]); break;
-      case Opcode::kFneg: fpr[in.rd] = -fpr[in.rs1]; break;
-      case Opcode::kFabs: fpr[in.rd] = std::fabs(fpr[in.rs1]); break;
-      case Opcode::kFmov: fpr[in.rd] = fpr[in.rs1]; break;
-      case Opcode::kFcvtdw:
-        fpr[in.rd] = static_cast<double>(to_signed(gpr[in.rs1]));
-        break;
-      case Opcode::kFcvtwd:
-        write_gpr(in.rd, to_unsigned(fp_to_int(fpr[in.rs1])));
-        break;
-      case Opcode::kFlt:
-        write_gpr(in.rd, fpr[in.rs1] < fpr[in.rs2] ? 1 : 0);
-        break;
-      case Opcode::kFle:
-        write_gpr(in.rd, fpr[in.rs1] <= fpr[in.rs2] ? 1 : 0);
-        break;
-      case Opcode::kFeq:
-        write_gpr(in.rd, fpr[in.rs1] == fpr[in.rs2] ? 1 : 0);
-        break;
-      case Opcode::kFsqrt: fpr[in.rd] = std::sqrt(fpr[in.rs1]); break;
-      case Opcode::kFexp: fpr[in.rd] = std::exp(fpr[in.rs1]); break;
-      case Opcode::kFlog: fpr[in.rd] = std::log(fpr[in.rs1]); break;
-      case Opcode::kFpow: fpr[in.rd] = std::pow(fpr[in.rs1], fpr[in.rs2]); break;
-      case Opcode::kFerf: fpr[in.rd] = std::erf(fpr[in.rs1]); break;
-      case Opcode::kFsin: fpr[in.rd] = std::sin(fpr[in.rs1]); break;
-      case Opcode::kFcos: fpr[in.rd] = std::cos(fpr[in.rs1]); break;
-    }
-    return OpOut::kNext;
-  };
-
-  // ---- superblock trace dispatch (DESIGN.md section 15) ----------------
-  // The specialized loop below is the hot-path payoff: fused ops and
-  // inlined ALU/mem fast kinds dispatch through one dense switch, and the
-  // quantum is re-checked only at the original block boundaries (so stop
-  // points — and therefore virtual time — are identical to the block
-  // engine's top-of-loop check).
+  // ---- trace dispatch (DESIGN.md section 15) -----------------------------
+  // Every guest instruction executes here: a block's own one-block trace
+  // or a stitched multi-block superblock, as pre-decoded (possibly fused)
+  // ops through one dense switch. The quantum is checked only between
+  // blocks — at the top of the entry loop below and, inside a trace, at
+  // its block boundaries — so stop points, and with them virtual time, do
+  // not depend on how blocks were stitched or fused.
 
   auto alu_eval = [&](const isa::Insn& in, GuestAddr pc) -> std::uint32_t {
     switch (in.op) {
@@ -615,8 +271,7 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
   };
 
   // Size-specialized accessors: constant sizes fold the memcpy into a
-  // single move, where the generic block path pays a real memcpy call per
-  // access. The *_host variants run against an adopted TLB line; the
+  // single move. The *_host variants run against an adopted TLB line; the
   // guest-address variants are the fallback for unadopted pages.
   auto load_host = [&](const isa::Insn& in,
                        const std::uint8_t* host) -> std::uint32_t {
@@ -689,8 +344,8 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
 
   // Returns kReturn when `result` is final (fault/quantum/syscall) and
   // kExit when execution left the trace with ctx.pc holding the off-trace
-  // continuation (the block loop resumes there, re-checking the quantum at
-  // its top exactly where the block engine would).
+  // continuation (the entry loop resumes there, re-checking the quantum
+  // first).
   //
   // Retirement counters accumulate in locals (registers) and flush to
   // `result`/`hot` through sync() at every exit — two memory RMWs per op
@@ -905,20 +560,149 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         }
 
         case SbOpKind::kSimple: {
-          // exec_op reads/writes `result` directly (syscall accounting),
-          // so the locals flush first and reload after.
-          sync();
-          const OpOut out = exec_op(op.a, op.pc, op.cost_a, nullptr);
-          if (out == OpOut::kReturn) return TraceOut::kReturn;
-          insns = result.insns + 1;
-          cycles = result.exec_cycles + op.cost_a;
+          const isa::Insn& in = op.a;
+          switch (in.op) {
+            case Opcode::kMul:
+              write_gpr(in.rd, gpr[in.rs1] * gpr[in.rs2]);
+              break;
+            case Opcode::kDiv: {
+              const std::int32_t a = to_signed(gpr[in.rs1]);
+              const std::int32_t b = to_signed(gpr[in.rs2]);
+              std::int32_t q;
+              if (b == 0) {
+                q = -1;  // RISC-style: division by zero yields all ones
+              } else if (a == std::numeric_limits<std::int32_t>::min() &&
+                         b == -1) {
+                q = a;  // overflow wraps
+              } else {
+                q = a / b;
+              }
+              write_gpr(in.rd, to_unsigned(q));
+              break;
+            }
+            case Opcode::kDivu: {
+              const std::uint32_t b = gpr[in.rs2];
+              write_gpr(in.rd, b == 0 ? ~0u : gpr[in.rs1] / b);
+              break;
+            }
+            case Opcode::kRem: {
+              const std::int32_t a = to_signed(gpr[in.rs1]);
+              const std::int32_t b = to_signed(gpr[in.rs2]);
+              std::int32_t r;
+              if (b == 0) {
+                r = a;
+              } else if (a == std::numeric_limits<std::int32_t>::min() &&
+                         b == -1) {
+                r = 0;
+              } else {
+                r = a % b;
+              }
+              write_gpr(in.rd, to_unsigned(r));
+              break;
+            }
+            case Opcode::kRemu: {
+              const std::uint32_t b = gpr[in.rs2];
+              write_gpr(in.rd, b == 0 ? gpr[in.rs1] : gpr[in.rs1] % b);
+              break;
+            }
+
+            case Opcode::kLl: {
+              GuestAddr addr;
+              if (!mem_access(gpr[in.rs1] + to_unsigned(in.imm), 4,
+                              /*write=*/false, op.pc, addr)) {
+                ctx.pc = op.pc;  // re-execute after the fault is serviced
+                sync();
+                return TraceOut::kReturn;
+              }
+              write_gpr(in.rd,
+                        static_cast<std::uint32_t>(space_.load(addr, 4)));
+              llsc_.on_ll(addr, ctx.tid);
+              break;
+            }
+            case Opcode::kSc: {
+              GuestAddr addr;
+              if (!mem_access(gpr[in.rs1], 4, /*write=*/true, op.pc, addr)) {
+                ctx.pc = op.pc;
+                sync();
+                return TraceOut::kReturn;
+              }
+              if (llsc_.on_sc(addr, ctx.tid)) {
+                space_.store(addr, gpr[in.rs2], 4);
+                write_gpr(in.rd, 0);
+              } else {
+                write_gpr(in.rd, 1);
+              }
+              break;
+            }
+
+            case Opcode::kFence:
+              break;  // sequential DES: ordering is already total
+            case Opcode::kHint:
+              // 0xFFFF is the "no group" sentinel (N-format immediates are
+              // zero-extended on decode).
+              ctx.hint_group = in.imm == 0xFFFF ? -1 : in.imm;
+              ++hot.hints;
+              break;
+            case Opcode::kSyscall:
+              ctx.pc = op.pc + 4;
+              ++insns;
+              cycles += op.cost_a;
+              result.reason = StopReason::kSyscall;
+              result.syscall_num = in.imm;
+              sync();
+              return TraceOut::kReturn;
+
+            case Opcode::kFadd: fpr[in.rd] = fpr[in.rs1] + fpr[in.rs2]; break;
+            case Opcode::kFsub: fpr[in.rd] = fpr[in.rs1] - fpr[in.rs2]; break;
+            case Opcode::kFmul: fpr[in.rd] = fpr[in.rs1] * fpr[in.rs2]; break;
+            case Opcode::kFdiv: fpr[in.rd] = fpr[in.rs1] / fpr[in.rs2]; break;
+            case Opcode::kFmin:
+              fpr[in.rd] = std::fmin(fpr[in.rs1], fpr[in.rs2]);
+              break;
+            case Opcode::kFmax:
+              fpr[in.rd] = std::fmax(fpr[in.rs1], fpr[in.rs2]);
+              break;
+            case Opcode::kFneg: fpr[in.rd] = -fpr[in.rs1]; break;
+            case Opcode::kFabs: fpr[in.rd] = std::fabs(fpr[in.rs1]); break;
+            case Opcode::kFmov: fpr[in.rd] = fpr[in.rs1]; break;
+            case Opcode::kFcvtdw:
+              fpr[in.rd] = static_cast<double>(to_signed(gpr[in.rs1]));
+              break;
+            case Opcode::kFcvtwd:
+              write_gpr(in.rd, to_unsigned(fp_to_int(fpr[in.rs1])));
+              break;
+            case Opcode::kFlt:
+              write_gpr(in.rd, fpr[in.rs1] < fpr[in.rs2] ? 1 : 0);
+              break;
+            case Opcode::kFle:
+              write_gpr(in.rd, fpr[in.rs1] <= fpr[in.rs2] ? 1 : 0);
+              break;
+            case Opcode::kFeq:
+              write_gpr(in.rd, fpr[in.rs1] == fpr[in.rs2] ? 1 : 0);
+              break;
+            case Opcode::kFsqrt: fpr[in.rd] = std::sqrt(fpr[in.rs1]); break;
+            case Opcode::kFexp: fpr[in.rd] = std::exp(fpr[in.rs1]); break;
+            case Opcode::kFlog: fpr[in.rd] = std::log(fpr[in.rs1]); break;
+            case Opcode::kFpow:
+              fpr[in.rd] = std::pow(fpr[in.rs1], fpr[in.rs2]);
+              break;
+            case Opcode::kFerf: fpr[in.rd] = std::erf(fpr[in.rs1]); break;
+            case Opcode::kFsin: fpr[in.rd] = std::sin(fpr[in.rs1]); break;
+            case Opcode::kFcos: fpr[in.rd] = std::cos(fpr[in.rs1]); break;
+
+            default:
+              assert(false && "kind selection keeps this op out of kSimple");
+              break;
+          }
+          ++insns;
+          cycles += op.cost_a;
           break;
         }
       }
 
       // Straight-line advance. Cut-block boundaries are quantum guard
-      // points: the block engine re-checks the budget between any two
-      // blocks, so the trace must stop at exactly the same insn counts.
+      // points: the budget is checked between any two blocks, inside a
+      // trace or not, so every trace stops at the same insn counts.
       if (op.boundary) {
         if (insns >= max_insns) {
           ctx.pc = op.boundary_pc;
@@ -938,14 +722,22 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
     }
   };
 
-  TranslationBlock* tb = nullptr;
+  // Block entry: the indirect-jump cache, then the translation cache's
+  // hash map, then translation. A stitched superblock headed by the block
+  // runs in its place; otherwise the block's own one-block trace runs and
+  // its exit edge is recorded for trace selection.
   while (true) {
     if (result.insns >= max_insns) {
       result.reason = StopReason::kQuantum;
       return result;
     }
 
-    if (tb == nullptr) {
+    TranslationBlock* tb;
+    JmpCacheEntry& entry = jmp_slot(ctx.pc);
+    if (entry.pc == ctx.pc) {
+      ++hot.jmp_cache_hit;
+      tb = entry.tb;
+    } else {
       tb = cache_.lookup(ctx.pc);
       if (tb == nullptr) {
         TranslateResult tr = cache_.translate(ctx.pc);
@@ -966,51 +758,36 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
         }
         tb = tr.tb;
       }
-      if (fast) {
-        // Fill the indirect-jump cache on the slow entry path so the next
-        // jalr (or cold chain miss) to this pc skips the hash lookup.
-        JmpCacheEntry& entry = jmp_slot(ctx.pc);
-        entry.pc = ctx.pc;
-        entry.tb = tb;
-      }
+      entry.pc = ctx.pc;
+      entry.tb = tb;
     }
 
-    if (sb_on) {
-      if (tb->sb == nullptr) {
-        // Host-side hot counting; formation charges no virtual time.
-        if (++tb->hot_count >= tb->next_hot_trigger) {
-          tb->next_hot_trigger = tb->hot_count + config_.sb_hot_threshold;
-          cache_.maybe_form_superblock(tb);
-        }
-      }
-      if (Superblock* sb = tb->sb; sb != nullptr) {
-        ++hot.sb_exec;
-        ++sb->exec_count;
-        if (sb->mem_epoch != sb_mem_epoch_) {
-          for (SbOp& op : sb->ops) op.tlb_tag = kSbNoPc;
-          sb->mem_epoch = sb_mem_epoch_;
-        }
-        if (run_trace(sb) == TraceOut::kReturn) return result;
-        tb = nullptr;  // ctx.pc holds the off-trace continuation
-        continue;
+    Superblock* trace = tb->sb;
+    if (trace == nullptr) {
+      // Host-side hot counting; formation charges no virtual time.
+      if (++tb->hot_count >= tb->next_hot_trigger) {
+        tb->next_hot_trigger = tb->hot_count + config_.sb_hot_threshold;
+        trace = cache_.maybe_form_superblock(tb);
       }
     }
-
-    // Execute the block.
-    next_tb = nullptr;
-    for (const MicroOp& mop : tb->ops) {
-      const OpOut out = exec_op(mop.insn, mop.pc, mop.cost_cycles, tb);
-      if (out == OpOut::kReturn) return result;
-      ++result.insns;
-      result.exec_cycles += mop.cost_cycles;
-      if (out == OpOut::kEnd) break;
+    if (trace != nullptr) {
+      ++hot.sb_exec;
+      ++trace->exec_count;
+    } else {
+      trace = &tb->trace;
     }
-
-    if (next_tb == nullptr && !isa::insn_info(tb->ops.back().insn.op).ends_block) {
-      // Block was cut by the length/page limit: fall through.
-      ctx.pc = tb->end_pc();
+    if (trace->mem_epoch != trace_mem_epoch_) {
+      for (SbOp& op : trace->ops) op.tlb_tag = kSbNoPc;
+      trace->mem_epoch = trace_mem_epoch_;
     }
-    tb = next_tb;  // nullptr -> re-lookup / translate at top of loop
+    if (run_trace(trace) == TraceOut::kReturn) return result;
+    if (trace == &tb->trace) {
+      // The block's exit edge: trace selection follows it. Only the
+      // terminal's kind decides which field is read back (a branch's
+      // direction, a jalr's target).
+      tb->last_taken = ctx.pc != tb->end_pc();
+      tb->last_indirect_target = ctx.pc;
+    }
   }
 }
 

@@ -7,12 +7,14 @@
 // translation and the page-protection check — the interception point that
 // real DQEMU gets from mprotect + SIGSEGV.
 //
-// Hot path (DESIGN.md section 10): a direct-mapped software TLB caches the
-// per-page outcome of shadow-resolve + bounds + protection, and a
-// direct-mapped indirect-jump cache (QEMU's tb_jmp_cache) skips the
-// translation-cache hash lookup on jalr and cold chain misses. Both are
-// host-side only — virtual-time results are byte-identical with the fast
-// paths disabled (DbtConfig::enable_fastpath = false). Invalidation is
+// One executor (DESIGN.md sections 10 and 15): every block runs as a trace
+// of pre-decoded ops — its own one-block trace, or a stitched multi-block
+// superblock once its chain is hot. Memory ops try their per-op TLB line,
+// then a direct-mapped software TLB caching the per-page outcome of
+// shadow-resolve + bounds + protection, then the full check. Block entry
+// probes a direct-mapped indirect-jump cache (QEMU's tb_jmp_cache) before
+// the translation cache's hash map. All of it is host-side only: virtual
+// time is what the per-instruction semantics charge. Invalidation is
 // generation-based: AddressSpace protection changes, ShadowMap splits and
 // TranslationCache drops each bump a counter that run() compares on entry;
 // nothing mutates those structures while run() is on the stack
@@ -64,7 +66,8 @@ class ExecEngine {
   /// checked at block boundaries, so it can overshoot by one block).
   ExecResult run(CpuContext& ctx, std::uint64_t max_insns);
 
-  /// Drops the software TLB and the indirect-jump cache unconditionally.
+  /// Drops the software TLB, the indirect-jump cache and every trace's
+  /// per-op TLB lines unconditionally.
   /// Normally unnecessary — run() revalidates against the generation
   /// counters of AddressSpace / ShadowMap / TranslationCache — but
   /// embedders mutating those structures behind the generations (tests)
@@ -76,13 +79,12 @@ class ExecEngine {
   /// the stats registry once per run() call: a per-event string-keyed map
   /// lookup would dominate the dispatch loop it is measuring.
   struct HotCounters {
-    std::uint64_t chain_hit = 0;
     std::uint64_t hints = 0;
     std::uint64_t tlb_hit = 0;
     std::uint64_t tlb_miss = 0;
     std::uint64_t jmp_cache_hit = 0;
     std::uint64_t llsc_fastpath = 0;
-    std::uint64_t sb_exec = 0;       ///< superblock trace entries
+    std::uint64_t sb_exec = 0;       ///< stitched superblock entries
     std::uint64_t sb_side_exit = 0;  ///< guarded exits off a live trace
     std::uint64_t fused_ops = 0;     ///< fused pairs executed
   };
@@ -127,7 +129,8 @@ class ExecEngine {
   }
 
   /// Revalidates both caches against the generation counters; called on
-  /// entry to run().
+  /// entry to run(). A software-TLB flush also advances the trace memory
+  /// epoch, which orphans every trace's per-op TLB lines.
   void sync_fast_caches();
 
   std::array<TlbEntry, kTlbEntries> tlb_{};
@@ -136,15 +139,9 @@ class ExecEngine {
   std::uint64_t seen_shadow_gen_ = ~std::uint64_t{0};
   std::uint64_t seen_tcache_gen_ = ~std::uint64_t{0};
 
-  /// Advances the superblock memory epoch when page protections or the
-  /// shadow map changed; traces whose per-op TLB tags were filled under an
-  /// older epoch reset them lazily on entry. Independent of the software
-  /// TLB so superblocks stay correct with the fast paths disabled.
-  void sync_sb_epoch();
-
-  std::uint64_t sb_mem_epoch_ = 1;  ///< 0 is "never valid" (fresh traces)
-  std::uint64_t sb_seen_protection_gen_ = ~std::uint64_t{0};
-  std::uint64_t sb_seen_shadow_gen_ = ~std::uint64_t{0};
+  /// Traces whose per-op TLB lines were filled under an older epoch reset
+  /// them lazily on entry. 0 is "never valid" (fresh traces).
+  std::uint64_t trace_mem_epoch_ = 1;
 };
 
 }  // namespace dqemu::dbt

@@ -1,8 +1,8 @@
 // Reference GA32 interpreter for differential testing.
 //
 // A deliberately boring, independent re-implementation of the ISA
-// semantics: one instruction at a time, no translation cache, no block
-// chaining, no cost model, straight off the decoder. The property tests
+// semantics: one instruction at a time, no translation cache, no traces,
+// no cost model, straight off the decoder. The property tests
 // run random programs through this and through the production ExecEngine
 // and require bit-identical final states — catching semantic drift in
 // either implementation.

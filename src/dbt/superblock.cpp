@@ -1,4 +1,10 @@
-// Superblock formation and the micro-op fusion pass (DESIGN.md section 15).
+// Trace building (DESIGN.md section 15): the op builder every trace is made
+// of, and superblock formation on top of it.
+//
+// append_trace_ops() turns one block's MicroOps into trace ops: kind
+// selection, the micro-op fusion pass and terminal wiring. translate()
+// calls it once per block to build the block's own one-block trace, and
+// maybe_form_superblock() once per constituent block of a stitched trace.
 //
 // Trace selection walks the chain of already-translated blocks headed by the
 // hot block, following each block's recorded control-flow outcome
@@ -6,9 +12,8 @@
 // target for jal, fall-through for cut blocks). The walk stops at unknown
 // or untranslated successors, at blocks already in the trace (except the
 // head, which closes a loop), at syscall-terminated blocks, and at the
-// configured size limits. Formation is host-side only: it uses the raw
-// block map (not lookup(), which counts cache hits/misses) and charges no
-// virtual time, so results are byte-identical with the tier disabled.
+// size limits. Formation is host-side only: it uses the raw block map (not
+// lookup(), which counts cache hits/misses) and charges no virtual time.
 
 #include "dbt/translation.hpp"
 
@@ -25,8 +30,8 @@ constexpr std::uint32_t to_unsigned(std::int32_t v) {
 }
 
 /// Single-cycle integer ALU ops the trace loop inlines (and the fusion pass
-/// accepts as the ALU half of a fused pair). Excludes mul/div/rem, whose
-/// less common semantics stay on the shared interpreter switch.
+/// accepts as the ALU half of a fused pair). Excludes mul/div/rem, which
+/// run as kSimple ops.
 bool is_fast_alu(Opcode op) {
   switch (op) {
     case Opcode::kAdd:
@@ -129,8 +134,106 @@ GuestAddr successor_pc(const TranslationBlock* tb) {
 
 }  // namespace
 
+void append_trace_ops(const TranslationBlock& block, GuestAddr next_start,
+                      Superblock& trace) {
+  const std::size_t n = block.ops.size();
+  std::size_t j = 0;
+  while (j < n) {
+    const MicroOp& m = block.ops[j];
+    SbOp op;
+    op.pc = m.pc;
+    op.a = m.insn;
+    op.cost_a = m.cost_cycles;
+    const Opcode aop = m.insn.op;
+
+    // Fusion: pair `m` with its successor when the pair matches one of the
+    // recognized shapes. Costs are copied from the MicroOps, never
+    // recomputed, so the fused op charges its unfused sequence exactly.
+    bool fused = false;
+    if (j + 1 < n) {
+      const MicroOp& m2 = block.ops[j + 1];
+      const Opcode bop = m2.insn.op;
+      if (is_fast_alu(aop) && m.insn.rd != 0 && is_cond_branch(bop) &&
+          (m2.insn.rs1 == m.insn.rd || m2.insn.rs2 == m.insn.rd)) {
+        op.kind = SbOpKind::kCmpBranch;  // branches only appear last
+        fused = true;
+      } else if (is_int_load(aop) && m.insn.rd != 0 && is_fast_alu(bop) &&
+                 alu_reads(m2.insn, m.insn.rd)) {
+        op.kind = SbOpKind::kLoadAlu;
+        op.mem_bytes = isa::insn_info(aop).mem_bytes;
+        fused = true;
+      } else if (is_fast_alu(aop) && m.insn.rd != 0 && is_int_store(bop) &&
+                 m2.insn.rs2 == m.insn.rd) {
+        op.kind = SbOpKind::kAluStore;
+        op.mem_bytes = isa::insn_info(bop).mem_bytes;
+        fused = true;
+      }
+      if (fused) {
+        op.n_insns = 2;
+        op.b = m2.insn;
+        op.cost_b = m2.cost_cycles;
+        ++trace.fused_pairs;
+      }
+    }
+    if (!fused) {
+      if (is_cond_branch(aop)) {
+        op.kind = SbOpKind::kBranch;
+      } else if (aop == Opcode::kJal) {
+        op.kind = SbOpKind::kJal;
+      } else if (aop == Opcode::kJalr) {
+        op.kind = SbOpKind::kJalr;
+      } else if (is_fast_alu(aop)) {
+        op.kind = SbOpKind::kAluFast;
+      } else if (is_int_load(aop) || aop == Opcode::kFld) {
+        op.kind = SbOpKind::kMemLoad;
+        op.mem_bytes = isa::insn_info(aop).mem_bytes;
+      } else if (is_int_store(aop) || aop == Opcode::kFsd) {
+        op.kind = SbOpKind::kMemStore;
+        op.mem_bytes = isa::insn_info(aop).mem_bytes;
+      } else {
+        // mul/div/rem, LL/SC, FP, fence, hint, syscall. Never a branch or
+        // jump: those take the dedicated guarded kinds above.
+        op.kind = SbOpKind::kSimple;
+      }
+    }
+    j += op.n_insns;
+
+    // Terminal wiring: the op consuming the block's last instruction either
+    // branches (guarded kinds, with on-trace target `next_start`) or falls
+    // through a cut-block boundary. (A syscall terminal returns to the
+    // engine before its boundary is reached.)
+    if (j >= n) {
+      switch (op.kind) {
+        case SbOpKind::kBranch:
+        case SbOpKind::kCmpBranch: {
+          const isa::Insn& br = op.kind == SbOpKind::kCmpBranch ? op.b : op.a;
+          const GuestAddr bpc =
+              op.kind == SbOpKind::kCmpBranch ? op.pc + 4 : op.pc;
+          op.fall_pc = bpc + 4;
+          op.taken_pc = bpc + 4 + to_unsigned(br.imm) * 4u;
+          op.on_trace_pc = next_start;
+          break;
+        }
+        case SbOpKind::kJal:
+          op.taken_pc = taken_target(block.ops.back());
+          op.on_trace_pc = next_start;
+          break;
+        case SbOpKind::kJalr:
+          op.on_trace_pc = next_start;
+          break;
+        default:
+          // Cut block: plain fall-through boundary (quantum guard point).
+          op.boundary = true;
+          op.boundary_pc = block.end_pc();
+          break;
+      }
+    }
+    trace.ops.push_back(op);
+  }
+  trace.guest_insns += block.insn_count();
+}
+
 Superblock* TranslationCache::maybe_form_superblock(TranslationBlock* head) {
-  if (!config_.enable_superblocks) return nullptr;
   if (head->sb != nullptr) return head->sb;
 
   // ---- trace selection: walk the recorded chain ------------------------
@@ -141,7 +244,7 @@ Superblock* TranslationCache::maybe_form_superblock(TranslationBlock* head) {
   for (;;) {
     chain.push_back(cur);
     total_insns += cur->insn_count();
-    if (chain.size() >= config_.sb_max_blocks) break;
+    if (chain.size() >= kMaxTraceBlocks) break;
     const GuestAddr next_pc = successor_pc(cur);
     if (next_pc == kSbNoPc) break;
     if (next_pc == head->start_pc) {
@@ -153,122 +256,25 @@ Superblock* TranslationCache::maybe_form_superblock(TranslationBlock* head) {
     const TranslationBlock* next = it->second.get();
     if (next->ops.back().insn.op == Opcode::kSyscall) break;
     if (std::find(chain.begin(), chain.end(), next) != chain.end()) break;
-    if (total_insns + next->insn_count() > config_.sb_max_insns) break;
+    if (total_insns + next->insn_count() > kMaxTraceInsns) break;
     cur = next;
   }
   if (head->ops.back().insn.op == Opcode::kSyscall) return nullptr;
   if (!loops && chain.size() < 2) return nullptr;  // nothing to stitch
 
-  // ---- build the op trace with micro-op fusion -------------------------
+  // ---- build the op trace ---------------------------------------------
   auto sb = std::make_unique<Superblock>();
   sb->entry_pc = head->start_pc;
   sb->loops = loops;
-  sb->guest_insns = total_insns;
   std::vector<std::uint32_t> block_first(chain.size());
   std::vector<std::uint32_t> block_last(chain.size());
 
   for (std::size_t bi = 0; bi < chain.size(); ++bi) {
-    const TranslationBlock* b = chain[bi];
     block_first[bi] = static_cast<std::uint32_t>(sb->ops.size());
-    const bool has_next = bi + 1 < chain.size() || loops;
     const GuestAddr next_start = bi + 1 < chain.size()
                                      ? chain[bi + 1]->start_pc
                                      : (loops ? head->start_pc : kSbNoPc);
-    const std::size_t n = b->ops.size();
-    std::size_t j = 0;
-    while (j < n) {
-      const MicroOp& m = b->ops[j];
-      SbOp op;
-      op.pc = m.pc;
-      op.a = m.insn;
-      op.cost_a = m.cost_cycles;
-      const Opcode aop = m.insn.op;
-
-      // Fusion: pair `m` with its successor when the pair matches one of
-      // the recognized shapes. Costs are copied from the MicroOps, never
-      // recomputed, so the fused op charges its unfused sequence exactly.
-      bool fused = false;
-      if (config_.sb_fusion && j + 1 < n) {
-        const MicroOp& m2 = b->ops[j + 1];
-        const Opcode bop = m2.insn.op;
-        if (is_fast_alu(aop) && m.insn.rd != 0 && is_cond_branch(bop) &&
-            (m2.insn.rs1 == m.insn.rd || m2.insn.rs2 == m.insn.rd)) {
-          op.kind = SbOpKind::kCmpBranch;  // branches only appear last
-          fused = true;
-        } else if (is_int_load(aop) && m.insn.rd != 0 &&
-                   is_fast_alu(bop) && alu_reads(m2.insn, m.insn.rd)) {
-          op.kind = SbOpKind::kLoadAlu;
-          op.mem_bytes = isa::insn_info(aop).mem_bytes;
-          fused = true;
-        } else if (is_fast_alu(aop) && m.insn.rd != 0 &&
-                   is_int_store(bop) && m2.insn.rs2 == m.insn.rd) {
-          op.kind = SbOpKind::kAluStore;
-          op.mem_bytes = isa::insn_info(bop).mem_bytes;
-          fused = true;
-        }
-        if (fused) {
-          op.n_insns = 2;
-          op.b = m2.insn;
-          op.cost_b = m2.cost_cycles;
-          ++sb->fused_pairs;
-        }
-      }
-      if (!fused) {
-        if (is_cond_branch(aop)) {
-          op.kind = SbOpKind::kBranch;
-        } else if (aop == Opcode::kJal) {
-          op.kind = SbOpKind::kJal;
-        } else if (aop == Opcode::kJalr) {
-          op.kind = SbOpKind::kJalr;
-        } else if (is_fast_alu(aop)) {
-          op.kind = SbOpKind::kAluFast;
-        } else if (is_int_load(aop) || aop == Opcode::kFld) {
-          op.kind = SbOpKind::kMemLoad;
-          op.mem_bytes = isa::insn_info(aop).mem_bytes;
-        } else if (is_int_store(aop) || aop == Opcode::kFsd) {
-          op.kind = SbOpKind::kMemStore;
-          op.mem_bytes = isa::insn_info(aop).mem_bytes;
-        } else {
-          // mul/div/rem, LL/SC, FP, fence, hint. Never a control op: those
-          // all take the dedicated guarded kinds above, so the trace loop's
-          // kSimple fallback needs no chain-slot access.
-          op.kind = SbOpKind::kSimple;
-        }
-      }
-      j += op.n_insns;
-
-      // Terminal wiring: the op consuming the block's last instruction
-      // either branches (guarded kinds, with on-trace target `next_start`)
-      // or falls through a cut-block boundary.
-      if (j >= n) {
-        switch (op.kind) {
-          case SbOpKind::kBranch:
-          case SbOpKind::kCmpBranch: {
-            const isa::Insn& br =
-                op.kind == SbOpKind::kCmpBranch ? op.b : op.a;
-            const GuestAddr bpc =
-                op.kind == SbOpKind::kCmpBranch ? op.pc + 4 : op.pc;
-            op.fall_pc = bpc + 4;
-            op.taken_pc = bpc + 4 + to_unsigned(br.imm) * 4u;
-            op.on_trace_pc = has_next ? next_start : kSbNoPc;
-            break;
-          }
-          case SbOpKind::kJal:
-            op.taken_pc = taken_target(b->ops.back());
-            op.on_trace_pc = has_next ? next_start : kSbNoPc;
-            break;
-          case SbOpKind::kJalr:
-            op.on_trace_pc = has_next ? next_start : kSbNoPc;
-            break;
-          default:
-            // Cut block: plain fall-through boundary (quantum guard point).
-            op.boundary = true;
-            op.boundary_pc = b->end_pc();
-            break;
-        }
-      }
-      sb->ops.push_back(op);
-    }
+    append_trace_ops(*chain[bi], next_start, *sb);
     block_last[bi] = static_cast<std::uint32_t>(sb->ops.size()) - 1;
   }
 

@@ -1,7 +1,6 @@
 #include "dbt/translation.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace dqemu::dbt {
 
@@ -72,6 +71,9 @@ TranslateResult TranslationCache::translate(GuestAddr pc) {
     if (space_.page_of(at) != page) break;
   }
 
+  tb->trace.entry_pc = pc;
+  append_trace_ops(*tb, kSbNoPc, tb->trace);
+
   result.translate_cycles =
       std::uint64_t(config_.translate_cycles_per_insn) * tb->ops.size();
   if (stats_ != nullptr) {
@@ -85,48 +87,33 @@ TranslateResult TranslationCache::translate(GuestAddr pc) {
 }
 
 void TranslationCache::invalidate_page(std::uint32_t page) {
-  std::unordered_set<const TranslationBlock*> dropped;
-  for (auto it = blocks_.begin(); it != blocks_.end();) {
-    if (space_.page_of(it->second->start_pc) == page) {
-      dropped.insert(it->second.get());
-      it = blocks_.erase(it);
+  const std::size_t dropped = std::erase_if(blocks_, [&](const auto& entry) {
+    return space_.page_of(entry.first) == page;
+  });
+  if (dropped == 0) return;
+  // A superblock dies with any constituent block. Blocks never span a page,
+  // so "some constituent block lives in `page`" is exactly "the
+  // superblock's page set contains `page`". Surviving head blocks have
+  // their superblock pointer cleared; they run their own traces again and
+  // may re-form later.
+  std::uint64_t sb_dropped = 0;
+  for (auto it = superblocks_.begin(); it != superblocks_.end();) {
+    Superblock& sb = *it->second;
+    if (std::find(sb.pages.begin(), sb.pages.end(), page) != sb.pages.end()) {
+      if (sb_event_hook_) sb_event_hook_(SbEvent::kInvalidated, sb);
+      const auto head = blocks_.find(sb.entry_pc);
+      if (head != blocks_.end()) head->second->sb = nullptr;
+      it = superblocks_.erase(it);
+      ++sb_dropped;
     } else {
       ++it;
     }
   }
-  if (!dropped.empty()) {
-    // Clear only chain pointers that reference a dropped block; chains
-    // between surviving blocks stay intact, so steady-state execution on
-    // other pages keeps skipping the hash lookup after an invalidation.
-    for (auto& [pc, tb] : blocks_) {
-      if (dropped.contains(tb->next_taken)) tb->next_taken = nullptr;
-      if (dropped.contains(tb->next_fall)) tb->next_fall = nullptr;
-    }
-    // A superblock dies with any constituent block. Blocks never span a
-    // page, so "some constituent block lives in `page`" is exactly "the
-    // superblock's page set contains `page`". Surviving head blocks have
-    // their trace pointer cleared (mirrors the chain-pointer clearing);
-    // execution falls back to block mode and may re-form later.
-    std::uint64_t sb_dropped = 0;
-    for (auto it = superblocks_.begin(); it != superblocks_.end();) {
-      Superblock& sb = *it->second;
-      if (std::find(sb.pages.begin(), sb.pages.end(), page) !=
-          sb.pages.end()) {
-        if (sb_event_hook_) sb_event_hook_(SbEvent::kInvalidated, sb);
-        const auto head = blocks_.find(sb.entry_pc);
-        if (head != blocks_.end()) head->second->sb = nullptr;
-        it = superblocks_.erase(it);
-        ++sb_dropped;
-      } else {
-        ++it;
-      }
-    }
-    if (sb_dropped != 0 && stats_ != nullptr) {
-      stats_->add("dbt.sb_invalidated", sb_dropped);
-    }
-    ++generation_;
-    if (stats_ != nullptr) stats_->add("dbt.tcache_page_invalidations");
+  if (sb_dropped != 0 && stats_ != nullptr) {
+    stats_->add("dbt.sb_invalidated", sb_dropped);
   }
+  ++generation_;
+  if (stats_ != nullptr) stats_->add("dbt.tcache_page_invalidations");
 }
 
 void TranslationCache::flush() {

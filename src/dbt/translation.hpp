@@ -1,10 +1,10 @@
 // Translation blocks and the per-node translation cache.
 //
-// The DBT decodes guest basic blocks once into micro-op traces and caches
-// them keyed by guest pc — QEMU's translate-once / execute-many structure.
-// Blocks end at control transfers (branch/jump/syscall) or at kMaxBlockInsns.
-// Direct-jump chaining links a block to its taken/fall-through successors
-// so steady-state execution skips the hash lookup, as in TCG.
+// The DBT decodes guest basic blocks once and caches them keyed by guest
+// pc — QEMU's translate-once / execute-many structure. Blocks end at
+// control transfers (branch/jump/syscall), at kMaxBlockInsns or at a page
+// boundary. Each block carries its decoded MicroOps and, built from them
+// at translation, the one-block trace the engine executes.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +25,10 @@ namespace dqemu::dbt {
 
 /// Maximum guest instructions per translation block.
 inline constexpr std::uint32_t kMaxBlockInsns = 64;
+/// Limits of a stitched superblock: constituent blocks and guest
+/// instructions.
+inline constexpr std::uint32_t kMaxTraceBlocks = 16;
+inline constexpr std::uint32_t kMaxTraceInsns = 256;
 
 /// One translated guest instruction.
 struct MicroOp {
@@ -36,22 +40,23 @@ struct MicroOp {
 /// A translated basic block.
 struct TranslationBlock {
   GuestAddr start_pc = 0;
+  /// The decoded instructions; superblock formation stitches from these.
   std::vector<MicroOp> ops;
-  /// Chained successors (nullptr until first taken); cleared on cache flush.
-  TranslationBlock* next_taken = nullptr;
-  TranslationBlock* next_fall = nullptr;
+  /// This block alone as a trace, built at translation. The engine runs it
+  /// whenever no stitched superblock heads the block.
+  Superblock trace;
 
-  /// Superblock headed by this block, owned by the cache (nullptr until
-  /// formed; cleared when the superblock dies).
+  /// Stitched superblock headed by this block, owned by the cache (nullptr
+  /// until formed; cleared when the superblock dies).
   Superblock* sb = nullptr;
-  /// Host-side hot counter: executions of this block in block (non-trace)
-  /// mode. Cumulative, for the census; formation triggers each time it
-  /// crosses `next_hot_trigger` (seeded with DbtConfig::sb_hot_threshold
-  /// at translation, re-armed on every attempt).
+  /// Host-side hot counter: entries of this block while no superblock
+  /// heads it. Cumulative, for the census; formation triggers each time it
+  /// crosses `next_hot_trigger` (seeded with DbtConfig::sb_hot_threshold at
+  /// translation, re-armed on every attempt).
   std::uint64_t hot_count = 0;
   std::uint64_t next_hot_trigger = 0;
-  /// Last observed control-flow outcome, recorded by the engine; trace
-  /// selection follows these edges.
+  /// Exit edge of the last run of this block's own trace, recorded by the
+  /// engine; trace selection follows it.
   bool last_taken = false;
   GuestAddr last_indirect_target = 0;
 
@@ -90,6 +95,14 @@ struct SuperblockInfo {
   std::uint64_t side_exits = 0;
 };
 
+/// Appends `block`'s trace ops to `trace` (superblock.cpp): per-op kind
+/// selection, intra-block fusion and terminal wiring. `next_start` is the
+/// start pc of the block that follows on the trace, or kSbNoPc when the
+/// trace ends after this block. The last op's SbOp::next_index is left for
+/// the caller to patch (kSbExitIndex: leave the trace).
+void append_trace_ops(const TranslationBlock& block, GuestAddr next_start,
+                      Superblock& trace);
+
 /// Superblock lifecycle events, surfaced to the embedder (Node) which
 /// stamps them into the trace flight recorder under Cat::kDbt.
 enum class SbEvent : std::uint8_t { kFormed, kInvalidated };
@@ -112,8 +125,7 @@ class TranslationCache {
   TranslateResult translate(GuestAddr pc);
 
   /// Drops every cached block whose code lies in `page` (guest code was
-  /// invalidated/overwritten). Chain pointers referencing a dropped block
-  /// are cleared; chains between surviving blocks are preserved.
+  /// invalidated/overwritten), and every superblock stitched through one.
   void invalidate_page(std::uint32_t page);
 
   /// Drops everything.
@@ -123,17 +135,17 @@ class TranslationCache {
 
   /// Bumped whenever cached TranslationBlock pointers may have died
   /// (invalidate_page that dropped something, flush). Consumers holding
-  /// raw block pointers outside the chain fields (the DBT's indirect-jump
-  /// cache) compare against their snapshot and drop them on mismatch.
+  /// raw block pointers (the DBT's indirect-jump cache) compare against
+  /// their snapshot and drop them on mismatch.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   /// True if `tb` is a currently-cached block (pointer identity; never
-  /// dereferences `tb`). Test hook for chain-invalidation regressions.
+  /// dereferences `tb`). Test hook.
   [[nodiscard]] bool contains_block(const TranslationBlock* tb) const;
 
   /// Per-execution virtual-time cost of one guest instruction — the single
-  /// source the block translator and the superblock fusion pass both charge
-  /// from, so fused ops cost exactly their unfused sequence.
+  /// source every trace op charges from (SbOp::cost_a/cost_b copy it), so
+  /// fused ops cost exactly their unfused sequence.
   [[nodiscard]] std::uint32_t op_cost(const isa::Insn& insn) const;
 
   // ---- superblock tier (DESIGN.md section 15) --------------------------
@@ -141,7 +153,7 @@ class TranslationCache {
   /// Attempts to stitch the chain headed by `head` into a superblock
   /// (implemented in superblock.cpp). Returns the superblock now heading
   /// `head`, or nullptr if no viable trace exists. Host-side only: charges
-  /// no virtual time and perturbs no counters shared with the block path.
+  /// no virtual time and touches no virtual-time counter.
   Superblock* maybe_form_superblock(TranslationBlock* head);
 
   /// True if `sb` is a currently-live superblock (pointer identity).

@@ -461,10 +461,11 @@ TEST(ExecFaults, QuantumStopsAtBlockBoundary) {
 // ---- translation cache ---------------------------------------------------------
 
 TEST(TranslationCacheTest, CachesAndChains) {
-  // Block-engine chaining behavior: superblocks off, or the hot loop would
-  // migrate onto a trace and stop exercising the chain slots.
-  DbtConfig no_sb;
-  no_sb.enable_superblocks = false;
+  // Translate once, then enter the cached block on every iteration. The
+  // hot threshold is out of reach, so no superblock absorbs the loop and
+  // every entry goes through the jump cache or the hash map.
+  DbtConfig never_hot;
+  never_hot.sb_hot_threshold = 1000;
   Harness h(
       [](Assembler& a) {
         auto loop = a.here();
@@ -473,10 +474,11 @@ TEST(TranslationCacheTest, CachesAndChains) {
         a.bne(kT1, kZero, loop);
         a.syscall(1);
       },
-      /*check_protection=*/false, no_sb);
+      /*check_protection=*/false, never_hot);
   ASSERT_EQ(h.run().reason, StopReason::kSyscall);
   EXPECT_EQ(h.ctx.gpr[kT0], 100u);
-  EXPECT_GT(h.stats.get("dbt.tcache_hit") + h.stats.get("dbt.chain_hit"), 90u);
+  EXPECT_GT(h.stats.get("dbt.jmp_cache_hit") + h.stats.get("dbt.tcache_hit"),
+            90u);
   EXPECT_LE(h.stats.get("dbt.blocks_translated"), 3u);
 }
 
@@ -515,10 +517,8 @@ TEST(TranslationCacheTest, TranslateChargesOneTimeCost) {
 }
 
 TEST(TranslationCacheTest, InvalidatePagePreservesSurvivingChains) {
-  // Regression: invalidate_page used to wipe EVERY chain pointer in the
-  // cache. Only chains into the dropped page may be cleared; chains
-  // between surviving blocks must stay linked (and no dangling pointer to
-  // a dropped block may survive).
+  // invalidate_page drops only the blocks on the dropped page: blocks on
+  // other pages stay cached, and a re-run retranslates what was dropped.
   Harness h([](Assembler& a) {
     auto loop = a.make_label("loop");
     auto far = a.make_label("far");
@@ -532,7 +532,7 @@ TEST(TranslationCacheTest, InvalidatePagePreservesSurvivingChains) {
     a.addi(kT2, kT2, 1);
     a.j(loop);
   });
-  // Two runs so both arcs get chained (targets translate on first touch).
+  // Two runs, so every block is translated and then re-entered.
   ASSERT_EQ(h.run().reason, StopReason::kSyscall);
   h.ctx.pc = h.program.entry;
   ASSERT_EQ(h.run().reason, StopReason::kSyscall);
@@ -544,23 +544,20 @@ TEST(TranslationCacheTest, InvalidatePagePreservesSurvivingChains) {
   TranslationBlock* loop_tb = h.cache.lookup(loop_pc);
   ASSERT_NE(entry_tb, nullptr);
   ASSERT_NE(loop_tb, nullptr);
-  ASSERT_NE(entry_tb->next_taken, nullptr);  // entry block -> far
-  EXPECT_EQ(entry_tb->next_taken->start_pc, far_pc);
-  TranslationBlock* fall_tb = loop_tb->next_fall;  // loop block -> syscall
-  ASSERT_NE(fall_tb, nullptr);
+  ASSERT_NE(h.cache.lookup(far_pc), nullptr);
 
   const std::uint32_t far_page = far_pc / 4096;
   ASSERT_NE(far_page, loop_pc / 4096);
   const std::uint64_t gen_before = h.cache.generation();
   h.cache.invalidate_page(far_page);
   EXPECT_GT(h.cache.generation(), gen_before);
-  EXPECT_EQ(entry_tb->next_taken, nullptr);  // into dropped page: cleared
-  EXPECT_EQ(loop_tb->next_fall, fall_tb);    // surviving chain: intact
-  EXPECT_TRUE(h.cache.contains_block(fall_tb));
+  EXPECT_EQ(h.cache.lookup(far_pc), nullptr);  // dropped
+  EXPECT_TRUE(h.cache.contains_block(entry_tb));  // other page: survives
+  EXPECT_TRUE(h.cache.contains_block(loop_tb));
 
-  // Re-running retranslates `far` and still computes correctly — with the
-  // fast paths on this also exercises indirect-jump-cache invalidation
-  // across invalidate_page (its generation snapshot is now stale).
+  // Re-running retranslates `far` and still computes correctly; this also
+  // exercises indirect-jump-cache invalidation across invalidate_page (its
+  // generation snapshot is now stale).
   h.ctx.pc = h.program.entry;
   ASSERT_EQ(h.run().reason, StopReason::kSyscall);
   EXPECT_EQ(h.ctx.gpr[kT2], 3u);
@@ -616,20 +613,25 @@ TEST(FastPathTlb, ShadowSplitInvalidates) {
 }
 
 TEST(FastPathTlb, ManualInvalidateForcesRefill) {
+  // Two loads from one page. The first misses the software TLB and fills
+  // it; the second, whose own per-op TLB line is still empty, hits it.
+  // From then on each load's own line serves it.
   Harness h([](Assembler& a) {
     auto data = a.make_label("data");
     a.la(kT0, data);
     a.lw(kT1, kT0, 0);
+    a.lw(kT2, kT0, 4);
     a.syscall(1);
     a.bind_data(data);
     a.d_word(5);
+    a.d_word(6);
   });
   ASSERT_EQ(h.run().reason, StopReason::kSyscall);
   const std::uint64_t misses_warm = h.stats.get("dbt.tlb_miss");
   EXPECT_GE(misses_warm, 1u);
   h.ctx.pc = h.program.entry;
   ASSERT_EQ(h.run().reason, StopReason::kSyscall);
-  // Nothing changed between quanta: the warm entry keeps serving.
+  // Nothing changed between quanta: the warm entries keep serving.
   EXPECT_EQ(h.stats.get("dbt.tlb_miss"), misses_warm);
   EXPECT_GE(h.stats.get("dbt.tlb_hit"), 1u);
   h.engine.invalidate_fast_caches();

@@ -1,16 +1,16 @@
-// Determinism regression for the DBT fast paths (DESIGN.md section 10).
+// Determinism regressions for the DBT's host-side machinery (DESIGN.md
+// sections 10 and 15), plus same-config reproducibility checks for the
+// protocol features further down.
 //
-// The software TLB, indirect-jump cache and LL/SC store filter are host-side
-// accelerations only: with them enabled or disabled (DbtConfig::
-// enable_fastpath), every virtual-time observable must be byte-identical —
-// final stats, per-thread time breakdowns, guest output, and the exported
-// trace. Only the host-side instrumentation counters may differ:
-//   dbt.tlb_hit / dbt.tlb_miss / dbt.jmp_cache_hit / dbt.llsc_fastpath
-//     exist only when the fast paths run, and
-//   dbt.tcache_hit
-//     shrinks when jump-cache hits skip the hash lookup.
-// Everything else — including dbt.tcache_miss, dbt.chain_hit and all
-// translation counters — must match exactly.
+// The DBT has one executor: every block runs as a trace of pre-decoded ops
+// with a software TLB, an indirect-jump cache and an LL/SC store filter in
+// front of the slow paths, and hot chains are stitched into multi-block
+// traces. All of that is host-side only, so every virtual-time observable
+// — final stats, per-thread time breakdowns, guest output, histograms and
+// the exported trace — must equal what the per-instruction block
+// interpreter produced. That interpreter is gone; its results are pinned
+// below as constants. Only the counters in superblock_divergent_counters()
+// may differ, because they count host-side work itself.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -19,6 +19,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "testutil.hpp"
 #include "trace/export.hpp"
@@ -30,18 +31,20 @@
 namespace dqemu {
 namespace {
 
-/// Counters that measure the host-side fast paths themselves; everything
-/// else must be identical with the fast paths on or off.
+/// Counters that measure the DBT's host-side caches themselves; everything
+/// else must be identical between two runs of the same config.
 const std::set<std::string> kHostOnlyCounters = {
     "dbt.tlb_hit",       "dbt.tlb_miss", "dbt.jmp_cache_hit",
     "dbt.llsc_fastpath", "dbt.tcache_hit",
 };
 
-/// Additional counters that legitimately shift when the superblock tier is
-/// toggled (DESIGN.md section 15): the sb.* family exists only while traces
-/// form and run, and trace dispatch bypasses the per-block tcache/chain
-/// bookkeeping, so those hit/miss counts move too. Everything virtual-time
-/// related must still match exactly.
+/// Counters that depend on how guest code is dispatched rather than on
+/// what it does: the cache counters above, translation-cache probes (a
+/// jump-cache hit skips the hash map), and the sb.* family, which follows
+/// trace formation, stitching and fusion. dbt.chain_hit counted the block
+/// interpreter's direct chaining; that counter is gone, but the pinned
+/// digests below were recorded without it. Everything virtual-time related
+/// must match the block interpreter's pinned results exactly.
 std::set<std::string> superblock_divergent_counters() {
   std::set<std::string> keys = kHostOnlyCounters;
   keys.insert({"dbt.tcache_miss", "dbt.chain_hit", "dbt.sb_formed",
@@ -88,13 +91,6 @@ Observation observe_with(const isa::Program& program, ClusterConfig config,
   return obs;
 }
 
-Observation observe(const isa::Program& program, std::uint32_t nodes,
-                    bool fastpath) {
-  ClusterConfig config = test::test_config(nodes);
-  config.dbt.enable_fastpath = fastpath;
-  return observe_with(program, config);
-}
-
 void expect_identical(const Observation& on, const Observation& off) {
   EXPECT_EQ(on.result.exit_code, off.result.exit_code);
   EXPECT_EQ(on.result.sim_time, off.result.sim_time);
@@ -118,9 +114,10 @@ void expect_identical(const Observation& on, const Observation& off) {
     for (const auto& [key, value] : on.counters) {
       const auto it = off.counters.find(key);
       if (it == off.counters.end()) {
-        ADD_FAILURE() << key << " only exists with fastpath on";
+        ADD_FAILURE() << key << " only exists in the first run";
       } else if (it->second != value) {
-        ADD_FAILURE() << key << ": on=" << value << " off=" << it->second;
+        ADD_FAILURE() << key << ": first=" << value
+                      << " second=" << it->second;
       }
     }
   }
@@ -134,69 +131,174 @@ isa::Program must(Result<isa::Program> r) {
   return r.is_ok() ? r.take() : isa::Program{};
 }
 
+/// 64-bit FNV-1a of `bytes`.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return digest;
+}
+
+// ---- the block interpreter's results, pinned --------------------------------
+//
+// What expect_identical() compares, reduced to one row per scenario. The
+// rows were recorded at commit 82ecc67bc11dad9285e3f02eed4d8d42e3fccd2c
+// with that commit's DBT fast paths and superblock tier switched off, that
+// is, on the per-instruction block interpreter with no software TLB, jump
+// cache, LL/SC store filter or traces; that commit's on/off tests had
+// already shown its accelerated engine byte-identical to it.
+
+struct PinnedObservation {
+  const char* scenario;
+  std::uint32_t exit_code;
+  TimePs sim_time;
+  std::uint64_t guest_insns;
+  const char* guest_stdout;
+  std::uint64_t breakdown_digest;  ///< per-thread TimeBreakdown fields
+  std::uint64_t counters_digest;   ///< minus superblock_divergent_counters()
+  std::uint64_t hist_digest;       ///< every registry histogram
+  std::uint64_t trace_digest;      ///< default categories minus counters
+};
+
+constexpr PinnedObservation kBlockInterpreterRuns[] = {
+    {"mutex_stress_global_4n", 0, 17216233924ull, 12446ull, "400\n",
+     0xf21de4bbf3a2b989ull, 0x3b83f06a9e0134afull,
+     0xcbf29ce484222325ull, 0xbbc9d74d5fa34be9ull},
+    {"false_sharing_split_4n", 0, 4194930057ull, 8138ull, "",
+     0x59ff79d87b164bb8ull, 0x8e22af96c42bbddbull,
+     0xcbf29ce484222325ull, 0x6c136cccc64e0f9aull},
+    {"memwalk_256k_3n", 0, 31247688325ull, 917959ull, "",
+     0x27f13b07b7c8eff6ull, 0x3ed9eb049344047full,
+     0xcbf29ce484222325ull, 0x6b22ea53aa0d2f86ull},
+    {"memwalk_128k_2n", 0, 16794312343ull, 459047ull, "",
+     0x699565545a6e9bebull, 0x9e60f620f87b8a6full,
+     0xcbf29ce484222325ull, 0x959f61f4d6bc0a7bull},
+};
+
+/// Digests of the parts of an Observation a pinned row stores as hashes.
+struct ObservationDigests {
+  std::uint64_t breakdowns = 0;
+  std::uint64_t counters = 0;
+  std::uint64_t hists = 0;
+  std::uint64_t trace = 0;
+};
+
+ObservationDigests digests_of(const Observation& obs) {
+  std::string breakdowns;
+  for (const auto& [tid, b] : obs.result.per_thread) {
+    breakdowns += std::to_string(tid) + ":" + std::to_string(b.execute) +
+                  "," + std::to_string(b.translate) + "," +
+                  std::to_string(b.pagefault) + "," +
+                  std::to_string(b.syscall) + "," + std::to_string(b.idle) +
+                  ";";
+  }
+  std::string counters;
+  for (const auto& [name, value] : obs.counters) {
+    counters += name + "=" + std::to_string(value) + ";";
+  }
+  return {fnv1a(breakdowns), fnv1a(counters), fnv1a(obs.hist_dump),
+          fnv1a(obs.trace_json)};
+}
+
+/// The observation as a kBlockInterpreterRuns row, for (re-)recording.
+std::string pinned_row(const char* scenario, const Observation& obs) {
+  const ObservationDigests d = digests_of(obs);
+  std::string escaped;
+  for (const char c : obs.result.guest_stdout) {
+    escaped += c == '\n' ? std::string("\\n") : std::string(1, c);
+  }
+  char row[512];
+  std::snprintf(row, sizeof row,
+                "{\"%s\", %u, %" PRIu64 "ull, %" PRIu64 "ull, \"%s\",\n"
+                " 0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull,\n"
+                " 0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull},",
+                scenario, obs.result.exit_code, obs.result.sim_time,
+                obs.result.guest_insns, escaped.c_str(), d.breakdowns,
+                d.counters, d.hists, d.trace);
+  return row;
+}
+
+/// Runs `program` under `config` and checks it against its pinned row.
+void expect_pinned(const char* scenario, const isa::Program& program,
+                   const ClusterConfig& config) {
+  const Observation obs =
+      observe_with(program, config, superblock_divergent_counters());
+  const PinnedObservation* pinned = nullptr;
+  for (const PinnedObservation& row : kBlockInterpreterRuns) {
+    if (std::string_view(row.scenario) == scenario) pinned = &row;
+  }
+  ASSERT_NE(pinned, nullptr) << "no pinned row; measured\n"
+                             << pinned_row(scenario, obs);
+  SCOPED_TRACE("measured row:\n" + pinned_row(scenario, obs));
+  const ObservationDigests d = digests_of(obs);
+  EXPECT_EQ(obs.result.exit_code, pinned->exit_code);
+  EXPECT_EQ(obs.result.sim_time, pinned->sim_time);
+  EXPECT_EQ(obs.result.guest_insns, pinned->guest_insns);
+  EXPECT_EQ(obs.result.guest_stdout, pinned->guest_stdout);
+  EXPECT_EQ(d.breakdowns, pinned->breakdown_digest);
+  EXPECT_EQ(d.counters, pinned->counters_digest);
+  EXPECT_EQ(d.hists, pinned->hist_digest);
+#if DQEMU_TRACING_ENABLED  // a build without instrumentation exports nothing
+  EXPECT_EQ(d.trace, pinned->trace_digest);
+#endif
+}
+
+/// A hot threshold low enough that traces form inside these small
+/// workloads, so stitching, side exits and trace invalidation all run.
+ClusterConfig hot_trace_config(std::uint32_t nodes) {
+  ClusterConfig config = test::test_config(nodes);
+  config.dbt.sb_hot_threshold = 4;
+  return config;
+}
+
 TEST(FastPathDeterminism, MutexStressGlobalLock) {
   // Heavy LL/SC contention plus DSM page migration: exercises the LL/SC
   // store filter and TLB invalidation on protection changes.
-  const auto program = must(workloads::mutex_stress(8, 50, /*global=*/true));
-  expect_identical(observe(program, 4, /*fastpath=*/true),
-                   observe(program, 4, /*fastpath=*/false));
+  expect_pinned("mutex_stress_global_4n",
+                must(workloads::mutex_stress(8, 50, /*global=*/true)),
+                test::test_config(4));
 }
 
 TEST(FastPathDeterminism, FalseSharingWalkWithSplitting) {
   // Page splitting rewrites the shadow map mid-run: exercises TLB
   // invalidation on split and the identity-only caching rule.
-  const auto program = must(workloads::false_sharing_walk(8, 128, 4, 4));
-  expect_identical(observe(program, 4, /*fastpath=*/true),
-                   observe(program, 4, /*fastpath=*/false));
+  expect_pinned("false_sharing_split_4n",
+                must(workloads::false_sharing_walk(8, 128, 4, 4)),
+                test::test_config(4));
 }
 
 TEST(FastPathDeterminism, MemwalkMultiNode) {
-  // Bulk sequential memory traffic across nodes: the TLB hot path carries
-  // nearly every access; jump-cache serves the function-return jalrs.
-  const auto program = must(workloads::memwalk(256 * 1024, 2, true));
-  expect_identical(observe(program, 3, /*fastpath=*/true),
-                   observe(program, 3, /*fastpath=*/false));
-}
-
-// The superblock hot-trace tier (DESIGN.md section 15) is the same kind of
-// host-side acceleration as the fast paths: with it enabled or disabled
-// (DbtConfig::enable_superblocks), every virtual-time observable must be
-// byte-identical. Only the counters in superblock_divergent_counters() may
-// move. A low hot threshold makes traces form inside these small workloads.
-
-Observation observe_sb(const isa::Program& program, std::uint32_t nodes,
-                       bool superblocks, bool fusion = true) {
-  ClusterConfig config = test::test_config(nodes);
-  config.dbt.enable_superblocks = superblocks;
-  config.dbt.sb_hot_threshold = 4;
-  config.dbt.sb_fusion = fusion;
-  return observe_with(program, config, superblock_divergent_counters());
+  // Bulk sequential memory traffic across nodes: per-op TLB lines and the
+  // software TLB carry nearly every access; the jump cache serves the
+  // function-return jalrs.
+  expect_pinned("memwalk_256k_3n",
+                must(workloads::memwalk(256 * 1024, 2, true)),
+                test::test_config(3));
 }
 
 TEST(SuperblockDeterminism, MutexStressGlobalLock) {
   // LL/SC retry loops are hot and full of side exits; traces form and die
   // across DSM protection changes.
-  const auto program = must(workloads::mutex_stress(8, 50, /*global=*/true));
-  expect_identical(observe_sb(program, 4, /*superblocks=*/true),
-                   observe_sb(program, 4, /*superblocks=*/false));
+  expect_pinned("mutex_stress_global_4n",
+                must(workloads::mutex_stress(8, 50, /*global=*/true)),
+                hot_trace_config(4));
 }
 
 TEST(SuperblockDeterminism, MemwalkMultiNode) {
   // The walk loop is the canonical straight-line trace: load+ALU and
   // compare-branch fusion both fire on every iteration.
-  const auto program = must(workloads::memwalk(256 * 1024, 2, true));
-  expect_identical(observe_sb(program, 3, /*superblocks=*/true),
-                   observe_sb(program, 3, /*superblocks=*/false));
+  expect_pinned("memwalk_256k_3n",
+                must(workloads::memwalk(256 * 1024, 2, true)),
+                hot_trace_config(3));
 }
 
 TEST(SuperblockDeterminism, FusionToggleIsInvisible) {
-  // Fusion is a second, inner gate: traces still form either way, but the
-  // fused dispatch must charge exactly the unfused costs.
-  const auto program = must(workloads::memwalk(128 * 1024, 2, true));
-  expect_identical(observe_sb(program, 2, /*superblocks=*/true,
-                              /*fusion=*/true),
-                   observe_sb(program, 2, /*superblocks=*/true,
-                              /*fusion=*/false));
+  // Fused ops must charge exactly the unfused costs: the pinned row was
+  // recorded without any fusion.
+  expect_pinned("memwalk_128k_2n",
+                must(workloads::memwalk(128 * 1024, 2, true)),
+                hot_trace_config(2));
 }
 
 // Hierarchical locking (DESIGN.md section 11) is a *protocol* change, not a
@@ -505,8 +607,6 @@ struct MeasuredRun {
 
 ClusterConfig every_switch_off(ClusterConfig config) {
   config.sim.host_threads = 1;
-  config.dbt.enable_fastpath = false;
-  config.dbt.enable_superblocks = false;
   config.sys.enable_hierarchical_locking = false;
   config.dsm.enable_diff_transfers = false;
   config.dsm.enable_home_sharding = false;
@@ -531,14 +631,12 @@ MeasuredRun measure(const isa::Program& program, const ClusterConfig& config) {
   measured.guest_stdout = result.guest_stdout;
 
   const std::set<std::string> host_only = superblock_divergent_counters();
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::string counters;
   for (const auto& [name, value] : cluster.stats().counters()) {
     if (host_only.contains(name)) continue;
-    for (const char c : name + "=" + std::to_string(value) + ";") {
-      digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    }
+    counters += name + "=" + std::to_string(value) + ";";
   }
-  measured.counters_digest = digest;
+  measured.counters_digest = fnv1a(counters);
   return measured;
 }
 

@@ -1,8 +1,8 @@
-// Unit tests: DBT superblock hot-trace tier (DESIGN.md section 15).
+// Unit tests: DBT traces and superblock stitching (DESIGN.md section 15).
 //
 // Formation, micro-op fusion cost equivalence, side exits, invalidation
-// and the virtual-time contract (byte-identical results with the tier on
-// or off).
+// and the virtual-time contract: stop points, costs and faults equal to
+// the per-instruction block interpreter's, pinned from its runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -61,11 +61,9 @@ struct Harness {
   CpuContext ctx;
 };
 
-DbtConfig hot_config(bool superblocks = true, bool fusion = true) {
+DbtConfig hot_config() {
   DbtConfig dbt;
-  dbt.enable_superblocks = superblocks;
   dbt.sb_hot_threshold = 4;  // form traces almost immediately
-  dbt.sb_fusion = fusion;
   return dbt;
 }
 
@@ -99,110 +97,75 @@ FusionLoopModel fusion_loop_model(std::int64_t reps) {
   return m;
 }
 
-// ---- virtual-time contract (the tier on or off) -----------------------------
+// ---- virtual-time contract ---------------------------------------------------
+//
+// The constants below were recorded at commit
+// 82ecc67bc11dad9285e3f02eed4d8d42e3fccd2c on the per-instruction block
+// interpreter this engine replaced, with that commit's superblock tier and
+// fast paths switched off.
 
 TEST(SuperblockEquivalence, VirtualTimeAndStateIdenticalOnOff) {
+  // Every quantum stop of the hot fusion loop, in lockstep: an odd quantum
+  // stops mid-loop, so each intermediate stop must agree, not just the end.
+  struct Stop {
+    StopReason reason;
+    std::uint64_t insns;
+    std::uint64_t cycles;
+    GuestAddr pc;
+  };
+  constexpr Stop kBlockInterpreterStops[] = {
+      {StopReason::kQuantum, 261, 2254, 0x0001000c},
+      {StopReason::kQuantum, 258, 2236, 0x0001000c},
+      {StopReason::kQuantum, 258, 2236, 0x0001000c},
+      {StopReason::kQuantum, 258, 2236, 0x0001000c},
+      {StopReason::kSyscall, 169, 1462, 0x00010028},
+  };
   const std::int64_t reps = 200;
-  auto emit = [&](Assembler& a) { emit_fusion_loop(a, reps); };
-  Harness on(emit, false, hot_config(/*superblocks=*/true));
-  Harness off(emit, false, hot_config(/*superblocks=*/false));
-
-  // Lockstep quanta so every intermediate stop agrees, not just the end.
-  for (int step = 0; step < 100; ++step) {
-    const ExecResult ra = on.run(257);  // odd quantum: stops mid-loop
-    const ExecResult rb = off.run(257);
-    ASSERT_EQ(ra.reason, rb.reason) << "step " << step;
-    ASSERT_EQ(ra.insns, rb.insns) << "step " << step;
-    ASSERT_EQ(ra.exec_cycles, rb.exec_cycles) << "step " << step;
-    ASSERT_EQ(on.ctx.pc, off.ctx.pc) << "step " << step;
-    if (ra.reason != StopReason::kQuantum) {
-      ASSERT_EQ(ra.reason, StopReason::kSyscall);
-      break;
-    }
+  Harness h([&](Assembler& a) { emit_fusion_loop(a, reps); }, false,
+            hot_config());
+  for (std::size_t step = 0; step < std::size(kBlockInterpreterStops);
+       ++step) {
+    const Stop& want = kBlockInterpreterStops[step];
+    const ExecResult r = h.run(257);
+    ASSERT_EQ(r.reason, want.reason) << "step " << step;
+    ASSERT_EQ(r.insns, want.insns) << "step " << step;
+    ASSERT_EQ(r.exec_cycles, want.cycles) << "step " << step;
+    ASSERT_EQ(h.ctx.pc, want.pc) << "step " << step;
   }
-  for (unsigned r = 0; r < 16; ++r) {
-    EXPECT_EQ(on.ctx.gpr[r], off.ctx.gpr[r]) << "r" << r;
-  }
+  EXPECT_GE(h.stats.get("dbt.sb_exec"), 1u);  // the loop ran as a trace
   const FusionLoopModel model = fusion_loop_model(reps);
-  EXPECT_EQ(on.ctx.gpr[kT3], model.t3);
-  EXPECT_EQ(on.space.load(kData, 4), model.mem);
-  EXPECT_EQ(off.space.load(kData, 4), model.mem);
-}
-
-TEST(SuperblockEquivalence, FusionOffMatchesFusionOn) {
-  const std::int64_t reps = 150;
-  auto emit = [&](Assembler& a) { emit_fusion_loop(a, reps); };
-  Harness fused(emit, false, hot_config(true, /*fusion=*/true));
-  Harness unfused(emit, false, hot_config(true, /*fusion=*/false));
-  std::uint64_t insns_a = 0, insns_b = 0, cycles_a = 0, cycles_b = 0;
-  ExecResult ra, rb;
-  do {
-    ra = fused.run(331);
-    rb = unfused.run(331);
-    insns_a += ra.insns;
-    insns_b += rb.insns;
-    cycles_a += ra.exec_cycles;
-    cycles_b += rb.exec_cycles;
-  } while (ra.reason == StopReason::kQuantum &&
-           rb.reason == StopReason::kQuantum);
-  EXPECT_EQ(ra.reason, StopReason::kSyscall);
-  EXPECT_EQ(rb.reason, StopReason::kSyscall);
-  EXPECT_EQ(insns_a, insns_b);
-  EXPECT_EQ(cycles_a, cycles_b);
-  for (unsigned r = 0; r < 16; ++r) {
-    EXPECT_EQ(fused.ctx.gpr[r], unfused.ctx.gpr[r]) << "r" << r;
-  }
+  EXPECT_EQ(h.ctx.gpr[kT3], model.t3);
+  EXPECT_EQ(h.space.load(kData, 4), model.mem);
 }
 
 TEST(SuperblockEquivalence, ProtectionFaultMidLoopMatchesBlockEngine) {
   // Flip the data page read-only after a few quanta: the trace's store
   // must fault at the same instruction count, pc and fault address as the
-  // block engine — including the ALU half of a fused ALU+store retiring
-  // before the store half faults.
-  struct Out {
-    std::uint64_t insns = 0, cycles = 0;
-    GuestAddr pc = 0;
-    std::uint32_t t3 = 0;
-  };
-  auto emit = [&](Assembler& a) { emit_fusion_loop(a, 100000); };
-  auto run_one = [&](bool superblocks) -> Out {
-    Harness h(emit, /*check_protection=*/true,
-              hot_config(superblocks));
-    h.space.set_all_access(mem::PageAccess::kReadWrite);
-    std::uint64_t insns = 0, cycles = 0;
-    ExecResult r;
-    int steps = 0;
-    for (;;) {
-      r = h.run(509);
-      insns += r.insns;
-      cycles += r.exec_cycles;
-      if (++steps == 3) {
-        h.space.set_access(h.space.page_of(kData),
-                           mem::PageAccess::kRead);
-      }
-      if (r.reason != StopReason::kQuantum || steps >= 100) break;
+  // block interpreter did — including the ALU half of a fused ALU+store
+  // retiring before the store half faults.
+  Harness h([](Assembler& a) { emit_fusion_loop(a, 100000); },
+            /*check_protection=*/true, hot_config());
+  h.space.set_all_access(mem::PageAccess::kReadWrite);
+  std::uint64_t insns = 0, cycles = 0;
+  ExecResult r;
+  int steps = 0;
+  for (;;) {
+    r = h.run(509);
+    insns += r.insns;
+    cycles += r.exec_cycles;
+    if (++steps == 3) {
+      h.space.set_access(h.space.page_of(kData), mem::PageAccess::kRead);
     }
-    EXPECT_EQ(r.reason, StopReason::kPageFault);
-    EXPECT_TRUE(r.fault_is_write);
-    EXPECT_EQ(r.fault_addr, kData);
-    return Out{insns, cycles, h.ctx.pc, h.ctx.gpr[kT3]};
-  };
-  const auto on = run_one(true);
-  const auto off = run_one(false);
-  EXPECT_EQ(on.insns, off.insns);
-  EXPECT_EQ(on.cycles, off.cycles);
-  EXPECT_EQ(on.pc, off.pc);
-  EXPECT_EQ(on.t3, off.t3);
-}
-
-TEST(SuperblockEquivalence, RuntimeDisabledFormsNothing) {
-  Harness h([](Assembler& a) { emit_fusion_loop(a, 100); }, false,
-            hot_config(/*superblocks=*/false));
-  ASSERT_EQ(h.run().reason, StopReason::kSyscall);
-  EXPECT_EQ(h.cache.superblock_count(), 0u);
-  EXPECT_EQ(h.stats.get("dbt.sb_formed"), 0u);
-  EXPECT_EQ(h.stats.get("dbt.sb_exec"), 0u);
-  EXPECT_EQ(h.stats.get("dbt.fused_ops"), 0u);
+    if (r.reason != StopReason::kQuantum || steps >= 100) break;
+  }
+  EXPECT_EQ(r.reason, StopReason::kPageFault);
+  EXPECT_TRUE(r.fault_is_write);
+  EXPECT_EQ(r.fault_addr, kData);
+  EXPECT_EQ(steps, 4);
+  EXPECT_EQ(insns, 1537u);
+  EXPECT_EQ(cycles, 13310u);
+  EXPECT_EQ(h.ctx.pc, 0x0001001cu);
+  EXPECT_EQ(h.ctx.gpr[kT3], 0xffffffffu);
 }
 
 // ---- formation introspection ------------------------------------------------

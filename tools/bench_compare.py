@@ -51,8 +51,10 @@ def load(path):
 
 
 def key(scenario):
-    return (scenario["name"], scenario.get("fastpath"),
-            scenario.get("superblocks"))
+    # Rows are keyed by scenario name. The ablation benches run each
+    # scenario with their feature on and off and record that axis in
+    # "fastpath"; bench_host_mips rows carry no such axis.
+    return (scenario["name"], scenario.get("fastpath"))
 
 
 def onoff(value):
@@ -157,21 +159,21 @@ def main():
 
     drift = False
     too_slow = []
-    print(f"{'scenario':<20} {'fastpath':>8} {'sb':>4} {'old MIPS':>10} "
+    print(f"{'scenario':<20} {'fastpath':>8} {'old MIPS':>10} "
           f"{'new MIPS':>10} {'ratio':>7}")
     for k in sorted(old.keys() | new.keys(), key=str):
-        name, fastpath, superblocks = k
-        fp, sb = onoff(fastpath), onoff(superblocks)
+        name, fastpath = k
+        fp = onoff(fastpath)
         if k not in old or k not in new:
             where = "old" if k in old else "new"
-            print(f"{name:<20} {fp:>8} {sb:>4}   (only in {where})")
+            print(f"{name:<20} {fp:>8}   (only in {where})")
             continue
         o, n = old[k], new[k]
         ratio = n["guest_mips"] / o["guest_mips"] if o["guest_mips"] else 0.0
-        print(f"{name:<20} {fp:>8} {sb:>4} {o['guest_mips']:>10.2f} "
+        print(f"{name:<20} {fp:>8} {o['guest_mips']:>10.2f} "
               f"{n['guest_mips']:>10.2f} {ratio:>6.2f}x")
         if floor_pct is not None and ratio * 100.0 < floor_pct:
-            too_slow.append(f"{name} (fastpath {fp}, sb {sb}): "
+            too_slow.append(f"{name} (fastpath {fp}): "
                             f"{ratio * 100.0:.0f}% < {floor_pct:g}%")
         if comparable:
             for field in EXACT_FIELDS:

@@ -49,12 +49,9 @@ constexpr FlagSpec kFlags[] = {
     {"--nodes", "N", "slave nodes (default 2); 0 = QEMU single-node baseline"},
     {"--cores", "N", "cores per node (default 4)"},
     {"--quantum", "N", "instructions per scheduling slice (default 20000)"},
-    {"--superblocks", nullptr,
-     "enable the DBT superblock hot-trace tier (default; DESIGN.md §15)"},
-    {"--no-superblocks", nullptr,
-     "disable the hot-trace tier (virtual time is identical either way)"},
     {"--dump-hot", "N",
-     "after the run, dump the N hottest blocks and all superblocks"},
+     "after the run, dump the N hottest blocks and all superblocks"
+     " (DESIGN.md §15)"},
     {"--rtt-us", "N", "network round-trip time in microseconds (default 55)"},
     {"--gbps", "X", "network bandwidth in Gbit/s (default 1.0)"},
     {"--forwarding", nullptr, "enable data forwarding (paper 5.2)"},
@@ -233,10 +230,6 @@ int main(int argc, char** argv) {
       ok = parse_u32(value, &config.machine.cores_per_node);
     } else if (std::strcmp(arg, "--quantum") == 0) {
       ok = parse_u32(value, &config.dbt.quantum_insns);
-    } else if (std::strcmp(arg, "--superblocks") == 0) {
-      config.dbt.enable_superblocks = true;
-    } else if (std::strcmp(arg, "--no-superblocks") == 0) {
-      config.dbt.enable_superblocks = false;
     } else if (std::strcmp(arg, "--dump-hot") == 0) {
       ok = parse_u32(value, &dump_hot);
     } else if (std::strcmp(arg, "--rtt-us") == 0) {
@@ -492,24 +485,22 @@ int main(int argc, char** argv) {
                    : 0.0,
                config.sim.host_threads);
 
-  // DBT hot-path summary: how often each fast-path layer fired. The tlb/
-  // jmp_cache/llsc counters are host-side only and stay zero when the fast
-  // paths are disabled; chain_hit counts direct-jump chaining either way.
+  // DBT hot-path summary: how often each host-side cache served a block
+  // entry or a memory access. tlb_hit/tlb_miss count the software TLB,
+  // which sees only the accesses a trace op's own TLB line did not serve.
   {
     const auto& stats = cluster.stats();
     std::fprintf(
         stderr,
-        "[dqemu_run] dbt: chain_hit=%llu jmp_cache_hit=%llu tlb_hit=%llu "
+        "[dqemu_run] dbt: jmp_cache_hit=%llu tlb_hit=%llu "
         "tlb_miss=%llu llsc_fastpath=%llu\n",
-        static_cast<unsigned long long>(stats.get("dbt.chain_hit")),
         static_cast<unsigned long long>(stats.get("dbt.jmp_cache_hit")),
         static_cast<unsigned long long>(stats.get("dbt.tlb_hit")),
         static_cast<unsigned long long>(stats.get("dbt.tlb_miss")),
         static_cast<unsigned long long>(stats.get("dbt.llsc_fastpath")));
 
-    // Superblock hot-trace tier (DESIGN.md §15). All host-side: the
-    // counters stay zero with --no-superblocks, while virtual time is
-    // byte-identical.
+    // Stitched superblocks (DESIGN.md §15); fused_ops also counts the
+    // fused pairs of one-block traces. All host-side.
     std::fprintf(
         stderr,
         "[dqemu_run] sb: formed=%llu invalidated=%llu exec=%llu "
@@ -661,9 +652,8 @@ int main(int argc, char** argv) {
   }
   if (dump_hot > 0) {
     // Hot-block census across every node's translation cache, hottest
-    // first, plus every live superblock. Per-block hot counters advance
-    // whether or not the block migrated onto a trace, so this is useful
-    // with --no-superblocks too (what *would* the tier pick up?).
+    // first, plus every live superblock. A block's hot counter counts its
+    // entries while no superblock heads it.
     std::vector<std::pair<NodeId, dbt::HotBlockInfo>> blocks;
     std::vector<std::pair<NodeId, dbt::SuperblockInfo>> sbs;
     for (NodeId n = 0; n < cluster.node_count(); ++n) {
