@@ -1,5 +1,6 @@
 #include "dbt/exec.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -24,6 +25,12 @@ constexpr std::int32_t to_signed(std::uint32_t v) {
 constexpr std::uint32_t to_unsigned(std::int32_t v) {
   return static_cast<std::uint32_t>(v);
 }
+
+/// Case label of a trace op kind. The trace loop switches on the raw
+/// value: single-instruction kinds are opcode values, not SbOpKind
+/// enumerators.
+constexpr unsigned kind(Opcode op) { return static_cast<unsigned>(op); }
+constexpr unsigned kind(SbOpKind k) { return static_cast<unsigned>(k); }
 
 /// double -> int32 with saturation (avoids UB on out-of-range casts).
 std::int32_t fp_to_int(double v) {
@@ -91,6 +98,11 @@ ExecResult ExecEngine::run(CpuContext& ctx, std::uint64_t max_insns) {
       stats_->add("dbt.sb_side_exit", hot.sb_side_exit);
     }
     if (hot.fused_ops != 0) stats_->add("dbt.fused_ops", hot.fused_ops);
+    if (hot.llsc_ll != 0) stats_->add("llsc.ll", hot.llsc_ll);
+    if (hot.llsc_sc_success != 0) {
+      stats_->add("llsc.sc_success", hot.llsc_sc_success);
+    }
+    if (hot.llsc_sc_fail != 0) stats_->add("llsc.sc_fail", hot.llsc_sc_fail);
   }
   return result;
 }
@@ -186,76 +198,27 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
 
   // ---- trace dispatch (DESIGN.md section 15) -----------------------------
   // Every guest instruction executes here: a block's own one-block trace
-  // or a stitched multi-block superblock, as pre-decoded (possibly fused)
-  // ops through one dense switch. The quantum is checked only between
-  // blocks — at the top of the entry loop below and, inside a trace, at
-  // its block boundaries — so stop points, and with them virtual time, do
-  // not depend on how blocks were stitched or fused.
+  // or a stitched multi-block superblock, through one switch on the op
+  // kind. The builder picked each kind when it built the trace, so a case
+  // runs exactly one instruction (or one fused addi+branch) with operands
+  // read straight from the op, and nothing is decoded again. The quantum
+  // is checked only between blocks — at the top of the entry loop below
+  // and, inside a trace, at its block boundaries — so stop points, and
+  // with them virtual time, do not depend on how blocks were stitched or
+  // fused.
 
-  auto alu_eval = [&](const isa::Insn& in, GuestAddr pc) -> std::uint32_t {
-    switch (in.op) {
-      case Opcode::kAdd: return gpr[in.rs1] + gpr[in.rs2];
-      case Opcode::kSub: return gpr[in.rs1] - gpr[in.rs2];
-      case Opcode::kAnd: return gpr[in.rs1] & gpr[in.rs2];
-      case Opcode::kOr: return gpr[in.rs1] | gpr[in.rs2];
-      case Opcode::kXor: return gpr[in.rs1] ^ gpr[in.rs2];
-      case Opcode::kSll: return gpr[in.rs1] << (gpr[in.rs2] & 31);
-      case Opcode::kSrl: return gpr[in.rs1] >> (gpr[in.rs2] & 31);
-      case Opcode::kSra:
-        return to_unsigned(to_signed(gpr[in.rs1]) >> (gpr[in.rs2] & 31));
-      case Opcode::kSlt:
-        return to_signed(gpr[in.rs1]) < to_signed(gpr[in.rs2]) ? 1u : 0u;
-      case Opcode::kSltu: return gpr[in.rs1] < gpr[in.rs2] ? 1u : 0u;
-      case Opcode::kAddi: return gpr[in.rs1] + to_unsigned(in.imm);
-      case Opcode::kAndi: return gpr[in.rs1] & to_unsigned(in.imm);
-      case Opcode::kOri: return gpr[in.rs1] | to_unsigned(in.imm);
-      case Opcode::kXori: return gpr[in.rs1] ^ to_unsigned(in.imm);
-      case Opcode::kSlli: return gpr[in.rs1] << (in.imm & 31);
-      case Opcode::kSrli: return gpr[in.rs1] >> (in.imm & 31);
-      case Opcode::kSrai:
-        return to_unsigned(to_signed(gpr[in.rs1]) >> (in.imm & 31));
-      case Opcode::kSlti: return to_signed(gpr[in.rs1]) < in.imm ? 1u : 0u;
-      case Opcode::kSltiu:
-        return gpr[in.rs1] < to_unsigned(in.imm) ? 1u : 0u;
-      case Opcode::kLui: return to_unsigned(in.imm) << 12;
-      default: return pc + (to_unsigned(in.imm) << 12);  // kAuipc
-    }
-  };
-
-  auto branch_taken = [&](const isa::Insn& in) -> bool {
-    switch (in.op) {
-      case Opcode::kBeq: return gpr[in.rs1] == gpr[in.rs2];
-      case Opcode::kBne: return gpr[in.rs1] != gpr[in.rs2];
-      case Opcode::kBlt:
-        return to_signed(gpr[in.rs1]) < to_signed(gpr[in.rs2]);
-      case Opcode::kBge:
-        return to_signed(gpr[in.rs1]) >= to_signed(gpr[in.rs2]);
-      case Opcode::kBltu: return gpr[in.rs1] < gpr[in.rs2];
-      default: return gpr[in.rs1] >= gpr[in.rs2];  // kBgeu
-    }
-  };
-
-  // Resolves the mem half of a trace op. A per-op TLB-line hit proves the
-  // page is identity-mapped, in bounds and accessible for this op's access
-  // type (mem_access verified all of that when the tag was adopted, and the
-  // epoch check on trace entry drops stale tags); alignment still needs its
-  // per-access check since the base register varies. On success, `host`
-  // points straight at the access bytes when the page's storage could be
-  // adopted, else null — `out` then holds the resolved guest address for
-  // the generic AddressSpace path.
-  auto sb_resolve = [&](SbOp& op, const isa::Insn& in, GuestAddr pc,
-                        bool write, std::uint8_t*& host,
-                        GuestAddr& out) -> bool {
-    const GuestAddr vaddr = gpr[in.rs1] + to_unsigned(in.imm);
-    if (op.tlb_tag == (vaddr & ~page_mask) &&
-        (vaddr & (op.mem_bytes - 1u)) == 0) {
-      out = vaddr;
-      host = op.host_page + (vaddr & page_mask);
-      return true;
-    }
-    if (!mem_access(vaddr, op.mem_bytes, write, pc, out)) return false;
+  // Slow path of a trace load or store whose own TLB line missed: resolves
+  // `vaddr` through mem_access and adopts the page as the op's line when it
+  // can. On success `host` points at the access bytes when the page's
+  // storage was adopted, else null — `addr` then holds the resolved guest
+  // address for the generic AddressSpace path. On a fault fills `result`
+  // and returns false.
+  auto resolve_miss = [&](SbOp& op, GuestAddr vaddr, unsigned bytes,
+                          bool write, std::uint8_t*& host,
+                          GuestAddr& addr) -> bool {
+    if (!mem_access(vaddr, bytes, write, op.pc, addr)) return false;
     host = nullptr;
-    if (out == vaddr) {
+    if (addr == vaddr) {
       const std::uint32_t page = space_.page_of(vaddr);
       // Host page storage is stable once materialized, so the line can
       // cache a raw pointer. Stores materialize the page anyway; loads
@@ -270,74 +233,46 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
     return true;
   };
 
-  // Size-specialized accessors: constant sizes fold the memcpy into a
-  // single move. The *_host variants run against an adopted TLB line; the
-  // guest-address variants are the fallback for unadopted pages.
-  auto load_host = [&](const isa::Insn& in,
-                       const std::uint8_t* host) -> std::uint32_t {
-    std::uint8_t v8;
-    std::uint16_t v16;
-    std::uint32_t v32;
-    switch (in.op) {
-      case Opcode::kLb:
-        std::memcpy(&v8, host, 1);
-        return to_unsigned(static_cast<std::int8_t>(v8));
-      case Opcode::kLbu:
-        std::memcpy(&v8, host, 1);
-        return v8;
-      case Opcode::kLh:
-        std::memcpy(&v16, host, 2);
-        return to_unsigned(static_cast<std::int16_t>(v16));
-      case Opcode::kLhu:
-        std::memcpy(&v16, host, 2);
-        return v16;
-      default:
-        std::memcpy(&v32, host, 4);
-        return v32;
+  // A load or store of a `T` at rs1 + imm: the access width is the type's,
+  // fixed per case. A hit on the op's TLB line proves the page is
+  // identity-mapped, in bounds and accessible for this access type
+  // (resolve_miss verified all of that when it adopted the line, and the
+  // epoch check on trace entry drops stale lines); alignment still needs
+  // its per-access check since the base register varies. Both return
+  // false on a fault, with `result` filled.
+  auto load = [&]<typename T>(SbOp& op, T& value) -> bool {
+    const GuestAddr vaddr = gpr[op.a.rs1] + to_unsigned(op.a.imm);
+    std::uint8_t* host = nullptr;
+    GuestAddr addr = vaddr;
+    if (op.tlb_tag == (vaddr & ~page_mask) && (vaddr & (sizeof(T) - 1)) == 0) {
+      host = op.host_page + (vaddr & page_mask);
+    } else if (!resolve_miss(op, vaddr, sizeof(T), /*write=*/false, host,
+                             addr)) {
+      return false;
+    } else if (host == nullptr) {
+      value = static_cast<T>(space_.load(addr, sizeof(T)));
+      return true;
     }
+    std::memcpy(&value, host, sizeof(T));
+    return true;
   };
-
-  auto store_host = [&](std::uint8_t* host, std::uint32_t value,
-                        std::uint8_t bytes) {
-    switch (bytes) {
-      case 1: {
-        const std::uint8_t v = static_cast<std::uint8_t>(value);
-        std::memcpy(host, &v, 1);
-        break;
-      }
-      case 2: {
-        const std::uint16_t v = static_cast<std::uint16_t>(value);
-        std::memcpy(host, &v, 2);
-        break;
-      }
-      default:
-        std::memcpy(host, &value, 4);
-        break;
+  auto store = [&]<typename T>(SbOp& op, T value) -> bool {
+    const GuestAddr vaddr = gpr[op.a.rs1] + to_unsigned(op.a.imm);
+    std::uint8_t* host = nullptr;
+    GuestAddr addr = vaddr;
+    if (op.tlb_tag == (vaddr & ~page_mask) && (vaddr & (sizeof(T) - 1)) == 0) {
+      host = op.host_page + (vaddr & page_mask);
+    } else if (!resolve_miss(op, vaddr, sizeof(T), /*write=*/true, host,
+                             addr)) {
+      return false;
     }
-  };
-
-  auto load_value = [&](const isa::Insn& in, GuestAddr addr) -> std::uint32_t {
-    switch (in.op) {
-      case Opcode::kLb:
-        return to_unsigned(static_cast<std::int8_t>(space_.load(addr, 1)));
-      case Opcode::kLbu:
-        return static_cast<std::uint8_t>(space_.load(addr, 1));
-      case Opcode::kLh:
-        return to_unsigned(static_cast<std::int16_t>(space_.load(addr, 2)));
-      case Opcode::kLhu:
-        return static_cast<std::uint16_t>(space_.load(addr, 2));
-      default:
-        return static_cast<std::uint32_t>(space_.load(addr, 4));
+    if (host != nullptr) {
+      std::memcpy(host, &value, sizeof(T));
+    } else {
+      space_.store(addr, value, sizeof(T));
     }
-  };
-
-  auto store_sized = [&](GuestAddr addr, std::uint32_t value,
-                         std::uint8_t bytes) {
-    switch (bytes) {
-      case 1: space_.store(addr, value, 1); break;
-      case 2: space_.store(addr, value, 2); break;
-      default: space_.store(addr, value, 4); break;
-    }
+    snoop_store(addr);
+    return true;
   };
 
   enum class TraceOut : std::uint8_t { kExit, kReturn };
@@ -359,366 +294,388 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       result.insns = insns;
       result.exec_cycles = cycles;
       hot.fused_ops += fused;
-      fused = 0;
+    };
+    // Leaves with `result` final and execution to resume at `pc`.
+    auto stop_at = [&](GuestAddr pc) {
+      ctx.pc = pc;
+      sync();
+      return TraceOut::kReturn;
     };
     std::uint32_t i = 0;
+    GuestAddr target = 0;  // the guard tail's input: where control goes next
     for (;;) {
       SbOp& op = ops[i];
-      switch (op.kind) {
-        case SbOpKind::kAluFast:
-          write_gpr(op.a.rd, alu_eval(op.a, op.pc));
-          ++insns;
-          cycles += op.cost_a;
+      const isa::Insn& in = op.a;
+      switch (static_cast<unsigned>(op.kind)) {
+        // Integer ALU.
+        case kind(Opcode::kAdd):
+          write_gpr(in.rd, gpr[in.rs1] + gpr[in.rs2]);
+          break;
+        case kind(Opcode::kSub):
+          write_gpr(in.rd, gpr[in.rs1] - gpr[in.rs2]);
+          break;
+        case kind(Opcode::kAnd):
+          write_gpr(in.rd, gpr[in.rs1] & gpr[in.rs2]);
+          break;
+        case kind(Opcode::kOr):
+          write_gpr(in.rd, gpr[in.rs1] | gpr[in.rs2]);
+          break;
+        case kind(Opcode::kXor):
+          write_gpr(in.rd, gpr[in.rs1] ^ gpr[in.rs2]);
+          break;
+        case kind(Opcode::kSll):
+          write_gpr(in.rd, gpr[in.rs1] << (gpr[in.rs2] & 31));
+          break;
+        case kind(Opcode::kSrl):
+          write_gpr(in.rd, gpr[in.rs1] >> (gpr[in.rs2] & 31));
+          break;
+        case kind(Opcode::kSra):
+          write_gpr(in.rd,
+                    to_unsigned(to_signed(gpr[in.rs1]) >> (gpr[in.rs2] & 31)));
+          break;
+        case kind(Opcode::kSlt):
+          write_gpr(in.rd, to_signed(gpr[in.rs1]) < to_signed(gpr[in.rs2]));
+          break;
+        case kind(Opcode::kSltu):
+          write_gpr(in.rd, gpr[in.rs1] < gpr[in.rs2]);
+          break;
+        case kind(Opcode::kAddi):
+          write_gpr(in.rd, gpr[in.rs1] + to_unsigned(in.imm));
+          break;
+        case kind(Opcode::kAndi):
+          write_gpr(in.rd, gpr[in.rs1] & to_unsigned(in.imm));
+          break;
+        case kind(Opcode::kOri):
+          write_gpr(in.rd, gpr[in.rs1] | to_unsigned(in.imm));
+          break;
+        case kind(Opcode::kXori):
+          write_gpr(in.rd, gpr[in.rs1] ^ to_unsigned(in.imm));
+          break;
+        case kind(Opcode::kSlli):
+          write_gpr(in.rd, gpr[in.rs1] << (in.imm & 31));
+          break;
+        case kind(Opcode::kSrli):
+          write_gpr(in.rd, gpr[in.rs1] >> (in.imm & 31));
+          break;
+        case kind(Opcode::kSrai):
+          write_gpr(in.rd,
+                    to_unsigned(to_signed(gpr[in.rs1]) >> (in.imm & 31)));
+          break;
+        case kind(Opcode::kSlti):
+          write_gpr(in.rd, to_signed(gpr[in.rs1]) < in.imm);
+          break;
+        case kind(Opcode::kSltiu):
+          write_gpr(in.rd, gpr[in.rs1] < to_unsigned(in.imm));
+          break;
+        case kind(Opcode::kLui):
+          write_gpr(in.rd, to_unsigned(in.imm) << 12);
+          break;
+        case kind(Opcode::kAuipc):
+          write_gpr(in.rd, op.pc + (to_unsigned(in.imm) << 12));
           break;
 
-        case SbOpKind::kMemLoad: {
-          std::uint8_t* host;
-          GuestAddr addr;
-          if (!sb_resolve(op, op.a, op.pc, /*write=*/false, host, addr)) {
-            ctx.pc = op.pc;
-            sync();
-            return TraceOut::kReturn;
-          }
-          if (op.a.op == Opcode::kFld) {
-            std::uint64_t raw;
-            if (host != nullptr) {
-              std::memcpy(&raw, host, 8);
-            } else {
-              raw = space_.load(addr, 8);
-            }
-            double value;
-            std::memcpy(&value, &raw, 8);
-            fpr[op.a.rd] = value;
+        // Multiply and divide.
+        case kind(Opcode::kMul):
+          write_gpr(in.rd, gpr[in.rs1] * gpr[in.rs2]);
+          break;
+        case kind(Opcode::kDiv): {
+          const std::int32_t a = to_signed(gpr[in.rs1]);
+          const std::int32_t b = to_signed(gpr[in.rs2]);
+          std::int32_t q;
+          if (b == 0) {
+            q = -1;  // RISC-style: division by zero yields all ones
+          } else if (a == std::numeric_limits<std::int32_t>::min() &&
+                     b == -1) {
+            q = a;  // overflow wraps
           } else {
-            write_gpr(op.a.rd, host != nullptr ? load_host(op.a, host)
-                                               : load_value(op.a, addr));
+            q = a / b;
           }
-          ++insns;
-          cycles += op.cost_a;
+          write_gpr(in.rd, to_unsigned(q));
           break;
         }
-
-        case SbOpKind::kMemStore: {
-          std::uint8_t* host;
-          GuestAddr addr;
-          if (!sb_resolve(op, op.a, op.pc, /*write=*/true, host, addr)) {
-            ctx.pc = op.pc;
-            sync();
-            return TraceOut::kReturn;
-          }
-          if (op.a.op == Opcode::kFsd) {
-            std::uint64_t raw;
-            std::memcpy(&raw, &fpr[op.a.rs2], 8);
-            if (host != nullptr) {
-              std::memcpy(host, &raw, 8);
-            } else {
-              space_.store(addr, raw, 8);
-            }
-          } else if (host != nullptr) {
-            store_host(host, gpr[op.a.rs2], op.mem_bytes);
+        case kind(Opcode::kDivu): {
+          const std::uint32_t b = gpr[in.rs2];
+          write_gpr(in.rd, b == 0 ? ~0u : gpr[in.rs1] / b);
+          break;
+        }
+        case kind(Opcode::kRem): {
+          const std::int32_t a = to_signed(gpr[in.rs1]);
+          const std::int32_t b = to_signed(gpr[in.rs2]);
+          std::int32_t r;
+          if (b == 0) {
+            r = a;
+          } else if (a == std::numeric_limits<std::int32_t>::min() &&
+                     b == -1) {
+            r = 0;
           } else {
-            store_sized(addr, gpr[op.a.rs2], op.mem_bytes);
+            r = a % b;
           }
-          snoop_store(addr);
-          ++insns;
-          cycles += op.cost_a;
+          write_gpr(in.rd, to_unsigned(r));
+          break;
+        }
+        case kind(Opcode::kRemu): {
+          const std::uint32_t b = gpr[in.rs2];
+          write_gpr(in.rd, b == 0 ? gpr[in.rs1] : gpr[in.rs1] % b);
           break;
         }
 
-        case SbOpKind::kLoadAlu: {
-          std::uint8_t* host;
-          GuestAddr addr;
-          if (!sb_resolve(op, op.a, op.pc, /*write=*/false, host, addr)) {
-            ctx.pc = op.pc;  // the load faults first: nothing retires
-            sync();
-            return TraceOut::kReturn;
-          }
-          write_gpr(op.a.rd, host != nullptr ? load_host(op.a, host)
-                                             : load_value(op.a, addr));
-          write_gpr(op.b.rd, alu_eval(op.b, op.pc + 4));
-          insns += 2;
-          cycles += op.cost_a + op.cost_b;
-          ++fused;
+        // Loads and stores through the op's TLB line.
+        case kind(Opcode::kLb): {
+          std::int8_t v = 0;
+          if (!load(op, v)) return stop_at(op.pc);
+          write_gpr(in.rd, static_cast<std::uint32_t>(v));
           break;
         }
-
-        case SbOpKind::kAluStore: {
-          write_gpr(op.a.rd, alu_eval(op.a, op.pc));
-          ++insns;
-          cycles += op.cost_a;  // the ALU half retires even if
-          std::uint8_t* host;   // the store half faults below
-          GuestAddr addr;
-          if (!sb_resolve(op, op.b, op.pc + 4, /*write=*/true, host, addr)) {
-            ctx.pc = op.pc + 4;
-            sync();
-            return TraceOut::kReturn;
+        case kind(Opcode::kLbu): {
+          std::uint8_t v = 0;
+          if (!load(op, v)) return stop_at(op.pc);
+          write_gpr(in.rd, v);
+          break;
+        }
+        case kind(Opcode::kLh): {
+          std::int16_t v = 0;
+          if (!load(op, v)) return stop_at(op.pc);
+          write_gpr(in.rd, static_cast<std::uint32_t>(v));
+          break;
+        }
+        case kind(Opcode::kLhu): {
+          std::uint16_t v = 0;
+          if (!load(op, v)) return stop_at(op.pc);
+          write_gpr(in.rd, v);
+          break;
+        }
+        case kind(Opcode::kLw): {
+          std::uint32_t v = 0;
+          if (!load(op, v)) return stop_at(op.pc);
+          write_gpr(in.rd, v);
+          break;
+        }
+        case kind(Opcode::kFld): {
+          std::uint64_t raw = 0;
+          if (!load(op, raw)) return stop_at(op.pc);
+          fpr[in.rd] = std::bit_cast<double>(raw);
+          break;
+        }
+        case kind(Opcode::kSb):
+          if (!store(op, static_cast<std::uint8_t>(gpr[in.rs2]))) {
+            return stop_at(op.pc);
           }
-          if (host != nullptr) {
-            store_host(host, gpr[op.b.rs2], op.mem_bytes);
+          break;
+        case kind(Opcode::kSh):
+          if (!store(op, static_cast<std::uint16_t>(gpr[in.rs2]))) {
+            return stop_at(op.pc);
+          }
+          break;
+        case kind(Opcode::kSw):
+          if (!store(op, gpr[in.rs2])) return stop_at(op.pc);
+          break;
+        case kind(Opcode::kFsd):
+          if (!store(op, std::bit_cast<std::uint64_t>(fpr[in.rs2]))) {
+            return stop_at(op.pc);
+          }
+          break;
+
+        // LL/SC go through the shared TLB: no per-op line.
+        case kind(Opcode::kLl): {
+          GuestAddr addr = 0;
+          if (!mem_access(gpr[in.rs1] + to_unsigned(in.imm), 4,
+                          /*write=*/false, op.pc, addr)) {
+            return stop_at(op.pc);  // re-execute after the fault is serviced
+          }
+          write_gpr(in.rd, static_cast<std::uint32_t>(space_.load(addr, 4)));
+          llsc_.on_ll(addr, ctx.tid);
+          ++hot.llsc_ll;
+          break;
+        }
+        case kind(Opcode::kSc): {
+          GuestAddr addr = 0;
+          if (!mem_access(gpr[in.rs1], 4, /*write=*/true, op.pc, addr)) {
+            return stop_at(op.pc);
+          }
+          if (llsc_.on_sc(addr, ctx.tid)) {
+            space_.store(addr, gpr[in.rs2], 4);
+            write_gpr(in.rd, 0);
+            ++hot.llsc_sc_success;
           } else {
-            store_sized(addr, gpr[op.b.rs2], op.mem_bytes);
+            write_gpr(in.rd, 1);
+            ++hot.llsc_sc_fail;
           }
-          snoop_store(addr);
-          ++insns;
-          cycles += op.cost_b;
-          ++fused;
           break;
         }
 
-        case SbOpKind::kCmpBranch: {
-          write_gpr(op.a.rd, alu_eval(op.a, op.pc));
-          const GuestAddr target =
-              branch_taken(op.b) ? op.taken_pc : op.fall_pc;
-          insns += 2;
-          cycles += op.cost_a + op.cost_b;
-          ++fused;
-          if (target == op.on_trace_pc) {
-            if (insns >= max_insns) {
-              ctx.pc = target;
-              result.reason = StopReason::kQuantum;
-              sync();
-              return TraceOut::kReturn;
-            }
-            i = op.next_index;
-            continue;
-          }
-          ctx.pc = target;
-          if (op.next_index != kSbExitIndex) {
-            ++hot.sb_side_exit;
-            ++sb->side_exits;
-          }
-          sync();
-          return TraceOut::kExit;
-        }
-
-        case SbOpKind::kBranch: {
-          const GuestAddr target =
-              branch_taken(op.a) ? op.taken_pc : op.fall_pc;
-          ++insns;
-          cycles += op.cost_a;
-          if (target == op.on_trace_pc) {
-            if (insns >= max_insns) {
-              ctx.pc = target;
-              result.reason = StopReason::kQuantum;
-              sync();
-              return TraceOut::kReturn;
-            }
-            i = op.next_index;
-            continue;
-          }
-          ctx.pc = target;
-          if (op.next_index != kSbExitIndex) {
-            ++hot.sb_side_exit;
-            ++sb->side_exits;
-          }
-          sync();
-          return TraceOut::kExit;
-        }
-
-        case SbOpKind::kJal: {
-          write_gpr(op.a.rd, op.pc + 4);
-          ++insns;
-          cycles += op.cost_a;
-          if (op.next_index != kSbExitIndex) {
-            if (insns >= max_insns) {
-              ctx.pc = op.taken_pc;
-              result.reason = StopReason::kQuantum;
-              sync();
-              return TraceOut::kReturn;
-            }
-            i = op.next_index;
-            continue;
-          }
-          ctx.pc = op.taken_pc;
-          sync();
-          return TraceOut::kExit;
-        }
-
-        case SbOpKind::kJalr: {
-          const GuestAddr target =
-              (gpr[op.a.rs1] + to_unsigned(op.a.imm)) & ~3u;
-          write_gpr(op.a.rd, op.pc + 4);
-          ++insns;
-          cycles += op.cost_a;
-          if (target == op.on_trace_pc) {
-            if (insns >= max_insns) {
-              ctx.pc = target;
-              result.reason = StopReason::kQuantum;
-              sync();
-              return TraceOut::kReturn;
-            }
-            i = op.next_index;
-            continue;
-          }
-          ctx.pc = target;
-          if (op.next_index != kSbExitIndex) {
-            ++hot.sb_side_exit;
-            ++sb->side_exits;
-          }
-          sync();
-          return TraceOut::kExit;
-        }
-
-        case SbOpKind::kSimple: {
-          const isa::Insn& in = op.a;
-          switch (in.op) {
-            case Opcode::kMul:
-              write_gpr(in.rd, gpr[in.rs1] * gpr[in.rs2]);
-              break;
-            case Opcode::kDiv: {
-              const std::int32_t a = to_signed(gpr[in.rs1]);
-              const std::int32_t b = to_signed(gpr[in.rs2]);
-              std::int32_t q;
-              if (b == 0) {
-                q = -1;  // RISC-style: division by zero yields all ones
-              } else if (a == std::numeric_limits<std::int32_t>::min() &&
-                         b == -1) {
-                q = a;  // overflow wraps
-              } else {
-                q = a / b;
-              }
-              write_gpr(in.rd, to_unsigned(q));
-              break;
-            }
-            case Opcode::kDivu: {
-              const std::uint32_t b = gpr[in.rs2];
-              write_gpr(in.rd, b == 0 ? ~0u : gpr[in.rs1] / b);
-              break;
-            }
-            case Opcode::kRem: {
-              const std::int32_t a = to_signed(gpr[in.rs1]);
-              const std::int32_t b = to_signed(gpr[in.rs2]);
-              std::int32_t r;
-              if (b == 0) {
-                r = a;
-              } else if (a == std::numeric_limits<std::int32_t>::min() &&
-                         b == -1) {
-                r = 0;
-              } else {
-                r = a % b;
-              }
-              write_gpr(in.rd, to_unsigned(r));
-              break;
-            }
-            case Opcode::kRemu: {
-              const std::uint32_t b = gpr[in.rs2];
-              write_gpr(in.rd, b == 0 ? gpr[in.rs1] : gpr[in.rs1] % b);
-              break;
-            }
-
-            case Opcode::kLl: {
-              GuestAddr addr;
-              if (!mem_access(gpr[in.rs1] + to_unsigned(in.imm), 4,
-                              /*write=*/false, op.pc, addr)) {
-                ctx.pc = op.pc;  // re-execute after the fault is serviced
-                sync();
-                return TraceOut::kReturn;
-              }
-              write_gpr(in.rd,
-                        static_cast<std::uint32_t>(space_.load(addr, 4)));
-              llsc_.on_ll(addr, ctx.tid);
-              break;
-            }
-            case Opcode::kSc: {
-              GuestAddr addr;
-              if (!mem_access(gpr[in.rs1], 4, /*write=*/true, op.pc, addr)) {
-                ctx.pc = op.pc;
-                sync();
-                return TraceOut::kReturn;
-              }
-              if (llsc_.on_sc(addr, ctx.tid)) {
-                space_.store(addr, gpr[in.rs2], 4);
-                write_gpr(in.rd, 0);
-              } else {
-                write_gpr(in.rd, 1);
-              }
-              break;
-            }
-
-            case Opcode::kFence:
-              break;  // sequential DES: ordering is already total
-            case Opcode::kHint:
-              // 0xFFFF is the "no group" sentinel (N-format immediates are
-              // zero-extended on decode).
-              ctx.hint_group = in.imm == 0xFFFF ? -1 : in.imm;
-              ++hot.hints;
-              break;
-            case Opcode::kSyscall:
-              ctx.pc = op.pc + 4;
-              ++insns;
-              cycles += op.cost_a;
-              result.reason = StopReason::kSyscall;
-              result.syscall_num = in.imm;
-              sync();
-              return TraceOut::kReturn;
-
-            case Opcode::kFadd: fpr[in.rd] = fpr[in.rs1] + fpr[in.rs2]; break;
-            case Opcode::kFsub: fpr[in.rd] = fpr[in.rs1] - fpr[in.rs2]; break;
-            case Opcode::kFmul: fpr[in.rd] = fpr[in.rs1] * fpr[in.rs2]; break;
-            case Opcode::kFdiv: fpr[in.rd] = fpr[in.rs1] / fpr[in.rs2]; break;
-            case Opcode::kFmin:
-              fpr[in.rd] = std::fmin(fpr[in.rs1], fpr[in.rs2]);
-              break;
-            case Opcode::kFmax:
-              fpr[in.rd] = std::fmax(fpr[in.rs1], fpr[in.rs2]);
-              break;
-            case Opcode::kFneg: fpr[in.rd] = -fpr[in.rs1]; break;
-            case Opcode::kFabs: fpr[in.rd] = std::fabs(fpr[in.rs1]); break;
-            case Opcode::kFmov: fpr[in.rd] = fpr[in.rs1]; break;
-            case Opcode::kFcvtdw:
-              fpr[in.rd] = static_cast<double>(to_signed(gpr[in.rs1]));
-              break;
-            case Opcode::kFcvtwd:
-              write_gpr(in.rd, to_unsigned(fp_to_int(fpr[in.rs1])));
-              break;
-            case Opcode::kFlt:
-              write_gpr(in.rd, fpr[in.rs1] < fpr[in.rs2] ? 1 : 0);
-              break;
-            case Opcode::kFle:
-              write_gpr(in.rd, fpr[in.rs1] <= fpr[in.rs2] ? 1 : 0);
-              break;
-            case Opcode::kFeq:
-              write_gpr(in.rd, fpr[in.rs1] == fpr[in.rs2] ? 1 : 0);
-              break;
-            case Opcode::kFsqrt: fpr[in.rd] = std::sqrt(fpr[in.rs1]); break;
-            case Opcode::kFexp: fpr[in.rd] = std::exp(fpr[in.rs1]); break;
-            case Opcode::kFlog: fpr[in.rd] = std::log(fpr[in.rs1]); break;
-            case Opcode::kFpow:
-              fpr[in.rd] = std::pow(fpr[in.rs1], fpr[in.rs2]);
-              break;
-            case Opcode::kFerf: fpr[in.rd] = std::erf(fpr[in.rs1]); break;
-            case Opcode::kFsin: fpr[in.rd] = std::sin(fpr[in.rs1]); break;
-            case Opcode::kFcos: fpr[in.rd] = std::cos(fpr[in.rs1]); break;
-
-            default:
-              assert(false && "kind selection keeps this op out of kSimple");
-              break;
-          }
-          ++insns;
-          cycles += op.cost_a;
+        case kind(Opcode::kFence):
+          break;  // sequential DES: ordering is already total
+        case kind(Opcode::kHint):
+          // 0xFFFF is the "no group" sentinel (N-format immediates are
+          // zero-extended on decode).
+          ctx.hint_group = in.imm == 0xFFFF ? -1 : in.imm;
+          ++hot.hints;
           break;
-        }
+        case kind(Opcode::kSyscall):
+          ++insns;
+          cycles += op.cost_a;
+          result.reason = StopReason::kSyscall;
+          result.syscall_num = in.imm;
+          return stop_at(op.pc + 4);
+
+        // Floating point.
+        case kind(Opcode::kFadd): fpr[in.rd] = fpr[in.rs1] + fpr[in.rs2]; break;
+        case kind(Opcode::kFsub): fpr[in.rd] = fpr[in.rs1] - fpr[in.rs2]; break;
+        case kind(Opcode::kFmul): fpr[in.rd] = fpr[in.rs1] * fpr[in.rs2]; break;
+        case kind(Opcode::kFdiv): fpr[in.rd] = fpr[in.rs1] / fpr[in.rs2]; break;
+        case kind(Opcode::kFmin):
+          fpr[in.rd] = std::fmin(fpr[in.rs1], fpr[in.rs2]);
+          break;
+        case kind(Opcode::kFmax):
+          fpr[in.rd] = std::fmax(fpr[in.rs1], fpr[in.rs2]);
+          break;
+        case kind(Opcode::kFneg): fpr[in.rd] = -fpr[in.rs1]; break;
+        case kind(Opcode::kFabs): fpr[in.rd] = std::fabs(fpr[in.rs1]); break;
+        case kind(Opcode::kFmov): fpr[in.rd] = fpr[in.rs1]; break;
+        case kind(Opcode::kFcvtdw):
+          fpr[in.rd] = static_cast<double>(to_signed(gpr[in.rs1]));
+          break;
+        case kind(Opcode::kFcvtwd):
+          write_gpr(in.rd, to_unsigned(fp_to_int(fpr[in.rs1])));
+          break;
+        case kind(Opcode::kFlt):
+          write_gpr(in.rd, fpr[in.rs1] < fpr[in.rs2]);
+          break;
+        case kind(Opcode::kFle):
+          write_gpr(in.rd, fpr[in.rs1] <= fpr[in.rs2]);
+          break;
+        case kind(Opcode::kFeq):
+          write_gpr(in.rd, fpr[in.rs1] == fpr[in.rs2]);
+          break;
+        case kind(Opcode::kFsqrt): fpr[in.rd] = std::sqrt(fpr[in.rs1]); break;
+        case kind(Opcode::kFexp): fpr[in.rd] = std::exp(fpr[in.rs1]); break;
+        case kind(Opcode::kFlog): fpr[in.rd] = std::log(fpr[in.rs1]); break;
+        case kind(Opcode::kFpow):
+          fpr[in.rd] = std::pow(fpr[in.rs1], fpr[in.rs2]);
+          break;
+        case kind(Opcode::kFerf): fpr[in.rd] = std::erf(fpr[in.rs1]); break;
+        case kind(Opcode::kFsin): fpr[in.rd] = std::sin(fpr[in.rs1]); break;
+        case kind(Opcode::kFcos): fpr[in.rd] = std::cos(fpr[in.rs1]); break;
+
+        // Control transfer: each case picks `target`, then the guard tail
+        // below decides between staying on the trace and leaving it.
+        case kind(Opcode::kBeq):
+          target = gpr[in.rs1] == gpr[in.rs2] ? op.taken_pc : op.fall_pc;
+          goto guard;
+        case kind(Opcode::kBne):
+          target = gpr[in.rs1] != gpr[in.rs2] ? op.taken_pc : op.fall_pc;
+          goto guard;
+        case kind(Opcode::kBlt):
+          target = to_signed(gpr[in.rs1]) < to_signed(gpr[in.rs2])
+                       ? op.taken_pc
+                       : op.fall_pc;
+          goto guard;
+        case kind(Opcode::kBge):
+          target = to_signed(gpr[in.rs1]) >= to_signed(gpr[in.rs2])
+                       ? op.taken_pc
+                       : op.fall_pc;
+          goto guard;
+        case kind(Opcode::kBltu):
+          target = gpr[in.rs1] < gpr[in.rs2] ? op.taken_pc : op.fall_pc;
+          goto guard;
+        case kind(Opcode::kBgeu):
+          target = gpr[in.rs1] >= gpr[in.rs2] ? op.taken_pc : op.fall_pc;
+          goto guard;
+        case kind(Opcode::kJal):
+          write_gpr(in.rd, op.pc + 4);
+          target = op.taken_pc;
+          goto guard;
+        case kind(Opcode::kJalr):
+          target = (gpr[in.rs1] + to_unsigned(in.imm)) & ~3u;
+          write_gpr(in.rd, op.pc + 4);
+          goto guard;
+
+        // addi + terminal branch on its result. The builder only fuses an
+        // addi with rd != 0, so rd is written without the r0 test.
+        case kind(SbOpKind::kAddiBeq):
+          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
+          target = gpr[op.b.rs1] == gpr[op.b.rs2] ? op.taken_pc : op.fall_pc;
+          ++fused;
+          goto guard;
+        case kind(SbOpKind::kAddiBne):
+          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
+          target = gpr[op.b.rs1] != gpr[op.b.rs2] ? op.taken_pc : op.fall_pc;
+          ++fused;
+          goto guard;
+        case kind(SbOpKind::kAddiBlt):
+          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
+          target = to_signed(gpr[op.b.rs1]) < to_signed(gpr[op.b.rs2])
+                       ? op.taken_pc
+                       : op.fall_pc;
+          ++fused;
+          goto guard;
+        case kind(SbOpKind::kAddiBge):
+          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
+          target = to_signed(gpr[op.b.rs1]) >= to_signed(gpr[op.b.rs2])
+                       ? op.taken_pc
+                       : op.fall_pc;
+          ++fused;
+          goto guard;
+        case kind(SbOpKind::kAddiBltu):
+          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
+          target = gpr[op.b.rs1] < gpr[op.b.rs2] ? op.taken_pc : op.fall_pc;
+          ++fused;
+          goto guard;
+        case kind(SbOpKind::kAddiBgeu):
+          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
+          target = gpr[op.b.rs1] >= gpr[op.b.rs2] ? op.taken_pc : op.fall_pc;
+          ++fused;
+          goto guard;
+
+        default:
+          assert(false && "every trace op kind has a case");
+          break;
       }
 
-      // Straight-line advance. Cut-block boundaries are quantum guard
-      // points: the budget is checked between any two blocks, inside a
-      // trace or not, so every trace stops at the same insn counts.
-      if (op.boundary) {
+      // A single non-control instruction retired. Cut-block boundaries are
+      // quantum guard points: the budget is checked between any two
+      // blocks, inside a trace or not, so every trace stops at the same
+      // insn counts.
+      ++insns;
+      cycles += op.cost_a;
+      if (!op.boundary) {
+        ++i;
+        continue;
+      }
+      if (insns >= max_insns) {
+        result.reason = StopReason::kQuantum;
+        return stop_at(op.boundary_pc);
+      }
+      if (op.next_index == kSbExitIndex) {
+        ctx.pc = op.boundary_pc;
+        sync();
+        return TraceOut::kExit;
+      }
+      i = op.next_index;
+      continue;
+
+    guard:
+      // The guard tail of every branch and jump, fused or not: stay on the
+      // trace when control goes where the trace continues (a block
+      // boundary, so the quantum is checked), else leave it — a side exit
+      // when the trace had somewhere else to go.
+      insns += op.n_insns;
+      cycles += op.cost_a + op.cost_b;
+      if (target == op.on_trace_pc) {
         if (insns >= max_insns) {
-          ctx.pc = op.boundary_pc;
           result.reason = StopReason::kQuantum;
-          sync();
-          return TraceOut::kReturn;
-        }
-        if (op.next_index == kSbExitIndex) {
-          ctx.pc = op.boundary_pc;
-          sync();
-          return TraceOut::kExit;
+          return stop_at(target);
         }
         i = op.next_index;
-      } else {
-        ++i;
+        continue;
       }
+      ctx.pc = target;
+      if (op.next_index != kSbExitIndex) {
+        ++hot.sb_side_exit;
+        ++sb->side_exits;
+      }
+      sync();
+      return TraceOut::kExit;
     }
   };
 

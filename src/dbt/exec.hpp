@@ -86,7 +86,10 @@ class ExecEngine {
     std::uint64_t llsc_fastpath = 0;
     std::uint64_t sb_exec = 0;       ///< stitched superblock entries
     std::uint64_t sb_side_exit = 0;  ///< guarded exits off a live trace
-    std::uint64_t fused_ops = 0;     ///< fused pairs executed
+    std::uint64_t fused_ops = 0;     ///< fused addi+branch ops executed
+    std::uint64_t llsc_ll = 0;          ///< llsc.ll
+    std::uint64_t llsc_sc_success = 0;  ///< llsc.sc_success
+    std::uint64_t llsc_sc_fail = 0;     ///< llsc.sc_fail
   };
 
   ExecResult run_loop(CpuContext& ctx, std::uint64_t max_insns,

@@ -11,6 +11,9 @@
 //   * When the DSM invalidates a page, all reservations on that page are
 //     killed — the paper's deliberate false-positive: the SC retries, so
 //     correctness is preserved even though the variable may be unchanged.
+// on_ll/on_sc run once per guest LL/SC, so their counters (llsc.ll,
+// llsc.sc_success, llsc.sc_fail) are kept by the caller, ExecEngine, in its
+// per-quantum hot counters; this table counts only the rare kills.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +32,6 @@ class LlscTable {
   void on_ll(GuestAddr addr, GuestTid tid) {
     table_[addr] = tid;
     line_filter_ |= line_bit(addr);
-    if (stats_ != nullptr) stats_->add("llsc.ll");
   }
 
   /// Conservative store-snoop filter: false proves that NO reservation can
@@ -47,13 +49,9 @@ class LlscTable {
   /// when this returns true.
   [[nodiscard]] bool on_sc(GuestAddr addr, GuestTid tid) {
     auto it = table_.find(addr);
-    if (it == table_.end() || it->second != tid) {
-      if (stats_ != nullptr) stats_->add("llsc.sc_fail");
-      return false;
-    }
+    if (it == table_.end() || it->second != tid) return false;
     table_.erase(it);
     if (table_.empty()) line_filter_ = 0;
-    if (stats_ != nullptr) stats_->add("llsc.sc_success");
     return true;
   }
 

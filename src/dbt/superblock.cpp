@@ -2,7 +2,8 @@
 // of, and superblock formation on top of it.
 //
 // append_trace_ops() turns one block's MicroOps into trace ops: kind
-// selection, the micro-op fusion pass and terminal wiring. translate()
+// selection (a single instruction's kind is its opcode; addi + terminal
+// conditional branch fuse into one op) and terminal wiring. translate()
 // calls it once per block to build the block's own one-block trace, and
 // maybe_form_superblock() once per constituent block of a stitched trace.
 //
@@ -27,68 +28,6 @@ using isa::Opcode;
 
 constexpr std::uint32_t to_unsigned(std::int32_t v) {
   return static_cast<std::uint32_t>(v);
-}
-
-/// Single-cycle integer ALU ops the trace loop inlines (and the fusion pass
-/// accepts as the ALU half of a fused pair). Excludes mul/div/rem, which
-/// run as kSimple ops.
-bool is_fast_alu(Opcode op) {
-  switch (op) {
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kSll:
-    case Opcode::kSrl:
-    case Opcode::kSra:
-    case Opcode::kSlt:
-    case Opcode::kSltu:
-    case Opcode::kAddi:
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-    case Opcode::kSlli:
-    case Opcode::kSrli:
-    case Opcode::kSrai:
-    case Opcode::kSlti:
-    case Opcode::kSltiu:
-    case Opcode::kLui:
-    case Opcode::kAuipc:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// True if the R/I/U-type ALU instruction reads integer register `reg`.
-bool alu_reads(const isa::Insn& in, unsigned reg) {
-  if (reg == 0) return false;  // r0 is hardwired; no dependence
-  switch (isa::insn_info(in.op).format) {
-    case isa::Format::kR:
-      return in.rs1 == reg || in.rs2 == reg;
-    case isa::Format::kI:
-      return in.rs1 == reg;
-    default:
-      return false;  // U-type (lui/auipc) reads no register
-  }
-}
-
-bool is_int_load(Opcode op) {
-  switch (op) {
-    case Opcode::kLb:
-    case Opcode::kLbu:
-    case Opcode::kLh:
-    case Opcode::kLhu:
-    case Opcode::kLw:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_int_store(Opcode op) {
-  return op == Opcode::kSb || op == Opcode::kSh || op == Opcode::kSw;
 }
 
 bool is_cond_branch(Opcode op) {
@@ -141,59 +80,24 @@ void append_trace_ops(const TranslationBlock& block, GuestAddr next_start,
   while (j < n) {
     const MicroOp& m = block.ops[j];
     SbOp op;
+    op.kind = op_kind(m.insn.op);
     op.pc = m.pc;
     op.a = m.insn;
     op.cost_a = m.cost_cycles;
-    const Opcode aop = m.insn.op;
 
-    // Fusion: pair `m` with its successor when the pair matches one of the
-    // recognized shapes. Costs are copied from the MicroOps, never
-    // recomputed, so the fused op charges its unfused sequence exactly.
-    bool fused = false;
-    if (j + 1 < n) {
-      const MicroOp& m2 = block.ops[j + 1];
-      const Opcode bop = m2.insn.op;
-      if (is_fast_alu(aop) && m.insn.rd != 0 && is_cond_branch(bop) &&
-          (m2.insn.rs1 == m.insn.rd || m2.insn.rs2 == m.insn.rd)) {
-        op.kind = SbOpKind::kCmpBranch;  // branches only appear last
-        fused = true;
-      } else if (is_int_load(aop) && m.insn.rd != 0 && is_fast_alu(bop) &&
-                 alu_reads(m2.insn, m.insn.rd)) {
-        op.kind = SbOpKind::kLoadAlu;
-        op.mem_bytes = isa::insn_info(aop).mem_bytes;
-        fused = true;
-      } else if (is_fast_alu(aop) && m.insn.rd != 0 && is_int_store(bop) &&
-                 m2.insn.rs2 == m.insn.rd) {
-        op.kind = SbOpKind::kAluStore;
-        op.mem_bytes = isa::insn_info(bop).mem_bytes;
-        fused = true;
-      }
-      if (fused) {
+    // Fusion: addi followed by the block's terminal conditional branch
+    // that tests the addi's result (the loop-closing decrement-and-test).
+    // Costs are copied from the MicroOps, never recomputed, so the fused
+    // op charges its two instructions exactly.
+    if (m.insn.op == Opcode::kAddi && m.insn.rd != 0 && j + 2 == n) {
+      const MicroOp& br = block.ops[j + 1];
+      if (is_cond_branch(br.insn.op) &&
+          (br.insn.rs1 == m.insn.rd || br.insn.rs2 == m.insn.rd)) {
+        op.kind = addi_branch_kind(br.insn.op);
         op.n_insns = 2;
-        op.b = m2.insn;
-        op.cost_b = m2.cost_cycles;
+        op.b = br.insn;
+        op.cost_b = br.cost_cycles;
         ++trace.fused_pairs;
-      }
-    }
-    if (!fused) {
-      if (is_cond_branch(aop)) {
-        op.kind = SbOpKind::kBranch;
-      } else if (aop == Opcode::kJal) {
-        op.kind = SbOpKind::kJal;
-      } else if (aop == Opcode::kJalr) {
-        op.kind = SbOpKind::kJalr;
-      } else if (is_fast_alu(aop)) {
-        op.kind = SbOpKind::kAluFast;
-      } else if (is_int_load(aop) || aop == Opcode::kFld) {
-        op.kind = SbOpKind::kMemLoad;
-        op.mem_bytes = isa::insn_info(aop).mem_bytes;
-      } else if (is_int_store(aop) || aop == Opcode::kFsd) {
-        op.kind = SbOpKind::kMemStore;
-        op.mem_bytes = isa::insn_info(aop).mem_bytes;
-      } else {
-        // mul/div/rem, LL/SC, FP, fence, hint, syscall. Never a branch or
-        // jump: those take the dedicated guarded kinds above.
-        op.kind = SbOpKind::kSimple;
       }
     }
     j += op.n_insns;
@@ -203,29 +107,21 @@ void append_trace_ops(const TranslationBlock& block, GuestAddr next_start,
     // through a cut-block boundary. (A syscall terminal returns to the
     // engine before its boundary is reached.)
     if (j >= n) {
-      switch (op.kind) {
-        case SbOpKind::kBranch:
-        case SbOpKind::kCmpBranch: {
-          const isa::Insn& br = op.kind == SbOpKind::kCmpBranch ? op.b : op.a;
-          const GuestAddr bpc =
-              op.kind == SbOpKind::kCmpBranch ? op.pc + 4 : op.pc;
-          op.fall_pc = bpc + 4;
-          op.taken_pc = bpc + 4 + to_unsigned(br.imm) * 4u;
-          op.on_trace_pc = next_start;
-          break;
-        }
-        case SbOpKind::kJal:
-          op.taken_pc = taken_target(block.ops.back());
-          op.on_trace_pc = next_start;
-          break;
-        case SbOpKind::kJalr:
-          op.on_trace_pc = next_start;
-          break;
-        default:
-          // Cut block: plain fall-through boundary (quantum guard point).
-          op.boundary = true;
-          op.boundary_pc = block.end_pc();
-          break;
+      const MicroOp& last = block.ops.back();
+      const Opcode lop = last.insn.op;
+      if (is_cond_branch(lop)) {
+        op.fall_pc = last.pc + 4;
+        op.taken_pc = taken_target(last);
+        op.on_trace_pc = next_start;
+      } else if (lop == Opcode::kJal) {
+        op.taken_pc = taken_target(last);
+        op.on_trace_pc = next_start;
+      } else if (lop == Opcode::kJalr) {
+        op.on_trace_pc = next_start;
+      } else {
+        // Cut block: plain fall-through boundary (quantum guard point).
+        op.boundary = true;
+        op.boundary_pc = block.end_pc();
       }
     }
     trace.ops.push_back(op);

@@ -5,13 +5,15 @@
 // its hot threshold the translation cache stitches the chain of blocks it
 // heads into a superblock — one straight-line trace across the recorded
 // taken/fall-through/indirect edges, with guards where the live path may
-// leave the trace. The op builder combines adjacent guest instructions
-// (compare+branch, load+ALU, ALU+store), and memory ops carry their own
-// TLB line, so the dispatch loop in ExecEngine runs guest code with one
-// dense switch per (possibly fused) op.
+// leave the trace. The op builder picks each op's kind once, at build
+// time: a single instruction's kind names its opcode, and the one fused
+// shape, addi + the terminal conditional branch that tests its result,
+// has one kind per branch condition. Memory ops carry their own TLB line.
+// So the dispatch loop in ExecEngine runs each op with exactly one
+// dispatch and decodes nothing at run time.
 //
 // Everything here is host-side only: a fused op charges exactly the
-// virtual-time cost of its unfused sequence, guards stop at the same
+// virtual-time cost of its two instructions, guards stop at the same
 // block boundaries whatever was stitched, and a superblock never outlives
 // any of its constituent blocks.
 #pragma once
@@ -31,42 +33,49 @@ inline constexpr GuestAddr kSbNoPc = ~GuestAddr{0};
 /// "Leave the trace" marker for SbOp::next_index.
 inline constexpr std::uint32_t kSbExitIndex = ~std::uint32_t{0};
 
-/// Dispatch kinds for the trace loop. The fused kinds cover the pairs the
-/// fusion pass recognizes; kAluFast and the mem kinds are single guest
-/// instructions with a specialized implementation; kSimple runs everything
-/// else through a per-opcode switch (never a branch or jump: those take
-/// their dedicated guarded kinds).
+/// Dispatch kind of a trace op: the case of the trace loop's one switch.
+/// A single guest instruction's kind is its opcode value (op_kind(), a
+/// cast), so every case runs exactly one instruction. The fused kinds sit
+/// above the last opcode: addi followed by the block's terminal conditional
+/// branch reading the addi's rd, one kind per branch condition.
 enum class SbOpKind : std::uint8_t {
-  kAluFast,    ///< single-cycle integer ALU op, inlined mini-switch
-  kMemLoad,    ///< load (incl. fld) with a pre-resolved per-op TLB line
-  kMemStore,   ///< store (incl. fsd) with a pre-resolved per-op TLB line
-  kLoadAlu,    ///< fused: integer load + ALU op consuming the loaded rd
-  kAluStore,   ///< fused: ALU op + store of the produced rd
-  kCmpBranch,  ///< fused: ALU op + terminal branch testing the produced rd
-  kBranch,     ///< terminal conditional branch (guard)
-  kJal,        ///< terminal direct call/jump (static target)
-  kJalr,       ///< terminal indirect jump (guard on the recorded target)
-  kSimple,     ///< anything else: mul/div, LL/SC, FP, fence, hint, syscall
+  kAddiBeq = static_cast<std::uint8_t>(isa::Opcode::kFcos) + 1,
+  kAddiBne,
+  kAddiBlt,
+  kAddiBge,
+  kAddiBltu,
+  kAddiBgeu,
 };
 
-/// One (possibly fused) op of a trace.
+/// Kind of a single-instruction op.
+[[nodiscard]] constexpr SbOpKind op_kind(isa::Opcode op) {
+  return static_cast<SbOpKind>(op);
+}
+
+/// Kind of addi fused with the conditional branch `branch`.
+[[nodiscard]] constexpr SbOpKind addi_branch_kind(isa::Opcode branch) {
+  return static_cast<SbOpKind>(static_cast<unsigned>(SbOpKind::kAddiBeq) +
+                               static_cast<unsigned>(branch) -
+                               static_cast<unsigned>(isa::Opcode::kBeq));
+}
+
+static_assert(addi_branch_kind(isa::Opcode::kBgeu) == SbOpKind::kAddiBgeu);
+
+/// One op of a trace: a single guest instruction, or a fused addi+branch.
 ///
 /// Cost accounting: `cost_a`/`cost_b` are copied verbatim from the
-/// constituent MicroOps, so a fused op charges exactly the virtual-time cost
-/// of its unfused sequence and partial retirement on a fault (the load half
-/// of kLoadAlu faulting retires nothing; the store half of kAluStore
-/// faulting retires only the ALU op) matches unfused execution
-/// insn-for-insn.
+/// constituent MicroOps, so a fused op charges exactly the virtual-time
+/// cost of its two instructions. Neither half of a fused op can fault, so
+/// it always retires both.
 struct SbOp {
-  SbOpKind kind = SbOpKind::kSimple;
+  SbOpKind kind{};
   std::uint8_t n_insns = 1;      ///< guest instructions covered (1 or 2)
-  std::uint8_t mem_bytes = 0;    ///< access width for the mem half (0 if none)
   bool boundary = false;         ///< cut-block boundary follows this op
   isa::Insn a;                   ///< first (or only) guest instruction
   isa::Insn b;                   ///< fused companion (valid when n_insns == 2)
   GuestAddr pc = 0;              ///< guest pc of `a`; companion is at pc + 4
   std::uint32_t cost_a = 0;      ///< virtual cost of `a` (== its MicroOp)
-  std::uint32_t cost_b = 0;      ///< virtual cost of `b`
+  std::uint32_t cost_b = 0;      ///< virtual cost of `b` (0 if single)
   GuestAddr taken_pc = 0;        ///< branch/jal taken target
   GuestAddr fall_pc = 0;         ///< branch fall-through target
   /// Successor start pc that keeps execution on the trace (kSbNoPc when the
@@ -76,7 +85,7 @@ struct SbOp {
   std::uint32_t next_index = kSbExitIndex;
   /// Resume pc for a cut-block boundary (valid when `boundary`).
   GuestAddr boundary_pc = 0;
-  /// Pre-resolved TLB line for the mem half: page-aligned guest address
+  /// Pre-resolved TLB line of a load or store: page-aligned guest address
   /// proven identity-mapped, in bounds and accessible for this op's access
   /// type. Reset (kSbNoPc) whenever the engine's trace memory epoch moves
   /// past Superblock::mem_epoch.

@@ -64,7 +64,7 @@ enum class Opcode : std::uint8_t {
   kJal = 0x38,   ///< U-format: rd = pc+4; pc += imm20*4
   kJalr = 0x39,  ///< I-format: rd = pc+4; pc = (rs1 + imm) & ~3
   // Atomics & ordering.
-  kLl = 0x40,    ///< I-format: rd = mem[rs1]; open monitor (imm ignored)
+  kLl = 0x40,    ///< I-format: rd = mem[rs1 + imm]; open monitor
   kSc = 0x41,    ///< R-format: mem[rs1] = rs2; rd = 0 ok / 1 fail
   kFence = 0x42, ///< N-format: full barrier
   // System.

@@ -286,8 +286,9 @@ TEST(SuperblockDeterminism, MutexStressGlobalLock) {
 }
 
 TEST(SuperblockDeterminism, MemwalkMultiNode) {
-  // The walk loop is the canonical straight-line trace: load+ALU and
-  // compare-branch fusion both fire on every iteration.
+  // The walk loop is the canonical straight-line trace: its four byte
+  // loads feed no ALU op, and its loop-closing addi+bne runs as one fused
+  // op on every iteration.
   expect_pinned("memwalk_256k_3n",
                 must(workloads::memwalk(256 * 1024, 2, true)),
                 hot_trace_config(3));

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "dbt/exec.hpp"
 #include "dbt/reference_interp.hpp"
+#include "dbt/superblock.hpp"
 #include "dbt/translation.hpp"
 #include "isa/assembler.hpp"
 
@@ -22,8 +23,8 @@ using enum isa::FReg;
 
 constexpr std::uint32_t kScratchBytes = 2048;
 
-/// Seed ranges [begin, end) of the two fuzz suites; the opcode-coverage
-/// check at the bottom generates exactly these programs.
+/// Seed ranges [begin, end) of the two fuzz suites; the coverage checks at
+/// the bottom generate exactly these programs.
 struct SeedRange {
   std::uint64_t begin;
   std::uint64_t end;
@@ -34,11 +35,13 @@ constexpr SeedRange kLoopedSeeds{100, 116};
 /// Random-program generator. Emits well-defined operations over all
 /// registers: integer ALU/imm/upper-immediate ops, aligned integer and FP
 /// loads/stores into a scratch buffer addressed via s2, FP arithmetic,
-/// conversions, compares and libm-class ops, short forward branches, LL/SC
-/// pairs, hints, fences, and calls to leaf subroutines that
-/// finalize_program() places after the final syscall. Never a destination:
-/// s2 (the scratch base), ra (the reserved link register) and, with
-/// `reserve_s1`, s1 (the looped programs' trip counter).
+/// conversions, compares and libm-class ops, short forward branches (half
+/// of them testing the result of the addi just before them, the trace
+/// builder's fused shape), LL/SC pairs, hints, fences, and calls to leaf
+/// subroutines that finalize_program() places after the final syscall.
+/// Never a destination: s2 (the scratch base), ra (the reserved link
+/// register) and, with `reserve_s1`, s1 (the looped programs' trip
+/// counter).
 class OpEmitter {
  public:
   OpEmitter(Rng& rng, Assembler& a, bool reserve_s1)
@@ -68,6 +71,14 @@ class OpEmitter {
     return static_cast<isa::Reg>(reg);
   }
   isa::Reg any_src() { return static_cast<isa::Reg>(rng_.next_below(16)); }
+  /// A destination other than r0.
+  isa::Reg nonzero_gpr() {
+    isa::Reg reg;
+    do {
+      reg = any_gpr();
+    } while (reg == kZero);
+    return reg;
+  }
   isa::FReg any_fpr() {
     return static_cast<isa::FReg>(rng_.next_below(16));
   }
@@ -198,8 +209,12 @@ class OpEmitter {
             &Assembler::beq, &Assembler::bne, &Assembler::blt,
             &Assembler::bge, &Assembler::bltu, &Assembler::bgeu};
         auto skip = a_.make_label();
-        (a_.*kOps[rng_.next_below(std::size(kOps))])(any_src(), any_src(),
-                                                     skip);
+        isa::Reg lhs = any_src();
+        if (rng_.next_below(2) == 0) {  // addi + a branch testing its rd
+          lhs = nonzero_gpr();
+          a_.addi(lhs, any_src(), imm16());
+        }
+        (a_.*kOps[rng_.next_below(std::size(kOps))])(lhs, any_src(), skip);
         const std::uint64_t body = 1 + rng_.next_below(3);
         for (std::uint64_t k = 0; k < body; ++k) {
           a_.addi(any_gpr(), any_src(), imm16());
@@ -278,7 +293,7 @@ isa::Program random_program(std::uint64_t seed, unsigned length) {
 /// Random body wrapped in a counted loop (s1 = trip counter). The backward
 /// branch makes the body hot, so with a low sb_hot_threshold the superblock
 /// tier stitches and re-executes it — and the loop-closing addi+bne is
-/// exactly the compare-and-branch fusion shape, so fusion always fires.
+/// the trace builder's fused addi+branch shape, so a fused op always runs.
 isa::Program looped_random_program(std::uint64_t seed, unsigned body_length,
                                    std::uint32_t reps) {
   Rng rng(seed);
@@ -439,6 +454,61 @@ TEST(DifferentialCoverage, SeedRangesEmitEveryOpcode) {
     if (!isa::is_valid_opcode(static_cast<std::uint8_t>(raw))) continue;
     const auto op = static_cast<isa::Opcode>(raw);
     EXPECT_TRUE(seen.contains(op)) << isa::insn_info(op).mnemonic;
+  }
+}
+
+// The same holds for the trace builder: running both seed ranges must
+// build every op kind it can select — each opcode as a single op, and addi
+// fused with each of the six conditional branches — in some block's
+// one-block trace or in a stitched superblock.
+TEST(DifferentialCoverage, SeedRangesBuildEveryTraceOpKind) {
+  std::set<SbOpKind> seen;
+  auto collect = [&](const isa::Program& program, const DbtConfig& config) {
+    mem::AddressSpace space(32u << 20, 4096);
+    space.load_program(program);
+    space.set_all_access(mem::PageAccess::kReadWrite);
+    LlscTable llsc;
+    TranslationCache cache(space, config, false, nullptr);
+    ExecEngine engine(space, nullptr, llsc, cache, config, false, nullptr);
+    CpuContext ctx;
+    ctx.pc = program.entry;
+    ctx.tid = 1;
+    ASSERT_EQ(engine.run(ctx, 10'000'000).reason, StopReason::kSyscall);
+    for (const isa::Section& section : program.sections) {
+      if (section.addr != program.entry) continue;  // code section only
+      for (GuestAddr pc = section.addr;
+           pc < section.addr + section.bytes.size(); pc += 4) {
+        if (const TranslationBlock* tb = cache.lookup(pc)) {
+          for (const SbOp& op : tb->trace.ops) seen.insert(op.kind);
+        }
+      }
+    }
+    for (const SuperblockInfo& info : cache.superblock_census()) {
+      for (const SbOp& op : cache.superblock_at(info.entry_pc)->ops) {
+        seen.insert(op.kind);
+      }
+    }
+  };
+  for (std::uint64_t seed = kStraightSeeds.begin; seed < kStraightSeeds.end;
+       ++seed) {
+    collect(random_program(seed, 400), DbtConfig{});
+  }
+  DbtConfig hot;
+  hot.sb_hot_threshold = 4;
+  for (std::uint64_t seed = kLoopedSeeds.begin; seed < kLoopedSeeds.end;
+       ++seed) {
+    collect(looped_random_program(seed, /*body_length=*/60, /*reps=*/40), hot);
+  }
+  for (unsigned raw = 0; raw < 256; ++raw) {
+    if (!isa::is_valid_opcode(static_cast<std::uint8_t>(raw))) continue;
+    const auto op = static_cast<isa::Opcode>(raw);
+    EXPECT_TRUE(seen.contains(op_kind(op))) << isa::insn_info(op).mnemonic;
+  }
+  for (unsigned raw = static_cast<unsigned>(isa::Opcode::kBeq);
+       raw <= static_cast<unsigned>(isa::Opcode::kBgeu); ++raw) {
+    const auto branch = static_cast<isa::Opcode>(raw);
+    EXPECT_TRUE(seen.contains(addi_branch_kind(branch)))
+        << "addi+" << isa::insn_info(branch).mnemonic;
   }
 }
 
