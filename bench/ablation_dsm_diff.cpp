@@ -13,8 +13,9 @@
 // reduction in dsm.bytes_on_wire, and the read-streaming control must not
 // regress: cold fetches have no diff base and stay full-page.
 //
-// Results land in BENCH_dsm.json (or argv[1]); compare runs with
-// tools/bench_compare.py. DQEMU_BENCH_QUICK=1 shrinks the workloads ~8x.
+// Results land in BENCH_dsm.json (or argv[1]); tools/regenerate_bench.sh
+// re-records the committed copy. DQEMU_BENCH_QUICK=1 shrinks the workloads
+// ~8x.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,8 +37,6 @@ struct Sample {
   std::string scenario;
   bool diff = false;
   std::uint64_t guest_insns = 0;
-  double wall_seconds = 0.0;
-  double guest_mips = 0.0;
   double sim_seconds = 0.0;
   std::uint64_t bytes_on_wire = 0;
   std::uint64_t bytes_saved = 0;
@@ -56,9 +55,6 @@ Sample measure(const Scenario& s, bool diff) {
   out.scenario = s.name;
   out.diff = diff;
   out.guest_insns = run.result.guest_insns;
-  out.wall_seconds = run.wall_seconds;
-  out.guest_mips =
-      static_cast<double>(run.result.guest_insns) / run.wall_seconds / 1e6;
   out.sim_seconds = run.sim_seconds();
   out.bytes_on_wire = run.stats.get("dsm.bytes_on_wire");
   out.bytes_saved = run.stats.get("dsm.bytes_saved");
@@ -125,16 +121,16 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Sample> samples;
-  std::printf("%-22s %5s %12s %10s %12s %14s %12s\n", "scenario", "diff",
-              "insns", "wall s", "sim s", "wire bytes", "saved");
+  std::printf("%-22s %5s %12s %12s %14s %12s\n", "scenario", "diff",
+              "insns", "sim s", "wire bytes", "saved");
   bool ok = true;
   for (const Scenario& s : scenarios) {
     for (const bool diff : {true, false}) {
       const Sample sample = measure(s, diff);
-      std::printf("%-22s %5s %12llu %10.3f %12.6f %14llu %12llu\n",
+      std::printf("%-22s %5s %12llu %12.6f %14llu %12llu\n",
                   sample.scenario.c_str(), sample.diff ? "on" : "off",
                   static_cast<unsigned long long>(sample.guest_insns),
-                  sample.wall_seconds, sample.sim_seconds,
+                  sample.sim_seconds,
                   static_cast<unsigned long long>(sample.bytes_on_wire),
                   static_cast<unsigned long long>(sample.bytes_saved));
       samples.push_back(sample);
@@ -188,14 +184,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"fastpath\": %s, \"guest_insns\": "
-                 "%llu, \"wall_seconds\": %.6f, \"guest_mips\": %.2f, "
-                 "\"sim_seconds\": %.6f, \"bytes_on_wire\": %llu, "
+                 "    {\"name\": \"%s\", \"diff\": %s, \"guest_insns\": "
+                 "%llu, \"sim_seconds\": %.6f, \"bytes_on_wire\": %llu, "
                  "\"bytes_saved\": %llu, \"diff_writebacks\": %llu, "
                  "\"diff_grants\": %llu}%s\n",
                  s.scenario.c_str(), s.diff ? "true" : "false",
-                 static_cast<unsigned long long>(s.guest_insns),
-                 s.wall_seconds, s.guest_mips, s.sim_seconds,
+                 static_cast<unsigned long long>(s.guest_insns), s.sim_seconds,
                  static_cast<unsigned long long>(s.bytes_on_wire),
                  static_cast<unsigned long long>(s.bytes_saved),
                  static_cast<unsigned long long>(s.diff_writebacks),

@@ -12,9 +12,10 @@
 // runs must actually drop and retransmit something; and the virtual-time
 // inflation at <= 5% loss must stay under 3x.
 //
-// Results land in BENCH_faults.json (or argv[1]); two runs of the same
-// build must produce identical virtual-time numbers (tools/bench_compare.py
-// gates this in CI). DQEMU_BENCH_QUICK=1 shrinks the workloads ~8x.
+// Results land in BENCH_faults.json (or argv[1]); every number is virtual
+// time, so CI re-records the committed copy with tools/regenerate_bench.sh
+// and fails on any difference. DQEMU_BENCH_QUICK=1 shrinks the workloads
+// ~8x.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,11 +34,8 @@ struct Scenario {
 
 struct Sample {
   std::string scenario;
-  bool faults = false;
   double drop_pct = 0.0;
   std::uint64_t guest_insns = 0;
-  double wall_seconds = 0.0;
-  double guest_mips = 0.0;
   double sim_seconds = 0.0;
   std::uint64_t dropped = 0;
   std::uint64_t retrans = 0;
@@ -59,12 +57,8 @@ Sample measure(const Scenario& s, double drop_pct) {
   must_ok(run, s.name.c_str());
   Sample out;
   out.scenario = s.name;
-  out.faults = drop_pct > 0.0;
   out.drop_pct = drop_pct;
   out.guest_insns = run.result.guest_insns;
-  out.wall_seconds = run.wall_seconds;
-  out.guest_mips =
-      static_cast<double>(run.result.guest_insns) / run.wall_seconds / 1e6;
   out.sim_seconds = run.sim_seconds();
   out.dropped = run.stats.get("net.dropped");
   out.retrans = run.stats.get("net.retrans");
@@ -193,20 +187,14 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"scenarios\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
-    // "fastpath" is the cross-bench comparison key used by
-    // tools/bench_compare.py; here it distinguishes lossy from clean runs
-    // (the loss level itself is part of the name via drop_pct below).
     std::fprintf(f,
-                 "    {\"name\": \"%s_loss%g\", \"fastpath\": %s, "
-                 "\"drop_pct\": %g, \"guest_insns\": %llu, "
-                 "\"wall_seconds\": %.6f, \"guest_mips\": %.2f, "
-                 "\"sim_seconds\": %.6f, \"dropped\": %llu, "
-                 "\"retrans\": %llu, \"dup_suppressed\": %llu, "
-                 "\"dsm_timeouts\": %llu}%s\n",
-                 s.scenario.c_str(), s.drop_pct,
-                 s.faults ? "true" : "false", s.drop_pct,
+                 "    {\"name\": \"%s_loss%g\", \"drop_pct\": %g, "
+                 "\"guest_insns\": %llu, \"sim_seconds\": %.6f, "
+                 "\"dropped\": %llu, \"retrans\": %llu, "
+                 "\"dup_suppressed\": %llu, \"dsm_timeouts\": %llu}%s\n",
+                 s.scenario.c_str(), s.drop_pct, s.drop_pct,
                  static_cast<unsigned long long>(s.guest_insns),
-                 s.wall_seconds, s.guest_mips, s.sim_seconds,
+                 s.sim_seconds,
                  static_cast<unsigned long long>(s.dropped),
                  static_cast<unsigned long long>(s.retrans),
                  static_cast<unsigned long long>(s.dup_suppressed),

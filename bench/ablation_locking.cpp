@@ -12,8 +12,9 @@
 // exit code, stdout, or retired-instruction count diverge (a lost wakeup
 // would show up here as a deadlock or a different interleaving count).
 //
-// Results land in BENCH_locking.json (or argv[1]); compare runs with
-// tools/bench_compare.py. DQEMU_BENCH_QUICK=1 shrinks the workloads ~8x.
+// Results land in BENCH_locking.json (or argv[1]); tools/regenerate_bench.sh
+// re-records the committed copy. DQEMU_BENCH_QUICK=1 shrinks the workloads
+// ~8x.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -34,8 +35,6 @@ struct Sample {
   std::string scenario;
   bool hier = false;
   std::uint64_t guest_insns = 0;
-  double wall_seconds = 0.0;
-  double guest_mips = 0.0;
   double sim_seconds = 0.0;
   std::string guest_stdout;
   std::uint32_t exit_code = 0;
@@ -50,9 +49,6 @@ Sample measure(const Scenario& s, bool hier) {
   out.scenario = s.name;
   out.hier = hier;
   out.guest_insns = run.result.guest_insns;
-  out.wall_seconds = run.wall_seconds;
-  out.guest_mips =
-      static_cast<double>(run.result.guest_insns) / run.wall_seconds / 1e6;
   out.sim_seconds = run.sim_seconds();
   out.guest_stdout = run.result.guest_stdout;
   out.exit_code = run.result.exit_code;
@@ -97,15 +93,15 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Sample> samples;
-  std::printf("%-18s %6s %12s %10s %12s\n", "scenario", "hier", "insns",
-              "wall s", "sim s");
+  std::printf("%-18s %6s %12s %12s\n", "scenario", "hier", "insns",
+              "sim s");
   for (const Scenario& s : scenarios) {
     for (const bool hier : {true, false}) {
       const Sample sample = measure(s, hier);
-      std::printf("%-18s %6s %12llu %10.3f %12.6f\n", sample.scenario.c_str(),
+      std::printf("%-18s %6s %12llu %12.6f\n", sample.scenario.c_str(),
                   sample.hier ? "on" : "off",
                   static_cast<unsigned long long>(sample.guest_insns),
-                  sample.wall_seconds, sample.sim_seconds);
+                  sample.sim_seconds);
       samples.push_back(sample);
     }
     // Guest-visible behaviour must not change: same exit code and output.
@@ -134,12 +130,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"fastpath\": %s, \"guest_insns\": "
-                 "%llu, \"wall_seconds\": %.6f, \"guest_mips\": %.2f, "
-                 "\"sim_seconds\": %.6f}%s\n",
+                 "    {\"name\": \"%s\", \"hier\": %s, \"guest_insns\": "
+                 "%llu, \"sim_seconds\": %.6f}%s\n",
                  s.scenario.c_str(), s.hier ? "true" : "false",
-                 static_cast<unsigned long long>(s.guest_insns),
-                 s.wall_seconds, s.guest_mips, s.sim_seconds,
+                 static_cast<unsigned long long>(s.guest_insns), s.sim_seconds,
                  i + 1 < samples.size() ? "," : "");
   }
   // Virtual-time speedup of hierarchical locking per scenario (pairs are

@@ -241,12 +241,10 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"scenarios\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
-    // "fastpath" is the cross-bench comparison key of bench_compare.py;
-    // the thread count is part of the name, so it is always true here.
     // "group"/"host_threads" drive the --gate-parallel within-file check.
     std::fprintf(f,
-                 "    {\"name\": \"%s_ht%u\", \"fastpath\": true, "
-                 "\"group\": \"%s\", \"host_threads\": %u, \"slaves\": %u, "
+                 "    {\"name\": \"%s_ht%u\", \"group\": \"%s\", "
+                 "\"host_threads\": %u, \"slaves\": %u, "
                  "\"guest_insns\": %llu, \"wall_seconds\": %.6f, "
                  "\"guest_mips\": %.2f, \"sim_seconds\": %.6f",
                  s.group.c_str(), s.host_threads, s.group.c_str(),

@@ -21,8 +21,7 @@ int main() {
   const auto parallel = must_program(
       workloads::pi_taylor(32, scaled(200), 1000), "pi");
 
-  std::printf("%-10s %18s %18s %14s\n", "quantum", "mutex_sim_s",
-              "pi_sim_s", "wall_s");
+  std::printf("%-10s %18s %18s\n", "quantum", "mutex_sim_s", "pi_sim_s");
   for (const std::uint32_t quantum : {500u, 2000u, 20000u, 100000u}) {
     ClusterConfig config = paper_config(4);
     config.dbt.quantum_insns = quantum;
@@ -30,8 +29,8 @@ int main() {
     must_ok(m, "quantum mutex");
     BenchRun p = run_cluster(config, parallel);
     must_ok(p, "quantum pi");
-    std::printf("%-10u %18.4f %18.4f %14.2f\n", quantum, m.sim_seconds(),
-                p.sim_seconds(), m.wall_seconds + p.wall_seconds);
+    std::printf("%-10u %18.4f %18.4f\n", quantum, m.sim_seconds(),
+                p.sim_seconds());
   }
   return 0;
 }

@@ -16,8 +16,9 @@
 // under faults); and the virtual-time inflation over the baseline must
 // stay under 2x — losing 1-of-4 nodes cannot cost more than doubling.
 //
-// Results land in BENCH_recovery.json (or argv[1]); DQEMU_BENCH_QUICK=1
-// shrinks the request count ~8x.
+// Results land in BENCH_recovery.json (or argv[1]); tools/regenerate_bench.sh
+// re-records the committed copy. DQEMU_BENCH_QUICK=1 shrinks the request
+// count ~8x.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -45,7 +46,6 @@ struct Sample {
   std::uint64_t lease_returns = 0;
   std::uint64_t futex_handoffs = 0;
   std::uint64_t guest_insns = 0;
-  double wall_seconds = 0.0;
   double sim_seconds = 0.0;
   double p99_ms = 0.0;
   std::uint32_t exit_code = 0;
@@ -76,7 +76,6 @@ Sample measure(const std::string& name, const ClusterConfig& config,
   out.lease_returns = run.stats.get("sys.crash_lease_returns");
   out.futex_handoffs = run.stats.get("sys.futex_handoffs_adopted");
   out.guest_insns = run.result.guest_insns;
-  out.wall_seconds = run.wall_seconds;
   out.sim_seconds = run.sim_seconds();
   out.exit_code = run.result.exit_code;
   if (const LogHistogram* lat = run.stats.find_histogram("serve.latency_ns");
@@ -229,19 +228,15 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"scenarios\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
-    // "fastpath" is the cross-bench comparison key used by
-    // tools/bench_compare.py; here it distinguishes faulted runs from the
-    // baseline.
     std::fprintf(
         f,
-        "    {\"name\": \"%s\", \"fastpath\": %s, \"requests\": %u, "
+        "    {\"name\": \"%s\", \"requests\": %u, "
         "\"retired\": %llu, \"nodes_dead\": %llu, \"pauses\": %llu, "
         "\"threads_rehomed\": %llu, \"crash_flushes\": %llu, "
         "\"lease_returns\": %llu, \"futex_handoffs\": %llu, "
-        "\"guest_insns\": %llu, \"wall_seconds\": %.6f, "
-        "\"guest_mips\": %.2f, \"sim_seconds\": %.6f, \"p99_ms\": %.6f, "
+        "\"guest_insns\": %llu, \"sim_seconds\": %.6f, \"p99_ms\": %.6f, "
         "\"inflation\": %.3f}%s\n",
-        s.name.c_str(), i == 0 ? "false" : "true", s.requests,
+        s.name.c_str(), s.requests,
         static_cast<unsigned long long>(s.retired),
         static_cast<unsigned long long>(s.nodes_dead),
         static_cast<unsigned long long>(s.pauses),
@@ -249,11 +244,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.crash_flushes),
         static_cast<unsigned long long>(s.lease_returns),
         static_cast<unsigned long long>(s.futex_handoffs),
-        static_cast<unsigned long long>(s.guest_insns), s.wall_seconds,
-        s.wall_seconds > 0.0
-            ? static_cast<double>(s.guest_insns) / s.wall_seconds / 1e6
-            : 0.0,
-        s.sim_seconds, s.p99_ms, s.sim_seconds / baseline_sim,
+        static_cast<unsigned long long>(s.guest_insns), s.sim_seconds,
+        s.p99_ms, s.sim_seconds / baseline_sim,
         i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -20,10 +20,10 @@
 // single-master and sharded runs of the same workload — sharding moves
 // protocol state, never semantics.
 //
-// Results land in BENCH_sharding.json (or argv[1]); two runs of the same
-// build must produce identical virtual-time numbers and latency quantiles
-// (tools/bench_compare.py gates this in CI). DQEMU_BENCH_QUICK=1 shrinks
-// the workloads ~8x.
+// Results land in BENCH_sharding.json (or argv[1]); every number, latency
+// quantiles included, is virtual time, so CI re-records the committed copy
+// with tools/regenerate_bench.sh and fails on any difference.
+// DQEMU_BENCH_QUICK=1 shrinks the workloads ~8x.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -43,12 +43,9 @@ constexpr double kSpreadGate = 2.0;         ///< hash home_msgs max/min bound
 
 struct Sample {
   std::string name;
-  bool sharded = false;
   std::string placement;  ///< "-", "hash" or "first-touch"
   std::uint32_t slaves = 0;
   std::uint64_t guest_insns = 0;
-  double wall_seconds = 0.0;
-  double guest_mips = 0.0;
   double sim_seconds = 0.0;
   std::uint32_t exit_code = 0;
   std::string guest_stdout;
@@ -75,16 +72,12 @@ Sample measure(const std::string& name, const ClusterConfig& config,
   must_ok(run, name.c_str());
   Sample out;
   out.name = name;
-  out.sharded = config.dsm.enable_home_sharding;
   out.placement = !config.dsm.enable_home_sharding ? "-"
                   : config.dsm.home_placement == HomePlacement::kHash
                       ? "hash"
                       : "first-touch";
   out.slaves = config.slave_nodes;
   out.guest_insns = run.result.guest_insns;
-  out.wall_seconds = run.wall_seconds;
-  out.guest_mips =
-      static_cast<double>(run.result.guest_insns) / run.wall_seconds / 1e6;
   out.sim_seconds = run.sim_seconds();
   out.exit_code = run.result.exit_code;
   out.guest_stdout = run.result.guest_stdout;
@@ -284,20 +277,16 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"scenarios\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
-    // "fastpath" is bench_compare.py's cross-bench on/off key; here it
-    // carries the sharding axis.
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"fastpath\": %s, "
-                 "\"placement\": \"%s\", \"slaves\": %u, "
-                 "\"guest_insns\": %llu, \"wall_seconds\": %.6f, "
-                 "\"guest_mips\": %.2f, \"sim_seconds\": %.6f, "
+                 "    {\"name\": \"%s\", \"placement\": \"%s\", "
+                 "\"slaves\": %u, \"guest_insns\": %llu, "
+                 "\"sim_seconds\": %.6f, "
                  "\"homes_active\": %u, \"home_msgs_min\": %llu, "
                  "\"home_msgs_max\": %llu, \"home_msgs_total\": %llu, "
                  "\"home_spread\": %.4f, \"home_relays\": %llu",
-                 s.name.c_str(), s.sharded ? "true" : "false",
-                 s.placement.c_str(), s.slaves,
+                 s.name.c_str(), s.placement.c_str(), s.slaves,
                  static_cast<unsigned long long>(s.guest_insns),
-                 s.wall_seconds, s.guest_mips, s.sim_seconds, s.homes_active,
+                 s.sim_seconds, s.homes_active,
                  static_cast<unsigned long long>(s.home_msgs_min),
                  static_cast<unsigned long long>(s.home_msgs_max),
                  static_cast<unsigned long long>(s.home_msgs_total),

@@ -34,6 +34,8 @@ inline std::uint32_t scaled(std::uint32_t full, std::uint32_t divisor = 8) {
 struct BenchRun {
   core::Cluster::RunResult result;
   StatsRegistry stats;        ///< snapshot of the cluster's counters
+  /// Host time of one run. Only ablation_parallel_sim reports it; every
+  /// other bench prints and writes virtual time only.
   double wall_seconds = 0.0;
   bool ok = false;
   std::string error;

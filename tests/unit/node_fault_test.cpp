@@ -66,6 +66,8 @@ struct ServeRun {
   std::string stats;
   std::uint64_t retired = 0;
   std::uint64_t checksum_errors = 0;
+  std::uint64_t crash_flushes_sent = 0;  ///< last writebacks the victim sent
+  std::uint64_t crash_flushes = 0;       ///< ...and the homes applied
   std::vector<NodeId> dead;
   std::optional<core::CheckpointImage> checkpoint;
 };
@@ -96,22 +98,35 @@ ServeRun run_serving(const ClusterConfig& config,
   out.stats = cluster.stats().to_string();
   out.retired = cluster.stats().get("serve.retired");
   out.checksum_errors = cluster.stats().get("serve.checksum_errors");
+  out.crash_flushes_sent = cluster.stats().get("core.crash_flushes_sent");
+  out.crash_flushes = cluster.stats().get("dsm.crash_flushes");
   out.dead = cluster.dead_nodes();
   out.checkpoint = cluster.checkpoint_image();
   return out;
 }
 
 TEST(NodeCrash, MidServingRunRecoversCompletely) {
-  const auto config =
-      fault_config(FaultConfig::NodeFault::Kind::kCrash, 2, 900 * kUs);
-  const ServeRun run = run_serving(config);
-  ASSERT_TRUE(run.ok) << run.error;
-  EXPECT_EQ(run.result.exit_code, 0u);
-  EXPECT_EQ(run.dead, (std::vector<NodeId>{2}));
-  // Completeness: the dead node's checked-out work was re-queued and its
-  // threads re-homed — nothing lost, nothing retired twice.
-  EXPECT_EQ(run.retired, config.serve.requests);
-  EXPECT_EQ(run.checksum_errors, 0u);
+  // At 900 us node 2 holds no dirty page homed elsewhere, so its crash sends
+  // no last writeback. At 1500 us it holds some: each must reach its home
+  // and be applied there as the dying owner's writeback.
+  constexpr TimePs kFlushingCrash = 1500 * kUs;
+  for (const TimePs at : {900 * kUs, kFlushingCrash}) {
+    SCOPED_TRACE("crash at " + std::to_string(at / kUs) + " us");
+    const auto config =
+        fault_config(FaultConfig::NodeFault::Kind::kCrash, 2, at);
+    const ServeRun run = run_serving(config);
+    ASSERT_TRUE(run.ok) << run.error;
+    EXPECT_EQ(run.result.exit_code, 0u);
+    EXPECT_EQ(run.dead, (std::vector<NodeId>{2}));
+    // Completeness: the dead node's checked-out work was re-queued and its
+    // threads re-homed — nothing lost, nothing retired twice.
+    EXPECT_EQ(run.retired, config.serve.requests);
+    EXPECT_EQ(run.checksum_errors, 0u);
+    EXPECT_EQ(run.crash_flushes, run.crash_flushes_sent);
+    if (at == kFlushingCrash) {
+      EXPECT_GE(run.crash_flushes_sent, 1u);
+    }
+  }
 }
 
 TEST(NodeCrash, SameSeedRunsAreIdentical) {
