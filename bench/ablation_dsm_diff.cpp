@@ -38,6 +38,7 @@ struct Sample {
   bool diff = false;
   std::uint64_t guest_insns = 0;
   double sim_seconds = 0.0;
+  TimePs sim_ps = 0;  ///< exact virtual time (RunResult::sim_time)
   std::uint64_t bytes_on_wire = 0;
   std::uint64_t bytes_saved = 0;
   std::uint64_t diff_writebacks = 0;
@@ -56,6 +57,7 @@ Sample measure(const Scenario& s, bool diff) {
   out.diff = diff;
   out.guest_insns = run.result.guest_insns;
   out.sim_seconds = run.sim_seconds();
+  out.sim_ps = run.result.sim_time;
   out.bytes_on_wire = run.stats.get("dsm.bytes_on_wire");
   out.bytes_saved = run.stats.get("dsm.bytes_saved");
   out.diff_writebacks = run.stats.get("dsm.diff_writebacks");
@@ -185,11 +187,12 @@ int main(int argc, char** argv) {
     const Sample& s = samples[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"diff\": %s, \"guest_insns\": "
-                 "%llu, \"sim_seconds\": %.6f, \"bytes_on_wire\": %llu, "
-                 "\"bytes_saved\": %llu, \"diff_writebacks\": %llu, "
-                 "\"diff_grants\": %llu}%s\n",
+                 "%llu, \"sim_seconds\": %.6f, \"sim_ps\": %llu, "
+                 "\"bytes_on_wire\": %llu, \"bytes_saved\": %llu, "
+                 "\"diff_writebacks\": %llu, \"diff_grants\": %llu}%s\n",
                  s.scenario.c_str(), s.diff ? "true" : "false",
                  static_cast<unsigned long long>(s.guest_insns), s.sim_seconds,
+                 static_cast<unsigned long long>(s.sim_ps),
                  static_cast<unsigned long long>(s.bytes_on_wire),
                  static_cast<unsigned long long>(s.bytes_saved),
                  static_cast<unsigned long long>(s.diff_writebacks),

@@ -37,6 +37,7 @@ struct Sample {
   double drop_pct = 0.0;
   std::uint64_t guest_insns = 0;
   double sim_seconds = 0.0;
+  TimePs sim_ps = 0;  ///< exact virtual time (RunResult::sim_time)
   std::uint64_t dropped = 0;
   std::uint64_t retrans = 0;
   std::uint64_t dup_suppressed = 0;
@@ -60,6 +61,7 @@ Sample measure(const Scenario& s, double drop_pct) {
   out.drop_pct = drop_pct;
   out.guest_insns = run.result.guest_insns;
   out.sim_seconds = run.sim_seconds();
+  out.sim_ps = run.result.sim_time;
   out.dropped = run.stats.get("net.dropped");
   out.retrans = run.stats.get("net.retrans");
   out.dup_suppressed = run.stats.get("net.dup_suppressed");
@@ -190,11 +192,11 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    {\"name\": \"%s_loss%g\", \"drop_pct\": %g, "
                  "\"guest_insns\": %llu, \"sim_seconds\": %.6f, "
-                 "\"dropped\": %llu, \"retrans\": %llu, "
+                 "\"sim_ps\": %llu, \"dropped\": %llu, \"retrans\": %llu, "
                  "\"dup_suppressed\": %llu, \"dsm_timeouts\": %llu}%s\n",
                  s.scenario.c_str(), s.drop_pct, s.drop_pct,
                  static_cast<unsigned long long>(s.guest_insns),
-                 s.sim_seconds,
+                 s.sim_seconds, static_cast<unsigned long long>(s.sim_ps),
                  static_cast<unsigned long long>(s.dropped),
                  static_cast<unsigned long long>(s.retrans),
                  static_cast<unsigned long long>(s.dup_suppressed),

@@ -36,6 +36,7 @@ struct Sample {
   bool hier = false;
   std::uint64_t guest_insns = 0;
   double sim_seconds = 0.0;
+  TimePs sim_ps = 0;  ///< exact virtual time (RunResult::sim_time)
   std::string guest_stdout;
   std::uint32_t exit_code = 0;
 };
@@ -50,6 +51,7 @@ Sample measure(const Scenario& s, bool hier) {
   out.hier = hier;
   out.guest_insns = run.result.guest_insns;
   out.sim_seconds = run.sim_seconds();
+  out.sim_ps = run.result.sim_time;
   out.guest_stdout = run.result.guest_stdout;
   out.exit_code = run.result.exit_code;
   return out;
@@ -131,9 +133,10 @@ int main(int argc, char** argv) {
     const Sample& s = samples[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"hier\": %s, \"guest_insns\": "
-                 "%llu, \"sim_seconds\": %.6f}%s\n",
+                 "%llu, \"sim_seconds\": %.6f, \"sim_ps\": %llu}%s\n",
                  s.scenario.c_str(), s.hier ? "true" : "false",
                  static_cast<unsigned long long>(s.guest_insns), s.sim_seconds,
+                 static_cast<unsigned long long>(s.sim_ps),
                  i + 1 < samples.size() ? "," : "");
   }
   // Virtual-time speedup of hierarchical locking per scenario (pairs are

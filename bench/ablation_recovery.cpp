@@ -47,6 +47,7 @@ struct Sample {
   std::uint64_t futex_handoffs = 0;
   std::uint64_t guest_insns = 0;
   double sim_seconds = 0.0;
+  TimePs sim_ps = 0;  ///< exact virtual time (RunResult::sim_time)
   double p99_ms = 0.0;
   std::uint32_t exit_code = 0;
 };
@@ -77,6 +78,7 @@ Sample measure(const std::string& name, const ClusterConfig& config,
   out.futex_handoffs = run.stats.get("sys.futex_handoffs_adopted");
   out.guest_insns = run.result.guest_insns;
   out.sim_seconds = run.sim_seconds();
+  out.sim_ps = run.result.sim_time;
   out.exit_code = run.result.exit_code;
   if (const LogHistogram* lat = run.stats.find_histogram("serve.latency_ns");
       lat != nullptr && !lat->empty()) {
@@ -234,8 +236,8 @@ int main(int argc, char** argv) {
         "\"retired\": %llu, \"nodes_dead\": %llu, \"pauses\": %llu, "
         "\"threads_rehomed\": %llu, \"crash_flushes\": %llu, "
         "\"lease_returns\": %llu, \"futex_handoffs\": %llu, "
-        "\"guest_insns\": %llu, \"sim_seconds\": %.6f, \"p99_ms\": %.6f, "
-        "\"inflation\": %.3f}%s\n",
+        "\"guest_insns\": %llu, \"sim_seconds\": %.6f, \"sim_ps\": %llu, "
+        "\"p99_ms\": %.6f, \"inflation\": %.3f}%s\n",
         s.name.c_str(), s.requests,
         static_cast<unsigned long long>(s.retired),
         static_cast<unsigned long long>(s.nodes_dead),
@@ -245,7 +247,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.lease_returns),
         static_cast<unsigned long long>(s.futex_handoffs),
         static_cast<unsigned long long>(s.guest_insns), s.sim_seconds,
-        s.p99_ms, s.sim_seconds / baseline_sim,
+        static_cast<unsigned long long>(s.sim_ps), s.p99_ms,
+        s.sim_seconds / baseline_sim,
         i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -39,6 +39,7 @@ struct Sample {
   std::uint64_t clone_wasted = 0;
   std::uint64_t guest_insns = 0;
   double sim_seconds = 0.0;
+  TimePs sim_ps = 0;  ///< exact virtual time (RunResult::sim_time)
   double throughput_rps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -63,6 +64,7 @@ Sample measure(const std::string& name, const ClusterConfig& config,
   out.clone_wasted = run.stats.get("serve.clone_wasted");
   out.guest_insns = run.result.guest_insns;
   out.sim_seconds = run.sim_seconds();
+  out.sim_ps = run.result.sim_time;
   out.throughput_rps =
       out.sim_seconds > 0 ? static_cast<double>(out.retired) / out.sim_seconds
                           : 0.0;
@@ -205,15 +207,16 @@ int main(int argc, char** argv) {
                  "    {\"name\": \"%s\", \"slaves\": %u, \"rate\": %g, "
                  "\"requests\": %u, \"retired\": %llu, \"executions\": %llu, "
                  "\"clone_wasted\": %llu, \"guest_insns\": %llu, "
-                 "\"sim_seconds\": %.6f, \"throughput_rps\": %.3f, "
-                 "\"p50_ms\": %.6f, \"p99_ms\": %.6f, \"p999_ms\": %.6f, "
-                 "\"max_ms\": %.6f}%s\n",
+                 "\"sim_seconds\": %.6f, \"sim_ps\": %llu, "
+                 "\"throughput_rps\": %.3f, \"p50_ms\": %.6f, "
+                 "\"p99_ms\": %.6f, \"p999_ms\": %.6f, \"max_ms\": %.6f}%s\n",
                  s.name.c_str(), s.slaves, s.rate, s.requests,
                  static_cast<unsigned long long>(s.retired),
                  static_cast<unsigned long long>(s.executions),
                  static_cast<unsigned long long>(s.clone_wasted),
                  static_cast<unsigned long long>(s.guest_insns), s.sim_seconds,
-                 s.throughput_rps, s.p50_ms, s.p99_ms, s.p999_ms, s.max_ms,
+                 static_cast<unsigned long long>(s.sim_ps), s.throughput_rps,
+                 s.p50_ms, s.p99_ms, s.p999_ms, s.max_ms,
                  i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -47,6 +47,7 @@ struct Sample {
   std::uint32_t slaves = 0;
   std::uint64_t guest_insns = 0;
   double sim_seconds = 0.0;
+  TimePs sim_ps = 0;  ///< exact virtual time (RunResult::sim_time)
   std::uint32_t exit_code = 0;
   std::string guest_stdout;
   // Home-plane load (zero when sharding is off).
@@ -79,6 +80,7 @@ Sample measure(const std::string& name, const ClusterConfig& config,
   out.slaves = config.slave_nodes;
   out.guest_insns = run.result.guest_insns;
   out.sim_seconds = run.sim_seconds();
+  out.sim_ps = run.result.sim_time;
   out.exit_code = run.result.exit_code;
   out.guest_stdout = run.result.guest_stdout;
   for (std::uint32_t n = 1; n <= config.slave_nodes; ++n) {
@@ -280,13 +282,14 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"placement\": \"%s\", "
                  "\"slaves\": %u, \"guest_insns\": %llu, "
-                 "\"sim_seconds\": %.6f, "
+                 "\"sim_seconds\": %.6f, \"sim_ps\": %llu, "
                  "\"homes_active\": %u, \"home_msgs_min\": %llu, "
                  "\"home_msgs_max\": %llu, \"home_msgs_total\": %llu, "
                  "\"home_spread\": %.4f, \"home_relays\": %llu",
                  s.name.c_str(), s.placement.c_str(), s.slaves,
                  static_cast<unsigned long long>(s.guest_insns),
-                 s.sim_seconds, s.homes_active,
+                 s.sim_seconds, static_cast<unsigned long long>(s.sim_ps),
+                 s.homes_active,
                  static_cast<unsigned long long>(s.home_msgs_min),
                  static_cast<unsigned long long>(s.home_msgs_max),
                  static_cast<unsigned long long>(s.home_msgs_total),

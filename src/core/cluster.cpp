@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <mutex>
 #include <span>
 
+#include "common/le_bytes.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "dsm/placement.hpp"
@@ -322,33 +322,19 @@ void Cluster::on_crash_report(const net::Message& msg) {
   // Re-home the captured threads (record format: Node::capture_thread).
   const NodeId replacement = replacement_node();
   std::vector<GuestTid> serveget_tids;
-  std::span<const std::uint8_t> in(msg.data);
-  const std::size_t base = dbt::CpuContext::kWireBytes + kBreakdownWireBytes;
+  le::Reader in(msg.data);
   for (std::uint64_t i = 0; i < msg.b; ++i) {
-    assert(in.size() >= base + 3 * sizeof(std::uint32_t));
-    const std::span<const std::uint8_t> frame = in.subspan(0, base);
-    in = in.subspan(base);
-    const auto read_u32 = [&in] {
-      std::uint32_t v = 0;
-      std::memcpy(&v, in.data(), sizeof(v));
-      in = in.subspan(sizeof(v));
-      return v;
-    };
-    const std::uint32_t ctid = read_u32();
-    const std::uint32_t hint = read_u32();
-    const bool has_pending = read_u32() != 0;
+    const std::span<const std::uint8_t> frame =
+        in.bytes(dbt::CpuContext::kWireBytes + kBreakdownWireBytes);
+    const std::uint32_t ctid = in.u32();
+    const std::uint32_t hint = in.u32();
+    const bool has_pending = in.u32() != 0;
     std::span<const std::uint8_t> pending;
-    std::uint32_t pending_num = 0;
-    if (has_pending) {
-      assert(in.size() >= kPendingSyscallWireBytes);
-      pending = in.subspan(0, kPendingSyscallWireBytes);
-      std::memcpy(&pending_num, pending.data(), sizeof(pending_num));
-      in = in.subspan(kPendingSyscallWireBytes);
-    }
+    if (has_pending) pending = in.bytes(kPendingSyscallWireBytes);
     const dbt::CpuContext ctx = dbt::CpuContext::deserialize(frame);
     thread_node_[ctx.tid] = replacement;
-    if (has_pending &&
-        static_cast<isa::Sys>(pending_num) == isa::Sys::kServeGet) {
+    if (has_pending && static_cast<isa::Sys>(le::Reader(pending).u32()) ==
+                           isa::Sys::kServeGet) {
       serveget_tids.push_back(ctx.tid);
     }
     net::Message mig;
@@ -386,9 +372,7 @@ bool Cluster::relay_if_misdirected(const net::Message& msg) {
       // master's to serve. args[0] (the futex address) is the first LE
       // word of the request payload.
       if (static_cast<isa::Sys>(msg.a) != isa::Sys::kFutex) return false;
-      assert(msg.data.size() >= sizeof(std::uint32_t));
-      std::uint32_t addr = 0;
-      std::memcpy(&addr, msg.data.data(), sizeof(addr));
+      const std::uint32_t addr = le::Reader(msg.data).u32();
       home = home_map_.home_for(addr / page_size, msg.src);
       break;
     }
@@ -560,17 +544,10 @@ Status Cluster::migrate_thread(GuestTid tid, NodeId target) {
 }
 
 void Cluster::snapshot_counters(TimePs at) {
-  if (!trace::wants(tracer_, trace::Cat::kCounter)) return;
-  trace::Record r;
-  r.time = at;
-  r.kind = trace::Kind::kCounter;
-  r.cat = trace::Cat::kCounter;
-  r.node = kMasterNode;
-  r.track = trace::kTrackNode;
+  const trace::Site site{tracer_, trace::Cat::kCounter, kMasterNode};
+  if (!site.on()) return;
   for (const auto& [name, value] : stats_.counters()) {
-    r.name = tracer_->intern(name);
-    r.a = value;
-    tracer_->record(r);
+    site.record(at, tracer_->intern(name), trace::Kind::kCounter, 0, value, 0);
   }
   // Aggregate time breakdown as a timeline: Fig. 8's bars become curves.
   TimeBreakdown total;
@@ -586,9 +563,7 @@ void Cluster::snapshot_counters(TimePs at) {
       {"time.syscall", total.syscall},
       {"time.idle", total.idle}};
   for (const auto& [name, value] : parts) {
-    r.name = name;
-    r.a = value;
-    tracer_->record(r);
+    site.record(at, name, trace::Kind::kCounter, 0, value, 0);
   }
 }
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <span>
 
+#include "common/le_bytes.hpp"
 #include "common/log.hpp"
 #include "dsm/directory.hpp"
 #include "dsm/wire.hpp"
@@ -17,21 +17,24 @@ namespace {
 using time_literals::kNs;
 using time_literals::kSec;
 
-/// Extra simulation-side payload carried by a migration message after the
-/// serialized CPU context: the thread's accumulated time breakdown.
-constexpr std::size_t kBreakdownBytes = kBreakdownWireBytes;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 4);
-  std::memcpy(out.data() + at, &v, 4);
+/// Appends the thread's accumulated time breakdown (kBreakdownWireBytes),
+/// the simulation-side payload that follows the serialized CPU context in
+/// migration and crash-capture records.
+void put_breakdown(std::vector<std::uint8_t>& out, const TimeBreakdown& b) {
+  for (const DurationPs part :
+       {b.execute, b.translate, b.pagefault, b.syscall, b.idle}) {
+    le::put_u64(out, part);
+  }
 }
 
-std::uint32_t get_u32(std::span<const std::uint8_t>& in) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, in.data(), 4);
-  in = in.subspan(4);
-  return v;
+TimeBreakdown read_breakdown(le::Reader& in) {
+  TimeBreakdown b;
+  b.execute = in.u64();
+  b.translate = in.u64();
+  b.pagefault = in.u64();
+  b.syscall = in.u64();
+  b.idle = in.u64();
+  return b;
 }
 
 }  // namespace
@@ -71,29 +74,12 @@ Node::Node(NodeId id, const ClusterConfig& config, sim::EventQueue& queue,
   // tier disabled). a = trace entry pc, b = guest insns covered.
   tcache_.set_sb_event_hook(
       [this](dbt::SbEvent event, const dbt::Superblock& sb) {
-        note(event == dbt::SbEvent::kFormed ? "dbt.sb_formed"
-                                            : "dbt.sb_invalidated",
-             trace::Cat::kDbt, trace::Kind::kInstant, 0, 0, sb.entry_pc,
-             sb.guest_insns);
+        site(trace::Cat::kDbt)
+            .emit(queue_.now(),
+                  event == dbt::SbEvent::kFormed ? "dbt.sb_formed"
+                                                 : "dbt.sb_invalidated",
+                  trace::Kind::kInstant, 0, sb.entry_pc, sb.guest_insns);
       });
-}
-
-void Node::note(const char* name, trace::Cat cat, trace::Kind kind,
-                GuestTid tid, std::uint64_t flow, std::uint64_t a,
-                std::uint64_t b) {
-  if (!trace::wants(tracer_, cat)) return;
-  trace::Record r;
-  r.time = queue_.now();
-  r.name = name;
-  r.kind = kind;
-  r.cat = cat;
-  r.node = id_;
-  r.track = trace::kTrackNode;
-  r.tid = tid;
-  r.flow = flow;
-  r.a = a;
-  r.b = b;
-  tracer_->record(r);
 }
 
 void Node::add_thread(const dbt::CpuContext& ctx, GuestAddr ctid,
@@ -106,9 +92,9 @@ void Node::add_thread(const dbt::CpuContext& ctx, GuestAddr ctid,
   thread.ready_since = queue_.now();
   threads_.emplace(ctx.tid, std::move(thread));
   if (stats_ != nullptr) stats_->add("core.threads_created");
-  note("core.thread_start", trace::Cat::kCore, trace::Kind::kInstant, ctx.tid,
-       0, ctx.pc, static_cast<std::uint64_t>(
-              static_cast<std::uint32_t>(hint_group)));
+  site(trace::Cat::kCore)
+      .emit(queue_.now(), "core.thread_start", trace::Kind::kInstant, 0, ctx.pc,
+            static_cast<std::uint32_t>(hint_group), ctx.tid);
   enqueue(ctx.tid);
   kick();
 }
@@ -196,18 +182,8 @@ void Node::core_run(CoreId core, GuestTid tid) {
 
   // One lane per simulated core: the slice span covers this quantum's
   // virtual duration; the matching end is recorded in finish_slice.
-  if (trace::wants(tracer_, trace::Cat::kSim)) {
-    trace::Record rec;
-    rec.time = queue_.now();
-    rec.name = "sim.slice";
-    rec.kind = trace::Kind::kSpanBegin;
-    rec.cat = trace::Cat::kSim;
-    rec.node = id_;
-    rec.track = static_cast<std::uint16_t>(trace::kTrackCoreBase + core);
-    rec.tid = tid;
-    rec.a = t.ctx.pc;
-    tracer_->record(rec);
-  }
+  core_site(core).emit(queue_.now(), "sim.slice", trace::Kind::kSpanBegin, 0,
+                       t.ctx.pc, 0, tid);
 
   const dbt::ExecResult r = engine_.run(t.ctx, config_.dbt.quantum_insns);
   t.inflight_stop = r.reason;
@@ -245,19 +221,8 @@ void Node::finish_slice(CoreId core, GuestTid tid, const dbt::ExecResult& r) {
   // (or dropped it) already; the closure outlived the node.
   if (dead_) return;
   GuestThread& t = threads_.at(tid);
-  if (trace::wants(tracer_, trace::Cat::kSim)) {
-    trace::Record rec;
-    rec.time = queue_.now();
-    rec.name = "sim.slice";
-    rec.kind = trace::Kind::kSpanEnd;
-    rec.cat = trace::Cat::kSim;
-    rec.node = id_;
-    rec.track = static_cast<std::uint16_t>(trace::kTrackCoreBase + core);
-    rec.tid = tid;
-    rec.a = r.insns;
-    rec.b = static_cast<std::uint64_t>(r.reason);
-    tracer_->record(rec);
-  }
+  core_site(core).emit(queue_.now(), "sim.slice", trace::Kind::kSpanEnd, 0,
+                       r.insns, static_cast<std::uint64_t>(r.reason), tid);
   switch (r.reason) {
     case dbt::StopReason::kQuantum:
       enqueue(tid);
@@ -268,8 +233,9 @@ void Node::finish_slice(CoreId core, GuestTid tid, const dbt::ExecResult& r) {
       const DurationPs trap = machine_.cycles(config_.dbt.fault_trap_cycles);
       t.breakdown.pagefault += trap;
       if (stats_ != nullptr) stats_->add("core.page_faults");
-      note("core.page_fault", trace::Cat::kCore, trace::Kind::kInstant, tid, 0,
-           r.fault_addr, r.fault_is_write ? 1 : 0);
+      site(trace::Cat::kCore)
+          .emit(queue_.now(), "core.page_fault", trace::Kind::kInstant, 0,
+                r.fault_addr, r.fault_is_write ? 1 : 0, tid);
       block_on_page(t, r.fault_addr, r.fault_is_write);
       release_core_after(core, trap);
       return;
@@ -280,8 +246,9 @@ void Node::finish_slice(CoreId core, GuestTid tid, const dbt::ExecResult& r) {
           machine_.cycles(config_.dbt.syscall_trap_cycles);
       t.breakdown.syscall += trap;
       if (stats_ != nullptr) stats_->add("core.syscalls");
-      note("core.syscall", trace::Cat::kCore, trace::Kind::kInstant, tid, 0,
-           static_cast<std::uint32_t>(r.syscall_num), 0);
+      site(trace::Cat::kCore)
+          .emit(queue_.now(), "core.syscall", trace::Kind::kInstant, 0,
+                static_cast<std::uint32_t>(r.syscall_num), 0, tid);
       PendingSyscall call;
       call.num = static_cast<isa::Sys>(r.syscall_num);
       for (unsigned i = 0; i < 4; ++i) call.args[i] = t.ctx.arg(i);
@@ -590,11 +557,12 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
             // Per-channel FIFO keeps it ordered before any later futex op
             // this node delegates, so the no-lost-wakeup argument holds.
             call.args[3] = sys::kFutexAsyncWake;
-            if (trace::wants(tracer_, trace::Cat::kSys)) {
+            if (const trace::Site sys = site(trace::Cat::kSys); sys.on()) {
               call.flow = tracer_->new_flow();
-              note("sys.delegate", trace::Cat::kSys, trace::Kind::kFlowBegin,
-                   t.ctx.tid, call.flow,
-                   static_cast<std::uint64_t>(call.num), faddr);
+              sys.record(queue_.now(), "sys.delegate",
+                         trace::Kind::kFlowBegin, call.flow,
+                         static_cast<std::uint64_t>(call.num), faddr,
+                         t.ctx.tid);
             }
             net::Message req = sys::make_syscall_request(
                 id_, t.ctx.tid, call.num, call.args, payload);
@@ -612,11 +580,11 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
             return;
           }
         } else {
-          if (trace::wants(tracer_, trace::Cat::kSys)) {
+          if (const trace::Site sys = site(trace::Cat::kSys); sys.on()) {
             call.flow = tracer_->new_flow();
-            note("sys.delegate", trace::Cat::kSys, trace::Kind::kFlowBegin,
-                 t.ctx.tid, call.flow, static_cast<std::uint64_t>(call.num),
-                 faddr);
+            sys.record(queue_.now(), "sys.delegate", trace::Kind::kFlowBegin,
+                       call.flow, static_cast<std::uint64_t>(call.num), faddr,
+                       t.ctx.tid);
           }
           t.state = ThreadState::kBlockedSyscall;
           t.block_start = queue_.now();
@@ -662,10 +630,11 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
 
   // Open the delegation's causal chain: request -> master service ->
   // response all record against this id (closed in on_syscall_response).
-  if (trace::wants(tracer_, trace::Cat::kSys)) {
+  if (const trace::Site sys = site(trace::Cat::kSys); sys.on()) {
     call.flow = tracer_->new_flow();
-    note("sys.delegate", trace::Cat::kSys, trace::Kind::kFlowBegin, t.ctx.tid,
-         call.flow, static_cast<std::uint64_t>(call.num), call.args[0]);
+    sys.record(queue_.now(), "sys.delegate", trace::Kind::kFlowBegin,
+               call.flow, static_cast<std::uint64_t>(call.num), call.args[0],
+               t.ctx.tid);
   }
   net::Message req =
       sys::make_syscall_request(id_, t.ctx.tid, call.num, call.args, payload);
@@ -696,8 +665,9 @@ void Node::on_syscall_response(const net::Message& msg) {
   PendingSyscall& call = *t.pending_syscall;
   call.result = static_cast<std::int64_t>(msg.a);
   if (call.flow != 0) {
-    note("sys.delegate", trace::Cat::kSys, trace::Kind::kFlowEnd, tid,
-         call.flow, msg.a, 0);
+    site(trace::Cat::kSys)
+        .emit(queue_.now(), "sys.delegate", trace::Kind::kFlowEnd, call.flow,
+              msg.a, 0, tid);
   }
 
   if (call.num == isa::Sys::kRead && call.result > 0 && !msg.data.empty()) {
@@ -730,8 +700,9 @@ void Node::complete_futex_locally(GuestTid tid, std::int64_t result) {
   }
   PendingSyscall& call = *t.pending_syscall;
   if (call.flow != 0) {
-    note("sys.delegate", trace::Cat::kSys, trace::Kind::kFlowEnd, tid,
-         call.flow, static_cast<std::uint64_t>(result), 0);
+    site(trace::Cat::kSys)
+        .emit(queue_.now(), "sys.delegate", trace::Kind::kFlowEnd, call.flow,
+              static_cast<std::uint64_t>(result), 0, tid);
   }
   t.ctx.set_a0(static_cast<std::uint32_t>(result));
   t.pending_syscall.reset();
@@ -882,21 +853,17 @@ void Node::send_migration(GuestTid tid) {
   msg.b = t.ctid;
   msg.c = static_cast<std::uint64_t>(
       static_cast<std::uint32_t>(t.hint_group));
-  msg.data.resize(dbt::CpuContext::kWireBytes + kBreakdownBytes);
+  msg.data.resize(dbt::CpuContext::kWireBytes);
   t.ctx.serialize(msg.data);
   // Simulation bookkeeping (not a real wire field): carry the accumulated
   // breakdown so per-thread accounting survives the move.
-  const std::uint64_t parts[5] = {t.breakdown.execute, t.breakdown.translate,
-                                  t.breakdown.pagefault, t.breakdown.syscall,
-                                  t.breakdown.idle};
-  std::memcpy(msg.data.data() + dbt::CpuContext::kWireBytes, parts,
-              kBreakdownBytes);
+  put_breakdown(msg.data, t.breakdown);
   // Migration is a causal arc of its own: departure here, arrival on the
   // target node (on_migrate_thread) closes it.
-  if (trace::wants(tracer_, trace::Cat::kCore)) {
+  if (const trace::Site core = site(trace::Cat::kCore); core.on()) {
     msg.flow = tracer_->new_flow();
-    note("core.migrate", trace::Cat::kCore, trace::Kind::kFlowBegin, tid,
-         msg.flow, tid, target);
+    core.record(queue_.now(), "core.migrate", trace::Kind::kFlowBegin,
+                msg.flow, tid, target, tid);
   }
   network_.send(std::move(msg));
   threads_.erase(tid);
@@ -904,28 +871,25 @@ void Node::send_migration(GuestTid tid) {
 }
 
 void Node::on_migrate_thread(const net::Message& msg) {
-  assert(msg.data.size() >= dbt::CpuContext::kWireBytes + kBreakdownBytes);
-  const dbt::CpuContext ctx = dbt::CpuContext::deserialize(msg.data);
+  le::Reader in(msg.data);
+  const dbt::CpuContext ctx =
+      dbt::CpuContext::deserialize(in.bytes(dbt::CpuContext::kWireBytes));
   if (msg.flow != 0 && (msg.flow & trace::kAutoFlowBit) == 0) {
-    note("core.migrate", trace::Cat::kCore, trace::Kind::kFlowEnd, ctx.tid,
-         msg.flow, ctx.tid, id_);
+    site(trace::Cat::kCore)
+        .emit(queue_.now(), "core.migrate", trace::Kind::kFlowEnd, msg.flow,
+              ctx.tid, id_, ctx.tid);
   }
-  std::uint64_t parts[5];
-  std::memcpy(parts, msg.data.data() + dbt::CpuContext::kWireBytes,
-              kBreakdownBytes);
-  const std::size_t base = dbt::CpuContext::kWireBytes + kBreakdownBytes;
-  if (msg.data.size() >= base + kPendingSyscallWireBytes) {
+  const TimeBreakdown breakdown = read_breakdown(in);
+  if (in.remaining() >= kPendingSyscallWireBytes) {
     // Crash re-homing (DESIGN.md §18): the thread arrives carrying a
     // syscall it must re-issue before executing a single instruction (its
     // old node died mid-call; pc is already past the SYSCALL). add_thread
     // would kick it straight into the engine, so insert it by hand and
     // drive the pending-syscall machine instead.
-    std::span<const std::uint8_t> ext(msg.data.data() + base,
-                                      kPendingSyscallWireBytes);
     PendingSyscall call;
-    call.num = static_cast<isa::Sys>(get_u32(ext));
-    for (std::uint32_t& arg : call.args) arg = get_u32(ext);
-    call.block_is_idle = get_u32(ext) != 0;
+    call.num = static_cast<isa::Sys>(in.u32());
+    for (std::uint32_t& arg : call.args) arg = in.u32();
+    call.block_is_idle = in.u32() != 0;
     GuestThread thread;
     thread.ctx = ctx;
     thread.ctid = static_cast<GuestAddr>(msg.b);
@@ -934,25 +898,17 @@ void Node::on_migrate_thread(const net::Message& msg) {
     thread.ready_since = queue_.now();
     thread.pending_syscall = call;
     assert(!threads_.contains(ctx.tid));
-    GuestThread& t = threads_.emplace(ctx.tid, std::move(thread)).first->second;
-    t.breakdown.execute = parts[0];
-    t.breakdown.translate = parts[1];
-    t.breakdown.pagefault = parts[2];
-    t.breakdown.syscall = parts[3];
-    t.breakdown.idle = parts[4];
+    threads_.emplace(ctx.tid, std::move(thread)).first->second.breakdown =
+        breakdown;
     if (stats_ != nullptr) stats_->add("core.threads_rehomed");
-    note("core.thread_rehomed", trace::Cat::kCore, trace::Kind::kInstant,
-         ctx.tid, 0, static_cast<std::uint64_t>(call.num), 0);
+    site(trace::Cat::kCore)
+        .emit(queue_.now(), "core.thread_rehomed", trace::Kind::kInstant, 0,
+              static_cast<std::uint64_t>(call.num), 0, ctx.tid);
     attempt_syscall(ctx.tid);
   } else {
     add_thread(ctx, static_cast<GuestAddr>(msg.b),
                static_cast<std::int32_t>(static_cast<std::uint32_t>(msg.c)));
-    GuestThread& t = threads_.at(ctx.tid);
-    t.breakdown.execute = parts[0];
-    t.breakdown.translate = parts[1];
-    t.breakdown.pagefault = parts[2];
-    t.breakdown.syscall = parts[3];
-    t.breakdown.idle = parts[4];
+    threads_.at(ctx.tid).breakdown = breakdown;
   }
 
   net::Message done;
@@ -1016,30 +972,26 @@ void Node::capture_thread(const GuestThread& t,
       break;  // filtered by the caller
   }
 
-  std::size_t at = out.size();
+  const std::size_t at = out.size();
   out.resize(at + dbt::CpuContext::kWireBytes);
   ctx.serialize({out.data() + at, dbt::CpuContext::kWireBytes});
-  const std::uint64_t parts[5] = {t.breakdown.execute, t.breakdown.translate,
-                                  t.breakdown.pagefault, t.breakdown.syscall,
-                                  t.breakdown.idle};
-  at = out.size();
-  out.resize(at + kBreakdownBytes);
-  std::memcpy(out.data() + at, parts, kBreakdownBytes);
-  put_u32(out, t.ctid);
-  put_u32(out, static_cast<std::uint32_t>(t.hint_group));
-  put_u32(out, pending.has_value() ? 1u : 0u);
+  put_breakdown(out, t.breakdown);
+  le::put_u32(out, t.ctid);
+  le::put_u32(out, static_cast<std::uint32_t>(t.hint_group));
+  le::put_u32(out, pending.has_value() ? 1u : 0u);
   if (pending.has_value()) {
-    put_u32(out, static_cast<std::uint32_t>(pending->num));
-    for (const std::uint32_t arg : pending->args) put_u32(out, arg);
-    put_u32(out, pending->block_is_idle ? 1u : 0u);
+    le::put_u32(out, static_cast<std::uint32_t>(pending->num));
+    for (const std::uint32_t arg : pending->args) le::put_u32(out, arg);
+    le::put_u32(out, pending->block_is_idle ? 1u : 0u);
   }
 }
 
 void Node::crash() {
   if (dead_) return;
   if (stats_ != nullptr) stats_->add("core.node_crashes");
-  note("core.crash", trace::Cat::kCore, trace::Kind::kInstant, 0, 0,
-       live_threads(), 0);
+  site(trace::Cat::kCore)
+      .emit(queue_.now(), "core.crash", trace::Kind::kInstant, 0,
+            live_threads(), 0);
 
   // (1) Last writeback: every page held kReadWrite whose home is elsewhere
   // gets a kCrashFlush ("reliable by fiat" — a dropped flush could not be
@@ -1130,14 +1082,15 @@ void Node::pause(DurationPs pause_for) {
   if (dead_ || paused_) return;
   paused_ = true;
   if (stats_ != nullptr) stats_->add("core.node_pauses");
-  note("core.pause", trace::Cat::kCore, trace::Kind::kInstant, 0, 0, pause_for,
-       0);
+  site(trace::Cat::kCore)
+      .emit(queue_.now(), "core.pause", trace::Kind::kInstant, 0, pause_for, 0);
   queue_.schedule_in(pause_for, [this] {
     if (dead_) return;
     paused_ = false;
     if (stats_ != nullptr) stats_->add("core.node_rejoins");
-    note("core.rejoin", trace::Cat::kCore, trace::Kind::kInstant, 0, 0,
-         paused_inbox_.size(), 0);
+    site(trace::Cat::kCore)
+        .emit(queue_.now(), "core.rejoin", trace::Kind::kInstant, 0,
+              paused_inbox_.size(), 0);
     // Drain in arrival order; the links stayed live below this layer, so
     // per-link FIFO is preserved end to end.
     std::vector<net::Message> inbox;

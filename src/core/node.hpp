@@ -171,9 +171,15 @@ class Node {
     return homes_.home_of(addr / machine_.page_size);
   }
 
-  /// Records a point/flow event on this node's node-level track.
-  void note(const char* name, trace::Cat cat, trace::Kind kind, GuestTid tid,
-            std::uint64_t flow, std::uint64_t a, std::uint64_t b);
+  /// This node's instrumentation site for `cat`, on the node-level track.
+  [[nodiscard]] trace::Site site(trace::Cat cat) const {
+    return {tracer_, cat, id_, trace::kTrackNode};
+  }
+  /// Simulated core `core`'s lane, where its execution slices sit.
+  [[nodiscard]] trace::Site core_site(CoreId core) const {
+    return {tracer_, trace::Cat::kSim, id_,
+            static_cast<std::uint16_t>(trace::kTrackCoreBase + core)};
+  }
 
   /// Walks [addr, addr+len) in shadow-translated chunks.
   void for_each_chunk(

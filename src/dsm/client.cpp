@@ -23,7 +23,7 @@ DsmClient::DsmClient(NodeId self, net::Network& network,
       tcache_(tcache),
       stats_(stats),
       wake_page_(std::move(wake_page)),
-      tracer_(tracer),
+      trace_{tracer, trace::Cat::kDsm, self},
       enable_diff_(enable_diff_transfers),
       request_timeout_(request_timeout),
       homes_(homes) {}
@@ -41,20 +41,10 @@ void DsmClient::request_page(std::uint32_t page, std::uint32_t offset,
   pending.write = write;
   // Open the fault's causal chain: every send/deliver/directory edge of
   // this remote page fetch records against this id.
-  if (trace::wants(tracer_, trace::Cat::kDsm)) {
-    pending.flow = tracer_->new_flow();
-    trace::Record r;
-    r.time = network_.now(self_);
-    r.name = "dsm.fault";
-    r.kind = trace::Kind::kFlowBegin;
-    r.cat = trace::Cat::kDsm;
-    r.node = self_;
-    r.track = trace::kTrackNode;
-    r.tid = tid;
-    r.flow = pending.flow;
-    r.a = page;
-    r.b = write ? 1 : 0;
-    tracer_->record(r);
+  if (trace_.on()) {
+    pending.flow = trace_.tracer->new_flow();
+    trace_.record(network_.now(self_), "dsm.fault", trace::Kind::kFlowBegin,
+                  pending.flow, page, write ? 1 : 0, tid);
   }
   pending.offset = offset;
   pending.tid = tid;
@@ -97,7 +87,8 @@ void DsmClient::on_request_timeout(std::uint32_t page) {
   if (it == pending_.end()) return;  // completed; stale fire cannot happen
   Pending& p = it->second;
   if (stats_ != nullptr) stats_->add("dsm.timeouts");
-  note("dsm.timeout", p.flow, page, p.write ? 1 : 0);
+  trace_.step(network_.now(self_), "dsm.timeout", p.flow, page,
+              p.write ? 1 : 0);
   DQEMU_DEBUG("node %u: page %u request timed out, re-issuing",
               unsigned(self_), page);
   // Re-issue verbatim. The directory tolerates the duplicate: a busy entry
@@ -120,34 +111,8 @@ void DsmClient::on_request_timeout(std::uint32_t page) {
 void DsmClient::end_fault_flow(std::uint32_t page, bool retried) {
   const auto it = pending_.find(page);
   if (it == pending_.end() || it->second.flow == 0) return;
-  if (!trace::wants(tracer_, trace::Cat::kDsm)) return;
-  trace::Record r;
-  r.time = network_.now(self_);
-  r.name = "dsm.fault";
-  r.kind = trace::Kind::kFlowEnd;
-  r.cat = trace::Cat::kDsm;
-  r.node = self_;
-  r.track = trace::kTrackNode;
-  r.flow = it->second.flow;
-  r.a = page;
-  r.b = retried ? 1 : 0;
-  tracer_->record(r);
-}
-
-void DsmClient::note(const char* name, std::uint64_t flow, std::uint64_t a,
-                     std::uint64_t b) {
-  if (!trace::wants(tracer_, trace::Cat::kDsm)) return;
-  trace::Record r;
-  r.time = network_.now(self_);
-  r.name = name;
-  r.kind = flow == 0 ? trace::Kind::kInstant : trace::Kind::kFlowStep;
-  r.cat = trace::Cat::kDsm;
-  r.node = self_;
-  r.track = trace::kTrackNode;
-  r.flow = flow;
-  r.a = a;
-  r.b = b;
-  tracer_->record(r);
+  trace_.emit(network_.now(self_), "dsm.fault", trace::Kind::kFlowEnd,
+              it->second.flow, page, retried ? 1 : 0);
 }
 
 void DsmClient::handle_message(const net::Message& msg) {
@@ -217,7 +182,8 @@ void DsmClient::on_page_diff(const net::Message& msg) {
     stats_->add("dsm.grants_received");
     stats_->add("dsm.diff_grants_received");
   }
-  note("dsm.diff_grant", msg.flow, page, mem::decode_diff_mask(msg.data));
+  trace_.step(network_.now(self_), "dsm.diff_grant", msg.flow, page,
+              mem::decode_diff_mask(msg.data));
   wake_page_(page);
 }
 
@@ -273,7 +239,8 @@ void DsmClient::on_invalidate(const net::Message& msg) {
   }
   drop_page_locally(page);
   if (stats_ != nullptr) stats_->add("dsm.invalidations_received");
-  note("dsm.invalidate", msg.flow, page, writeback ? 1 : 0);
+  trace_.step(network_.now(self_), "dsm.invalidate", msg.flow, page,
+              writeback ? 1 : 0);
   ack.flow = msg.flow;  // the ack continues the recalling transaction
   network_.send(std::move(ack));
 }
@@ -292,7 +259,7 @@ void DsmClient::on_downgrade(const net::Message& msg) {
   // version, so the twin has served its purpose.
   twins_.drop(page);
   if (stats_ != nullptr) stats_->add("dsm.downgrades_received");
-  note("dsm.downgrade", msg.flow, page, 0);
+  trace_.step(network_.now(self_), "dsm.downgrade", msg.flow, page, 0);
   ack.flow = msg.flow;
   network_.send(std::move(ack));
 }
@@ -305,7 +272,8 @@ void DsmClient::on_shadow_update(const net::Message& msg) {
   shadow_.add_split(orig, shadows);
   drop_page_locally(orig);
   if (stats_ != nullptr) stats_->add("dsm.shadow_updates");
-  note("dsm.shadow_update", msg.flow, orig, shadows.size());
+  trace_.step(network_.now(self_), "dsm.shadow_update", msg.flow, orig,
+              shadows.size());
   DQEMU_DEBUG("node %u: page %u split into %zu shadows", unsigned(self_),
               orig, shadows.size());
 }
@@ -342,7 +310,8 @@ void DsmClient::finish_forward_install(const net::Message& msg) {
     if (space_.access(page) == mem::PageAccess::kNone) {
       space_.set_access(page, mem::PageAccess::kRead);
       if (stats_ != nullptr) stats_->add("dsm.forwards_installed");
-      note("dsm.forward_install", msg.flow, page, 0);
+      trace_.step(network_.now(self_), "dsm.forward_install", msg.flow, page,
+                  0);
       wake_page_(page);  // benign if nobody waits
     } else if (stats_ != nullptr) {
       stats_->add("dsm.forwards_dropped");

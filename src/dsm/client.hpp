@@ -107,10 +107,6 @@ class DsmClient {
   /// Watchdog fire: the request has been outstanding for its full timeout —
   /// re-issue it (the directory tolerates duplicates) and back off.
   void on_request_timeout(std::uint32_t page);
-  /// Records a protocol instant on this node's track.
-  void note(const char* name, std::uint64_t flow, std::uint64_t a,
-            std::uint64_t b);
-
   /// Home of `page` (kMasterNode unless sharding is on), and the learn
   /// hook that records authoritative senders under first-touch placement.
   [[nodiscard]] NodeId home_of(std::uint32_t page) const {
@@ -128,7 +124,7 @@ class DsmClient {
   dbt::TranslationCache* tcache_;
   StatsRegistry* stats_;
   std::function<void(std::uint32_t)> wake_page_;
-  trace::Tracer* tracer_;
+  trace::Site trace_;  ///< kDsm records on this node's track
   bool enable_diff_ = false;
   /// Pristine copies of writable pages (diff plane only): captured at
   /// write-grant time, diffed against at recall, dropped with the page.

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/le_bytes.hpp"
 #include "common/log.hpp"
 
 namespace dqemu::dsm {
@@ -16,7 +17,7 @@ Directory::Directory(net::Network& network, sim::EventQueue& queue,
       home_(home),
       params_(params),
       stats_(stats),
-      tracer_(tracer),
+      trace_{tracer, trace::Cat::kDsm, params.self, trace::kTrackManager},
       entries_(home.num_pages()),
       shadow_of_(home.num_pages()),
       shadow_next_(params.shadow_pool_first_page) {
@@ -76,21 +77,14 @@ void Directory::send(net::Message msg) {
   // Manager occupancy span: the per-slave manager thread is busy preparing
   // this message from `start` until it hands it to the NIC. Sequential per
   // manager track, so sync B/E nesting holds.
-  if (trace::wants(tracer_, trace::Cat::kDsm)) {
-    trace::Record r;
-    r.name = "dsm.manager";
-    r.cat = trace::Cat::kDsm;
-    r.node = params_.self;
-    r.track = static_cast<std::uint16_t>(trace::kTrackManagerBase + msg.dst);
-    r.flow = msg.flow;
-    r.a = msg.a;
-    r.b = msg.type;
-    r.kind = trace::Kind::kSpanBegin;
-    r.time = start;
-    tracer_->record(r);
-    r.kind = trace::Kind::kSpanEnd;
-    r.time = manager_free;
-    tracer_->record(r);
+  if (trace_.on()) {
+    const trace::Site manager{
+        trace_.tracer, trace::Cat::kDsm, params_.self,
+        static_cast<std::uint16_t>(trace::kTrackManagerBase + msg.dst)};
+    manager.record(start, "dsm.manager", trace::Kind::kSpanBegin, msg.flow,
+                   msg.a, msg.type);
+    manager.record(manager_free, "dsm.manager", trace::Kind::kSpanEnd,
+                   msg.flow, msg.a, msg.type);
   }
   queue_.schedule_at(manager_free, [this, m = std::move(msg)]() mutable {
     network_.send(std::move(m));
@@ -100,22 +94,6 @@ void Directory::send(net::Message msg) {
 void Directory::send_chained(net::Message msg, std::uint64_t flow) {
   msg.flow = flow;
   send(std::move(msg));
-}
-
-void Directory::note(const char* name, std::uint64_t flow, std::uint64_t a,
-                     std::uint64_t b) {
-  if (!trace::wants(tracer_, trace::Cat::kDsm)) return;
-  trace::Record r;
-  r.time = queue_.now();
-  r.name = name;
-  r.kind = flow == 0 ? trace::Kind::kInstant : trace::Kind::kFlowStep;
-  r.cat = trace::Cat::kDsm;
-  r.node = params_.self;
-  r.track = trace::kTrackManager;
-  r.flow = flow;
-  r.a = a;
-  r.b = b;
-  tracer_->record(r);
 }
 
 void Directory::handle_message(const net::Message& msg) {
@@ -190,7 +168,7 @@ std::uint64_t Directory::apply_writeback_diff(const net::Message& msg) {
   record_home_update(page, mask, /*known=*/true);
   record_node_copy(page, msg.src);
   if (stats_ != nullptr) stats_->add("dsm.diff_writebacks_applied");
-  note("dsm.diff_writeback", msg.flow, page, mask);
+  trace_.step(queue_.now(), "dsm.diff_writeback", msg.flow, page, mask);
   return mask;
 }
 
@@ -264,8 +242,8 @@ void Directory::on_request(const net::Message& msg, bool write) {
   const Request req{relayed_requester(msg, msg.c), write,
                     static_cast<std::uint32_t>(msg.b),
                     static_cast<GuestTid>(msg.c), msg.flow};
-  note("dsm.dir.request", req.flow, page,
-       (static_cast<std::uint64_t>(entry.state) << 1) | (write ? 1 : 0));
+  trace_.step(queue_.now(), "dsm.dir.request", req.flow, page,
+              (static_cast<std::uint64_t>(entry.state) << 1) | (write ? 1 : 0));
 
   // A request racing its sender's crash notification is dropped on the
   // floor: granting to a ghost would strand the page Modified-by-nobody.
@@ -289,7 +267,8 @@ void Directory::on_request(const net::Message& msg, bool write) {
   if (entry.busy) {
     entry.queue.push_back(req);
     if (stats_ != nullptr) stats_->add("dir.queued_reqs");
-    note("dsm.dir.queued", req.flow, page, entry.queue.size());
+    trace_.step(queue_.now(), "dsm.dir.queued", req.flow, page,
+                entry.queue.size());
     return;
   }
   start_transaction(page, req);
@@ -473,8 +452,8 @@ void Directory::grant_and_finish(std::uint32_t page) {
   }
 
   const std::uint64_t access = req.write ? kAccessWrite : kAccessRead;
-  note("dsm.dir.grant", req.flow, page,
-       (static_cast<std::uint64_t>(entry.state) << 1) | access);
+  trace_.step(queue_.now(), "dsm.dir.grant", req.flow, page,
+              (static_cast<std::uint64_t>(entry.state) << 1) | access);
   if (already_sharer || already_owner) {
     // Requester's copy is fresh: upgrade/re-grant without content.
     send_chained(make(req.node, DsmMsg::kPageGrant, page, access), req.flow);
@@ -552,7 +531,7 @@ void Directory::perform_split(std::uint32_t page) {
   home_.set_access(page, mem::PageAccess::kNone);
   ++splits_;
   if (stats_ != nullptr) stats_->add("dir.splits");
-  note("dsm.split", entry.current.flow, page, shards);
+  trace_.step(queue_.now(), "dsm.split", entry.current.flow, page, shards);
   DQEMU_DEBUG("directory: split page %u into %u shadows starting at %u", page,
               shards, shadows[0]);
 
@@ -634,7 +613,7 @@ void Directory::maybe_forward(NodeId requester, std::uint32_t page) {
     }
     entry.state = PageState::kShared;
     entry.sharers.add(requester);
-    note("dsm.forward_push", 0, p, requester);
+    trace_.step(queue_.now(), "dsm.forward_push", 0, p, requester);
     net::Message msg = make_data_message(requester, p, 0, /*forward=*/true);
     charge_data_plane(stats_, msg, home_.page_size());
     record_node_copy(p, requester);
@@ -650,24 +629,6 @@ void Directory::maybe_forward(NodeId requester, std::uint32_t page) {
 }
 
 // ---- whole-node fault plane (DESIGN.md §18) --------------------------------
-
-namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  std::uint8_t b[4];
-  std::memcpy(b, &v, 4);
-  out.insert(out.end(), b, b + 4);
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t>& in) {
-  assert(in.size() >= 4);
-  std::uint32_t v = 0;
-  std::memcpy(&v, in.data(), 4);
-  in = in.subspan(4);
-  return v;
-}
-
-}  // namespace
 
 void Directory::on_crash_flush(const net::Message& msg) {
   const auto page = static_cast<std::uint32_t>(msg.a);
@@ -686,7 +647,7 @@ void Directory::on_crash_flush(const net::Message& msg) {
   std::memcpy(home_.page_data(page).data(), msg.data.data(), msg.data.size());
   record_home_update(page, 0, /*known=*/false);
   if (stats_ != nullptr) stats_->add("dsm.crash_flushes");
-  note("dsm.crash_flush", msg.flow, page, msg.src);
+  trace_.step(queue_.now(), "dsm.crash_flush", msg.flow, page, msg.src);
   if (entry.busy && entry.acks_outstanding > 0) {
     // Mid-recall of the dying owner's copy (a Modified entry recalls
     // exactly its owner): the ack will never come — this flush *is* the
@@ -765,23 +726,23 @@ std::vector<std::uint32_t> Directory::handoff_pages() const {
 void Directory::serialize_entry(std::uint32_t page,
                                 std::vector<std::uint8_t>& out) const {
   const Entry& entry = entries_[page];
-  put_u32(out, static_cast<std::uint32_t>(entry.state));
-  put_u32(out, entry.owner);
+  le::put_u32(out, static_cast<std::uint32_t>(entry.state));
+  le::put_u32(out, entry.owner);
   std::vector<NodeId> sharers;
   for (NodeId n = 0; n < params_.node_count; ++n) {
     if (entry.sharers.contains(n)) sharers.push_back(n);
   }
-  put_u32(out, static_cast<std::uint32_t>(sharers.size()));
-  for (const NodeId n : sharers) put_u32(out, n);
+  le::put_u32(out, static_cast<std::uint32_t>(sharers.size()));
+  for (const NodeId n : sharers) le::put_u32(out, n);
   const auto& shadows = shadow_of_[page];
-  put_u32(out, static_cast<std::uint32_t>(shadows.size()));
-  for (const std::uint32_t s : shadows) put_u32(out, s);
+  le::put_u32(out, static_cast<std::uint32_t>(shadows.size()));
+  for (const std::uint32_t s : shadows) le::put_u32(out, s);
   // Home bytes ship for everything but a split (retired) page. For a
   // Modified page the home copy is exactly the owner's grant-time bytes —
   // the diff base its eventual writeback is encoded against — so shipping
   // it keeps diff writebacks to the adopting home sound.
   const bool content = entry.state != PageState::kSplit;
-  put_u32(out, content ? 1u : 0u);
+  le::put_u32(out, content ? 1u : 0u);
   if (content) {
     const auto data = home_.page_data(page);
     out.insert(out.end(), data.begin(), data.end());
@@ -793,17 +754,18 @@ void Directory::adopt_entry(std::uint32_t page,
   assert(page < entries_.size());
   Entry& entry = entries_[page];
   assert(!entry.busy && "adopted a page the adopting home was servicing");
-  const auto state = static_cast<PageState>(get_u32(data));
-  const auto owner = static_cast<NodeId>(get_u32(data));
-  const std::uint32_t nsharers = get_u32(data);
+  le::Reader in(data);
+  const auto state = static_cast<PageState>(in.u32());
+  const auto owner = static_cast<NodeId>(in.u32());
+  const std::uint32_t nsharers = in.u32();
   NodeSet sharers;
   for (std::uint32_t i = 0; i < nsharers; ++i) {
-    sharers.add(static_cast<NodeId>(get_u32(data)));
+    sharers.add(static_cast<NodeId>(in.u32()));
   }
-  const std::uint32_t nshadows = get_u32(data);
+  const std::uint32_t nshadows = in.u32();
   std::vector<std::uint32_t> shadows(nshadows);
-  for (std::uint32_t i = 0; i < nshadows; ++i) shadows[i] = get_u32(data);
-  const bool content = get_u32(data) != 0;
+  for (std::uint32_t i = 0; i < nshadows; ++i) shadows[i] = in.u32();
+  const bool content = in.u32() != 0;
 
   entry.state = state;
   entry.owner = owner;
@@ -821,8 +783,9 @@ void Directory::adopt_entry(std::uint32_t page,
   // When this home's own client is the Modified owner, its mapping *is*
   // the fresh copy — the shipped grant-time base must not clobber it.
   if (content && !(state == PageState::kModified && owner == params_.self)) {
-    assert(data.size() == home_.page_size());
-    std::memcpy(home_.page_data(page).data(), data.data(), data.size());
+    const auto bytes = in.bytes(home_.page_size());
+    assert(in.remaining() == 0);
+    std::memcpy(home_.page_data(page).data(), bytes.data(), bytes.size());
   }
   // The adopting home's client keeps only the rights the entry grants it;
   // anything else re-faults here.

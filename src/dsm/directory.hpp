@@ -238,9 +238,6 @@ class Directory {
   void send_chained(net::Message msg, std::uint64_t flow);
   [[nodiscard]] net::Message make(NodeId dst, DsmMsg type,
                                   std::uint64_t a = 0, std::uint64_t b = 0) const;
-  /// Records a directory-side edge of chain `flow` on the manager track.
-  void note(const char* name, std::uint64_t flow, std::uint64_t a,
-            std::uint64_t b);
   [[nodiscard]] bool in_shadow_pool(std::uint32_t page) const {
     return page >= params_.shadow_pool_first_page &&
            page < params_.shadow_pool_first_page +
@@ -252,7 +249,7 @@ class Directory {
   mem::AddressSpace& home_;
   Params params_;
   StatsRegistry* stats_;
-  trace::Tracer* tracer_;
+  trace::Site trace_;  ///< kDsm records on this home's manager track
   std::vector<Entry> entries_;
   std::vector<StreamDetector> streams_;  ///< per requesting node
   /// Per-slave manager thread occupancy (serializes demand replies).

@@ -92,24 +92,12 @@ void Network::send(Message msg) {
   // Flight recorder: every message is an edge in some causal chain. A
   // message already stamped by a higher layer (DSM fault, delegated
   // syscall) records a step in that chain; an unchained one opens its own.
-  if (trace::wants(tracer_, trace::Cat::kNet)) {
-    trace::Record r;
-    r.time = now;
-    r.node = msg.src;
-    r.track = trace::kTrackNic;
-    r.cat = trace::Cat::kNet;
-    r.a = msg.wire_bytes();
-    r.b = msg.type;
-    if (msg.flow == 0) {
-      msg.flow = tracer_->new_flow() | trace::kAutoFlowBit;
-      r.kind = trace::Kind::kFlowBegin;
-      r.name = "net.msg";
-    } else {
-      r.kind = trace::Kind::kFlowStep;
-      r.name = "net.send";
-    }
-    r.flow = msg.flow;
-    tracer_->record(r);
+  if (const trace::Site nic = nic_site(tracer_, msg.src); nic.on()) {
+    const bool opens = msg.flow == 0;
+    if (opens) msg.flow = tracer_->new_flow() | trace::kAutoFlowBit;
+    nic.record(now, opens ? "net.msg" : "net.send",
+               opens ? trace::Kind::kFlowBegin : trace::Kind::kFlowStep,
+               msg.flow, msg.wire_bytes(), msg.type);
   }
 
   TimePs delivery;
@@ -156,30 +144,19 @@ void Network::transmit(Message msg, TxKind kind) {
   // One send-side record per physical transmission: retransmissions show
   // up as extra "net.retrans" steps on the same flow, so a Chrome trace of
   // a lossy run shows the recovery, not just the eventual delivery.
-  if (trace::wants(tracer_, trace::Cat::kNet)) {
-    trace::Record r;
-    r.time = now;
-    r.node = msg.src;
-    r.track = trace::kTrackNic;
-    r.cat = trace::Cat::kNet;
-    r.a = bytes;
-    r.b = msg.type;
-    const bool net_owned = (msg.flow & trace::kAutoFlowBit) != 0;
-    if (msg.flow == 0) {
-      // Only channel-internal messages (pure acks) reach the wire
-      // unchained; data messages got their flow in Network::send.
-      msg.flow = tracer_->new_flow() | trace::kAutoFlowBit;
-      r.kind = trace::Kind::kFlowBegin;
-      r.name = "net.msg";
-    } else if (net_owned && kind == TxKind::kData) {
-      r.kind = trace::Kind::kFlowBegin;
-      r.name = "net.msg";
-    } else {
-      r.kind = trace::Kind::kFlowStep;
-      r.name = kind == TxKind::kRetrans ? "net.retrans" : "net.send";
-    }
-    r.flow = msg.flow;
-    tracer_->record(r);
+  const trace::Site nic = nic_site(tracer_, msg.src);
+  if (nic.on()) {
+    // Only channel-internal messages (pure acks) reach the wire
+    // unchained; data messages got their flow in Network::send. A
+    // net-owned flow opens at its first transmission.
+    const bool opens = msg.flow == 0 ||
+                       ((msg.flow & trace::kAutoFlowBit) != 0 &&
+                        kind == TxKind::kData);
+    if (msg.flow == 0) msg.flow = tracer_->new_flow() | trace::kAutoFlowBit;
+    const char* step = kind == TxKind::kRetrans ? "net.retrans" : "net.send";
+    nic.record(now, opens ? "net.msg" : step,
+               opens ? trace::Kind::kFlowBegin : trace::Kind::kFlowStep,
+               msg.flow, bytes, msg.type);
   }
 
   if (stats_ != nullptr) {
@@ -202,18 +179,9 @@ void Network::transmit(Message msg, TxKind kind) {
       is_crash_plane(msg.type) ? WireFate{} : injector_->decide(msg);
   if (fate.drop) {
     if (stats_ != nullptr) stats_->add("net.dropped");
-    if (msg.flow != 0 && trace::wants(tracer_, trace::Cat::kNet)) {
-      trace::Record r;
-      r.time = now;
-      r.node = msg.src;
-      r.track = trace::kTrackNic;
-      r.cat = trace::Cat::kNet;
-      r.kind = trace::Kind::kFlowStep;
-      r.name = "net.drop";
-      r.flow = msg.flow;
-      r.a = msg.seq;
-      r.b = msg.type;
-      tracer_->record(r);
+    if (msg.flow != 0) {
+      nic.emit(now, "net.drop", trace::Kind::kFlowStep, msg.flow, msg.seq,
+               msg.type);
     }
     DQEMU_TRACE("net: drop type=0x%x %u->%u seq=%llu", msg.type,
                 unsigned(msg.src), unsigned(msg.dst),
@@ -252,19 +220,12 @@ void Network::deliver(Message msg) {
   DQEMU_TRACE("net: deliver type=%u %u->%u (%llu bytes)", msg.type,
               unsigned(msg.src), unsigned(msg.dst),
               static_cast<unsigned long long>(msg.wire_bytes()));
-  if (msg.flow != 0 && trace::wants(tracer_, trace::Cat::kNet)) {
-    trace::Record r;
-    r.time = queue_for(msg.dst).now();
-    r.node = msg.dst;
-    r.track = trace::kTrackNic;
-    r.cat = trace::Cat::kNet;
-    r.flow = msg.flow;
-    r.a = msg.wire_bytes();
-    r.b = msg.type;
+  if (const trace::Site nic = nic_site(tracer_, msg.dst);
+      msg.flow != 0 && nic.on()) {
     const bool net_owned = (msg.flow & trace::kAutoFlowBit) != 0;
-    r.kind = net_owned ? trace::Kind::kFlowEnd : trace::Kind::kFlowStep;
-    r.name = net_owned ? "net.msg" : "net.deliver";
-    tracer_->record(r);
+    nic.record(queue_for(msg.dst).now(), net_owned ? "net.msg" : "net.deliver",
+               net_owned ? trace::Kind::kFlowEnd : trace::Kind::kFlowStep,
+               msg.flow, msg.wire_bytes(), msg.type);
   }
   handler(std::move(msg));
 }

@@ -43,18 +43,10 @@ void ReliableChannel::bump(const char* counter, std::uint64_t delta) {
 
 void ReliableChannel::trace_step(const Message& msg, const char* name,
                                  NodeId node) {
-  if (msg.flow == 0 || !trace::wants(tracer_, trace::Cat::kNet)) return;
-  trace::Record r;
-  r.time = queue_for(node).now();
-  r.node = node;
-  r.track = trace::kTrackNic;
-  r.cat = trace::Cat::kNet;
-  r.kind = trace::Kind::kFlowStep;
-  r.name = name;
-  r.flow = msg.flow;
-  r.a = msg.seq;
-  r.b = msg.type;
-  tracer_->record(r);
+  if (msg.flow == 0) return;
+  nic_site(tracer_, node).emit(queue_for(node).now(), name,
+                               trace::Kind::kFlowStep, msg.flow, msg.seq,
+                               msg.type);
 }
 
 void ReliableChannel::send(Message msg) {
@@ -202,18 +194,10 @@ void ReliableChannel::on_wire_arrival(Message msg) {
 
   if (msg.type == kNetAck) {
     // A pure ack carries no payload to deliver; close its trace flow.
-    if (msg.flow != 0 && trace::wants(tracer_, trace::Cat::kNet)) {
-      trace::Record r;
-      r.time = dst_queue.now();
-      r.node = msg.dst;
-      r.track = trace::kTrackNic;
-      r.cat = trace::Cat::kNet;
-      r.kind = trace::Kind::kFlowEnd;
-      r.name = "net.msg";
-      r.flow = msg.flow;
-      r.a = msg.ack;
-      r.b = msg.type;
-      tracer_->record(r);
+    if (msg.flow != 0) {
+      nic_site(tracer_, msg.dst)
+          .emit(dst_queue.now(), "net.msg", trace::Kind::kFlowEnd, msg.flow,
+                msg.ack, msg.type);
     }
     return;
   }

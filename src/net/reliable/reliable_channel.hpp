@@ -38,6 +38,11 @@ enum class TxKind {
   kAck,      ///< pure cumulative acknowledgement (unsequenced)
 };
 
+/// The NIC lane of `node`, where every net-category record sits.
+[[nodiscard]] inline trace::Site nic_site(trace::Tracer* tracer, NodeId node) {
+  return {tracer, trace::Cat::kNet, node, trace::kTrackNic};
+}
+
 class ReliableChannel {
  public:
   /// Puts one physical copy of the message on the (lossy) wire.

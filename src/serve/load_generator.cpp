@@ -23,7 +23,7 @@ LoadGenerator::LoadGenerator(sim::EventQueue& queue, const ServeConfig& config,
     : queue_(queue),
       config_(config),
       stats_(stats),
-      tracer_(tracer),
+      trace_{tracer, trace::Cat::kServe, kMasterNode, trace::kTrackManager},
       responder_(std::move(responder)) {}
 
 std::uint64_t LoadGenerator::draw(std::uint64_t counter,
@@ -112,10 +112,11 @@ void LoadGenerator::issue_request(std::uint32_t client) {
   if (work == 0) work = 1;
   req.work = work & kWorkMask;
 
-  if (trace::wants(tracer_, trace::Cat::kServe)) {
-    req.flow = tracer_->new_flow();
+  if (trace_.on()) {
+    req.flow = trace_.tracer->new_flow();
+    trace_.record(queue_.now(), "serve.request", trace::Kind::kFlowBegin,
+                  req.flow, id, req.cls);
   }
-  note("serve.request", trace::Kind::kFlowBegin, req.flow, id, req.cls);
 
   requests_.push_back(req);
   arrivals_.push_back(req.arrival);
@@ -145,8 +146,8 @@ void LoadGenerator::dispatch(std::uint32_t request_id, const Parked& worker) {
     stats_->histogram("serve.queue_ns")
         .record((queue_.now() - req.arrival) / time_literals::kNs);
   }
-  note("serve.dispatch", trace::Kind::kFlowStep, req.flow, request_id,
-       worker.node);
+  trace_.emit(queue_.now(), "serve.dispatch", trace::Kind::kFlowStep, req.flow,
+              request_id, worker.node);
   const std::uint32_t desc = (req.cls << kClassShift) | req.work;
   responder_(worker.node, worker.tid, static_cast<std::int64_t>(desc),
              worker.flow);
@@ -207,8 +208,8 @@ void LoadGenerator::on_done(NodeId src, GuestTid tid, std::uint32_t checksum,
           .record(latency / time_literals::kNs);
       if (config_.clones > 1) stats_->add("serve.clone_wins");
     }
-    note("serve.complete", trace::Kind::kFlowEnd, req.flow, id,
-         latency / time_literals::kNs);
+    trace_.emit(queue_.now(), "serve.complete", trace::Kind::kFlowEnd,
+                req.flow, id, latency / time_literals::kNs);
     if (config_.arrival == ArrivalProcess::kClosed) {
       schedule_client_issue(req.client);
     }
@@ -294,23 +295,6 @@ void LoadGenerator::release_parked_if_drained() {
     if (stats_ != nullptr) stats_->add("serve.stop_signals");
     responder_(worker.node, worker.tid, kNoMoreWork, worker.flow);
   }
-}
-
-void LoadGenerator::note(const char* name, trace::Kind kind,
-                         std::uint64_t flow, std::uint64_t a,
-                         std::uint64_t b) {
-  if (!trace::wants(tracer_, trace::Cat::kServe)) return;
-  trace::Record r;
-  r.time = queue_.now();
-  r.name = name;
-  r.flow = flow;
-  r.a = a;
-  r.b = b;
-  r.node = kMasterNode;
-  r.track = trace::kTrackManager;
-  r.kind = kind;
-  r.cat = trace::Cat::kServe;
-  tracer_->record(r);
 }
 
 }  // namespace dqemu::serve

@@ -142,13 +142,11 @@ class LoadGenerator {
   /// Once the last request is issued and the execution queue is empty, any
   /// parked worker can only be waiting forever — release it with EOF.
   void release_parked_if_drained();
-  void note(const char* name, trace::Kind kind, std::uint64_t flow,
-            std::uint64_t a, std::uint64_t b);
 
   sim::EventQueue& queue_;
   ServeConfig config_;
   StatsRegistry* stats_;
-  trace::Tracer* tracer_;
+  trace::Site trace_;  ///< kServe records on the master's manager track
   Responder responder_;
 
   std::vector<Request> requests_;   ///< indexed by request id

@@ -29,16 +29,8 @@ bool EventQueue::run_one() {
   const std::uint64_t seq = it->first.seq;
   events_.erase(it);
   ++fired_;
-  if (trace::wants(tracer_, trace::Cat::kQueue)) {
-    trace::Record r;
-    r.time = now_;
-    r.name = "sim.dispatch";
-    r.kind = trace::Kind::kInstant;
-    r.cat = trace::Cat::kQueue;
-    r.a = seq;
-    r.b = events_.size();
-    tracer_->record(r);
-  }
+  trace_.emit(now_, "sim.dispatch", trace::Kind::kInstant, 0, seq,
+              events_.size());
   fn();
   return true;
 }

@@ -97,7 +97,7 @@ class EventQueue {
 
   /// Attaches the flight recorder. Dispatch instants go to Cat::kQueue
   /// (off by default: one record per event). May be null.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+  void set_tracer(trace::Tracer* tracer) { trace_.tracer = tracer; }
 
  private:
   struct Key {
@@ -117,7 +117,7 @@ class EventQueue {
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
   std::map<Key, Callback> events_;
-  trace::Tracer* tracer_ = nullptr;
+  trace::Site trace_{.cat = trace::Cat::kQueue};
 
   std::mutex post_mutex_;
   std::vector<Posted> posted_;

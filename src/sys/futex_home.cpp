@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/le_bytes.hpp"
 #include "common/log.hpp"
 #include "isa/syscall_abi.hpp"
 #include "sys/master_syscalls.hpp"
@@ -20,24 +21,8 @@ FutexService::FutexService(NodeId self, net::Network& network,
       machine_(machine),
       service_cycles_(service_cycles),
       stats_(stats),
-      tracer_(tracer),
+      trace_{tracer, trace::Cat::kSys, self, trace::kTrackManager},
       home_msgs_counter_("sys.futex_home_msgs." + std::to_string(self)) {}
-
-void FutexService::note(const char* name, std::uint64_t flow, std::uint64_t a,
-                        std::uint64_t b) {
-  if (!trace::wants(tracer_, trace::Cat::kSys)) return;
-  trace::Record r;
-  r.time = queue_.now();
-  r.name = name;
-  r.kind = flow == 0 ? trace::Kind::kInstant : trace::Kind::kFlowStep;
-  r.cat = trace::Cat::kSys;
-  r.node = self_;
-  r.track = trace::kTrackManager;
-  r.flow = flow;
-  r.a = a;
-  r.b = b;
-  tracer_->record(r);
-}
 
 void FutexService::send_after_service(net::Message msg) {
   const DurationPs service = machine_.cycles(service_cycles_);
@@ -101,7 +86,7 @@ void FutexService::handle_message(const net::Message& msg) {
   assert(req.num == isa::Sys::kFutex &&
          "only futex syscalls are homed off-master");
   if (stats_ != nullptr) stats_->add("sys.delegated");
-  note("sys.service", req.flow, msg.a, req.tid);
+  trace_.step(queue_.now(), "sys.service", req.flow, msg.a, req.tid);
   do_futex(req);
 }
 
@@ -110,7 +95,7 @@ std::uint32_t FutexService::home_wake(GuestAddr addr, std::uint32_t count) {
   for (const FutexTable::Waiter& waiter : woken) {
     // The deferred response rides the *waiter's* chain: the trace shows
     // wait -> (this wake) -> response as one causal arc.
-    note("sys.futex_wake", waiter.flow, addr, waiter.tid);
+    trace_.step(queue_.now(), "sys.futex_wake", waiter.flow, addr, waiter.tid);
     send_response(waiter.node, waiter.tid, 0, waiter.flow);
   }
   return static_cast<std::uint32_t>(woken.size());
@@ -127,7 +112,7 @@ void FutexService::forward_wait(const SyscallRequest& req) {
   msg.c = req.src;
   msg.flow = req.flow;
   if (stats_ != nullptr) stats_->add("sys.lease_handoffs");
-  note("sys.lock_handoff", req.flow, addr, req.tid);
+  trace_.step(queue_.now(), "sys.lock_handoff", req.flow, addr, req.tid);
   send_protocol(std::move(msg));
 }
 
@@ -145,7 +130,7 @@ void FutexService::forward_wake(GuestAddr addr, std::uint32_t count,
   msg.c = (who << 32) | requester_tid;
   msg.flow = flow;
   if (stats_ != nullptr) stats_->add("sys.lease_handoffs");
-  note("sys.lock_handoff", flow, addr, count);
+  trace_.step(queue_.now(), "sys.lock_handoff", flow, addr, count);
   send_protocol(std::move(msg));
 }
 
@@ -175,7 +160,8 @@ void FutexService::do_futex(const SyscallRequest& req) {
     // this request, so enqueueing unconditionally cannot lose a wakeup.
     futexes_.wait(addr, FutexTable::Waiter{req.src, req.tid, req.flow});
     if (stats_ != nullptr) stats_->add("sys.futex_waits");
-    note("sys.futex_wait", req.flow, addr, futexes_.waiters(addr));
+    trace_.step(queue_.now(), "sys.futex_wait", req.flow, addr,
+                futexes_.waiters(addr));
     return;  // deferred response
   }
   if (op == isa::kFutexWake) {
@@ -233,7 +219,8 @@ void FutexService::on_lease_request(const net::Message& msg) {
     case FutexTable::LeasePhase::kNone: {
       const auto queue = futexes_.grant_lease(addr, requester, queue_.now());
       if (stats_ != nullptr) stats_->add("sys.lease_grants");
-      note("sys.lease_grant", msg.flow, addr, queue.size());
+      trace_.step(queue_.now(), "sys.lease_grant", msg.flow, addr,
+                  queue.size());
       net::Message grant;
       grant.src = self_;
       grant.dst = requester;
@@ -254,7 +241,7 @@ void FutexService::on_lease_request(const net::Message& msg) {
       futexes_.begin_recall(addr, requester);
       pending_lease_flow_[addr] = msg.flow;
       if (stats_ != nullptr) stats_->add("sys.lease_recalls");
-      note("sys.lease_recall", msg.flow, addr, owner);
+      trace_.step(queue_.now(), "sys.lease_recall", msg.flow, addr, owner);
       net::Message recall;
       recall.src = self_;
       recall.dst = owner;
@@ -309,7 +296,7 @@ void FutexService::complete_recall(
   }
   const auto queue = futexes_.grant_lease(addr, next_owner, queue_.now());
   if (stats_ != nullptr) stats_->add("sys.lease_grants");
-  note("sys.lease_grant", flow, addr, queue.size());
+  trace_.step(queue_.now(), "sys.lease_grant", flow, addr, queue.size());
   net::Message grant;
   grant.src = self_;
   grant.dst = next_owner;
@@ -337,7 +324,7 @@ void FutexService::on_recall_timeout(GuestAddr addr) {
   auto pending = pending_lease_flow_.find(addr);
   if (pending != pending_lease_flow_.end()) flow = pending->second;
   if (stats_ != nullptr) stats_->add("sys.recall_timeouts");
-  note("sys.recall_timeout", flow, addr, owner);
+  trace_.step(queue_.now(), "sys.recall_timeout", flow, addr, owner);
   // Re-send the recall. The agent ignores a recall for a lease it already
   // returned, so a crossed-in-flight return stays harmless.
   net::Message recall;
@@ -385,7 +372,7 @@ void FutexService::on_crash_lease_return(
       // kNodeDead notice lands (it trails this by one hop).
       futexes_.revoke_lease(addr, returned);
       if (stats_ != nullptr) stats_->add("sys.leases_revoked");
-      note("sys.lease_revoked", 0, addr, returned.size());
+      trace_.step(queue_.now(), "sys.lease_revoked", 0, addr, returned.size());
       return;
     case FutexTable::LeasePhase::kRecalling:
       if (futexes_.lease_owner(addr) != src) break;  // stale
@@ -444,7 +431,7 @@ void FutexService::on_node_dead(NodeId dead) {
       case FutexTable::LeasePhase::kGranted:
         futexes_.revoke_lease(addr, {});
         if (stats_ != nullptr) stats_->add("sys.leases_revoked");
-        note("sys.lease_revoked", 0, addr, 0);
+        trace_.step(queue_.now(), "sys.lease_revoked", 0, addr, 0);
         break;
       case FutexTable::LeasePhase::kRecalling:
         complete_recall(addr, {}, 0);
@@ -455,57 +442,30 @@ void FutexService::on_node_dead(NodeId dead) {
   }
 }
 
-namespace {
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 4);
-  std::memcpy(out.data() + at, &v, 4);
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &v, 8);
-}
-std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t& at) {
-  std::uint32_t v = 0;
-  assert(at + 4 <= data.size());
-  std::memcpy(&v, data.data() + at, 4);
-  at += 4;
-  return v;
-}
-std::uint64_t get_u64(std::span<const std::uint8_t> data, std::size_t& at) {
-  std::uint64_t v = 0;
-  assert(at + 8 <= data.size());
-  std::memcpy(&v, data.data() + at, 8);
-  at += 8;
-  return v;
-}
-}  // namespace
-
 void FutexService::serialize_for_handoff(std::vector<std::uint8_t>& out) {
   cancel_watchdogs();  // nothing may fire into a dead node's state
   std::vector<std::uint8_t> table;
   futexes_.serialize(table);
-  put_u64(out, table.size());
+  le::put_u64(out, table.size());
   out.insert(out.end(), table.begin(), table.end());
   // Recall buffers, sorted by address; ops keep their arrival order.
   std::vector<GuestAddr> addrs;
   addrs.reserve(recall_buffer_.size());
   for (const auto& [addr, ops] : recall_buffer_) addrs.push_back(addr);
   std::sort(addrs.begin(), addrs.end());
-  put_u64(out, addrs.size());
+  le::put_u64(out, addrs.size());
   for (const GuestAddr addr : addrs) {
     const auto& ops = recall_buffer_.at(addr);
-    put_u64(out, addr);
-    put_u64(out, ops.size());
+    le::put_u64(out, addr);
+    le::put_u64(out, ops.size());
     for (const BufferedFutexOp& op : ops) {
-      put_u32(out, op.src);
-      put_u32(out, op.tid);
-      put_u32(out, op.op);
-      put_u32(out, op.count);
-      put_u64(out, op.flow);
-      put_u32(out, op.respond ? 1 : 0);
-      put_u32(out, 0);
+      le::put_u32(out, op.src);
+      le::put_u32(out, op.tid);
+      le::put_u32(out, op.op);
+      le::put_u32(out, op.count);
+      le::put_u64(out, op.flow);
+      le::put_u32(out, op.respond ? 1 : 0);
+      le::put_u32(out, 0);
     }
   }
   // pending_lease_flow_ is trace-only causality; it does not survive the
@@ -513,31 +473,29 @@ void FutexService::serialize_for_handoff(std::vector<std::uint8_t>& out) {
 }
 
 void FutexService::adopt_handoff(std::span<const std::uint8_t> data) {
-  std::size_t at = 0;
-  const std::uint64_t table_len = get_u64(data, at);
-  futexes_.merge_from(data.subspan(at, table_len));
-  at += table_len;
-  const std::uint64_t naddrs = get_u64(data, at);
+  le::Reader in(data);
+  const std::uint64_t table_len = in.u64();
+  futexes_.merge_from(in.bytes(table_len));
+  const std::uint64_t naddrs = in.u64();
   std::vector<GuestAddr> adopted;
   for (std::uint64_t i = 0; i < naddrs; ++i) {
-    const auto addr = static_cast<GuestAddr>(get_u64(data, at));
-    const std::uint64_t nops = get_u64(data, at);
+    const auto addr = static_cast<GuestAddr>(in.u64());
+    const std::uint64_t nops = in.u64();
     auto& ops = recall_buffer_[addr];
     for (std::uint64_t j = 0; j < nops; ++j) {
       BufferedFutexOp op;
-      op.src = static_cast<NodeId>(get_u32(data, at));
-      op.tid = static_cast<GuestTid>(get_u32(data, at));
-      op.op = get_u32(data, at);
-      op.count = get_u32(data, at);
-      op.flow = get_u64(data, at);
-      op.respond = get_u32(data, at) != 0;
-      get_u32(data, at);  // pad
+      op.src = static_cast<NodeId>(in.u32());
+      op.tid = static_cast<GuestTid>(in.u32());
+      op.op = in.u32();
+      op.count = in.u32();
+      op.flow = in.u64();
+      op.respond = in.u32() != 0;
+      (void)in.u32();  // pad
       ops.push_back(op);
     }
     adopted.push_back(addr);
   }
-  assert(at == data.size());
-  (void)at;
+  assert(in.remaining() == 0);
   // Addresses whose lease the dying node revoked locally before the
   // handoff are home-owned now: replay their buffered ops immediately.
   for (const GuestAddr addr : adopted) {

@@ -160,8 +160,6 @@ class FutexService {
   /// Lease-protocol messages hit the wire at processing time — see the
   /// ordering comment in futex_home.cpp.
   void send_protocol(net::Message msg);
-  void note(const char* name, std::uint64_t flow, std::uint64_t a,
-            std::uint64_t b);
 
   NodeId self_;
   net::Network& network_;
@@ -169,7 +167,7 @@ class FutexService {
   MachineConfig machine_;
   std::uint32_t service_cycles_;
   StatsRegistry* stats_;
-  trace::Tracer* tracer_;
+  trace::Site trace_;  ///< kSys records on this home's manager track
   FutexTable futexes_;
   SysConfig sys_;
   /// Ops buffered per address while a recall is in flight (arrival order).

@@ -18,12 +18,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <deque>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/le_bytes.hpp"
 #include "common/types.hpp"
 
 namespace dqemu::sys {
@@ -208,43 +208,29 @@ class FutexTable {
   /// u64 n, n packed waiters}; u64 lease count, then per lease {u64 addr,
   /// u32 owner, u32 phase, u32 pending_requester, u32 pad, u64 granted_at}.
   void serialize(std::vector<std::uint8_t>& out) const {
-    auto put32 = [&out](std::uint32_t v) {
-      const std::size_t at = out.size();
-      out.resize(at + 4);
-      std::memcpy(out.data() + at, &v, 4);
-    };
-    auto put64 = [&out](std::uint64_t v) {
-      const std::size_t at = out.size();
-      out.resize(at + 8);
-      std::memcpy(out.data() + at, &v, 8);
-    };
     std::vector<GuestAddr> addrs;
     addrs.reserve(queues_.size());
     for (const auto& [addr, queue] : queues_) addrs.push_back(addr);
     std::sort(addrs.begin(), addrs.end());
-    put64(addrs.size());
+    le::put_u64(out, addrs.size());
     for (const GuestAddr addr : addrs) {
       const auto& queue = queues_.at(addr);
-      put64(addr);
-      put64(queue.size());
-      for (const Waiter& w : queue) {
-        put32(w.node);
-        put32(w.tid);
-        put64(w.flow);
-      }
+      le::put_u64(out, addr);
+      le::put_u64(out, queue.size());
+      for (const Waiter& w : queue) put_waiter(out, w);
     }
     addrs.clear();
     for (const auto& [addr, lease] : leases_) addrs.push_back(addr);
     std::sort(addrs.begin(), addrs.end());
-    put64(addrs.size());
+    le::put_u64(out, addrs.size());
     for (const GuestAddr addr : addrs) {
       const LeaseInfo& lease = leases_.at(addr);
-      put64(addr);
-      put32(lease.owner);
-      put32(static_cast<std::uint32_t>(lease.phase));
-      put32(lease.pending_requester);
-      put32(0);
-      put64(lease.granted_at);
+      le::put_u64(out, addr);
+      le::put_u32(out, lease.owner);
+      le::put_u32(out, static_cast<std::uint32_t>(lease.phase));
+      le::put_u32(out, lease.pending_requester);
+      le::put_u32(out, 0);
+      le::put_u64(out, lease.granted_at);
     }
   }
 
@@ -252,47 +238,27 @@ class FutexTable {
   /// The handed-off addresses were homed at the dead node, so this table
   /// has no state for them; queues are appended if one somehow exists.
   void merge_from(std::span<const std::uint8_t> data) {
-    std::size_t at = 0;
-    auto get32 = [&data, &at]() {
-      std::uint32_t v = 0;
-      assert(at + 4 <= data.size());
-      std::memcpy(&v, data.data() + at, 4);
-      at += 4;
-      return v;
-    };
-    auto get64 = [&data, &at]() {
-      std::uint64_t v = 0;
-      assert(at + 8 <= data.size());
-      std::memcpy(&v, data.data() + at, 8);
-      at += 8;
-      return v;
-    };
-    const std::uint64_t nqueues = get64();
+    le::Reader in(data);
+    const std::uint64_t nqueues = in.u64();
     for (std::uint64_t i = 0; i < nqueues; ++i) {
-      const auto addr = static_cast<GuestAddr>(get64());
-      const std::uint64_t n = get64();
+      const auto addr = static_cast<GuestAddr>(in.u64());
+      const std::uint64_t n = in.u64();
       auto& queue = queues_[addr];
-      for (std::uint64_t j = 0; j < n; ++j) {
-        Waiter w;
-        w.node = static_cast<NodeId>(get32());
-        w.tid = get32();
-        w.flow = get64();
-        queue.push_back(w);
-      }
+      for (std::uint64_t j = 0; j < n; ++j) queue.push_back(read_waiter(in));
       if (queue.empty()) queues_.erase(addr);
     }
-    const std::uint64_t nleases = get64();
+    const std::uint64_t nleases = in.u64();
     for (std::uint64_t i = 0; i < nleases; ++i) {
-      const auto addr = static_cast<GuestAddr>(get64());
+      const auto addr = static_cast<GuestAddr>(in.u64());
       LeaseInfo lease;
-      lease.owner = static_cast<NodeId>(get32());
-      lease.phase = static_cast<LeasePhase>(get32());
-      lease.pending_requester = static_cast<NodeId>(get32());
-      get32();  // pad
-      lease.granted_at = get64();
+      lease.owner = static_cast<NodeId>(in.u32());
+      lease.phase = static_cast<LeasePhase>(in.u32());
+      lease.pending_requester = static_cast<NodeId>(in.u32());
+      (void)in.u32();  // pad
+      lease.granted_at = in.u64();
       leases_[addr] = lease;
     }
-    assert(at == data.size());
+    assert(in.remaining() == 0);
   }
 
   // ---- wire packing ------------------------------------------------------
@@ -302,36 +268,35 @@ class FutexTable {
 
   static void pack_waiters(const std::vector<Waiter>& waiters,
                            std::vector<std::uint8_t>& out) {
-    out.resize(waiters.size() * kWaiterWireBytes);
-    std::uint8_t* p = out.data();
-    for (const Waiter& w : waiters) {
-      const std::uint32_t node = w.node;
-      const std::uint32_t tid = w.tid;
-      std::memcpy(p, &node, 4);
-      std::memcpy(p + 4, &tid, 4);
-      std::memcpy(p + 8, &w.flow, 8);
-      p += kWaiterWireBytes;
-    }
+    out.clear();
+    out.reserve(waiters.size() * kWaiterWireBytes);
+    for (const Waiter& w : waiters) put_waiter(out, w);
   }
 
   [[nodiscard]] static std::vector<Waiter> unpack_waiters(
       std::span<const std::uint8_t> data) {
     assert(data.size() % kWaiterWireBytes == 0);
-    std::vector<Waiter> waiters(data.size() / kWaiterWireBytes);
-    const std::uint8_t* p = data.data();
-    for (Waiter& w : waiters) {
-      std::uint32_t node = 0, tid = 0;
-      std::memcpy(&node, p, 4);
-      std::memcpy(&tid, p + 4, 4);
-      std::memcpy(&w.flow, p + 8, 8);
-      w.node = static_cast<NodeId>(node);
-      w.tid = tid;
-      p += kWaiterWireBytes;
-    }
+    std::vector<Waiter> waiters;
+    waiters.reserve(data.size() / kWaiterWireBytes);
+    le::Reader in(data);
+    while (in.remaining() != 0) waiters.push_back(read_waiter(in));
     return waiters;
   }
 
  private:
+  static void put_waiter(std::vector<std::uint8_t>& out, const Waiter& w) {
+    le::put_u32(out, w.node);
+    le::put_u32(out, w.tid);
+    le::put_u64(out, w.flow);
+  }
+  static Waiter read_waiter(le::Reader& in) {
+    Waiter w;
+    w.node = static_cast<NodeId>(in.u32());
+    w.tid = in.u32();
+    w.flow = in.u64();
+    return w;
+  }
+
   struct LeaseInfo {
     NodeId owner = kInvalidNode;
     LeasePhase phase = LeasePhase::kNone;

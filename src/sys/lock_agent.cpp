@@ -18,24 +18,8 @@ LockAgent::LockAgent(NodeId id, const SysConfig& config,
       queue_(queue),
       network_(network),
       stats_(stats),
-      tracer_(tracer),
+      trace_{tracer, trace::Cat::kSys, id},
       wake_local_(std::move(wake_local)) {}
-
-void LockAgent::note(const char* name, trace::Kind kind, std::uint64_t flow,
-                     std::uint64_t a, std::uint64_t b) {
-  if (!trace::wants(tracer_, trace::Cat::kSys)) return;
-  trace::Record r;
-  r.time = queue_.now();
-  r.name = name;
-  r.kind = kind;
-  r.cat = trace::Cat::kSys;
-  r.node = id_;
-  r.track = trace::kTrackNode;
-  r.flow = flow;
-  r.a = a;
-  r.b = b;
-  tracer_->record(r);
-}
 
 std::size_t LockAgent::parked_waiters() const {
   std::size_t n = 0;
@@ -141,7 +125,8 @@ void LockAgent::local_wait(GuestAddr addr, GuestTid tid, std::uint64_t flow) {
   assert(owns(addr));
   owned_[addr].queue.push_back(FutexTable::Waiter{id_, tid, flow});
   if (stats_ != nullptr) stats_->add("sys.lock_local_waits");
-  note("sys.lock_local_wait", trace::Kind::kFlowStep, flow, addr, tid);
+  trace_.emit(queue_.now(), "sys.lock_local_wait", trace::Kind::kFlowStep,
+              flow, addr, tid);
 }
 
 std::uint32_t LockAgent::local_wake(GuestAddr addr, std::uint32_t count) {
@@ -176,8 +161,8 @@ std::uint32_t LockAgent::wake_from_entry(GuestAddr addr, Entry& entry,
     if (w.node == id_) {
       ++entry.local_streak;
       if (stats_ != nullptr) stats_->add("sys.lock_local_grants");
-      note("sys.lock_local_grant", trace::Kind::kFlowStep, w.flow, addr,
-           w.tid);
+      trace_.emit(queue_.now(), "sys.lock_local_grant",
+                  trace::Kind::kFlowStep, w.flow, addr, w.tid);
       wake_local_(w.tid, w.flow);
     } else {
       entry.local_streak = 0;
@@ -208,8 +193,8 @@ std::uint32_t LockAgent::wake_from_entry(GuestAddr addr, Entry& entry,
     batch.b = waiters.size();
     FutexTable::pack_waiters(waiters, batch.data);
     if (stats_ != nullptr) stats_->add("sys.wake_batches");
-    note("sys.wake_batched", trace::Kind::kInstant, 0, addr,
-         waiters.size());
+    trace_.emit(queue_.now(), "sys.wake_batched", trace::Kind::kInstant, 0,
+                addr, waiters.size());
     network_.send(std::move(batch));
   }
   return woken;
@@ -226,9 +211,10 @@ void LockAgent::note_delegated(GuestAddr addr) {
   req.type = static_cast<std::uint32_t>(SysMsg::kLeaseReq);
   req.a = addr;
   if (stats_ != nullptr) stats_->add("sys.lease_requests");
-  if (trace::wants(tracer_, trace::Cat::kSys)) {
-    req.flow = tracer_->new_flow();
-    note("sys.lease_acquire", trace::Kind::kFlowBegin, req.flow, addr, 0);
+  if (trace_.on()) {
+    req.flow = trace_.tracer->new_flow();
+    trace_.record(queue_.now(), "sys.lease_acquire", trace::Kind::kFlowBegin,
+                  req.flow, addr, 0);
   }
   network_.send(std::move(req));
 }
@@ -254,8 +240,8 @@ void LockAgent::on_lease_grant(const net::Message& msg) {
   delegated_ops_.erase(addr);
   sent_returns_.erase(addr);  // the protocol moved past the last return
   if (msg.flow != 0 && (msg.flow & trace::kAutoFlowBit) == 0) {
-    note("sys.lease_acquire", trace::Kind::kFlowEnd, msg.flow, addr,
-         handed.size());
+    trace_.emit(queue_.now(), "sys.lease_acquire", trace::Kind::kFlowEnd,
+                msg.flow, addr, handed.size());
   }
 }
 
@@ -267,7 +253,8 @@ void LockAgent::on_lease_recall(const net::Message& msg) {
     // while our lease return was still crossing the wire. The return is
     // already on its way, so there is nothing left to hand back.
     if (stats_ != nullptr) stats_->add("sys.dup_recalls_ignored");
-    note("sys.dup_recall", trace::Kind::kInstant, msg.flow, addr, 0);
+    trace_.emit(queue_.now(), "sys.dup_recall", trace::Kind::kInstant,
+                msg.flow, addr, 0);
     return;
   }
   // Hand the whole queue (locals included, tagged with this node's id)
@@ -285,8 +272,8 @@ void LockAgent::on_lease_recall(const net::Message& msg) {
   ret.flow = msg.flow;  // keep riding the recalling requester's chain
   FutexTable::pack_waiters(queue, ret.data);
   if (msg.flow != 0 && (msg.flow & trace::kAutoFlowBit) == 0) {
-    note("sys.lease_return", trace::Kind::kFlowStep, msg.flow, addr,
-         queue.size());
+    trace_.emit(queue_.now(), "sys.lease_return", trace::Kind::kFlowStep,
+                msg.flow, addr, queue.size());
   }
   network_.send(std::move(ret));
   if (network_.faults_active()) {
@@ -303,8 +290,8 @@ void LockAgent::on_wait_handoff(const net::Message& msg) {
   assert(owns(addr));
   owned_[addr].queue.push_back(FutexTable::Waiter{
       static_cast<NodeId>(msg.c), static_cast<GuestTid>(msg.b), msg.flow});
-  note("sys.lock_handoff_wait", trace::Kind::kFlowStep, msg.flow, addr,
-       msg.b);
+  trace_.emit(queue_.now(), "sys.lock_handoff_wait", trace::Kind::kFlowStep,
+              msg.flow, addr, msg.b);
 }
 
 void LockAgent::on_wake_handoff(const net::Message& msg) {

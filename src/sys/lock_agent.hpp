@@ -131,15 +131,12 @@ class LockAgent {
   std::uint32_t wake_from_entry(GuestAddr addr, Entry& entry,
                                 std::uint32_t count);
 
-  void note(const char* name, trace::Kind kind, std::uint64_t flow,
-            std::uint64_t a, std::uint64_t b);
-
   NodeId id_;
   const SysConfig& config_;
   sim::EventQueue& queue_;
   net::Network& network_;
   StatsRegistry* stats_;
-  trace::Tracer* tracer_;
+  trace::Site trace_;  ///< kSys records on this node's track
   WakeLocalFn wake_local_;
   HomeResolver home_resolver_;
 

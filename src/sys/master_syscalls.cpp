@@ -35,26 +35,10 @@ MasterSyscalls::MasterSyscalls(net::Network& network, sim::EventQueue& queue,
       machine_(machine),
       service_cycles_(service_cycles),
       stats_(stats),
-      tracer_(tracer),
+      trace_{tracer, trace::Cat::kSys, kMasterNode, trace::kTrackManager},
       futex_(kMasterNode, network, queue, machine, service_cycles, stats,
              tracer),
       page_mask_(machine.page_size - 1) {}
-
-void MasterSyscalls::note(const char* name, std::uint64_t flow,
-                          std::uint64_t a, std::uint64_t b) {
-  if (!trace::wants(tracer_, trace::Cat::kSys)) return;
-  trace::Record r;
-  r.time = queue_.now();
-  r.name = name;
-  r.kind = flow == 0 ? trace::Kind::kInstant : trace::Kind::kFlowStep;
-  r.cat = trace::Cat::kSys;
-  r.node = kMasterNode;
-  r.track = trace::kTrackManager;
-  r.flow = flow;
-  r.a = a;
-  r.b = b;
-  tracer_->record(r);
-}
 
 void MasterSyscalls::configure_memory(GuestAddr brk_start,
                                       GuestAddr mmap_start,
@@ -109,7 +93,7 @@ void MasterSyscalls::handle_message(const net::Message& msg) {
   req.payload = std::span<const std::uint8_t>(msg.data).subspan(16);
   req.flow = msg.flow;
   if (stats_ != nullptr) stats_->add("sys.delegated");
-  note("sys.service", req.flow, msg.a, req.tid);
+  trace_.step(queue_.now(), "sys.service", req.flow, msg.a, req.tid);
   dispatch(req);
 }
 

@@ -122,16 +122,13 @@ class MasterSyscalls {
   /// same delay every response pays, so per-channel FIFO order follows
   /// master processing order).
   void send_after_service(net::Message msg);
-  /// Records a master-side edge of chain `flow` on the manager track.
-  void note(const char* name, std::uint64_t flow, std::uint64_t a,
-            std::uint64_t b);
 
   net::Network& network_;
   sim::EventQueue& queue_;
   MachineConfig machine_;
   std::uint32_t service_cycles_;
   StatsRegistry* stats_;
-  trace::Tracer* tracer_;
+  trace::Site trace_;  ///< kSys records on the master's manager track
   Hooks hooks_;
   ServeHandler serve_handler_;
   Vfs vfs_;

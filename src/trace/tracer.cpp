@@ -33,6 +33,20 @@ void Tracer::record(const Record& r) {
   append(bound_owner_ == this ? *bound_sink_ : main_, r);
 }
 
+void Site::record(TimePs time, const char* name, Kind kind, std::uint64_t flow,
+                  std::uint64_t a, std::uint64_t b, GuestTid tid) const {
+  tracer->record({.time = time,
+                  .name = name,
+                  .flow = flow,
+                  .a = a,
+                  .b = b,
+                  .tid = tid,
+                  .node = node,
+                  .track = track,
+                  .kind = kind,
+                  .cat = cat});
+}
+
 std::uint64_t Tracer::new_flow() {
   if (bound_owner_ == this) {
     // Shard-local namespace: disjoint from main_'s low ids and from every

@@ -3,25 +3,24 @@
 // A bounded ring buffer of typed Records plus a monotonic causal-id
 // allocator. The tracer never influences the simulation: recording is a
 // side-effect-free observation, so virtual-time results are identical with
-// tracing on, off, or compiled out entirely.
+// tracing on or off.
 //
-// Cost model:
-//   - no tracer attached          -> one null-pointer test per site
-//   - category masked off         -> one load + AND per site
-//   - DQEMU_TRACING_ENABLED == 0  -> sites compile to nothing at all
-// The per-site test is cheap, but the sites sit on the hottest protocol
-// paths, so the runtime-off build still measurably trails the compiled-out
-// one on serving workloads (DESIGN.md §9). That is why this is the one
-// compile-time gate kept.
+// Tracing has one switch, at run time: the tracer pointer a component is
+// given (null = off) and the category mask in its TraceConfig. Every
+// instrumentation site goes through a Site, whose inline on() test is the
+// whole cost of the site when tracing is off:
 //
-// Instrumentation sites are written as
+//     trace_.step(queue_.now(), "dsm.invalidate", msg.flow, page, 0);
 //
-//     if (trace::wants(tracer_, trace::Cat::kNet)) {
-//       tracer_->record({...});
+//     if (trace_.on()) {  // a site that also opens a causal chain
+//       req.flow = trace_.tracer->new_flow();
+//       trace_.record(queue_.now(), "sys.lease_acquire",
+//                     trace::Kind::kFlowBegin, req.flow, addr, 0);
 //     }
 //
-// With tracing compiled out, `wants` is a constexpr false and the whole
-// block is dead code.
+// The record itself is built out of line, in Site::record(), so an
+// instrumented hot function carries one predicted branch per site and no
+// record-building code.
 #pragma once
 
 #include <cstddef>
@@ -35,10 +34,6 @@
 
 #include "common/types.hpp"
 #include "trace/record.hpp"
-
-#ifndef DQEMU_TRACING_ENABLED
-#define DQEMU_TRACING_ENABLED 1
-#endif
 
 namespace dqemu::trace {
 
@@ -130,16 +125,43 @@ class Tracer {
   static thread_local std::uint64_t bound_index_;
 };
 
-#if DQEMU_TRACING_ENABLED
 /// Gate for instrumentation sites; false when no tracer is attached or the
 /// category is masked off.
 [[nodiscard]] inline bool wants(const Tracer* t, Cat c) {
   return t != nullptr && t->wants(c);
 }
-#else
-/// Compiled-out path: every instrumentation block is dead code.
-[[nodiscard]] constexpr bool wants(const Tracer*, Cat) { return false; }
-#endif
+
+/// Where one instrumentation site records: the tracer plus the category,
+/// node and track every record from the site carries. Components build
+/// their sites once; a per-message or per-core lane is built in place.
+struct Site {
+  Tracer* tracer = nullptr;
+  Cat cat = Cat::kSim;
+  NodeId node = 0;
+  std::uint16_t track = kTrackNode;
+
+  /// The site's gate: one inline branch when no tracer is attached.
+  [[nodiscard]] bool on() const { return wants(tracer, cat); }
+
+  /// Builds one Record at this site and appends it. The one record
+  /// builder, out of line on purpose; callers test on() first.
+  void record(TimePs time, const char* name, Kind kind, std::uint64_t flow,
+              std::uint64_t a, std::uint64_t b, GuestTid tid = 0) const;
+
+  /// record() behind the on() gate.
+  void emit(TimePs time, const char* name, Kind kind, std::uint64_t flow,
+            std::uint64_t a, std::uint64_t b, GuestTid tid = 0) const {
+    if (on()) record(time, name, kind, flow, a, b, tid);
+  }
+
+  /// emit() of a protocol step: a kFlowStep in chain `flow`, or a lone
+  /// kInstant when the step belongs to no chain.
+  void step(TimePs time, const char* name, std::uint64_t flow,
+            std::uint64_t a, std::uint64_t b) const {
+    emit(time, name, flow == 0 ? Kind::kInstant : Kind::kFlowStep, flow, a,
+         b);
+  }
+};
 
 /// Parses a comma-separated category list ("net,dsm,sys", "all",
 /// "default") into a bitmask; nullopt on an unknown name.

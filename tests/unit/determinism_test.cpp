@@ -15,12 +15,15 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 
+#include "dsm/wire.hpp"
+#include "sys/wire.hpp"
 #include "testutil.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
@@ -239,9 +242,7 @@ void expect_pinned(const char* scenario, const isa::Program& program,
   EXPECT_EQ(d.breakdowns, pinned->breakdown_digest);
   EXPECT_EQ(d.counters, pinned->counters_digest);
   EXPECT_EQ(d.hists, pinned->hist_digest);
-#if DQEMU_TRACING_ENABLED  // a build without instrumentation exports nothing
   EXPECT_EQ(d.trace, pinned->trace_digest);
-#endif
 }
 
 /// A hot threshold low enough that traces form inside these small
@@ -489,6 +490,208 @@ TEST(ServeDeterminism, DisabledServingReproducesTheBatchBaseline) {
                    observe_with(program, constructed));
 }
 
+// ---- every record site, pinned ----------------------------------------------
+//
+// The determinism tests above compare two runs of one build, so they cannot
+// see a change to what a trace record says. These rows pin the text export
+// of runs that reach the serving, lossy-wire, watchdog, crash, pause, lease,
+// home-sharding, split/diff/forwarding, migration, event-queue and DBT
+// record sites, with every category but kCounter (counter records sample
+// host-only counters). kDbt records follow host-side trace formation, so
+// they have their own digest: a formation change re-pins that one value.
+// No run here reaches sys.lease_revoked, sys.wake_batched or
+// dbt.sb_invalidated. Recorded at commit
+// 9a9940490a6037d1c838c620eb2f3d78e2f1fa4a.
+
+struct PinnedTrace {
+  const char* scenario;
+  std::size_t records;         ///< exported records, for a readable diff
+  std::uint64_t trace_digest;  ///< every category but kCounter and kDbt
+  std::uint64_t dbt_digest;    ///< kDbt records only
+};
+
+constexpr PinnedTrace kRecordSiteRuns[] = {
+    {"serve_2n", 10244, 0xb86d56cefd60eeddull, 0x389b48f8400ca642ull},
+    {"lossy_mutex_2n", 3834, 0xb94946a0ba25fe96ull, 0xcae89208919dbedfull},
+    {"recall_watchdog_2n", 6110, 0x4bd91a4dbdb37a9eull, 0xc18b5dd6b94fb625ull},
+    {"dsm_watchdog_2n", 640, 0x8c3abab8b94246dfull, 0xe097b4116aca10edull},
+    {"crash_900us_4n", 14012, 0xe56b7fd86c2a69faull, 0xe06465fdb02d6078ull},
+    {"crash_1500us_4n", 12425, 0xd3bee14ae4017316ull, 0x73c1aa3a0b85d8e2ull},
+    {"pause_4n", 13057, 0x3c1adbabd9e2a6fdull, 0xa948e640990979c2ull},
+    {"crash_sharded_hier_4n", 12441, 0x684637ad598f44fbull,
+     0xcfc4e828fb4fc138ull},
+    {"sharded_hier_mutex_4n", 4598, 0xe8f1488aad464dabull,
+     0x123587ec055f8298ull},
+    {"false_sharing_split_diff_4n", 5055, 0x2a2360549b28daa5ull,
+     0x40a1dbaedfe57818ull},
+    {"memwalk_forward_3n", 1129, 0xd2596b36d1686bf0ull, 0xb75f159ad1d74cc8ull},
+    {"migrate_3n", 7681, 0xe1457616fce96496ull, 0x91ac5df0e7230b93ull},
+    {"hot_traces_2n", 1255, 0x07e449a877d9b590ull, 0x1bfc2b9dd96a9209ull},
+};
+
+PinnedTrace trace_digests(
+    const char* scenario, const isa::Program& program,
+    const ClusterConfig& config,
+    const std::function<void(core::Cluster&)>& before_run) {
+  trace::TraceConfig trace_config;
+  trace_config.categories =
+      trace::kAllCategories & ~trace::cat_bit(trace::Cat::kCounter);
+  trace::Tracer tracer(trace_config);
+  core::Cluster cluster(config, &tracer);
+  const Status load_status = cluster.load(program);
+  EXPECT_TRUE(load_status.is_ok()) << load_status.to_string();
+  if (before_run) before_run(cluster);
+  const auto run = cluster.run();
+  EXPECT_TRUE(run.is_ok()) << run.status().to_string();
+  EXPECT_EQ(tracer.dropped(), 0u) << "ring too small to pin every record";
+
+  std::string rest;
+  std::string dbt;
+  std::size_t records = 0;
+  std::istringstream lines(trace::to_text(tracer));
+  for (std::string line; std::getline(lines, line); ++records) {
+    std::istringstream fields(line);
+    std::string time, kind, cat;
+    fields >> time >> kind >> cat;
+    (cat == trace::cat_name(trace::Cat::kDbt) ? dbt : rest) += line + '\n';
+  }
+  return {scenario, records, fnv1a(rest), fnv1a(dbt)};
+}
+
+/// Runs `program` under `config` and checks it against its pinned row.
+void expect_pinned_trace(
+    const char* scenario, const isa::Program& program,
+    const ClusterConfig& config,
+    const std::function<void(core::Cluster&)>& before_run = {}) {
+  const PinnedTrace got = trace_digests(scenario, program, config, before_run);
+  char row[160];
+  std::snprintf(row, sizeof row,
+                "{\"%s\", %zu, 0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull},",
+                scenario, got.records, got.trace_digest, got.dbt_digest);
+  const PinnedTrace* pinned = nullptr;
+  for (const PinnedTrace& r : kRecordSiteRuns) {
+    if (std::string_view(r.scenario) == scenario) pinned = &r;
+  }
+  ASSERT_NE(pinned, nullptr) << "no pinned row; measured\n" << row;
+  SCOPED_TRACE(std::string("measured row:\n") + row);
+  EXPECT_EQ(got.records, pinned->records);
+  EXPECT_EQ(got.trace_digest, pinned->trace_digest);
+  EXPECT_EQ(got.dbt_digest, pinned->dbt_digest);
+}
+
+/// node_fault_test's serving cluster with one scripted node fault.
+ClusterConfig node_fault_config(FaultConfig::NodeFault::Kind kind, NodeId node,
+                                TimePs at, DurationPs pause_for = 0) {
+  ClusterConfig config = test::test_config(4);
+  config.serve.enabled = true;
+  config.serve.requests = 200;
+  config.serve.rate = 4000.0;
+  config.serve.workers = 12;
+  config.faults.enabled = true;
+  config.faults.node_faults.push_back(
+      {.kind = kind, .node = node, .at = at, .pause_for = pause_for});
+  return config;
+}
+
+TEST(TraceSites, ServingRun) {
+  expect_pinned_trace("serve_2n", must(workloads::serve_pool({.workers = 8})),
+                      serving_config(2, 7));
+}
+
+TEST(TraceSites, LossyWireWithDropDupAndJitter) {
+  expect_pinned_trace("lossy_mutex_2n",
+                      must(workloads::mutex_stress(16, 100, /*global=*/true)),
+                      fault_config(2, 7));
+}
+
+TEST(TraceSites, ProtocolWatchdogsFire) {
+  // fault_test's FaultRecovery runs: one dropped lease return or page grant
+  // behind a far-off retransmit, so the recall and DSM watchdogs re-issue.
+  using time_literals::kMs;
+  ClusterConfig recall = locking_config(2, /*hier=*/true);
+  recall.faults.enabled = true;
+  recall.sys.lease_min_hold = 1 * kMs;
+  recall.faults.retrans_timeout = 20 * kMs;
+  recall.faults.retrans_cap = 40 * kMs;
+  recall.faults.request_timeout = 2 * kMs;
+  recall.faults.rules.push_back(
+      {.type = static_cast<std::uint32_t>(sys::SysMsg::kLeaseReturn),
+       .drop_pct = 100,
+       .max_matches = 1});
+  expect_pinned_trace("recall_watchdog_2n",
+                      must(workloads::mutex_stress(16, 200, /*global=*/true)),
+                      recall);
+  ClusterConfig grant = test::test_config(2);
+  grant.faults.enabled = true;
+  grant.faults.retrans_timeout = 50 * kMs;
+  grant.faults.retrans_cap = 100 * kMs;
+  grant.faults.request_timeout = 2 * kMs;
+  grant.faults.rules.push_back(
+      {.type = static_cast<std::uint32_t>(dsm::DsmMsg::kPageData),
+       .src = kMasterNode,
+       .drop_pct = 100,
+       .max_matches = 1});
+  expect_pinned_trace("dsm_watchdog_2n",
+                      must(workloads::memwalk(32 * 1024, 1, true)), grant);
+}
+
+TEST(TraceSites, NodeCrashAndPause) {
+  using Kind = FaultConfig::NodeFault::Kind;
+  using time_literals::kUs;
+  const auto program = must(workloads::serve_pool({.workers = 12}));
+  expect_pinned_trace("crash_900us_4n", program,
+                      node_fault_config(Kind::kCrash, 2, 900 * kUs));
+  expect_pinned_trace("crash_1500us_4n", program,
+                      node_fault_config(Kind::kCrash, 2, 1500 * kUs));
+  expect_pinned_trace("pause_4n", program,
+                      node_fault_config(Kind::kPause, 3, 800 * kUs,
+                                        500 * kUs));
+  ClusterConfig sharded = node_fault_config(Kind::kCrash, 2, 900 * kUs);
+  sharded.dsm.enable_home_sharding = true;
+  sharded.dsm.home_placement = HomePlacement::kFirstTouch;
+  sharded.sys.enable_hierarchical_locking = true;
+  expect_pinned_trace("crash_sharded_hier_4n", program, sharded);
+}
+
+TEST(TraceSites, HomeShardedLeases) {
+  ClusterConfig config = locking_config(4, /*hier=*/true);
+  config.dsm.enable_home_sharding = true;
+  expect_pinned_trace("sharded_hier_mutex_4n",
+                      must(workloads::mutex_stress(16, 50, /*global=*/true)),
+                      config);
+}
+
+TEST(TraceSites, DsmSplitDiffAndForwarding) {
+  ClusterConfig split_diff = test::test_config(4);
+  split_diff.sched.policy = SchedPolicy::kHintLocality;
+  split_diff.dsm.enable_splitting = true;
+  split_diff.dsm.enable_diff_transfers = true;
+  expect_pinned_trace("false_sharing_split_diff_4n",
+                      must(workloads::false_sharing_walk(32, 128, 400, 4)),
+                      split_diff);
+  ClusterConfig forwarding = test::test_config(3);
+  forwarding.dsm.enable_forwarding = true;
+  expect_pinned_trace("memwalk_forward_3n",
+                      must(workloads::memwalk(128 * 1024, 2, true)),
+                      forwarding);
+}
+
+TEST(TraceSites, ThreadMigration) {
+  // Cluster.MigrationMovesThread's run: migrate tid 2 once the workers exist.
+  expect_pinned_trace(
+      "migrate_3n", must(workloads::pi_taylor(2, 4000, 1000)),
+      test::test_config(3), [](core::Cluster& cluster) {
+        (void)cluster.queue().run(600);
+        const NodeId from = cluster.thread_node(2);
+        EXPECT_TRUE(cluster.migrate_thread(2, from == 1 ? 2 : 1).is_ok());
+      });
+}
+
+TEST(TraceSites, HotTracesWithQueueAndDbtRecords) {
+  expect_pinned_trace("hot_traces_2n",
+                      must(workloads::mutex_stress(4, 20, /*global=*/true)),
+                      hot_trace_config(2));
+}
 
 // ---- the paper baseline, pinned -------------------------------------------
 //

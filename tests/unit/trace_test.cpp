@@ -26,15 +26,6 @@ using trace::Kind;
 using trace::Record;
 using trace::Tracer;
 
-// Instrumentation sites vanish when built with -DDQEMU_ENABLE_TRACING=OFF;
-// tests that rely on records from a cluster run are skipped in that build.
-#if DQEMU_TRACING_ENABLED
-#define SKIP_WITHOUT_TRACING() (void)0
-#else
-#define SKIP_WITHOUT_TRACING() \
-  GTEST_SKIP() << "built with DQEMU_ENABLE_TRACING=OFF"
-#endif
-
 Record make_record(std::uint64_t seq) {
   Record r;
   r.time = seq * 100;
@@ -80,10 +71,8 @@ TEST(Tracer, CategoryMaskGatesWants) {
   trace::TraceConfig config;
   config.categories = trace::cat_bit(Cat::kNet) | trace::cat_bit(Cat::kDsm);
   Tracer tracer(config);
-#if DQEMU_TRACING_ENABLED
   EXPECT_TRUE(trace::wants(&tracer, Cat::kNet));
   EXPECT_TRUE(trace::wants(&tracer, Cat::kDsm));
-#endif
   EXPECT_FALSE(trace::wants(&tracer, Cat::kSim));
   EXPECT_FALSE(trace::wants(&tracer, Cat::kCounter));
   // Null tracer: every site is off.
@@ -280,7 +269,6 @@ TracedRun run_traced(const ClusterConfig& config, const isa::Program& program,
 }
 
 TEST(TraceExport, ChromeJsonIsValidAndCoversAllLayers) {
-  SKIP_WITHOUT_TRACING();
   const auto program = workloads::mutex_stress(4, 20, /*global=*/true).take();
   const TracedRun run = run_traced(test::test_config(2), program);
   ASSERT_FALSE(run.records.empty());
@@ -301,7 +289,6 @@ TEST(TraceExport, ChromeJsonIsValidAndCoversAllLayers) {
 }
 
 TEST(TraceExport, SpanBeginEndBalancePerTrack) {
-  SKIP_WITHOUT_TRACING();
   const auto program = workloads::pi_taylor(2, 2, 50).take();
   const TracedRun run = run_traced(test::test_config(2), program);
 
@@ -321,7 +308,6 @@ TEST(TraceExport, SpanBeginEndBalancePerTrack) {
 }
 
 TEST(TraceExport, TimestampsAreMonotonic) {
-  SKIP_WITHOUT_TRACING();
   const auto program = workloads::pi_taylor(2, 2, 50).take();
   const TracedRun run = run_traced(test::test_config(2), program);
   ASSERT_FALSE(run.records.empty());
@@ -333,7 +319,6 @@ TEST(TraceExport, TimestampsAreMonotonic) {
 }
 
 TEST(TraceDeterminism, IdenticalRunsProduceIdenticalTraces) {
-  SKIP_WITHOUT_TRACING();
   const auto program = workloads::mutex_stress(4, 15, /*global=*/true).take();
   const TracedRun a = run_traced(test::test_config(2), program);
   const TracedRun b = run_traced(test::test_config(2), program);
@@ -357,7 +342,6 @@ TEST(TraceDeterminism, TracingDoesNotPerturbVirtualTime) {
 }
 
 TEST(TraceFlows, RemotePageFaultHasBeginAndEnd) {
-  SKIP_WITHOUT_TRACING();
   const auto program = workloads::mutex_stress(4, 10, /*global=*/true).take();
   const TracedRun run = run_traced(test::test_config(2), program);
 
@@ -376,7 +360,6 @@ TEST(TraceFlows, RemotePageFaultHasBeginAndEnd) {
 }
 
 TEST(TraceFlows, FutexWaitAndWakeShareACausalChain) {
-  SKIP_WITHOUT_TRACING();
   // Cross-node mutex contention: some thread must lose the lock race,
   // futex-wait on the master, and later be woken by the holder's unlock.
   const auto program = workloads::mutex_stress(4, 20, /*global=*/true).take();
@@ -415,7 +398,6 @@ TEST(TraceFlows, FutexWaitAndWakeShareACausalChain) {
 }
 
 TEST(TraceFlows, SendRecordsReconcileWithWireStats) {
-  SKIP_WITHOUT_TRACING();
   // Census invariant: every message leaves exactly one send-side NIC record,
   // and every such record is either a wire message or a loopback. Without
   // the net.loopback counter the two sides cannot be reconciled.
@@ -444,7 +426,6 @@ TEST(TraceFlows, SendRecordsReconcileWithWireStats) {
 }
 
 TEST(TraceCounters, SnapshotsAreMonotonicTimelines) {
-  SKIP_WITHOUT_TRACING();
   const auto program = workloads::pi_taylor(2, 3, 100).take();
   const TracedRun run = run_traced(test::test_config(2), program);
 
@@ -465,7 +446,6 @@ TEST(TraceCounters, SnapshotsAreMonotonicTimelines) {
 }
 
 TEST(TraceCategories, MaskSuppressesLayers) {
-  SKIP_WITHOUT_TRACING();
   const auto program = workloads::mutex_stress(4, 10, /*global=*/true).take();
   trace::TraceConfig net_only;
   net_only.categories = trace::cat_bit(Cat::kNet);
