@@ -201,20 +201,11 @@ struct FaultConfig {
   };
   std::vector<Rule> rules;
 
-  /// Straggler windows: deliveries *to* a paused node are deferred to the
-  /// end of the window (the node's communicator thread is wedged).
-  struct Pause {
-    std::uint32_t node = 0;
-    TimePs start = 0;
-    DurationPs duration = 0;
-  };
-  std::vector<Pause> pauses;
-
   /// Whole-node fault plane (DESIGN.md §18). A crash kills the node at a
   /// seeded virtual time: its threads are captured and re-homed, its leases
   /// and copysets revoked, and a hosted home shard handed to the master. A
-  /// pause is normalized into a `Pause` window (the node's communicator
-  /// wedges, then rejoins). node == 0 / at == 0 draw the target node and
+  /// pause freezes the node and buffers its inbound messages until it
+  /// rejoins (Node::pause). node == 0 / at == 0 draw the target node and
   /// fault time from the same counter-based SplitMix64 stream as the wire
   /// faults, so same-seed runs fail identically. With the vector empty
   /// every code path is bit-for-bit the lossy-wire-only plane.
@@ -223,7 +214,7 @@ struct FaultConfig {
     Kind kind = Kind::kCrash;
     std::uint32_t node = 0;   ///< slave node id, or 0 = drawn from the seed
     TimePs at = 0;            ///< fault time, or 0 = drawn in fault_window
-    DurationPs pause_for = 0; ///< kPause: how long deliveries are deferred
+    DurationPs pause_for = 0; ///< kPause: how long the node stays frozen
   };
   std::vector<NodeFault> node_faults;
   /// Draw window for NodeFault::at == 0: the fault time lands uniformly in
@@ -244,21 +235,6 @@ struct FaultConfig {
   /// their request after this long without progress (then back off 2x,
   /// capped at 8x). 0 disables the watchdogs even with faults enabled.
   DurationPs request_timeout = 100 * time_literals::kMs;
-
-  /// True when `node` is inside a pause window at `now`; `until` receives
-  /// the latest matching window end.
-  [[nodiscard]] bool paused_at(std::uint32_t node, TimePs now,
-                               TimePs* until) const {
-    TimePs end = 0;
-    for (const Pause& p : pauses) {
-      if (p.node == node && now >= p.start && now < p.start + p.duration) {
-        end = end > p.start + p.duration ? end : p.start + p.duration;
-      }
-    }
-    if (end == 0) return false;
-    *until = end;
-    return true;
-  }
 };
 
 /// Delegated-syscall layer: hierarchical distributed locking (the third

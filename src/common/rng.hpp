@@ -8,16 +8,9 @@
 
 #include <cstdint>
 
-namespace dqemu {
+#include "common/hash.hpp"
 
-/// splitmix64 step: used for seeding and as a cheap stateless mixer.
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97f4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
+namespace dqemu {
 
 /// xoshiro256** generator. Satisfies UniformRandomBitGenerator.
 class Rng {

@@ -3,28 +3,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 namespace dqemu::core {
-
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t h) {
-  for (const std::uint8_t b : bytes) h = fnv1a_step(h, b);
-  return h;
-}
-
-std::uint64_t fnv1a_u32(std::uint32_t v, std::uint64_t h) {
-  std::uint8_t raw[4];
-  std::memcpy(raw, &v, 4);
-  return fnv1a(raw, h);
-}
-
-std::uint64_t fnv1a_u64(std::uint64_t v, std::uint64_t h) {
-  std::uint8_t raw[8];
-  std::memcpy(raw, &v, 8);
-  return fnv1a(raw, h);
-}
 
 void CheckpointImage::add(std::string name, std::uint64_t digest) {
   digests.emplace_back(std::move(name), digest);

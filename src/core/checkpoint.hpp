@@ -1,9 +1,9 @@
 // Cooperative cluster checkpoint / restore (DESIGN.md §18).
 //
 // A checkpoint is a virtual-time-stamped fingerprint of the whole cluster:
-// one FNV-1a digest per component (each node's address space and thread
-// contexts, every directory shard, every futex/lease table, the serving
-// plane's queues), captured at a clean cut — the simulation has finished
+// one FNV-1a digest (common/hash.hpp) per component (each node's address
+// space and thread contexts, every directory shard, every futex/lease
+// table, the serving plane's queues), captured at a clean cut — the simulation has finished
 // every event strictly before T and started none at-or-after it, so both
 // scheduler kernels capture the identical state.
 //
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,19 +24,6 @@
 #include "common/types.hpp"
 
 namespace dqemu::core {
-
-/// 64-bit FNV-1a, the repo's standard content fingerprint.
-[[nodiscard]] constexpr std::uint64_t fnv1a_seed() {
-  return 0xCBF29CE484222325ULL;
-}
-[[nodiscard]] constexpr std::uint64_t fnv1a_step(std::uint64_t h,
-                                                 std::uint8_t byte) {
-  return (h ^ byte) * 0x00000100000001B3ULL;
-}
-[[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
-                                  std::uint64_t h = fnv1a_seed());
-[[nodiscard]] std::uint64_t fnv1a_u32(std::uint32_t v, std::uint64_t h);
-[[nodiscard]] std::uint64_t fnv1a_u64(std::uint64_t v, std::uint64_t h);
 
 struct CheckpointImage {
   static constexpr std::uint32_t kVersion = 1;

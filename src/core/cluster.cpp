@@ -5,14 +5,13 @@
 #include <mutex>
 #include <span>
 
+#include "common/hash.hpp"
 #include "common/le_bytes.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "dsm/placement.hpp"
 #include "dsm/wire.hpp"
 #include "isa/syscall_abi.hpp"
 #include "net/fault/node_faults.hpp"
-#include "sys/futex_table.hpp"
 #include "sys/wire.hpp"
 
 namespace dqemu::core {
@@ -80,66 +79,64 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
   // Shadow pool: top of the guest space (geometry from the placement layer).
   const dsm::HomeLayout& layout = home_map_.layout();
   const bool sharded = home_map_.sharded();
-
-  if (!config_.single_node_baseline) {
-    dsm::Directory::Params params;
-    params.dsm = config_.dsm;
-    params.machine = config_.machine;
-    params.node_count = total;
-    params.shadow_pool_first_page =
-        static_cast<std::uint32_t>(layout.shadow_first_page);
-    params.shadow_pool_page_count =
-        sharded ? 0 : static_cast<std::uint32_t>(layout.shadow_page_count);
-    params.self = kMasterNode;
-    params.sharded = sharded;
-    directory_.emplace(network_, queue_, nodes_[kMasterNode]->space(), params,
-                       &stats_, tracer_);
-    if (sharded) {
-      // The sharded Directory ctor skips the single-master boot claim, but
-      // the master still owns every byte at boot (it loads the image): the
-      // shards' entries default to owner == master, so their first
-      // transaction recalls the boot content from the master's client over
-      // the ordinary wire protocol. The master's own shard gets an empty
-      // shadow slice — it never splits pages — so the whole pool is split
-      // among the slave homes.
-      mem::AddressSpace& master_space = nodes_[kMasterNode]->space();
-      master_space.set_all_access(mem::PageAccess::kReadWrite);
-      for (std::uint64_t i = 0; i < layout.shadow_page_count; ++i) {
-        master_space.set_access(
-            static_cast<std::uint32_t>(layout.shadow_first_page + i),
-            mem::PageAccess::kNone);
-      }
-      home_shards_.resize(total);
-      futex_homes_.resize(total);
-      for (NodeId id = 1; id < total; ++id) {
-        sim::EventQueue& node_queue = queues_.empty() ? queue_ : *queues_[id];
-        dsm::Directory::Params sp = params;
-        sp.machine = config_.machine_for(id);
-        sp.self = id;
-        sp.shadow_pool_first_page =
-            static_cast<std::uint32_t>(layout.slice_first(id));
-        sp.shadow_pool_page_count =
-            static_cast<std::uint32_t>(layout.slice_count(id));
-        home_shards_[id] = std::make_unique<dsm::Directory>(
-            network_, node_queue, nodes_[id]->space(), sp, &stats_, tracer_);
-        futex_homes_[id] = std::make_unique<sys::FutexService>(
-            id, network_, node_queue, config_.machine_for(id),
-            config_.dbt.syscall_service_cycles, &stats_, tracer_);
-        futex_homes_[id]->configure_locking(config_.sys);
-        futex_homes_[id]->configure_faults(config_.faults.request_timeout);
-        nodes_[id]->host_home_shard(home_shards_[id].get(),
-                                    futex_homes_[id].get());
-      }
-    }
-  } else {
+  if (config_.single_node_baseline) {
     // Baseline "QEMU" mode: one node, no DSM, direct memory access.
     nodes_[kMasterNode]->space().set_all_access(mem::PageAccess::kReadWrite);
+  } else if (sharded) {
+    // A sharded Directory skips the single-master boot claim, but the
+    // master still owns every byte at boot (it loads the image): the
+    // shards' entries default to owner == master, so their first
+    // transaction recalls the boot content from the master's client over
+    // the ordinary wire protocol.
+    mem::AddressSpace& master_space = nodes_[kMasterNode]->space();
+    master_space.set_all_access(mem::PageAccess::kReadWrite);
+    for (std::uint64_t i = 0; i < layout.shadow_page_count; ++i) {
+      master_space.set_access(
+          static_cast<std::uint32_t>(layout.shadow_first_page + i),
+          mem::PageAccess::kNone);
+    }
   }
 
-  syscalls_.emplace(network_, queue_, config_.machine,
-                    config_.dbt.syscall_service_cycles, &stats_, tracer_);
-  syscalls_->configure_locking(config_.sys);
-  syscalls_->configure_faults(config_.faults);
+  // Home table (DESIGN.md §17): one home per hosting node, each built the
+  // same way. Home 0 is the master's; slaves are homes only under sharding.
+  const std::uint32_t home_count = sharded ? total : 1;
+  home_table_.reserve(home_count);
+  for (NodeId id = 0; id < home_count; ++id) {
+    sim::EventQueue& node_queue = queues_.empty() ? queue_ : *queues_[id];
+    const MachineConfig& machine = config_.machine_for(id);
+    Home& home = home_table_.emplace_back();
+    if (!config_.single_node_baseline) {
+      // Home 0 homes the whole shadow pool when sharding is off. Sharded,
+      // the pool is sliced among the slave homes and home 0, which then
+      // never splits pages, gets none of it.
+      std::uint64_t pool_first = layout.shadow_first_page;
+      std::uint64_t pool_count = sharded ? 0 : layout.shadow_page_count;
+      if (id != kMasterNode) {
+        pool_first = layout.slice_first(id);
+        pool_count = layout.slice_count(id);
+      }
+      dsm::Directory::Params params;
+      params.dsm = config_.dsm;
+      params.machine = machine;
+      params.node_count = total;
+      params.shadow_pool_first_page = static_cast<std::uint32_t>(pool_first);
+      params.shadow_pool_page_count = static_cast<std::uint32_t>(pool_count);
+      params.self = id;
+      params.sharded = sharded;
+      home.directory = std::make_unique<dsm::Directory>(
+          network_, node_queue, nodes_[id]->space(), params, &stats_, tracer_);
+    }
+    home.futexes = std::make_unique<sys::FutexService>(
+        id, network_, node_queue, machine, config_.dbt.syscall_service_cycles,
+        &stats_, tracer_);
+    home.futexes->configure_locking(config_.sys);
+    home.futexes->configure_faults(config_.faults.request_timeout);
+    nodes_[id]->host_home_shard(home.directory.get(), home.futexes.get());
+  }
+
+  syscalls_.emplace(network_, queue_, config_.machine_for(kMasterNode),
+                    config_.dbt.syscall_service_cycles,
+                    *home_table_[kMasterNode].futexes, &stats_, tracer_);
   if (sharded) {
     // Thread-exit ctid wakes must reach whichever home arbitrates the
     // futex. Resolved against the *original* address's page, like every
@@ -178,8 +175,8 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
     });
   }
 
-  // Message routing: master traffic splits between the directory, the
-  // syscall engine, migration bookkeeping and the node itself.
+  // Message routing: master-plane traffic stops in master_handler; the rest,
+  // home 0's included, goes to node 0 like any node's.
   network_.attach(kMasterNode,
                   [this](net::Message msg) { master_handler(msg); });
   for (NodeId id = 1; id < total; ++id) {
@@ -230,40 +227,23 @@ void Cluster::schedule_node_faults() {
 
 void Cluster::master_handler(const net::Message& msg) {
   if (home_map_.sharded() && relay_if_misdirected(msg)) return;
+  // Master-plane work only. Home-plane traffic — directory requests and
+  // acks, lease traffic, crash flushes and lease returns — falls through to
+  // node 0, which routes it to home 0 exactly as a slave routes to its own.
   switch (msg.type) {
-    case static_cast<std::uint32_t>(dsm::DsmMsg::kReadReq):
-    case static_cast<std::uint32_t>(dsm::DsmMsg::kWriteReq):
-    case static_cast<std::uint32_t>(dsm::DsmMsg::kInvAck):
-    case static_cast<std::uint32_t>(dsm::DsmMsg::kDowngradeAck):
-    case static_cast<std::uint32_t>(dsm::DsmMsg::kInvAckDiff):
-    case static_cast<std::uint32_t>(dsm::DsmMsg::kDowngradeAckDiff):
-      assert(directory_.has_value());
-      directory_->handle_message(msg);
-      return;
     case static_cast<std::uint32_t>(sys::SysMsg::kSyscallReq):
-    case static_cast<std::uint32_t>(sys::SysMsg::kLeaseReq):
-    case static_cast<std::uint32_t>(sys::SysMsg::kLeaseReturn):
       syscalls_->handle_message(msg);
       return;
     case static_cast<std::uint32_t>(CoreMsg::kMigrateDone):
       thread_node_[static_cast<GuestTid>(msg.a)] =
           static_cast<NodeId>(msg.b);
       return;
-    case static_cast<std::uint32_t>(CoreMsg::kCrashFlush):
-      assert(directory_.has_value());
-      directory_->on_crash_flush(msg);
-      return;
     case static_cast<std::uint32_t>(CoreMsg::kHomeHandoff):
-      assert(directory_.has_value());
-      directory_->adopt_entry(static_cast<std::uint32_t>(msg.a), msg.data);
+      home_table_[kMasterNode].directory->adopt_entry(
+          static_cast<std::uint32_t>(msg.a), msg.data);
       return;
     case static_cast<std::uint32_t>(CoreMsg::kFutexHandoff):
-      syscalls_->futex_service().adopt_handoff(msg.data);
-      return;
-    case static_cast<std::uint32_t>(CoreMsg::kCrashLeaseReturn):
-      syscalls_->futex_service().on_crash_lease_return(
-          msg.src, static_cast<GuestAddr>(msg.a),
-          sys::FutexTable::unpack_waiters(msg.data));
+      home_table_[kMasterNode].futexes->adopt_handoff(msg.data);
       return;
     case static_cast<std::uint32_t>(CoreMsg::kCrashReport):
       on_crash_report(msg);
@@ -298,10 +278,8 @@ void Cluster::on_crash_report(const net::Message& msg) {
   // dying node's FIFO put kHomeHandoff/kFutexHandoff ahead of this report.
   stats_.add("dsm.pages_rehomed", home_map_.repoint_dead_home(dead));
 
-  // Master-plane sweeps, applied directly (the master does not message
-  // itself): boot directory, futex table, and node 0's client-side caches.
-  if (directory_.has_value()) directory_->on_node_dead(dead);
-  syscalls_->futex_service().on_node_dead(dead);
+  // The master sweeps itself as every survivor does (it does not message
+  // itself): node 0's client-side caches, home 0's directory and futexes.
   nodes_[kMasterNode]->on_node_dead(dead);
 
   // Tell every surviving slave. Per-link FIFO from the master orders this
@@ -369,10 +347,9 @@ bool Cluster::relay_if_misdirected(const net::Message& msg) {
       break;
     case static_cast<std::uint32_t>(sys::SysMsg::kSyscallReq): {
       // Only futex delegation is home-routed; every other syscall is the
-      // master's to serve. args[0] (the futex address) is the first LE
-      // word of the request payload.
+      // master's to serve. args[0] is the futex address.
       if (static_cast<isa::Sys>(msg.a) != isa::Sys::kFutex) return false;
-      const std::uint32_t addr = le::Reader(msg.data).u32();
+      const GuestAddr addr = sys::parse_syscall_request(msg).args[0];
       home = home_map_.home_for(addr / page_size, msg.src);
       break;
     }
@@ -646,21 +623,13 @@ CheckpointImage Cluster::capture_checkpoint() {
     }
     image.add("threads." + std::to_string(id), h);
   }
-  if (directory_.has_value()) image.add("dir.0", directory_->digest());
-  for (NodeId id = 1; id < home_shards_.size(); ++id) {
-    if (home_shards_[id] != nullptr) {
-      image.add("dir." + std::to_string(id), home_shards_[id]->digest());
+  for (NodeId id = 0; id < home_table_.size(); ++id) {
+    const Home& home = home_table_[id];
+    if (home.directory != nullptr) {
+      image.add("dir." + std::to_string(id), home.directory->digest());
     }
-  }
-  {
     std::vector<std::uint8_t> bytes;
-    syscalls_->futexes().serialize(bytes);
-    image.add("futex.0", fnv1a(bytes));
-  }
-  for (NodeId id = 1; id < futex_homes_.size(); ++id) {
-    if (futex_homes_[id] == nullptr) continue;
-    std::vector<std::uint8_t> bytes;
-    futex_homes_[id]->table().serialize(bytes);
+    home.futexes->table().serialize(bytes);
     image.add("futex." + std::to_string(id), fnv1a(bytes));
   }
   if (serving_.has_value()) image.add("serve", serving_->digest());

@@ -10,9 +10,11 @@
 //     auto result = cluster.run();               // event loop to completion
 //     // result.value().sim_time is the virtual wall-clock of the guest run
 //
-// The master node (node 0) hosts the main thread, the coherence directory
-// and the delegated-syscall engine; guest threads created by clone() are
-// placed on slave nodes by the configured scheduling policy.
+// The master node (node 0) hosts the main thread, the delegated-syscall
+// engine and home 0 — the coherence directory and futex table, which under
+// home sharding every slave hosts a shard of too (DESIGN.md §17); guest
+// threads created by clone() are placed on slave nodes by the configured
+// scheduling policy.
 #pragma once
 
 #include <map>
@@ -83,26 +85,26 @@ class Cluster {
     return static_cast<std::uint32_t>(nodes_.size());
   }
   [[nodiscard]] Node& node(NodeId id) { return *nodes_.at(id); }
-  /// Null in single-node baseline mode (no DSM).
-  [[nodiscard]] dsm::Directory* directory() {
-    return directory_.has_value() ? &*directory_ : nullptr;
+  /// Directory hosted by node `id` (DESIGN.md §17). Home 0, the master's,
+  /// homes the whole page space unless sharding is on; slaves are homes
+  /// only under sharding. Null where no directory runs (a slave when
+  /// sharding is off, every node in single-node baseline mode).
+  [[nodiscard]] dsm::Directory* home(NodeId id) {
+    return id < home_table_.size() ? home_table_[id].directory.get()
+                                   : nullptr;
   }
+  /// Home 0's directory; null in single-node baseline mode (no DSM).
+  [[nodiscard]] dsm::Directory* directory() { return home(kMasterNode); }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   /// Placement authority (DESIGN.md §17). sharded() is false — and every
   /// home is the master — unless home sharding is enabled.
   [[nodiscard]] const dsm::HomeMap& homes() const { return home_map_; }
-  /// Directory shard hosted on slave `id`; null when sharding is off or
-  /// `id` is not a home. The master's (boot) directory stays directory().
-  [[nodiscard]] dsm::Directory* home_shard(NodeId id) {
-    return id < home_shards_.size() ? home_shards_[id].get() : nullptr;
-  }
   /// Serving-plane load generator; null unless ServeConfig::enabled.
   [[nodiscard]] serve::LoadGenerator* serving() {
     return serving_.has_value() ? &*serving_ : nullptr;
   }
   /// Node currently hosting `tid` (master bookkeeping), or kInvalidNode.
   [[nodiscard]] NodeId thread_node(GuestTid tid) const;
-  [[nodiscard]] GuestTid main_tid() const { return 1; }
 
   /// Requests migration of a live guest thread to `target` (section 4.1's
   /// remote thread migration); takes effect at the thread's next dispatch.
@@ -165,9 +167,9 @@ class Cluster {
   /// kCrashCmd for every rule on the master-plane queue.
   void schedule_node_faults();
   /// kCrashReport: the terminal step of a node's last gasp. Marks the node
-  /// dead, repoints its homes at the master, sweeps master-plane state,
-  /// broadcasts kNodeDead, re-homes the captured threads, and patches the
-  /// serving plane's bookkeeping.
+  /// dead, repoints its homes at the master, sweeps node 0 like every
+  /// survivor, broadcasts kNodeDead, re-homes the captured threads, and
+  /// patches the serving plane's bookkeeping.
   void on_crash_report(const net::Message& msg);
   /// Lowest-id surviving slave (the master if none remain): where a dead
   /// node's threads land and where dead-slave placements are redirected.
@@ -194,14 +196,18 @@ class Cluster {
   /// happens in master_handler, so it needs no locking).
   dsm::HomeMap home_map_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::optional<dsm::Directory> directory_;
+  /// What one home node hosts: a directory (null without DSM) and a futex
+  /// service, run on that node's event queue and backed by its address
+  /// space.
+  struct Home {
+    std::unique_ptr<dsm::Directory> directory;
+    std::unique_ptr<sys::FutexService> futexes;
+  };
+  /// Indexed by node id: home 0 is the master's, and slaves follow only
+  /// under sharding. The syscall engine borrows home 0's futex service.
+  std::vector<Home> home_table_;
   std::optional<sys::MasterSyscalls> syscalls_;
   std::optional<serve::LoadGenerator> serving_;
-  /// Sharding only, indexed by home node id (slot 0 unused): the directory
-  /// shard and futex service each slave hosts. Run on that node's event
-  /// queue and backed by that node's address space.
-  std::vector<std::unique_ptr<dsm::Directory>> home_shards_;
-  std::vector<std::unique_ptr<sys::FutexService>> futex_homes_;
 
   // Master-side global thread table.
   GuestTid next_tid_ = 1;

@@ -107,15 +107,6 @@ std::size_t Node::live_threads() const {
   return n;
 }
 
-std::size_t Node::active_threads() const {
-  std::size_t n = 0;
-  for (const auto& [tid, t] : threads_) {
-    if (t.state == ThreadState::kRunnable || t.state == ThreadState::kRunning)
-      ++n;
-  }
-  return n;
-}
-
 std::string Node::blocked_dump() const {
   std::string out;
   for (const auto& [tid, t] : threads_) {

@@ -2,9 +2,10 @@
 //
 // Owns the node's copy of the guest address space, the DBT (translation
 // cache + execution engine + LL/SC table), the DSM client, and the node's
-// guest threads with their core scheduler. The master node additionally
-// hosts the directory and the delegated-syscall engine, but those are owned
-// by the Cluster and merely operate on this node's memory.
+// guest threads with their core scheduler. A home node — the master always,
+// every slave under home sharding — also hosts a directory and a futex
+// service; the Cluster's home table owns them, and they operate on this
+// node's memory and event queue.
 //
 // Scheduling model: `cores_per_node` simulated cores multiplex the node's
 // runnable TCG-threads in FIFO order; one engine call = one quantum of at
@@ -67,7 +68,6 @@ class Node {
   [[nodiscard]] dbt::LlscTable& llsc() { return llsc_; }
   [[nodiscard]] dbt::TranslationCache& tcache() { return tcache_; }
   [[nodiscard]] const dbt::TranslationCache& tcache() const { return tcache_; }
-  [[nodiscard]] dsm::DsmClient& dsm_client() { return dsm_; }
   [[nodiscard]] const std::map<GuestTid, GuestThread>& threads() const {
     return threads_;
   }
@@ -77,10 +77,12 @@ class Node {
   void add_thread(const dbt::CpuContext& ctx, GuestAddr ctid,
                   std::int32_t hint_group);
 
-  /// Home sharding (DESIGN.md §17): makes this node a home — the cluster
-  /// hands it the directory shard and futex service it constructed for this
-  /// node's slice of the page space. Null (the default) on every node when
-  /// sharding is off; then all home traffic goes to the master.
+  /// Makes this node a home (DESIGN.md §17): handle_message routes the
+  /// home-plane traffic addressed here to `shard` and `futexes`, and
+  /// on_node_dead sweeps them. The master is home 0 — of every page when
+  /// sharding is off — and each slave is a home only under sharding; null
+  /// pointers (a slave's default, the directory in single-node baseline)
+  /// host nothing.
   void host_home_shard(dsm::Directory* shard, sys::FutexService* futexes) {
     home_shard_ = shard;
     futex_home_svc_ = futexes;
@@ -91,7 +93,7 @@ class Node {
   [[nodiscard]] const dsm::HomeView& homes() const { return homes_; }
 
   /// Handles node-addressed messages the cluster routes here: DSM client
-  /// traffic, home-shard traffic when this node is a home, syscall
+  /// traffic, home-plane traffic when this node is a home, syscall
   /// responses and thread-management messages.
   void handle_message(const net::Message& msg);
 
@@ -108,16 +110,15 @@ class Node {
   /// in arrival order. The node's reliable links stay live (acks keep
   /// flowing below this layer), so nothing is revoked — peers just wait.
   void pause(DurationPs pause_for);
-  /// Survivor-side sweep on a kNodeDead notice: forget learned home routes
-  /// through the dead node, drop its waiters from owned lease queues, sweep
-  /// any hosted home shard, and stop retransmitting to it.
+  /// Survivor-side sweep on a kNodeDead notice (the master runs it directly
+  /// on kCrashReport): forget learned home routes through the dead node,
+  /// drop its waiters from owned lease queues, sweep any hosted home, and
+  /// stop retransmitting to it.
   void on_node_dead(NodeId dead);
   [[nodiscard]] bool dead() const { return dead_; }
 
   /// Number of threads not yet exited.
   [[nodiscard]] std::size_t live_threads() const;
-  /// Number of runnable-or-running threads (diagnostics).
-  [[nodiscard]] std::size_t active_threads() const;
   /// One-line description of every blocked thread (deadlock reports).
   [[nodiscard]] std::string blocked_dump() const;
 
@@ -204,7 +205,7 @@ class Node {
   dsm::HomeView homes_;
   dsm::DsmClient dsm_;
   sys::LockAgent lock_agent_;
-  /// Set by host_home_shard when this node is a home under sharding.
+  /// Set by host_home_shard when this node is a home.
   dsm::Directory* home_shard_ = nullptr;
   sys::FutexService* futex_home_svc_ = nullptr;
 

@@ -137,13 +137,6 @@ bool TranslationCache::contains_block(const TranslationBlock* tb) const {
   return false;
 }
 
-bool TranslationCache::contains_superblock(const Superblock* sb) const {
-  for (const auto& [pc, owned] : superblocks_) {
-    if (owned.get() == sb) return true;
-  }
-  return false;
-}
-
 std::size_t TranslationCache::superblock_count() const {
   return superblocks_.size();
 }

@@ -156,9 +156,6 @@ class TranslationCache {
   /// no virtual time and touches no virtual-time counter.
   Superblock* maybe_form_superblock(TranslationBlock* head);
 
-  /// True if `sb` is a currently-live superblock (pointer identity).
-  [[nodiscard]] bool contains_superblock(const Superblock* sb) const;
-
   [[nodiscard]] std::size_t superblock_count() const;
 
   /// Live superblock entered at `entry_pc`, or nullptr. Test hook.

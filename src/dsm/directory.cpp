@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/hash.hpp"
 #include "common/le_bytes.hpp"
 #include "common/log.hpp"
 
@@ -804,14 +805,8 @@ void Directory::adopt_entry(std::uint32_t page,
 }
 
 std::uint64_t Directory::digest() const {
-  // Same FNV-1a recipe as core/checkpoint.hpp, restated locally so the DSM
-  // layer does not depend upward on core.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  const auto fold = [&h](std::uint64_t v) {
-    for (unsigned i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x00000100000001B3ULL;
-    }
-  };
+  std::uint64_t h = fnv1a_seed();
+  const auto fold = [&h](std::uint64_t v) { h = fnv1a_u64(v, h); };
   for (std::uint32_t page = 0; page < entries_.size(); ++page) {
     if (params_.sharded && !homed_[page]) continue;
     const Entry& entry = entries_[page];

@@ -76,17 +76,14 @@ class Directory {
   [[nodiscard]] NodeId owner(std::uint32_t page) const {
     return entries_[page].owner;
   }
-  /// Low-32 view of the sharer set (legacy test shorthand; clusters larger
-  /// than 32 nodes should use is_sharer()).
+  /// Sharer set of nodes 0-31 as a bitmask (test shorthand; nodes 32 and
+  /// up are not shown).
   [[nodiscard]] std::uint32_t sharer_mask(std::uint32_t page) const {
     std::uint32_t mask = 0;
     for (NodeId n = 0; n < 32 && n < params_.node_count; ++n) {
       if (entries_[page].sharers.contains(n)) mask |= 1u << n;
     }
     return mask;
-  }
-  [[nodiscard]] bool is_sharer(std::uint32_t page, NodeId node) const {
-    return entries_[page].sharers.contains(node);
   }
   [[nodiscard]] bool busy(std::uint32_t page) const {
     return entries_[page].busy;

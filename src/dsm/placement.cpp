@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/hash.hpp"
+
 namespace dqemu::dsm {
 
 HomeLayout home_layout(const ClusterConfig& config) {
@@ -21,13 +23,6 @@ HomeLayout home_layout(const ClusterConfig& config) {
   return layout;
 }
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 NodeId HomeLayout::shadow_home(std::uint64_t page) const {
   assert(is_shadow(page) && slave_count > 0);
   const std::uint64_t size = slice_size();
@@ -39,7 +34,8 @@ NodeId HomeLayout::shadow_home(std::uint64_t page) const {
 
 NodeId HomeLayout::hash_home(std::uint64_t page) const {
   assert(slave_count > 0);
-  return static_cast<NodeId>(1 + splitmix64(page) % slave_count);
+  std::uint64_t state = page;
+  return static_cast<NodeId>(1 + splitmix64(state) % slave_count);
 }
 
 HomeMap::HomeMap(const DsmConfig& dsm, const HomeLayout& layout)

@@ -36,10 +36,6 @@
 
 namespace dqemu::dsm {
 
-/// SplitMix64 finalizer — the same permutation the fault and serving
-/// subsystems use for their decision streams. Pure, host-independent.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x);
-
 /// Static placement geometry shared by the master authority and every
 /// per-node cache: which nodes serve as homes and how the shadow pool is
 /// sliced among them.

@@ -1,7 +1,7 @@
 #include "net/fault/fault_injector.hpp"
 
+#include "common/hash.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
 
 namespace dqemu::net {
 namespace {

@@ -177,18 +177,6 @@ void ReliableChannel::on_wire_arrival(Message msg) {
     bump("net.dead_black_holed");
     return;
   }
-  // Straggler window: the destination's communicator thread is wedged, so
-  // everything that lands during the pause is processed at the window end.
-  // This runs in msg.dst's context; the deferral stays on its own queue.
-  sim::EventQueue& dst_queue = queue_for(msg.dst);
-  TimePs until = 0;
-  if (config_.paused_at(msg.dst, dst_queue.now(), &until)) {
-    bump("net.paused_deferrals");
-    dst_queue.schedule_at(until, [this, m = std::move(msg)]() mutable {
-      on_wire_arrival(std::move(m));
-    });
-    return;
-  }
 
   process_ack(msg.dst, msg.src, msg.ack);
 
@@ -196,8 +184,8 @@ void ReliableChannel::on_wire_arrival(Message msg) {
     // A pure ack carries no payload to deliver; close its trace flow.
     if (msg.flow != 0) {
       nic_site(tracer_, msg.dst)
-          .emit(dst_queue.now(), "net.msg", trace::Kind::kFlowEnd, msg.flow,
-                msg.ack, msg.type);
+          .emit(queue_for(msg.dst).now(), "net.msg", trace::Kind::kFlowEnd,
+                msg.flow, msg.ack, msg.type);
     }
     return;
   }

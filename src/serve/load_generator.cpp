@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/rng.hpp"
+#include "common/hash.hpp"
 #include "isa/syscall_abi.hpp"
 
 namespace dqemu::serve {
@@ -259,14 +259,8 @@ void LoadGenerator::on_node_crash(NodeId dead, NodeId replacement,
 }
 
 std::uint64_t LoadGenerator::digest() const {
-  // Same FNV-1a recipe as core/checkpoint.hpp, restated locally so the
-  // serving layer does not depend upward on core.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  const auto fold = [&h](std::uint64_t v) {
-    for (unsigned i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x00000100000001B3ULL;
-    }
-  };
+  std::uint64_t h = fnv1a_seed();
+  const auto fold = [&h](std::uint64_t v) { h = fnv1a_u64(v, h); };
   fold(issued_);
   fold(retired_);
   fold(dispatched_);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "common/le_bytes.hpp"
 #include "common/log.hpp"
@@ -75,14 +74,8 @@ void FutexService::handle_message(const net::Message& msg) {
       assert(false && "not a futex-home sys message");
       return;
   }
-  assert(msg.data.size() >= 16);
-  SyscallRequest req;
+  SyscallRequest req = parse_syscall_request(msg);
   req.src = relayed_requester(msg, msg.c);
-  req.tid = static_cast<GuestTid>(msg.b);
-  req.num = static_cast<isa::Sys>(msg.a);
-  std::memcpy(req.args.data(), msg.data.data(), 16);
-  req.payload = std::span<const std::uint8_t>(msg.data).subspan(16);
-  req.flow = msg.flow;
   assert(req.num == isa::Sys::kFutex &&
          "only futex syscalls are homed off-master");
   if (stats_ != nullptr) stats_->add("sys.delegated");

@@ -1,8 +1,7 @@
 // Per-home futex + lease service (paper section 4.3; DESIGN.md §11, §17).
 //
 // The futex wait/wake arbitration and the hierarchical-locking lease
-// protocol, factored out of MasterSyscalls so it can run on any node.
-// Classically exactly one instance exists, on the master; with home
+// protocol of one home. The master, home 0, always hosts one; with home
 // sharding every node hosts one and serves the futex addresses whose
 // containing *page* it homes. Keeping the futex home equal to the page's
 // DSM home is what preserves the no-lost-wakeup argument (§7/§11) per
@@ -40,7 +39,12 @@ class FutexService {
                MachineConfig machine, std::uint32_t service_cycles,
                StatsRegistry* stats = nullptr, trace::Tracer* tracer = nullptr);
 
+  /// Installs the hierarchical-locking knobs (lease hysteresis). Until
+  /// this call no lease is granted and every futex op is served here.
   void configure_locking(const SysConfig& sys) { sys_ = sys; }
+  /// With a non-zero timeout and the network's fault path active, every
+  /// outstanding lease recall gets a watchdog that re-sends the
+  /// kLeaseRecall (DESIGN.md §13).
   void configure_faults(DurationPs recall_timeout) {
     recall_timeout_ = recall_timeout;
   }
@@ -48,8 +52,9 @@ class FutexService {
   [[nodiscard]] FutexTable& table() { return futexes_; }
   [[nodiscard]] NodeId self() const { return self_; }
 
-  /// True for the home-plane messages this service consumes when hosted on
-  /// a slave node: kSyscallReq (futex only), kLeaseReq, kLeaseReturn.
+  /// True for the home-plane messages this service consumes: kSyscallReq
+  /// (futex only), kLeaseReq, kLeaseReturn. On the master a kSyscallReq
+  /// stops at the syscall engine first, which calls do_futex itself.
   [[nodiscard]] static bool handles(std::uint32_t type) {
     switch (static_cast<SysMsg>(type)) {
       case SysMsg::kSyscallReq:

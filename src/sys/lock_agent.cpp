@@ -21,12 +21,6 @@ LockAgent::LockAgent(NodeId id, const SysConfig& config,
       trace_{tracer, trace::Cat::kSys, id},
       wake_local_(std::move(wake_local)) {}
 
-std::size_t LockAgent::parked_waiters() const {
-  std::size_t n = 0;
-  for (const auto& [addr, entry] : owned_) n += entry.queue.size();
-  return n;
-}
-
 void LockAgent::return_all(const LocalRevokeFn& local_revoke) {
   std::vector<GuestAddr> addrs;
   addrs.reserve(owned_.size());

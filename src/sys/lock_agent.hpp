@@ -89,9 +89,6 @@ class LockAgent {
 
   void handle_message(const net::Message& msg);
 
-  [[nodiscard]] std::size_t owned_leases() const { return owned_.size(); }
-  [[nodiscard]] std::size_t parked_waiters() const;
-
   // ---- whole-node fault plane (DESIGN.md §18) ---------------------------
 
   /// Delivers a returned queue to a home service hosted on this same node

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
+#include "common/le_bytes.hpp"
 #include "common/log.hpp"
 #include "isa/syscall_abi.hpp"
 
@@ -18,26 +18,36 @@ net::Message make_syscall_request(NodeId src, GuestTid tid, isa::Sys num,
   msg.type = static_cast<std::uint32_t>(SysMsg::kSyscallReq);
   msg.a = static_cast<std::uint64_t>(num);
   msg.b = tid;
-  msg.data.resize(16 + payload.size());
-  std::memcpy(msg.data.data(), args.data(), 16);
-  if (!payload.empty()) {
-    std::memcpy(msg.data.data() + 16, payload.data(), payload.size());
-  }
+  msg.data.reserve(16 + payload.size());
+  for (const std::uint32_t arg : args) le::put_u32(msg.data, arg);
+  msg.data.insert(msg.data.end(), payload.begin(), payload.end());
   return msg;
+}
+
+SyscallRequest parse_syscall_request(const net::Message& msg) {
+  SyscallRequest req;
+  req.src = msg.src;
+  req.tid = static_cast<GuestTid>(msg.b);
+  req.num = static_cast<isa::Sys>(msg.a);
+  le::Reader in(msg.data);
+  for (std::uint32_t& arg : req.args) arg = in.u32();
+  req.payload = in.bytes(in.remaining());
+  req.flow = msg.flow;
+  return req;
 }
 
 MasterSyscalls::MasterSyscalls(net::Network& network, sim::EventQueue& queue,
                                MachineConfig machine,
                                std::uint32_t service_cycles,
-                               StatsRegistry* stats, trace::Tracer* tracer)
+                               FutexService& futexes, StatsRegistry* stats,
+                               trace::Tracer* tracer)
     : network_(network),
       queue_(queue),
       machine_(machine),
       service_cycles_(service_cycles),
       stats_(stats),
       trace_{tracer, trace::Cat::kSys, kMasterNode, trace::kTrackManager},
-      futex_(kMasterNode, network, queue, machine, service_cycles, stats,
-             tracer),
+      futex_(futexes),
       page_mask_(machine.page_size - 1) {}
 
 void MasterSyscalls::configure_memory(GuestAddr brk_start,
@@ -73,25 +83,9 @@ void MasterSyscalls::send_response(NodeId dst, GuestTid tid,
 }
 
 void MasterSyscalls::handle_message(const net::Message& msg) {
-  switch (static_cast<SysMsg>(msg.type)) {
-    case SysMsg::kSyscallReq:
-      break;  // decoded below
-    case SysMsg::kLeaseReq:
-    case SysMsg::kLeaseReturn:
-      futex_.handle_message(msg);
-      return;
-    default:
-      assert(false && "not a master-addressed sys message");
-      return;
-  }
-  assert(msg.data.size() >= 16);
-  SyscallRequest req;
-  req.src = msg.src;
-  req.tid = static_cast<GuestTid>(msg.b);
-  req.num = static_cast<isa::Sys>(msg.a);
-  std::memcpy(req.args.data(), msg.data.data(), 16);
-  req.payload = std::span<const std::uint8_t>(msg.data).subspan(16);
-  req.flow = msg.flow;
+  assert(msg.type == static_cast<std::uint32_t>(SysMsg::kSyscallReq) &&
+         "the master's syscall engine serves kSyscallReq only");
+  const SyscallRequest req = parse_syscall_request(msg);
   if (stats_ != nullptr) stats_->add("sys.delegated");
   trace_.step(queue_.now(), "sys.service", req.flow, msg.a, req.tid);
   dispatch(req);

@@ -1,11 +1,11 @@
 // Master-side delegated-syscall engine (paper section 4.3).
 //
-// Owns the authoritative system state: the VFS + fd table, the guest
-// heap/mmap break, and (through an embedded FutexService) the master-homed
-// slice of the distributed futex table — all of it classically, only the
-// addresses home sharding leaves on node 0 otherwise. Thread lifecycle
-// calls (clone / exit / exit_group) are forwarded to hooks the core layer
-// installs, because placement and thread accounting live there.
+// Owns the authoritative system state: the VFS + fd table and the guest
+// heap/mmap break. Futex calls delegated to the master are served by the
+// master's futex home (home 0 of the cluster's home table, DESIGN.md §17),
+// which the engine borrows. Thread lifecycle calls (clone / exit /
+// exit_group) are forwarded to hooks the core layer installs, because
+// placement and thread accounting live there.
 #pragma once
 
 #include <array>
@@ -35,11 +35,16 @@ struct SyscallRequest {
   std::uint64_t flow = 0;  ///< causal chain opened by the delegating node
 };
 
-/// Packs args + payload into a kSyscallReq message body (node side).
+/// Packs args + payload into a kSyscallReq message body (node side): the
+/// four args as little-endian u32 words, then the payload.
 [[nodiscard]] net::Message make_syscall_request(
     NodeId src, GuestTid tid, isa::Sys num,
     const std::array<std::uint32_t, 4>& args,
     std::span<const std::uint8_t> payload);
+
+/// Decodes a kSyscallReq built by make_syscall_request. `src` is the
+/// wire-level sender; the payload span points into `msg`.
+[[nodiscard]] SyscallRequest parse_syscall_request(const net::Message& msg);
 
 class MasterSyscalls {
  public:
@@ -53,24 +58,11 @@ class MasterSyscalls {
     std::function<void(std::uint32_t status)> on_exit_group;
   };
 
+  /// `futexes` is the master's futex home; it must outlive the engine.
   MasterSyscalls(net::Network& network, sim::EventQueue& queue,
                  MachineConfig machine, std::uint32_t service_cycles,
-                 StatsRegistry* stats = nullptr,
+                 FutexService& futexes, StatsRegistry* stats = nullptr,
                  trace::Tracer* tracer = nullptr);
-
-  /// Installs the hierarchical-locking knobs (lease hysteresis). Without
-  /// this call leases are never granted and every futex op is served from
-  /// the master table exactly as before.
-  void configure_locking(const SysConfig& sys) {
-    futex_.configure_locking(sys);
-  }
-
-  /// Installs the fault-model knobs. With FaultConfig::request_timeout > 0
-  /// and the network's fault path active, every outstanding lease recall
-  /// gets a watchdog that re-sends the kLeaseRecall (DESIGN.md §13).
-  void configure_faults(const FaultConfig& faults) {
-    futex_.configure_faults(faults.request_timeout);
-  }
 
   /// Guest heap layout: brk grows in [brk_start, mmap_start); anonymous
   /// mmaps grow in [mmap_start, mmap_end).
@@ -100,14 +92,10 @@ class MasterSyscalls {
 
   [[nodiscard]] Vfs& vfs() { return vfs_; }
   [[nodiscard]] const Vfs& vfs() const { return vfs_; }
-  [[nodiscard]] FutexTable& futexes() { return futex_.table(); }
-  /// The master-resident futex home. The crash plane (DESIGN.md §18)
-  /// drives lease revocation, dead-node sweeps and shard adoption on it.
-  [[nodiscard]] FutexService& futex_service() { return futex_; }
   [[nodiscard]] GuestAddr current_brk() const { return brk_; }
 
-  /// Handles a master-addressed sys message: kSyscallReq, and the lease
-  /// traffic of hierarchical locking (kLeaseReq / kLeaseReturn).
+  /// Serves a kSyscallReq addressed to the master. Lease traffic is home
+  /// business: Node::handle_message routes it to the futex home.
   void handle_message(const net::Message& msg);
 
   /// Sends the kSyscallResp that unblocks (node, tid). Public because the
@@ -132,10 +120,10 @@ class MasterSyscalls {
   Hooks hooks_;
   ServeHandler serve_handler_;
   Vfs vfs_;
-  /// The master-resident futex home (futex table + lease protocol). With
-  /// home sharding most addresses are served by slave-hosted FutexService
+  /// The master's futex home (futex table + lease protocol). With home
+  /// sharding most addresses are served by slave-hosted FutexService
   /// instances instead; see sys/futex_home.hpp.
-  FutexService futex_;
+  FutexService& futex_;
   FutexHomeResolver futex_home_;
   GuestAddr brk_ = 0;
   GuestAddr brk_min_ = 0;

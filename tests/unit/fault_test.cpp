@@ -2,10 +2,9 @@
 //
 // Three layers of coverage: the deterministic injector itself (pure decision
 // stream), the reliable channel over a lossy raw Network (drop / duplicate /
-// reorder / backoff / pure acks / pause windows), and full-cluster recovery
-// scenarios (drop-the-grant, drop-the-ack, duplicated lease recall,
-// watchdog re-issue) where the guest result must come out exactly as on a
-// perfect wire.
+// reorder / backoff / pure acks), and full-cluster recovery scenarios
+// (drop-the-grant, drop-the-ack, duplicated lease recall, watchdog re-issue)
+// where the guest result must come out exactly as on a perfect wire.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -298,20 +297,6 @@ TEST_F(LossyNetFixture, ReorderedArrivalsAreHeldForFifo) {
   EXPECT_GE(stats.get("net.ooo_held"), 1u);
   // The held message was released the instant the gap filled.
   EXPECT_EQ(deliveries[0].at, deliveries[1].at);
-}
-
-TEST_F(LossyNetFixture, PauseWindowDefersDelivery) {
-  FaultConfig::Pause pause;
-  pause.node = 1;
-  pause.start = 0;
-  pause.duration = 5 * kMs;
-  faults.pauses.push_back(pause);
-  net::Network& net = build();
-  net.send(make(0, 1, 9));
-  queue.run();
-  ASSERT_EQ(deliveries.size(), 1u);
-  EXPECT_GE(deliveries[0].at, pause.start + pause.duration);
-  EXPECT_GE(stats.get("net.paused_deferrals"), 1u);
 }
 
 TEST_F(LossyNetFixture, HeavyLossStillDeliversEverythingInOrder) {

@@ -6,6 +6,8 @@
 //   - a seeded crash mid-serving-run still retires every request with zero
 //     checksum errors (recovery is complete, not just survived), and two
 //     same-seed runs are identical counter-for-counter;
+//   - every surviving home's directory (the master's, which adopts a dead
+//     home's shard, included) holds its invariants after recovery;
 //   - the result does not depend on --host-threads;
 //   - a checkpoint captured at a virtual-time cut is bit-identical between
 //     a fresh run and a re-executed ("restored") run;
@@ -13,6 +15,7 @@
 //     of zero-progress retransmit rounds, and the sender then goes quiet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <utility>
@@ -20,6 +23,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/cluster.hpp"
+#include "dsm/directory.hpp"
 #include "dsm/placement.hpp"
 #include "net/fault/node_faults.hpp"
 #include "net/network.hpp"
@@ -69,6 +73,8 @@ struct ServeRun {
   std::uint64_t crash_flushes_sent = 0;  ///< last writebacks the victim sent
   std::uint64_t crash_flushes = 0;       ///< ...and the homes applied
   std::vector<NodeId> dead;
+  /// Surviving nodes whose home directory run_serving checked at the end.
+  std::vector<NodeId> checked_homes;
   std::optional<core::CheckpointImage> checkpoint;
 };
 
@@ -101,6 +107,13 @@ ServeRun run_serving(const ClusterConfig& config,
   out.crash_flushes_sent = cluster.stats().get("core.crash_flushes_sent");
   out.crash_flushes = cluster.stats().get("dsm.crash_flushes");
   out.dead = cluster.dead_nodes();
+  // Recovery must leave every surviving home's directory consistent.
+  for (NodeId id = 0; id < cluster.node_count(); ++id) {
+    const dsm::Directory* home = cluster.home(id);
+    if (home == nullptr || std::ranges::count(out.dead, id) != 0) continue;
+    EXPECT_TRUE(home->check_invariants()) << "home " << id;
+    out.checked_homes.push_back(id);
+  }
   out.checkpoint = cluster.checkpoint_image();
   return out;
 }
@@ -196,6 +209,9 @@ TEST(NodeCrash, ShardedHomeHandsOffToMaster) {
   ASSERT_TRUE(a.ok) << a.error;
   EXPECT_EQ(a.retired, config.serve.requests);
   EXPECT_EQ(a.checksum_errors, 0u);
+  // run_serving checked every surviving home: the master, which adopted
+  // the dead shard, and the three live slave homes.
+  EXPECT_EQ(a.checked_homes, (std::vector<NodeId>{0, 1, 3, 4}));
   const ServeRun b = run_serving(config);
   ASSERT_TRUE(b.ok) << b.error;
   EXPECT_EQ(a.stats, b.stats);

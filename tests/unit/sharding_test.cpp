@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "dsm/directory.hpp"
 #include "dsm/placement.hpp"
 #include "testutil.hpp"
 #include "trace/export.hpp"
@@ -65,6 +66,18 @@ Observation observe(const isa::Program& program, ClusterConfig config) {
   auto run = cluster.run();
   EXPECT_TRUE(run.is_ok()) << run.status().to_string();
   if (run.is_ok()) obs.result = run.take();
+
+  // Every home — the master's and, under sharding, each slave's — must hold
+  // the directory invariants once the run has drained. This covers hash and
+  // first-touch placement on memwalk and on the global mutex_stress below.
+  for (NodeId id = 0; id < cluster.node_count(); ++id) {
+    const dsm::Directory* home = cluster.home(id);
+    const bool is_home = config.dsm.enable_home_sharding || id == kMasterNode;
+    EXPECT_EQ(home != nullptr, is_home) << "node " << id;
+    if (home != nullptr) {
+      EXPECT_TRUE(home->check_invariants()) << "home " << id;
+    }
+  }
 
   obs.counters = cluster.stats().counters();
   for (const auto& [name, hist] : cluster.stats().histograms()) {

@@ -173,7 +173,8 @@ TEST(PreAccess, FutexWaitNeedsWord) {
 struct DelegationFixture : ::testing::Test {
   DelegationFixture()
       : network(queue, NetworkConfig{}, 2, &stats),
-        master(network, queue, MachineConfig{}, 1500, &stats) {
+        futexes(kMasterNode, network, queue, MachineConfig{}, 1500, &stats),
+        master(network, queue, MachineConfig{}, 1500, futexes, &stats) {
     master.configure_memory(0x100000, 0x800000, 0xF00000);
     network.attach(0, [this](net::Message msg) {
       master.handle_message(msg);
@@ -197,6 +198,7 @@ struct DelegationFixture : ::testing::Test {
   sim::EventQueue queue;
   StatsRegistry stats;
   net::Network network;
+  FutexService futexes;
   MasterSyscalls master;
   std::vector<net::Message> responses;
 };
@@ -248,7 +250,7 @@ TEST_F(DelegationFixture, OpenReadThroughPayloads) {
 TEST_F(DelegationFixture, FutexWaitDefersUntilWake) {
   call(Sys::kFutex, {0x4000, isa::kFutexWait, 1, 0});
   EXPECT_TRUE(responses.empty());  // no response yet: thread blocked
-  EXPECT_EQ(master.futexes().waiters(0x4000), 1u);
+  EXPECT_EQ(futexes.table().waiters(0x4000), 1u);
 
   // Another thread wakes it.
   network.send(make_syscall_request(1, /*tid=*/8, Sys::kFutex,
