@@ -15,13 +15,28 @@ namespace dqemu {
 [[nodiscard]] constexpr std::uint64_t fnv1a_seed() {
   return 0xCBF29CE484222325ULL;
 }
+[[nodiscard]] constexpr std::uint64_t fnv1a_prime() {
+  return 0x00000100000001B3ULL;
+}
 
 /// Folds the `n` low bytes of `v` into `h`, least significant first.
 [[nodiscard]] constexpr std::uint64_t fnv1a_word(std::uint64_t v,
                                                  std::size_t n,
                                                  std::uint64_t h) {
   for (std::size_t i = 0; i < n; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x00000100000001B3ULL;
+    h = (h ^ ((v >> (8 * i)) & 0xFF)) * fnv1a_prime();
+  }
+  return h;
+}
+
+/// Folds `n` zero bytes into `h`, exactly as fnv1a() over them would. A
+/// zero byte leaves the xor a no-op, so the run is one multiply by
+/// prime^n, taken by squaring: an unbacked page digests in O(log n).
+[[nodiscard]] constexpr std::uint64_t fnv1a_zeros(std::uint64_t n,
+                                                  std::uint64_t h) {
+  for (std::uint64_t power = fnv1a_prime(); n != 0; n >>= 1) {
+    if ((n & 1) != 0) h *= power;
+    power *= power;
   }
   return h;
 }

@@ -602,13 +602,16 @@ CheckpointImage Cluster::capture_checkpoint() {
   image.virtual_time = checkpoint_at_.value_or(queue_.now());
   const auto total = static_cast<NodeId>(nodes_.size());
   for (NodeId id = 0; id < total; ++id) {
-    const Node& node = *nodes_[id];
+    Node& node = *nodes_[id];
     // Address space: page content plus access rights — the DSM-visible
-    // memory state of the node.
+    // memory state of the node. An unbacked page folds as the zeros it
+    // reads as, without being backed.
     std::uint64_t h = fnv1a_seed();
-    const mem::AddressSpace& space = node.space();
+    mem::AddressSpace& space = node.space();
     for (std::uint32_t page = 0; page < space.num_pages(); ++page) {
-      h = fnv1a(space.page_data(page), h);
+      h = space.page_materialized(page)
+              ? fnv1a(space.page_data(page), h)
+              : fnv1a_zeros(space.page_size(), h);
       h = fnv1a_u32(static_cast<std::uint32_t>(space.access(page)), h);
     }
     image.add("space." + std::to_string(id), h);

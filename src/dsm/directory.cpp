@@ -10,6 +10,14 @@
 
 namespace dqemu::dsm {
 
+const Directory::Entry Directory::kBootOwned{};
+const Directory::Entry Directory::kBootHome = [] {
+  Entry entry;
+  entry.state = PageState::kHome;
+  entry.owner = kInvalidNode;
+  return entry;
+}();
+
 Directory::Directory(net::Network& network, sim::EventQueue& queue,
                      mem::AddressSpace& home, Params params,
                      StatsRegistry* stats, trace::Tracer* tracer)
@@ -19,8 +27,7 @@ Directory::Directory(net::Network& network, sim::EventQueue& queue,
       params_(params),
       stats_(stats),
       trace_{tracer, trace::Cat::kDsm, params.self, trace::kTrackManager},
-      entries_(home.num_pages()),
-      shadow_of_(home.num_pages()),
+      chunks_((home.num_pages() + kChunkPages - 1) >> kChunkShift),
       shadow_next_(params.shadow_pool_first_page) {
   assert(params_.node_count >= 1 && params_.node_count <= NodeSet::kMaxNodes);
   assert(params_.shadow_pool_first_page + params_.shadow_pool_page_count <=
@@ -29,20 +36,29 @@ Directory::Directory(net::Network& network, sim::EventQueue& queue,
                   StreamDetector(params_.dsm.forward_streams));
   manager_free_.resize(params_.node_count, 0);
   home_msgs_counter_ = "dsm.home_msgs." + std::to_string(params_.self);
-  if (!params_.sharded) {
-    // The master boots owning everything (it loaded the program)...
-    home_.set_all_access(mem::PageAccess::kReadWrite);
-  } else {
-    homed_.assign(home.num_pages(), false);
-  }
-  // The shadow pool (this instance's slice of it, when sharded) starts
-  // kHome with no access anywhere: no application code may touch it.
+  // The entries start at the boot rule (boot_entry) without being built;
+  // only the home node's mapping is set here. The master boots owning
+  // everything (it loaded the program)...
+  if (!params_.sharded) home_.set_all_access(mem::PageAccess::kReadWrite);
+  // ...except the shadow pool (this instance's slice of it, when sharded),
+  // which no application code may touch.
   for (std::uint32_t i = 0; i < params_.shadow_pool_page_count; ++i) {
-    const std::uint32_t page = params_.shadow_pool_first_page + i;
-    entries_[page].state = PageState::kHome;
-    entries_[page].owner = kInvalidNode;
-    home_.set_access(page, mem::PageAccess::kNone);
+    home_.set_access(params_.shadow_pool_first_page + i,
+                     mem::PageAccess::kNone);
   }
+}
+
+Directory::Entry& Directory::entry_at(std::uint32_t page) {
+  assert(page < home_.num_pages());
+  std::unique_ptr<Chunk>& chunk = chunks_[page >> kChunkShift];
+  if (chunk == nullptr) {
+    chunk = std::make_unique<Chunk>();
+    const std::uint32_t first = page & ~(kChunkPages - 1);
+    for (std::uint32_t i = 0; i < kChunkPages; ++i) {
+      (*chunk)[i] = boot_entry(first + i);
+    }
+  }
+  return (*chunk)[page & (kChunkPages - 1)];
 }
 
 net::Message Directory::make(NodeId dst, DsmMsg type, std::uint64_t a,
@@ -231,12 +247,11 @@ bool Directory::should_split(const Entry& entry, std::uint32_t page) const {
 
 void Directory::on_request(const net::Message& msg, bool write) {
   const auto page = static_cast<std::uint32_t>(msg.a);
-  assert(page < entries_.size());
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   if (stats_ != nullptr) {
     stats_->add(write ? "dir.write_reqs" : "dir.read_reqs");
   }
-  if (params_.sharded) homed_[page] = true;
+  entry.homed = true;
 
   // The requester is the wire-level sender unless the master relayed the
   // request here on the sender's behalf (first-touch placement).
@@ -276,7 +291,7 @@ void Directory::on_request(const net::Message& msg, bool write) {
 }
 
 void Directory::start_transaction(std::uint32_t page, const Request& req) {
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   assert(!entry.busy);
   entry.busy = true;
   entry.current = req;
@@ -362,7 +377,7 @@ void Directory::start_transaction(std::uint32_t page, const Request& req) {
 
 void Directory::on_inv_ack(const net::Message& msg) {
   const auto page = static_cast<std::uint32_t>(msg.a);
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   assert(entry.busy && entry.acks_outstanding > 0);
   if (static_cast<DsmMsg>(msg.type) == DsmMsg::kInvAckDiff) {
     assert(msg.b == 1);
@@ -382,7 +397,7 @@ void Directory::on_inv_ack(const net::Message& msg) {
 
 void Directory::on_downgrade_ack(const net::Message& msg) {
   const auto page = static_cast<std::uint32_t>(msg.a);
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   assert(entry.busy && entry.acks_outstanding > 0);
   if (static_cast<DsmMsg>(msg.type) == DsmMsg::kDowngradeAckDiff) {
     apply_writeback_diff(msg);
@@ -400,7 +415,7 @@ void Directory::on_downgrade_ack(const net::Message& msg) {
 }
 
 void Directory::complete_transaction(std::uint32_t page) {
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   if (entry.splitting) {
     perform_split(page);
     return;
@@ -409,7 +424,7 @@ void Directory::complete_transaction(std::uint32_t page) {
 }
 
 void Directory::grant_and_finish(std::uint32_t page) {
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   const Request& req = entry.current;
   const bool already_sharer = entry.sharers.contains(req.node);
   const bool already_owner =
@@ -482,12 +497,12 @@ void Directory::grant_and_finish(std::uint32_t page) {
 }
 
 void Directory::finish_entry(std::uint32_t page) {
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   entry.busy = false;
   entry.splitting = false;
   if (!entry.queue.empty()) {
     const Request next = entry.queue.front();
-    entry.queue.pop_front();
+    entry.queue.erase(entry.queue.begin());
     if (entry.state == PageState::kSplit) {
       send_chained(make(next.node, DsmMsg::kRetry, page), next.flow);
       if (stats_ != nullptr) stats_->add("dir.retries");
@@ -499,7 +514,7 @@ void Directory::finish_entry(std::uint32_t page) {
 }
 
 void Directory::perform_split(std::uint32_t page) {
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   const std::uint32_t shards = params_.dsm.split_shards;
   const std::uint32_t shard_size = home_.page_size() / shards;
   assert(shadow_next_ + shards <=
@@ -515,13 +530,13 @@ void Directory::perform_split(std::uint32_t page) {
     std::memset(dst.data(), 0, dst.size());
     std::memcpy(dst.data() + s * shard_size, src.data() + s * shard_size,
                 shard_size);
-    Entry& shadow_entry = entries_[shadows[s]];
+    Entry& shadow_entry = entry_at(shadows[s]);
     shadow_entry.state = PageState::kHome;
     shadow_entry.owner = kInvalidNode;
     shadow_entry.sharers.clear();
-    if (params_.sharded) homed_[shadows[s]] = true;
+    shadow_entry.homed = true;
   }
-  shadow_of_[page] = shadows;
+  entry.shadows = shadows;
   entry.state = PageState::kSplit;
   entry.owner = kInvalidNode;
   entry.sharers.clear();
@@ -549,11 +564,10 @@ void Directory::perform_split(std::uint32_t page) {
   }
   send_chained(make(entry.current.node, DsmMsg::kRetry, page),
                entry.current.flow);
-  while (!entry.queue.empty()) {
-    send_chained(make(entry.queue.front().node, DsmMsg::kRetry, page),
-                 entry.queue.front().flow);
-    entry.queue.pop_front();
+  for (const Request& queued : entry.queue) {
+    send_chained(make(queued.node, DsmMsg::kRetry, page), queued.flow);
   }
+  entry.queue.clear();
   entry.fs_count = 0;
   entry.fs_last_node = kInvalidNode;
   entry.busy = false;
@@ -580,37 +594,39 @@ void Directory::maybe_forward(NodeId requester, std::uint32_t page) {
   const std::uint32_t window = std::min(run, params_.dsm.forward_depth);
   std::uint32_t last_pushed = page;
   for (std::uint32_t p = page + 1;
-       p <= page + window && p < entries_.size(); ++p) {
-    Entry& entry = entries_[p];
+       p <= page + window && p < home_.num_pages(); ++p) {
+    // The window is read without building entries: only a page that is
+    // pushed gets one.
+    const Entry& seen = peek(p);
     // A shard may only speculate on pages it homes: anything it has not
     // already served belongs (or may belong) to another home.
-    if (params_.sharded && !homed_[p]) continue;
-    if (entry.busy || entry.state == PageState::kSplit ||
-        in_shadow_pool(p)) {
+    if (params_.sharded && !seen.homed) continue;
+    if (seen.busy || seen.state == PageState::kSplit || in_shadow_pool(p)) {
       continue;
     }
-    if (entry.sharers.contains(requester)) continue;  // already cached there
+    if (seen.sharers.contains(requester)) continue;  // already cached there
     // Never push a page some other node has been writing: the Shared copy
     // would tax every later write with an invalidation round-trip.
-    if (entry.fs_last_node != kInvalidNode && entry.fs_last_node != requester) {
+    if (seen.fs_last_node != kInvalidNode && seen.fs_last_node != requester) {
       continue;
     }
+    // A remote fresh copy would need a recall to forward.
+    if (seen.state == PageState::kModified && seen.owner != params_.self) {
+      continue;
+    }
+    Entry& entry = entry_at(p);
     if (entry.state == PageState::kModified) {
-      if (entry.owner == params_.self) {
-        // Home copy is the fresh copy: downgrade the home node in place so
-        // the page becomes shareable without a recall round-trip. The home
-        // node may have written the home copy while it owned the page, so
-        // any recorded version label is stale: advance the epoch with an
-        // unknown mask before handing the content out.
-        record_home_update(p, 0, /*known=*/false);
-        record_node_copy(p, params_.self);
-        home_.set_access(p, mem::PageAccess::kRead);
-        entry.state = PageState::kShared;
-        entry.sharers = NodeSet::single(params_.self);
-        entry.owner = kInvalidNode;
-      } else {
-        continue;  // fresh copy is remote; forwarding would need a recall
-      }
+      // Home copy is the fresh copy: downgrade the home node in place so
+      // the page becomes shareable without a recall round-trip. The home
+      // node may have written the home copy while it owned the page, so
+      // any recorded version label is stale: advance the epoch with an
+      // unknown mask before handing the content out.
+      record_home_update(p, 0, /*known=*/false);
+      record_node_copy(p, params_.self);
+      home_.set_access(p, mem::PageAccess::kRead);
+      entry.state = PageState::kShared;
+      entry.sharers = NodeSet::single(params_.self);
+      entry.owner = kInvalidNode;
     }
     entry.state = PageState::kShared;
     entry.sharers.add(requester);
@@ -633,12 +649,11 @@ void Directory::maybe_forward(NodeId requester, std::uint32_t page) {
 
 void Directory::on_crash_flush(const net::Message& msg) {
   const auto page = static_cast<std::uint32_t>(msg.a);
-  assert(page < entries_.size());
   // The flush is its sender's death certificate and travels one hop, so it
   // beats the master's two-hop kNodeDead broadcast: stop granting to the
   // sender now.
   dead_nodes_.insert(msg.src);
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   if (entry.state != PageState::kModified || entry.owner != msg.src) {
     // The protocol already moved on (a racing recall completed): stale.
     if (stats_ != nullptr) stats_->add("dsm.crash_flush_stale");
@@ -662,11 +677,21 @@ void Directory::on_crash_flush(const net::Message& msg) {
 }
 
 void Directory::on_node_dead(NodeId dead) {
+  // A page without an entry is in its boot state, owned by the master or
+  // by nobody, and the master never dies: the sweep has nothing to do
+  // there, so it walks only the allocated chunks, in page order. A chunk
+  // allocated mid-sweep (a completion below forwards ahead of `page`) is
+  // walked when the sweep reaches it.
+  assert(dead != kMasterNode);
   dead_nodes_.insert(dead);
   std::uint64_t reclaimed = 0;
-  for (std::uint32_t page = 0; page < entries_.size(); ++page) {
-    Entry& entry = entries_[page];
-    if (params_.sharded && !homed_[page]) continue;
+  for (std::uint32_t page = 0; page < home_.num_pages(); ++page) {
+    if (find(page) == nullptr) {
+      page |= kChunkPages - 1;  // skip the rest of an unallocated chunk
+      continue;
+    }
+    Entry& entry = entry_at(page);
+    if (params_.sharded && !entry.homed) continue;
     // Purge the dead node's queued requests before any completion below
     // can pop one of them.
     const auto dropped = std::erase_if(
@@ -718,15 +743,20 @@ void Directory::on_node_dead(NodeId dead) {
 std::vector<std::uint32_t> Directory::handoff_pages() const {
   std::vector<std::uint32_t> pages;
   if (!params_.sharded) return pages;
-  for (std::uint32_t page = 0; page < homed_.size(); ++page) {
-    if (homed_[page]) pages.push_back(page);
+  for (std::uint32_t page = 0; page < home_.num_pages(); ++page) {
+    const Entry* entry = find(page);
+    if (entry == nullptr) {
+      page |= kChunkPages - 1;  // an unallocated chunk homes nothing
+      continue;
+    }
+    if (entry->homed) pages.push_back(page);
   }
   return pages;
 }
 
 void Directory::serialize_entry(std::uint32_t page,
                                 std::vector<std::uint8_t>& out) const {
-  const Entry& entry = entries_[page];
+  const Entry& entry = peek(page);
   le::put_u32(out, static_cast<std::uint32_t>(entry.state));
   le::put_u32(out, entry.owner);
   std::vector<NodeId> sharers;
@@ -735,9 +765,8 @@ void Directory::serialize_entry(std::uint32_t page,
   }
   le::put_u32(out, static_cast<std::uint32_t>(sharers.size()));
   for (const NodeId n : sharers) le::put_u32(out, n);
-  const auto& shadows = shadow_of_[page];
-  le::put_u32(out, static_cast<std::uint32_t>(shadows.size()));
-  for (const std::uint32_t s : shadows) le::put_u32(out, s);
+  le::put_u32(out, static_cast<std::uint32_t>(entry.shadows.size()));
+  for (const std::uint32_t s : entry.shadows) le::put_u32(out, s);
   // Home bytes ship for everything but a split (retired) page. For a
   // Modified page the home copy is exactly the owner's grant-time bytes —
   // the diff base its eventual writeback is encoded against — so shipping
@@ -752,8 +781,7 @@ void Directory::serialize_entry(std::uint32_t page,
 
 void Directory::adopt_entry(std::uint32_t page,
                             std::span<const std::uint8_t> data) {
-  assert(page < entries_.size());
-  Entry& entry = entries_[page];
+  Entry& entry = entry_at(page);
   assert(!entry.busy && "adopted a page the adopting home was servicing");
   le::Reader in(data);
   const auto state = static_cast<PageState>(in.u32());
@@ -778,8 +806,8 @@ void Directory::adopt_entry(std::uint32_t page,
   entry.fs_last_shard = 0xFF;
   entry.fs_count = 0;
   if (!shadows.empty()) {
-    shadow_of_[page] = shadows;
     for (const std::uint32_t s : shadows) foreign_shadow_.insert(s);
+    entry.shadows = std::move(shadows);
   }
   // When this home's own client is the Modified owner, its mapping *is*
   // the fresh copy — the shipped grant-time base must not clobber it.
@@ -800,16 +828,18 @@ void Directory::adopt_entry(std::uint32_t page,
   // No diff state survives adoption: the first transfer from here is a
   // full one and version tracking restarts with it.
   diff_.erase(page);
-  if (params_.sharded) homed_[page] = true;
+  entry.homed = true;
   if (stats_ != nullptr) stats_->add("dsm.home_handoffs_adopted");
 }
 
 std::uint64_t Directory::digest() const {
   std::uint64_t h = fnv1a_seed();
   const auto fold = [&h](std::uint64_t v) { h = fnv1a_u64(v, h); };
-  for (std::uint32_t page = 0; page < entries_.size(); ++page) {
-    if (params_.sharded && !homed_[page]) continue;
-    const Entry& entry = entries_[page];
+  // Every page, entry or not: an unsharded home's untouched shadow pool is
+  // kHome, which is not the boot default below, and folds page by page.
+  for (std::uint32_t page = 0; page < home_.num_pages(); ++page) {
+    const Entry& entry = peek(page);
+    if (params_.sharded && !entry.homed) continue;
     // Skip pages still in their boot-default state so a quiet page costs
     // the same whether or not this shard ever touched it.
     const bool boot_default = entry.state == PageState::kModified &&
@@ -830,8 +860,14 @@ std::uint64_t Directory::digest() const {
 }
 
 bool Directory::check_invariants() const {
-  for (std::uint32_t page = 0; page < entries_.size(); ++page) {
-    const Entry& entry = entries_[page];
+  // Boot entries hold every invariant, so only allocated chunks are walked.
+  for (std::uint32_t page = 0; page < home_.num_pages(); ++page) {
+    const Entry* found = find(page);
+    if (found == nullptr) {
+      page |= kChunkPages - 1;
+      continue;
+    }
+    const Entry& entry = *found;
     if (entry.busy) continue;  // transitional states are exempt
     switch (entry.state) {
       case PageState::kModified:
@@ -848,11 +884,11 @@ bool Directory::check_invariants() const {
         }
         break;
       case PageState::kSplit:
-        if (!entry.sharers.empty() || shadow_of_[page].empty()) {
+        if (!entry.sharers.empty() || entry.shadows.empty()) {
           DQEMU_ERROR("invariant: split page %u inconsistent", page);
           return false;
         }
-        for (const std::uint32_t shadow : shadow_of_[page]) {
+        for (const std::uint32_t shadow : entry.shadows) {
           if (!in_shadow_pool(shadow) && foreign_shadow_.count(shadow) == 0) {
             DQEMU_ERROR("invariant: shadow page %u outside pool", shadow);
             return false;

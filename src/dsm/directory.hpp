@@ -15,10 +15,16 @@
 // queue. The directory also hosts the two section-5 optimizations: the
 // false-sharing detector + page splitting, and the stream detector + data
 // forwarding.
+//
+// Storage is per touched page, not per guest page: entries live in fixed
+// 256-page chunks, allocated the first time one of their pages is mutated.
+// A page with no entry answers by the boot rule (see boot_entry()), so a
+// home costs what its traffic touches, whatever the guest space's size.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -71,22 +77,23 @@ class Directory {
 
   // ---- introspection (tests / reports) ---------------------------------
   [[nodiscard]] PageState state(std::uint32_t page) const {
-    return entries_[page].state;
+    return peek(page).state;
   }
   [[nodiscard]] NodeId owner(std::uint32_t page) const {
-    return entries_[page].owner;
+    return peek(page).owner;
   }
   /// Sharer set of nodes 0-31 as a bitmask (test shorthand; nodes 32 and
   /// up are not shown).
   [[nodiscard]] std::uint32_t sharer_mask(std::uint32_t page) const {
+    const NodeSet& sharers = peek(page).sharers;
     std::uint32_t mask = 0;
     for (NodeId n = 0; n < 32 && n < params_.node_count; ++n) {
-      if (entries_[page].sharers.contains(n)) mask |= 1u << n;
+      if (sharers.contains(n)) mask |= 1u << n;
     }
     return mask;
   }
   [[nodiscard]] bool busy(std::uint32_t page) const {
-    return entries_[page].busy;
+    return peek(page).busy;
   }
   [[nodiscard]] std::uint64_t splits_performed() const { return splits_; }
 
@@ -160,20 +167,55 @@ class Directory {
     std::uint64_t flow = 0;  ///< causal chain of the originating fault
   };
 
+  /// One page's record. The defaults are the boot state of a page outside
+  /// this instance's shadow slice; an idle entry owns no heap memory.
   struct Entry {
     PageState state = PageState::kModified;
     NodeId owner = kMasterNode;
     NodeSet sharers;  ///< nodes holding read-only copies
     bool busy = false;
     bool splitting = false;
+    /// This instance has serviced, split into or adopted the page. Read
+    /// only when sharded: a shard sweeps and hands off just these, and
+    /// forwards only these, so it never speculates on a page homed
+    /// elsewhere.
+    bool homed = false;
     std::uint32_t acks_outstanding = 0;
     Request current;
-    std::deque<Request> queue;
+    std::vector<Request> queue;  ///< pending requests, served front first
+    std::vector<std::uint32_t> shadows;  ///< kSplit: the shadow pages
     // False-sharing detector (section 5.1).
     NodeId fs_last_node = kInvalidNode;
     std::uint8_t fs_last_shard = 0xFF;
     std::uint16_t fs_count = 0;
   };
+
+  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunkPages = 1u << kChunkShift;
+  using Chunk = std::array<Entry, kChunkPages>;
+
+  /// Boot rule: a never-touched page in this instance's shadow slice is
+  /// kHome with no owner; every other page is owned by the master, which
+  /// loaded the image.
+  static const Entry kBootOwned;
+  static const Entry kBootHome;
+  [[nodiscard]] const Entry& boot_entry(std::uint32_t page) const {
+    return in_shadow_pool(page) ? kBootHome : kBootOwned;
+  }
+  /// `page`'s entry, or null while its chunk is unallocated. Entries never
+  /// move once allocated, so a reference stays valid across later
+  /// allocations.
+  [[nodiscard]] const Entry* find(std::uint32_t page) const {
+    const Chunk* chunk = chunks_[page >> kChunkShift].get();
+    return chunk == nullptr ? nullptr : &(*chunk)[page & (kChunkPages - 1)];
+  }
+  /// Read-only view: the entry, or the boot rule's answer without one.
+  [[nodiscard]] const Entry& peek(std::uint32_t page) const {
+    const Entry* entry = find(page);
+    return entry != nullptr ? *entry : boot_entry(page);
+  }
+  /// Mutable entry, allocating its chunk (at the boot rule) on first use.
+  [[nodiscard]] Entry& entry_at(std::uint32_t page);
 
   /// Per-page version bookkeeping for the diff data plane (DESIGN.md §12).
   /// Sparse: allocated the first time a page's content actually moves, so
@@ -247,18 +289,14 @@ class Directory {
   Params params_;
   StatsRegistry* stats_;
   trace::Site trace_;  ///< kDsm records on this home's manager track
-  std::vector<Entry> entries_;
+  /// Chunk index: slot `page >> kChunkShift` holds that chunk's entries, or
+  /// null while none of its pages has been mutated.
+  std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<StreamDetector> streams_;  ///< per requesting node
   /// Per-slave manager thread occupancy (serializes demand replies).
   std::vector<TimePs> manager_free_;
-  std::vector<std::vector<std::uint32_t>> shadow_of_;  ///< page -> shadows
   std::uint32_t shadow_next_;  ///< next unallocated shadow page
   std::uint64_t splits_ = 0;
-  /// Sharded only: pages this instance has serviced a request for. The
-  /// forwarding window is restricted to them so a shard never speculates
-  /// on pages homed elsewhere (for first-touch this doubles as the learned
-  /// "assigned to me" set; the master relays until it is populated).
-  std::vector<bool> homed_;
   /// Per-shard protocol-message counter name ("dsm.home_msgs.<self>") for
   /// the directory-load-evenness report.
   std::string home_msgs_counter_;

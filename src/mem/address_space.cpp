@@ -74,10 +74,6 @@ std::span<std::uint8_t> AddressSpace::page_data(std::uint32_t page) {
   return {materialize(page), page_size_};
 }
 
-std::span<const std::uint8_t> AddressSpace::page_data(std::uint32_t page) const {
-  return {const_cast<AddressSpace*>(this)->materialize(page), page_size_};
-}
-
 void AddressSpace::set_all_access(PageAccess access) {
   std::fill(access_.begin(), access_.end(), access);
   ++protection_generation_;

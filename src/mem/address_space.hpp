@@ -87,10 +87,10 @@ class AddressSpace {
   [[nodiscard]] std::string read_cstring(GuestAddr addr,
                                          std::uint32_t max_len = 4096) const;
 
-  /// Mutable view of one whole page (materializes it).
+  /// Mutable view of one whole page (materializes it). A reader that must
+  /// not back untouched memory checks page_materialized() first: an
+  /// unbacked page reads as zeros.
   [[nodiscard]] std::span<std::uint8_t> page_data(std::uint32_t page);
-  /// Read-only view; materializes too (zero page is valid content).
-  [[nodiscard]] std::span<const std::uint8_t> page_data(std::uint32_t page) const;
   /// True if the page has ever been touched (has backing storage).
   [[nodiscard]] bool page_materialized(std::uint32_t page) const {
     return pages_[page] != nullptr;
@@ -127,7 +127,7 @@ class AddressSpace {
   std::uint32_t page_size_ = 0;
   std::uint32_t page_shift_ = 0;
   // unique_ptr<uint8_t[]> per page, allocated on first touch.
-  mutable std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
+  std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
   std::vector<PageAccess> access_;
   std::uint64_t protection_generation_ = 0;
 };

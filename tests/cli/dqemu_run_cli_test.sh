@@ -14,8 +14,9 @@ fail() {
 }
 
 # Byte-identity comparisons must ignore the host-side cost line: wall-clock
-# seconds and guest-MIPS are real time, not virtual time, and jitter is
-# expected there. Everything else must match exactly.
+# seconds, guest-MIPS and peak resident memory are host measurements, not
+# virtual time, and jitter is expected there. Everything else must match
+# exactly.
 strip_host() {
   printf '%s\n' "$1" | grep -v '^\[dqemu_run\] host:'
 }
@@ -72,6 +73,10 @@ esac
 case "$out" in
   *"retrans="*) ;;
   *) fail "fault run printed no net summary: $out" ;;
+esac
+case "$out" in
+  *"[dqemu_run] host: "*" peak-rss="*" MiB"*) ;;
+  *) fail "host line reports no peak-rss: $out" ;;
 esac
 
 # A bad placement policy fails loudly and names the accepted values.

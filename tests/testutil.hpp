@@ -19,7 +19,10 @@ inline isa::Program must_finalize(isa::Assembler& a) {
   return result.is_ok() ? result.take() : isa::Program{};
 }
 
-/// Small-memory config so tests construct clusters quickly.
+/// 64 MiB guest config. The size is kept because pinned results (the
+/// PaperBaseline rows, the determinism digests) were recorded with it: the
+/// shadow pool sits at the top of the guest space. Construction speed no
+/// longer depends on it, since a directory costs the pages it touches.
 inline ClusterConfig test_config(std::uint32_t slave_nodes) {
   ClusterConfig config;
   config.slave_nodes = slave_nodes;

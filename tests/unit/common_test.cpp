@@ -1,9 +1,12 @@
-// Unit tests: common module (status/result, rng, stats, config, time).
+// Unit tests: common module (status/result, hash, rng, stats, config, time).
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/config.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
@@ -66,6 +69,22 @@ TEST(Result, ReturnIfErrorMacroPropagates) {
     return Status::ok();
   };
   EXPECT_EQ(wrapper().code(), StatusCode::kInternal);
+}
+
+// ---- FNV-1a -----------------------------------------------------------------
+
+TEST(Fnv1a, ZeroFoldMatchesFoldingZeroBytes) {
+  // A checkpoint folds an unbacked page through fnv1a_zeros: it must equal
+  // folding the page's zero bytes, from any running hash and at any length.
+  const std::vector<std::uint8_t> zeros(8192, 0);
+  for (const std::uint64_t h :
+       {fnv1a_seed(), std::uint64_t{0}, std::uint64_t{0x0123456789ABCDEF}}) {
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 4095u, 4096u, 8192u}) {
+      EXPECT_EQ(fnv1a_zeros(n, h),
+                fnv1a(std::span(zeros.data(), n), h))
+          << "h=" << h << " n=" << n;
+    }
+  }
 }
 
 // ---- Rng --------------------------------------------------------------------

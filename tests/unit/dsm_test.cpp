@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "common/hash.hpp"
 #include "dsm/client.hpp"
 #include "dsm/directory.hpp"
 #include "dsm/stream_detector.hpp"
@@ -72,6 +74,20 @@ struct ProtocolFixture : ::testing::Test {
   std::vector<std::uint32_t> wakes[3];
 };
 
+/// Every probed coherence field of `pages`, in order: a fresh directory's
+/// boot answer, compared before and after a sweep.
+std::vector<std::uint64_t> probe(const Directory& dir,
+                                 const std::vector<std::uint32_t>& pages) {
+  std::vector<std::uint64_t> out;
+  for (const std::uint32_t page : pages) {
+    out.push_back(static_cast<std::uint64_t>(dir.state(page)));
+    out.push_back(dir.owner(page));
+    out.push_back(dir.sharer_mask(page));
+    out.push_back(dir.busy(page) ? 1 : 0);
+  }
+  return out;
+}
+
 TEST_F(ProtocolFixture, BootState) {
   // Master owns everything outside the shadow pool.
   EXPECT_EQ(directory->state(10), Directory::PageState::kModified);
@@ -81,6 +97,67 @@ TEST_F(ProtocolFixture, BootState) {
   EXPECT_EQ(directory->state(pool_page), Directory::PageState::kHome);
   EXPECT_EQ(spaces[0]->access(pool_page), mem::PageAccess::kNone);
   EXPECT_TRUE(directory->check_invariants());
+
+  // Both edges of the pool: its last page is kHome with no owner and no
+  // access; the page just below it is an ordinary master-owned page.
+  const std::uint32_t last_page = (kMem / kPage) - 1;
+  EXPECT_EQ(directory->state(last_page), Directory::PageState::kHome);
+  EXPECT_EQ(directory->owner(last_page), kInvalidNode);
+  EXPECT_EQ(spaces[0]->access(last_page), mem::PageAccess::kNone);
+  EXPECT_EQ(directory->state(pool_page - 1), Directory::PageState::kModified);
+  EXPECT_EQ(directory->owner(pool_page - 1), kMasterNode);
+  EXPECT_EQ(spaces[0]->access(pool_page - 1), mem::PageAccess::kReadWrite);
+  EXPECT_TRUE(directory->handoff_pages().empty());
+
+  // A dead-node sweep over a directory that has served nothing changes
+  // nothing: the boot owner is the master, which never dies.
+  const std::vector<std::uint32_t> pages = {0, 10, pool_page - 1, pool_page,
+                                            last_page};
+  const std::uint64_t digest = directory->digest();
+  const std::vector<std::uint64_t> before = probe(*directory, pages);
+  directory->on_node_dead(2);
+  EXPECT_EQ(directory->digest(), digest);
+  EXPECT_EQ(probe(*directory, pages), before);
+  EXPECT_TRUE(directory->check_invariants());
+
+  // A shard hosted on node 1 owning a 256-page slice in the middle of the
+  // pool: the slice boots kHome with no access on the host; every other
+  // page, pool pages outside the slice included, defaults to "the master
+  // owns the boot content".
+  const std::uint32_t slice_first = pool_page + 256;
+  Directory::Params params;
+  params.node_count = 3;
+  params.shadow_pool_first_page = slice_first;
+  params.shadow_pool_page_count = 256;
+  params.self = 1;
+  params.sharded = true;
+  Directory shard(*network, *queue, *spaces[1], params, &stats);
+
+  for (const std::uint32_t page : {slice_first, slice_first + 255}) {
+    EXPECT_EQ(shard.state(page), Directory::PageState::kHome) << page;
+    EXPECT_EQ(shard.owner(page), kInvalidNode) << page;
+    EXPECT_EQ(spaces[1]->access(page), mem::PageAccess::kNone) << page;
+  }
+  for (const std::uint32_t page :
+       {10u, pool_page, slice_first - 1, slice_first + 256}) {
+    EXPECT_EQ(shard.state(page), Directory::PageState::kModified) << page;
+    EXPECT_EQ(shard.owner(page), kMasterNode) << page;
+    EXPECT_EQ(shard.sharer_mask(page), 0u) << page;
+  }
+  EXPECT_TRUE(shard.check_invariants());
+  // A shard that has served nothing homes nothing: no handoff, and its
+  // digest folds no page at all.
+  EXPECT_TRUE(shard.handoff_pages().empty());
+  EXPECT_EQ(shard.digest(), fnv1a_seed());
+
+  const std::vector<std::uint32_t> shard_pages = {
+      10, pool_page, slice_first - 1, slice_first, slice_first + 255,
+      slice_first + 256};
+  const std::vector<std::uint64_t> shard_before = probe(shard, shard_pages);
+  shard.on_node_dead(2);
+  EXPECT_EQ(shard.digest(), fnv1a_seed());
+  EXPECT_EQ(probe(shard, shard_pages), shard_before);
+  EXPECT_TRUE(shard.check_invariants());
 }
 
 TEST_F(ProtocolFixture, ReadGrantDowngradesMasterAndShares) {

@@ -10,7 +10,8 @@
 //     home's shard, included) holds its invariants after recovery;
 //   - the result does not depend on --host-threads;
 //   - a checkpoint captured at a virtual-time cut is bit-identical between
-//     a fresh run and a re-executed ("restored") run;
+//     a fresh run and a re-executed ("restored") run, CI's two checkpointed
+//     crash runs write pinned digests, and a capture backs no guest page;
 //   - a peer that stops acking is declared dead after the configured number
 //     of zero-progress retransmit rounds, and the sender then goes quiet.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "core/cluster.hpp"
 #include "dsm/directory.hpp"
 #include "dsm/placement.hpp"
+#include "mem/address_space.hpp"
 #include "net/fault/node_faults.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
@@ -76,6 +78,8 @@ struct ServeRun {
   /// Surviving nodes whose home directory run_serving checked at the end.
   std::vector<NodeId> checked_homes;
   std::optional<core::CheckpointImage> checkpoint;
+  /// Pages with backing storage, per node, at the end of the run.
+  std::vector<std::uint32_t> materialized;
 };
 
 ServeRun run_serving(const ClusterConfig& config,
@@ -115,6 +119,14 @@ ServeRun run_serving(const ClusterConfig& config,
     out.checked_homes.push_back(id);
   }
   out.checkpoint = cluster.checkpoint_image();
+  for (NodeId id = 0; id < cluster.node_count(); ++id) {
+    const mem::AddressSpace& space = cluster.node(id).space();
+    std::uint32_t backed = 0;
+    for (std::uint32_t page = 0; page < space.num_pages(); ++page) {
+      if (space.page_materialized(page)) ++backed;
+    }
+    out.materialized.push_back(backed);
+  }
   return out;
 }
 
@@ -281,6 +293,86 @@ TEST(Checkpoint, ImageRoundTripsThroughDisk) {
   EXPECT_EQ(loaded.virtual_time, image.virtual_time);
   EXPECT_TRUE(loaded.diff(image).empty());
   EXPECT_EQ(loaded.digests, image.digests);
+}
+
+/// CI crash-smoke's serving run, built as `dqemu_run --serve --nodes 4
+/// --requests 300 --rate 4000 --serve-workers 12 --crash N@T` builds it:
+/// fault_config() with 300 requests on the default 256 MiB guest.
+ClusterConfig crash_smoke_config(NodeId node, TimePs at) {
+  ClusterConfig config =
+      fault_config(FaultConfig::NodeFault::Kind::kCrash, node, at);
+  config.guest_mem_bytes = ClusterConfig{}.guest_mem_bytes;
+  config.serve.requests = 300;
+  return config;
+}
+
+using Digests = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// Cuts `config` at 40000 us (`--checkpoint 40000:FILE`) and checks the
+/// image against `pinned`, the content of the checkpoint file such a run
+/// writes: a capture that folds any component differently would make every
+/// earlier checkpoint fail to restore.
+void expect_pinned_cut(const ClusterConfig& config, const Digests& pinned) {
+  const TimePs cut = 40 * kMs;
+  const ServeRun armed = run_serving(config, cut);
+  ASSERT_TRUE(armed.ok) << armed.error;
+  ASSERT_TRUE(armed.checkpoint.has_value());
+  EXPECT_EQ(armed.checkpoint->virtual_time, cut);
+  EXPECT_EQ(armed.checkpoint->digests, pinned);
+  // The capture reads guest memory without backing it: the armed run ends
+  // with exactly the pages the unarmed run materialized.
+  const ServeRun unarmed = run_serving(config);
+  ASSERT_TRUE(unarmed.ok) << unarmed.error;
+  EXPECT_EQ(armed.materialized, unarmed.materialized);
+}
+
+TEST(Checkpoint, CrashSmokeCutIsPinned) {
+  const ClusterConfig config = crash_smoke_config(2, 900 * kUs);
+  expect_pinned_cut(config, {{"dir.0", 0xbed6fc25f18cfec5},
+                             {"futex.0", 0xac328922c6752ee2},
+                             {"insns", 0x00000000000f384f},
+                             {"serve", 0xea5c060b8b1b3772},
+                             {"space.0", 0x64708515de6aed9e},
+                             {"space.1", 0xd1975a17a2188fa8},
+                             {"space.2", 0xb8d1b2e45cbcb6cc},
+                             {"space.3", 0x08bf0839c4a97875},
+                             {"space.4", 0x91c694903cb5e6e2},
+                             {"threads.0", 0x537e65978beae7bd},
+                             {"threads.1", 0xdb7343028ccf548b},
+                             {"threads.2", 0xcbf29ce484222325},
+                             {"threads.3", 0xcb2da7c8bb280918},
+                             {"threads.4", 0x2f2c0024c6696523}});
+}
+
+TEST(Checkpoint, ShardedCrashSmokeCutIsPinned) {
+  // `--hier-locking --home-sharding --placement first-touch --crash
+  // 2@1500`: every home's directory and futex table is a component.
+  ClusterConfig config = crash_smoke_config(2, 1500 * kUs);
+  config.sys.enable_hierarchical_locking = true;
+  config.dsm.enable_home_sharding = true;
+  config.dsm.home_placement = HomePlacement::kFirstTouch;
+  expect_pinned_cut(config, {{"dir.0", 0x35bb838999627dc4},
+                             {"dir.1", 0x742270d64ff02ee5},
+                             {"dir.2", 0x9a2978736344a1a4},
+                             {"dir.3", 0xfa43e21db4a0208a},
+                             {"dir.4", 0x799c01609450297d},
+                             {"futex.0", 0xa56ba67f0e7b915d},
+                             {"futex.1", 0xbc6125f9afca2a0d},
+                             {"futex.2", 0x88201fb960ff6465},
+                             {"futex.3", 0x88201fb960ff6465},
+                             {"futex.4", 0x88201fb960ff6465},
+                             {"insns", 0x00000000000f3582},
+                             {"serve", 0xc8faed9368881a54},
+                             {"space.0", 0xd322600ab37c0c22},
+                             {"space.1", 0x6813a85b5e892a7e},
+                             {"space.2", 0xd1bb2d639e26c2db},
+                             {"space.3", 0x173cb4a1f66e1731},
+                             {"space.4", 0xa9c72c981780b6a5},
+                             {"threads.0", 0x537e65978beae7bd},
+                             {"threads.1", 0x1fd4c61b70d4477e},
+                             {"threads.2", 0xcbf29ce484222325},
+                             {"threads.3", 0x8bfc82083fd2abbf},
+                             {"threads.4", 0x060c2ca555e4b2cf}});
 }
 
 // ---- bounded give-up (net.peer_dead) -------------------------------------

@@ -297,11 +297,12 @@ TEST(ShardingFaults, HomeRecallsSurviveALossyWire) {
 // ---- scale -----------------------------------------------------------------
 
 TEST(ShardingScale, SixtyFourHomesServeAWalk) {
-  // 64 slave homes with a small per-node memory so the test stays light;
-  // the Release-mode CI scale-smoke job runs the full scenario through
-  // dqemu_run with byte-identity checked across two runs.
+  // 64 slave homes at the default 256 MiB guest: a home's directory costs
+  // what its pages touch, not the size of the guest space. The Release-mode
+  // CI scale-smoke job runs the full scenario through dqemu_run with
+  // byte-identity checked across two runs.
   ClusterConfig config = sharded_config(64);
-  config.guest_mem_bytes = 16u * 1024 * 1024;  // validate()'s floor
+  config.guest_mem_bytes = ClusterConfig{}.guest_mem_bytes;
   const auto program = must(workloads::memwalk(512 * 1024, 8, true));
   const Observation obs = observe(program, config);
   EXPECT_EQ(obs.result.exit_code, 0u);

@@ -13,6 +13,8 @@
 //   ./build/tools/dqemu_run examples/guest/hello.s --nodes 4 --stats
 //   ./build/tools/dqemu_run examples/guest/pi.s --trace out.json
 //   ./build/tools/dqemu_run --serve --nodes 4 --rate 8000 --requests 20000
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -472,18 +474,26 @@ int main(int argc, char** argv) {
                result.exit_code,
                static_cast<unsigned long long>(result.guest_insns),
                ps_to_seconds(result.sim_time), cluster.node_count());
-  // Host-side cost of the run: wall-clock seconds and the simulation rate
-  // in guest MIPS. This is what --host-threads buys; virtual time above is
-  // independent of it by construction.
+  // Host-side cost of the run: wall-clock seconds, the simulation rate in
+  // guest MIPS and the process's peak resident memory. This is what
+  // --host-threads buys; virtual time above is independent of it by
+  // construction. getrusage reports KiB on Linux; should it fail, the field
+  // reads "unknown", which CI's memory gates reject.
+  rusage usage{};
+  char peak_rss[32] = "unknown";
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    std::snprintf(peak_rss, sizeof peak_rss, "%.1f",
+                  static_cast<double>(usage.ru_maxrss) / 1024.0);
+  }
   std::fprintf(stderr,
                "[dqemu_run] host: wall=%.3f s  guest-mips=%.2f  "
-               "host-threads=%u\n",
+               "host-threads=%u  peak-rss=%s MiB\n",
                host_seconds,
                host_seconds > 0.0
                    ? static_cast<double>(result.guest_insns) / host_seconds /
                          1e6
                    : 0.0,
-               config.sim.host_threads);
+               config.sim.host_threads, peak_rss);
 
   // DBT hot-path summary: how often each host-side cache served a block
   // entry or a memory access. tlb_hit/tlb_miss count the software TLB,
