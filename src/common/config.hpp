@@ -2,8 +2,10 @@
 //
 // Defaults model the paper's testbed (section 6.1): 7 workstations with
 // Intel i5-6500 quad-core CPUs at 3.3 GHz, connected by a Gigabit switch
-// with an average TCP round-trip latency of 55 microseconds. All costs are
-// configuration, not constants, so the ablation benches can sweep them.
+// with an average TCP round-trip latency of 55 microseconds. The costs
+// some caller sets (a bench sweep, a CLI flag, a test) are fields; the rest
+// are `static constexpr` members, read the same way, so a write to one
+// fails to compile instead of silently configuring nothing.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +43,12 @@ struct NetworkConfig {
   DurationPs endpoint_overhead = 52'500 * time_literals::kNs;
 
   /// Fixed per-message header bytes added to every payload.
-  std::uint32_t header_bytes = 64;
+  static constexpr std::uint32_t header_bytes = 64;
 
   /// Delivery latency for node-local (loopback) messages, e.g. a master
   /// guest thread talking to the directory. Models a function call plus
   /// lock hand-off rather than the TCP stack.
-  DurationPs loopback_latency = 500 * time_literals::kNs;
+  static constexpr DurationPs loopback_latency = 500 * time_literals::kNs;
 
   /// Serialization (wire) time for `bytes` on this link.
   [[nodiscard]] DurationPs wire_time(std::uint64_t bytes) const {
@@ -71,21 +73,21 @@ struct NetworkConfig {
 struct DbtConfig {
   /// Host cycles charged per executed guest ALU/branch micro-op. QEMU's
   /// TCG expands a guest instruction to roughly this many host cycles.
-  std::uint32_t cycles_per_op = 6;
+  static constexpr std::uint32_t cycles_per_op = 6;
   /// Extra cycles for a guest memory access (guest->host address
   /// translation + the software load/store path).
-  std::uint32_t cycles_per_mem_op = 8;
+  static constexpr std::uint32_t cycles_per_mem_op = 8;
   /// Extra cycles for FP "libm-class" ops (exp/log/pow/sqrt...).
-  std::uint32_t cycles_per_fp_special = 40;
+  static constexpr std::uint32_t cycles_per_fp_special = 40;
   /// One-time translation cost per guest instruction in a block.
-  std::uint32_t translate_cycles_per_insn = 800;
+  static constexpr std::uint32_t translate_cycles_per_insn = 800;
   /// Cost of taking a page-protection trap into the DSM layer
   /// (the paper cites ~2000 cycles for a page-fault trap).
-  std::uint32_t fault_trap_cycles = 2000;
+  static constexpr std::uint32_t fault_trap_cycles = 2000;
   /// Cost of entering the syscall emulation path.
-  std::uint32_t syscall_trap_cycles = 400;
-  /// Master-side service cost of a delegated syscall (manager thread work).
-  std::uint32_t syscall_service_cycles = 1500;
+  static constexpr std::uint32_t syscall_trap_cycles = 400;
+  /// Home-side service cost of a delegated syscall (manager thread work).
+  static constexpr std::uint32_t syscall_service_cycles = 1500;
   /// Maximum guest instructions executed per scheduling quantum.
   std::uint32_t quantum_insns = 20'000;
   /// Executions of a block's own trace between attempts to stitch the
@@ -106,7 +108,7 @@ enum class HomePlacement : std::uint8_t {
 struct DsmConfig {
   /// Directory lookup / state machine cost per request — on the master,
   /// or on a page's home node when home sharding is on.
-  std::uint32_t directory_cycles = 600;
+  static constexpr std::uint32_t directory_cycles = 600;
 
   /// Per-message service time of a slave's manager thread at the directory
   /// host (paper Fig. 2: one manager thread per slave). Demand traffic to
@@ -115,7 +117,7 @@ struct DsmConfig {
   DurationPs manager_service = 100 * time_literals::kUs;
   /// Manager cost of emitting one speculative forward push (no request
   /// parsing, no fault hand-off: a batched stream operation).
-  DurationPs forward_service = 5 * time_literals::kUs;
+  static constexpr DurationPs forward_service = 5 * time_literals::kUs;
 
   /// Page splitting (5.1): enabled + trigger threshold. A page is split
   /// after it has been requested by different nodes at different offsets
@@ -146,7 +148,7 @@ struct DsmConfig {
   std::uint32_t forward_depth = 32;
   /// Concurrent streams tracked per node (Linux readahead keeps a table
   /// too); must cover the threads-per-node that walk disjoint regions.
-  std::uint32_t forward_streams = 48;
+  static constexpr std::uint32_t forward_streams = 48;
 
   /// Home-node sharding (DESIGN.md §17): distribute the coherence
   /// directory and the futex/lease tables across per-page home nodes
@@ -178,7 +180,7 @@ struct FaultConfig {
   double drop_pct = 0.0;    ///< message lost on the wire
   double dup_pct = 0.0;     ///< switch delivers a second copy
   double jitter_pct = 0.0;  ///< extra delay drawn uniform in [0, jitter_max]
-  DurationPs jitter_max = 200 * time_literals::kUs;
+  static constexpr DurationPs jitter_max = 200 * time_literals::kUs;
   /// Probability that a message is held long enough to slip behind later
   /// traffic on the same link (a deterministic reorder: the receive side
   /// restores sequence order before delivery).
@@ -219,7 +221,7 @@ struct FaultConfig {
   std::vector<NodeFault> node_faults;
   /// Draw window for NodeFault::at == 0: the fault time lands uniformly in
   /// [fault_window/4, fault_window).
-  DurationPs fault_window = 2 * time_literals::kMs;
+  static constexpr DurationPs fault_window = 2 * time_literals::kMs;
   /// Bounded retransmission give-up (the dead-peer backstop): after this
   /// many consecutive zero-progress retransmit rounds on one link, the
   /// sender declares the peer dead (`net.peer_dead`), reports it to the
@@ -230,7 +232,8 @@ struct FaultConfig {
   // Reliable-channel tuning.
   DurationPs retrans_timeout = 1 * time_literals::kMs;  ///< initial RTO
   DurationPs retrans_cap = 16 * time_literals::kMs;     ///< backoff ceiling
-  DurationPs ack_delay = 100 * time_literals::kUs;      ///< delayed pure ack
+  /// Delayed pure ack.
+  static constexpr DurationPs ack_delay = 100 * time_literals::kUs;
   /// Protocol watchdogs: outstanding DSM faults and lease recalls re-issue
   /// their request after this long without progress (then back off 2x,
   /// capped at 8x). 0 disables the watchdogs even with faults enabled.
@@ -247,17 +250,17 @@ struct SysConfig {
   bool enable_hierarchical_locking = false;
   /// Delegated futex ops a node observes on one address between lease
   /// requests: low = aggressive lease migration, high = sticky master.
-  std::uint32_t lease_request_threshold = 2;
+  static constexpr std::uint32_t lease_request_threshold = 2;
   /// Minimum time the master lets a lease age before recalling it for a
   /// competing node (anti-ping-pong hysteresis).
   DurationPs lease_min_hold = 5 * time_literals::kMs;
   /// Consecutive wakes the agent may hand to same-node waiters before it
   /// must serve the oldest cross-node waiter (lock cohorting; bounds
-  /// cross-node starvation). 0 = strict global FIFO.
-  std::uint32_t lock_cohort_limit = 64;
+  /// cross-node starvation).
+  static constexpr std::uint32_t lock_cohort_limit = 64;
   /// Agent service cost per locally-served futex op (cycles): the local
   /// kernel's futex path instead of a master RPC.
-  std::uint32_t lock_agent_cycles = 300;
+  static constexpr std::uint32_t lock_agent_cycles = 300;
 };
 
 /// How the serving plane's load generator times request injections.
@@ -298,12 +301,21 @@ struct ServeConfig {
   // Service-time mix: relative weights of the three request classes and
   // the mean work units (guest loop iterations) each class costs. Work is
   // jittered ±50% per request, also seed-keyed.
-  std::uint32_t mix_cheap = 70;
-  std::uint32_t mix_medium = 25;
-  std::uint32_t mix_heavy = 5;
-  std::uint32_t work_cheap = 300;    ///< pure ALU loop
-  std::uint32_t work_medium = 2000;  ///< walks a read-shared table (DSM reads)
-  std::uint32_t work_heavy = 1000;   ///< + a global-mutex critical section
+  static constexpr std::uint32_t mix_cheap = 70;
+  static constexpr std::uint32_t mix_medium = 25;
+  static constexpr std::uint32_t mix_heavy = 5;
+  /// Pure ALU loop.
+  static constexpr std::uint32_t work_cheap = 300;
+  /// Walks a read-shared table (DSM reads).
+  static constexpr std::uint32_t work_medium = 2000;
+  /// Adds a global-mutex critical section.
+  static constexpr std::uint32_t work_heavy = 1000;
+  // The work descriptor rides in 28 bits of the syscall result, and the
+  // per-request jitter scales it up to 1.5x.
+  static_assert(work_cheap >= 1 && work_cheap <= (1u << 27) &&
+                    work_medium >= 1 && work_medium <= (1u << 27) &&
+                    work_heavy >= 1 && work_heavy <= (1u << 27),
+                "serve work units must be in [1, 2^27]");
 };
 
 /// Host-side simulation kernel tuning (DESIGN.md §16). With host_threads
@@ -356,8 +368,6 @@ struct ClusterConfig {
   ServeConfig serve;
   SimConfig sim;
 
-  std::uint64_t seed = 42;  ///< seed for all workload/test randomness
-
   /// Basic sanity validation; returns the first problem found.
   [[nodiscard]] Status validate() const {
     using S = Status;
@@ -388,8 +398,6 @@ struct ClusterConfig {
       return S::invalid_argument("quantum_insns must be >= 1");
     if (dbt.sb_hot_threshold == 0)
       return S::invalid_argument("sb_hot_threshold must be >= 1");
-    if (sys.enable_hierarchical_locking && sys.lease_request_threshold == 0)
-      return S::invalid_argument("lease_request_threshold must be >= 1");
     if (faults.enabled) {
       const double pcts[] = {faults.drop_pct, faults.dup_pct,
                              faults.jitter_pct, faults.reorder_pct};
@@ -414,8 +422,6 @@ struct ClusterConfig {
         return S::invalid_argument(
             "node faults need request_timeout > 0 (orphaned requests are "
             "recovered by re-issue)");
-      if (faults.fault_window == 0)
-        return S::invalid_argument("fault_window must be > 0");
       for (const FaultConfig::NodeFault& nf : faults.node_faults) {
         // The master is the cluster's root of authority (it adopts a dead
         // home's shard); it never crashes or pauses.
@@ -445,15 +451,6 @@ struct ClusterConfig {
         return S::invalid_argument("serve.rate must be positive (open loop)");
       if (serve.arrival == ArrivalProcess::kClosed && serve.clients == 0)
         return S::invalid_argument("serve.clients must be >= 1 (closed loop)");
-      if (serve.mix_cheap + serve.mix_medium + serve.mix_heavy == 0)
-        return S::invalid_argument("serve mix weights must not all be zero");
-      for (const std::uint32_t work :
-           {serve.work_cheap, serve.work_medium, serve.work_heavy}) {
-        // The work descriptor rides in 28 bits of the syscall result, and
-        // the per-request jitter scales it up to 1.5x.
-        if (work == 0 || work > (1u << 27))
-          return S::invalid_argument("serve work units must be in [1, 2^27]");
-      }
     }
     if (sim.host_threads == 0)
       return S::invalid_argument("sim.host_threads must be >= 1");

@@ -127,24 +127,22 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
           network_, node_queue, nodes_[id]->space(), params, &stats_, tracer_);
     }
     home.futexes = std::make_unique<sys::FutexService>(
-        id, network_, node_queue, machine, config_.dbt.syscall_service_cycles,
-        &stats_, tracer_);
-    home.futexes->configure_locking(config_.sys);
-    home.futexes->configure_faults(config_.faults.request_timeout);
+        id, network_, node_queue, machine, config_.sys.lease_min_hold,
+        config_.faults.request_timeout, &stats_, tracer_);
     nodes_[id]->host_home_shard(home.directory.get(), home.futexes.get());
   }
 
-  syscalls_.emplace(network_, queue_, config_.machine_for(kMasterNode),
-                    config_.dbt.syscall_service_cycles,
-                    *home_table_[kMasterNode].futexes, &stats_, tracer_);
-  if (sharded) {
-    // Thread-exit ctid wakes must reach whichever home arbitrates the
-    // futex. Resolved against the *original* address's page, like every
-    // other futex routing decision (see Node::futex_home).
-    syscalls_->set_futex_home([this](GuestAddr addr) {
-      return home_map_.home_of(addr / config_.machine.page_size);
-    });
-  }
+  // Thread-exit ctid wakes must reach whichever home arbitrates the futex
+  // (the master when sharding is off). Resolved against the *original*
+  // address's page, like every other futex routing decision (see
+  // Node::futex_home).
+  syscalls_.emplace(
+      network_, queue_, config_.machine.page_size,
+      *home_table_[kMasterNode].futexes,
+      [this](GuestAddr addr) {
+        return home_map_.home_of(addr / config_.machine.page_size);
+      },
+      &stats_, tracer_);
   sys::MasterSyscalls::Hooks sys_hooks;
   sys_hooks.on_clone = [this](const sys::SyscallRequest& req) {
     return on_clone(req);
@@ -164,7 +162,8 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
                std::uint64_t flow) {
           // Every dispatch/EOF pays the same manager service delay as any
           // other syscall response.
-          syscalls_->send_response(dst, tid, result, {}, flow);
+          home_table_[kMasterNode].futexes->send_response(dst, tid, result,
+                                                          flow);
         });
     syscalls_->set_serve_handler([this](const sys::SyscallRequest& req) {
       if (req.num == isa::Sys::kServeGet) {

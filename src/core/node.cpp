@@ -58,17 +58,19 @@ Node::Node(NodeId id, const ClusterConfig& config, sim::EventQueue& queue,
       engine_(space_, &shadow_, llsc_, tcache_, config.dbt,
               /*check_protection=*/!config.single_node_baseline, stats),
       homes_(config.dsm, dsm::home_layout(config)),
-      dsm_(id, network, space_, shadow_, &llsc_, &tcache_, stats,
+      dsm_(id, network, queue, space_, shadow_, &llsc_, &tcache_, stats,
            [this](std::uint32_t page) { wake_page_waiters(page); }, tracer,
            config.dsm.enable_diff_transfers, config.faults.request_timeout,
            &homes_),
-      lock_agent_(id, config.sys, queue, network, stats, tracer,
-                  [this](GuestTid tid, std::uint64_t flow) {
-                    on_local_futex_wake(tid, flow);
-                  }),
+      lock_agent_(
+          id, queue, network, stats, tracer,
+          [this](GuestAddr addr) { return futex_home(addr); },
+          // A locally-parked waiter was granted the lock; its own chain
+          // closes in complete_futex_locally.
+          [this](GuestTid tid, std::uint64_t) {
+            complete_after_agent(tid, 0);
+          }),
       core_busy_(machine_.cores_per_node, false) {
-  lock_agent_.set_home_resolver(
-      [this](GuestAddr addr) { return futex_home(addr); });
   // Superblock lifecycle records ride the opt-in kDbt category (not in the
   // default set: formation is host-side and would differ with the trace
   // tier disabled). a = trace entry pc, b = guest insns covered.
@@ -355,10 +357,7 @@ bool Node::ensure_access(GuestThread& t,
     if (range.len == 0) continue;
     if (static_cast<std::uint64_t>(range.addr) + range.len > space_.size()) {
       // Bad guest pointer: fail the syscall rather than the simulation.
-      t.ctx.set_a0(static_cast<std::uint32_t>(-isa::kEINVAL));
-      t.pending_syscall.reset();
-      enqueue(t.ctx.tid);
-      kick();
+      resume(t, -isa::kEINVAL);
       return false;
     }
     std::uint32_t missing_page = UINT32_MAX;
@@ -447,9 +446,7 @@ void Node::run_local_syscall(GuestThread& t, PendingSyscall& call) {
         GuestThread& sleeper = threads_.at(tid);
         assert(sleeper.state == ThreadState::kSleeping);
         sleeper.breakdown.idle += queue_.now() - sleeper.block_start;
-        sleeper.ctx.set_a0(0);
-        enqueue(tid);
-        kick();
+        resume(sleeper, 0);
       });
       return;
     }
@@ -464,11 +461,8 @@ void Node::run_local_syscall(GuestThread& t, PendingSyscall& call) {
       result = -isa::kENOSYS;
       break;
   }
-  t.ctx.set_a0(static_cast<std::uint32_t>(result));
-  t.pending_syscall.reset();
   if (stats_ != nullptr) stats_->add("sys.local");
-  enqueue(t.ctx.tid);
-  kick();
+  resume(t, result);
 }
 
 void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
@@ -513,20 +507,14 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
         // its wake after our wait on the master's FIFO channel.
         const GuestAddr resolved = shadow_.translate(call.args[0]);
         if ((resolved & 3u) != 0) {
-          t.ctx.set_a0(static_cast<std::uint32_t>(-isa::kEINVAL));
-          t.pending_syscall.reset();
-          enqueue(t.ctx.tid);
-          kick();
+          resume(t, -isa::kEINVAL);
           return;
         }
         const auto value = static_cast<std::uint32_t>(space_.load(resolved, 4));
         call.block_is_idle = true;  // time spent blocked is lock-wait, not work
         if (value != call.args[2]) {
-          t.ctx.set_a0(static_cast<std::uint32_t>(-isa::kEAGAIN));
-          t.pending_syscall.reset();
           if (stats_ != nullptr) stats_->add("sys.futex_eagain");
-          enqueue(t.ctx.tid);
-          kick();
+          resume(t, -isa::kEAGAIN);
           return;
         }
       }
@@ -548,48 +536,27 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
             // Per-channel FIFO keeps it ordered before any later futex op
             // this node delegates, so the no-lost-wakeup argument holds.
             call.args[3] = sys::kFutexAsyncWake;
-            if (const trace::Site sys = site(trace::Cat::kSys); sys.on()) {
-              call.flow = tracer_->new_flow();
-              sys.record(queue_.now(), "sys.delegate",
-                         trace::Kind::kFlowBegin, call.flow,
-                         static_cast<std::uint64_t>(call.num), faddr,
-                         t.ctx.tid);
-            }
+            open_delegate_flow(t);
             net::Message req = sys::make_syscall_request(
                 id_, t.ctx.tid, call.num, call.args, payload);
             req.dst = futex_home(faddr);
             req.flow = call.flow;
             network_.send(std::move(req));
-            t.state = ThreadState::kBlockedSyscall;
-            t.block_start = queue_.now();
-            call.phase = PendingSyscall::Phase::kAwaitResponse;
+            block_on_syscall(t);
             if (stats_ != nullptr) stats_->add("sys.lock_async_wakes");
-            const GuestTid waker = t.ctx.tid;
-            queue_.schedule_in(
-                machine_.cycles(config_.sys.lock_agent_cycles),
-                [this, waker] { complete_futex_locally(waker, 0); });
+            complete_after_agent(t.ctx.tid, 0);
             return;
           }
         } else {
-          if (const trace::Site sys = site(trace::Cat::kSys); sys.on()) {
-            call.flow = tracer_->new_flow();
-            sys.record(queue_.now(), "sys.delegate", trace::Kind::kFlowBegin,
-                       call.flow, static_cast<std::uint64_t>(call.num), faddr,
-                       t.ctx.tid);
-          }
-          t.state = ThreadState::kBlockedSyscall;
-          t.block_start = queue_.now();
-          call.phase = PendingSyscall::Phase::kAwaitResponse;
+          open_delegate_flow(t);
+          block_on_syscall(t);
           if (stats_ != nullptr) stats_->add("sys.lock_local_ops");
           if (fop == isa::kFutexWait) {
             lock_agent_.local_wait(faddr, t.ctx.tid, call.flow);
           } else {
             const std::uint32_t woken =
                 lock_agent_.local_wake(faddr, call.args[2]);
-            const GuestTid waker = t.ctx.tid;
-            queue_.schedule_in(
-                machine_.cycles(config_.sys.lock_agent_cycles),
-                [this, waker, woken] { complete_futex_locally(waker, woken); });
+            complete_after_agent(t.ctx.tid, woken);
           }
           return;
         }
@@ -619,14 +586,7 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
       break;
   }
 
-  // Open the delegation's causal chain: request -> master service ->
-  // response all record against this id (closed in on_syscall_response).
-  if (const trace::Site sys = site(trace::Cat::kSys); sys.on()) {
-    call.flow = tracer_->new_flow();
-    sys.record(queue_.now(), "sys.delegate", trace::Kind::kFlowBegin,
-               call.flow, static_cast<std::uint64_t>(call.num), call.args[0],
-               t.ctx.tid);
-  }
+  open_delegate_flow(t);
   net::Message req =
       sys::make_syscall_request(id_, t.ctx.tid, call.num, call.args, payload);
   // Futex ops go to the address's home (the master unless sharding is on and
@@ -635,42 +595,64 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
   if (call.num == Sys::kFutex) req.dst = futex_home(call.args[0]);
   req.flow = call.flow;
   network_.send(std::move(req));
+  block_on_syscall(t);
+  if (stats_ != nullptr) stats_->add("sys.delegated_sent");
+}
+
+void Node::open_delegate_flow(GuestThread& t) {
+  // The delegation's causal chain: request -> home service -> response all
+  // record against this id (closed in end_block).
+  if (const trace::Site sys = site(trace::Cat::kSys); sys.on()) {
+    PendingSyscall& call = *t.pending_syscall;
+    call.flow = tracer_->new_flow();
+    sys.record(queue_.now(), "sys.delegate", trace::Kind::kFlowBegin,
+               call.flow, static_cast<std::uint64_t>(call.num), call.args[0],
+               t.ctx.tid);
+  }
+}
+
+void Node::block_on_syscall(GuestThread& t) {
   t.state = ThreadState::kBlockedSyscall;
   t.block_start = queue_.now();
-  call.phase = PendingSyscall::Phase::kAwaitResponse;
-  if (stats_ != nullptr) stats_->add("sys.delegated_sent");
+  t.pending_syscall->phase = PendingSyscall::Phase::kAwaitResponse;
+}
+
+GuestThread& Node::end_block(GuestTid tid, std::int64_t result) {
+  GuestThread& t = threads_.at(tid);
+  assert(t.state == ThreadState::kBlockedSyscall);
+  assert(t.pending_syscall.has_value());
+  const PendingSyscall& call = *t.pending_syscall;
+  DurationPs& bucket =
+      call.block_is_idle ? t.breakdown.idle : t.breakdown.syscall;
+  bucket += queue_.now() - t.block_start;
+  if (call.flow != 0) {
+    site(trace::Cat::kSys)
+        .emit(queue_.now(), "sys.delegate", trace::Kind::kFlowEnd, call.flow,
+              static_cast<std::uint64_t>(result), 0, tid);
+  }
+  return t;
+}
+
+void Node::resume(GuestThread& t, std::int64_t result) {
+  t.ctx.set_a0(static_cast<std::uint32_t>(result));
+  t.pending_syscall.reset();
+  enqueue(t.ctx.tid);
+  kick();
 }
 
 void Node::on_syscall_response(const net::Message& msg) {
   const auto tid = static_cast<GuestTid>(msg.b);
-  auto it = threads_.find(tid);
-  assert(it != threads_.end());
-  GuestThread& t = it->second;
-  assert(t.state == ThreadState::kBlockedSyscall);
-  assert(t.pending_syscall.has_value());
-  if (t.pending_syscall->block_is_idle) {
-    t.breakdown.idle += queue_.now() - t.block_start;
-  } else {
-    t.breakdown.syscall += queue_.now() - t.block_start;
-  }
+  const auto result = static_cast<std::int64_t>(msg.a);
+  GuestThread& t = end_block(tid, result);
   PendingSyscall& call = *t.pending_syscall;
-  call.result = static_cast<std::int64_t>(msg.a);
-  if (call.flow != 0) {
-    site(trace::Cat::kSys)
-        .emit(queue_.now(), "sys.delegate", trace::Kind::kFlowEnd, call.flow,
-              msg.a, 0, tid);
-  }
-
-  if (call.num == isa::Sys::kRead && call.result > 0 && !msg.data.empty()) {
+  if (call.num == isa::Sys::kRead && result > 0 && !msg.data.empty()) {
+    call.result = result;
     call.result_payload = msg.data;
     call.phase = PendingSyscall::Phase::kCommit;
     commit_syscall(tid);
     return;
   }
-  t.ctx.set_a0(static_cast<std::uint32_t>(call.result));
-  t.pending_syscall.reset();
-  enqueue(tid);
-  kick();
+  resume(t, result);
 }
 
 // ---------------------------------------------------------------------------
@@ -679,34 +661,15 @@ void Node::on_syscall_response(const net::Message& msg) {
 
 void Node::complete_futex_locally(GuestTid tid, std::int64_t result) {
   if (dead_) return;  // a scheduled agent-cost closure outlived the node
-  auto it = threads_.find(tid);
-  assert(it != threads_.end());
-  GuestThread& t = it->second;
-  assert(t.state == ThreadState::kBlockedSyscall);
-  assert(t.pending_syscall.has_value());
-  if (t.pending_syscall->block_is_idle) {
-    t.breakdown.idle += queue_.now() - t.block_start;
-  } else {
-    t.breakdown.syscall += queue_.now() - t.block_start;
-  }
-  PendingSyscall& call = *t.pending_syscall;
-  if (call.flow != 0) {
-    site(trace::Cat::kSys)
-        .emit(queue_.now(), "sys.delegate", trace::Kind::kFlowEnd, call.flow,
-              static_cast<std::uint64_t>(result), 0, tid);
-  }
-  t.ctx.set_a0(static_cast<std::uint32_t>(result));
-  t.pending_syscall.reset();
-  enqueue(tid);
-  kick();
+  resume(end_block(tid, result), result);
 }
 
-void Node::on_local_futex_wake(GuestTid tid, std::uint64_t flow) {
-  (void)flow;  // the waiter's own chain closes in complete_futex_locally
+void Node::complete_after_agent(GuestTid tid, std::uint32_t woken) {
   // Charge the agent's local futex-path cost before the thread resumes;
   // still orders of magnitude below a master round trip.
-  queue_.schedule_in(machine_.cycles(config_.sys.lock_agent_cycles),
-                     [this, tid] { complete_futex_locally(tid, 0); });
+  queue_.schedule_in(
+      machine_.cycles(config_.sys.lock_agent_cycles),
+      [this, tid, woken] { complete_futex_locally(tid, woken); });
 }
 
 void Node::on_wake_batch(const net::Message& msg) {
@@ -732,10 +695,7 @@ void Node::commit_syscall(GuestTid tid) {
   // re-acquire before storing (the syscall itself is NOT re-executed).
   if (!ensure_access(t, ranges)) return;
   write_guest(call.args[1], call.result_payload);
-  t.ctx.set_a0(static_cast<std::uint32_t>(call.result));
-  t.pending_syscall.reset();
-  enqueue(tid);
-  kick();
+  resume(t, call.result);
 }
 
 // ---------------------------------------------------------------------------

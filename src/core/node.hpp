@@ -147,13 +147,25 @@ class Node {
   void delegate_syscall(GuestThread& t, PendingSyscall& call);
   void commit_syscall(GuestTid tid);
   void on_syscall_response(const net::Message& msg);
+  /// Opens the `sys.delegate` causal chain of `t`'s pending call (when the
+  /// kSys category records).
+  void open_delegate_flow(GuestThread& t);
+  /// Parks `t` until its pending call's response (or local completion).
+  void block_on_syscall(GuestThread& t);
+  /// Ends a blocked call's wait: charges the blocked time to idle or
+  /// syscall and closes its `sys.delegate` chain. Returns the thread.
+  GuestThread& end_block(GuestTid tid, std::int64_t result);
+  /// Completes `t`'s pending call with `result` and makes it runnable —
+  /// the one place a syscall returns to the guest.
+  void resume(GuestThread& t, std::int64_t result);
 
   // ---- hierarchical locking (lock agent) ---------------------------------
-  /// Completes a blocked FUTEX_WAIT/WAKE without a master response: the
+  /// Completes a blocked FUTEX_WAIT/WAKE without a home response: the
   /// local-grant path of the lock agent and batched cross-node wakes.
   void complete_futex_locally(GuestTid tid, std::int64_t result);
-  /// Lock-agent callback: a locally-parked waiter was granted the lock.
-  void on_local_futex_wake(GuestTid tid, std::uint64_t flow);
+  /// complete_futex_locally(tid, woken) after the agent's local service
+  /// cost.
+  void complete_after_agent(GuestTid tid, std::uint32_t woken);
   void on_wake_batch(const net::Message& msg);
 
   // ---- thread management ---------------------------------------------------

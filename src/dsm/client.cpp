@@ -9,14 +9,15 @@
 namespace dqemu::dsm {
 
 DsmClient::DsmClient(NodeId self, net::Network& network,
-                     mem::AddressSpace& space, mem::ShadowMap& shadow,
-                     dbt::LlscTable* llsc, dbt::TranslationCache* tcache,
-                     StatsRegistry* stats,
+                     sim::EventQueue& queue, mem::AddressSpace& space,
+                     mem::ShadowMap& shadow, dbt::LlscTable* llsc,
+                     dbt::TranslationCache* tcache, StatsRegistry* stats,
                      std::function<void(std::uint32_t)> wake_page,
                      trace::Tracer* tracer, bool enable_diff_transfers,
                      DurationPs request_timeout, HomeView* homes)
     : self_(self),
       network_(network),
+      queue_(queue),
       space_(space),
       shadow_(shadow),
       llsc_(llsc),
@@ -43,7 +44,7 @@ void DsmClient::request_page(std::uint32_t page, std::uint32_t offset,
   // this remote page fetch records against this id.
   if (trace_.on()) {
     pending.flow = trace_.tracer->new_flow();
-    trace_.record(network_.now(self_), "dsm.fault", trace::Kind::kFlowBegin,
+    trace_.record(queue_.now(), "dsm.fault", trace::Kind::kFlowBegin,
                   pending.flow, page, write ? 1 : 0, tid);
   }
   pending.offset = offset;
@@ -77,7 +78,7 @@ void DsmClient::arm_watchdog(std::uint32_t page) {
   if (it == pending_.end()) return;
   Pending& p = it->second;
   if (p.watchdog == nullptr) {
-    p.watchdog = std::make_unique<sim::Timer>(network_.queue_for(self_));
+    p.watchdog = std::make_unique<sim::Timer>(queue_);
   }
   p.watchdog->arm(p.timeout, [this, page] { on_request_timeout(page); });
 }
@@ -87,8 +88,7 @@ void DsmClient::on_request_timeout(std::uint32_t page) {
   if (it == pending_.end()) return;  // completed; stale fire cannot happen
   Pending& p = it->second;
   if (stats_ != nullptr) stats_->add("dsm.timeouts");
-  trace_.step(network_.now(self_), "dsm.timeout", p.flow, page,
-              p.write ? 1 : 0);
+  trace_.step(queue_.now(), "dsm.timeout", p.flow, page, p.write ? 1 : 0);
   DQEMU_DEBUG("node %u: page %u request timed out, re-issuing",
               unsigned(self_), page);
   // Re-issue verbatim. The directory tolerates the duplicate: a busy entry
@@ -111,7 +111,7 @@ void DsmClient::on_request_timeout(std::uint32_t page) {
 void DsmClient::end_fault_flow(std::uint32_t page, bool retried) {
   const auto it = pending_.find(page);
   if (it == pending_.end() || it->second.flow == 0) return;
-  trace_.emit(network_.now(self_), "dsm.fault", trace::Kind::kFlowEnd,
+  trace_.emit(queue_.now(), "dsm.fault", trace::Kind::kFlowEnd,
               it->second.flow, page, retried ? 1 : 0);
 }
 
@@ -182,7 +182,7 @@ void DsmClient::on_page_diff(const net::Message& msg) {
     stats_->add("dsm.grants_received");
     stats_->add("dsm.diff_grants_received");
   }
-  trace_.step(network_.now(self_), "dsm.diff_grant", msg.flow, page,
+  trace_.step(queue_.now(), "dsm.diff_grant", msg.flow, page,
               mem::decode_diff_mask(msg.data));
   wake_page_(page);
 }
@@ -239,7 +239,7 @@ void DsmClient::on_invalidate(const net::Message& msg) {
   }
   drop_page_locally(page);
   if (stats_ != nullptr) stats_->add("dsm.invalidations_received");
-  trace_.step(network_.now(self_), "dsm.invalidate", msg.flow, page,
+  trace_.step(queue_.now(), "dsm.invalidate", msg.flow, page,
               writeback ? 1 : 0);
   ack.flow = msg.flow;  // the ack continues the recalling transaction
   network_.send(std::move(ack));
@@ -259,7 +259,7 @@ void DsmClient::on_downgrade(const net::Message& msg) {
   // version, so the twin has served its purpose.
   twins_.drop(page);
   if (stats_ != nullptr) stats_->add("dsm.downgrades_received");
-  trace_.step(network_.now(self_), "dsm.downgrade", msg.flow, page, 0);
+  trace_.step(queue_.now(), "dsm.downgrade", msg.flow, page, 0);
   ack.flow = msg.flow;
   network_.send(std::move(ack));
 }
@@ -272,7 +272,7 @@ void DsmClient::on_shadow_update(const net::Message& msg) {
   shadow_.add_split(orig, shadows);
   drop_page_locally(orig);
   if (stats_ != nullptr) stats_->add("dsm.shadow_updates");
-  trace_.step(network_.now(self_), "dsm.shadow_update", msg.flow, orig,
+  trace_.step(queue_.now(), "dsm.shadow_update", msg.flow, orig,
               shadows.size());
   DQEMU_DEBUG("node %u: page %u split into %zu shadows", unsigned(self_),
               orig, shadows.size());
@@ -310,8 +310,7 @@ void DsmClient::finish_forward_install(const net::Message& msg) {
     if (space_.access(page) == mem::PageAccess::kNone) {
       space_.set_access(page, mem::PageAccess::kRead);
       if (stats_ != nullptr) stats_->add("dsm.forwards_installed");
-      trace_.step(network_.now(self_), "dsm.forward_install", msg.flow, page,
-                  0);
+      trace_.step(queue_.now(), "dsm.forward_install", msg.flow, page, 0);
       wake_page_(page);  // benign if nobody waits
     } else if (stats_ != nullptr) {
       stats_->add("dsm.forwards_dropped");

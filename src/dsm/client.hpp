@@ -22,6 +22,7 @@
 #include "mem/page_diff.hpp"
 #include "mem/shadow_map.hpp"
 #include "net/network.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/timer.hpp"
 #include "trace/tracer.hpp"
 
@@ -29,17 +30,20 @@ namespace dqemu::dsm {
 
 class DsmClient {
  public:
-  /// `wake_page` is invoked when a page request completes (grant or
-  /// retry); the node layer unblocks the guest threads parked on it.
+  /// `queue` is the node's own event queue: its clock stamps the trace and
+  /// its timers run the request watchdogs. `wake_page` is invoked when a
+  /// page request completes (grant or retry); the node layer unblocks the
+  /// guest threads parked on it.
   /// `llsc` / `tcache` may be null in unit tests. `enable_diff_transfers`
   /// must match the directory's setting (cluster-wide DsmConfig).
   /// `request_timeout` > 0 arms a per-request watchdog (DESIGN.md §13) that
   /// re-issues a page request still outstanding after that long; it is only
   /// active when the network's fault path is (requests cannot get stuck on
   /// the reliable wire).
-  DsmClient(NodeId self, net::Network& network, mem::AddressSpace& space,
-            mem::ShadowMap& shadow, dbt::LlscTable* llsc,
-            dbt::TranslationCache* tcache, StatsRegistry* stats,
+  DsmClient(NodeId self, net::Network& network, sim::EventQueue& queue,
+            mem::AddressSpace& space, mem::ShadowMap& shadow,
+            dbt::LlscTable* llsc, dbt::TranslationCache* tcache,
+            StatsRegistry* stats,
             std::function<void(std::uint32_t page)> wake_page,
             trace::Tracer* tracer = nullptr,
             bool enable_diff_transfers = false,
@@ -118,6 +122,7 @@ class DsmClient {
 
   NodeId self_;
   net::Network& network_;
+  sim::EventQueue& queue_;
   mem::AddressSpace& space_;
   mem::ShadowMap& shadow_;
   dbt::LlscTable* llsc_;

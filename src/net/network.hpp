@@ -60,13 +60,6 @@ class Network {
   /// network reference).
   [[nodiscard]] TimePs now() const { return queue_.now(); }
 
-  /// Current virtual time of `ctx`'s execution context. Identical to
-  /// now() in the serial kernel; the partitioned kernel resolves the
-  /// caller's own queue (per-node clocks differ inside a window).
-  [[nodiscard]] TimePs now(NodeId ctx) const {
-    return queues_.empty() ? queue_.now() : queues_[ctx]->now();
-  }
-
   /// The event queue driving this network. Protocol watchdogs (DSM fault /
   /// lease-recall timeouts) arm their timers here.
   [[nodiscard]] sim::EventQueue& queue() { return queue_; }

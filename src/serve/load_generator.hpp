@@ -30,8 +30,9 @@ namespace dqemu::serve {
 class LoadGenerator {
  public:
   /// Sends the kSyscallResp that unblocks (node, tid) with `result` in a0.
-  /// The core layer binds this to MasterSyscalls::send_response, so every
-  /// dispatch pays the same manager service delay as any other response.
+  /// The core layer binds this to home 0's FutexService::send_response, so
+  /// every dispatch pays the same manager service delay as any other
+  /// response.
   using Responder = std::function<void(NodeId dst, GuestTid tid,
                                        std::int64_t result,
                                        std::uint64_t flow)>;

@@ -12,29 +12,23 @@ namespace dqemu::sys {
 
 FutexService::FutexService(NodeId self, net::Network& network,
                            sim::EventQueue& queue, MachineConfig machine,
-                           std::uint32_t service_cycles, StatsRegistry* stats,
-                           trace::Tracer* tracer)
+                           DurationPs lease_min_hold, DurationPs recall_timeout,
+                           StatsRegistry* stats, trace::Tracer* tracer)
     : self_(self),
       network_(network),
       queue_(queue),
       machine_(machine),
-      service_cycles_(service_cycles),
+      lease_min_hold_(lease_min_hold),
+      recall_timeout_(recall_timeout),
       stats_(stats),
       trace_{tracer, trace::Cat::kSys, self, trace::kTrackManager},
       home_msgs_counter_("sys.futex_home_msgs." + std::to_string(self)) {}
-
-void FutexService::send_after_service(net::Message msg) {
-  const DurationPs service = machine_.cycles(service_cycles_);
-  queue_.schedule_in(service, [this, m = std::move(msg)]() mutable {
-    network_.send(std::move(m));
-  });
-}
 
 // Lease-protocol messages must hit the wire at processing time, not after a
 // modeled service delay: the no-lost-wakeup argument (DESIGN.md §11) needs
 // home *send* order to equal home *processing* order across every component
 // resident on the home node. The DSM directory (of this home) shares the
-// home->node FIFO channels; if a wait handoff lingered for service_cycles_
+// home->node FIFO channels; if a wait handoff lingered for the service delay
 // while the directory released the write grant that lets the lease owner
 // complete its unlock store, the owner's wake could run against a queue
 // that does not yet hold the handed-off waiter. The per-endpoint network
@@ -44,15 +38,20 @@ void FutexService::send_protocol(net::Message msg) {
 }
 
 void FutexService::send_response(NodeId dst, GuestTid tid, std::int64_t result,
-                                 std::uint64_t flow) {
+                                 std::uint64_t flow,
+                                 std::span<const std::uint8_t> payload) {
   net::Message msg;
   msg.src = self_;
   msg.dst = dst;
   msg.type = static_cast<std::uint32_t>(SysMsg::kSyscallResp);
   msg.a = static_cast<std::uint64_t>(result);
   msg.b = tid;
+  msg.data.assign(payload.begin(), payload.end());
   msg.flow = flow;
-  send_after_service(std::move(msg));
+  queue_.schedule_in(machine_.cycles(DbtConfig::syscall_service_cycles),
+                     [this, m = std::move(msg)]() mutable {
+                       network_.send(std::move(m));
+                     });
 }
 
 void FutexService::handle_message(const net::Message& msg) {
@@ -209,39 +208,20 @@ void FutexService::on_lease_request(const net::Message& msg) {
     return;  // never grant a lease to a dead node
   }
   switch (futexes_.lease_phase(addr)) {
-    case FutexTable::LeasePhase::kNone: {
-      const auto queue = futexes_.grant_lease(addr, requester, queue_.now());
-      if (stats_ != nullptr) stats_->add("sys.lease_grants");
-      trace_.step(queue_.now(), "sys.lease_grant", msg.flow, addr,
-                  queue.size());
-      net::Message grant;
-      grant.src = self_;
-      grant.dst = requester;
-      grant.type = static_cast<std::uint32_t>(SysMsg::kLeaseGrant);
-      grant.a = addr;
-      grant.flow = msg.flow;
-      FutexTable::pack_waiters(queue, grant.data);
-      send_protocol(std::move(grant));
+    case FutexTable::LeasePhase::kNone:
+      grant(addr, requester, msg.flow);
       return;
-    }
     case FutexTable::LeasePhase::kGranted: {
       const NodeId owner = futexes_.lease_owner(addr);
       if (owner == requester) return;  // crossed its own grant in flight
-      if (queue_.now() - futexes_.lease_granted_at(addr) <
-          sys_.lease_min_hold) {
+      if (queue_.now() - futexes_.lease_granted_at(addr) < lease_min_hold_) {
         return;  // too young to recall; the requester retries when still hot
       }
       futexes_.begin_recall(addr, requester);
       pending_lease_flow_[addr] = msg.flow;
       if (stats_ != nullptr) stats_->add("sys.lease_recalls");
       trace_.step(queue_.now(), "sys.lease_recall", msg.flow, addr, owner);
-      net::Message recall;
-      recall.src = self_;
-      recall.dst = owner;
-      recall.type = static_cast<std::uint32_t>(SysMsg::kLeaseRecall);
-      recall.a = addr;
-      recall.flow = msg.flow;
-      send_protocol(std::move(recall));
+      send_recall(addr, owner, msg.flow);
       if (recall_timeout_ > 0 && network_.faults_active()) {
         arm_recall_watchdog(addr, recall_timeout_);
       }
@@ -264,11 +244,36 @@ void FutexService::on_lease_return(const net::Message& msg) {
   complete_recall(addr, FutexTable::unpack_waiters(msg.data), msg.flow);
 }
 
+void FutexService::grant(GuestAddr addr, NodeId owner, std::uint64_t flow) {
+  const auto queue = futexes_.grant_lease(addr, owner, queue_.now());
+  if (stats_ != nullptr) stats_->add("sys.lease_grants");
+  trace_.step(queue_.now(), "sys.lease_grant", flow, addr, queue.size());
+  net::Message msg;
+  msg.src = self_;
+  msg.dst = owner;
+  msg.type = static_cast<std::uint32_t>(SysMsg::kLeaseGrant);
+  msg.a = addr;
+  msg.flow = flow;
+  FutexTable::pack_waiters(queue, msg.data);
+  send_protocol(std::move(msg));
+}
+
+void FutexService::send_recall(GuestAddr addr, NodeId owner,
+                               std::uint64_t flow) {
+  net::Message msg;
+  msg.src = self_;
+  msg.dst = owner;
+  msg.type = static_cast<std::uint32_t>(SysMsg::kLeaseRecall);
+  msg.a = addr;
+  msg.flow = flow;
+  send_protocol(std::move(msg));
+}
+
 void FutexService::complete_recall(
     GuestAddr addr, const std::vector<FutexTable::Waiter>& returned,
     std::uint64_t fallback_flow) {
   recall_watchdogs_.erase(addr);
-  const NodeId next_owner = futexes_.finish_recall(addr, returned);
+  const NodeId next_owner = futexes_.end_lease(addr, returned);
 
   // Replay everything that arrived mid-recall, in arrival order, against
   // the home-owned queue (returned waiters were spliced to its front).
@@ -287,17 +292,7 @@ void FutexService::complete_recall(
     if (stats_ != nullptr) stats_->add("sys.dead_grants_skipped");
     return;
   }
-  const auto queue = futexes_.grant_lease(addr, next_owner, queue_.now());
-  if (stats_ != nullptr) stats_->add("sys.lease_grants");
-  trace_.step(queue_.now(), "sys.lease_grant", flow, addr, queue.size());
-  net::Message grant;
-  grant.src = self_;
-  grant.dst = next_owner;
-  grant.type = static_cast<std::uint32_t>(SysMsg::kLeaseGrant);
-  grant.a = addr;
-  grant.flow = flow;
-  FutexTable::pack_waiters(queue, grant.data);
-  send_protocol(std::move(grant));
+  grant(addr, next_owner, flow);
 }
 
 void FutexService::arm_recall_watchdog(GuestAddr addr, DurationPs timeout) {
@@ -320,13 +315,7 @@ void FutexService::on_recall_timeout(GuestAddr addr) {
   trace_.step(queue_.now(), "sys.recall_timeout", flow, addr, owner);
   // Re-send the recall. The agent ignores a recall for a lease it already
   // returned, so a crossed-in-flight return stays harmless.
-  net::Message recall;
-  recall.src = self_;
-  recall.dst = owner;
-  recall.type = static_cast<std::uint32_t>(SysMsg::kLeaseRecall);
-  recall.a = addr;
-  recall.flow = flow;
-  send_protocol(std::move(recall));
+  send_recall(addr, owner, flow);
   const DurationPs next = std::min<DurationPs>(
       recall_watchdogs_[addr].timeout * 2, recall_timeout_ * 8);
   arm_recall_watchdog(addr, next);
@@ -363,9 +352,7 @@ void FutexService::on_crash_lease_return(
       // A dying owner's unsolicited return: revoke the lease wholesale.
       // The dead node's own waiters in the queue are swept when the
       // kNodeDead notice lands (it trails this by one hop).
-      futexes_.revoke_lease(addr, returned);
-      if (stats_ != nullptr) stats_->add("sys.leases_revoked");
-      trace_.step(queue_.now(), "sys.lease_revoked", 0, addr, returned.size());
+      revoke(addr, returned);
       return;
     case FutexTable::LeasePhase::kRecalling:
       if (futexes_.lease_owner(addr) != src) break;  // stale
@@ -380,6 +367,13 @@ void FutexService::on_crash_lease_return(
   if (stats_ != nullptr) stats_->add("sys.stale_lease_returns");
 }
 
+void FutexService::revoke(GuestAddr addr,
+                          const std::vector<FutexTable::Waiter>& returned) {
+  futexes_.end_lease(addr, returned);
+  if (stats_ != nullptr) stats_->add("sys.leases_revoked");
+  trace_.step(queue_.now(), "sys.lease_revoked", 0, addr, returned.size());
+}
+
 void FutexService::crash_revoke_local(
     GuestAddr addr, const std::vector<FutexTable::Waiter>& returned) {
   // Stale-safe like on_crash_lease_return: a replayed return whose lease
@@ -391,7 +385,7 @@ void FutexService::crash_revoke_local(
   }
   recall_watchdogs_.erase(addr);
   pending_lease_flow_.erase(addr);
-  futexes_.force_revoke(addr, returned);
+  futexes_.end_lease(addr, returned);
   if (stats_ != nullptr) stats_->add("sys.leases_revoked");
   // Buffered mid-recall ops stay in recall_buffer_ on purpose: they ride
   // the handoff and the master replays them at adoption.
@@ -422,9 +416,7 @@ void FutexService::on_node_dead(NodeId dead) {
     if (futexes_.lease_owner(addr) != dead) continue;
     switch (futexes_.lease_phase(addr)) {
       case FutexTable::LeasePhase::kGranted:
-        futexes_.revoke_lease(addr, {});
-        if (stats_ != nullptr) stats_->add("sys.leases_revoked");
-        trace_.step(queue_.now(), "sys.lease_revoked", 0, addr, 0);
+        revoke(addr, {});
         break;
       case FutexTable::LeasePhase::kRecalling:
         complete_recall(addr, {}, 0);

@@ -7,6 +7,12 @@
 // DSM home is what preserves the no-lost-wakeup argument (§7/§11) per
 // home: the waiter's value re-check, the racing writer's invalidation and
 // the wait request all serialize through one node's FIFO channels.
+//
+// The service builds the home side of the plane: kLeaseGrant (grant),
+// kLeaseRecall (send_recall), the wait/wake handoffs, and every
+// kSyscallResp the home sends (send_response). Home 0's send_response
+// also answers everything the master's syscall engine and serving plane
+// serve. A lease ends only through FutexTable::end_lease.
 #pragma once
 
 #include <memory>
@@ -34,20 +40,14 @@ class FutexService {
   /// `self` is the hosting node (kMasterNode classically); responses and
   /// protocol messages are sent from it, and its event `queue` carries the
   /// service delays and recall watchdogs (the node's own queue under the
-  /// parallel kernel).
+  /// parallel kernel). A lease younger than `lease_min_hold` is never
+  /// recalled. With a non-zero `recall_timeout` and the network's fault
+  /// path active, every outstanding recall gets a watchdog that re-sends
+  /// the kLeaseRecall (DESIGN.md §13).
   FutexService(NodeId self, net::Network& network, sim::EventQueue& queue,
-               MachineConfig machine, std::uint32_t service_cycles,
-               StatsRegistry* stats = nullptr, trace::Tracer* tracer = nullptr);
-
-  /// Installs the hierarchical-locking knobs (lease hysteresis). Until
-  /// this call no lease is granted and every futex op is served here.
-  void configure_locking(const SysConfig& sys) { sys_ = sys; }
-  /// With a non-zero timeout and the network's fault path active, every
-  /// outstanding lease recall gets a watchdog that re-sends the
-  /// kLeaseRecall (DESIGN.md §13).
-  void configure_faults(DurationPs recall_timeout) {
-    recall_timeout_ = recall_timeout;
-  }
+               MachineConfig machine, DurationPs lease_min_hold,
+               DurationPs recall_timeout, StatsRegistry* stats = nullptr,
+               trace::Tracer* tracer = nullptr);
 
   [[nodiscard]] FutexTable& table() { return futexes_; }
   [[nodiscard]] NodeId self() const { return self_; }
@@ -78,6 +78,15 @@ class FutexService {
   /// kExit ctid wake: wakes every joiner parked on `ctid`, routing through
   /// the lease state exactly like a wake with nobody awaiting the count.
   void exit_wake(const SyscallRequest& req, GuestAddr ctid);
+
+  /// Sends the kSyscallResp that unblocks (dst, tid) after the manager
+  /// service delay, the same delay every response pays, so per-channel
+  /// FIFO order follows home processing order. Home 0 also answers every
+  /// syscall the master serves: MasterSyscalls and the serving plane
+  /// reply through it.
+  void send_response(NodeId dst, GuestTid tid, std::int64_t result,
+                     std::uint64_t flow,
+                     std::span<const std::uint8_t> payload = {});
 
   // ---- whole-node fault plane (DESIGN.md §18) ---------------------------
 
@@ -140,6 +149,15 @@ class FutexService {
                     GuestTid requester_tid, std::uint64_t flow);
   void on_lease_request(const net::Message& msg);
   void on_lease_return(const net::Message& msg);
+  /// Grants `addr`'s lease to `owner`: detaches the home queue and ships it
+  /// in the kLeaseGrant.
+  void grant(GuestAddr addr, NodeId owner, std::uint64_t flow);
+  /// Sends `owner` the kLeaseRecall for `addr` (first recall or watchdog
+  /// re-send).
+  void send_recall(GuestAddr addr, NodeId owner, std::uint64_t flow);
+  /// Crash revocation of a kGranted lease: the owner is dead or dying, and
+  /// `returned` (possibly empty) becomes the front of the home queue.
+  void revoke(GuestAddr addr, const std::vector<FutexTable::Waiter>& returned);
   /// Shared tail of a completed recall (normal return or crash replay):
   /// stop the watchdog, splice the returned queue, replay the buffered
   /// ops, grant to the pending requester — unless that requester is dead,
@@ -156,12 +174,6 @@ class FutexService {
   /// on the lossy wire — re-send the kLeaseRecall. Safe because the lock
   /// agent treats a recall for a lease it no longer owns as a no-op.
   void on_recall_timeout(GuestAddr addr);
-  void send_response(NodeId dst, GuestTid tid, std::int64_t result,
-                     std::uint64_t flow);
-  /// Schedules `msg` onto the wire after the manager service delay (the
-  /// same delay every response pays, so per-channel FIFO order follows
-  /// home processing order).
-  void send_after_service(net::Message msg);
   /// Lease-protocol messages hit the wire at processing time — see the
   /// ordering comment in futex_home.cpp.
   void send_protocol(net::Message msg);
@@ -170,11 +182,11 @@ class FutexService {
   net::Network& network_;
   sim::EventQueue& queue_;
   MachineConfig machine_;
-  std::uint32_t service_cycles_;
+  DurationPs lease_min_hold_;
+  DurationPs recall_timeout_;
   StatsRegistry* stats_;
   trace::Site trace_;  ///< kSys records on this home's manager track
   FutexTable futexes_;
-  SysConfig sys_;
   /// Ops buffered per address while a recall is in flight (arrival order).
   std::unordered_map<GuestAddr, std::vector<BufferedFutexOp>> recall_buffer_;
   /// Causal chain of the lease request that triggered the pending recall.
@@ -186,7 +198,6 @@ class FutexService {
     DurationPs timeout = 0;
   };
   std::unordered_map<GuestAddr, RecallWatchdog> recall_watchdogs_;
-  DurationPs recall_timeout_ = 0;
   /// Nodes declared dead (DESIGN.md §18): their late-arriving ops are
   /// dropped and no lease or wake is ever granted to them.
   std::unordered_set<NodeId> dead_nodes_;

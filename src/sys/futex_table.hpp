@@ -123,16 +123,18 @@ class FutexTable {
     it->second.pending_requester = requester;
   }
 
-  /// Completes a recall: the owner's `returned` queue (its waiters were
-  /// enqueued before anything the master buffered during the recall) is
-  /// spliced to the front of the master queue. Returns the node that asked
-  /// for the recall so the caller can grant it the lease next.
-  [[nodiscard]] NodeId finish_recall(GuestAddr addr,
-                                     const std::vector<Waiter>& returned) {
-    auto it = leases_.find(addr);
-    assert(it != leases_.end() && it->second.phase == LeasePhase::kRecalling);
-    const NodeId requester = it->second.pending_requester;
-    leases_.erase(it);
+  /// Ends `addr`'s lease in any phase — a completed recall, a crash
+  /// revocation of a granted lease, a dying home's own — and splices the
+  /// owner's `returned` queue to the front of the home queue (its waiters
+  /// were enqueued before anything the home buffered during a recall).
+  /// Returns the node a recall was pending for (kInvalidNode if none), so
+  /// the caller can grant it the lease next.
+  NodeId end_lease(GuestAddr addr, const std::vector<Waiter>& returned) {
+    NodeId requester = kInvalidNode;
+    if (auto it = leases_.find(addr); it != leases_.end()) {
+      requester = it->second.pending_requester;
+      leases_.erase(it);
+    }
     if (!returned.empty()) {
       auto& queue = queues_[addr];
       queue.insert(queue.begin(), returned.begin(), returned.end());
@@ -143,32 +145,6 @@ class FutexTable {
   [[nodiscard]] std::size_t leases_out() const { return leases_.size(); }
 
   // ---- crash recovery / handoff (DESIGN.md §18) --------------------------
-
-  /// Crash revocation: a dying owner returns `addr`'s queue while the lease
-  /// is still kGranted (no recall in flight). The returned waiters are the
-  /// owner's whole local queue for the address — everything that existed
-  /// before the crash — so they become the master queue wholesale.
-  void revoke_lease(GuestAddr addr, const std::vector<Waiter>& returned) {
-    auto it = leases_.find(addr);
-    assert(it != leases_.end() && it->second.phase == LeasePhase::kGranted);
-    leases_.erase(it);
-    if (!returned.empty()) {
-      auto& queue = queues_[addr];
-      queue.insert(queue.begin(), returned.begin(), returned.end());
-    }
-  }
-
-  /// Unconditional crash revocation, used on the dying node's own home for
-  /// self-homed leases (no phase assertion: the agent and home halves can
-  /// be in any phase when the node dies): drops any lease record and
-  /// splices the returned queue to the front.
-  void force_revoke(GuestAddr addr, const std::vector<Waiter>& returned) {
-    leases_.erase(addr);
-    if (!returned.empty()) {
-      auto& queue = queues_[addr];
-      queue.insert(queue.begin(), returned.begin(), returned.end());
-    }
-  }
 
   /// Addresses with an outstanding lease record, in sorted order (crash
   /// sweeps need a deterministic iteration order).

@@ -5,72 +5,73 @@
 #include <map>
 #include <vector>
 
+#include "common/config.hpp"
 #include "core/wire.hpp"
 
 namespace dqemu::sys {
+namespace {
 
-LockAgent::LockAgent(NodeId id, const SysConfig& config,
-                     sim::EventQueue& queue, net::Network& network,
+/// The keys of `map` in ascending order (crash sweeps must not depend on
+/// hash-map iteration order).
+template <typename Map>
+std::vector<GuestAddr> sorted_addrs(const Map& map) {
+  std::vector<GuestAddr> addrs;
+  addrs.reserve(map.size());
+  for (const auto& [addr, value] : map) addrs.push_back(addr);
+  std::sort(addrs.begin(), addrs.end());
+  return addrs;
+}
+
+}  // namespace
+
+LockAgent::LockAgent(NodeId id, sim::EventQueue& queue, net::Network& network,
                      StatsRegistry* stats, trace::Tracer* tracer,
-                     WakeLocalFn wake_local)
+                     HomeResolver home_of, WakeLocalFn wake_local)
     : id_(id),
-      config_(config),
       queue_(queue),
       network_(network),
       stats_(stats),
       trace_{tracer, trace::Cat::kSys, id},
+      home_of_(std::move(home_of)),
       wake_local_(std::move(wake_local)) {}
 
+void LockAgent::crash_return(NodeId home, GuestAddr addr,
+                             const std::vector<FutexTable::Waiter>& queue) {
+  net::Message msg;
+  msg.src = id_;
+  msg.dst = home;
+  msg.type = static_cast<std::uint32_t>(core::CoreMsg::kCrashLeaseReturn);
+  msg.a = addr;
+  msg.b = queue.size();
+  FutexTable::pack_waiters(queue, msg.data);
+  if (stats_ != nullptr) stats_->add("sys.crash_lease_returns");
+  network_.send(std::move(msg));
+}
+
 void LockAgent::return_all(const LocalRevokeFn& local_revoke) {
-  std::vector<GuestAddr> addrs;
-  addrs.reserve(owned_.size());
-  for (const auto& [addr, entry] : owned_) addrs.push_back(addr);
-  std::sort(addrs.begin(), addrs.end());
-  for (const GuestAddr addr : addrs) {
-    Entry& entry = owned_[addr];
-    const std::vector<FutexTable::Waiter> queue(entry.queue.begin(),
-                                                entry.queue.end());
-    const NodeId home = home_resolver_ ? home_resolver_(addr) : kMasterNode;
-    if (stats_ != nullptr) stats_->add("sys.crash_lease_returns");
-    if (home == id_) {
-      // This node hosts the home shard too; a loopback message would land
-      // after the shard is serialized for handoff. Revoke synchronously so
-      // the handed-off table already contains the queue.
-      local_revoke(addr, queue);
-      continue;
+  const auto give_back = [&](NodeId home, GuestAddr addr,
+                             const std::vector<FutexTable::Waiter>& queue) {
+    if (home != id_) {
+      crash_return(home, addr, queue);
+      return;
     }
-    net::Message ret;
-    ret.src = id_;
-    ret.dst = home;
-    ret.type = static_cast<std::uint32_t>(core::CoreMsg::kCrashLeaseReturn);
-    ret.a = addr;
-    ret.b = queue.size();
-    FutexTable::pack_waiters(queue, ret.data);
-    network_.send(std::move(ret));
+    // This node hosts the home shard too; a loopback message would land
+    // after the shard is serialized for handoff. Revoke synchronously so
+    // the handed-off table already contains the queue.
+    if (stats_ != nullptr) stats_->add("sys.crash_lease_returns");
+    local_revoke(addr, queue);
+  };
+  for (const GuestAddr addr : sorted_addrs(owned_)) {
+    const Entry& entry = owned_.at(addr);
+    give_back(home_of_(addr), addr, {entry.queue.begin(), entry.queue.end()});
   }
   // Replay the normal returns still in flight: silence() is about to wipe
   // this node's retransmission state, so a kLeaseReturn the wire has not
   // delivered yet would vanish with us — and its waiters with it. The
   // crash-plane duplicate is stale-safe at the home (phase/owner check).
-  std::vector<GuestAddr> pending;
-  pending.reserve(sent_returns_.size());
-  for (const auto& [addr, sent] : sent_returns_) pending.push_back(addr);
-  std::sort(pending.begin(), pending.end());
-  for (const GuestAddr addr : pending) {
-    const SentReturn& sent = sent_returns_[addr];
-    if (stats_ != nullptr) stats_->add("sys.crash_lease_returns");
-    if (sent.home == id_) {
-      local_revoke(addr, sent.queue);
-      continue;
-    }
-    net::Message ret;
-    ret.src = id_;
-    ret.dst = sent.home;
-    ret.type = static_cast<std::uint32_t>(core::CoreMsg::kCrashLeaseReturn);
-    ret.a = addr;
-    ret.b = sent.queue.size();
-    FutexTable::pack_waiters(sent.queue, ret.data);
-    network_.send(std::move(ret));
+  for (const GuestAddr addr : sorted_addrs(sent_returns_)) {
+    const SentReturn& sent = sent_returns_.at(addr);
+    give_back(sent.home, addr, sent.queue);
   }
   owned_.clear();
   delegated_ops_.clear();
@@ -95,23 +96,13 @@ void LockAgent::on_peer_dead(NodeId dead) {
   // adopted its lease records (still kRecalling, owner = this agent) and
   // completes the recall on our behalf. Stale copies — the home processed
   // the original before dying — are dropped by the receiver's phase check.
-  std::vector<GuestAddr> addrs;
-  for (const auto& [addr, sent] : sent_returns_) {
-    if (sent.home == dead) addrs.push_back(addr);
-  }
-  std::sort(addrs.begin(), addrs.end());
-  for (const GuestAddr addr : addrs) {
-    SentReturn& sent = sent_returns_[addr];
-    net::Message ret;
-    ret.src = id_;
-    ret.dst = kMasterNode;
-    ret.type = static_cast<std::uint32_t>(core::CoreMsg::kCrashLeaseReturn);
-    ret.a = addr;
-    ret.b = sent.queue.size();
-    FutexTable::pack_waiters(sent.queue, ret.data);
-    if (stats_ != nullptr) stats_->add("sys.crash_lease_returns");
-    network_.send(std::move(ret));
-    sent_returns_.erase(addr);
+  // Node 0's agent sends it too, over loopback: completing the recall in
+  // place would run before this node's home has swept the dead node.
+  for (const GuestAddr addr : sorted_addrs(sent_returns_)) {
+    const auto it = sent_returns_.find(addr);
+    if (it->second.home != dead) continue;
+    crash_return(kMasterNode, addr, it->second.queue);
+    sent_returns_.erase(it);
   }
 }
 
@@ -139,8 +130,8 @@ std::uint32_t LockAgent::wake_from_entry(GuestAddr addr, Entry& entry,
     // lasts, then fall back to strict FIFO (which resets the streak as
     // soon as the front is remote).
     std::size_t pick = 0;
-    if (entry.queue.front().node != id_ && config_.lock_cohort_limit > 0 &&
-        entry.local_streak < config_.lock_cohort_limit) {
+    if (entry.queue.front().node != id_ &&
+        entry.local_streak < SysConfig::lock_cohort_limit) {
       for (std::size_t i = 0; i < entry.queue.size(); ++i) {
         if (entry.queue[i].node == id_) {
           pick = i;
@@ -169,14 +160,7 @@ std::uint32_t LockAgent::wake_from_entry(GuestAddr addr, Entry& entry,
     if (waiters.size() == 1) {
       // Single wake: a plain syscall response straight to the waiter's
       // node, exactly what the master would have sent.
-      net::Message resp;
-      resp.src = id_;
-      resp.dst = node;
-      resp.type = static_cast<std::uint32_t>(SysMsg::kSyscallResp);
-      resp.a = 0;
-      resp.b = waiters.front().tid;
-      resp.flow = waiters.front().flow;
-      network_.send(std::move(resp));
+      respond(node, waiters.front().tid, 0, waiters.front().flow);
       continue;
     }
     net::Message batch;
@@ -196,12 +180,12 @@ std::uint32_t LockAgent::wake_from_entry(GuestAddr addr, Entry& entry,
 
 void LockAgent::note_delegated(GuestAddr addr) {
   const std::uint32_t ops = ++delegated_ops_[addr];
-  if (ops < config_.lease_request_threshold) return;
+  if (ops < SysConfig::lease_request_threshold) return;
   delegated_ops_[addr] = 0;  // back off until the address proves hot again
 
   net::Message req;
   req.src = id_;
-  req.dst = home_resolver_ ? home_resolver_(addr) : kMasterNode;
+  req.dst = home_of_(addr);
   req.type = static_cast<std::uint32_t>(SysMsg::kLeaseReq);
   req.a = addr;
   if (stats_ != nullptr) stats_->add("sys.lease_requests");
@@ -295,14 +279,20 @@ void LockAgent::on_wake_handoff(const net::Message& msg) {
       wake_from_entry(addr, owned_[addr], static_cast<std::uint32_t>(msg.b));
   const auto requester = static_cast<std::uint32_t>(msg.c >> 32);
   if (requester == kNoWakeResponse) return;  // e.g. thread-exit wakes
-  net::Message resp;
-  resp.src = id_;
-  resp.dst = static_cast<NodeId>(requester);
-  resp.type = static_cast<std::uint32_t>(SysMsg::kSyscallResp);
-  resp.a = woken;
-  resp.b = static_cast<std::uint32_t>(msg.c);
-  resp.flow = msg.flow;
-  network_.send(std::move(resp));
+  respond(static_cast<NodeId>(requester), static_cast<GuestTid>(msg.c), woken,
+          msg.flow);
+}
+
+void LockAgent::respond(NodeId node, GuestTid tid, std::int64_t result,
+                        std::uint64_t flow) {
+  net::Message msg;
+  msg.src = id_;
+  msg.dst = node;
+  msg.type = static_cast<std::uint32_t>(SysMsg::kSyscallResp);
+  msg.a = static_cast<std::uint64_t>(result);
+  msg.b = tid;
+  msg.flow = flow;
+  network_.send(std::move(msg));
 }
 
 }  // namespace dqemu::sys

@@ -12,10 +12,13 @@
 // Wake policy (lock cohorting): a wake prefers the oldest *local* waiter
 // for up to `lock_cohort_limit` consecutive local grants, then must serve
 // the oldest waiter overall. This keeps lock handoff on-node (the whole
-// point of the lease) while bounding cross-node starvation; with the limit
-// set to 0 the agent degenerates to strict global FIFO. With
+// point of the lease) while bounding cross-node starvation. With
 // SysConfig::enable_hierarchical_locking off no agent ever asks for a
 // lease, and every futex op takes the master-delegation path.
+//
+// The agent builds the node-side protocol messages: kLeaseReq, kLeaseReturn,
+// kWakeBatch, the kSyscallResp of a remote waiter or waker (respond) and
+// the kCrashLeaseReturn of the fault plane (crash_return).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +26,6 @@
 #include <functional>
 #include <unordered_map>
 
-#include "common/config.hpp"
 #include "common/stats.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
@@ -40,18 +42,14 @@ class LockAgent {
   /// local service cost). `flow` is the waiter's causal chain.
   using WakeLocalFn = std::function<void(GuestTid tid, std::uint64_t flow)>;
 
-  LockAgent(NodeId id, const SysConfig& config, sim::EventQueue& queue,
-            net::Network& network, StatsRegistry* stats,
-            trace::Tracer* tracer, WakeLocalFn wake_local);
-
-  /// Home sharding (DESIGN.md §17): maps a futex address to the node whose
-  /// FutexService arbitrates its lease. Unset, every kLeaseReq goes to the
-  /// master — the classic single-home protocol. (Lease *returns* always go
-  /// to whichever home sent the recall, so they need no resolver.)
+  /// Maps a futex address to the node whose FutexService arbitrates its
+  /// lease: the master unless home sharding is on (DESIGN.md §17). Lease
+  /// *returns* go to whichever home sent the recall, so they need none.
   using HomeResolver = std::function<NodeId(GuestAddr)>;
-  void set_home_resolver(HomeResolver resolver) {
-    home_resolver_ = std::move(resolver);
-  }
+
+  LockAgent(NodeId id, sim::EventQueue& queue, net::Network& network,
+            StatsRegistry* stats, trace::Tracer* tracer, HomeResolver home_of,
+            WakeLocalFn wake_local);
 
   /// True when this agent holds the lease for `addr`.
   [[nodiscard]] bool owns(GuestAddr addr) const {
@@ -127,15 +125,20 @@ class LockAgent {
   /// and delivers their wakes. Returns the number woken.
   std::uint32_t wake_from_entry(GuestAddr addr, Entry& entry,
                                 std::uint32_t count);
+  /// Sends the kSyscallResp that completes `tid`'s futex call on `node`.
+  void respond(NodeId node, GuestTid tid, std::int64_t result,
+               std::uint64_t flow);
+  /// Sends `home` a kCrashLeaseReturn of `addr` carrying `queue`.
+  void crash_return(NodeId home, GuestAddr addr,
+                    const std::vector<FutexTable::Waiter>& queue);
 
   NodeId id_;
-  const SysConfig& config_;
   sim::EventQueue& queue_;
   net::Network& network_;
   StatsRegistry* stats_;
   trace::Site trace_;  ///< kSys records on this node's track
+  HomeResolver home_of_;
   WakeLocalFn wake_local_;
-  HomeResolver home_resolver_;
 
   std::unordered_map<GuestAddr, Entry> owned_;
   /// Delegated-op counts for addresses we do not own (reset on request).

@@ -37,18 +37,16 @@ SyscallRequest parse_syscall_request(const net::Message& msg) {
 }
 
 MasterSyscalls::MasterSyscalls(net::Network& network, sim::EventQueue& queue,
-                               MachineConfig machine,
-                               std::uint32_t service_cycles,
-                               FutexService& futexes, StatsRegistry* stats,
-                               trace::Tracer* tracer)
+                               std::uint32_t page_size, FutexService& futexes,
+                               FutexHomeResolver futex_home,
+                               StatsRegistry* stats, trace::Tracer* tracer)
     : network_(network),
       queue_(queue),
-      machine_(machine),
-      service_cycles_(service_cycles),
       stats_(stats),
       trace_{tracer, trace::Cat::kSys, kMasterNode, trace::kTrackManager},
       futex_(futexes),
-      page_mask_(machine.page_size - 1) {}
+      futex_home_(std::move(futex_home)),
+      page_mask_(page_size - 1) {}
 
 void MasterSyscalls::configure_memory(GuestAddr brk_start,
                                       GuestAddr mmap_start,
@@ -58,28 +56,6 @@ void MasterSyscalls::configure_memory(GuestAddr brk_start,
   brk_min_ = brk_start;
   mmap_cursor_ = mmap_start;
   mmap_end_ = mmap_end;
-}
-
-void MasterSyscalls::send_after_service(net::Message msg) {
-  const DurationPs service = machine_.cycles(service_cycles_);
-  queue_.schedule_in(service, [this, m = std::move(msg)]() mutable {
-    network_.send(std::move(m));
-  });
-}
-
-void MasterSyscalls::send_response(NodeId dst, GuestTid tid,
-                                   std::int64_t result,
-                                   std::span<const std::uint8_t> payload,
-                                   std::uint64_t flow) {
-  net::Message msg;
-  msg.src = kMasterNode;
-  msg.dst = dst;
-  msg.type = static_cast<std::uint32_t>(SysMsg::kSyscallResp);
-  msg.a = static_cast<std::uint64_t>(result);
-  msg.b = tid;
-  msg.data.assign(payload.begin(), payload.end());
-  msg.flow = flow;
-  send_after_service(std::move(msg));
 }
 
 void MasterSyscalls::handle_message(const net::Message& msg) {
@@ -97,7 +73,7 @@ void MasterSyscalls::dispatch(const SyscallRequest& req) {
     case Sys::kWrite: {
       const auto fd = static_cast<std::int32_t>(req.args[0]);
       const std::int32_t n = vfs_.write(fd, req.payload);
-      send_response(req.src, req.tid, n, {}, req.flow);
+      futex_.send_response(req.src, req.tid, n, req.flow);
       return;
     }
     case Sys::kRead: {
@@ -106,7 +82,7 @@ void MasterSyscalls::dispatch(const SyscallRequest& req) {
       const std::int32_t n = vfs_.read(fd, buf);
       if (n > 0) buf.resize(static_cast<std::size_t>(n));
       else buf.clear();
-      send_response(req.src, req.tid, n, buf, req.flow);
+      futex_.send_response(req.src, req.tid, n, req.flow, buf);
       return;
     }
     case Sys::kOpen: {
@@ -116,44 +92,44 @@ void MasterSyscalls::dispatch(const SyscallRequest& req) {
       std::size_t len = 0;
       while (len < maxlen && begin[len] != '\0') ++len;
       const std::int32_t fd = vfs_.open(std::string(begin, len), req.args[1]);
-      send_response(req.src, req.tid, fd, {}, req.flow);
+      futex_.send_response(req.src, req.tid, fd, req.flow);
       return;
     }
     case Sys::kClose:
-      send_response(req.src, req.tid,
-                    vfs_.close(static_cast<std::int32_t>(req.args[0])), {},
-                    req.flow);
+      futex_.send_response(
+          req.src, req.tid, vfs_.close(static_cast<std::int32_t>(req.args[0])),
+          req.flow);
       return;
     case Sys::kLseek:
-      send_response(req.src, req.tid,
-                    vfs_.lseek(static_cast<std::int32_t>(req.args[0]),
-                               static_cast<std::int32_t>(req.args[1]),
-                               req.args[2]),
-                    {}, req.flow);
+      futex_.send_response(req.src, req.tid,
+                           vfs_.lseek(static_cast<std::int32_t>(req.args[0]),
+                                      static_cast<std::int32_t>(req.args[1]),
+                                      req.args[2]),
+                           req.flow);
       return;
     case Sys::kBrk: {
       const GuestAddr request = req.args[0];
       if (request != 0 && request >= brk_min_ && request < mmap_cursor_) {
         brk_ = request;
       }
-      send_response(req.src, req.tid, brk_, {}, req.flow);
+      futex_.send_response(req.src, req.tid, brk_, req.flow);
       return;
     }
     case Sys::kMmap: {
       const std::uint32_t len =
           (req.args[0] + page_mask_) & ~page_mask_;
       if (len == 0 || mmap_cursor_ + len > mmap_end_) {
-        send_response(req.src, req.tid, -isa::kENOMEM, {}, req.flow);
+        futex_.send_response(req.src, req.tid, -isa::kENOMEM, req.flow);
         return;
       }
       const GuestAddr addr = mmap_cursor_;
       mmap_cursor_ += len;
       if (stats_ != nullptr) stats_->add("sys.mmap_bytes", len);
-      send_response(req.src, req.tid, addr, {}, req.flow);
+      futex_.send_response(req.src, req.tid, addr, req.flow);
       return;
     }
     case Sys::kMunmap:
-      send_response(req.src, req.tid, 0, {}, req.flow);  // accounting-only
+      futex_.send_response(req.src, req.tid, 0, req.flow);  // accounting-only
       return;
     case Sys::kFutex:
       futex_.do_futex(req);
@@ -161,7 +137,7 @@ void MasterSyscalls::dispatch(const SyscallRequest& req) {
     case Sys::kClone: {
       assert(hooks_.on_clone && "core layer must install the clone hook");
       const std::int32_t child = hooks_.on_clone(req);
-      send_response(req.src, req.tid, child, {}, req.flow);
+      futex_.send_response(req.src, req.tid, child, req.flow);
       return;
     }
     case Sys::kExit: {
@@ -173,7 +149,7 @@ void MasterSyscalls::dispatch(const SyscallRequest& req) {
       // exiting thread never awaits a count either way.
       if (req.args[1] != 0) {
         const GuestAddr ctid = req.args[1];
-        const NodeId home = futex_home_ ? futex_home_(ctid) : kMasterNode;
+        const NodeId home = futex_home_(ctid);
         if (home == kMasterNode) {
           futex_.exit_wake(req, ctid);
         } else {
@@ -199,13 +175,13 @@ void MasterSyscalls::dispatch(const SyscallRequest& req) {
       if (serve_handler_) {
         serve_handler_(req);
       } else {
-        send_response(req.src, req.tid, -isa::kENOSYS, {}, req.flow);
+        futex_.send_response(req.src, req.tid, -isa::kENOSYS, req.flow);
       }
       return;
     default:
       DQEMU_WARN("unimplemented delegated syscall %u",
                  static_cast<unsigned>(req.num));
-      send_response(req.src, req.tid, -isa::kENOSYS, {}, req.flow);
+      futex_.send_response(req.src, req.tid, -isa::kENOSYS, req.flow);
       return;
   }
 }

@@ -1,11 +1,12 @@
 // Master-side delegated-syscall engine (paper section 4.3).
 //
 // Owns the authoritative system state: the VFS + fd table and the guest
-// heap/mmap break. Futex calls delegated to the master are served by the
-// master's futex home (home 0 of the cluster's home table, DESIGN.md §17),
-// which the engine borrows. Thread lifecycle calls (clone / exit /
-// exit_group) are forwarded to hooks the core layer installs, because
-// placement and thread accounting live there.
+// heap/mmap break. The engine borrows the master's futex home (home 0 of
+// the cluster's home table, DESIGN.md §17): futex calls delegated to the
+// master are served there, and every response the engine sends goes out
+// through it, paying the one manager service delay. Thread lifecycle calls
+// (clone / exit / exit_group) are forwarded to hooks the core layer
+// installs, because placement and thread accounting live there.
 #pragma once
 
 #include <array>
@@ -13,7 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/stats.hpp"
 #include "isa/syscall_abi.hpp"
 #include "net/network.hpp"
@@ -58,10 +58,18 @@ class MasterSyscalls {
     std::function<void(std::uint32_t status)> on_exit_group;
   };
 
+  /// Maps a futex address to the node whose FutexService owns it (home
+  /// sharding, DESIGN.md §17; kMasterNode throughout when sharding is off).
+  /// The master consults it for the kExit ctid wake — the one futex op that
+  /// originates *at* the master — and relays the wake to the home when it
+  /// is not node 0.
+  using FutexHomeResolver = std::function<NodeId(GuestAddr)>;
+
   /// `futexes` is the master's futex home; it must outlive the engine.
+  /// `page_size` rounds anonymous mmap lengths.
   MasterSyscalls(net::Network& network, sim::EventQueue& queue,
-                 MachineConfig machine, std::uint32_t service_cycles,
-                 FutexService& futexes, StatsRegistry* stats = nullptr,
+                 std::uint32_t page_size, FutexService& futexes,
+                 FutexHomeResolver futex_home, StatsRegistry* stats = nullptr,
                  trace::Tracer* tracer = nullptr);
 
   /// Guest heap layout: brk grows in [brk_start, mmap_start); anonymous
@@ -71,20 +79,10 @@ class MasterSyscalls {
 
   void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
-  /// Home sharding (DESIGN.md §17): maps a futex address to the node whose
-  /// FutexService owns it. The master consults it for the kExit ctid wake —
-  /// the one futex op that originates *at* the master — and relays the wake
-  /// to the home when it is not node 0. Unset means everything is
-  /// master-homed (the classic protocol).
-  using FutexHomeResolver = std::function<NodeId(GuestAddr)>;
-  void set_futex_home(FutexHomeResolver resolver) {
-    futex_home_ = std::move(resolver);
-  }
-
   /// Serving-plane escape hatch: kServeGet / kServeDone requests are handed
   /// to this callback (the core layer binds it to the load generator),
   /// which replies — possibly much later, for parked workers — through
-  /// send_response. Without a handler both calls return -ENOSYS.
+  /// home 0's send_response. Without a handler both calls return -ENOSYS.
   using ServeHandler = std::function<void(const SyscallRequest&)>;
   void set_serve_handler(ServeHandler handler) {
     serve_handler_ = std::move(handler);
@@ -98,23 +96,11 @@ class MasterSyscalls {
   /// business: Node::handle_message routes it to the futex home.
   void handle_message(const net::Message& msg);
 
-  /// Sends the kSyscallResp that unblocks (node, tid). Public because the
-  /// core layer completes clone/futex-wake responses through it.
-  void send_response(NodeId dst, GuestTid tid, std::int64_t result,
-                     std::span<const std::uint8_t> payload = {},
-                     std::uint64_t flow = 0);
-
  private:
   void dispatch(const SyscallRequest& req);
-  /// Schedules `msg` onto the wire after the manager service delay (the
-  /// same delay every response pays, so per-channel FIFO order follows
-  /// master processing order).
-  void send_after_service(net::Message msg);
 
   net::Network& network_;
   sim::EventQueue& queue_;
-  MachineConfig machine_;
-  std::uint32_t service_cycles_;
   StatsRegistry* stats_;
   trace::Site trace_;  ///< kSys records on the master's manager track
   Hooks hooks_;

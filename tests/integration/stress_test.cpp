@@ -53,7 +53,7 @@ TEST_P(ProtocolStorm, InvariantsAndConvergence) {
   dsm::Directory directory(network, queue, *spaces[0], params, &stats);
   for (NodeId n = 0; n < kNodes; ++n) {
     clients.push_back(std::make_unique<dsm::DsmClient>(
-        n, network, *spaces[n], *shadows[n], nullptr, nullptr, &stats,
+        n, network, queue, *spaces[n], *shadows[n], nullptr, nullptr, &stats,
         [](std::uint32_t) {}));
   }
   network.attach(0, [&](net::Message msg) {

@@ -181,7 +181,8 @@ struct DiffProtocolFixture : ::testing::Test {
                                             params, &stats);
     for (NodeId n = 0; n < 3; ++n) {
       clients[n] = std::make_unique<DsmClient>(
-          n, *network, *spaces[n], *shadows[n], nullptr, nullptr, &stats,
+          n, *network, *queue, *spaces[n], *shadows[n], nullptr, nullptr,
+          &stats,
           [this, n](std::uint32_t page) { wakes[n].push_back(page); },
           nullptr, dsm.enable_diff_transfers);
     }
@@ -439,8 +440,8 @@ TEST(DiffEquivalence, ProtocolStateMatchesFullPagePlane) {
                                                &w->stats);
     for (NodeId n = 0; n < 3; ++n) {
       w->clients[n] = std::make_unique<DsmClient>(
-          n, *w->network, *w->spaces[n], *w->shadows[n], nullptr, nullptr,
-          &w->stats, [](std::uint32_t) {}, nullptr, diff_on);
+          n, *w->network, *w->queue, *w->spaces[n], *w->shadows[n], nullptr,
+          nullptr, &w->stats, [](std::uint32_t) {}, nullptr, diff_on);
     }
     World* wp = w.get();
     w->network->attach(0, [wp](net::Message msg) {
@@ -520,10 +521,10 @@ TEST(DiffEquivalence, RuntimeOffSendsNoDiffMessages) {
   params.shadow_pool_first_page = (kMem / kPage) - 1024;
   params.shadow_pool_page_count = 1024;
   Directory directory(network, queue, home, params, &stats);
-  DsmClient master(0, network, home, shadow_home, nullptr, nullptr, &stats,
-                   [](std::uint32_t) {});
-  DsmClient slave(1, network, remote, shadow_remote, nullptr, nullptr, &stats,
-                  [](std::uint32_t) {});
+  DsmClient master(0, network, queue, home, shadow_home, nullptr, nullptr,
+                   &stats, [](std::uint32_t) {});
+  DsmClient slave(1, network, queue, remote, shadow_remote, nullptr, nullptr,
+                  &stats, [](std::uint32_t) {});
   network.attach(0, [&](net::Message msg) {
     switch (static_cast<DsmMsg>(msg.type)) {
       case DsmMsg::kReadReq:

@@ -39,7 +39,8 @@ struct ProtocolFixture : ::testing::Test {
                                             params, &stats);
     for (NodeId n = 0; n < 3; ++n) {
       clients[n] = std::make_unique<DsmClient>(
-          n, *network, *spaces[n], *shadows[n], nullptr, nullptr, &stats,
+          n, *network, *queue, *spaces[n], *shadows[n], nullptr, nullptr,
+          &stats,
           [this, n](std::uint32_t page) { wakes[n].push_back(page); });
     }
     network->attach(0, [this](net::Message msg) {

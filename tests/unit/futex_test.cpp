@@ -85,11 +85,11 @@ TEST(FutexTableTest, RecallSplicesReturnedWaitersToFront) {
   EXPECT_EQ(table.lease_pending_requester(kAddr), 3);
 
   // An op that raced the recall was buffered by the caller and replayed
-  // after finish_recall; a wait that reached the master FIRST (before the
+  // after end_lease; a wait that reached the master FIRST (before the
   // lease ever moved) must still be ahead of it -> returned waiters go to
   // the queue front.
   table.wait(kAddr, Waiter{3, 31, 0});  // replayed-buffer order stand-in
-  const NodeId next = table.finish_recall(
+  const NodeId next = table.end_lease(
       kAddr, {Waiter{1, 11, 0}, Waiter{2, 21, 0}});
   EXPECT_EQ(next, 3);
   EXPECT_EQ(table.lease_phase(kAddr), FutexTable::LeasePhase::kNone);
@@ -105,7 +105,7 @@ TEST(FutexTableTest, LeaseCanMoveAgainAfterRecall) {
   FutexTable table;
   (void)table.grant_lease(kAddr, 1, 0);
   table.begin_recall(kAddr, 2);
-  (void)table.finish_recall(kAddr, {});
+  (void)table.end_lease(kAddr, {});
   EXPECT_EQ(table.leases_out(), 0u);
   const auto queue = table.grant_lease(kAddr, 2, 500);
   EXPECT_TRUE(queue.empty());

@@ -1,5 +1,5 @@
-// Unit tests: VFS, futex table, syscall classification and the master
-// delegation engine.
+// Unit tests: VFS, futex table, syscall classification, the master
+// delegation engine and the lock agent's wake policy.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +8,7 @@
 #include "net/network.hpp"
 #include "sys/classify.hpp"
 #include "sys/futex_table.hpp"
+#include "sys/lock_agent.hpp"
 #include "sys/master_syscalls.hpp"
 #include "sys/vfs.hpp"
 #include "sys/wire.hpp"
@@ -173,8 +174,10 @@ TEST(PreAccess, FutexWaitNeedsWord) {
 struct DelegationFixture : ::testing::Test {
   DelegationFixture()
       : network(queue, NetworkConfig{}, 2, &stats),
-        futexes(kMasterNode, network, queue, MachineConfig{}, 1500, &stats),
-        master(network, queue, MachineConfig{}, 1500, futexes, &stats) {
+        futexes(kMasterNode, network, queue, MachineConfig{},
+                SysConfig{}.lease_min_hold, /*recall_timeout=*/0, &stats),
+        master(network, queue, MachineConfig{}.page_size, futexes,
+               [](GuestAddr) { return kMasterNode; }, &stats) {
     master.configure_memory(0x100000, 0x800000, 0xF00000);
     network.attach(0, [this](net::Message msg) {
       master.handle_message(msg);
@@ -303,6 +306,68 @@ TEST_F(DelegationFixture, CloneHookInvoked) {
   master.set_hooks(std::move(hooks));
   call(Sys::kClone, {0, 0x5555, 0x6666, 0});
   EXPECT_EQ(last_result(), 42);
+}
+
+// ---- LockAgent wake policy (lock cohorting) -----------------------------------
+
+TEST(LockAgentCohort, OldestRemoteWaiterIsServedAfterTheLocalStreak) {
+  constexpr GuestAddr kAddr = 0x3000;
+  constexpr NodeId kSelf = 1;
+  constexpr GuestTid kRemoteTid = 200;
+  constexpr GuestTid kFirstLocalTid = 10;
+  sim::EventQueue queue;
+  StatsRegistry stats;
+  net::Network network(queue, NetworkConfig{}, 3, &stats);
+  std::vector<net::Message> to_remote;
+  network.attach(2, [&](net::Message msg) {
+    to_remote.push_back(std::move(msg));
+  });
+  std::vector<GuestTid> local_woken;
+  LockAgent agent(
+      kSelf, queue, network, &stats, nullptr,
+      [](GuestAddr) { return kMasterNode; },
+      [&](GuestTid tid, std::uint64_t) { local_woken.push_back(tid); });
+
+  // The lease arrives carrying one waiter of node 2; 65 local threads park
+  // behind it.
+  net::Message grant;
+  grant.src = kMasterNode;
+  grant.dst = kSelf;
+  grant.type = static_cast<std::uint32_t>(SysMsg::kLeaseGrant);
+  grant.a = kAddr;
+  FutexTable::pack_waiters({{2, kRemoteTid, 0}}, grant.data);
+  agent.handle_message(grant);
+  ASSERT_TRUE(agent.owns(kAddr));
+  const std::uint32_t limit = SysConfig::lock_cohort_limit;
+  for (GuestTid i = 0; i <= limit; ++i) {
+    agent.local_wait(kAddr, kFirstLocalTid + i, 0);
+  }
+
+  // The streak budget: the first `limit` wakes stay on-node.
+  for (std::uint32_t i = 0; i < limit; ++i) {
+    ASSERT_EQ(agent.local_wake(kAddr, 1), 1u);
+  }
+  queue.run(10000);
+  ASSERT_EQ(local_woken.size(), limit);
+  for (std::uint32_t i = 0; i < limit; ++i) {
+    EXPECT_EQ(local_woken[i], kFirstLocalTid + i);
+  }
+  EXPECT_TRUE(to_remote.empty());
+
+  // Budget spent: the next wake goes to the oldest waiter, node 2's.
+  ASSERT_EQ(agent.local_wake(kAddr, 1), 1u);
+  queue.run(10000);
+  EXPECT_EQ(local_woken.size(), limit);
+  ASSERT_EQ(to_remote.size(), 1u);
+  EXPECT_EQ(to_remote[0].type,
+            static_cast<std::uint32_t>(SysMsg::kSyscallResp));
+  EXPECT_EQ(to_remote[0].b, kRemoteTid);
+  EXPECT_EQ(to_remote[0].a, 0u);
+
+  // The remote grant reset the streak; the last local waiter is next.
+  ASSERT_EQ(agent.local_wake(kAddr, 1), 1u);
+  ASSERT_EQ(local_woken.size(), limit + 1);
+  EXPECT_EQ(local_woken.back(), kFirstLocalTid + limit);
 }
 
 }  // namespace

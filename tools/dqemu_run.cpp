@@ -469,11 +469,16 @@ int main(int argc, char** argv) {
   const auto& result = run.value();
 
   std::fputs(result.guest_stdout.c_str(), stdout);
+  // sim_ps is the exact virtual time: virtual= rounds to 1 us, which hides
+  // sub-microsecond drift from a byte-identity check.
   std::fprintf(stderr,
-               "[dqemu_run] exit=%u  insns=%llu  virtual=%.6f s  nodes=%u\n",
+               "[dqemu_run] exit=%u  insns=%llu  virtual=%.6f s  sim_ps=%llu  "
+               "nodes=%u\n",
                result.exit_code,
                static_cast<unsigned long long>(result.guest_insns),
-               ps_to_seconds(result.sim_time), cluster.node_count());
+               ps_to_seconds(result.sim_time),
+               static_cast<unsigned long long>(result.sim_time),
+               cluster.node_count());
   // Host-side cost of the run: wall-clock seconds, the simulation rate in
   // guest MIPS and the process's peak resident memory. This is what
   // --host-threads buys; virtual time above is independent of it by
