@@ -32,7 +32,7 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
     : config_(config),
       tracer_(tracer),
       queue_(),
-      network_(queue_, config.net, config.total_nodes(), &stats_, tracer,
+      network_(queue_, config.net, config.total_nodes(), stats_, tracer,
                config.faults),
       home_map_(config.dsm, dsm::home_layout(config)) {
   const Status valid = config_.validate();
@@ -40,14 +40,12 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
   (void)valid;
   queue_.set_tracer(tracer_);
 
-  Node::Hooks hooks;
-  hooks.fatal = [this](std::string message) {
+  const Node::FatalFn fatal = [this](std::string message) {
     // Node fatal hooks fire inside whichever window is executing the node,
     // so in parallel mode this races with other workers' hooks.
     const std::lock_guard<std::mutex> lock(fatal_mutex_);
     if (!fatal_.has_value()) fatal_ = std::move(message);
   };
-  hooks.thread_exited = [](GuestTid) {};
 
   const std::uint32_t total = config_.total_nodes();
 
@@ -73,7 +71,7 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
   for (NodeId id = 0; id < total; ++id) {
     sim::EventQueue& node_queue = queues_.empty() ? queue_ : *queues_[id];
     nodes_.push_back(std::make_unique<Node>(id, config_, node_queue, network_,
-                                            &stats_, hooks, tracer_));
+                                            stats_, fatal, tracer_));
   }
 
   // Shadow pool: top of the guest space (geometry from the placement layer).
@@ -124,11 +122,11 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
       params.self = id;
       params.sharded = sharded;
       home.directory = std::make_unique<dsm::Directory>(
-          network_, node_queue, nodes_[id]->space(), params, &stats_, tracer_);
+          network_, node_queue, nodes_[id]->space(), params, stats_, tracer_);
     }
     home.futexes = std::make_unique<sys::FutexService>(
         id, network_, node_queue, machine, config_.sys.lease_min_hold,
-        config_.faults.request_timeout, &stats_, tracer_);
+        config_.faults.request_timeout, stats_, tracer_);
     nodes_[id]->host_home_shard(home.directory.get(), home.futexes.get());
   }
 
@@ -142,7 +140,7 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
       [this](GuestAddr addr) {
         return home_map_.home_of(addr / config_.machine.page_size);
       },
-      &stats_, tracer_);
+      stats_, tracer_);
   sys::MasterSyscalls::Hooks sys_hooks;
   sys_hooks.on_clone = [this](const sys::SyscallRequest& req) {
     return on_clone(req);
@@ -157,7 +155,7 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
 
   if (config_.serve.enabled) {
     serving_.emplace(
-        queue_, config_.serve, &stats_, tracer_,
+        queue_, config_.serve, stats_, tracer_,
         [this](NodeId dst, GuestTid tid, std::int64_t result,
                std::uint64_t flow) {
           // Every dispatch/EOF pays the same manager service delay as any

@@ -40,7 +40,7 @@ TimeBreakdown read_breakdown(le::Reader& in) {
 }  // namespace
 
 Node::Node(NodeId id, const ClusterConfig& config, sim::EventQueue& queue,
-           net::Network& network, StatsRegistry* stats, Hooks hooks,
+           net::Network& network, StatsRegistry& stats, FatalFn fatal,
            trace::Tracer* tracer)
     : id_(id),
       config_(config),
@@ -48,20 +48,17 @@ Node::Node(NodeId id, const ClusterConfig& config, sim::EventQueue& queue,
       queue_(queue),
       network_(network),
       stats_(stats),
-      hooks_(std::move(hooks)),
+      fatal_(std::move(fatal)),
       tracer_(tracer),
       space_(config.guest_mem_bytes, config.machine.page_size),
       shadow_(config.machine.page_size, config.dsm.split_shards),
       llsc_(stats),
-      tcache_(space_, config.dbt, /*check_protection=*/!config.single_node_baseline,
-              stats),
-      engine_(space_, &shadow_, llsc_, tcache_, config.dbt,
-              /*check_protection=*/!config.single_node_baseline, stats),
+      tcache_(space_, config.dbt, stats),
+      engine_(space_, shadow_, llsc_, tcache_, config.dbt, stats),
       homes_(config.dsm, dsm::home_layout(config)),
-      dsm_(id, network, queue, space_, shadow_, &llsc_, &tcache_, stats,
+      dsm_(id, network, queue, space_, shadow_, llsc_, tcache_, homes_, stats,
            [this](std::uint32_t page) { wake_page_waiters(page); }, tracer,
-           config.dsm.enable_diff_transfers, config.faults.request_timeout,
-           &homes_),
+           config.dsm.enable_diff_transfers, config.faults.request_timeout),
       lock_agent_(
           id, queue, network, stats, tracer,
           [this](GuestAddr addr) { return futex_home(addr); },
@@ -93,7 +90,7 @@ void Node::add_thread(const dbt::CpuContext& ctx, GuestAddr ctid,
   thread.hint_group = hint_group;
   thread.ready_since = queue_.now();
   threads_.emplace(ctx.tid, std::move(thread));
-  if (stats_ != nullptr) stats_->add("core.threads_created");
+  stats_.add("core.threads_created");
   site(trace::Cat::kCore)
       .emit(queue_.now(), "core.thread_start", trace::Kind::kInstant, 0, ctx.pc,
             static_cast<std::uint32_t>(hint_group), ctx.tid);
@@ -186,10 +183,8 @@ void Node::core_run(CoreId core, GuestTid tid) {
   const DurationPs dt_translate = machine_.cycles(r.translate_cycles);
   t.breakdown.execute += dt_exec;
   t.breakdown.translate += dt_translate;
-  if (stats_ != nullptr) {
-    stats_->add("dbt.insns", r.insns);
-    stats_->add("core.slices");
-  }
+  stats_.add("dbt.insns", r.insns);
+  stats_.add("core.slices");
 
   queue_.schedule_in(dt_exec + dt_translate, [this, core, tid, r] {
     finish_slice(core, tid, r);
@@ -225,7 +220,7 @@ void Node::finish_slice(CoreId core, GuestTid tid, const dbt::ExecResult& r) {
     case dbt::StopReason::kPageFault: {
       const DurationPs trap = machine_.cycles(config_.dbt.fault_trap_cycles);
       t.breakdown.pagefault += trap;
-      if (stats_ != nullptr) stats_->add("core.page_faults");
+      stats_.add("core.page_faults");
       site(trace::Cat::kCore)
           .emit(queue_.now(), "core.page_fault", trace::Kind::kInstant, 0,
                 r.fault_addr, r.fault_is_write ? 1 : 0, tid);
@@ -238,7 +233,7 @@ void Node::finish_slice(CoreId core, GuestTid tid, const dbt::ExecResult& r) {
       const DurationPs trap =
           machine_.cycles(config_.dbt.syscall_trap_cycles);
       t.breakdown.syscall += trap;
-      if (stats_ != nullptr) stats_->add("core.syscalls");
+      stats_.add("core.syscalls");
       site(trace::Cat::kCore)
           .emit(queue_.now(), "core.syscall", trace::Kind::kInstant, 0,
                 static_cast<std::uint32_t>(r.syscall_num), 0, tid);
@@ -253,10 +248,8 @@ void Node::finish_slice(CoreId core, GuestTid tid, const dbt::ExecResult& r) {
 
     case dbt::StopReason::kGuestError:
       core_busy_[core] = false;
-      if (hooks_.fatal) {
-        hooks_.fatal("guest error on node " + std::to_string(id_) + " tid " +
-                     std::to_string(tid) + ": " + r.error);
-      }
+      fatal_("guest error on node " + std::to_string(id_) + " tid " +
+             std::to_string(tid) + ": " + r.error);
       return;
   }
 }
@@ -369,9 +362,8 @@ bool Node::ensure_access(GuestThread& t,
                      const std::uint32_t page = space_.page_of(resolved);
                      const mem::PageAccess access = space_.access(page);
                      const bool ok =
-                         config_.single_node_baseline ||
-                         (range.write ? access == mem::PageAccess::kReadWrite
-                                      : access != mem::PageAccess::kNone);
+                         range.write ? access == mem::PageAccess::kReadWrite
+                                     : access != mem::PageAccess::kNone;
                      if (!ok) {
                        missing_page = page;
                        missing_addr = resolved;
@@ -381,7 +373,7 @@ bool Node::ensure_access(GuestThread& t,
       t.state = ThreadState::kBlockedPage;
       t.blocked_page = missing_page;
       t.block_start = queue_.now();
-      if (stats_ != nullptr) stats_->add("sys.prefault_blocks");
+      stats_.add("sys.prefault_blocks");
       dsm_.request_page(missing_page, space_.offset_in_page(missing_addr),
                         range.write, t.ctx.tid);
       return false;
@@ -461,7 +453,7 @@ void Node::run_local_syscall(GuestThread& t, PendingSyscall& call) {
       result = -isa::kENOSYS;
       break;
   }
-  if (stats_ != nullptr) stats_->add("sys.local");
+  stats_.add("sys.local");
   resume(t, result);
 }
 
@@ -513,7 +505,7 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
         const auto value = static_cast<std::uint32_t>(space_.load(resolved, 4));
         call.block_is_idle = true;  // time spent blocked is lock-wait, not work
         if (value != call.args[2]) {
-          if (stats_ != nullptr) stats_->add("sys.futex_eagain");
+          stats_.add("sys.futex_eagain");
           resume(t, -isa::kEAGAIN);
           return;
         }
@@ -543,14 +535,14 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
             req.flow = call.flow;
             network_.send(std::move(req));
             block_on_syscall(t);
-            if (stats_ != nullptr) stats_->add("sys.lock_async_wakes");
+            stats_.add("sys.lock_async_wakes");
             complete_after_agent(t.ctx.tid, 0);
             return;
           }
         } else {
           open_delegate_flow(t);
           block_on_syscall(t);
-          if (stats_ != nullptr) stats_->add("sys.lock_local_ops");
+          stats_.add("sys.lock_local_ops");
           if (fop == isa::kFutexWait) {
             lock_agent_.local_wait(faddr, t.ctx.tid, call.flow);
           } else {
@@ -596,7 +588,7 @@ void Node::delegate_syscall(GuestThread& t, PendingSyscall& call) {
   req.flow = call.flow;
   network_.send(std::move(req));
   block_on_syscall(t);
-  if (stats_ != nullptr) stats_->add("sys.delegated_sent");
+  stats_.add("sys.delegated_sent");
 }
 
 void Node::open_delegate_flow(GuestThread& t) {
@@ -677,9 +669,7 @@ void Node::on_wake_batch(const net::Message& msg) {
   // whose FUTEX_WAIT now completes with result 0.
   const auto waiters = sys::FutexTable::unpack_waiters(msg.data);
   assert(waiters.size() == msg.b);
-  if (stats_ != nullptr) {
-    stats_->add("sys.wake_batch_wakes", waiters.size());
-  }
+  stats_.add("sys.wake_batch_wakes", waiters.size());
   for (const sys::FutexTable::Waiter& w : waiters) {
     complete_futex_locally(w.tid, 0);
   }
@@ -706,7 +696,7 @@ void Node::handle_message(const net::Message& msg) {
   if (dead_) {
     // In-flight deliveries scheduled before the links were silenced still
     // land here; a dead node is a black hole.
-    if (stats_ != nullptr) stats_->add("core.dead_msgs_dropped");
+    stats_.add("core.dead_msgs_dropped");
     return;
   }
   if (paused_) {
@@ -766,10 +756,8 @@ void Node::handle_message(const net::Message& msg) {
     default:
       break;
   }
-  if (hooks_.fatal) {
-    hooks_.fatal("node " + std::to_string(id_) + ": unroutable message type " +
-                 std::to_string(msg.type));
-  }
+  fatal_("node " + std::to_string(id_) + ": unroutable message type " +
+         std::to_string(msg.type));
 }
 
 void Node::on_create_thread(const net::Message& msg) {
@@ -786,7 +774,7 @@ void Node::on_migrate_req(const net::Message& msg) {
     return;  // raced with exit; nothing to migrate
   }
   it->second.migrate_target = static_cast<NodeId>(msg.b);
-  if (stats_ != nullptr) stats_->add("core.migrations_requested");
+  stats_.add("core.migrations_requested");
   // Runnable threads are peeled off at the next dispatch; blocked threads
   // migrate once they wake and get dispatched.
 }
@@ -818,7 +806,7 @@ void Node::send_migration(GuestTid tid) {
   }
   network_.send(std::move(msg));
   threads_.erase(tid);
-  if (stats_ != nullptr) stats_->add("core.migrations_sent");
+  stats_.add("core.migrations_sent");
 }
 
 void Node::on_migrate_thread(const net::Message& msg) {
@@ -851,7 +839,7 @@ void Node::on_migrate_thread(const net::Message& msg) {
     assert(!threads_.contains(ctx.tid));
     threads_.emplace(ctx.tid, std::move(thread)).first->second.breakdown =
         breakdown;
-    if (stats_ != nullptr) stats_->add("core.threads_rehomed");
+    stats_.add("core.threads_rehomed");
     site(trace::Cat::kCore)
         .emit(queue_.now(), "core.thread_rehomed", trace::Kind::kInstant, 0,
               static_cast<std::uint64_t>(call.num), 0, ctx.tid);
@@ -879,7 +867,6 @@ void Node::finish_thread_exit(GuestTid tid) {
   for (auto it = run_queue_.begin(); it != run_queue_.end();) {
     it = (*it == tid) ? run_queue_.erase(it) : it + 1;
   }
-  if (hooks_.thread_exited) hooks_.thread_exited(tid);
 }
 
 // ---------------------------------------------------------------------------
@@ -939,7 +926,7 @@ void Node::capture_thread(const GuestThread& t,
 
 void Node::crash() {
   if (dead_) return;
-  if (stats_ != nullptr) stats_->add("core.node_crashes");
+  stats_.add("core.node_crashes");
   site(trace::Cat::kCore)
       .emit(queue_.now(), "core.crash", trace::Kind::kInstant, 0,
             live_threads(), 0);
@@ -960,7 +947,7 @@ void Node::crash() {
     const std::span<const std::uint8_t> bytes = space_.page_data(page);
     flush.data.assign(bytes.begin(), bytes.end());
     network_.send(std::move(flush));
-    if (stats_ != nullptr) stats_->add("core.crash_flushes_sent");
+    stats_.add("core.crash_flushes_sent");
   }
 
   // (2) Return every held lock lease, queue included; self-homed leases
@@ -1032,13 +1019,13 @@ void Node::crash() {
 void Node::pause(DurationPs pause_for) {
   if (dead_ || paused_) return;
   paused_ = true;
-  if (stats_ != nullptr) stats_->add("core.node_pauses");
+  stats_.add("core.node_pauses");
   site(trace::Cat::kCore)
       .emit(queue_.now(), "core.pause", trace::Kind::kInstant, 0, pause_for, 0);
   queue_.schedule_in(pause_for, [this] {
     if (dead_) return;
     paused_ = false;
-    if (stats_ != nullptr) stats_->add("core.node_rejoins");
+    stats_.add("core.node_rejoins");
     site(trace::Cat::kCore)
         .emit(queue_.now(), "core.rejoin", trace::Kind::kInstant, 0,
               paused_inbox_.size(), 0);

@@ -46,16 +46,11 @@ namespace dqemu::core {
 
 class Node {
  public:
-  struct Hooks {
-    /// Unrecoverable guest/protocol error: the cluster run must fail.
-    std::function<void(std::string)> fatal;
-    /// A guest thread on this node fully exited (after its exit syscall
-    /// was forwarded); cluster-level accounting.
-    std::function<void(GuestTid)> thread_exited;
-  };
+  /// Unrecoverable guest/protocol error: the cluster run must fail.
+  using FatalFn = std::function<void(std::string)>;
 
   Node(NodeId id, const ClusterConfig& config, sim::EventQueue& queue,
-       net::Network& network, StatsRegistry* stats, Hooks hooks,
+       net::Network& network, StatsRegistry& stats, FatalFn fatal,
        trace::Tracer* tracer = nullptr);
 
   Node(const Node&) = delete;
@@ -204,8 +199,8 @@ class Node {
   MachineConfig machine_;  ///< this node's hardware (heterogeneous clusters)
   sim::EventQueue& queue_;
   net::Network& network_;
-  StatsRegistry* stats_;
-  Hooks hooks_;
+  StatsRegistry& stats_;
+  FatalFn fatal_;
   trace::Tracer* tracer_;
 
   mem::AddressSpace space_;
@@ -213,7 +208,7 @@ class Node {
   dbt::LlscTable llsc_;
   dbt::TranslationCache tcache_;
   dbt::ExecEngine engine_;
-  /// Placement view; must precede dsm_, which captures a pointer to it.
+  /// Placement view; must precede dsm_, which holds a reference to it.
   dsm::HomeView homes_;
   dsm::DsmClient dsm_;
   sys::LockAgent lock_agent_;

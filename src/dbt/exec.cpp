@@ -42,16 +42,14 @@ std::int32_t fp_to_int(double v) {
 
 }  // namespace
 
-ExecEngine::ExecEngine(mem::AddressSpace& space, const mem::ShadowMap* shadow,
+ExecEngine::ExecEngine(mem::AddressSpace& space, const mem::ShadowMap& shadow,
                        LlscTable& llsc, TranslationCache& cache,
-                       const DbtConfig& config, bool check_protection,
-                       StatsRegistry* stats)
+                       const DbtConfig& config, StatsRegistry& stats)
     : space_(space),
       shadow_(shadow),
       llsc_(llsc),
       cache_(cache),
       config_(config),
-      check_protection_(check_protection),
       stats_(stats) {}
 
 void ExecEngine::sync_fast_caches() {
@@ -59,7 +57,7 @@ void ExecEngine::sync_fast_caches() {
   // while run() is on the stack (sequential DES: DSM messages are handled
   // in other event callbacks), so one check per quantum suffices.
   const std::uint64_t protection = space_.protection_generation();
-  const std::uint64_t shadow = shadow_ != nullptr ? shadow_->generation() : 0;
+  const std::uint64_t shadow = shadow_.generation();
   if (protection != seen_protection_gen_ || shadow != seen_shadow_gen_) {
     tlb_.fill(TlbEntry{});
     ++trace_mem_epoch_;  // and every trace's per-op TLB lines with it
@@ -83,27 +81,25 @@ ExecResult ExecEngine::run(CpuContext& ctx, std::uint64_t max_insns) {
   sync_fast_caches();
   HotCounters hot;
   ExecResult result = run_loop(ctx, max_insns, hot);
-  if (stats_ != nullptr) {
-    if (hot.hints != 0) stats_->add("dbt.hints", hot.hints);
-    if (hot.tlb_hit != 0) stats_->add("dbt.tlb_hit", hot.tlb_hit);
-    if (hot.tlb_miss != 0) stats_->add("dbt.tlb_miss", hot.tlb_miss);
-    if (hot.jmp_cache_hit != 0) {
-      stats_->add("dbt.jmp_cache_hit", hot.jmp_cache_hit);
-    }
-    if (hot.llsc_fastpath != 0) {
-      stats_->add("dbt.llsc_fastpath", hot.llsc_fastpath);
-    }
-    if (hot.sb_exec != 0) stats_->add("dbt.sb_exec", hot.sb_exec);
-    if (hot.sb_side_exit != 0) {
-      stats_->add("dbt.sb_side_exit", hot.sb_side_exit);
-    }
-    if (hot.fused_ops != 0) stats_->add("dbt.fused_ops", hot.fused_ops);
-    if (hot.llsc_ll != 0) stats_->add("llsc.ll", hot.llsc_ll);
-    if (hot.llsc_sc_success != 0) {
-      stats_->add("llsc.sc_success", hot.llsc_sc_success);
-    }
-    if (hot.llsc_sc_fail != 0) stats_->add("llsc.sc_fail", hot.llsc_sc_fail);
+  if (hot.hints != 0) stats_.add("dbt.hints", hot.hints);
+  if (hot.tlb_hit != 0) stats_.add("dbt.tlb_hit", hot.tlb_hit);
+  if (hot.tlb_miss != 0) stats_.add("dbt.tlb_miss", hot.tlb_miss);
+  if (hot.jmp_cache_hit != 0) {
+    stats_.add("dbt.jmp_cache_hit", hot.jmp_cache_hit);
   }
+  if (hot.llsc_fastpath != 0) {
+    stats_.add("dbt.llsc_fastpath", hot.llsc_fastpath);
+  }
+  if (hot.sb_exec != 0) stats_.add("dbt.sb_exec", hot.sb_exec);
+  if (hot.sb_side_exit != 0) {
+    stats_.add("dbt.sb_side_exit", hot.sb_side_exit);
+  }
+  if (hot.fused_ops != 0) stats_.add("dbt.fused_ops", hot.fused_ops);
+  if (hot.llsc_ll != 0) stats_.add("llsc.ll", hot.llsc_ll);
+  if (hot.llsc_sc_success != 0) {
+    stats_.add("llsc.sc_success", hot.llsc_sc_success);
+  }
+  if (hot.llsc_sc_fail != 0) stats_.add("llsc.sc_fail", hot.llsc_sc_fail);
   return result;
 }
 
@@ -133,16 +129,14 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       result.error = format_addr_error("misaligned access", addr, pc);
       return false;
     }
-    if (check_protection_) {
-      const mem::PageAccess access = space_.access(space_.page_of(addr));
-      const bool ok = write ? access == mem::PageAccess::kReadWrite
-                            : access != mem::PageAccess::kNone;
-      if (!ok) {
-        result.reason = StopReason::kPageFault;
-        result.fault_addr = addr;
-        result.fault_is_write = write;
-        return false;
-      }
+    const mem::PageAccess access = space_.access(space_.page_of(addr));
+    const bool ok = write ? access == mem::PageAccess::kReadWrite
+                          : access != mem::PageAccess::kNone;
+    if (!ok) {
+      result.reason = StopReason::kPageFault;
+      result.fault_addr = addr;
+      result.fault_is_write = write;
+      return false;
     }
     return true;
   };
@@ -162,8 +156,7 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       out = vaddr;
       return true;
     }
-    const GuestAddr addr =
-        shadow_ != nullptr ? shadow_->translate(vaddr) : vaddr;
+    const GuestAddr addr = shadow_.translate(vaddr);
     if (!check_access(addr, bytes, write, pc)) return false;
     ++hot.tlb_miss;
     if (addr == vaddr) {
@@ -173,14 +166,9 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       // addresses (the space is page-granular).
       TlbEntry& entry = tlb_slot(vaddr);
       entry.tag = vaddr & ~page_mask;
-      if (check_protection_) {
-        const mem::PageAccess access = space_.access(space_.page_of(vaddr));
-        entry.allow_read = access != mem::PageAccess::kNone;
-        entry.allow_write = access == mem::PageAccess::kReadWrite;
-      } else {
-        entry.allow_read = true;
-        entry.allow_write = true;
-      }
+      const mem::PageAccess access = space_.access(space_.page_of(vaddr));
+      entry.allow_read = access != mem::PageAccess::kNone;
+      entry.allow_write = access == mem::PageAccess::kReadWrite;
     }
     out = addr;
     return true;

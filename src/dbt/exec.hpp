@@ -55,12 +55,11 @@ struct ExecResult {
 
 class ExecEngine {
  public:
-  /// All references must outlive the engine. `shadow` may be null (no page
-  /// splitting). `check_protection` is false only in the single-node
-  /// baseline, where every page is resident and writable.
-  ExecEngine(mem::AddressSpace& space, const mem::ShadowMap* shadow,
+  /// All references must outlive the engine. An empty `shadow` map (no
+  /// page splitting) translates every address to itself.
+  ExecEngine(mem::AddressSpace& space, const mem::ShadowMap& shadow,
              LlscTable& llsc, TranslationCache& cache, const DbtConfig& config,
-             bool check_protection, StatsRegistry* stats = nullptr);
+             StatsRegistry& stats);
 
   /// Executes `ctx` for at most ~max_insns guest instructions (quantum is
   /// checked at block boundaries, so it can overshoot by one block).
@@ -96,12 +95,11 @@ class ExecEngine {
                       HotCounters& hot);
 
   mem::AddressSpace& space_;
-  const mem::ShadowMap* shadow_;
+  const mem::ShadowMap& shadow_;
   LlscTable& llsc_;
   TranslationCache& cache_;
   DbtConfig config_;
-  bool check_protection_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
 
   /// Never a valid page-aligned tag or instruction address (low bits set).
   static constexpr GuestAddr kNoTag = ~GuestAddr{0};

@@ -26,7 +26,7 @@ namespace dqemu::dbt {
 
 class LlscTable {
  public:
-  explicit LlscTable(StatsRegistry* stats = nullptr) : stats_(stats) {}
+  explicit LlscTable(StatsRegistry& stats) : stats_(stats) {}
 
   /// Opens (or re-targets) a reservation for `tid` at `addr`.
   void on_ll(GuestAddr addr, GuestTid tid) {
@@ -64,7 +64,7 @@ class LlscTable {
     if (it != table_.end() && it->second != tid) {
       table_.erase(it);
       if (table_.empty()) line_filter_ = 0;
-      if (stats_ != nullptr) stats_->add("llsc.store_kill");
+      stats_.add("llsc.store_kill");
     }
   }
 
@@ -75,7 +75,7 @@ class LlscTable {
     for (auto it = table_.begin(); it != table_.end();) {
       if ((it->first >> page_shift) == page) {
         it = table_.erase(it);
-        if (stats_ != nullptr) stats_->add("llsc.page_inval_kill");
+        stats_.add("llsc.page_inval_kill");
       } else {
         ++it;
       }
@@ -98,7 +98,7 @@ class LlscTable {
 
   std::unordered_map<GuestAddr, GuestTid> table_;
   std::uint64_t line_filter_ = 0;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
 };
 
 }  // namespace dqemu::dbt

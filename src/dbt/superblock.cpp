@@ -194,12 +194,10 @@ Superblock* TranslationCache::maybe_form_superblock(TranslationBlock* head) {
   Superblock* raw = sb.get();
   superblocks_[head->start_pc] = std::move(sb);
   head->sb = raw;
-  if (stats_ != nullptr) {
-    stats_->add("dbt.sb_formed");
-    stats_->add("dbt.sb_blocks", raw->block_pcs.size());
-    stats_->add("dbt.sb_insns", raw->guest_insns);
-    stats_->add("dbt.fused_pairs", raw->fused_pairs);
-  }
+  stats_.add("dbt.sb_formed");
+  stats_.add("dbt.sb_blocks", raw->block_pcs.size());
+  stats_.add("dbt.sb_insns", raw->guest_insns);
+  stats_.add("dbt.fused_pairs", raw->fused_pairs);
   if (sb_event_hook_) sb_event_hook_(SbEvent::kFormed, *raw);
   return raw;
 }

@@ -6,20 +6,16 @@ namespace dqemu::dbt {
 
 TranslationCache::TranslationCache(const mem::AddressSpace& space,
                                    const DbtConfig& config,
-                                   bool check_protection,
-                                   StatsRegistry* stats)
-    : space_(space),
-      config_(config),
-      check_protection_(check_protection),
-      stats_(stats) {}
+                                   StatsRegistry& stats)
+    : space_(space), config_(config), stats_(stats) {}
 
 TranslationBlock* TranslationCache::lookup(GuestAddr pc) {
   auto it = blocks_.find(pc);
   if (it == blocks_.end()) {
-    if (stats_ != nullptr) stats_->add("dbt.tcache_miss");
+    stats_.add("dbt.tcache_miss");
     return nullptr;
   }
-  if (stats_ != nullptr) stats_->add("dbt.tcache_hit");
+  stats_.add("dbt.tcache_hit");
   return it->second.get();
 }
 
@@ -40,8 +36,7 @@ TranslateResult TranslationCache::translate(GuestAddr pc) {
   }
 
   const std::uint32_t page = space_.page_of(pc);
-  if (check_protection_ &&
-      space_.access(page) == mem::PageAccess::kNone) {
+  if (space_.access(page) == mem::PageAccess::kNone) {
     result.code_fault = true;
     result.fault_addr = pc;
     return result;
@@ -76,10 +71,8 @@ TranslateResult TranslationCache::translate(GuestAddr pc) {
 
   result.translate_cycles =
       std::uint64_t(config_.translate_cycles_per_insn) * tb->ops.size();
-  if (stats_ != nullptr) {
-    stats_->add("dbt.blocks_translated");
-    stats_->add("dbt.insns_translated", tb->ops.size());
-  }
+  stats_.add("dbt.blocks_translated");
+  stats_.add("dbt.insns_translated", tb->ops.size());
   TranslationBlock* raw = tb.get();
   blocks_[pc] = std::move(tb);
   result.tb = raw;
@@ -109,11 +102,11 @@ void TranslationCache::invalidate_page(std::uint32_t page) {
       ++it;
     }
   }
-  if (sb_dropped != 0 && stats_ != nullptr) {
-    stats_->add("dbt.sb_invalidated", sb_dropped);
+  if (sb_dropped != 0) {
+    stats_.add("dbt.sb_invalidated", sb_dropped);
   }
   ++generation_;
-  if (stats_ != nullptr) stats_->add("dbt.tcache_page_invalidations");
+  stats_.add("dbt.tcache_page_invalidations");
 }
 
 void TranslationCache::flush() {
@@ -122,8 +115,8 @@ void TranslationCache::flush() {
       sb_event_hook_(SbEvent::kInvalidated, *sb);
     }
   }
-  if (!superblocks_.empty() && stats_ != nullptr) {
-    stats_->add("dbt.sb_invalidated", superblocks_.size());
+  if (!superblocks_.empty()) {
+    stats_.add("dbt.sb_invalidated", superblocks_.size());
   }
   superblocks_.clear();  // heads die with blocks_ below
   blocks_.clear();

@@ -110,10 +110,9 @@ enum class SbEvent : std::uint8_t { kFormed, kInvalidated };
 /// Per-node translation cache.
 class TranslationCache {
  public:
-  /// `space` must outlive the cache. `check_protection` is false in the
-  /// single-node baseline (no DSM; code is always resident).
+  /// `space` and `stats` must outlive the cache.
   TranslationCache(const mem::AddressSpace& space, const DbtConfig& config,
-                   bool check_protection, StatsRegistry* stats = nullptr);
+                   StatsRegistry& stats);
 
   /// Cached block at `pc`, or nullptr.
   [[nodiscard]] TranslationBlock* lookup(GuestAddr pc);
@@ -171,8 +170,7 @@ class TranslationCache {
  private:
   const mem::AddressSpace& space_;
   DbtConfig config_;
-  bool check_protection_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   std::uint64_t generation_ = 0;
   std::unordered_map<GuestAddr, std::unique_ptr<TranslationBlock>> blocks_;
   std::unordered_map<GuestAddr, std::unique_ptr<Superblock>> superblocks_;

@@ -10,11 +10,12 @@ namespace dqemu::dsm {
 
 DsmClient::DsmClient(NodeId self, net::Network& network,
                      sim::EventQueue& queue, mem::AddressSpace& space,
-                     mem::ShadowMap& shadow, dbt::LlscTable* llsc,
-                     dbt::TranslationCache* tcache, StatsRegistry* stats,
+                     mem::ShadowMap& shadow, dbt::LlscTable& llsc,
+                     dbt::TranslationCache& tcache, HomeView& homes,
+                     StatsRegistry& stats,
                      std::function<void(std::uint32_t)> wake_page,
                      trace::Tracer* tracer, bool enable_diff_transfers,
-                     DurationPs request_timeout, HomeView* homes)
+                     DurationPs request_timeout)
     : self_(self),
       network_(network),
       queue_(queue),
@@ -22,23 +23,23 @@ DsmClient::DsmClient(NodeId self, net::Network& network,
       shadow_(shadow),
       llsc_(llsc),
       tcache_(tcache),
+      homes_(homes),
       stats_(stats),
       wake_page_(std::move(wake_page)),
       trace_{tracer, trace::Cat::kDsm, self},
       enable_diff_(enable_diff_transfers),
-      request_timeout_(request_timeout),
-      homes_(homes) {}
+      request_timeout_(request_timeout) {}
 
 void DsmClient::request_page(std::uint32_t page, std::uint32_t offset,
                              bool write, GuestTid tid) {
-  auto it = pending_.find(page);
-  if (it != pending_.end()) {
+  const auto [it, fresh] = pending_.try_emplace(page);
+  if (!fresh) {
     // Coalesce: an outstanding request already covers this page. A writer
     // joining a read request re-faults after the read grant installs.
-    if (stats_ != nullptr) stats_->add("dsm.coalesced_faults");
+    stats_.add("dsm.coalesced_faults");
     return;
   }
-  Pending pending;
+  Pending& pending = it->second;
   pending.write = write;
   // Open the fault's causal chain: every send/deliver/directory edge of
   // this remote page fetch records against this id.
@@ -49,28 +50,28 @@ void DsmClient::request_page(std::uint32_t page, std::uint32_t offset,
   }
   pending.offset = offset;
   pending.tid = tid;
-  const std::uint64_t flow = pending.flow;
-  pending_.emplace(page, std::move(pending));
-  if (stats_ != nullptr) {
-    stats_->add(write ? "dsm.write_requests" : "dsm.read_requests");
-  }
-  net::Message msg;
-  msg.src = self_;
-  msg.dst = home_of(page);
-  msg.type = static_cast<std::uint32_t>(write ? DsmMsg::kWriteReq
-                                              : DsmMsg::kReadReq);
-  msg.a = page;
-  msg.b = offset;
-  msg.c = tid;
-  msg.flow = flow;
-  network_.send(std::move(msg));
+  stats_.add(write ? "dsm.write_requests" : "dsm.read_requests");
+  send_request(page, pending);
   // The watchdog only makes sense over the lossy wire: on the reliable
   // path requests cannot be lost, and an idle far-future timer would keep
   // the event queue from draining at simulation end.
   if (request_timeout_ > 0 && network_.faults_active()) {
-    pending_[page].timeout = request_timeout_;
+    pending.timeout = request_timeout_;
     arm_watchdog(page);
   }
+}
+
+void DsmClient::send_request(std::uint32_t page, const Pending& p) {
+  net::Message msg;
+  msg.src = self_;
+  msg.dst = homes_.home_of(page);
+  msg.type = static_cast<std::uint32_t>(p.write ? DsmMsg::kWriteReq
+                                                : DsmMsg::kReadReq);
+  msg.a = page;
+  msg.b = p.offset;
+  msg.c = p.tid;
+  msg.flow = p.flow;
+  network_.send(std::move(msg));
 }
 
 void DsmClient::arm_watchdog(std::uint32_t page) {
@@ -87,22 +88,13 @@ void DsmClient::on_request_timeout(std::uint32_t page) {
   const auto it = pending_.find(page);
   if (it == pending_.end()) return;  // completed; stale fire cannot happen
   Pending& p = it->second;
-  if (stats_ != nullptr) stats_->add("dsm.timeouts");
+  stats_.add("dsm.timeouts");
   trace_.step(queue_.now(), "dsm.timeout", p.flow, page, p.write ? 1 : 0);
   DQEMU_DEBUG("node %u: page %u request timed out, re-issuing",
               unsigned(self_), page);
   // Re-issue verbatim. The directory tolerates the duplicate: a busy entry
   // queues it and an already-satisfied requester gets a benign re-grant.
-  net::Message msg;
-  msg.src = self_;
-  msg.dst = home_of(page);
-  msg.type = static_cast<std::uint32_t>(p.write ? DsmMsg::kWriteReq
-                                                : DsmMsg::kReadReq);
-  msg.a = page;
-  msg.b = p.offset;
-  msg.c = p.tid;
-  msg.flow = p.flow;
-  network_.send(std::move(msg));
+  send_request(page, p);
   // Back off 2x, capped at 8x the base timeout (see FaultConfig).
   p.timeout = std::min<DurationPs>(p.timeout * 2, request_timeout_ * 8);
   arm_watchdog(page);
@@ -118,7 +110,7 @@ void DsmClient::end_fault_flow(std::uint32_t page, bool retried) {
 void DsmClient::handle_message(const net::Message& msg) {
   // Every directory-originated message is authoritative about which node
   // homes its page (first-touch placement learns routes from this).
-  learn_home(static_cast<std::uint32_t>(msg.a), msg.src);
+  homes_.learn(static_cast<std::uint32_t>(msg.a), msg.src);
   switch (static_cast<DsmMsg>(msg.type)) {
     case DsmMsg::kPageData: return on_page_data(msg, /*grant_only=*/false);
     case DsmMsg::kPageGrant: return on_page_data(msg, /*grant_only=*/true);
@@ -154,10 +146,10 @@ void DsmClient::on_page_data(const net::Message& msg, bool grant_only) {
   // a re-grant to the current owner keeps the existing (older) twin.
   if (msg.b == kAccessWrite) capture_twin(page);
   // Content changed under any cached translations of this page.
-  if (!grant_only && tcache_ != nullptr) tcache_->invalidate_page(page);
+  if (!grant_only) tcache_.invalidate_page(page);
   end_fault_flow(page, /*retried=*/false);
   pending_.erase(page);
-  if (stats_ != nullptr) stats_->add("dsm.grants_received");
+  stats_.add("dsm.grants_received");
   wake_page_(page);
 }
 
@@ -175,13 +167,11 @@ void DsmClient::on_page_diff(const net::Message& msg) {
   space_.set_access(page, msg.b == kAccessWrite ? mem::PageAccess::kReadWrite
                                                 : mem::PageAccess::kRead);
   if (msg.b == kAccessWrite) capture_twin(page);
-  if (tcache_ != nullptr) tcache_->invalidate_page(page);
+  tcache_.invalidate_page(page);
   end_fault_flow(page, /*retried=*/false);
   pending_.erase(page);
-  if (stats_ != nullptr) {
-    stats_->add("dsm.grants_received");
-    stats_->add("dsm.diff_grants_received");
-  }
+  stats_.add("dsm.grants_received");
+  stats_.add("dsm.diff_grants_received");
   trace_.step(queue_.now(), "dsm.diff_grant", msg.flow, page,
               mem::decode_diff_mask(msg.data));
   wake_page_(page);
@@ -191,7 +181,7 @@ void DsmClient::on_retry(const net::Message& msg) {
   const auto page = static_cast<std::uint32_t>(msg.a);
   end_fault_flow(page, /*retried=*/true);
   pending_.erase(page);
-  if (stats_ != nullptr) stats_->add("dsm.retries");
+  stats_.add("dsm.retries");
   // Threads re-fault; the shadow map (updated by the preceding
   // kShadowUpdate on this FIFO channel) redirects them to shadow pages.
   wake_page_(page);
@@ -200,8 +190,8 @@ void DsmClient::on_retry(const net::Message& msg) {
 void DsmClient::drop_page_locally(std::uint32_t page) {
   space_.set_access(page, mem::PageAccess::kNone);
   twins_.drop(page);
-  if (llsc_ != nullptr) llsc_->on_page_invalidate(page, space_.page_shift());
-  if (tcache_ != nullptr) tcache_->invalidate_page(page);
+  llsc_.on_page_invalidate(page, space_.page_shift());
+  tcache_.invalidate_page(page);
 }
 
 void DsmClient::encode_writeback(net::Message& ack, std::uint32_t page,
@@ -214,7 +204,7 @@ void DsmClient::encode_writeback(net::Message& ack, std::uint32_t page,
         mem::diff_mask(twins_.twin(page), data, line_bytes);
     ack.type = static_cast<std::uint32_t>(diff_type);
     ack.data = mem::encode_diff(mask, data, line_bytes);
-    if (stats_ != nullptr) stats_->add("dsm.diff_writebacks");
+    stats_.add("dsm.diff_writebacks");
     return;
   }
   ack.type = static_cast<std::uint32_t>(full_type);
@@ -238,7 +228,7 @@ void DsmClient::on_invalidate(const net::Message& msg) {
     charge_data_plane(stats_, ack, space_.page_size());
   }
   drop_page_locally(page);
-  if (stats_ != nullptr) stats_->add("dsm.invalidations_received");
+  stats_.add("dsm.invalidations_received");
   trace_.step(queue_.now(), "dsm.invalidate", msg.flow, page,
               writeback ? 1 : 0);
   ack.flow = msg.flow;  // the ack continues the recalling transaction
@@ -258,7 +248,7 @@ void DsmClient::on_downgrade(const net::Message& msg) {
   // The page is read-only now; the retained copy equals the new home
   // version, so the twin has served its purpose.
   twins_.drop(page);
-  if (stats_ != nullptr) stats_->add("dsm.downgrades_received");
+  stats_.add("dsm.downgrades_received");
   trace_.step(queue_.now(), "dsm.downgrade", msg.flow, page, 0);
   ack.flow = msg.flow;
   network_.send(std::move(ack));
@@ -271,7 +261,7 @@ void DsmClient::on_shadow_update(const net::Message& msg) {
   std::memcpy(shadows.data(), msg.data.data(), msg.data.size());
   shadow_.add_split(orig, shadows);
   drop_page_locally(orig);
-  if (stats_ != nullptr) stats_->add("dsm.shadow_updates");
+  stats_.add("dsm.shadow_updates");
   trace_.step(queue_.now(), "dsm.shadow_update", msg.flow, orig,
               shadows.size());
   DQEMU_DEBUG("node %u: page %u split into %zu shadows", unsigned(self_),
@@ -298,22 +288,22 @@ void DsmClient::on_forward_diff(const net::Message& msg) {
       mem::diff_line_bytes(space_.page_size()));
   assert(applied && "malformed forward diff payload");
   (void)applied;
-  if (stats_ != nullptr) stats_->add("dsm.diff_forwards_received");
+  stats_.add("dsm.diff_forwards_received");
   finish_forward_install(msg);
 }
 
 void DsmClient::finish_forward_install(const net::Message& msg) {
   const auto page = static_cast<std::uint32_t>(msg.a);
-  if (tcache_ != nullptr) tcache_->invalidate_page(page);
+  tcache_.invalidate_page(page);
   const auto pending = pending_.find(page);
   if (pending == pending_.end()) {
     if (space_.access(page) == mem::PageAccess::kNone) {
       space_.set_access(page, mem::PageAccess::kRead);
-      if (stats_ != nullptr) stats_->add("dsm.forwards_installed");
+      stats_.add("dsm.forwards_installed");
       trace_.step(queue_.now(), "dsm.forward_install", msg.flow, page, 0);
       wake_page_(page);  // benign if nobody waits
-    } else if (stats_ != nullptr) {
-      stats_->add("dsm.forwards_dropped");
+    } else {
+      stats_.add("dsm.forwards_dropped");
     }
   } else if (!pending->second.write) {
     // A read request raced with this push: the pushed copy satisfies it
@@ -321,10 +311,10 @@ void DsmClient::finish_forward_install(const net::Message& msg) {
     // the queued request is redundant and harmless — per-channel FIFO
     // orders it before any subsequent invalidation.
     space_.set_access(page, mem::PageAccess::kRead);
-    if (stats_ != nullptr) stats_->add("dsm.forwards_rescued_read");
+    stats_.add("dsm.forwards_rescued_read");
     wake_page_(page);
-  } else if (stats_ != nullptr) {
-    stats_->add("dsm.forwards_dropped");
+  } else {
+    stats_.add("dsm.forwards_dropped");
   }
 }
 

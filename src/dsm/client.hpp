@@ -31,23 +31,23 @@ namespace dqemu::dsm {
 class DsmClient {
  public:
   /// `queue` is the node's own event queue: its clock stamps the trace and
-  /// its timers run the request watchdogs. `wake_page` is invoked when a
-  /// page request completes (grant or retry); the node layer unblocks the
-  /// guest threads parked on it.
-  /// `llsc` / `tcache` may be null in unit tests. `enable_diff_transfers`
-  /// must match the directory's setting (cluster-wide DsmConfig).
-  /// `request_timeout` > 0 arms a per-request watchdog (DESIGN.md §13) that
-  /// re-issues a page request still outstanding after that long; it is only
-  /// active when the network's fault path is (requests cannot get stuck on
-  /// the reliable wire).
+  /// its timers run the request watchdogs. `llsc`, `tcache` and `homes` are
+  /// the node's own LL/SC table, translation cache and placement view.
+  /// `wake_page` is invoked when a page request completes (grant or retry);
+  /// the node layer unblocks the guest threads parked on it.
+  /// `enable_diff_transfers` must match the directory's setting
+  /// (cluster-wide DsmConfig). `request_timeout` > 0 arms a per-request
+  /// watchdog (DESIGN.md §13) that re-issues a page request still
+  /// outstanding after that long; it is only active when the network's
+  /// fault path is (requests cannot get stuck on the reliable wire).
   DsmClient(NodeId self, net::Network& network, sim::EventQueue& queue,
             mem::AddressSpace& space, mem::ShadowMap& shadow,
-            dbt::LlscTable* llsc, dbt::TranslationCache* tcache,
-            StatsRegistry* stats,
+            dbt::LlscTable& llsc, dbt::TranslationCache& tcache,
+            HomeView& homes, StatsRegistry& stats,
             std::function<void(std::uint32_t page)> wake_page,
             trace::Tracer* tracer = nullptr,
             bool enable_diff_transfers = false,
-            DurationPs request_timeout = 0, HomeView* homes = nullptr);
+            DurationPs request_timeout = 0);
 
   /// Issues a read or write request for `page` unless one is already in
   /// flight (in which case the write intent is merged: a still-unsatisfied
@@ -111,23 +111,16 @@ class DsmClient {
   /// Watchdog fire: the request has been outstanding for its full timeout —
   /// re-issue it (the directory tolerates duplicates) and back off.
   void on_request_timeout(std::uint32_t page);
-  /// Home of `page` (kMasterNode unless sharding is on), and the learn
-  /// hook that records authoritative senders under first-touch placement.
-  [[nodiscard]] NodeId home_of(std::uint32_t page) const {
-    return homes_ != nullptr ? homes_->home_of(page) : kMasterNode;
-  }
-  void learn_home(std::uint32_t page, NodeId home) {
-    if (homes_ != nullptr) homes_->learn(page, home);
-  }
 
   NodeId self_;
   net::Network& network_;
   sim::EventQueue& queue_;
   mem::AddressSpace& space_;
   mem::ShadowMap& shadow_;
-  dbt::LlscTable* llsc_;
-  dbt::TranslationCache* tcache_;
-  StatsRegistry* stats_;
+  dbt::LlscTable& llsc_;
+  dbt::TranslationCache& tcache_;
+  HomeView& homes_;
+  StatsRegistry& stats_;
   std::function<void(std::uint32_t)> wake_page_;
   trace::Site trace_;  ///< kDsm records on this node's track
   bool enable_diff_ = false;
@@ -145,8 +138,9 @@ class DsmClient {
     std::unique_ptr<sim::Timer> watchdog;  ///< cancelled by completion
   };
   std::unordered_map<std::uint32_t, Pending> pending_;
-  /// Null in single-master mode; the node's placement view when sharded.
-  HomeView* homes_ = nullptr;
+  /// Sends `p` as a read or write request to `page`'s home: the first
+  /// issue and every watchdog re-issue.
+  void send_request(std::uint32_t page, const Pending& p);
 };
 
 }  // namespace dqemu::dsm

@@ -20,7 +20,7 @@ const Directory::Entry Directory::kBootHome = [] {
 
 Directory::Directory(net::Network& network, sim::EventQueue& queue,
                      mem::AddressSpace& home, Params params,
-                     StatsRegistry* stats, trace::Tracer* tracer)
+                     StatsRegistry& stats, trace::Tracer* tracer)
     : network_(network),
       queue_(queue),
       home_(home),
@@ -116,7 +116,7 @@ void Directory::send_chained(net::Message msg, std::uint64_t flow) {
 void Directory::handle_message(const net::Message& msg) {
   // Per-home protocol-load counter: the spread of these across homes is
   // the directory-load-evenness figure (EXPERIMENTS.md).
-  if (stats_ != nullptr) stats_->add(home_msgs_counter_);
+  stats_.add(home_msgs_counter_);
   switch (static_cast<DsmMsg>(msg.type)) {
     case DsmMsg::kReadReq: return on_request(msg, /*write=*/false);
     case DsmMsg::kWriteReq: return on_request(msg, /*write=*/true);
@@ -184,7 +184,7 @@ std::uint64_t Directory::apply_writeback_diff(const net::Message& msg) {
   (void)applied;
   record_home_update(page, mask, /*known=*/true);
   record_node_copy(page, msg.src);
-  if (stats_ != nullptr) stats_->add("dsm.diff_writebacks_applied");
+  stats_.add("dsm.diff_writebacks_applied");
   trace_.step(queue_.now(), "dsm.diff_writeback", msg.flow, page, mask);
   return mask;
 }
@@ -211,15 +211,11 @@ net::Message Directory::make_data_message(NodeId dst, std::uint32_t page,
       msg.d = st.epoch;
       msg.data =
           mem::encode_diff(mask, data, mem::diff_line_bytes(home_.page_size()));
-      if (stats_ != nullptr) {
-        stats_->add(forward ? "dsm.diff_forwards" : "dsm.diff_grants");
-      }
+      stats_.add(forward ? "dsm.diff_forwards" : "dsm.diff_grants");
       return msg;
     }
-    if (stats_ != nullptr) {
-      stats_->add(held == kNoEpoch ? "dsm.diff_fallback_unknown"
-                                   : "dsm.diff_fallback_stale");
-    }
+    stats_.add(held == kNoEpoch ? "dsm.diff_fallback_unknown"
+                                : "dsm.diff_fallback_stale");
   }
   msg.data.assign(data.begin(), data.end());
   return msg;
@@ -248,9 +244,7 @@ bool Directory::should_split(const Entry& entry, std::uint32_t page) const {
 void Directory::on_request(const net::Message& msg, bool write) {
   const auto page = static_cast<std::uint32_t>(msg.a);
   Entry& entry = entry_at(page);
-  if (stats_ != nullptr) {
-    stats_->add(write ? "dir.write_reqs" : "dir.read_reqs");
-  }
+  stats_.add(write ? "dir.write_reqs" : "dir.read_reqs");
   entry.homed = true;
 
   // The requester is the wire-level sender unless the master relayed the
@@ -264,7 +258,7 @@ void Directory::on_request(const net::Message& msg, bool write) {
   // A request racing its sender's crash notification is dropped on the
   // floor: granting to a ghost would strand the page Modified-by-nobody.
   if (dead_nodes_.count(req.node) != 0) {
-    if (stats_ != nullptr) stats_->add("dir.dead_reqs_dropped");
+    stats_.add("dir.dead_reqs_dropped");
     return;
   }
 
@@ -274,7 +268,7 @@ void Directory::on_request(const net::Message& msg, bool write) {
     net::Message retry = make(req.node, DsmMsg::kRetry, page);
     retry.flow = req.flow;
     send(std::move(retry));
-    if (stats_ != nullptr) stats_->add("dir.retries");
+    stats_.add("dir.retries");
     return;
   }
 
@@ -282,7 +276,7 @@ void Directory::on_request(const net::Message& msg, bool write) {
 
   if (entry.busy) {
     entry.queue.push_back(req);
-    if (stats_ != nullptr) stats_->add("dir.queued_reqs");
+    stats_.add("dir.queued_reqs");
     trace_.step(queue_.now(), "dsm.dir.queued", req.flow, page,
                 entry.queue.size());
     return;
@@ -332,7 +326,7 @@ void Directory::start_transaction(std::uint32_t page, const Request& req) {
         send_chained(make(entry.owner, DsmMsg::kInvalidate, page, 1),
                      req.flow);
         entry.acks_outstanding = 1;
-        if (stats_ != nullptr) stats_->add("dir.owner_recalls");
+        stats_.add("dir.owner_recalls");
         return;
       case PageState::kShared: {
         for (NodeId n = 0; n < params_.node_count; ++n) {
@@ -341,8 +335,8 @@ void Directory::start_transaction(std::uint32_t page, const Request& req) {
             ++entry.acks_outstanding;
           }
         }
-        if (stats_ != nullptr && entry.acks_outstanding > 0)
-          stats_->add("dir.sharer_invalidations", entry.acks_outstanding);
+        if (entry.acks_outstanding > 0)
+          stats_.add("dir.sharer_invalidations", entry.acks_outstanding);
         if (entry.acks_outstanding == 0) complete_transaction(page);
         return;
       }
@@ -362,7 +356,7 @@ void Directory::start_transaction(std::uint32_t page, const Request& req) {
         }
         send_chained(make(entry.owner, DsmMsg::kDowngrade, page), req.flow);
         entry.acks_outstanding = 1;
-        if (stats_ != nullptr) stats_->add("dir.downgrades");
+        stats_.add("dir.downgrades");
         return;
       case PageState::kShared:
       case PageState::kHome:
@@ -441,7 +435,7 @@ void Directory::grant_and_finish(std::uint32_t page) {
       entry.owner = kInvalidNode;
       entry.sharers.clear();
     }
-    if (stats_ != nullptr) stats_->add("dir.dead_grants_skipped");
+    stats_.add("dir.dead_grants_skipped");
     finish_entry(page);
     return;
   }
@@ -452,7 +446,7 @@ void Directory::grant_and_finish(std::uint32_t page) {
   if (already_owner) {
     send_chained(make(req.node, DsmMsg::kPageGrant, page, kAccessWrite),
                  req.flow);
-    if (stats_ != nullptr) stats_->add("dir.grants_no_data");
+    stats_.add("dir.grants_no_data");
     finish_entry(page);
     return;
   }
@@ -473,14 +467,14 @@ void Directory::grant_and_finish(std::uint32_t page) {
   if (already_sharer || already_owner) {
     // Requester's copy is fresh: upgrade/re-grant without content.
     send_chained(make(req.node, DsmMsg::kPageGrant, page, access), req.flow);
-    if (stats_ != nullptr) stats_->add("dir.grants_no_data");
+    stats_.add("dir.grants_no_data");
   } else {
     net::Message msg =
         make_data_message(req.node, page, access, /*forward=*/false);
     charge_data_plane(stats_, msg, home_.page_size());
     record_node_copy(page, req.node);
     send_chained(std::move(msg), req.flow);
-    if (stats_ != nullptr) stats_->add("dir.grants_with_data");
+    stats_.add("dir.grants_with_data");
   }
 
   // A write grant makes the home copy stale, including the home node's own
@@ -505,7 +499,7 @@ void Directory::finish_entry(std::uint32_t page) {
     entry.queue.erase(entry.queue.begin());
     if (entry.state == PageState::kSplit) {
       send_chained(make(next.node, DsmMsg::kRetry, page), next.flow);
-      if (stats_ != nullptr) stats_->add("dir.retries");
+      stats_.add("dir.retries");
       finish_entry(page);
       return;
     }
@@ -546,7 +540,7 @@ void Directory::perform_split(std::uint32_t page) {
   for (const std::uint32_t shadow : shadows) diff_.erase(shadow);
   home_.set_access(page, mem::PageAccess::kNone);
   ++splits_;
-  if (stats_ != nullptr) stats_->add("dir.splits");
+  stats_.add("dir.splits");
   trace_.step(queue_.now(), "dsm.split", entry.current.flow, page, shards);
   DQEMU_DEBUG("directory: split page %u into %u shadows starting at %u", page,
               shards, shadows[0]);
@@ -584,7 +578,7 @@ void Directory::maybe_forward(NodeId requester, std::uint32_t page) {
   // stream stays alive and resumes pushing once the NIC drains.
   using time_literals::kUs;
   if (network_.egress_free_at(params_.self) > queue_.now() + 2000 * kUs) {
-    if (stats_ != nullptr) stats_->add("dir.forwards_skipped_backpressure");
+    stats_.add("dir.forwards_skipped_backpressure");
     return;
   }
 
@@ -636,7 +630,7 @@ void Directory::maybe_forward(NodeId requester, std::uint32_t page) {
     record_node_copy(p, requester);
     send(std::move(msg));
     last_pushed = p;
-    if (stats_ != nullptr) stats_->add("dir.forwards");
+    stats_.add("dir.forwards");
   }
   // The pushed pages will not generate requests; keep the stream alive
   // across the window so the next fault continues the run.
@@ -656,13 +650,13 @@ void Directory::on_crash_flush(const net::Message& msg) {
   Entry& entry = entry_at(page);
   if (entry.state != PageState::kModified || entry.owner != msg.src) {
     // The protocol already moved on (a racing recall completed): stale.
-    if (stats_ != nullptr) stats_->add("dsm.crash_flush_stale");
+    stats_.add("dsm.crash_flush_stale");
     return;
   }
   assert(msg.data.size() == home_.page_size());
   std::memcpy(home_.page_data(page).data(), msg.data.data(), msg.data.size());
   record_home_update(page, 0, /*known=*/false);
-  if (stats_ != nullptr) stats_->add("dsm.crash_flushes");
+  stats_.add("dsm.crash_flushes");
   trace_.step(queue_.now(), "dsm.crash_flush", msg.flow, page, msg.src);
   if (entry.busy && entry.acks_outstanding > 0) {
     // Mid-recall of the dying owner's copy (a Modified entry recalls
@@ -696,8 +690,8 @@ void Directory::on_node_dead(NodeId dead) {
     // can pop one of them.
     const auto dropped = std::erase_if(
         entry.queue, [dead](const Request& r) { return r.node == dead; });
-    if (stats_ != nullptr && dropped > 0) {
-      stats_->add("dir.dead_reqs_dropped", dropped);
+    if (dropped > 0) {
+      stats_.add("dir.dead_reqs_dropped", dropped);
     }
     if (entry.fs_last_node == dead) {
       entry.fs_last_node = kInvalidNode;
@@ -735,8 +729,8 @@ void Directory::on_node_dead(NodeId dead) {
       entry.owner = kInvalidNode;
     }
   }
-  if (stats_ != nullptr && reclaimed > 0) {
-    stats_->add("dsm.pages_reclaimed", reclaimed);
+  if (reclaimed > 0) {
+    stats_.add("dsm.pages_reclaimed", reclaimed);
   }
 }
 
@@ -829,7 +823,7 @@ void Directory::adopt_entry(std::uint32_t page,
   // full one and version tracking restarts with it.
   diff_.erase(page);
   entry.homed = true;
-  if (stats_ != nullptr) stats_->add("dsm.home_handoffs_adopted");
+  stats_.add("dsm.home_handoffs_adopted");
 }
 
 std::uint64_t Directory::digest() const {

@@ -70,7 +70,7 @@ class Directory {
   /// with no access anywhere; a shard only claims its shadow slice.
   Directory(net::Network& network, sim::EventQueue& queue,
             mem::AddressSpace& home, Params params,
-            StatsRegistry* stats = nullptr, trace::Tracer* tracer = nullptr);
+            StatsRegistry& stats, trace::Tracer* tracer = nullptr);
 
   /// Dispatches a request/ack addressed to this home.
   void handle_message(const net::Message& msg);
@@ -287,7 +287,7 @@ class Directory {
   sim::EventQueue& queue_;
   mem::AddressSpace& home_;
   Params params_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   trace::Site trace_;  ///< kDsm records on this home's manager track
   /// Chunk index: slot `page >> kChunkShift` holds that chunk's entries, or
   /// null while none of its pages has been mutated.

@@ -125,12 +125,12 @@ class NodeSet {
 /// would have carried; the delta to the actual payload is the saving the
 /// diff encoding bought. Loopback messages never touch the wire and are
 /// not charged, matching the Network's own byte accounting.
-inline void charge_data_plane(StatsRegistry* stats, const net::Message& msg,
+inline void charge_data_plane(StatsRegistry& stats, const net::Message& msg,
                               std::uint64_t full_bytes) {
-  if (stats == nullptr || msg.src == msg.dst) return;
-  stats->add("dsm.bytes_on_wire", msg.wire_bytes());
+  if (msg.src == msg.dst) return;
+  stats.add("dsm.bytes_on_wire", msg.wire_bytes());
   if (full_bytes > msg.data.size()) {
-    stats->add("dsm.bytes_saved", full_bytes - msg.data.size());
+    stats.add("dsm.bytes_saved", full_bytes - msg.data.size());
   }
 }
 

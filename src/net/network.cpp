@@ -9,7 +9,7 @@
 namespace dqemu::net {
 
 Network::Network(sim::EventQueue& queue, NetworkConfig config,
-                 std::uint32_t node_count, StatsRegistry* stats,
+                 std::uint32_t node_count, StatsRegistry& stats,
                  trace::Tracer* tracer, FaultConfig faults)
     : queue_(queue),
       config_(config),
@@ -73,7 +73,7 @@ void Network::send(Message msg) {
   // retransmit into a void. Crash-plane messages are exempt: the recovery
   // protocol itself must still flow (net/fault/node_faults.hpp).
   if (peer_dead(msg.src, msg.dst) && !is_crash_plane(msg.type)) {
-    if (stats_ != nullptr) stats_->add("net.dead_dropped");
+    stats_.add("net.dead_dropped");
     return;
   }
   // send() always runs in the source's execution context.
@@ -106,20 +106,9 @@ void Network::send(Message msg) {
     // Loopback skips the wire model, so net.messages/net.bytes stay
     // untouched; this counter is what lets trace flows and wire stats
     // reconcile (every send-side flow record is one of the two).
-    if (stats_ != nullptr) stats_->add("net.loopback");
+    stats_.add("net.loopback");
   } else {
-    const std::uint64_t bytes = msg.wire_bytes();
-    // Sender-side software path, then wait for the egress link.
-    const TimePs tx_ready = now + config_.endpoint_overhead;
-    const TimePs tx_start = std::max(tx_ready, egress_free_[msg.src]);
-    const TimePs tx_end = tx_start + config_.wire_time(bytes);
-    egress_free_[msg.src] = tx_end;
-    delivery = tx_end + config_.one_way_latency + config_.endpoint_overhead;
-
-    if (stats_ != nullptr) {
-      stats_->add("net.messages");
-      stats_->add("net.bytes", bytes + config_.header_bytes);
-    }
+    delivery = egress(msg.src, now, msg.wire_bytes());
   }
 
   // FIFO per channel: never deliver before an earlier message on the same
@@ -133,6 +122,17 @@ void Network::send(Message msg) {
   schedule_into(src, dst, delivery, [this, m = std::move(msg)]() mutable {
     deliver(std::move(m));
   });
+}
+
+TimePs Network::egress(NodeId src, TimePs now, std::uint64_t bytes) {
+  stats_.add("net.messages");
+  stats_.add("net.bytes", bytes + config_.header_bytes);
+  // Sender-side software path, then wait for the egress link.
+  const TimePs tx_ready = now + config_.endpoint_overhead;
+  const TimePs tx_start = std::max(tx_ready, egress_free_[src]);
+  const TimePs tx_end = tx_start + config_.wire_time(bytes);
+  egress_free_[src] = tx_end;
+  return tx_end + config_.one_way_latency + config_.endpoint_overhead;
 }
 
 void Network::transmit(Message msg, TxKind kind) {
@@ -159,18 +159,9 @@ void Network::transmit(Message msg, TxKind kind) {
                msg.flow, bytes, msg.type);
   }
 
-  if (stats_ != nullptr) {
-    stats_->add("net.messages");
-    stats_->add("net.bytes", bytes + config_.header_bytes);
-  }
-
   // Same egress model as the reliable path: the packet leaves the NIC and
   // occupies the link whether or not the switch then loses it.
-  const TimePs tx_ready = now + config_.endpoint_overhead;
-  const TimePs tx_start = std::max(tx_ready, egress_free_[msg.src]);
-  const TimePs tx_end = tx_start + config_.wire_time(bytes);
-  egress_free_[msg.src] = tx_end;
-  TimePs arrival = tx_end + config_.one_way_latency + config_.endpoint_overhead;
+  TimePs arrival = egress(msg.src, now, bytes);
 
   // Crash-plane messages are "reliable by fiat": they skip the injector
   // entirely (no per-link counter is consumed, so every other message's
@@ -178,7 +169,7 @@ void Network::transmit(Message msg, TxKind kind) {
   const WireFate fate =
       is_crash_plane(msg.type) ? WireFate{} : injector_->decide(msg);
   if (fate.drop) {
-    if (stats_ != nullptr) stats_->add("net.dropped");
+    stats_.add("net.dropped");
     if (msg.flow != 0) {
       nic.emit(now, "net.drop", trace::Kind::kFlowStep, msg.flow, msg.seq,
                msg.type);
@@ -194,7 +185,7 @@ void Network::transmit(Message msg, TxKind kind) {
   // the receive-side sequence check restores delivery order.
   const NodeId src = msg.src, dst = msg.dst;
   if (fate.duplicate) {
-    if (stats_ != nullptr) stats_->add("net.wire_dup");
+    stats_.add("net.wire_dup");
     const TimePs dup_at = arrival + fate.dup_extra_delay;
     schedule_into(src, dst, dup_at, [this, m = msg]() mutable {
       reliable_->on_wire_arrival(std::move(m));

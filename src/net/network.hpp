@@ -35,9 +35,9 @@ class Network {
  public:
   using Handler = std::function<void(Message)>;
 
-  /// `stats` and `tracer` may be null; `queue` must outlive the Network.
+  /// `queue` and `stats` must outlive the Network; `tracer` may be null.
   Network(sim::EventQueue& queue, NetworkConfig config,
-          std::uint32_t node_count, StatsRegistry* stats = nullptr,
+          std::uint32_t node_count, StatsRegistry& stats,
           trace::Tracer* tracer = nullptr, FaultConfig faults = {});
 
   Network(const Network&) = delete;
@@ -116,6 +116,12 @@ class Network {
 
  private:
   void deliver(Message msg);
+  /// The egress model of every message that crosses the wire: `src`'s
+  /// sender-side software path, the wait for its egress link, the
+  /// serialization of `bytes`, propagation and the receiver-side overhead.
+  /// Occupies the link, charges net.messages/net.bytes and returns the
+  /// arrival time.
+  TimePs egress(NodeId src, TimePs now, std::uint64_t bytes);
   /// Puts one physical copy on the lossy wire: charges the egress model,
   /// consults the fault injector, and schedules the arrival(s) into the
   /// reliable channel. Fault path only.
@@ -130,7 +136,7 @@ class Network {
 
   sim::EventQueue& queue_;
   NetworkConfig config_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   trace::Tracer* tracer_;
   std::vector<Handler> handlers_;
   /// Per-node egress link occupancy (bandwidth serialization point).

@@ -37,10 +37,6 @@ void ReliableChannel::bind_queues(
   }
 }
 
-void ReliableChannel::bump(const char* counter, std::uint64_t delta) {
-  if (stats_ != nullptr) stats_->add(counter, delta);
-}
-
 void ReliableChannel::trace_step(const Message& msg, const char* name,
                                  NodeId node) {
   if (msg.flow == 0) return;
@@ -55,7 +51,7 @@ void ReliableChannel::send(Message msg) {
     // The peer is dead (or the sender itself is): queueing would retransmit
     // into a void forever. Drop without consuming a sequence number so the
     // link's seq space stays gapless for any later traffic audit.
-    bump("net.dead_dropped");
+    stats_.add("net.dead_dropped");
     return;
   }
   msg.seq = out.next_seq++;
@@ -102,14 +98,14 @@ void ReliableChannel::retransmit_all(NodeId src, NodeId dst) {
   // wire traffic forever. Opt-in (0 = retry forever, the pre-§18 behaviour)
   // because a long pause-and-rejoin straggler would otherwise false-trip it.
   if (config_.giveup_retrans > 0 && ++l.stall_rounds >= config_.giveup_retrans) {
-    bump("net.peer_dead");
-    bump("net.dead_dropped", l.unacked.size());
+    stats_.add("net.peer_dead");
+    stats_.add("net.dead_dropped", l.unacked.size());
     l.unacked.clear();
     l.gone = true;
     if (peer_dead_) peer_dead_(src, dst);
     return;
   }
-  bump("net.retrans", l.unacked.size());
+  stats_.add("net.retrans", l.unacked.size());
   Link& rev = link(dst, src);
   rev.ack_due.cancel();  // every retransmission re-advertises the ack
   for (const Message& stored : l.unacked) {
@@ -133,7 +129,7 @@ void ReliableChannel::schedule_ack(NodeId data_src, NodeId data_dst) {
     ack.type = kNetAck;
     ack.seq = 0;  // pure acks are unsequenced and never retransmitted
     ack.ack = link(data_src, data_dst).last_in_order;
-    bump("net.acks");
+    stats_.add("net.acks");
     transmit_(std::move(ack), TxKind::kAck);
   });
 }
@@ -161,7 +157,9 @@ void ReliableChannel::silence(NodeId dead) {
 
 void ReliableChannel::on_peer_dead(NodeId self, NodeId dead) {
   Link& out = link(self, dead);
-  if (!out.unacked.empty()) bump("net.dead_dropped", out.unacked.size());
+  if (!out.unacked.empty()) {
+    stats_.add("net.dead_dropped", out.unacked.size());
+  }
   out.retrans.cancel();
   out.unacked.clear();
   out.gone = true;
@@ -174,7 +172,7 @@ void ReliableChannel::on_wire_arrival(Message msg) {
   // A silenced (crashed) node acks nothing and delivers nothing: black-hole
   // anything still in flight toward it, including retransmissions and acks.
   if (silenced(msg.dst)) {
-    bump("net.dead_black_holed");
+    stats_.add("net.dead_black_holed");
     return;
   }
 
@@ -199,7 +197,7 @@ void ReliableChannel::on_wire_arrival(Message msg) {
     // Duplicate (wire dup, or a retransmission racing our lost ack).
     // Suppress it, but make sure a fresh cumulative ack goes back so the
     // sender stops retransmitting.
-    bump("net.dup_suppressed");
+    stats_.add("net.dup_suppressed");
     trace_step(msg, "net.dup.drop", msg.dst);
     schedule_ack(msg.src, msg.dst);
     return;
@@ -226,10 +224,10 @@ void ReliableChannel::on_wire_arrival(Message msg) {
   // Hold this one back — delivering it now would break the per-channel FIFO
   // order the protocol correctness arguments need.
   if (in.held.emplace(msg.seq, msg).second) {
-    bump("net.ooo_held");
+    stats_.add("net.ooo_held");
     trace_step(msg, "net.held", msg.dst);
   } else {
-    bump("net.dup_suppressed");
+    stats_.add("net.dup_suppressed");
   }
   schedule_ack(msg.src, msg.dst);
 }

@@ -56,7 +56,7 @@ class ReliableChannel {
   using PeerDeadFn = std::function<void(NodeId self, NodeId peer)>;
 
   ReliableChannel(sim::EventQueue& queue, const FaultConfig& config,
-                  StatsRegistry* stats, trace::Tracer* tracer,
+                  StatsRegistry& stats, trace::Tracer* tracer,
                   TransmitFn transmit, DeliverFn deliver)
       : queue_(queue),
         config_(config),
@@ -143,12 +143,11 @@ class ReliableChannel {
   [[nodiscard]] bool silenced(NodeId node) const {
     return node < silenced_.size() && silenced_[node] != 0;
   }
-  void bump(const char* counter, std::uint64_t delta = 1);
   void trace_step(const Message& msg, const char* name, NodeId node);
 
   sim::EventQueue& queue_;
   const FaultConfig& config_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   trace::Tracer* tracer_;
   TransmitFn transmit_;
   DeliverFn deliver_;

@@ -18,7 +18,7 @@ namespace {
 }  // namespace
 
 LoadGenerator::LoadGenerator(sim::EventQueue& queue, const ServeConfig& config,
-                             StatsRegistry* stats, trace::Tracer* tracer,
+                             StatsRegistry& stats, trace::Tracer* tracer,
                              Responder responder)
     : queue_(queue),
       config_(config),
@@ -121,7 +121,7 @@ void LoadGenerator::issue_request(std::uint32_t client) {
   requests_.push_back(req);
   arrivals_.push_back(req.arrival);
   ++issued_;
-  if (stats_ != nullptr) stats_->add("serve.requests");
+  stats_.add("serve.requests");
 
   for (std::uint32_t c = 0; c < config_.clones; ++c) {
     if (!parked_.empty()) {
@@ -141,11 +141,9 @@ void LoadGenerator::dispatch(std::uint32_t request_id, const Parked& worker) {
   Request& req = requests_[request_id];
   running_[worker_key(worker.node, worker.tid)] = request_id;
   ++dispatched_;
-  if (stats_ != nullptr) {
-    stats_->add("serve.executions");
-    stats_->histogram("serve.queue_ns")
-        .record((queue_.now() - req.arrival) / time_literals::kNs);
-  }
+  stats_.add("serve.executions");
+  stats_.histogram("serve.queue_ns")
+      .record((queue_.now() - req.arrival) / time_literals::kNs);
   trace_.emit(queue_.now(), "serve.dispatch", trace::Kind::kFlowStep, req.flow,
               request_id, worker.node);
   const std::uint32_t desc = (req.cls << kClassShift) | req.work;
@@ -162,12 +160,12 @@ void LoadGenerator::on_get_request(NodeId src, GuestTid tid,
     return;
   }
   if (done_issuing()) {
-    if (stats_ != nullptr) stats_->add("serve.stop_signals");
+    stats_.add("serve.stop_signals");
     responder_(src, tid, kNoMoreWork, flow);
     return;
   }
   parked_.push_back(Parked{src, tid, flow});
-  if (stats_ != nullptr) stats_->add("serve.parks");
+  stats_.add("serve.parks");
 }
 
 void LoadGenerator::on_done(NodeId src, GuestTid tid, std::uint32_t checksum,
@@ -178,7 +176,7 @@ void LoadGenerator::on_done(NodeId src, GuestTid tid, std::uint32_t checksum,
       // At-least-once duplicate: the original kServeDone was processed but
       // its response died with the worker's old node, so the re-homed
       // thread re-issued the call. Acknowledge and move on.
-      if (stats_ != nullptr) stats_->add("serve.dup_done_dropped");
+      stats_.add("serve.dup_done_dropped");
       responder_(src, tid, 0, flow);
       return;
     }
@@ -192,8 +190,8 @@ void LoadGenerator::on_done(NodeId src, GuestTid tid, std::uint32_t checksum,
   assert(req.outstanding > 0);
   --req.outstanding;
 
-  if (checksum != expected_checksum(req.work) && stats_ != nullptr) {
-    stats_->add("serve.checksum_errors");
+  if (checksum != expected_checksum(req.work)) {
+    stats_.add("serve.checksum_errors");
   }
 
   if (!req.retired) {
@@ -202,20 +200,18 @@ void LoadGenerator::on_done(NodeId src, GuestTid tid, std::uint32_t checksum,
     ++retired_;
     const DurationPs latency = queue_.now() - req.arrival;
     latencies_.push_back(latency);
-    if (stats_ != nullptr) {
-      stats_->add("serve.retired");
-      stats_->histogram("serve.latency_ns")
-          .record(latency / time_literals::kNs);
-      if (config_.clones > 1) stats_->add("serve.clone_wins");
-    }
+    stats_.add("serve.retired");
+    stats_.histogram("serve.latency_ns")
+        .record(latency / time_literals::kNs);
+    if (config_.clones > 1) stats_.add("serve.clone_wins");
     trace_.emit(queue_.now(), "serve.complete", trace::Kind::kFlowEnd,
                 req.flow, id, latency / time_literals::kNs);
     if (config_.arrival == ArrivalProcess::kClosed) {
       schedule_client_issue(req.client);
     }
-  } else if (stats_ != nullptr) {
+  } else {
     // A clone that lost the race; its work was redundant by design.
-    stats_->add("serve.clone_wasted");
+    stats_.add("serve.clone_wasted");
   }
 
   responder_(src, tid, 0, flow);
@@ -233,7 +229,7 @@ void LoadGenerator::on_node_crash(NodeId dead, NodeId replacement,
     if (it == running_.end()) continue;  // was parked, or never dispatched
     pending_.push_back(it->second);
     running_.erase(it);
-    if (stats_ != nullptr) stats_->add("serve.requeued_executions");
+    stats_.add("serve.requeued_executions");
   }
 
   // Every other execution on the dead node is mid-work on a re-homed
@@ -250,7 +246,7 @@ void LoadGenerator::on_node_crash(NodeId dead, NodeId replacement,
     const std::uint32_t id = running_.at(key);
     running_.erase(key);
     running_[worker_key(replacement, static_cast<GuestTid>(key))] = id;
-    if (stats_ != nullptr) stats_->add("serve.rekeyed_executions");
+    stats_.add("serve.rekeyed_executions");
   }
 
   // Parked entries pointing at the dead node would dispatch work into the
@@ -286,7 +282,7 @@ void LoadGenerator::release_parked_if_drained() {
   while (!parked_.empty()) {
     const Parked worker = parked_.front();
     parked_.pop_front();
-    if (stats_ != nullptr) stats_->add("serve.stop_signals");
+    stats_.add("serve.stop_signals");
     responder_(worker.node, worker.tid, kNoMoreWork, worker.flow);
   }
 }

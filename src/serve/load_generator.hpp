@@ -53,7 +53,7 @@ class LoadGenerator {
   }
 
   LoadGenerator(sim::EventQueue& queue, const ServeConfig& config,
-                StatsRegistry* stats, trace::Tracer* tracer,
+                StatsRegistry& stats, trace::Tracer* tracer,
                 Responder responder);
 
   /// Schedules the first arrivals (open loop) or the first client issues
@@ -146,7 +146,7 @@ class LoadGenerator {
 
   sim::EventQueue& queue_;
   ServeConfig config_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   trace::Site trace_;  ///< kServe records on the master's manager track
   Responder responder_;
 

@@ -13,7 +13,7 @@ namespace dqemu::sys {
 FutexService::FutexService(NodeId self, net::Network& network,
                            sim::EventQueue& queue, MachineConfig machine,
                            DurationPs lease_min_hold, DurationPs recall_timeout,
-                           StatsRegistry* stats, trace::Tracer* tracer)
+                           StatsRegistry& stats, trace::Tracer* tracer)
     : self_(self),
       network_(network),
       queue_(queue),
@@ -57,8 +57,8 @@ void FutexService::send_response(NodeId dst, GuestTid tid, std::int64_t result,
 void FutexService::handle_message(const net::Message& msg) {
   // Per-home load counter; only slave-hosted homes tick it so the master's
   // stats are untouched when sharding is off.
-  if (stats_ != nullptr && self_ != kMasterNode) {
-    stats_->add(home_msgs_counter_);
+  if (self_ != kMasterNode) {
+    stats_.add(home_msgs_counter_);
   }
   switch (static_cast<SysMsg>(msg.type)) {
     case SysMsg::kLeaseReq:
@@ -77,7 +77,7 @@ void FutexService::handle_message(const net::Message& msg) {
   req.src = relayed_requester(msg, msg.c);
   assert(req.num == isa::Sys::kFutex &&
          "only futex syscalls are homed off-master");
-  if (stats_ != nullptr) stats_->add("sys.delegated");
+  stats_.add("sys.delegated");
   trace_.step(queue_.now(), "sys.service", req.flow, msg.a, req.tid);
   do_futex(req);
 }
@@ -103,7 +103,7 @@ void FutexService::forward_wait(const SyscallRequest& req) {
   msg.b = req.tid;
   msg.c = req.src;
   msg.flow = req.flow;
-  if (stats_ != nullptr) stats_->add("sys.lease_handoffs");
+  stats_.add("sys.lease_handoffs");
   trace_.step(queue_.now(), "sys.lock_handoff", req.flow, addr, req.tid);
   send_protocol(std::move(msg));
 }
@@ -121,7 +121,7 @@ void FutexService::forward_wake(GuestAddr addr, std::uint32_t count,
       requester == kInvalidNode ? kNoWakeResponse : requester;
   msg.c = (who << 32) | requester_tid;
   msg.flow = flow;
-  if (stats_ != nullptr) stats_->add("sys.lease_handoffs");
+  stats_.add("sys.lease_handoffs");
   trace_.step(queue_.now(), "sys.lock_handoff", flow, addr, count);
   send_protocol(std::move(msg));
 }
@@ -131,7 +131,7 @@ void FutexService::do_futex(const SyscallRequest& req) {
   // when the crash hit). Enqueueing it would eat a wake meant for a live
   // waiter; answering it would be black-holed anyway.
   if (dead_nodes_.count(req.src) != 0) {
-    if (stats_ != nullptr) stats_->add("sys.dead_ops_dropped");
+    stats_.add("sys.dead_ops_dropped");
     return;
   }
   const GuestAddr addr = req.args[0];
@@ -151,7 +151,7 @@ void FutexService::do_futex(const SyscallRequest& req) {
     // read copy; the protocol orders any racing write (and its wake) after
     // this request, so enqueueing unconditionally cannot lose a wakeup.
     futexes_.wait(addr, FutexTable::Waiter{req.src, req.tid, req.flow});
-    if (stats_ != nullptr) stats_->add("sys.futex_waits");
+    stats_.add("sys.futex_waits");
     trace_.step(queue_.now(), "sys.futex_wait", req.flow, addr,
                 futexes_.waiters(addr));
     return;  // deferred response
@@ -172,7 +172,7 @@ void FutexService::do_futex(const SyscallRequest& req) {
       return;
     }
     const std::uint32_t woken = home_wake(addr, req.args[2]);
-    if (stats_ != nullptr) stats_->add("sys.futex_wakes", woken);
+    stats_.add("sys.futex_wakes", woken);
     if (respond) send_response(req.src, req.tid, woken, req.flow);
     return;
   }
@@ -204,7 +204,7 @@ void FutexService::on_lease_request(const net::Message& msg) {
   const auto addr = static_cast<GuestAddr>(msg.a);
   const NodeId requester = relayed_requester(msg, msg.c);
   if (dead_nodes_.count(requester) != 0) {
-    if (stats_ != nullptr) stats_->add("sys.dead_ops_dropped");
+    stats_.add("sys.dead_ops_dropped");
     return;  // never grant a lease to a dead node
   }
   switch (futexes_.lease_phase(addr)) {
@@ -219,7 +219,7 @@ void FutexService::on_lease_request(const net::Message& msg) {
       }
       futexes_.begin_recall(addr, requester);
       pending_lease_flow_[addr] = msg.flow;
-      if (stats_ != nullptr) stats_->add("sys.lease_recalls");
+      stats_.add("sys.lease_recalls");
       trace_.step(queue_.now(), "sys.lease_recall", msg.flow, addr, owner);
       send_recall(addr, owner, msg.flow);
       if (recall_timeout_ > 0 && network_.faults_active()) {
@@ -238,7 +238,7 @@ void FutexService::on_lease_return(const net::Message& msg) {
     // Not recalling this address: a stale return (the fault model's
     // watchdog can make the agent and home race). Dropping it is safe —
     // whatever state the return carried was already applied.
-    if (stats_ != nullptr) stats_->add("sys.stale_lease_returns");
+    stats_.add("sys.stale_lease_returns");
     return;
   }
   complete_recall(addr, FutexTable::unpack_waiters(msg.data), msg.flow);
@@ -246,7 +246,7 @@ void FutexService::on_lease_return(const net::Message& msg) {
 
 void FutexService::grant(GuestAddr addr, NodeId owner, std::uint64_t flow) {
   const auto queue = futexes_.grant_lease(addr, owner, queue_.now());
-  if (stats_ != nullptr) stats_->add("sys.lease_grants");
+  stats_.add("sys.lease_grants");
   trace_.step(queue_.now(), "sys.lease_grant", flow, addr, queue.size());
   net::Message msg;
   msg.src = self_;
@@ -289,7 +289,7 @@ void FutexService::complete_recall(
   if (dead_nodes_.count(next_owner) != 0) {
     // The requester died while its recall was in flight: the queue stays
     // home-owned and survivors re-request if the address is still hot.
-    if (stats_ != nullptr) stats_->add("sys.dead_grants_skipped");
+    stats_.add("sys.dead_grants_skipped");
     return;
   }
   grant(addr, next_owner, flow);
@@ -311,7 +311,7 @@ void FutexService::on_recall_timeout(GuestAddr addr) {
   std::uint64_t flow = 0;
   auto pending = pending_lease_flow_.find(addr);
   if (pending != pending_lease_flow_.end()) flow = pending->second;
-  if (stats_ != nullptr) stats_->add("sys.recall_timeouts");
+  stats_.add("sys.recall_timeouts");
   trace_.step(queue_.now(), "sys.recall_timeout", flow, addr, owner);
   // Re-send the recall. The agent ignores a recall for a lease it already
   // returned, so a crossed-in-flight return stays harmless.
@@ -331,11 +331,11 @@ void FutexService::replay_buffered(GuestAddr addr) {
   for (const BufferedFutexOp& op : buffered->second) {
     if (op.op == isa::kFutexWait) {
       futexes_.wait(addr, FutexTable::Waiter{op.src, op.tid, op.flow});
-      if (stats_ != nullptr) stats_->add("sys.futex_waits");
+      stats_.add("sys.futex_waits");
     } else {
       const std::uint32_t woken = home_wake(addr, op.count);
       if (op.respond) {
-        if (stats_ != nullptr) stats_->add("sys.futex_wakes", woken);
+        stats_.add("sys.futex_wakes", woken);
         send_response(op.src, op.tid, woken, op.flow);
       }
     }
@@ -364,13 +364,13 @@ void FutexService::on_crash_lease_return(
     case FutexTable::LeasePhase::kNone:
       break;  // stale: the original return made it before the crash
   }
-  if (stats_ != nullptr) stats_->add("sys.stale_lease_returns");
+  stats_.add("sys.stale_lease_returns");
 }
 
 void FutexService::revoke(GuestAddr addr,
                           const std::vector<FutexTable::Waiter>& returned) {
   futexes_.end_lease(addr, returned);
-  if (stats_ != nullptr) stats_->add("sys.leases_revoked");
+  stats_.add("sys.leases_revoked");
   trace_.step(queue_.now(), "sys.lease_revoked", 0, addr, returned.size());
 }
 
@@ -380,13 +380,13 @@ void FutexService::crash_revoke_local(
   // already came home (and may since belong to someone else) is a no-op.
   if (futexes_.lease_phase(addr) == FutexTable::LeasePhase::kNone ||
       futexes_.lease_owner(addr) != self_) {
-    if (stats_ != nullptr) stats_->add("sys.stale_lease_returns");
+    stats_.add("sys.stale_lease_returns");
     return;
   }
   recall_watchdogs_.erase(addr);
   pending_lease_flow_.erase(addr);
   futexes_.end_lease(addr, returned);
-  if (stats_ != nullptr) stats_->add("sys.leases_revoked");
+  stats_.add("sys.leases_revoked");
   // Buffered mid-recall ops stay in recall_buffer_ on purpose: they ride
   // the handoff and the master replays them at adoption.
 }
@@ -394,8 +394,8 @@ void FutexService::crash_revoke_local(
 void FutexService::on_node_dead(NodeId dead) {
   dead_nodes_.insert(dead);
   const std::size_t dropped = futexes_.drop_node(dead);
-  if (dropped != 0 && stats_ != nullptr) {
-    stats_->add("sys.dead_waiters_dropped", dropped);
+  if (dropped != 0) {
+    stats_.add("sys.dead_waiters_dropped", dropped);
   }
   // Drop the dead node's buffered ops: a buffered wait would eat a wake, a
   // buffered wake's response would be black-holed.
@@ -499,7 +499,7 @@ void FutexService::adopt_handoff(std::span<const std::uint8_t> data) {
       }
     }
   }
-  if (stats_ != nullptr) stats_->add("sys.futex_handoffs_adopted");
+  stats_.add("sys.futex_handoffs_adopted");
 }
 
 }  // namespace dqemu::sys

@@ -46,7 +46,7 @@ class FutexService {
   /// the kLeaseRecall (DESIGN.md §13).
   FutexService(NodeId self, net::Network& network, sim::EventQueue& queue,
                MachineConfig machine, DurationPs lease_min_hold,
-               DurationPs recall_timeout, StatsRegistry* stats = nullptr,
+               DurationPs recall_timeout, StatsRegistry& stats,
                trace::Tracer* tracer = nullptr);
 
   [[nodiscard]] FutexTable& table() { return futexes_; }
@@ -184,7 +184,7 @@ class FutexService {
   MachineConfig machine_;
   DurationPs lease_min_hold_;
   DurationPs recall_timeout_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   trace::Site trace_;  ///< kSys records on this home's manager track
   FutexTable futexes_;
   /// Ops buffered per address while a recall is in flight (arrival order).

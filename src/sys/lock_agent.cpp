@@ -25,7 +25,7 @@ std::vector<GuestAddr> sorted_addrs(const Map& map) {
 }  // namespace
 
 LockAgent::LockAgent(NodeId id, sim::EventQueue& queue, net::Network& network,
-                     StatsRegistry* stats, trace::Tracer* tracer,
+                     StatsRegistry& stats, trace::Tracer* tracer,
                      HomeResolver home_of, WakeLocalFn wake_local)
     : id_(id),
       queue_(queue),
@@ -44,7 +44,7 @@ void LockAgent::crash_return(NodeId home, GuestAddr addr,
   msg.a = addr;
   msg.b = queue.size();
   FutexTable::pack_waiters(queue, msg.data);
-  if (stats_ != nullptr) stats_->add("sys.crash_lease_returns");
+  stats_.add("sys.crash_lease_returns");
   network_.send(std::move(msg));
 }
 
@@ -58,7 +58,7 @@ void LockAgent::return_all(const LocalRevokeFn& local_revoke) {
     // This node hosts the home shard too; a loopback message would land
     // after the shard is serialized for handoff. Revoke synchronously so
     // the handed-off table already contains the queue.
-    if (stats_ != nullptr) stats_->add("sys.crash_lease_returns");
+    stats_.add("sys.crash_lease_returns");
     local_revoke(addr, queue);
   };
   for (const GuestAddr addr : sorted_addrs(owned_)) {
@@ -86,7 +86,7 @@ void LockAgent::on_peer_dead(NodeId dead) {
     for (auto it = queue.begin(); it != queue.end();) {
       if (it->node == dead) {
         it = queue.erase(it);
-        if (stats_ != nullptr) stats_->add("sys.dead_waiters_dropped");
+        stats_.add("sys.dead_waiters_dropped");
       } else {
         ++it;
       }
@@ -109,14 +109,14 @@ void LockAgent::on_peer_dead(NodeId dead) {
 void LockAgent::local_wait(GuestAddr addr, GuestTid tid, std::uint64_t flow) {
   assert(owns(addr));
   owned_[addr].queue.push_back(FutexTable::Waiter{id_, tid, flow});
-  if (stats_ != nullptr) stats_->add("sys.lock_local_waits");
+  stats_.add("sys.lock_local_waits");
   trace_.emit(queue_.now(), "sys.lock_local_wait", trace::Kind::kFlowStep,
               flow, addr, tid);
 }
 
 std::uint32_t LockAgent::local_wake(GuestAddr addr, std::uint32_t count) {
   assert(owns(addr));
-  if (stats_ != nullptr) stats_->add("sys.lock_local_wakes");
+  stats_.add("sys.lock_local_wakes");
   return wake_from_entry(addr, owned_[addr], count);
 }
 
@@ -145,13 +145,13 @@ std::uint32_t LockAgent::wake_from_entry(GuestAddr addr, Entry& entry,
     ++woken;
     if (w.node == id_) {
       ++entry.local_streak;
-      if (stats_ != nullptr) stats_->add("sys.lock_local_grants");
+      stats_.add("sys.lock_local_grants");
       trace_.emit(queue_.now(), "sys.lock_local_grant",
                   trace::Kind::kFlowStep, w.flow, addr, w.tid);
       wake_local_(w.tid, w.flow);
     } else {
       entry.local_streak = 0;
-      if (stats_ != nullptr) stats_->add("sys.lock_remote_grants");
+      stats_.add("sys.lock_remote_grants");
       remote[w.node].push_back(w);
     }
   }
@@ -170,7 +170,7 @@ std::uint32_t LockAgent::wake_from_entry(GuestAddr addr, Entry& entry,
     batch.a = addr;
     batch.b = waiters.size();
     FutexTable::pack_waiters(waiters, batch.data);
-    if (stats_ != nullptr) stats_->add("sys.wake_batches");
+    stats_.add("sys.wake_batches");
     trace_.emit(queue_.now(), "sys.wake_batched", trace::Kind::kInstant, 0,
                 addr, waiters.size());
     network_.send(std::move(batch));
@@ -188,7 +188,7 @@ void LockAgent::note_delegated(GuestAddr addr) {
   req.dst = home_of_(addr);
   req.type = static_cast<std::uint32_t>(SysMsg::kLeaseReq);
   req.a = addr;
-  if (stats_ != nullptr) stats_->add("sys.lease_requests");
+  stats_.add("sys.lease_requests");
   if (trace_.on()) {
     req.flow = trace_.tracer->new_flow();
     trace_.record(queue_.now(), "sys.lease_acquire", trace::Kind::kFlowBegin,
@@ -230,7 +230,7 @@ void LockAgent::on_lease_recall(const net::Message& msg) {
     // Duplicate recall: the master's recall watchdog (DESIGN.md §13) fired
     // while our lease return was still crossing the wire. The return is
     // already on its way, so there is nothing left to hand back.
-    if (stats_ != nullptr) stats_->add("sys.dup_recalls_ignored");
+    stats_.add("sys.dup_recalls_ignored");
     trace_.emit(queue_.now(), "sys.dup_recall", trace::Kind::kInstant,
                 msg.flow, addr, 0);
     return;

@@ -48,7 +48,7 @@ class LockAgent {
   using HomeResolver = std::function<NodeId(GuestAddr)>;
 
   LockAgent(NodeId id, sim::EventQueue& queue, net::Network& network,
-            StatsRegistry* stats, trace::Tracer* tracer, HomeResolver home_of,
+            StatsRegistry& stats, trace::Tracer* tracer, HomeResolver home_of,
             WakeLocalFn wake_local);
 
   /// True when this agent holds the lease for `addr`.
@@ -135,7 +135,7 @@ class LockAgent {
   NodeId id_;
   sim::EventQueue& queue_;
   net::Network& network_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   trace::Site trace_;  ///< kSys records on this node's track
   HomeResolver home_of_;
   WakeLocalFn wake_local_;

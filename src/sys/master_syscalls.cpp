@@ -39,7 +39,7 @@ SyscallRequest parse_syscall_request(const net::Message& msg) {
 MasterSyscalls::MasterSyscalls(net::Network& network, sim::EventQueue& queue,
                                std::uint32_t page_size, FutexService& futexes,
                                FutexHomeResolver futex_home,
-                               StatsRegistry* stats, trace::Tracer* tracer)
+                               StatsRegistry& stats, trace::Tracer* tracer)
     : network_(network),
       queue_(queue),
       stats_(stats),
@@ -62,7 +62,7 @@ void MasterSyscalls::handle_message(const net::Message& msg) {
   assert(msg.type == static_cast<std::uint32_t>(SysMsg::kSyscallReq) &&
          "the master's syscall engine serves kSyscallReq only");
   const SyscallRequest req = parse_syscall_request(msg);
-  if (stats_ != nullptr) stats_->add("sys.delegated");
+  stats_.add("sys.delegated");
   trace_.step(queue_.now(), "sys.service", req.flow, msg.a, req.tid);
   dispatch(req);
 }
@@ -124,7 +124,7 @@ void MasterSyscalls::dispatch(const SyscallRequest& req) {
       }
       const GuestAddr addr = mmap_cursor_;
       mmap_cursor_ += len;
-      if (stats_ != nullptr) stats_->add("sys.mmap_bytes", len);
+      stats_.add("sys.mmap_bytes", len);
       futex_.send_response(req.src, req.tid, addr, req.flow);
       return;
     }

@@ -69,7 +69,7 @@ class MasterSyscalls {
   /// `page_size` rounds anonymous mmap lengths.
   MasterSyscalls(net::Network& network, sim::EventQueue& queue,
                  std::uint32_t page_size, FutexService& futexes,
-                 FutexHomeResolver futex_home, StatsRegistry* stats = nullptr,
+                 FutexHomeResolver futex_home, StatsRegistry& stats,
                  trace::Tracer* tracer = nullptr);
 
   /// Guest heap layout: brk grows in [brk_start, mmap_start); anonymous
@@ -101,7 +101,7 @@ class MasterSyscalls {
 
   net::Network& network_;
   sim::EventQueue& queue_;
-  StatsRegistry* stats_;
+  StatsRegistry& stats_;
   trace::Site trace_;  ///< kSys records on the master's manager track
   Hooks hooks_;
   ServeHandler serve_handler_;

@@ -41,21 +41,29 @@ esac
 # And for no program at all.
 "$RUN" >/dev/null 2>&1 && fail "no arguments exited 0"
 
-# The usage text must mention every accepted flag — it is generated from
-# the same table the parser matches against, and this list is the external
-# contract. A flag added to the parser but missing here (or vice versa)
-# must fail the test.
+# The usage text and this list must name exactly the same flags. Usage is
+# generated from the same table the parser matches against, and this list
+# is the external contract: a flag added to the parser but missing here, or
+# listed here but gone from the parser, fails the test.
 usage=$("$RUN" 2>&1)
-for flag in --nodes --cores --quantum --rtt-us --gbps --forwarding \
-            --splitting --dsm-diff --hier-locking --hint-sched \
-            --home-sharding --placement \
-            --host-threads --faults --fault-seed --drop-pct \
-            --serve --requests --arrival --rate --clients --think-us \
-            --clone --serve-workers --serve-seed \
-            --stats --breakdown --trace --trace-categories --verbose --help; do
-  case "$usage" in
-    *"$flag"*) ;;
+flags=$(echo --nodes --cores --quantum --dump-hot --rtt-us --gbps \
+        --forwarding --splitting --dsm-diff --hier-locking --home-sharding \
+        --placement --host-threads --hint-sched --faults --fault-seed \
+        --drop-pct --crash --pause --giveup-retrans --checkpoint --restore \
+        --serve --requests --arrival --rate --clients --think-us --clone \
+        --serve-workers --serve-seed --stats --breakdown --trace \
+        --trace-categories --verbose --help)
+named=$(printf '%s\n' "$usage" | grep -o -- '--[a-z][a-z-]*' | sort -u)
+for flag in $flags; do
+  case " $(echo $named) " in
+    *" $flag "*) ;;
     *) fail "usage does not mention $flag" ;;
+  esac
+done
+for flag in $named; do
+  case " $flags " in
+    *" $flag "*) ;;
+    *) fail "usage names $flag, which the flag list lacks" ;;
   esac
 done
 
@@ -138,6 +146,26 @@ status=$?
 [ "$status" -eq 0 ] || fail "--host-threads 2 run exited $status: $par"
 [ "$(strip_host "$par")" = "$(strip_host "$out")" ] ||
   fail "--host-threads 2 output differs from --host-threads 1"
+
+# DESIGN.md §18's lease-return branch (LockAgent::return_all in the crash
+# last gasp): node 1 dies at 3500 us holding a futex lease, returns it with
+# its queue and flushes its dirty page home, and the mutex still completes.
+out=$("$RUN" "$GUEST" --nodes 4 --quantum 500 --hier-locking \
+      --crash 1@3500 --stats 2>&1)
+status=$?
+[ "$status" -eq 0 ] || fail "lease-return crash run exited $status: $out"
+case "$out" in
+  *"exit=64000 "*) ;;
+  *) fail "lease-return crash run did not exit 64000: $out" ;;
+esac
+case "$out" in
+  *" leases_returned=1 "*) ;;
+  *) fail "lease-return crash run returned no lease: $out" ;;
+esac
+for counter in "sys.crash_lease_returns = 1" "dsm.crash_flushes = 1"; do
+  printf '%s\n' "$out" | grep -qx "$counter" ||
+    fail "lease-return crash run lacks '$counter'"
+done
 
 [ "$failures" -eq 0 ] && echo "PASS"
 exit "$failures"

@@ -38,23 +38,25 @@ TEST_P(ProtocolStorm, InvariantsAndConvergence) {
 
   sim::EventQueue queue;
   StatsRegistry stats;
-  net::Network network(queue, NetworkConfig{}, kNodes, &stats);
+  net::Network network(queue, NetworkConfig{}, kNodes, stats);
   std::vector<std::unique_ptr<mem::AddressSpace>> spaces;
   std::vector<std::unique_ptr<mem::ShadowMap>> shadows;
+  std::vector<std::unique_ptr<test::ClientDeps>> deps;
   std::vector<std::unique_ptr<dsm::DsmClient>> clients;
   for (NodeId n = 0; n < kNodes; ++n) {
     spaces.push_back(std::make_unique<mem::AddressSpace>(kMem, kPage));
     shadows.push_back(std::make_unique<mem::ShadowMap>(kPage, 4));
+    deps.push_back(std::make_unique<test::ClientDeps>(*spaces[n], stats));
   }
   dsm::Directory::Params params;
   params.node_count = kNodes;
   params.shadow_pool_first_page = (kMem / kPage) - 256;
   params.shadow_pool_page_count = 256;
-  dsm::Directory directory(network, queue, *spaces[0], params, &stats);
+  dsm::Directory directory(network, queue, *spaces[0], params, stats);
   for (NodeId n = 0; n < kNodes; ++n) {
     clients.push_back(std::make_unique<dsm::DsmClient>(
-        n, network, queue, *spaces[n], *shadows[n], nullptr, nullptr, &stats,
-        [](std::uint32_t) {}));
+        n, network, queue, *spaces[n], *shadows[n], deps[n]->llsc,
+        deps[n]->tcache, deps[n]->homes, stats, [](std::uint32_t) {}));
   }
   network.attach(0, [&](net::Message msg) {
     switch (static_cast<dsm::DsmMsg>(msg.type)) {

@@ -6,9 +6,14 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "common/stats.hpp"
 #include "core/cluster.hpp"
+#include "dbt/llsc_table.hpp"
+#include "dbt/translation.hpp"
+#include "dsm/placement.hpp"
 #include "isa/assembler.hpp"
 #include "isa/program.hpp"
+#include "mem/address_space.hpp"
 
 namespace dqemu::test {
 
@@ -37,6 +42,18 @@ inline ClusterConfig baseline_config() {
   config.guest_mem_bytes = 64u * 1024 * 1024;
   return config;
 }
+
+/// What a DsmClient borrows from its node, for a test that builds a bare
+/// client: an empty LL/SC table, a translation cache over the client's
+/// `space` and a single-master placement view. Must outlive the client.
+struct ClientDeps {
+  ClientDeps(const mem::AddressSpace& space, StatsRegistry& stats)
+      : llsc(stats), tcache(space, DbtConfig{}, stats) {}
+
+  dbt::LlscTable llsc;
+  dbt::TranslationCache tcache;
+  dsm::HomeView homes;
+};
 
 struct RunOutcome {
   core::Cluster::RunResult result;

@@ -22,9 +22,9 @@ struct Harness {
                    bool check_protection = false, DbtConfig dbt_config = {})
       : space(32u << 20, 4096),
         config(dbt_config),
-        llsc(&stats),
-        cache(space, config, check_protection, &stats),
-        engine(space, &shadow, llsc, cache, config, check_protection, &stats),
+        llsc(stats),
+        cache(space, config, stats),
+        engine(space, shadow, llsc, cache, config, stats),
         shadow(4096, 4) {
     Assembler a;
     emit(a);
@@ -677,7 +677,8 @@ TEST(Llsc, InterveningStoreBreaksReservationAba) {
   // The ABA scenario of section 4.4: another thread writes the SAME value
   // between LL and SC. A CAS-based emulation would succeed (value matches);
   // the hash-table scheme must fail the SC regardless of the value.
-  LlscTable table;
+  StatsRegistry stats;
+  LlscTable table(stats);
   table.on_ll(0x1000, /*tid=*/1);       // thread 1 reads A
   table.on_store(0x1000, /*tid=*/2);    // thread 2 stores B then A again
   table.on_store(0x1000, /*tid=*/2);
@@ -685,14 +686,16 @@ TEST(Llsc, InterveningStoreBreaksReservationAba) {
 }
 
 TEST(Llsc, OwnStoreKeepsReservation) {
-  LlscTable table;
+  StatsRegistry stats;
+  LlscTable table(stats);
   table.on_ll(0x2000, 3);
   table.on_store(0x2000, 3);  // same thread
   EXPECT_TRUE(table.on_sc(0x2000, 3));
 }
 
 TEST(Llsc, ReservationIsPerAddressAndConsumed) {
-  LlscTable table;
+  StatsRegistry stats;
+  LlscTable table(stats);
   table.on_ll(0x100, 1);
   table.on_ll(0x200, 2);
   EXPECT_FALSE(table.on_sc(0x100, 2));  // wrong thread
@@ -702,7 +705,8 @@ TEST(Llsc, ReservationIsPerAddressAndConsumed) {
 }
 
 TEST(Llsc, PageInvalidationKillsReservationsFalsePositive) {
-  LlscTable table;
+  StatsRegistry stats;
+  LlscTable table(stats);
   table.on_ll(0x3000, 1);
   table.on_ll(0x3004, 2);
   table.on_ll(0x5000, 3);
@@ -715,7 +719,8 @@ TEST(Llsc, PageInvalidationKillsReservationsFalsePositive) {
 TEST(Llsc, LineFilterScreensStores) {
   // may_match is the DBT's LL/SC store-filter: false must PROVE no
   // reservation can match. Line bit = (addr >> 6) & 63.
-  LlscTable table;
+  StatsRegistry stats;
+  LlscTable table(stats);
   EXPECT_FALSE(table.may_match(0x1000));  // empty table: everything screened
   table.on_ll(0x1000, 1);                 // line bit 0
   EXPECT_TRUE(table.may_match(0x1000));
@@ -780,7 +785,8 @@ TEST(Llsc, EngineFastPathStillBreaksReservationAcrossThreads) {
 }
 
 TEST(Llsc, RetargetingLlMovesReservation) {
-  LlscTable table;
+  StatsRegistry stats;
+  LlscTable table(stats);
   table.on_ll(0x100, 1);
   table.on_ll(0x200, 1);  // same thread reserves elsewhere
   EXPECT_TRUE(table.on_sc(0x200, 1));

@@ -320,10 +320,11 @@ TEST_P(Differential, EngineMatchesReference) {
   engine_space.load_program(program);
   engine_space.set_all_access(mem::PageAccess::kReadWrite);
   DbtConfig config;
-  LlscTable llsc;
-  TranslationCache cache(engine_space, config, false, nullptr);
-  ExecEngine engine(engine_space, nullptr, llsc, cache, config, false,
-                    nullptr);
+  StatsRegistry stats;
+  const mem::ShadowMap shadow(4096, 4);
+  LlscTable llsc(stats);
+  TranslationCache cache(engine_space, config, stats);
+  ExecEngine engine(engine_space, shadow, llsc, cache, config, stats);
   CpuContext engine_ctx;
   engine_ctx.pc = program.entry;
   engine_ctx.tid = 1;
@@ -393,9 +394,11 @@ TEST_P(LoopedDifferential, SuperblockEngineMatchesReference) {
   mem::AddressSpace space(32u << 20, 4096);
   space.load_program(program);
   space.set_all_access(mem::PageAccess::kReadWrite);
-  LlscTable llsc;
-  TranslationCache cache(space, dbt, false, nullptr);
-  ExecEngine engine(space, nullptr, llsc, cache, dbt, false, nullptr);
+  StatsRegistry stats;
+  const mem::ShadowMap shadow(4096, 4);
+  LlscTable llsc(stats);
+  TranslationCache cache(space, dbt, stats);
+  ExecEngine engine(space, shadow, llsc, cache, dbt, stats);
   CpuContext ctx;
   ctx.pc = program.entry;
   ctx.tid = 1;
@@ -467,9 +470,11 @@ TEST(DifferentialCoverage, SeedRangesBuildEveryTraceOpKind) {
     mem::AddressSpace space(32u << 20, 4096);
     space.load_program(program);
     space.set_all_access(mem::PageAccess::kReadWrite);
-    LlscTable llsc;
-    TranslationCache cache(space, config, false, nullptr);
-    ExecEngine engine(space, nullptr, llsc, cache, config, false, nullptr);
+    StatsRegistry stats;
+    const mem::ShadowMap shadow(4096, 4);
+    LlscTable llsc(stats);
+    TranslationCache cache(space, config, stats);
+    ExecEngine engine(space, shadow, llsc, cache, config, stats);
     CpuContext ctx;
     ctx.pc = program.entry;
     ctx.tid = 1;

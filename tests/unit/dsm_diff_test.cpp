@@ -17,6 +17,7 @@
 #include "dsm/wire.hpp"
 #include "mem/page_diff.hpp"
 #include "net/network.hpp"
+#include "testutil.hpp"
 
 namespace dqemu::dsm {
 namespace {
@@ -167,7 +168,7 @@ struct DiffProtocolFixture : ::testing::Test {
   void build(DsmConfig dsm) {
     queue = std::make_unique<sim::EventQueue>();
     network = std::make_unique<net::Network>(*queue, NetworkConfig{}, 3,
-                                             &stats);
+                                             stats);
     for (int i = 0; i < 3; ++i) {
       spaces[i] = std::make_unique<mem::AddressSpace>(kMem, kPage);
       shadows[i] = std::make_unique<mem::ShadowMap>(kPage, 4);
@@ -178,11 +179,12 @@ struct DiffProtocolFixture : ::testing::Test {
     params.shadow_pool_first_page = (kMem / kPage) - 1024;
     params.shadow_pool_page_count = 1024;
     directory = std::make_unique<Directory>(*network, *queue, *spaces[0],
-                                            params, &stats);
+                                            params, stats);
     for (NodeId n = 0; n < 3; ++n) {
+      deps[n] = std::make_unique<test::ClientDeps>(*spaces[n], stats);
       clients[n] = std::make_unique<DsmClient>(
-          n, *network, *queue, *spaces[n], *shadows[n], nullptr, nullptr,
-          &stats,
+          n, *network, *queue, *spaces[n], *shadows[n], deps[n]->llsc,
+          deps[n]->tcache, deps[n]->homes, stats,
           [this, n](std::uint32_t page) { wakes[n].push_back(page); },
           nullptr, dsm.enable_diff_transfers);
     }
@@ -216,6 +218,7 @@ struct DiffProtocolFixture : ::testing::Test {
   std::unique_ptr<mem::AddressSpace> spaces[3];
   std::unique_ptr<mem::ShadowMap> shadows[3];
   std::unique_ptr<Directory> directory;
+  std::unique_ptr<test::ClientDeps> deps[3];
   std::unique_ptr<DsmClient> clients[3];
   std::vector<std::uint32_t> wakes[3];
 };
@@ -420,12 +423,13 @@ TEST(DiffEquivalence, ProtocolStateMatchesFullPagePlane) {
       std::unique_ptr<mem::AddressSpace> spaces[3];
       std::unique_ptr<mem::ShadowMap> shadows[3];
       std::unique_ptr<Directory> directory;
+      std::unique_ptr<test::ClientDeps> deps[3];
       std::unique_ptr<DsmClient> clients[3];
     };
     auto w = std::make_unique<World>();
     w->queue = std::make_unique<sim::EventQueue>();
     w->network = std::make_unique<net::Network>(*w->queue, NetworkConfig{}, 3,
-                                                &w->stats);
+                                                w->stats);
     for (int i = 0; i < 3; ++i) {
       w->spaces[i] = std::make_unique<mem::AddressSpace>(kMem, kPage);
       w->shadows[i] = std::make_unique<mem::ShadowMap>(kPage, 4);
@@ -437,11 +441,13 @@ TEST(DiffEquivalence, ProtocolStateMatchesFullPagePlane) {
     params.shadow_pool_page_count = 1024;
     w->directory = std::make_unique<Directory>(*w->network, *w->queue,
                                                *w->spaces[0], params,
-                                               &w->stats);
+                                               w->stats);
     for (NodeId n = 0; n < 3; ++n) {
+      w->deps[n] = std::make_unique<test::ClientDeps>(*w->spaces[n], w->stats);
       w->clients[n] = std::make_unique<DsmClient>(
-          n, *w->network, *w->queue, *w->spaces[n], *w->shadows[n], nullptr,
-          nullptr, &w->stats, [](std::uint32_t) {}, nullptr, diff_on);
+          n, *w->network, *w->queue, *w->spaces[n], *w->shadows[n],
+          w->deps[n]->llsc, w->deps[n]->tcache, w->deps[n]->homes, w->stats,
+          [](std::uint32_t) {}, nullptr, diff_on);
     }
     World* wp = w.get();
     w->network->attach(0, [wp](net::Message msg) {
@@ -511,7 +517,7 @@ TEST(DiffEquivalence, RuntimeOffSendsNoDiffMessages) {
   // classic vocabulary even in a diff-capable build.
   StatsRegistry stats;
   sim::EventQueue queue;
-  net::Network network(queue, NetworkConfig{}, 2, &stats);
+  net::Network network(queue, NetworkConfig{}, 2, stats);
   mem::AddressSpace home(kMem, kPage);
   mem::AddressSpace remote(kMem, kPage);
   mem::ShadowMap shadow_home(kPage, 4);
@@ -520,11 +526,15 @@ TEST(DiffEquivalence, RuntimeOffSendsNoDiffMessages) {
   params.node_count = 2;
   params.shadow_pool_first_page = (kMem / kPage) - 1024;
   params.shadow_pool_page_count = 1024;
-  Directory directory(network, queue, home, params, &stats);
-  DsmClient master(0, network, queue, home, shadow_home, nullptr, nullptr,
-                   &stats, [](std::uint32_t) {});
-  DsmClient slave(1, network, queue, remote, shadow_remote, nullptr, nullptr,
-                  &stats, [](std::uint32_t) {});
+  Directory directory(network, queue, home, params, stats);
+  test::ClientDeps master_deps(home, stats);
+  test::ClientDeps slave_deps(remote, stats);
+  DsmClient master(0, network, queue, home, shadow_home, master_deps.llsc,
+                   master_deps.tcache, master_deps.homes, stats,
+                   [](std::uint32_t) {});
+  DsmClient slave(1, network, queue, remote, shadow_remote, slave_deps.llsc,
+                  slave_deps.tcache, slave_deps.homes, stats,
+                  [](std::uint32_t) {});
   network.attach(0, [&](net::Message msg) {
     switch (static_cast<DsmMsg>(msg.type)) {
       case DsmMsg::kReadReq:

@@ -12,6 +12,7 @@
 #include "dsm/stream_detector.hpp"
 #include "dsm/wire.hpp"
 #include "net/network.hpp"
+#include "testutil.hpp"
 
 namespace dqemu::dsm {
 namespace {
@@ -25,7 +26,7 @@ struct ProtocolFixture : ::testing::Test {
   void build(DsmConfig dsm) {
     queue = std::make_unique<sim::EventQueue>();
     network = std::make_unique<net::Network>(*queue, NetworkConfig{}, 3,
-                                             &stats);
+                                             stats);
     for (int i = 0; i < 3; ++i) {
       spaces[i] = std::make_unique<mem::AddressSpace>(kMem, kPage);
       shadows[i] = std::make_unique<mem::ShadowMap>(kPage, 4);
@@ -36,11 +37,12 @@ struct ProtocolFixture : ::testing::Test {
     params.shadow_pool_first_page = (kMem / kPage) - 1024;
     params.shadow_pool_page_count = 1024;
     directory = std::make_unique<Directory>(*network, *queue, *spaces[0],
-                                            params, &stats);
+                                            params, stats);
     for (NodeId n = 0; n < 3; ++n) {
+      deps[n] = std::make_unique<test::ClientDeps>(*spaces[n], stats);
       clients[n] = std::make_unique<DsmClient>(
-          n, *network, *queue, *spaces[n], *shadows[n], nullptr, nullptr,
-          &stats,
+          n, *network, *queue, *spaces[n], *shadows[n], deps[n]->llsc,
+          deps[n]->tcache, deps[n]->homes, stats,
           [this, n](std::uint32_t page) { wakes[n].push_back(page); });
     }
     network->attach(0, [this](net::Message msg) {
@@ -71,6 +73,7 @@ struct ProtocolFixture : ::testing::Test {
   std::unique_ptr<mem::AddressSpace> spaces[3];
   std::unique_ptr<mem::ShadowMap> shadows[3];
   std::unique_ptr<Directory> directory;
+  std::unique_ptr<test::ClientDeps> deps[3];
   std::unique_ptr<DsmClient> clients[3];
   std::vector<std::uint32_t> wakes[3];
 };
@@ -132,7 +135,7 @@ TEST_F(ProtocolFixture, BootState) {
   params.shadow_pool_page_count = 256;
   params.self = 1;
   params.sharded = true;
-  Directory shard(*network, *queue, *spaces[1], params, &stats);
+  Directory shard(*network, *queue, *spaces[1], params, stats);
 
   for (const std::uint32_t page : {slice_first, slice_first + 255}) {
     EXPECT_EQ(shard.state(page), Directory::PageState::kHome) << page;

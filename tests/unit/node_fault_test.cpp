@@ -388,7 +388,7 @@ TEST(ReliableGiveUp, DeclaresDeadPeerAndGoesQuiet) {
   faults.enabled = true;
   faults.drop_pct = 100.0;
   faults.giveup_retrans = 3;
-  net::Network network(queue, config, 2, &stats, nullptr, faults);
+  net::Network network(queue, config, 2, stats, nullptr, faults);
   std::vector<std::pair<NodeId, NodeId>> declared;
   network.set_peer_dead_hook([&](NodeId self, NodeId peer) {
     declared.emplace_back(self, peer);

@@ -89,7 +89,8 @@ class NetworkOrdering : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(NetworkOrdering, ChannelFifoHolds) {
   Rng rng(GetParam());
   sim::EventQueue queue;
-  net::Network network(queue, NetworkConfig{}, 4, nullptr);
+  StatsRegistry stats;
+  net::Network network(queue, NetworkConfig{}, 4, stats);
   // delivered[src][dst] = sequence numbers in delivery order.
   std::map<std::pair<NodeId, NodeId>, std::vector<std::uint64_t>> delivered;
   for (NodeId n = 0; n < 4; ++n) {
@@ -152,9 +153,11 @@ TEST_P(ImmSemantics, ComputesExpected) {
   space.load_program(program);
   space.set_all_access(mem::PageAccess::kReadWrite);
   DbtConfig config;
-  dbt::LlscTable llsc;
-  dbt::TranslationCache cache(space, config, false, nullptr);
-  dbt::ExecEngine engine(space, nullptr, llsc, cache, config, false, nullptr);
+  StatsRegistry stats;
+  const mem::ShadowMap shadow(4096, 4);
+  dbt::LlscTable llsc(stats);
+  dbt::TranslationCache cache(space, config, stats);
+  dbt::ExecEngine engine(space, shadow, llsc, cache, config, stats);
   ctx.pc = program.entry;
   ASSERT_EQ(engine.run(ctx, 1000).reason, dbt::StopReason::kSyscall);
   EXPECT_EQ(ctx.gpr[kT1], c.expected) << c.name;

@@ -59,7 +59,7 @@ struct Harness {
   serve::LoadGenerator gen;
 
   explicit Harness(const ServeConfig& config)
-      : gen(queue, config, &stats, nullptr,
+      : gen(queue, config, stats, nullptr,
             [this](NodeId node, GuestTid tid, std::int64_t result,
                    std::uint64_t flow) {
               pool.on_response(node, tid, result, flow);

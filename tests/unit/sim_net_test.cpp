@@ -104,7 +104,7 @@ TEST(EventQueue, FiredCounts) {
 // ---- Network -------------------------------------------------------------------
 
 struct NetFixture : ::testing::Test {
-  NetFixture() : network(queue, config, 3, &stats) {
+  NetFixture() : network(queue, config, 3, stats) {
     for (NodeId n = 0; n < 3; ++n) {
       network.attach(n, [this, n](net::Message msg) {
         deliveries.push_back({n, queue.now(), std::move(msg)});
@@ -219,7 +219,8 @@ TEST(NetDeath, DeliverToUnattachedNodeDies) {
   EXPECT_DEATH(
       {
         sim::EventQueue queue;
-        net::Network network(queue, NetworkConfig{}, 2);
+        StatsRegistry stats;
+        net::Network network(queue, NetworkConfig{}, 2, stats);
         network.attach(0, [](net::Message) {});
         net::Message msg;
         msg.src = 0;
@@ -236,7 +237,8 @@ TEST(NetDeath, AttachOutOfRangeNodeDies) {
   EXPECT_DEATH(
       {
         sim::EventQueue queue;
-        net::Network network(queue, NetworkConfig{}, 2);
+        StatsRegistry stats;
+        net::Network network(queue, NetworkConfig{}, 2, stats);
         network.attach(5, [](net::Message) {});
       },
       "out-of-range node");

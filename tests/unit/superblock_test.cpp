@@ -29,9 +29,9 @@ struct Harness {
                    bool check_protection = false, DbtConfig dbt_config = {})
       : space(32u << 20, 4096),
         config(dbt_config),
-        llsc(&stats),
-        cache(space, config, check_protection, &stats),
-        engine(space, &shadow, llsc, cache, config, check_protection, &stats),
+        llsc(stats),
+        cache(space, config, stats),
+        engine(space, shadow, llsc, cache, config, stats),
         shadow(4096, 4) {
     Assembler a;
     emit(a);

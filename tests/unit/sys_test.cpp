@@ -173,11 +173,11 @@ TEST(PreAccess, FutexWaitNeedsWord) {
 
 struct DelegationFixture : ::testing::Test {
   DelegationFixture()
-      : network(queue, NetworkConfig{}, 2, &stats),
+      : network(queue, NetworkConfig{}, 2, stats),
         futexes(kMasterNode, network, queue, MachineConfig{},
-                SysConfig{}.lease_min_hold, /*recall_timeout=*/0, &stats),
+                SysConfig{}.lease_min_hold, /*recall_timeout=*/0, stats),
         master(network, queue, MachineConfig{}.page_size, futexes,
-               [](GuestAddr) { return kMasterNode; }, &stats) {
+               [](GuestAddr) { return kMasterNode; }, stats) {
     master.configure_memory(0x100000, 0x800000, 0xF00000);
     network.attach(0, [this](net::Message msg) {
       master.handle_message(msg);
@@ -317,14 +317,14 @@ TEST(LockAgentCohort, OldestRemoteWaiterIsServedAfterTheLocalStreak) {
   constexpr GuestTid kFirstLocalTid = 10;
   sim::EventQueue queue;
   StatsRegistry stats;
-  net::Network network(queue, NetworkConfig{}, 3, &stats);
+  net::Network network(queue, NetworkConfig{}, 3, stats);
   std::vector<net::Message> to_remote;
   network.attach(2, [&](net::Message msg) {
     to_remote.push_back(std::move(msg));
   });
   std::vector<GuestTid> local_woken;
   LockAgent agent(
-      kSelf, queue, network, &stats, nullptr,
+      kSelf, queue, network, stats, nullptr,
       [](GuestAddr) { return kMasterNode; },
       [&](GuestTid tid, std::uint64_t) { local_woken.push_back(tid); });
 

@@ -7,7 +7,7 @@
 //
 // Every accepted option lives in kFlags below; the usage text is generated
 // from the same table, so the two cannot drift apart (the CLI test checks
-// that every flag appears in the usage output).
+// that the usage output and its own flag list name the same flags).
 //
 // Examples:
 //   ./build/tools/dqemu_run examples/guest/hello.s --nodes 4 --stats
@@ -93,9 +93,6 @@ constexpr FlagSpec kFlags[] = {
     {"--restore", "FILE",
      "re-execute to FILE's checkpoint cut, verify every state digest"
      " matches (exit 1 on divergence), then continue the run"},
-    {"--replay", "FILE",
-     "like --restore but with the flight recorder armed: requires --trace,"
-     " producing a verified replay trace of the checkpointed run"},
     {"--serve", nullptr,
      "run the built-in request-serving workload instead of a program"
      " (DESIGN.md §14)"},
@@ -191,7 +188,6 @@ int main(int argc, char** argv) {
   std::optional<TimePs> checkpoint_at;
   const char* checkpoint_path = nullptr;
   const char* restore_path = nullptr;
-  bool replay = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -301,9 +297,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--restore") == 0) {
       restore_path = value;
-    } else if (std::strcmp(arg, "--replay") == 0) {
-      restore_path = value;
-      replay = true;
     } else if (std::strcmp(arg, "--serve") == 0) {
       config.serve.enabled = true;
     } else if (std::strcmp(arg, "--requests") == 0) {
@@ -378,14 +371,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad configuration: %s\n", valid.to_string().c_str());
     return 2;
   }
-  if (replay && trace_path == nullptr) {
-    std::fprintf(stderr,
-                 "--replay needs --trace FILE (it re-executes the "
-                 "checkpointed run with the flight recorder armed)\n");
-    return 2;
-  }
   if (checkpoint_at.has_value() && restore_path != nullptr) {
-    std::fprintf(stderr, "--checkpoint and --restore/--replay are exclusive\n");
+    std::fprintf(stderr, "--checkpoint and --restore are exclusive\n");
     return 2;
   }
   std::optional<core::CheckpointImage> restore_image;
@@ -725,29 +712,29 @@ int main(int argc, char** argv) {
                  checkpoint_path);
   }
   if (restore_image.has_value()) {
-    const char* mode = replay ? "replay" : "restore";
     const auto& image = cluster.checkpoint_image();
     if (!image.has_value()) {
       std::fprintf(stderr,
-                   "%s: guest finished at %.6f s, before the image's %.6f s "
-                   "cut — wrong program or config?\n",
-                   mode, ps_to_seconds(result.sim_time),
+                   "restore: guest finished at %.6f s, before the image's "
+                   "%.6f s cut — wrong program or config?\n",
+                   ps_to_seconds(result.sim_time),
                    ps_to_seconds(restore_image->virtual_time));
       return 1;
     }
     const std::vector<std::string> mismatched = restore_image->diff(*image);
     if (!mismatched.empty()) {
-      std::fprintf(stderr, "%s: state diverged from the checkpoint at %.6f s:\n",
-                   mode, ps_to_seconds(image->virtual_time));
+      std::fprintf(stderr,
+                   "restore: state diverged from the checkpoint at %.6f s:\n",
+                   ps_to_seconds(image->virtual_time));
       for (const std::string& name : mismatched) {
         std::fprintf(stderr, "  digest mismatch: %s\n", name.c_str());
       }
       return 1;
     }
     std::fprintf(stderr,
-                 "[dqemu_run] %s: verified %zu digests at t=%.6f s (match)\n",
-                 mode, image->digests.size(),
-                 ps_to_seconds(image->virtual_time));
+                 "[dqemu_run] restore: verified %zu digests at t=%.6f s "
+                 "(match)\n",
+                 image->digests.size(), ps_to_seconds(image->virtual_time));
   }
   return static_cast<int>(result.exit_code);
 }
