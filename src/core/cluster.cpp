@@ -628,9 +628,7 @@ CheckpointImage Cluster::capture_checkpoint() {
     if (home.directory != nullptr) {
       image.add("dir." + std::to_string(id), home.directory->digest());
     }
-    std::vector<std::uint8_t> bytes;
-    home.futexes->table().serialize(bytes);
-    image.add("futex." + std::to_string(id), fnv1a(bytes));
+    image.add("futex." + std::to_string(id), home.futexes->table().digest());
   }
   if (serving_.has_value()) image.add("serve", serving_->digest());
   // Progress fingerprint: total retired instructions pins the cut to one

@@ -10,8 +10,6 @@
 namespace dqemu::dbt {
 namespace {
 
-using isa::Opcode;
-
 std::string format_addr_error(const char* what, GuestAddr addr, GuestAddr pc) {
   char buf[96];
   std::snprintf(buf, sizeof buf, "%s at guest addr 0x%08x (pc 0x%08x)", what,
@@ -25,12 +23,6 @@ constexpr std::int32_t to_signed(std::uint32_t v) {
 constexpr std::uint32_t to_unsigned(std::int32_t v) {
   return static_cast<std::uint32_t>(v);
 }
-
-/// Case label of a trace op kind. The trace loop switches on the raw
-/// value: single-instruction kinds are opcode values, not SbOpKind
-/// enumerators.
-constexpr unsigned kind(Opcode op) { return static_cast<unsigned>(op); }
-constexpr unsigned kind(SbOpKind k) { return static_cast<unsigned>(k); }
 
 /// double -> int32 with saturation (avoids UB on out-of-range casts).
 std::int32_t fp_to_int(double v) {
@@ -186,8 +178,13 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
 
   // ---- trace dispatch (DESIGN.md section 15) -----------------------------
   // Every guest instruction executes here: a block's own one-block trace
-  // or a stitched multi-block superblock, through one switch on the op
-  // kind. The builder picked each kind when it built the trace, so a case
+  // or a stitched multi-block superblock, through direct-threaded
+  // dispatch. Each op kind has a handler label in one table, and every
+  // handler ends by fetching the next op and jumping through that table
+  // itself: no shared switch, bounds check or case-offset decode. (GCC
+  // cross-jumps the identical handler tails back into a few shared jumps;
+  // keeping one jump per handler measured slower, DESIGN.md section 15.)
+  // The builder picked each kind when it built the trace, so a handler
   // runs exactly one instruction (or one fused addi+branch) with operands
   // read straight from the op, and nothing is decoded again. The quantum
   // is checked only between blocks — at the top of the entry loop below
@@ -263,418 +260,56 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
     return true;
   };
 
-  enum class TraceOut : std::uint8_t { kExit, kReturn };
+  // The label table: handler `op_<Kind>` of every SbOpKind, in the enum's
+  // order, built from the list the enum is built from.
+#define DQEMU_INSN_HANDLER(name) &&op_##name,
+#define DQEMU_FUSED_HANDLER(branch) &&op_Addi##branch,
+  static void* const kHandlers[] = {
+      &&op_Unset, DQEMU_SB_OP_KINDS(DQEMU_INSN_HANDLER, DQEMU_FUSED_HANDLER)};
+#undef DQEMU_INSN_HANDLER
+#undef DQEMU_FUSED_HANDLER
 
-  // Returns kReturn when `result` is final (fault/quantum/syscall) and
-  // kExit when execution left the trace with ctx.pc holding the off-trace
-  // continuation (the entry loop resumes there, re-checking the quantum
-  // first).
-  //
-  // Retirement counters accumulate in locals (registers) and flush to
-  // `result`/`hot` through sync() at every exit — two memory RMWs per op
-  // would dominate the dispatch this loop exists to shrink.
-  auto run_trace = [&](Superblock* sb) -> TraceOut {
-    SbOp* const ops = sb->ops.data();
-    std::uint64_t insns = result.insns;
-    std::uint64_t cycles = result.exec_cycles;
-    std::uint64_t fused = 0;
-    auto sync = [&] {
-      result.insns = insns;
-      result.exec_cycles = cycles;
-      hot.fused_ops += fused;
-    };
-    // Leaves with `result` final and execution to resume at `pc`.
-    auto stop_at = [&](GuestAddr pc) {
-      ctx.pc = pc;
-      sync();
-      return TraceOut::kReturn;
-    };
-    std::uint32_t i = 0;
-    GuestAddr target = 0;  // the guard tail's input: where control goes next
-    for (;;) {
-      SbOp& op = ops[i];
-      const isa::Insn& in = op.a;
-      switch (static_cast<unsigned>(op.kind)) {
-        // Integer ALU.
-        case kind(Opcode::kAdd):
-          write_gpr(in.rd, gpr[in.rs1] + gpr[in.rs2]);
-          break;
-        case kind(Opcode::kSub):
-          write_gpr(in.rd, gpr[in.rs1] - gpr[in.rs2]);
-          break;
-        case kind(Opcode::kAnd):
-          write_gpr(in.rd, gpr[in.rs1] & gpr[in.rs2]);
-          break;
-        case kind(Opcode::kOr):
-          write_gpr(in.rd, gpr[in.rs1] | gpr[in.rs2]);
-          break;
-        case kind(Opcode::kXor):
-          write_gpr(in.rd, gpr[in.rs1] ^ gpr[in.rs2]);
-          break;
-        case kind(Opcode::kSll):
-          write_gpr(in.rd, gpr[in.rs1] << (gpr[in.rs2] & 31));
-          break;
-        case kind(Opcode::kSrl):
-          write_gpr(in.rd, gpr[in.rs1] >> (gpr[in.rs2] & 31));
-          break;
-        case kind(Opcode::kSra):
-          write_gpr(in.rd,
-                    to_unsigned(to_signed(gpr[in.rs1]) >> (gpr[in.rs2] & 31)));
-          break;
-        case kind(Opcode::kSlt):
-          write_gpr(in.rd, to_signed(gpr[in.rs1]) < to_signed(gpr[in.rs2]));
-          break;
-        case kind(Opcode::kSltu):
-          write_gpr(in.rd, gpr[in.rs1] < gpr[in.rs2]);
-          break;
-        case kind(Opcode::kAddi):
-          write_gpr(in.rd, gpr[in.rs1] + to_unsigned(in.imm));
-          break;
-        case kind(Opcode::kAndi):
-          write_gpr(in.rd, gpr[in.rs1] & to_unsigned(in.imm));
-          break;
-        case kind(Opcode::kOri):
-          write_gpr(in.rd, gpr[in.rs1] | to_unsigned(in.imm));
-          break;
-        case kind(Opcode::kXori):
-          write_gpr(in.rd, gpr[in.rs1] ^ to_unsigned(in.imm));
-          break;
-        case kind(Opcode::kSlli):
-          write_gpr(in.rd, gpr[in.rs1] << (in.imm & 31));
-          break;
-        case kind(Opcode::kSrli):
-          write_gpr(in.rd, gpr[in.rs1] >> (in.imm & 31));
-          break;
-        case kind(Opcode::kSrai):
-          write_gpr(in.rd,
-                    to_unsigned(to_signed(gpr[in.rs1]) >> (in.imm & 31)));
-          break;
-        case kind(Opcode::kSlti):
-          write_gpr(in.rd, to_signed(gpr[in.rs1]) < in.imm);
-          break;
-        case kind(Opcode::kSltiu):
-          write_gpr(in.rd, gpr[in.rs1] < to_unsigned(in.imm));
-          break;
-        case kind(Opcode::kLui):
-          write_gpr(in.rd, to_unsigned(in.imm) << 12);
-          break;
-        case kind(Opcode::kAuipc):
-          write_gpr(in.rd, op.pc + (to_unsigned(in.imm) << 12));
-          break;
+#define DQEMU_DISPATCH() goto* kHandlers[static_cast<unsigned>(op->kind)]
+  // The tail of every non-control handler: the single instruction retires,
+  // and the handler dispatches the next op itself. A cut-block boundary
+  // instead goes to the shared quantum check at `boundary`.
+#define DQEMU_RETIRE_NEXT()          \
+  do {                               \
+    ++insns;                         \
+    cycles += op->cost_a;            \
+    if (op->boundary) goto boundary; \
+    ++op;                            \
+    DQEMU_DISPATCH();                \
+  } while (false)
+  // The guard tail of every branch and jump, fused or not: when control
+  // goes where the trace continues (a block boundary, so the quantum is
+  // checked), the handler dispatches that op itself; otherwise control
+  // leaves the trace.
+#define DQEMU_GUARD_NEXT()                     \
+  do {                                         \
+    insns += op->n_insns;                      \
+    cycles += op->cost_a + op->cost_b;         \
+    if (target != op->on_trace_pc) goto leave; \
+    if (insns >= max_insns) goto quantum;      \
+    op = ops + op->next_index;                 \
+    DQEMU_DISPATCH();                          \
+  } while (false)
 
-        // Multiply and divide.
-        case kind(Opcode::kMul):
-          write_gpr(in.rd, gpr[in.rs1] * gpr[in.rs2]);
-          break;
-        case kind(Opcode::kDiv): {
-          const std::int32_t a = to_signed(gpr[in.rs1]);
-          const std::int32_t b = to_signed(gpr[in.rs2]);
-          std::int32_t q;
-          if (b == 0) {
-            q = -1;  // RISC-style: division by zero yields all ones
-          } else if (a == std::numeric_limits<std::int32_t>::min() &&
-                     b == -1) {
-            q = a;  // overflow wraps
-          } else {
-            q = a / b;
-          }
-          write_gpr(in.rd, to_unsigned(q));
-          break;
-        }
-        case kind(Opcode::kDivu): {
-          const std::uint32_t b = gpr[in.rs2];
-          write_gpr(in.rd, b == 0 ? ~0u : gpr[in.rs1] / b);
-          break;
-        }
-        case kind(Opcode::kRem): {
-          const std::int32_t a = to_signed(gpr[in.rs1]);
-          const std::int32_t b = to_signed(gpr[in.rs2]);
-          std::int32_t r;
-          if (b == 0) {
-            r = a;
-          } else if (a == std::numeric_limits<std::int32_t>::min() &&
-                     b == -1) {
-            r = 0;
-          } else {
-            r = a % b;
-          }
-          write_gpr(in.rd, to_unsigned(r));
-          break;
-        }
-        case kind(Opcode::kRemu): {
-          const std::uint32_t b = gpr[in.rs2];
-          write_gpr(in.rd, b == 0 ? gpr[in.rs1] : gpr[in.rs1] % b);
-          break;
-        }
-
-        // Loads and stores through the op's TLB line.
-        case kind(Opcode::kLb): {
-          std::int8_t v = 0;
-          if (!load(op, v)) return stop_at(op.pc);
-          write_gpr(in.rd, static_cast<std::uint32_t>(v));
-          break;
-        }
-        case kind(Opcode::kLbu): {
-          std::uint8_t v = 0;
-          if (!load(op, v)) return stop_at(op.pc);
-          write_gpr(in.rd, v);
-          break;
-        }
-        case kind(Opcode::kLh): {
-          std::int16_t v = 0;
-          if (!load(op, v)) return stop_at(op.pc);
-          write_gpr(in.rd, static_cast<std::uint32_t>(v));
-          break;
-        }
-        case kind(Opcode::kLhu): {
-          std::uint16_t v = 0;
-          if (!load(op, v)) return stop_at(op.pc);
-          write_gpr(in.rd, v);
-          break;
-        }
-        case kind(Opcode::kLw): {
-          std::uint32_t v = 0;
-          if (!load(op, v)) return stop_at(op.pc);
-          write_gpr(in.rd, v);
-          break;
-        }
-        case kind(Opcode::kFld): {
-          std::uint64_t raw = 0;
-          if (!load(op, raw)) return stop_at(op.pc);
-          fpr[in.rd] = std::bit_cast<double>(raw);
-          break;
-        }
-        case kind(Opcode::kSb):
-          if (!store(op, static_cast<std::uint8_t>(gpr[in.rs2]))) {
-            return stop_at(op.pc);
-          }
-          break;
-        case kind(Opcode::kSh):
-          if (!store(op, static_cast<std::uint16_t>(gpr[in.rs2]))) {
-            return stop_at(op.pc);
-          }
-          break;
-        case kind(Opcode::kSw):
-          if (!store(op, gpr[in.rs2])) return stop_at(op.pc);
-          break;
-        case kind(Opcode::kFsd):
-          if (!store(op, std::bit_cast<std::uint64_t>(fpr[in.rs2]))) {
-            return stop_at(op.pc);
-          }
-          break;
-
-        // LL/SC go through the shared TLB: no per-op line.
-        case kind(Opcode::kLl): {
-          GuestAddr addr = 0;
-          if (!mem_access(gpr[in.rs1] + to_unsigned(in.imm), 4,
-                          /*write=*/false, op.pc, addr)) {
-            return stop_at(op.pc);  // re-execute after the fault is serviced
-          }
-          write_gpr(in.rd, static_cast<std::uint32_t>(space_.load(addr, 4)));
-          llsc_.on_ll(addr, ctx.tid);
-          ++hot.llsc_ll;
-          break;
-        }
-        case kind(Opcode::kSc): {
-          GuestAddr addr = 0;
-          if (!mem_access(gpr[in.rs1], 4, /*write=*/true, op.pc, addr)) {
-            return stop_at(op.pc);
-          }
-          if (llsc_.on_sc(addr, ctx.tid)) {
-            space_.store(addr, gpr[in.rs2], 4);
-            write_gpr(in.rd, 0);
-            ++hot.llsc_sc_success;
-          } else {
-            write_gpr(in.rd, 1);
-            ++hot.llsc_sc_fail;
-          }
-          break;
-        }
-
-        case kind(Opcode::kFence):
-          break;  // sequential DES: ordering is already total
-        case kind(Opcode::kHint):
-          // 0xFFFF is the "no group" sentinel (N-format immediates are
-          // zero-extended on decode).
-          ctx.hint_group = in.imm == 0xFFFF ? -1 : in.imm;
-          ++hot.hints;
-          break;
-        case kind(Opcode::kSyscall):
-          ++insns;
-          cycles += op.cost_a;
-          result.reason = StopReason::kSyscall;
-          result.syscall_num = in.imm;
-          return stop_at(op.pc + 4);
-
-        // Floating point.
-        case kind(Opcode::kFadd): fpr[in.rd] = fpr[in.rs1] + fpr[in.rs2]; break;
-        case kind(Opcode::kFsub): fpr[in.rd] = fpr[in.rs1] - fpr[in.rs2]; break;
-        case kind(Opcode::kFmul): fpr[in.rd] = fpr[in.rs1] * fpr[in.rs2]; break;
-        case kind(Opcode::kFdiv): fpr[in.rd] = fpr[in.rs1] / fpr[in.rs2]; break;
-        case kind(Opcode::kFmin):
-          fpr[in.rd] = std::fmin(fpr[in.rs1], fpr[in.rs2]);
-          break;
-        case kind(Opcode::kFmax):
-          fpr[in.rd] = std::fmax(fpr[in.rs1], fpr[in.rs2]);
-          break;
-        case kind(Opcode::kFneg): fpr[in.rd] = -fpr[in.rs1]; break;
-        case kind(Opcode::kFabs): fpr[in.rd] = std::fabs(fpr[in.rs1]); break;
-        case kind(Opcode::kFmov): fpr[in.rd] = fpr[in.rs1]; break;
-        case kind(Opcode::kFcvtdw):
-          fpr[in.rd] = static_cast<double>(to_signed(gpr[in.rs1]));
-          break;
-        case kind(Opcode::kFcvtwd):
-          write_gpr(in.rd, to_unsigned(fp_to_int(fpr[in.rs1])));
-          break;
-        case kind(Opcode::kFlt):
-          write_gpr(in.rd, fpr[in.rs1] < fpr[in.rs2]);
-          break;
-        case kind(Opcode::kFle):
-          write_gpr(in.rd, fpr[in.rs1] <= fpr[in.rs2]);
-          break;
-        case kind(Opcode::kFeq):
-          write_gpr(in.rd, fpr[in.rs1] == fpr[in.rs2]);
-          break;
-        case kind(Opcode::kFsqrt): fpr[in.rd] = std::sqrt(fpr[in.rs1]); break;
-        case kind(Opcode::kFexp): fpr[in.rd] = std::exp(fpr[in.rs1]); break;
-        case kind(Opcode::kFlog): fpr[in.rd] = std::log(fpr[in.rs1]); break;
-        case kind(Opcode::kFpow):
-          fpr[in.rd] = std::pow(fpr[in.rs1], fpr[in.rs2]);
-          break;
-        case kind(Opcode::kFerf): fpr[in.rd] = std::erf(fpr[in.rs1]); break;
-        case kind(Opcode::kFsin): fpr[in.rd] = std::sin(fpr[in.rs1]); break;
-        case kind(Opcode::kFcos): fpr[in.rd] = std::cos(fpr[in.rs1]); break;
-
-        // Control transfer: each case picks `target`, then the guard tail
-        // below decides between staying on the trace and leaving it.
-        case kind(Opcode::kBeq):
-          target = gpr[in.rs1] == gpr[in.rs2] ? op.taken_pc : op.fall_pc;
-          goto guard;
-        case kind(Opcode::kBne):
-          target = gpr[in.rs1] != gpr[in.rs2] ? op.taken_pc : op.fall_pc;
-          goto guard;
-        case kind(Opcode::kBlt):
-          target = to_signed(gpr[in.rs1]) < to_signed(gpr[in.rs2])
-                       ? op.taken_pc
-                       : op.fall_pc;
-          goto guard;
-        case kind(Opcode::kBge):
-          target = to_signed(gpr[in.rs1]) >= to_signed(gpr[in.rs2])
-                       ? op.taken_pc
-                       : op.fall_pc;
-          goto guard;
-        case kind(Opcode::kBltu):
-          target = gpr[in.rs1] < gpr[in.rs2] ? op.taken_pc : op.fall_pc;
-          goto guard;
-        case kind(Opcode::kBgeu):
-          target = gpr[in.rs1] >= gpr[in.rs2] ? op.taken_pc : op.fall_pc;
-          goto guard;
-        case kind(Opcode::kJal):
-          write_gpr(in.rd, op.pc + 4);
-          target = op.taken_pc;
-          goto guard;
-        case kind(Opcode::kJalr):
-          target = (gpr[in.rs1] + to_unsigned(in.imm)) & ~3u;
-          write_gpr(in.rd, op.pc + 4);
-          goto guard;
-
-        // addi + terminal branch on its result. The builder only fuses an
-        // addi with rd != 0, so rd is written without the r0 test.
-        case kind(SbOpKind::kAddiBeq):
-          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
-          target = gpr[op.b.rs1] == gpr[op.b.rs2] ? op.taken_pc : op.fall_pc;
-          ++fused;
-          goto guard;
-        case kind(SbOpKind::kAddiBne):
-          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
-          target = gpr[op.b.rs1] != gpr[op.b.rs2] ? op.taken_pc : op.fall_pc;
-          ++fused;
-          goto guard;
-        case kind(SbOpKind::kAddiBlt):
-          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
-          target = to_signed(gpr[op.b.rs1]) < to_signed(gpr[op.b.rs2])
-                       ? op.taken_pc
-                       : op.fall_pc;
-          ++fused;
-          goto guard;
-        case kind(SbOpKind::kAddiBge):
-          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
-          target = to_signed(gpr[op.b.rs1]) >= to_signed(gpr[op.b.rs2])
-                       ? op.taken_pc
-                       : op.fall_pc;
-          ++fused;
-          goto guard;
-        case kind(SbOpKind::kAddiBltu):
-          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
-          target = gpr[op.b.rs1] < gpr[op.b.rs2] ? op.taken_pc : op.fall_pc;
-          ++fused;
-          goto guard;
-        case kind(SbOpKind::kAddiBgeu):
-          gpr[in.rd] = gpr[in.rs1] + to_unsigned(in.imm);
-          target = gpr[op.b.rs1] >= gpr[op.b.rs2] ? op.taken_pc : op.fall_pc;
-          ++fused;
-          goto guard;
-
-        default:
-          assert(false && "every trace op kind has a case");
-          break;
-      }
-
-      // A single non-control instruction retired. Cut-block boundaries are
-      // quantum guard points: the budget is checked between any two
-      // blocks, inside a trace or not, so every trace stops at the same
-      // insn counts.
-      ++insns;
-      cycles += op.cost_a;
-      if (!op.boundary) {
-        ++i;
-        continue;
-      }
-      if (insns >= max_insns) {
-        result.reason = StopReason::kQuantum;
-        return stop_at(op.boundary_pc);
-      }
-      if (op.next_index == kSbExitIndex) {
-        ctx.pc = op.boundary_pc;
-        sync();
-        return TraceOut::kExit;
-      }
-      i = op.next_index;
-      continue;
-
-    guard:
-      // The guard tail of every branch and jump, fused or not: stay on the
-      // trace when control goes where the trace continues (a block
-      // boundary, so the quantum is checked), else leave it — a side exit
-      // when the trace had somewhere else to go.
-      insns += op.n_insns;
-      cycles += op.cost_a + op.cost_b;
-      if (target == op.on_trace_pc) {
-        if (insns >= max_insns) {
-          result.reason = StopReason::kQuantum;
-          return stop_at(target);
-        }
-        i = op.next_index;
-        continue;
-      }
-      ctx.pc = target;
-      if (op.next_index != kSbExitIndex) {
-        ++hot.sb_side_exit;
-        ++sb->side_exits;
-      }
-      sync();
-      return TraceOut::kExit;
-    }
-  };
+  // Retirement counters accumulate in locals and flush to `result`/`hot`
+  // once, at `stop`: read-modify-writes through `result` on every op would
+  // dominate the dispatch this loop exists to shrink.
+  std::uint64_t insns = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t fused = 0;
 
   // Block entry: the indirect-jump cache, then the translation cache's
   // hash map, then translation. A stitched superblock headed by the block
   // runs in its place; otherwise the block's own one-block trace runs and
   // its exit edge is recorded for trace selection.
-  while (true) {
-    if (result.insns >= max_insns) {
+  for (;;) {
+    if (insns >= max_insns) {
       result.reason = StopReason::kQuantum;
-      return result;
+      goto stop;
     }
 
     TranslationBlock* tb;
@@ -692,14 +327,14 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
           result.fault_addr = tr.fault_addr;
           result.fault_is_write = false;
           result.fault_is_ifetch = true;
-          return result;
+          goto stop;
         }
         if (tr.decode_error) {
           result.reason = StopReason::kGuestError;
           result.error =
               format_addr_error("invalid instruction fetch", tr.fault_addr,
                                 ctx.pc);
-          return result;
+          goto stop;
         }
         tb = tr.tb;
       }
@@ -722,10 +357,380 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       trace = &tb->trace;
     }
     if (trace->mem_epoch != trace_mem_epoch_) {
-      for (SbOp& op : trace->ops) op.tlb_tag = kSbNoPc;
+      for (SbOp& line : trace->ops) line.tlb_tag = kSbNoPc;
       trace->mem_epoch = trace_mem_epoch_;
     }
-    if (run_trace(trace) == TraceOut::kReturn) return result;
+
+    SbOp* const ops = trace->ops.data();
+    SbOp* op = ops;
+    GuestAddr target = 0;  // where control goes when the op ends its block
+    DQEMU_DISPATCH();
+
+  op_Unset:
+    assert(false && "every trace op has a kind");
+    DQEMU_RETIRE_NEXT();
+
+  // Integer ALU.
+  op_Add:
+    write_gpr(op->a.rd, gpr[op->a.rs1] + gpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Sub:
+    write_gpr(op->a.rd, gpr[op->a.rs1] - gpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_And:
+    write_gpr(op->a.rd, gpr[op->a.rs1] & gpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Or:
+    write_gpr(op->a.rd, gpr[op->a.rs1] | gpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Xor:
+    write_gpr(op->a.rd, gpr[op->a.rs1] ^ gpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Sll:
+    write_gpr(op->a.rd, gpr[op->a.rs1] << (gpr[op->a.rs2] & 31));
+    DQEMU_RETIRE_NEXT();
+  op_Srl:
+    write_gpr(op->a.rd, gpr[op->a.rs1] >> (gpr[op->a.rs2] & 31));
+    DQEMU_RETIRE_NEXT();
+  op_Sra:
+    write_gpr(op->a.rd, to_unsigned(to_signed(gpr[op->a.rs1]) >>
+                                    (gpr[op->a.rs2] & 31)));
+    DQEMU_RETIRE_NEXT();
+  op_Slt:
+    write_gpr(op->a.rd,
+              to_signed(gpr[op->a.rs1]) < to_signed(gpr[op->a.rs2]));
+    DQEMU_RETIRE_NEXT();
+  op_Sltu:
+    write_gpr(op->a.rd, gpr[op->a.rs1] < gpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Addi:
+    write_gpr(op->a.rd, gpr[op->a.rs1] + to_unsigned(op->a.imm));
+    DQEMU_RETIRE_NEXT();
+  op_Andi:
+    write_gpr(op->a.rd, gpr[op->a.rs1] & to_unsigned(op->a.imm));
+    DQEMU_RETIRE_NEXT();
+  op_Ori:
+    write_gpr(op->a.rd, gpr[op->a.rs1] | to_unsigned(op->a.imm));
+    DQEMU_RETIRE_NEXT();
+  op_Xori:
+    write_gpr(op->a.rd, gpr[op->a.rs1] ^ to_unsigned(op->a.imm));
+    DQEMU_RETIRE_NEXT();
+  op_Slli:
+    write_gpr(op->a.rd, gpr[op->a.rs1] << (op->a.imm & 31));
+    DQEMU_RETIRE_NEXT();
+  op_Srli:
+    write_gpr(op->a.rd, gpr[op->a.rs1] >> (op->a.imm & 31));
+    DQEMU_RETIRE_NEXT();
+  op_Srai:
+    write_gpr(op->a.rd,
+              to_unsigned(to_signed(gpr[op->a.rs1]) >> (op->a.imm & 31)));
+    DQEMU_RETIRE_NEXT();
+  op_Slti:
+    write_gpr(op->a.rd, to_signed(gpr[op->a.rs1]) < op->a.imm);
+    DQEMU_RETIRE_NEXT();
+  op_Sltiu:
+    write_gpr(op->a.rd, gpr[op->a.rs1] < to_unsigned(op->a.imm));
+    DQEMU_RETIRE_NEXT();
+  op_Lui:
+    write_gpr(op->a.rd, to_unsigned(op->a.imm) << 12);
+    DQEMU_RETIRE_NEXT();
+  op_Auipc:
+    write_gpr(op->a.rd, op->pc + (to_unsigned(op->a.imm) << 12));
+    DQEMU_RETIRE_NEXT();
+
+  // Multiply and divide.
+  op_Mul:
+    write_gpr(op->a.rd, gpr[op->a.rs1] * gpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Div: {
+    const std::int32_t a = to_signed(gpr[op->a.rs1]);
+    const std::int32_t b = to_signed(gpr[op->a.rs2]);
+    std::int32_t q;
+    if (b == 0) {
+      q = -1;  // RISC-style: division by zero yields all ones
+    } else if (a == std::numeric_limits<std::int32_t>::min() && b == -1) {
+      q = a;  // overflow wraps
+    } else {
+      q = a / b;
+    }
+    write_gpr(op->a.rd, to_unsigned(q));
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Divu: {
+    const std::uint32_t b = gpr[op->a.rs2];
+    write_gpr(op->a.rd, b == 0 ? ~0u : gpr[op->a.rs1] / b);
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Rem: {
+    const std::int32_t a = to_signed(gpr[op->a.rs1]);
+    const std::int32_t b = to_signed(gpr[op->a.rs2]);
+    std::int32_t r;
+    if (b == 0) {
+      r = a;
+    } else if (a == std::numeric_limits<std::int32_t>::min() && b == -1) {
+      r = 0;
+    } else {
+      r = a % b;
+    }
+    write_gpr(op->a.rd, to_unsigned(r));
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Remu: {
+    const std::uint32_t b = gpr[op->a.rs2];
+    write_gpr(op->a.rd, b == 0 ? gpr[op->a.rs1] : gpr[op->a.rs1] % b);
+    DQEMU_RETIRE_NEXT();
+  }
+
+  // Loads and stores through the op's TLB line.
+  op_Lb: {
+    std::int8_t v = 0;
+    if (!load(*op, v)) goto fault;
+    write_gpr(op->a.rd, static_cast<std::uint32_t>(v));
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Lbu: {
+    std::uint8_t v = 0;
+    if (!load(*op, v)) goto fault;
+    write_gpr(op->a.rd, v);
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Lh: {
+    std::int16_t v = 0;
+    if (!load(*op, v)) goto fault;
+    write_gpr(op->a.rd, static_cast<std::uint32_t>(v));
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Lhu: {
+    std::uint16_t v = 0;
+    if (!load(*op, v)) goto fault;
+    write_gpr(op->a.rd, v);
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Lw: {
+    std::uint32_t v = 0;
+    if (!load(*op, v)) goto fault;
+    write_gpr(op->a.rd, v);
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Fld: {
+    std::uint64_t raw = 0;
+    if (!load(*op, raw)) goto fault;
+    fpr[op->a.rd] = std::bit_cast<double>(raw);
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Sb:
+    if (!store(*op, static_cast<std::uint8_t>(gpr[op->a.rs2]))) goto fault;
+    DQEMU_RETIRE_NEXT();
+  op_Sh:
+    if (!store(*op, static_cast<std::uint16_t>(gpr[op->a.rs2]))) goto fault;
+    DQEMU_RETIRE_NEXT();
+  op_Sw:
+    if (!store(*op, gpr[op->a.rs2])) goto fault;
+    DQEMU_RETIRE_NEXT();
+  op_Fsd:
+    if (!store(*op, std::bit_cast<std::uint64_t>(fpr[op->a.rs2]))) {
+      goto fault;
+    }
+    DQEMU_RETIRE_NEXT();
+
+  // LL/SC go through the shared TLB: no per-op line.
+  op_Ll: {
+    GuestAddr addr = 0;
+    if (!mem_access(gpr[op->a.rs1] + to_unsigned(op->a.imm), 4,
+                    /*write=*/false, op->pc, addr)) {
+      goto fault;
+    }
+    write_gpr(op->a.rd, static_cast<std::uint32_t>(space_.load(addr, 4)));
+    llsc_.on_ll(addr, ctx.tid);
+    ++hot.llsc_ll;
+    DQEMU_RETIRE_NEXT();
+  }
+  op_Sc: {
+    GuestAddr addr = 0;
+    if (!mem_access(gpr[op->a.rs1], 4, /*write=*/true, op->pc, addr)) {
+      goto fault;
+    }
+    if (llsc_.on_sc(addr, ctx.tid)) {
+      space_.store(addr, gpr[op->a.rs2], 4);
+      write_gpr(op->a.rd, 0);
+      ++hot.llsc_sc_success;
+    } else {
+      write_gpr(op->a.rd, 1);
+      ++hot.llsc_sc_fail;
+    }
+    DQEMU_RETIRE_NEXT();
+  }
+
+  op_Fence:
+    DQEMU_RETIRE_NEXT();  // sequential DES: ordering is already total
+  op_Hint:
+    // 0xFFFF is the "no group" sentinel (N-format immediates are
+    // zero-extended on decode).
+    ctx.hint_group = op->a.imm == 0xFFFF ? -1 : op->a.imm;
+    ++hot.hints;
+    DQEMU_RETIRE_NEXT();
+  op_Syscall:
+    ++insns;
+    cycles += op->cost_a;
+    result.reason = StopReason::kSyscall;
+    result.syscall_num = op->a.imm;
+    ctx.pc = op->pc + 4;
+    goto stop;
+
+  // Floating point.
+  op_Fadd:
+    fpr[op->a.rd] = fpr[op->a.rs1] + fpr[op->a.rs2];
+    DQEMU_RETIRE_NEXT();
+  op_Fsub:
+    fpr[op->a.rd] = fpr[op->a.rs1] - fpr[op->a.rs2];
+    DQEMU_RETIRE_NEXT();
+  op_Fmul:
+    fpr[op->a.rd] = fpr[op->a.rs1] * fpr[op->a.rs2];
+    DQEMU_RETIRE_NEXT();
+  op_Fdiv:
+    fpr[op->a.rd] = fpr[op->a.rs1] / fpr[op->a.rs2];
+    DQEMU_RETIRE_NEXT();
+  op_Fmin:
+    fpr[op->a.rd] = std::fmin(fpr[op->a.rs1], fpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Fmax:
+    fpr[op->a.rd] = std::fmax(fpr[op->a.rs1], fpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Fneg:
+    fpr[op->a.rd] = -fpr[op->a.rs1];
+    DQEMU_RETIRE_NEXT();
+  op_Fabs:
+    fpr[op->a.rd] = std::fabs(fpr[op->a.rs1]);
+    DQEMU_RETIRE_NEXT();
+  op_Fmov:
+    fpr[op->a.rd] = fpr[op->a.rs1];
+    DQEMU_RETIRE_NEXT();
+  op_Fcvtdw:
+    fpr[op->a.rd] = static_cast<double>(to_signed(gpr[op->a.rs1]));
+    DQEMU_RETIRE_NEXT();
+  op_Fcvtwd:
+    write_gpr(op->a.rd, to_unsigned(fp_to_int(fpr[op->a.rs1])));
+    DQEMU_RETIRE_NEXT();
+  op_Flt:
+    write_gpr(op->a.rd, fpr[op->a.rs1] < fpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Fle:
+    write_gpr(op->a.rd, fpr[op->a.rs1] <= fpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Feq:
+    write_gpr(op->a.rd, fpr[op->a.rs1] == fpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Fsqrt:
+    fpr[op->a.rd] = std::sqrt(fpr[op->a.rs1]);
+    DQEMU_RETIRE_NEXT();
+  op_Fexp:
+    fpr[op->a.rd] = std::exp(fpr[op->a.rs1]);
+    DQEMU_RETIRE_NEXT();
+  op_Flog:
+    fpr[op->a.rd] = std::log(fpr[op->a.rs1]);
+    DQEMU_RETIRE_NEXT();
+  op_Fpow:
+    fpr[op->a.rd] = std::pow(fpr[op->a.rs1], fpr[op->a.rs2]);
+    DQEMU_RETIRE_NEXT();
+  op_Ferf:
+    fpr[op->a.rd] = std::erf(fpr[op->a.rs1]);
+    DQEMU_RETIRE_NEXT();
+  op_Fsin:
+    fpr[op->a.rd] = std::sin(fpr[op->a.rs1]);
+    DQEMU_RETIRE_NEXT();
+  op_Fcos:
+    fpr[op->a.rd] = std::cos(fpr[op->a.rs1]);
+    DQEMU_RETIRE_NEXT();
+
+  // Control transfer: each handler picks `target`, then takes the guard
+  // tail.
+  op_Beq:
+    target = gpr[op->a.rs1] == gpr[op->a.rs2] ? op->taken_pc : op->fall_pc;
+    DQEMU_GUARD_NEXT();
+  op_Bne:
+    target = gpr[op->a.rs1] != gpr[op->a.rs2] ? op->taken_pc : op->fall_pc;
+    DQEMU_GUARD_NEXT();
+  op_Blt:
+    target = to_signed(gpr[op->a.rs1]) < to_signed(gpr[op->a.rs2])
+                 ? op->taken_pc
+                 : op->fall_pc;
+    DQEMU_GUARD_NEXT();
+  op_Bge:
+    target = to_signed(gpr[op->a.rs1]) >= to_signed(gpr[op->a.rs2])
+                 ? op->taken_pc
+                 : op->fall_pc;
+    DQEMU_GUARD_NEXT();
+  op_Bltu:
+    target = gpr[op->a.rs1] < gpr[op->a.rs2] ? op->taken_pc : op->fall_pc;
+    DQEMU_GUARD_NEXT();
+  op_Bgeu:
+    target = gpr[op->a.rs1] >= gpr[op->a.rs2] ? op->taken_pc : op->fall_pc;
+    DQEMU_GUARD_NEXT();
+  op_Jal:
+    write_gpr(op->a.rd, op->pc + 4);
+    target = op->taken_pc;
+    DQEMU_GUARD_NEXT();
+  op_Jalr:
+    target = (gpr[op->a.rs1] + to_unsigned(op->a.imm)) & ~3u;
+    write_gpr(op->a.rd, op->pc + 4);
+    DQEMU_GUARD_NEXT();
+
+  // addi + terminal branch on its result. The builder only fuses an addi
+  // with rd != 0, so rd is written without the r0 test.
+  op_AddiBeq:
+    gpr[op->a.rd] = gpr[op->a.rs1] + to_unsigned(op->a.imm);
+    target = gpr[op->b.rs1] == gpr[op->b.rs2] ? op->taken_pc : op->fall_pc;
+    ++fused;
+    DQEMU_GUARD_NEXT();
+  op_AddiBne:
+    gpr[op->a.rd] = gpr[op->a.rs1] + to_unsigned(op->a.imm);
+    target = gpr[op->b.rs1] != gpr[op->b.rs2] ? op->taken_pc : op->fall_pc;
+    ++fused;
+    DQEMU_GUARD_NEXT();
+  op_AddiBlt:
+    gpr[op->a.rd] = gpr[op->a.rs1] + to_unsigned(op->a.imm);
+    target = to_signed(gpr[op->b.rs1]) < to_signed(gpr[op->b.rs2])
+                 ? op->taken_pc
+                 : op->fall_pc;
+    ++fused;
+    DQEMU_GUARD_NEXT();
+  op_AddiBge:
+    gpr[op->a.rd] = gpr[op->a.rs1] + to_unsigned(op->a.imm);
+    target = to_signed(gpr[op->b.rs1]) >= to_signed(gpr[op->b.rs2])
+                 ? op->taken_pc
+                 : op->fall_pc;
+    ++fused;
+    DQEMU_GUARD_NEXT();
+  op_AddiBltu:
+    gpr[op->a.rd] = gpr[op->a.rs1] + to_unsigned(op->a.imm);
+    target = gpr[op->b.rs1] < gpr[op->b.rs2] ? op->taken_pc : op->fall_pc;
+    ++fused;
+    DQEMU_GUARD_NEXT();
+  op_AddiBgeu:
+    gpr[op->a.rd] = gpr[op->a.rs1] + to_unsigned(op->a.imm);
+    target = gpr[op->b.rs1] >= gpr[op->b.rs2] ? op->taken_pc : op->fall_pc;
+    ++fused;
+    DQEMU_GUARD_NEXT();
+
+  boundary:
+    // A single non-control instruction retired at the end of a cut block:
+    // a quantum guard point, so every trace stops at the same insn counts.
+    target = op->boundary_pc;
+    if (insns >= max_insns) goto quantum;
+    if (op->next_index == kSbExitIndex) goto exit_trace;
+    op = ops + op->next_index;
+    DQEMU_DISPATCH();
+
+  leave:
+    // A branch or jump left the trace: a side exit when the trace had
+    // somewhere else to go.
+    if (op->next_index != kSbExitIndex) {
+      ++hot.sb_side_exit;
+      ++trace->side_exits;
+    }
+  exit_trace:
+    // The entry loop resumes at `target`, re-checking the quantum first.
+    ctx.pc = target;
     if (trace == &tb->trace) {
       // The block's exit edge: trace selection follows it. Only the
       // terminal's kind decides which field is read back (a branch's
@@ -733,7 +738,30 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       tb->last_taken = ctx.pc != tb->end_pc();
       tb->last_indirect_target = ctx.pc;
     }
+    continue;
+
+  quantum:
+    // The budget is spent at a block boundary inside the trace.
+    result.reason = StopReason::kQuantum;
+    ctx.pc = target;
+    goto stop;
+
+  fault:
+    // The op at `op` faulted (`result` says how): it re-executes once the
+    // fault is serviced.
+    ctx.pc = op->pc;
+    goto stop;
   }
+#undef DQEMU_DISPATCH
+#undef DQEMU_RETIRE_NEXT
+#undef DQEMU_GUARD_NEXT
+
+stop:
+  // `result` is final and ctx.pc is where execution resumes.
+  result.insns = insns;
+  result.exec_cycles = cycles;
+  hot.fused_ops += fused;
+  return result;
 }
 
 }  // namespace dqemu::dbt

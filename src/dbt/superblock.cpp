@@ -2,7 +2,7 @@
 // of, and superblock formation on top of it.
 //
 // append_trace_ops() turns one block's MicroOps into trace ops: kind
-// selection (a single instruction's kind is its opcode; addi + terminal
+// selection (a single instruction's kind names its opcode; addi + terminal
 // conditional branch fuse into one op) and terminal wiring. translate()
 // calls it once per block to build the block's own one-block trace, and
 // maybe_form_superblock() once per constituent block of a stitched trace.

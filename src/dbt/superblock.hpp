@@ -9,8 +9,8 @@
 // time: a single instruction's kind names its opcode, and the one fused
 // shape, addi + the terminal conditional branch that tests its result,
 // has one kind per branch condition. Memory ops carry their own TLB line.
-// So the dispatch loop in ExecEngine runs each op with exactly one
-// dispatch and decodes nothing at run time.
+// So the threaded dispatch in ExecEngine runs each op with exactly one
+// indirect jump and decodes nothing at run time.
 //
 // Everything here is host-side only: a fused op charges exactly the
 // virtual-time cost of its two instructions, guards stop at the same
@@ -33,33 +33,74 @@ inline constexpr GuestAddr kSbNoPc = ~GuestAddr{0};
 /// "Leave the trace" marker for SbOp::next_index.
 inline constexpr std::uint32_t kSbExitIndex = ~std::uint32_t{0};
 
-/// Dispatch kind of a trace op: the case of the trace loop's one switch.
-/// A single guest instruction's kind is its opcode value (op_kind(), a
-/// cast), so every case runs exactly one instruction. The fused kinds sit
-/// above the last opcode: addi followed by the block's terminal conditional
-/// branch reading the addi's rd, one kind per branch condition.
+/// Every trace op kind, in one list. INSN(Name) is the single-instruction
+/// kind of isa::Opcode::kName, so each of its handlers runs exactly one
+/// instruction. FUSED(Branch) is addi followed by the block's terminal
+/// conditional branch isa::Opcode::kBranch reading the addi's rd, kind
+/// kAddiBranch. SbOpKind, op_kind(), addi_branch_kind() and the trace
+/// loop's label table (src/dbt/exec.cpp) are all built from this list, so
+/// a kind without a handler label, a handler label without a kind, and an
+/// opcode without a kind (op_kind()'s switch, -Wswitch) each fail the build.
+#define DQEMU_SB_OP_KINDS(INSN, FUSED)                                       \
+  /* Integer ALU, multiply and divide. */                                    \
+  INSN(Add) INSN(Sub) INSN(And) INSN(Or) INSN(Xor) INSN(Sll) INSN(Srl)      \
+  INSN(Sra) INSN(Slt) INSN(Sltu) INSN(Addi) INSN(Andi) INSN(Ori) INSN(Xori) \
+  INSN(Slli) INSN(Srli) INSN(Srai) INSN(Slti) INSN(Sltiu) INSN(Lui)         \
+  INSN(Auipc) INSN(Mul) INSN(Div) INSN(Divu) INSN(Rem) INSN(Remu)           \
+  /* Loads and stores; LL/SC. */                                             \
+  INSN(Lb) INSN(Lbu) INSN(Lh) INSN(Lhu) INSN(Lw) INSN(Fld) INSN(Sb)         \
+  INSN(Sh) INSN(Sw) INSN(Fsd) INSN(Ll) INSN(Sc)                             \
+  /* System. */                                                              \
+  INSN(Fence) INSN(Hint) INSN(Syscall)                                       \
+  /* Floating point. */                                                      \
+  INSN(Fadd) INSN(Fsub) INSN(Fmul) INSN(Fdiv) INSN(Fmin) INSN(Fmax)         \
+  INSN(Fneg) INSN(Fabs) INSN(Fmov) INSN(Fcvtdw) INSN(Fcvtwd) INSN(Flt)      \
+  INSN(Fle) INSN(Feq) INSN(Fsqrt) INSN(Fexp) INSN(Flog) INSN(Fpow)          \
+  INSN(Ferf) INSN(Fsin) INSN(Fcos)                                           \
+  /* Control transfer. */                                                    \
+  INSN(Beq) INSN(Bne) INSN(Blt) INSN(Bge) INSN(Bltu) INSN(Bgeu) INSN(Jal)   \
+  INSN(Jalr)                                                                 \
+  /* addi + terminal branch on its result. */                                \
+  FUSED(Beq) FUSED(Bne) FUSED(Blt) FUSED(Bge) FUSED(Bltu) FUSED(Bgeu)
+
+/// Dispatch kind of a trace op: the index of its handler in the trace
+/// loop's label table. kUnset is a default-constructed op's kind, which the
+/// builder never leaves in a trace; its handler asserts.
 enum class SbOpKind : std::uint8_t {
-  kAddiBeq = static_cast<std::uint8_t>(isa::Opcode::kFcos) + 1,
-  kAddiBne,
-  kAddiBlt,
-  kAddiBge,
-  kAddiBltu,
-  kAddiBgeu,
+  kUnset,
+#define DQEMU_SB_INSN_KIND(name) k##name,
+#define DQEMU_SB_FUSED_KIND(branch) kAddi##branch,
+  DQEMU_SB_OP_KINDS(DQEMU_SB_INSN_KIND, DQEMU_SB_FUSED_KIND)
+#undef DQEMU_SB_INSN_KIND
+#undef DQEMU_SB_FUSED_KIND
 };
+
+#define DQEMU_SB_NO_CASE(name)
 
 /// Kind of a single-instruction op.
 [[nodiscard]] constexpr SbOpKind op_kind(isa::Opcode op) {
-  return static_cast<SbOpKind>(op);
+#define DQEMU_SB_INSN_CASE(name) \
+  case isa::Opcode::k##name:     \
+    return SbOpKind::k##name;
+  switch (op) { DQEMU_SB_OP_KINDS(DQEMU_SB_INSN_CASE, DQEMU_SB_NO_CASE) }
+#undef DQEMU_SB_INSN_CASE
+  return SbOpKind::kUnset;  // not an opcode
 }
 
 /// Kind of addi fused with the conditional branch `branch`.
 [[nodiscard]] constexpr SbOpKind addi_branch_kind(isa::Opcode branch) {
-  return static_cast<SbOpKind>(static_cast<unsigned>(SbOpKind::kAddiBeq) +
-                               static_cast<unsigned>(branch) -
-                               static_cast<unsigned>(isa::Opcode::kBeq));
+#define DQEMU_SB_FUSED_CASE(name) \
+  case isa::Opcode::k##name:      \
+    return SbOpKind::kAddi##name;
+  switch (branch) {
+    DQEMU_SB_OP_KINDS(DQEMU_SB_NO_CASE, DQEMU_SB_FUSED_CASE)
+    default:
+      return SbOpKind::kUnset;  // not a conditional branch
+  }
+#undef DQEMU_SB_FUSED_CASE
 }
 
-static_assert(addi_branch_kind(isa::Opcode::kBgeu) == SbOpKind::kAddiBgeu);
+#undef DQEMU_SB_NO_CASE
 
 /// One op of a trace: a single guest instruction, or a fused addi+branch.
 ///

@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/le_bytes.hpp"
 #include "common/types.hpp"
 
@@ -179,11 +180,13 @@ class FutexTable {
   }
 
   /// Deterministic whole-table serialization (addresses in sorted order,
-  /// little-endian fields) for the crash handoff (kFutexHandoff) and the
-  /// checkpoint digest. Layout: u64 queue count, then per queue {u64 addr,
-  /// u64 n, n packed waiters}; u64 lease count, then per lease {u64 addr,
-  /// u32 owner, u32 phase, u32 pending_requester, u32 pad, u64 granted_at}.
-  void serialize(std::vector<std::uint8_t>& out) const {
+  /// little-endian fields) for the crash handoff (kFutexHandoff), which
+  /// keeps every waiter's flow id so causal chains survive it, and for
+  /// digest(), which writes 0 in place of each flow id. Layout: u64 queue
+  /// count, then per queue {u64 addr, u64 n, n packed waiters}; u64 lease
+  /// count, then per lease {u64 addr, u32 owner, u32 phase, u32
+  /// pending_requester, u32 pad, u64 granted_at}.
+  void serialize(std::vector<std::uint8_t>& out, bool keep_flows = true) const {
     std::vector<GuestAddr> addrs;
     addrs.reserve(queues_.size());
     for (const auto& [addr, queue] : queues_) addrs.push_back(addr);
@@ -193,7 +196,7 @@ class FutexTable {
       const auto& queue = queues_.at(addr);
       le::put_u64(out, addr);
       le::put_u64(out, queue.size());
-      for (const Waiter& w : queue) put_waiter(out, w);
+      for (const Waiter& w : queue) put_waiter(out, w, keep_flows);
     }
     addrs.clear();
     for (const auto& [addr, lease] : leases_) addrs.push_back(addr);
@@ -208,6 +211,15 @@ class FutexTable {
       le::put_u32(out, 0);
       le::put_u64(out, lease.granted_at);
     }
+  }
+
+  /// Checkpoint digest. Flow ids exist only for the tracer (0 when tracing
+  /// is off), so they are left out: a traced run digests exactly like an
+  /// untraced one.
+  [[nodiscard]] std::uint64_t digest() const {
+    std::vector<std::uint8_t> bytes;
+    serialize(bytes, /*keep_flows=*/false);
+    return fnv1a(bytes);
   }
 
   /// Installs a serialized table into this one (crash handoff adoption).
@@ -260,10 +272,11 @@ class FutexTable {
   }
 
  private:
-  static void put_waiter(std::vector<std::uint8_t>& out, const Waiter& w) {
+  static void put_waiter(std::vector<std::uint8_t>& out, const Waiter& w,
+                         bool keep_flow = true) {
     le::put_u32(out, w.node);
     le::put_u32(out, w.tid);
-    le::put_u64(out, w.flow);
+    le::put_u64(out, keep_flow ? w.flow : 0);
   }
   static Waiter read_waiter(le::Reader& in) {
     Waiter w;

@@ -167,5 +167,24 @@ for counter in "sys.crash_lease_returns = 1" "dsm.crash_flushes = 1"; do
     fail "lease-return crash run lacks '$counter'"
 done
 
+# An untraced checkpoint restores under --trace: a tracer hands out causal
+# flow ids, which parked futex waiters carry, and no digest may see them.
+tmp=$(mktemp -d) || exit 1
+crash="--serve --nodes 4 --requests 300 --rate 4000 --serve-workers 12
+       --crash 2@900"
+# shellcheck disable=SC2086  # $crash is a flag list
+"$RUN" $crash --checkpoint "40000:$tmp/crash.ckpt" >/dev/null 2>&1 ||
+  fail "checkpointed crash run failed"
+# shellcheck disable=SC2086
+out=$("$RUN" $crash --restore "$tmp/crash.ckpt" --trace "$tmp/restore.txt" \
+      2>&1 >/dev/null)
+status=$?
+[ "$status" -eq 0 ] || fail "traced restore exited $status: $out"
+case "$out" in
+  *"(match)"*) ;;
+  *) fail "traced restore did not match the untraced checkpoint: $out" ;;
+esac
+rm -rf "$tmp"
+
 [ "$failures" -eq 0 ] && echo "PASS"
 exit "$failures"

@@ -32,6 +32,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/parallel.hpp"
 #include "testutil.hpp"
+#include "trace/tracer.hpp"
 #include "workloads/serve.hpp"
 
 namespace dqemu {
@@ -83,7 +84,8 @@ struct ServeRun {
 };
 
 ServeRun run_serving(const ClusterConfig& config,
-                     std::optional<TimePs> checkpoint_at = std::nullopt) {
+                     std::optional<TimePs> checkpoint_at = std::nullopt,
+                     trace::Tracer* tracer = nullptr) {
   workloads::ServePoolParams pool;
   pool.workers = config.serve.workers;
   auto program = workloads::serve_pool(pool);
@@ -91,7 +93,7 @@ ServeRun run_serving(const ClusterConfig& config,
   ServeRun out;
   if (!program.is_ok()) return out;
 
-  core::Cluster cluster(config);
+  core::Cluster cluster(config, tracer);
   if (checkpoint_at.has_value()) cluster.arm_checkpoint(*checkpoint_at);
   const Status loaded = cluster.load(program.value());
   if (!loaded.is_ok()) {
@@ -342,6 +344,27 @@ TEST(Checkpoint, CrashSmokeCutIsPinned) {
                              {"threads.2", 0xcbf29ce484222325},
                              {"threads.3", 0xcb2da7c8bb280918},
                              {"threads.4", 0x2f2c0024c6696523}});
+}
+
+TEST(Checkpoint, TracingLeavesTheDigestsUnchanged) {
+  // A traced run hands out causal flow ids, and parked futex waiters carry
+  // theirs; an untraced run's are all 0. The digests must not see them, or
+  // restoring an untraced checkpoint with --trace reports a mismatch.
+  const ClusterConfig config = crash_smoke_config(2, 900 * kUs);
+  const TimePs cut = 40 * kMs;
+  const ServeRun untraced = run_serving(config, cut);
+  trace::TraceConfig trace_config;
+  trace_config.categories = trace::kAllCategories;
+  trace_config.capacity = 1u << 12;
+  trace::Tracer tracer(trace_config);
+  const ServeRun traced = run_serving(config, cut, &tracer);
+  ASSERT_TRUE(untraced.ok) << untraced.error;
+  ASSERT_TRUE(traced.ok) << traced.error;
+  ASSERT_TRUE(untraced.checkpoint.has_value());
+  ASSERT_TRUE(traced.checkpoint.has_value());
+  EXPECT_GT(tracer.size(), 0u);
+  EXPECT_EQ(untraced.checkpoint->diff(*traced.checkpoint),
+            std::vector<std::string>{});
 }
 
 TEST(Checkpoint, ShardedCrashSmokeCutIsPinned) {

@@ -326,5 +326,25 @@ TEST(SuperblockInvalidation, EventHookSeesFormationAndFlush) {
   EXPECT_EQ(h.cache.superblock_count(), 0u);
 }
 
+// ---- dispatch ------------------------------------------------------------
+
+// Kind 0 is a default-constructed op's. The label table gives it a handler
+// of its own, which stops the run at an assert instead of running the op
+// as some other kind.
+TEST(TraceDispatchDeathTest, UnsetKindStopsAtTheAssert) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Harness h([](Assembler& a) {
+    a.addi(kT0, kZero, 1);
+    a.syscall(1);
+  });
+  ASSERT_EQ(h.run().reason, StopReason::kSyscall);
+  TranslationBlock* tb = h.cache.lookup(h.program.entry);
+  ASSERT_NE(tb, nullptr);
+  ASSERT_EQ(tb->trace.ops.front().kind, op_kind(isa::Opcode::kAddi));
+  tb->trace.ops.front().kind = SbOpKind{};
+  h.ctx.pc = h.program.entry;
+  EXPECT_DEATH(h.run(), "every trace op has a kind");
+}
+
 }  // namespace
 }  // namespace dqemu::dbt
