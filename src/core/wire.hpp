@@ -73,8 +73,4 @@ enum class CoreMsg : std::uint32_t {
   kCrashLeaseReturn = 0x316,
 };
 
-[[nodiscard]] constexpr bool is_core_message(std::uint32_t type) {
-  return type >= 0x300 && type < 0x400;
-}
-
 }  // namespace dqemu::core

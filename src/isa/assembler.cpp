@@ -61,17 +61,20 @@ void Assembler::emit(const Insn& insn) {
   std::memcpy(code_.data() + at, &word, 4);
 }
 
+void Assembler::emit(const Insn& insn, Label target) {
+  const bool is_jal = insn.op == Opcode::kJal;
+  assert(is_jal || insn_info(insn.op).format == Format::kB);
+  fixups_.push_back(Fixup{static_cast<std::uint32_t>(code_.size()), target.id,
+                          is_jal ? FixupKind::kJal20 : FixupKind::kBranch16});
+  emit(insn);
+}
+
 void Assembler::emit_b(Opcode op, Reg rs1, Reg rs2, Label target) {
-  fixups_.push_back(
-      Fixup{static_cast<std::uint32_t>(code_.size()), target.id,
-            FixupKind::kBranch16});
-  emit({op, 0, std::uint8_t(rs1), std::uint8_t(rs2), 0});
+  emit({op, 0, std::uint8_t(rs1), std::uint8_t(rs2), 0}, target);
 }
 
 void Assembler::jal(Reg rd, Label target) {
-  fixups_.push_back(Fixup{static_cast<std::uint32_t>(code_.size()), target.id,
-                          FixupKind::kJal20});
-  emit({Opcode::kJal, std::uint8_t(rd), 0, 0, 0});
+  emit({Opcode::kJal, std::uint8_t(rd), 0, 0, 0}, target);
 }
 
 void Assembler::li(Reg rd, std::int64_t value) {

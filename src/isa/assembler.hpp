@@ -45,13 +45,11 @@ class Assembler {
   /// Creates a label already bound to the current code position.
   Label here(std::string name = {});
 
-  /// Byte offset of the next code instruction from the code origin.
-  [[nodiscard]] std::uint32_t code_size() const {
-    return static_cast<std::uint32_t>(code_.size());
-  }
-
   // ----- raw emit -------------------------------------------------------
   void emit(const Insn& insn);
+  /// Emits a B-format branch or a JAL whose offset finalize() resolves to
+  /// `target`.
+  void emit(const Insn& insn, Label target);
 
   // ----- integer R-type -------------------------------------------------
   void add(Reg rd, Reg rs1, Reg rs2) { emit_r(Opcode::kAdd, rd, rs1, rs2); }

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -44,6 +45,42 @@ enum Reg : std::uint8_t {
 
 /// Instruction encoding format.
 enum class Format : std::uint8_t { kR, kI, kU, kB, kS, kN };
+
+/// One operand as written in assembly text, and the Insn field it fills.
+enum class Operand : std::uint8_t {
+  kRd, kRs1, kRs2,  ///< integer register in that field
+  kFd, kFs1, kFs2,  ///< FP register in the rd / rs1 / rs2 field
+  kImm16,           ///< imm: -32768..32767
+  kUimm20,          ///< imm: 0..0xFFFFF (LUI/AUIPC upper bits)
+  kNum16,           ///< imm: -32768..65535, stored as its low 16 bits
+  kMem,             ///< "off(base)": off (an imm16) in imm, base in rs1
+  kTarget,          ///< code label; imm = word offset from the next pc
+};
+
+/// How an opcode's operands are written. The text assembler parses
+/// exactly these operands and the disassembler prints them, so every
+/// disassembled instruction assembles back to itself.
+enum class Syntax : std::uint8_t {
+  kNone,           ///< fence
+  kRdRs1Rs2,       ///< add rd, rs1, rs2 (integer R-type, sc)
+  kRdRs1Imm,       ///< addi rd, rs1, imm16 (integer I-type, jalr)
+  kRdMem,          ///< lw rd, off(base) (integer loads, ll)
+  kRs2Mem,         ///< sw src, off(base)
+  kFdMem,          ///< fld fd, off(base)
+  kFs2Mem,         ///< fsd fs, off(base)
+  kRs1Rs2Target,   ///< beq rs1, rs2, label
+  kRdTarget,       ///< jal rd, label
+  kRdUimm20,       ///< lui rd, imm20
+  kNum16,          ///< syscall n, hint group
+  kFdFs1Fs2,       ///< fadd fd, fs1, fs2
+  kFdFs1,          ///< fneg fd, fs1
+  kFdRs1,          ///< fcvt.d.w fd, rs1
+  kRdFs1,          ///< fcvt.w.d rd, fs1
+  kRdFs1Fs2,       ///< flt rd, fs1, fs2
+};
+
+/// The operands `syntax` names, in written order.
+[[nodiscard]] std::span<const Operand> operands(Syntax syntax);
 
 /// Opcodes. Values are the wire encoding and must stay stable.
 enum class Opcode : std::uint8_t {
@@ -102,6 +139,7 @@ struct Insn {
 struct InsnInfo {
   std::string_view mnemonic;
   Format format = Format::kR;
+  Syntax syntax = Syntax::kNone;
   bool is_load = false;
   bool is_store = false;
   bool ends_block = false;    ///< branch/jump/syscall: terminates a TB
@@ -129,8 +167,8 @@ struct InsnInfo {
 [[nodiscard]] std::string_view gpr_name(unsigned index);
 [[nodiscard]] std::string_view fpr_name(unsigned index);
 
-/// Human-readable rendering, e.g. "addi sp, sp, -16".
-/// `pc` resolves branch targets to absolute addresses.
+/// Renders `insn` in its Syntax, e.g. "addi sp, sp, -16". `pc` resolves
+/// branch and JAL targets to absolute addresses.
 [[nodiscard]] std::string disassemble(const Insn& insn, GuestAddr pc = 0);
 
 /// Immediate range checks per format.

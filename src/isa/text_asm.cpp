@@ -1,9 +1,14 @@
 #include "isa/text_asm.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdint>
+#include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,18 +17,116 @@
 namespace dqemu::isa {
 namespace {
 
-/// Tokenized operand: register, FP register, immediate, symbol, or a
-/// mem-style "offset(base)" pair.
-struct Operand {
-  enum class Kind { kGpr, kFpr, kImm, kSym, kMem } kind = Kind::kImm;
-  std::uint8_t reg = 0;
-  std::int64_t imm = 0;
-  double fimm = 0.0;
-  bool is_float = false;
-  std::string sym;
-  std::uint8_t mem_base = 0;
-  std::int64_t mem_off = 0;
-};
+/// Opcode of each mnemonic, read off insn_info().
+const std::map<std::string_view, Opcode>& mnemonic_index() {
+  static const std::map<std::string_view, Opcode> index = [] {
+    std::map<std::string_view, Opcode> out;
+    for (unsigned raw = 0; raw < 256; ++raw) {
+      if (is_valid_opcode(static_cast<std::uint8_t>(raw))) {
+        const auto op = static_cast<Opcode>(raw);
+        out.emplace(insn_info(op).mnemonic, op);
+      }
+    }
+    return out;
+  }();
+  return index;
+}
+
+std::string_view strip(std::string_view s) {
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front())))
+    s.remove_prefix(1);
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())))
+    s.remove_suffix(1);
+  return s;
+}
+
+/// Characters of a label name.
+bool is_name_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
+}
+
+/// Decimal or 0x-hex integer with an optional sign.
+std::optional<std::int64_t> parse_int(std::string_view text) {
+  bool negative = false;
+  if (!text.empty() && (text.front() == '-' || text.front() == '+')) {
+    negative = text.front() == '-';
+    text.remove_prefix(1);
+  }
+  int base = 10;
+  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+    base = 16;
+    text.remove_prefix(2);
+  }
+  std::uint64_t value = 0;
+  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), value, base);
+  if (ec != std::errc() || p != text.data() + text.size() || value > INT64_MAX)
+    return std::nullopt;
+  return negative ? -static_cast<std::int64_t>(value)
+                  : static_cast<std::int64_t>(value);
+}
+
+/// `text` read whole by strtod.
+std::optional<double> parse_double(std::string_view text) {
+  const std::string buf(text);
+  char* end = nullptr;
+  const double value = std::strtod(buf.c_str(), &end);
+  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  return value;
+}
+
+/// A floating-point literal as an operand: it has a '.' or an exponent.
+std::optional<double> parse_float(std::string_view text) {
+  if (text.find_first_of(".e") == std::string_view::npos) return std::nullopt;
+  return parse_double(text);
+}
+
+/// An integer register (ABI name or rN) or, with `fp`, an FP register (fN).
+std::optional<std::uint8_t> parse_reg(std::string_view name, bool fp) {
+  if (!fp) {
+    for (unsigned i = 0; i < kNumGpr; ++i) {
+      if (name == gpr_name(i)) return static_cast<std::uint8_t>(i);
+    }
+  }
+  if (name.size() >= 2 && name[0] == (fp ? 'f' : 'r')) {
+    unsigned value = 0;
+    auto [p, ec] = std::from_chars(name.data() + 1, name.data() + name.size(), value);
+    if (ec == std::errc() && p == name.data() + name.size() &&
+        value < (fp ? kNumFpr : kNumGpr))
+      return static_cast<std::uint8_t>(value);
+  }
+  return std::nullopt;
+}
+
+/// Comma-separated fields, stripped. No operand or data value holds a
+/// comma, so none is quoted or bracketed.
+std::vector<std::string_view> split_commas(std::string_view s) {
+  std::vector<std::string_view> parts;
+  std::size_t start = 0;
+  for (std::size_t comma = s.find(','); comma != std::string_view::npos;
+       comma = s.find(',', start)) {
+    parts.push_back(strip(s.substr(start, comma - start)));
+    start = comma + 1;
+  }
+  if (start < s.size()) parts.push_back(strip(s.substr(start)));
+  return parts;
+}
+
+/// Rewrites the dialect's short forms to their opcode's full operand list:
+/// "jal label", "jalr rs", "ll rd, rs1" and the integer loads'
+/// "lw rd, base, off".
+void expand_short_form(Opcode op, std::vector<std::string>& ops) {
+  if (op == Opcode::kJal && ops.size() == 1) {
+    ops.insert(ops.begin(), "ra");
+  } else if (op == Opcode::kJalr && ops.size() == 1) {
+    ops = {"ra", ops[0], "0"};
+  } else if (op == Opcode::kLl && ops.size() == 2 &&
+             ops[1].find('(') == std::string::npos) {
+    ops[1] = "(" + ops[1] + ")";
+  } else if (op != Opcode::kLl && insn_info(op).syntax == Syntax::kRdMem &&
+             ops.size() == 3) {
+    ops = {ops[0], ops[2] + "(" + ops[1] + ")"};
+  }
+}
 
 class Parser {
  public:
@@ -53,17 +156,11 @@ class Parser {
   }
 
  private:
+  using Target = std::optional<Assembler::Label>;
+
   Status error(std::string message) const {
     return Status::invalid_argument("line " + std::to_string(line_no_) +
                                     ": " + std::move(message));
-  }
-
-  static std::string_view strip(std::string_view s) {
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front())))
-      s.remove_prefix(1);
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())))
-      s.remove_suffix(1);
-    return s;
   }
 
   static std::string_view strip_comment(std::string_view line) {
@@ -91,119 +188,94 @@ class Parser {
     return label;
   }
 
-  static std::optional<std::uint8_t> parse_gpr(std::string_view name) {
-    static const std::map<std::string_view, std::uint8_t> kMap = {
-        {"zero", 0}, {"a0", 1},  {"a1", 2},  {"a2", 3}, {"a3", 4},
-        {"t0", 5},   {"t1", 6},  {"t2", 7},  {"t3", 8}, {"t4", 9},
-        {"s0", 10},  {"s1", 11}, {"tp", 12}, {"sp", 13},
-        {"ra", 14},  {"s2", 15}};
-    if (auto it = kMap.find(name); it != kMap.end()) return it->second;
-    if (name.size() >= 2 && name[0] == 'r') {
-      unsigned value = 0;
-      auto [p, ec] = std::from_chars(name.data() + 1, name.data() + name.size(), value);
-      if (ec == std::errc() && p == name.data() + name.size() && value < kNumGpr)
-        return static_cast<std::uint8_t>(value);
+  /// Reads `text` as an integer in [lo, hi] into `out`.
+  Status number(std::string_view text, std::int64_t lo, std::int64_t hi,
+                std::int64_t& out) const {
+    const auto value = parse_int(text);
+    if (!value.has_value())
+      return error("bad number '" + std::string(text) + "'");
+    if (*value < lo || *value > hi) {
+      return error(std::string(text) + " is out of range [" +
+                   std::to_string(lo) + ", " + std::to_string(hi) + "]");
     }
-    return std::nullopt;
+    out = *value;
+    return Status::ok();
   }
 
-  static std::optional<std::uint8_t> parse_fpr(std::string_view name) {
-    if (name.size() >= 2 && name[0] == 'f' && name != "fence") {
-      unsigned value = 0;
-      auto [p, ec] = std::from_chars(name.data() + 1, name.data() + name.size(), value);
-      if (ec == std::errc() && p == name.data() + name.size() && value < kNumFpr)
-        return static_cast<std::uint8_t>(value);
-    }
-    return std::nullopt;
+  Status reg(std::string_view text, bool fp, std::uint8_t& field) const {
+    const auto index = parse_reg(text, fp);
+    if (!index.has_value())
+      return error(std::string(fp ? "bad FP register '" : "bad register '") +
+                   std::string(text) + "'");
+    field = *index;
+    return Status::ok();
   }
 
-  static std::optional<std::int64_t> parse_int(std::string_view text) {
-    text = strip(text);
-    if (text.empty()) return std::nullopt;
-    bool negative = false;
-    if (text.front() == '-' || text.front() == '+') {
-      negative = text.front() == '-';
-      text.remove_prefix(1);
-    }
-    int base = 10;
-    if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
-      base = 16;
-      text.remove_prefix(2);
-    }
-    std::uint64_t value = 0;
-    auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), value, base);
-    if (ec != std::errc() || p != text.data() + text.size()) return std::nullopt;
-    return negative ? -static_cast<std::int64_t>(value)
-                    : static_cast<std::int64_t>(value);
+  /// A label reference: a name that a "name:" line can bind, and that
+  /// does not read as a register or a number.
+  Status label(std::string_view text, Target& target) {
+    if (!std::all_of(text.begin(), text.end(), is_name_char) ||
+        parse_reg(text, false) || parse_reg(text, true) || parse_int(text) ||
+        parse_float(text))
+      return error("bad label '" + std::string(text) + "'");
+    target = get_label(std::string(text));
+    return Status::ok();
   }
 
-  std::optional<Operand> parse_operand(std::string_view text) {
-    text = strip(text);
-    if (text.empty()) return std::nullopt;
-    Operand op;
-    // "offset(base)" memory form.
-    if (const std::size_t paren = text.find('('); paren != std::string_view::npos &&
-                                                  text.back() == ')') {
-      const auto off = parse_int(text.substr(0, paren));
-      const auto base = parse_gpr(strip(
-          text.substr(paren + 1, text.size() - paren - 2)));
-      if (!base.has_value()) return std::nullopt;
-      op.kind = Operand::Kind::kMem;
-      op.mem_base = *base;
-      op.mem_off = off.value_or(0);
-      return op;
-    }
-    if (auto gpr = parse_gpr(text)) {
-      op.kind = Operand::Kind::kGpr;
-      op.reg = *gpr;
-      return op;
-    }
-    if (auto fpr = parse_fpr(text)) {
-      op.kind = Operand::Kind::kFpr;
-      op.reg = *fpr;
-      return op;
-    }
-    if (auto imm = parse_int(text)) {
-      op.kind = Operand::Kind::kImm;
-      op.imm = *imm;
-      return op;
-    }
-    // Floating-point literal (for .double / fli).
-    if (text.find('.') != std::string_view::npos ||
-        text.find('e') != std::string_view::npos) {
-      char* end = nullptr;
-      std::string buf(text);
-      const double value = std::strtod(buf.c_str(), &end);
-      if (end == buf.c_str() + buf.size()) {
-        op.kind = Operand::Kind::kImm;
-        op.is_float = true;
-        op.fimm = value;
-        return op;
+  /// Parses `text` as one `kind` operand of `insn`; a label reference
+  /// lands in `target`.
+  Status operand(Operand kind, std::string_view text, Insn& insn,
+                 Target& target) {
+    std::int64_t lo = INT16_MIN;  // the range of an immediate
+    std::int64_t hi = INT16_MAX;
+    switch (kind) {
+      case Operand::kRd: return reg(text, false, insn.rd);
+      case Operand::kRs1: return reg(text, false, insn.rs1);
+      case Operand::kRs2: return reg(text, false, insn.rs2);
+      case Operand::kFd: return reg(text, true, insn.rd);
+      case Operand::kFs1: return reg(text, true, insn.rs1);
+      case Operand::kFs2: return reg(text, true, insn.rs2);
+      case Operand::kTarget: return label(text, target);
+      case Operand::kImm16: break;
+      case Operand::kUimm20:
+        lo = 0;
+        hi = 0xFFFFF;
+        break;
+      case Operand::kNum16: hi = UINT16_MAX; break;
+      case Operand::kMem: {
+        const std::size_t paren = text.find('(');
+        if (paren == std::string_view::npos || text.back() != ')')
+          return error("expected off(base), got '" + std::string(text) + "'");
+        DQEMU_RETURN_IF_ERROR(reg(
+            strip(text.substr(paren + 1, text.size() - paren - 2)), false,
+            insn.rs1));
+        text = strip(text.substr(0, paren));
+        if (text.empty()) return Status::ok();  // "(base)" is offset 0
+        break;
       }
     }
-    op.kind = Operand::Kind::kSym;
-    op.sym = std::string(text);
-    return op;
+    std::int64_t value = 0;
+    DQEMU_RETURN_IF_ERROR(number(text, lo, hi, value));
+    insn.imm = static_cast<std::int32_t>(value);
+    return Status::ok();
   }
 
-  static std::vector<std::string_view> split_commas(std::string_view s) {
-    std::vector<std::string_view> parts;
-    std::size_t start = 0;
-    int depth = 0;
-    bool in_string = false;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      const char c = s[i];
-      if (c == '"') in_string = !in_string;
-      if (in_string) continue;
-      if (c == '(') ++depth;
-      if (c == ')') --depth;
-      if (c == ',' && depth == 0) {
-        parts.push_back(s.substr(start, i - start));
-        start = i + 1;
-      }
-    }
-    if (start < s.size()) parts.push_back(s.substr(start));
-    return parts;
+  Status expect_count(const std::string& mnemonic,
+                      const std::vector<std::string>& ops,
+                      std::size_t n) const {
+    if (ops.size() == n) return Status::ok();
+    return error(mnemonic + " expects " + std::to_string(n) +
+                 " operands, got " + std::to_string(ops.size()));
+  }
+
+  Status parse_operands(const std::string& mnemonic,
+                        std::span<const Operand> kinds,
+                        const std::vector<std::string>& ops, Insn& insn,
+                        Target& target) {
+    DQEMU_RETURN_IF_ERROR(expect_count(mnemonic, ops, kinds.size()));
+    for (std::size_t i = 0; i < ops.size(); ++i)
+      DQEMU_RETURN_IF_ERROR(operand(kinds[i], ops[i], insn, target));
+    return Status::ok();
   }
 
   Status parse_line(std::string_view raw) {
@@ -219,10 +291,7 @@ class Parser {
           colon = i;
           break;
         }
-        if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-              c == '.')) {
-          break;
-        }
+        if (!is_name_char(c)) break;
       }
       if (colon == std::string_view::npos || colon == 0) break;
       const std::string name(strip(line.substr(0, colon)));
@@ -262,40 +331,41 @@ class Parser {
       return Status::ok();
     }
     if (name == ".align") {
-      const auto value = parse_int(rest);
-      if (!value.has_value() || *value <= 0 || (*value & (*value - 1)) != 0)
+      std::int64_t value = 0;
+      DQEMU_RETURN_IF_ERROR(number(rest, 1, UINT32_MAX, value));
+      if ((value & (value - 1)) != 0)
         return error(".align needs a power-of-two argument");
-      asm_.d_align(static_cast<std::uint32_t>(*value));
+      asm_.d_align(static_cast<std::uint32_t>(value));
       return Status::ok();
     }
     if (name == ".space") {
-      const auto value = parse_int(rest);
-      if (!value.has_value() || *value < 0) return error(".space needs a size");
-      asm_.d_space(static_cast<std::uint32_t>(*value));
+      std::int64_t size = 0;
+      DQEMU_RETURN_IF_ERROR(number(rest, 0, UINT32_MAX, size));
+      asm_.d_space(static_cast<std::uint32_t>(size));
       return Status::ok();
     }
-    if (name == ".word" || name == ".half" || name == ".byte" ||
-        name == ".double") {
-      for (std::string_view part : split_commas(rest)) {
-        part = strip(part);
-        if (name == ".double") {
-          char* end = nullptr;
-          std::string buf(part);
-          const double value = std::strtod(buf.c_str(), &end);
-          if (end != buf.c_str() + buf.size())
-            return error("bad .double literal '" + buf + "'");
-          asm_.d_double(value);
-          continue;
-        }
-        const auto value = parse_int(part);
+    if (name == ".double") {
+      for (const std::string_view part : split_commas(rest)) {
+        const auto value = parse_double(part);
         if (!value.has_value())
-          return error("bad integer literal '" + std::string(part) + "'");
-        if (name == ".word")
-          asm_.d_word(static_cast<std::uint32_t>(*value));
-        else if (name == ".half")
-          asm_.d_half(static_cast<std::uint16_t>(*value));
+          return error("bad .double literal '" + std::string(part) + "'");
+        asm_.d_double(*value);
+      }
+      return Status::ok();
+    }
+    if (name == ".word" || name == ".half" || name == ".byte") {
+      // A w-bit slot takes a signed or an unsigned w-bit value.
+      const int bits = name == ".word" ? 32 : name == ".half" ? 16 : 8;
+      for (const std::string_view part : split_commas(rest)) {
+        std::int64_t value = 0;
+        DQEMU_RETURN_IF_ERROR(number(part, -(std::int64_t{1} << (bits - 1)),
+                                     (std::int64_t{1} << bits) - 1, value));
+        if (bits == 32)
+          asm_.d_word(static_cast<std::uint32_t>(value));
+        else if (bits == 16)
+          asm_.d_half(static_cast<std::uint16_t>(value));
         else
-          asm_.d_byte(static_cast<std::uint8_t>(*value));
+          asm_.d_byte(static_cast<std::uint8_t>(value));
       }
       return Status::ok();
     }
@@ -330,27 +400,85 @@ class Parser {
     return error("unknown directive '" + name + "'");
   }
 
+  /// A machine instruction is parsed in the Syntax insn_info() gives its
+  /// opcode; anything else must be a pseudo-instruction.
   Status parse_instruction(const std::string& mnemonic, std::string_view rest) {
     if (in_data_) return error("instruction in .data section");
-    std::vector<Operand> ops;
-    for (std::string_view part : split_commas(rest)) {
-      auto op = parse_operand(part);
-      if (!op.has_value())
-        return error("bad operand '" + std::string(strip(part)) + "'");
-      ops.push_back(std::move(*op));
+    std::vector<std::string> ops;
+    for (const std::string_view part : split_commas(rest)) {
+      if (part.empty()) return error("empty operand");
+      ops.emplace_back(part);
     }
-    return emit(mnemonic, ops);
-  }
+    const auto it = mnemonic_index().find(mnemonic);
+    if (it == mnemonic_index().end()) return parse_pseudo(mnemonic, ops);
 
-  // Operand accessors with validation.
-  Status need(std::size_t n, const std::vector<Operand>& ops,
-              const std::string& mnemonic) const {
-    if (ops.size() != n)
-      return error(mnemonic + " expects " + std::to_string(n) + " operands");
+    Insn insn;
+    insn.op = it->second;
+    Target target;
+    expand_short_form(insn.op, ops);
+    DQEMU_RETURN_IF_ERROR(parse_operands(
+        mnemonic, operands(insn_info(insn.op).syntax), ops, insn, target));
+    if (target.has_value()) {
+      asm_.emit(insn, *target);
+    } else {
+      asm_.emit(insn);
+    }
     return Status::ok();
   }
 
-  Status emit(const std::string& m, const std::vector<Operand>& ops);
+  /// The pseudo-instructions, each expanded by its Assembler method.
+  Status parse_pseudo(const std::string& m, const std::vector<std::string>& ops) {
+    using O = Operand;
+    Insn insn;
+    Target target;
+    auto parse = [&](std::initializer_list<Operand> kinds) {
+      return parse_operands(m, {kinds.begin(), kinds.size()}, ops, insn,
+                            target);
+    };
+    const auto rd = [&] { return static_cast<Reg>(insn.rd); };
+    if (m == "nop") {
+      DQEMU_RETURN_IF_ERROR(parse({}));
+      asm_.nop();
+    } else if (m == "ret") {
+      DQEMU_RETURN_IF_ERROR(parse({}));
+      asm_.ret();
+    } else if (m == "j") {
+      DQEMU_RETURN_IF_ERROR(parse({O::kTarget}));
+      asm_.j(*target);
+    } else if (m == "call") {
+      DQEMU_RETURN_IF_ERROR(parse({O::kTarget}));
+      asm_.call(*target);
+    } else if (m == "la") {
+      DQEMU_RETURN_IF_ERROR(parse({O::kRd, O::kTarget}));
+      asm_.la(rd(), *target);
+    } else if (m == "mov" || m == "mv") {
+      // Two FP registers make an fmov.
+      if (!ops.empty() && parse_reg(ops[0], true).has_value()) {
+        DQEMU_RETURN_IF_ERROR(parse({O::kFd, O::kFs1}));
+        asm_.fmov(static_cast<FReg>(insn.rd), static_cast<FReg>(insn.rs1));
+      } else {
+        DQEMU_RETURN_IF_ERROR(parse({O::kRd, O::kRs1}));
+        asm_.mov(rd(), static_cast<Reg>(insn.rs1));
+      }
+    } else if (m == "li") {
+      std::int64_t value = 0;
+      DQEMU_RETURN_IF_ERROR(expect_count(m, ops, 2));
+      DQEMU_RETURN_IF_ERROR(operand(O::kRd, ops[0], insn, target));
+      DQEMU_RETURN_IF_ERROR(number(ops[1], INT32_MIN, UINT32_MAX, value));
+      asm_.li(rd(), value);
+    } else if (m == "fli") {
+      DQEMU_RETURN_IF_ERROR(expect_count(m, ops, 2));
+      DQEMU_RETURN_IF_ERROR(operand(O::kFd, ops[0], insn, target));
+      auto value = parse_float(ops[1]);
+      if (const auto as_int = parse_int(ops[1])) value = static_cast<double>(*as_int);
+      if (!value.has_value())
+        return error("bad FP literal '" + ops[1] + "'");
+      asm_.fli(static_cast<FReg>(insn.rd), *value);
+    } else {
+      return error("unknown mnemonic '" + m + "'");
+    }
+    return Status::ok();
+  }
 
   std::string_view source_;
   Assembler asm_;
@@ -359,281 +487,6 @@ class Parser {
   bool in_data_ = false;
   std::uint64_t line_no_ = 0;
 };
-
-Status Parser::emit(const std::string& m, const std::vector<Operand>& ops) {
-  using K = Operand::Kind;
-  auto gpr = [&](std::size_t i) { return static_cast<Reg>(ops[i].reg); };
-  auto fpr = [&](std::size_t i) { return static_cast<FReg>(ops[i].reg); };
-  auto is = [&](std::size_t i, K k) {
-    return i < ops.size() && ops[i].kind == k;
-  };
-  auto imm = [&](std::size_t i) { return static_cast<std::int32_t>(ops[i].imm); };
-  auto sym_label = [&](std::size_t i) { return get_label(ops[i].sym); };
-
-  // R-type integer three-register ops.
-  static const std::map<std::string, void (Assembler::*)(Reg, Reg, Reg)>
-      kRType = {{"add", &Assembler::add},   {"sub", &Assembler::sub},
-                {"mul", &Assembler::mul},   {"div", &Assembler::div},
-                {"divu", &Assembler::divu}, {"rem", &Assembler::rem},
-                {"remu", &Assembler::remu}, {"and", &Assembler::and_},
-                {"or", &Assembler::or_},    {"xor", &Assembler::xor_},
-                {"sll", &Assembler::sll},   {"srl", &Assembler::srl},
-                {"sra", &Assembler::sra},   {"slt", &Assembler::slt},
-                {"sltu", &Assembler::sltu}};
-  if (auto it = kRType.find(m); it != kRType.end()) {
-    DQEMU_RETURN_IF_ERROR(need(3, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kGpr) || !is(2, K::kGpr))
-      return error(m + " expects three integer registers");
-    (asm_.*it->second)(gpr(0), gpr(1), gpr(2));
-    return Status::ok();
-  }
-
-  static const std::map<std::string, void (Assembler::*)(Reg, Reg, std::int32_t)>
-      kIType = {{"addi", &Assembler::addi},   {"andi", &Assembler::andi},
-                {"ori", &Assembler::ori},     {"xori", &Assembler::xori},
-                {"slli", &Assembler::slli},   {"srli", &Assembler::srli},
-                {"srai", &Assembler::srai},   {"slti", &Assembler::slti},
-                {"sltiu", &Assembler::sltiu}};
-  if (auto it = kIType.find(m); it != kIType.end()) {
-    DQEMU_RETURN_IF_ERROR(need(3, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kGpr) || !is(2, K::kImm))
-      return error(m + " expects rd, rs1, imm");
-    if (!fits_imm16(ops[2].imm)) return error("immediate out of range");
-    (asm_.*it->second)(gpr(0), gpr(1), imm(2));
-    return Status::ok();
-  }
-
-  // Loads: "lw rd, off(base)" or "lw rd, base, off".
-  static const std::map<std::string, void (Assembler::*)(Reg, Reg, std::int32_t)>
-      kLoads = {{"lb", &Assembler::lb},   {"lbu", &Assembler::lbu},
-                {"lh", &Assembler::lh},   {"lhu", &Assembler::lhu},
-                {"lw", &Assembler::lw}};
-  if (auto it = kLoads.find(m); it != kLoads.end()) {
-    if (ops.size() == 2 && is(0, K::kGpr) && is(1, K::kMem)) {
-      (asm_.*it->second)(gpr(0), static_cast<Reg>(ops[1].mem_base),
-                         static_cast<std::int32_t>(ops[1].mem_off));
-      return Status::ok();
-    }
-    if (ops.size() == 3 && is(0, K::kGpr) && is(1, K::kGpr) && is(2, K::kImm)) {
-      (asm_.*it->second)(gpr(0), gpr(1), imm(2));
-      return Status::ok();
-    }
-    return error(m + " expects rd, off(base)");
-  }
-
-  // Stores: "sw src, off(base)" (note: src first, matching GNU as).
-  static const std::map<std::string, void (Assembler::*)(Reg, Reg, std::int32_t)>
-      kStores = {{"sb", &Assembler::sb}, {"sh", &Assembler::sh},
-                 {"sw", &Assembler::sw}};
-  if (auto it = kStores.find(m); it != kStores.end()) {
-    if (ops.size() == 2 && is(0, K::kGpr) && is(1, K::kMem)) {
-      (asm_.*it->second)(static_cast<Reg>(ops[1].mem_base), gpr(0),
-                         static_cast<std::int32_t>(ops[1].mem_off));
-      return Status::ok();
-    }
-    if (ops.size() == 3 && is(0, K::kGpr) && is(1, K::kGpr) && is(2, K::kImm)) {
-      // "sw base, src, off" builder order for symmetry with the API.
-      (asm_.*it->second)(gpr(0), gpr(1), imm(2));
-      return Status::ok();
-    }
-    return error(m + " expects src, off(base)");
-  }
-
-  static const std::map<std::string,
-                        void (Assembler::*)(Reg, Reg, Assembler::Label)>
-      kBranches = {{"beq", &Assembler::beq},   {"bne", &Assembler::bne},
-                   {"blt", &Assembler::blt},   {"bge", &Assembler::bge},
-                   {"bltu", &Assembler::bltu}, {"bgeu", &Assembler::bgeu}};
-  if (auto it = kBranches.find(m); it != kBranches.end()) {
-    DQEMU_RETURN_IF_ERROR(need(3, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kGpr) || !is(2, K::kSym))
-      return error(m + " expects rs1, rs2, label");
-    (asm_.*it->second)(gpr(0), gpr(1), sym_label(2));
-    return Status::ok();
-  }
-
-  if (m == "jal") {
-    if (ops.size() == 1 && is(0, K::kSym)) {
-      asm_.jal(kRa, sym_label(0));
-      return Status::ok();
-    }
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kSym)) return error("jal expects rd, label");
-    asm_.jal(gpr(0), sym_label(1));
-    return Status::ok();
-  }
-  if (m == "jalr") {
-    if (ops.size() == 1 && is(0, K::kGpr)) {
-      asm_.jalr(kRa, gpr(0), 0);
-      return Status::ok();
-    }
-    DQEMU_RETURN_IF_ERROR(need(3, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kGpr) || !is(2, K::kImm))
-      return error("jalr expects rd, rs1, imm");
-    asm_.jalr(gpr(0), gpr(1), imm(2));
-    return Status::ok();
-  }
-  if (m == "j") {
-    DQEMU_RETURN_IF_ERROR(need(1, ops, m));
-    if (!is(0, K::kSym)) return error("j expects a label");
-    asm_.j(sym_label(0));
-    return Status::ok();
-  }
-  if (m == "call") {
-    DQEMU_RETURN_IF_ERROR(need(1, ops, m));
-    if (!is(0, K::kSym)) return error("call expects a label");
-    asm_.call(sym_label(0));
-    return Status::ok();
-  }
-  if (m == "ret") {
-    asm_.ret();
-    return Status::ok();
-  }
-  if (m == "nop") {
-    asm_.nop();
-    return Status::ok();
-  }
-  if (m == "mov" || m == "mv") {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (is(0, K::kFpr) && is(1, K::kFpr)) {
-      asm_.fmov(fpr(0), fpr(1));
-      return Status::ok();
-    }
-    if (!is(0, K::kGpr) || !is(1, K::kGpr)) return error("mov expects rd, rs");
-    asm_.mov(gpr(0), gpr(1));
-    return Status::ok();
-  }
-  if (m == "li") {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kImm)) return error("li expects rd, imm");
-    asm_.li(gpr(0), ops[1].imm);
-    return Status::ok();
-  }
-  if (m == "la") {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kSym)) return error("la expects rd, label");
-    asm_.la(gpr(0), sym_label(1));
-    return Status::ok();
-  }
-  if (m == "lui") {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kImm)) return error("lui expects rd, imm");
-    asm_.lui(gpr(0), imm(1));
-    return Status::ok();
-  }
-  if (m == "auipc") {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kImm)) return error("auipc expects rd, imm");
-    asm_.auipc(gpr(0), imm(1));
-    return Status::ok();
-  }
-  if (m == "ll") {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kGpr)) return error("ll expects rd, rs1");
-    asm_.ll(gpr(0), gpr(1));
-    return Status::ok();
-  }
-  if (m == "sc") {
-    DQEMU_RETURN_IF_ERROR(need(3, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kGpr) || !is(2, K::kGpr))
-      return error("sc expects rd, addr, src");
-    asm_.sc(gpr(0), gpr(1), gpr(2));
-    return Status::ok();
-  }
-  if (m == "fence") {
-    asm_.fence();
-    return Status::ok();
-  }
-  if (m == "syscall") {
-    DQEMU_RETURN_IF_ERROR(need(1, ops, m));
-    if (!is(0, K::kImm)) return error("syscall expects a number");
-    asm_.syscall(imm(0));
-    return Status::ok();
-  }
-  if (m == "hint") {
-    DQEMU_RETURN_IF_ERROR(need(1, ops, m));
-    if (!is(0, K::kImm)) return error("hint expects a group id");
-    asm_.hint(imm(0));
-    return Status::ok();
-  }
-
-  // FP loads/stores.
-  if (m == "fld") {
-    if (ops.size() == 2 && is(0, K::kFpr) && is(1, K::kMem)) {
-      asm_.fld(fpr(0), static_cast<Reg>(ops[1].mem_base),
-               static_cast<std::int32_t>(ops[1].mem_off));
-      return Status::ok();
-    }
-    return error("fld expects fd, off(base)");
-  }
-  if (m == "fsd") {
-    if (ops.size() == 2 && is(0, K::kFpr) && is(1, K::kMem)) {
-      asm_.fsd(static_cast<Reg>(ops[1].mem_base), fpr(0),
-               static_cast<std::int32_t>(ops[1].mem_off));
-      return Status::ok();
-    }
-    return error("fsd expects fs, off(base)");
-  }
-
-  static const std::map<std::string, void (Assembler::*)(FReg, FReg, FReg)>
-      kFR3 = {{"fadd", &Assembler::fadd}, {"fsub", &Assembler::fsub},
-              {"fmul", &Assembler::fmul}, {"fdiv", &Assembler::fdiv},
-              {"fmin", &Assembler::fmin}, {"fmax", &Assembler::fmax},
-              {"fpow", &Assembler::fpow}};
-  if (auto it = kFR3.find(m); it != kFR3.end()) {
-    DQEMU_RETURN_IF_ERROR(need(3, ops, m));
-    if (!is(0, K::kFpr) || !is(1, K::kFpr) || !is(2, K::kFpr))
-      return error(m + " expects three FP registers");
-    (asm_.*it->second)(fpr(0), fpr(1), fpr(2));
-    return Status::ok();
-  }
-
-  static const std::map<std::string, void (Assembler::*)(FReg, FReg)> kFR2 = {
-      {"fneg", &Assembler::fneg},   {"fabs", &Assembler::fabs_},
-      {"fmov", &Assembler::fmov},   {"fsqrt", &Assembler::fsqrt},
-      {"fexp", &Assembler::fexp},   {"flog", &Assembler::flog},
-      {"ferf", &Assembler::ferf},   {"fsin", &Assembler::fsin},
-      {"fcos", &Assembler::fcos}};
-  if (auto it = kFR2.find(m); it != kFR2.end()) {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kFpr) || !is(1, K::kFpr))
-      return error(m + " expects two FP registers");
-    (asm_.*it->second)(fpr(0), fpr(1));
-    return Status::ok();
-  }
-
-  if (m == "fcvt.d.w") {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kFpr) || !is(1, K::kGpr)) return error("fcvt.d.w expects fd, rs");
-    asm_.fcvt_d_w(fpr(0), gpr(1));
-    return Status::ok();
-  }
-  if (m == "fcvt.w.d") {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kFpr)) return error("fcvt.w.d expects rd, fs");
-    asm_.fcvt_w_d(gpr(0), fpr(1));
-    return Status::ok();
-  }
-  static const std::map<std::string, void (Assembler::*)(Reg, FReg, FReg)>
-      kFCmp = {{"flt", &Assembler::flt}, {"fle", &Assembler::fle},
-               {"feq", &Assembler::feq}};
-  if (auto it = kFCmp.find(m); it != kFCmp.end()) {
-    DQEMU_RETURN_IF_ERROR(need(3, ops, m));
-    if (!is(0, K::kGpr) || !is(1, K::kFpr) || !is(2, K::kFpr))
-      return error(m + " expects rd, fs1, fs2");
-    (asm_.*it->second)(gpr(0), fpr(1), fpr(2));
-    return Status::ok();
-  }
-  if (m == "fli") {
-    DQEMU_RETURN_IF_ERROR(need(2, ops, m));
-    if (!is(0, K::kFpr) || !is(1, K::kImm)) return error("fli expects fd, literal");
-    asm_.fli(fpr(0), ops[1].is_float ? ops[1].fimm
-                                     : static_cast<double>(ops[1].imm));
-    return Status::ok();
-  }
-
-  return error("unknown mnemonic '" + m + "'");
-}
 
 }  // namespace
 

@@ -17,9 +17,15 @@
 //     pi:       .double 3.141592653589793
 //     .entry main          ; optional; defaults to the first instruction
 //
-// Registers accept ABI names (zero, a0..a3, t0..t4, s0..s2, tp, sp, ra),
-// raw names (r0..r15) and FP names (f0..f15). Loads/stores accept both
-// "lw a0, 4(sp)" and "lw a0, sp, 4". Immediates are decimal or 0x hex.
+// An instruction takes the operands its opcode's Syntax names (isa.hpp),
+// which is also how disassemble() prints it: "lw a0, 4(sp)",
+// "sw a1, -8(sp)", "jalr ra, a0, 0", "beq a0, a1, label". Registers accept
+// ABI names (zero, a0..a3, t0..t4, s0..s2, tp, sp, ra), raw names
+// (r0..r15) and FP names (f0..f15); "(base)" is offset 0. Short forms:
+// "jal label" and "jalr rs" link through ra, "ll rd, rs1" has offset 0, and
+// integer loads also take "lw a0, sp, 4". Pseudo-instructions: li, la,
+// mov/mv, j, call, ret, nop, fli. Numbers are decimal or 0x hex; one that
+// does not parse or does not fit its operand or data slot is an error.
 #pragma once
 
 #include <string_view>

@@ -56,14 +56,6 @@ class Network {
     return egress_free_[node];
   }
 
-  /// Current virtual time (convenience for layers that hold only the
-  /// network reference).
-  [[nodiscard]] TimePs now() const { return queue_.now(); }
-
-  /// The event queue driving this network. Protocol watchdogs (DSM fault /
-  /// lease-recall timeouts) arm their timers here.
-  [[nodiscard]] sim::EventQueue& queue() { return queue_; }
-
   /// `node`'s own event queue — where that node's timers must live so
   /// they fire in its execution context. The shared queue unless
   /// bind_queues was called.
@@ -76,8 +68,6 @@ class Network {
   /// by (time, src, send order); the reliable channel rebinds its per-link
   /// timers to the owning ends. Call once, before any traffic.
   void bind_queues(const std::vector<sim::EventQueue*>& queues);
-
-  [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
   /// True when the lossy-wire + reliable-channel path is active
   /// (FaultConfig::enabled).

@@ -63,8 +63,4 @@ inline constexpr std::uint32_t kNoWakeResponse = 0xFFFFFFFFu;
 /// stall the releaser for a cluster round trip.
 inline constexpr std::uint32_t kFutexAsyncWake = 1;
 
-[[nodiscard]] constexpr bool is_sys_message(std::uint32_t type) {
-  return type >= 0x200 && type < 0x300;
-}
-
 }  // namespace dqemu::sys

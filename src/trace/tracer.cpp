@@ -125,16 +125,6 @@ std::uint64_t Tracer::dropped() const {
   return total;
 }
 
-void Tracer::clear() {
-  const auto reset = [](Sink& sink) {
-    sink.next = 0;
-    sink.count = 0;
-    sink.dropped = 0;
-  };
-  reset(main_);
-  for (const auto& shard : shards_) reset(*shard);
-}
-
 std::optional<std::uint32_t> parse_categories(std::string_view list) {
   std::uint32_t mask = 0;
   while (!list.empty()) {

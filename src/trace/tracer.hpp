@@ -97,8 +97,6 @@ class Tracer {
   [[nodiscard]] std::uint64_t dropped() const;
   [[nodiscard]] const TraceConfig& config() const { return config_; }
 
-  void clear();
-
  private:
   /// One bounded ring + flow allocator; the legacy single-threaded sink
   /// and every shard are instances of this.

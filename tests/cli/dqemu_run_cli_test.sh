@@ -41,6 +41,39 @@ esac
 # And for no program at all.
 "$RUN" >/dev/null 2>&1 && fail "no arguments exited 0"
 
+# A numeric flag takes only a value its field can hold: no sign and nothing
+# past UINT32_MAX for a count, no empty or trailing text for a real number.
+expect_bad_value() {
+  out=$("$RUN" "$GUEST" "$@" 2>&1)
+  status=$?
+  [ "$status" -eq 2 ] || fail "$* exited $status, want 2"
+  case "$out" in
+    *"bad value for $1"*) ;;
+    *) fail "$* printed no 'bad value for $1': $out" ;;
+  esac
+}
+expect_bad_value --nodes 4294967298
+expect_bad_value --nodes -1
+expect_bad_value --nodes +2
+expect_bad_value --quantum ""
+expect_bad_value --gbps 2x
+expect_bad_value --gbps ""
+expect_bad_value --drop-pct abc
+expect_bad_value --rate 8000/s
+
+# An operand the encoder cannot hold is an assembler error naming the line
+# (exit 1), not an abort.
+bad_src=$(mktemp) || exit 1
+printf 'nop\nlw a0, 40000(sp)\n' > "$bad_src"
+out=$("$RUN" "$bad_src" 2>&1)
+status=$?
+[ "$status" -eq 1 ] || fail "out-of-range load offset exited $status: $out"
+case "$out" in
+  *"line 2: 40000 is out of range"*) ;;
+  *) fail "out-of-range load offset printed no assembler error: $out" ;;
+esac
+rm -f "$bad_src"
+
 # The usage text and this list must name exactly the same flags. Usage is
 # generated from the same table the parser matches against, and this list
 # is the external contract: a flag added to the parser but missing here, or

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "isa/assembler.hpp"
 #include "isa/text_asm.hpp"
@@ -284,8 +287,131 @@ TEST(TextAsm, RejectsInstructionInData) {
 }
 
 TEST(TextAsm, RejectsBadOperandCount) {
-  const auto result = assemble_text("add a0, a1\n");
-  EXPECT_FALSE(result.is_ok());
+  // Operands after fence/ret/nop were once ignored, and a three-operand
+  // store once meant "sw base, src, off".
+  for (const char* source :
+       {"add a0, a1\n", "fence 1\n", "ret a0\n", "nop 0\n", "sw sp, a0, 4\n"}) {
+    const auto result = assemble_text(source);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << source;
+  }
+}
+
+/// `form` with each '%' replaced by `value`.
+std::string fill(std::string_view form, std::string_view value) {
+  std::string out;
+  for (const char c : form) {
+    if (c == '%') {
+      out += value;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+TEST(TextAsm, EveryOperandKindChecksItsRange) {
+  // Per operand kind: both edges of its range assemble; one value past
+  // each edge, and a token that is no value of the kind, are errors that
+  // name the line.
+  struct Case {
+    const char* form;
+    std::vector<const char*> good;
+    std::vector<const char*> bad;
+  };
+  const Case cases[] = {
+      {"add %, a0, a0", {"zero", "r0", "r15", "s2"}, {"r16", "r-1", "f1", "a4"}},
+      {"fadd f0, %, f0", {"f0", "f15"}, {"f16", "f-1", "a0"}},
+      {"fcvt.d.w f0, %", {"r0", "r15"}, {"r16", "f0"}},
+      {"addi a0, a0, %", {"-32768", "32767", "-0x8000", "0x7fff"},
+       {"-32769", "32768", "1.5", "12abc"}},
+      {"jalr a0, a1, %", {"-32768", "32767"}, {"-32769", "99999", "zero"}},
+      {"lui a0, %", {"0", "0xFFFFF"}, {"-1", "0x100000", "0x1g"}},
+      {"syscall %", {"-32768", "65535"}, {"-32769", "70000", "exit"}},
+      {"lw a0, %(sp)", {"-32768", "32767", ""}, {"-32769", "40000", "bogus"}},
+      {"sw a0, %(sp)", {"-32768", "32767"}, {"-40000", "32768", "4x"}},
+      {"fld f0, %(sp)", {"-32768", "32767"}, {"-32769", "70000", "0x"}},
+      {"fsd f0, 0(%)", {"zero", "r15"}, {"r16", "f1", "4"}},
+      {"beq a0, a1, %", {"L", "x.1_b"}, {"L+4", "3", "a0", "1.5"}},
+      {"jal %", {"L"}, {"L-1", "-4", "f2"}},
+  };
+  for (const Case& c : cases) {
+    for (const char* value : c.good) {
+      const std::string source = "L: x.1_b: nop\n" + fill(c.form, value);
+      const auto result = assemble_text(source);
+      EXPECT_TRUE(result.is_ok())
+          << source << ": " << result.status().to_string();
+    }
+    for (const char* value : c.bad) {
+      const std::string source = "L: x.1_b: nop\n" + fill(c.form, value);
+      const Status status = assemble_text(source).status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << source;
+      EXPECT_EQ(status.message().rfind("line 2: ", 0), 0u)
+          << source << ": " << status.message();
+    }
+  }
+}
+
+TEST(TextAsm, BranchLabelRangeIsCheckedAtFinalize) {
+  // A label's offset is known only once the label is bound, so it is
+  // range-checked when the program is finalized, naming the label.
+  auto branch_over = [](int nops) {
+    std::string source = "beq a0, a1, far\n";
+    for (int i = 0; i < nops; ++i) source += "nop\n";
+    return assemble_text(source + "far: nop\n").status();
+  };
+  EXPECT_TRUE(branch_over(32767).is_ok());
+  const Status past = branch_over(32768);
+  EXPECT_EQ(past.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(past.message().find("'far'"), std::string::npos);
+}
+
+TEST(TextAsm, DataValuesMustFitTheirSlot) {
+  // A w-bit slot takes [-2^(w-1), 2^w - 1]; li loads a 32-bit value, and
+  // .space and .align take 32-bit sizes.
+  const auto edges = assemble_text(R"(
+      li a0, -2147483648
+      li a1, 0xFFFFFFFF
+      .data
+      .byte -128, 255
+      .half -32768, 65535
+      .word -2147483648, 0xFFFFFFFF
+  )");
+  ASSERT_TRUE(edges.is_ok()) << edges.status().to_string();
+  const std::vector<std::uint8_t> data = {0x80, 0xFF, 0x00, 0x80, 0xFF, 0xFF,
+                                          0x00, 0x00, 0x00, 0x80, 0xFF, 0xFF,
+                                          0xFF, 0xFF};
+  EXPECT_EQ(edges.value().sections.at(1).bytes, data);
+  for (const char* line :
+       {".byte 300", ".byte -129", ".half 70000", ".half -32769",
+        ".word 0x100000000", ".word -2147483649", ".word 0xFFFFFFFFFFFFFFFF",
+        ".byte 1, x", ".space 0x100000010", ".align 0x100000000", ".align 3"}) {
+    const Status status = assemble_text(std::string(".data\n") + line).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(status.message().rfind("line 2: ", 0), 0u) << status.message();
+  }
+  for (const char* line : {"li a0, 0x100000000", "li a0, -2147483649"}) {
+    const Status status = assemble_text(std::string("nop\n") + line).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(status.message().rfind("line 2: ", 0), 0u) << status.message();
+  }
+}
+
+TEST(TextAsm, ShortFormsMatchTheFullSyntax) {
+  const std::pair<const char*, const char*> forms[] = {
+      {"jal L\nL: nop", "jal ra, L\nL: nop"},
+      {"jalr a1", "jalr ra, a1, 0"},
+      {"ll a0, a1", "ll a0, 0(a1)"},
+      {"sw a0, (sp)", "sw a0, 0(sp)"},
+      {"mv f1, f2", "fmov f1, f2"},
+  };
+  for (const auto& [short_form, full] : forms) {
+    const auto a = assemble_text(short_form);
+    const auto b = assemble_text(full);
+    ASSERT_TRUE(a.is_ok()) << short_form << ": " << a.status().to_string();
+    ASSERT_TRUE(b.is_ok()) << full << ": " << b.status().to_string();
+    EXPECT_EQ(a.value().sections[0].bytes, b.value().sections[0].bytes)
+        << short_form;
+  }
 }
 
 TEST(TextAsm, RejectsOutOfRangeImmediate) {

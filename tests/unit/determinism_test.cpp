@@ -345,6 +345,26 @@ TEST(HierLockingDeterminism, PrivateMutexSameGuestResultsAndNoSlower) {
   EXPECT_LE(on.result.sim_time, off.result.sim_time);
 }
 
+TEST(HierLockingDeterminism, BarrierWakeAllsTravelAsBatches) {
+  // A barrier's wake-all finds several waiters on one remote node; the
+  // lock agent sends them as one kWakeBatch message per node, and they
+  // must resume exactly as the master's per-waiter wakes resume them.
+  const auto program =
+      must(workloads::fluidanimate_like({.threads = 32, .iters = 4}));
+  ClusterConfig hier = test::test_config(4);
+  hier.sys.enable_hierarchical_locking = true;
+  const Observation on = observe_with(program, hier);
+  const Observation off = observe_with(program, test::test_config(4));
+  EXPECT_EQ(on.result.exit_code, off.result.exit_code);
+  EXPECT_EQ(on.result.guest_stdout, off.result.guest_stdout);
+  const auto counter = [&on](std::string_view key) -> std::uint64_t {
+    const auto it = on.counters.find(key);
+    return it == on.counters.end() ? 0 : it->second;
+  };
+  EXPECT_GT(counter("sys.wake_batches"), 0u);
+  EXPECT_GE(counter("sys.wake_batch_wakes"), 2 * counter("sys.wake_batches"));
+}
+
 TEST(HierLockingDeterminism, EnabledModeIsRunToRunDeterministic) {
   const auto program = must(workloads::mutex_stress(16, 200, /*global=*/true));
   expect_identical(observe_with(program, locking_config(4, true)),

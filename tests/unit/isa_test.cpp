@@ -1,10 +1,14 @@
 // Unit tests: GA32 encoding, decoding, metadata and disassembly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "isa/isa.hpp"
+#include "isa/text_asm.hpp"
 
 namespace dqemu::isa {
 namespace {
@@ -74,6 +78,73 @@ TEST_P(OpcodeRoundtrip, HasMnemonicAndDisassembles) {
   Rng rng(1);
   const std::string text = disassemble(sample(GetParam(), rng), 0x10000);
   EXPECT_NE(text.find(info.mnemonic.substr(0, 2)), std::string::npos);
+}
+
+/// A random instruction that sets exactly the fields its syntax names.
+/// Label offsets stay short so the test program that binds them is small.
+Insn canonical(Opcode op, Rng& rng) {
+  Insn insn;
+  insn.op = op;
+  for (const Operand operand : operands(insn_info(op).syntax)) {
+    const auto reg = std::uint8_t(rng.next_below(16));
+    const auto imm16 = std::int32_t(rng.next_below(65536)) - 32768;
+    switch (operand) {
+      case Operand::kRd:
+      case Operand::kFd: insn.rd = reg; break;
+      case Operand::kRs1:
+      case Operand::kFs1: insn.rs1 = reg; break;
+      case Operand::kRs2:
+      case Operand::kFs2: insn.rs2 = reg; break;
+      case Operand::kImm16: insn.imm = imm16; break;
+      case Operand::kUimm20: insn.imm = std::int32_t(rng.next_below(1u << 20)); break;
+      case Operand::kNum16: insn.imm = imm16 + 32768; break;
+      case Operand::kMem:
+        insn.rs1 = reg;
+        insn.imm = imm16;
+        break;
+      case Operand::kTarget: insn.imm = std::int32_t(rng.next_below(129)) - 64; break;
+    }
+  }
+  return insn;
+}
+
+TEST_P(OpcodeRoundtrip, DisassemblyReassembles) {
+  const Syntax syntax = insn_info(GetParam()).syntax;
+  const bool has_target =
+      syntax == Syntax::kRs1Rs2Target || syntax == Syntax::kRdTarget;
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
+  for (int i = 0; i < 50; ++i) {
+    const Insn insn = canonical(GetParam(), rng);
+    // The instruction goes on line `at` of a run of nops, and its target,
+    // pc + 4 + imm * 4, is label L on line `label`.
+    std::size_t at = 0;
+    std::size_t label = 0;
+    if (has_target) {
+      at = insn.imm < 0 ? std::size_t(-insn.imm - 1) : 0;
+      label = std::size_t(std::int64_t(at) + 1 + insn.imm);
+    }
+    std::vector<std::string> lines(std::max(at, label) + 1, "nop");
+    lines[at] = disassemble(insn, kDefaultCodeOrigin + GuestAddr(4 * at));
+    const std::string text = lines[at];
+    if (has_target) {
+      const std::size_t last = lines[at].rfind(", ") + 2;
+      EXPECT_EQ(std::stoul(lines[at].substr(last), nullptr, 16),
+                kDefaultCodeOrigin + 4 * label)
+          << text;
+      lines[at] = lines[at].substr(0, last) + "L";
+    }
+    std::string source;
+    for (std::size_t line = 0; line < lines.size(); ++line) {
+      if (has_target && line == label) source += "L: ";
+      source += lines[line] + "\n";
+    }
+
+    const auto program = assemble_text(source);
+    ASSERT_TRUE(program.is_ok()) << text << ": " << program.status().to_string();
+    std::uint32_t word = 0;
+    std::memcpy(&word, program.value().sections.at(0).bytes.data() + 4 * at, 4);
+    EXPECT_EQ(decode(word), insn) << text;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -158,6 +229,17 @@ TEST(IsaDisasm, BranchTargetsAreAbsolute) {
 TEST(IsaDisasm, LoadStoreSyntax) {
   EXPECT_EQ(disassemble({Opcode::kLw, 1, 13, 0, 8}), "lw a0, 8(sp)");
   EXPECT_EQ(disassemble({Opcode::kSw, 0, 13, 1, -4}), "sw a0, -4(sp)");
+}
+
+TEST(IsaDisasm, OperandsFollowTheSyntax) {
+  EXPECT_EQ(disassemble({Opcode::kJalr, 14, 1, 0, 0}), "jalr ra, a0, 0");
+  EXPECT_EQ(disassemble({Opcode::kLl, 1, 2, 0, 0}), "ll a0, 0(a1)");
+  EXPECT_EQ(disassemble({Opcode::kFsqrt, 1, 2, 0, 0}), "fsqrt f1, f2");
+  EXPECT_EQ(disassemble({Opcode::kFcvtwd, 1, 2, 0, 0}), "fcvt.w.d a0, f2");
+  EXPECT_EQ(disassemble({Opcode::kFcvtdw, 1, 2, 0, 0}), "fcvt.d.w f1, a1");
+  EXPECT_EQ(disassemble({Opcode::kFlt, 1, 2, 3, 0}), "flt a0, f2, f3");
+  EXPECT_EQ(disassemble({Opcode::kFence, 0, 0, 0, 0}), "fence");
+  EXPECT_EQ(disassemble({Opcode::kLui, 1, 0, 0, 0xFFFFF}), "lui a0, 0xfffff");
 }
 
 TEST(IsaDisasm, SyscallAndHint) {

@@ -16,8 +16,11 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -141,11 +144,22 @@ const FlagSpec* find_flag(const char* arg) {
   return nullptr;
 }
 
+/// Decimal digits only (no sign, no space), at most UINT32_MAX.
 bool parse_u32(const char* text, std::uint32_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
   char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || value > UINT32_MAX) return false;
   *out = static_cast<std::uint32_t>(value);
+  return true;
+}
+
+/// A number strtod reads whole: no empty value, no trailing text.
+bool parse_double(const char* text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') return false;
+  *out = value;
   return true;
 }
 
@@ -235,7 +249,7 @@ int main(int argc, char** argv) {
       ok = parse_u32(value, &rtt);
       if (ok) config.net.one_way_latency = rtt * time_literals::kUs / 2;
     } else if (std::strcmp(arg, "--gbps") == 0) {
-      config.net.bandwidth_gbps = std::strtod(value, nullptr);
+      ok = parse_double(value, &config.net.bandwidth_gbps);
     } else if (std::strcmp(arg, "--forwarding") == 0) {
       config.dsm.enable_forwarding = true;
     } else if (std::strcmp(arg, "--splitting") == 0) {
@@ -267,8 +281,8 @@ int main(int argc, char** argv) {
       ok = parse_u32(value, &seed);
       if (ok) config.faults.seed = seed;
     } else if (std::strcmp(arg, "--drop-pct") == 0) {
-      config.faults.drop_pct = std::strtod(value, nullptr);
-      if (config.faults.drop_pct > 0.0) config.faults.enabled = true;
+      ok = parse_double(value, &config.faults.drop_pct);
+      if (ok && config.faults.drop_pct > 0.0) config.faults.enabled = true;
     } else if (std::strcmp(arg, "--crash") == 0) {
       FaultConfig::NodeFault nf;
       nf.kind = FaultConfig::NodeFault::Kind::kCrash;
@@ -315,7 +329,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(arg, "--rate") == 0) {
-      config.serve.rate = std::strtod(value, nullptr);
+      ok = parse_double(value, &config.serve.rate);
     } else if (std::strcmp(arg, "--clients") == 0) {
       ok = parse_u32(value, &config.serve.clients);
     } else if (std::strcmp(arg, "--think-us") == 0) {
