@@ -8,6 +8,7 @@
 // fails to compile instead of silently configuring nothing.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,6 +33,10 @@ struct MachineConfig {
 /// Interconnect model (section 6.1: 1 Gb/s switch, 55 us TCP RTT).
 struct NetworkConfig {
   double bandwidth_gbps = 1.0;  ///< link bandwidth, gigabits per second
+  /// Smallest bandwidth validate() accepts (10 kb/s): a 4 GiB message,
+  /// more than the 32-bit guest address space can fill, then serializes in
+  /// 3.4e18 ps, so wire_time() fits DurationPs for every message.
+  static constexpr double min_bandwidth_gbps = 1e-5;
 
   /// One-way propagation + switching latency. Half the measured 55 us RTT.
   DurationPs one_way_latency = 27'500 * time_literals::kNs;
@@ -68,6 +73,10 @@ struct NetworkConfig {
     return 2 * endpoint_overhead + one_way_latency + wire_time(0);
   }
 };
+static_assert((0x1p32 + NetworkConfig::header_bytes) * 8 * 1000 /
+                      NetworkConfig::min_bandwidth_gbps <
+                  0x1p64,
+              "a 4 GiB message's wire time must fit DurationPs");
 
 /// DBT engine cost model.
 struct DbtConfig {
@@ -224,9 +233,10 @@ struct FaultConfig {
   static constexpr DurationPs fault_window = 2 * time_literals::kMs;
   /// Bounded retransmission give-up (the dead-peer backstop): after this
   /// many consecutive zero-progress retransmit rounds on one link, the
-  /// sender declares the peer dead (`net.peer_dead`), reports it to the
-  /// fault plane and stops retransmitting. 0 = never give up (the pre-§18
-  /// behavior; a paused-not-dead peer must not be abandoned).
+  /// sender declares the peer dead (`net.peer_dead`), stops sending to it
+  /// and stops retransmitting. Nothing else learns of it. 0 = never give
+  /// up (the pre-§18 behavior; a paused-not-dead peer must not be
+  /// abandoned).
   std::uint32_t giveup_retrans = 0;
 
   // Reliable-channel tuning.
@@ -238,6 +248,13 @@ struct FaultConfig {
   /// their request after this long without progress (then back off 2x,
   /// capped at 8x). 0 disables the watchdogs even with faults enabled.
   DurationPs request_timeout = 100 * time_literals::kMs;
+
+  /// The timeout the watchdogs are built with: request_timeout over the
+  /// lossy wire, 0 (off) over the reliable one, where no request gets lost
+  /// and an idle far-future timer would keep the event queue from draining.
+  [[nodiscard]] DurationPs watchdog_timeout() const {
+    return enabled ? request_timeout : 0;
+  }
 };
 
 /// Delegated-syscall layer: hierarchical distributed locking (the third
@@ -285,6 +302,10 @@ struct ServeConfig {
   ArrivalProcess arrival = ArrivalProcess::kPoisson;
   /// Offered load for the open-loop processes, requests per virtual second.
   double rate = 2000.0;
+  /// Smallest open-loop rate validate() accepts. The Poisson gap draw's
+  /// largest value is 53 ln 2 < 37 mean gaps (its unit draw has 53 bits),
+  /// 3.7e18 ps at this rate, so every arrival gap fits DurationPs.
+  static constexpr double min_rate = 1e-5;
   /// Total requests injected over the run.
   std::uint32_t requests = 2000;
   /// Closed-loop client population (each has one request in flight).
@@ -317,6 +338,8 @@ struct ServeConfig {
                     work_heavy >= 1 && work_heavy <= (1u << 27),
                 "serve work units must be in [1, 2^27]");
 };
+static_assert(37.0 * 1e12 / ServeConfig::min_rate < 0x1p64,
+              "the longest arrival gap must fit DurationPs");
 
 /// Host-side simulation kernel tuning (DESIGN.md §16). With host_threads
 /// == 1 the cluster runs on the original single global event queue,
@@ -381,13 +404,16 @@ struct ClusterConfig {
           "home sharding needs a DSM cluster (not single_node_baseline)");
     if (machine.cores_per_node == 0)
       return S::invalid_argument("cores_per_node must be >= 1");
-    if (machine.cpu_ghz <= 0.0)
-      return S::invalid_argument("cpu_ghz must be positive");
+    if (!std::isfinite(machine.cpu_ghz) || machine.cpu_ghz <= 0.0)
+      return S::invalid_argument("cpu_ghz must be finite and positive");
     if (machine.page_size == 0 ||
         (machine.page_size & (machine.page_size - 1)) != 0)
       return S::invalid_argument("page_size must be a power of two");
-    if (net.bandwidth_gbps <= 0.0)
-      return S::invalid_argument("bandwidth_gbps must be positive");
+    if (!std::isfinite(net.bandwidth_gbps) ||
+        net.bandwidth_gbps < NetworkConfig::min_bandwidth_gbps)
+      return S::invalid_argument(
+          "bandwidth_gbps must be finite and >= 1e-5 (the wire time of a "
+          "message must fit the picosecond clock)");
     if (dsm.split_shards < 2)
       return S::invalid_argument("split_shards must be >= 2");
     if (dsm.enable_diff_transfers && dsm.diff_history_depth == 0)
@@ -402,7 +428,7 @@ struct ClusterConfig {
       const double pcts[] = {faults.drop_pct, faults.dup_pct,
                              faults.jitter_pct, faults.reorder_pct};
       for (const double pct : pcts) {
-        if (pct < 0.0 || pct >= 100.0)
+        if (!std::isfinite(pct) || pct < 0.0 || pct >= 100.0)
           return S::invalid_argument("fault percentages must be in [0, 100)");
       }
       if (faults.retrans_timeout == 0 ||
@@ -447,8 +473,11 @@ struct ClusterConfig {
         return S::invalid_argument("serve.clones must be >= 1");
       if (serve.workers == 0)
         return S::invalid_argument("serve.workers must be >= 1");
-      if (serve.arrival != ArrivalProcess::kClosed && serve.rate <= 0.0)
-        return S::invalid_argument("serve.rate must be positive (open loop)");
+      if (serve.arrival != ArrivalProcess::kClosed &&
+          (!std::isfinite(serve.rate) || serve.rate < ServeConfig::min_rate))
+        return S::invalid_argument(
+            "serve.rate must be finite and >= 1e-5 (open loop: an arrival "
+            "gap must fit the picosecond clock)");
       if (serve.arrival == ArrivalProcess::kClosed && serve.clients == 0)
         return S::invalid_argument("serve.clients must be >= 1 (closed loop)");
     }
@@ -465,7 +494,8 @@ struct ClusterConfig {
         return S::invalid_argument(
             "node_machines must have one entry per node (incl. master)");
       for (const MachineConfig& m : node_machines) {
-        if (m.cores_per_node == 0 || m.cpu_ghz <= 0.0)
+        if (m.cores_per_node == 0 || !std::isfinite(m.cpu_ghz) ||
+            m.cpu_ghz <= 0.0)
           return S::invalid_argument("invalid per-node machine override");
         if (m.page_size != machine.page_size)
           return S::invalid_argument(

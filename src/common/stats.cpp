@@ -8,6 +8,13 @@ namespace dqemu {
 thread_local StatsRegistry* StatsRegistry::bound_owner_ = nullptr;
 thread_local StatsRegistry::Shard* StatsRegistry::bound_shard_ = nullptr;
 
+StatsRegistry::StatsRegistry(std::size_t shards) {
+  shards_.reserve(shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
+}
+
 void StatsRegistry::add(std::string_view name, std::uint64_t delta) {
   auto& counters =
       bound_owner_ == this ? bound_shard_->counters : counters_;
@@ -61,14 +68,6 @@ const LogHistogram* StatsRegistry::find_histogram(
     std::string_view name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void StatsRegistry::configure_shards(std::size_t count) {
-  assert(shards_.empty() && "shards already configured");
-  shards_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
 void StatsRegistry::bind_shard(std::size_t index) {

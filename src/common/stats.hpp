@@ -23,7 +23,9 @@ namespace dqemu {
 /// tests.
 class StatsRegistry {
  public:
-  StatsRegistry() = default;
+  /// `shards` is the parallel scheduler's shard count (below); 0 in the
+  /// serial kernel, which touches only the merged maps.
+  explicit StatsRegistry(std::size_t shards = 0);
   /// Copies snapshot the merged maps only; transient parallel-scheduler
   /// shard state (below) never travels with a copy. Benches and examples
   /// copy registries after the run, when every shard is already folded.
@@ -81,9 +83,6 @@ class StatsRegistry {
   // merge_shards() at a barrier folds the deltas back — counters by
   // addition, histograms by exact bucket-wise merge — both commutative, so
   // totals are independent of the host thread count.
-
-  /// Creates `count` empty shards. Call once, before any binding.
-  void configure_shards(std::size_t count);
 
   /// Binds shard `index` to the calling thread until unbind_shard().
   void bind_shard(std::size_t index);

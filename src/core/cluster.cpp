@@ -31,14 +31,16 @@ constexpr std::uint32_t kMainStackBytes = 1u << 20;
 Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
     : config_(config),
       tracer_(tracer),
-      queue_(),
-      network_(queue_, config.net, config.total_nodes(), stats_, tracer,
-               config.faults),
+      parallel_(config.sim.host_threads > 1 && config.total_nodes() > 1),
+      stats_(parallel_ ? config.total_nodes() : 0),
+      queue_(tracer),
+      network_(make_queue_table(), config.net, stats_, tracer, config.faults),
       home_map_(config.dsm, dsm::home_layout(config)) {
   const Status valid = config_.validate();
   assert(valid.is_ok() && "invalid ClusterConfig");
   (void)valid;
-  queue_.set_tracer(tracer_);
+  const std::uint32_t total = config_.total_nodes();
+  if (parallel_ && tracer_ != nullptr) tracer_->configure_shards(total);
 
   const Node::FatalFn fatal = [this](std::string message) {
     // Node fatal hooks fire inside whichever window is executing the node,
@@ -46,41 +48,24 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
     const std::lock_guard<std::mutex> lock(fatal_mutex_);
     if (!fatal_.has_value()) fatal_ = std::move(message);
   };
-
-  const std::uint32_t total = config_.total_nodes();
-
-  if (config_.sim.host_threads > 1 && total > 1) {
-    // Partitioned kernel: node 0 (and with it the directory, the syscall
-    // engine and the serving plane, which all captured queue_ below) stays
-    // on queue_; every slave node gets a private queue. Cross-node traffic
-    // becomes barrier-drained posts (Network::bind_queues).
-    queues_.reserve(total);
-    queues_.push_back(&queue_);
-    slave_queues_.reserve(total - 1);
-    for (NodeId id = 1; id < total; ++id) {
-      slave_queues_.push_back(std::make_unique<sim::EventQueue>());
-      slave_queues_.back()->set_tracer(tracer_);
-      queues_.push_back(slave_queues_.back().get());
-    }
-    network_.bind_queues(queues_);
-    if (tracer_ != nullptr) tracer_->configure_shards(total);
-    stats_.configure_shards(total);
-  }
-
-  nodes_.reserve(total);
-  for (NodeId id = 0; id < total; ++id) {
-    sim::EventQueue& node_queue = queues_.empty() ? queue_ : *queues_[id];
-    nodes_.push_back(std::make_unique<Node>(id, config_, node_queue, network_,
-                                            stats_, fatal, tracer_));
+  // Each node builds the home it hosts (DESIGN.md §17). They are built
+  // from the last slave down to the master: the order changes no result,
+  // only the heap layout, and with home 0's allocations after every
+  // node's memory glibc keeps the heap between perfbench repetitions
+  // (fluidanimate_s4 setup_s 1.8 ms, not 4 ms; EXPERIMENTS.md "Host
+  // speed").
+  nodes_.resize(total);
+  for (auto id = static_cast<NodeId>(total); id-- > 0;) {
+    nodes_[id] = std::make_unique<Node>(id, config_, network_.queue_for(id),
+                                        network_, stats_, fatal, tracer_);
   }
 
   // Shadow pool: top of the guest space (geometry from the placement layer).
   const dsm::HomeLayout& layout = home_map_.layout();
-  const bool sharded = home_map_.sharded();
   if (config_.single_node_baseline) {
     // Baseline "QEMU" mode: one node, no DSM, direct memory access.
     nodes_[kMasterNode]->space().set_all_access(mem::PageAccess::kReadWrite);
-  } else if (sharded) {
+  } else if (home_map_.sharded()) {
     // A sharded Directory skips the single-master boot claim, but the
     // master still owns every byte at boot (it loads the image): the
     // shards' entries default to owner == master, so their first
@@ -95,82 +80,46 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
     }
   }
 
-  // Home table (DESIGN.md §17): one home per hosting node, each built the
-  // same way. Home 0 is the master's; slaves are homes only under sharding.
-  const std::uint32_t home_count = sharded ? total : 1;
-  home_table_.reserve(home_count);
-  for (NodeId id = 0; id < home_count; ++id) {
-    sim::EventQueue& node_queue = queues_.empty() ? queue_ : *queues_[id];
-    const MachineConfig& machine = config_.machine_for(id);
-    Home& home = home_table_.emplace_back();
-    if (!config_.single_node_baseline) {
-      // Home 0 homes the whole shadow pool when sharding is off. Sharded,
-      // the pool is sliced among the slave homes and home 0, which then
-      // never splits pages, gets none of it.
-      std::uint64_t pool_first = layout.shadow_first_page;
-      std::uint64_t pool_count = sharded ? 0 : layout.shadow_page_count;
-      if (id != kMasterNode) {
-        pool_first = layout.slice_first(id);
-        pool_count = layout.slice_count(id);
-      }
-      dsm::Directory::Params params;
-      params.dsm = config_.dsm;
-      params.machine = machine;
-      params.node_count = total;
-      params.shadow_pool_first_page = static_cast<std::uint32_t>(pool_first);
-      params.shadow_pool_page_count = static_cast<std::uint32_t>(pool_count);
-      params.self = id;
-      params.sharded = sharded;
-      home.directory = std::make_unique<dsm::Directory>(
-          network_, node_queue, nodes_[id]->space(), params, stats_, tracer_);
-    }
-    home.futexes = std::make_unique<sys::FutexService>(
-        id, network_, node_queue, machine, config_.sys.lease_min_hold,
-        config_.faults.request_timeout, stats_, tracer_);
-    nodes_[id]->host_home_shard(home.directory.get(), home.futexes.get());
-  }
-
-  // Thread-exit ctid wakes must reach whichever home arbitrates the futex
-  // (the master when sharding is off). Resolved against the *original*
-  // address's page, like every other futex routing decision (see
-  // Node::futex_home).
-  syscalls_.emplace(
-      network_, queue_, config_.machine.page_size,
-      *home_table_[kMasterNode].futexes,
-      [this](GuestAddr addr) {
-        return home_map_.home_of(addr / config_.machine.page_size);
-      },
-      stats_, tracer_);
-  sys::MasterSyscalls::Hooks sys_hooks;
-  sys_hooks.on_clone = [this](const sys::SyscallRequest& req) {
-    return on_clone(req);
-  };
-  sys_hooks.on_exit = [this](const sys::SyscallRequest& req) {
-    on_thread_exit(req);
-  };
-  sys_hooks.on_exit_group = [this](std::uint32_t status) {
-    if (!exit_code_.has_value()) exit_code_ = status;
-  };
-  syscalls_->set_hooks(std::move(sys_hooks));
-
+  // The syscall engine and the serving plane answer through home 0's
+  // futex service.
+  sys::FutexService& home0 = *nodes_[kMasterNode]->futexes();
+  sys::MasterSyscalls::ServeHandler serve_handler;
   if (config_.serve.enabled) {
-    serving_.emplace(
-        queue_, config_.serve, stats_, tracer_,
-        [this](NodeId dst, GuestTid tid, std::int64_t result,
-               std::uint64_t flow) {
-          // Every dispatch/EOF pays the same manager service delay as any
-          // other syscall response.
-          home_table_[kMasterNode].futexes->send_response(dst, tid, result,
-                                                          flow);
-        });
-    syscalls_->set_serve_handler([this](const sys::SyscallRequest& req) {
+    serving_.emplace(queue_, config_.serve, stats_, tracer_,
+                     [&home0](NodeId dst, GuestTid tid, std::int64_t result,
+                              std::uint64_t flow) {
+                       // Every dispatch/EOF pays the same manager service
+                       // delay as any other syscall response.
+                       home0.send_response(dst, tid, result, flow);
+                     });
+    serve_handler = [this](const sys::SyscallRequest& req) {
       if (req.num == isa::Sys::kServeGet) {
         serving_->on_get_request(req.src, req.tid, req.flow);
       } else {
         serving_->on_done(req.src, req.tid, req.args[0], req.flow);
       }
-    });
+    };
   }
+  // Thread-exit ctid wakes must reach whichever home arbitrates the futex
+  // (the master when sharding is off). Resolved against the *original*
+  // address's page, like every other futex routing decision (see
+  // Node::futex_home).
+  syscalls_.emplace(
+      network_, queue_, config_.machine.page_size, home0,
+      [this](GuestAddr addr) {
+        return home_map_.home_of(addr / config_.machine.page_size);
+      },
+      sys::MasterSyscalls::Hooks{
+          .on_clone = [this](const sys::SyscallRequest& req) {
+            return on_clone(req);
+          },
+          .on_exit = [this](const sys::SyscallRequest& req) {
+            on_thread_exit(req);
+          },
+          .on_exit_group = [this](std::uint32_t status) {
+            if (!exit_code_.has_value()) exit_code_ = status;
+          }},
+      std::move(serve_handler), stats_, tracer_);
 
   // Message routing: master-plane traffic stops in master_handler; the rest,
   // home 0's included, goes to node 0 like any node's.
@@ -183,6 +132,19 @@ Cluster::Cluster(ClusterConfig config, trace::Tracer* tracer)
   }
 
   if (net::node_faults_on(config_.faults)) schedule_node_faults();
+}
+
+std::vector<sim::EventQueue*> Cluster::make_queue_table() {
+  // Partitioned kernel: node 0 (and with it home 0, the syscall engine and
+  // the serving plane) stays on queue_; every slave node gets a private
+  // queue. Cross-queue traffic becomes barrier-drained posts.
+  std::vector<sim::EventQueue*> queues(config_.total_nodes(), &queue_);
+  if (!parallel_) return queues;
+  for (NodeId id = 1; id < queues.size(); ++id) {
+    slave_queues_.push_back(std::make_unique<sim::EventQueue>(tracer_));
+    queues[id] = slave_queues_.back().get();
+  }
+  return queues;
 }
 
 void Cluster::schedule_node_faults() {
@@ -225,8 +187,9 @@ void Cluster::schedule_node_faults() {
 void Cluster::master_handler(const net::Message& msg) {
   if (home_map_.sharded() && relay_if_misdirected(msg)) return;
   // Master-plane work only. Home-plane traffic — directory requests and
-  // acks, lease traffic, crash flushes and lease returns — falls through to
-  // node 0, which routes it to home 0 exactly as a slave routes to its own.
+  // acks, lease traffic, crash flushes, lease returns and the handoff of a
+  // dead home — falls through to node 0, which routes it to home 0 exactly
+  // as a slave routes to its own.
   switch (msg.type) {
     case static_cast<std::uint32_t>(sys::SysMsg::kSyscallReq):
       syscalls_->handle_message(msg);
@@ -234,13 +197,6 @@ void Cluster::master_handler(const net::Message& msg) {
     case static_cast<std::uint32_t>(CoreMsg::kMigrateDone):
       thread_node_[static_cast<GuestTid>(msg.a)] =
           static_cast<NodeId>(msg.b);
-      return;
-    case static_cast<std::uint32_t>(CoreMsg::kHomeHandoff):
-      home_table_[kMasterNode].directory->adopt_entry(
-          static_cast<std::uint32_t>(msg.a), msg.data);
-      return;
-    case static_cast<std::uint32_t>(CoreMsg::kFutexHandoff):
-      home_table_[kMasterNode].futexes->adopt_handoff(msg.data);
       return;
     case static_cast<std::uint32_t>(CoreMsg::kCrashReport):
       on_crash_report(msg);
@@ -558,7 +514,7 @@ void Cluster::unbind_execution_shard() {
 
 Result<Cluster::RunResult> Cluster::run(RunLimits limits) {
   if (!loaded_) return Status::failed_precondition("no program loaded");
-  if (!queues_.empty()) return run_parallel(limits);
+  if (parallel_) return run_parallel(limits);
 
   const bool counters = trace::wants(tracer_, trace::Cat::kCounter);
   TimePs next_snapshot = counters ? tracer_->config().counter_interval : 0;
@@ -622,13 +578,14 @@ CheckpointImage Cluster::capture_checkpoint() {
       h = fnv1a_u32(static_cast<std::uint32_t>(thread.state), h);
     }
     image.add("threads." + std::to_string(id), h);
-  }
-  for (NodeId id = 0; id < home_table_.size(); ++id) {
-    const Home& home = home_table_[id];
-    if (home.directory != nullptr) {
-      image.add("dir." + std::to_string(id), home.directory->digest());
+    // The home the node hosts, if any.
+    if (node.directory() != nullptr) {
+      image.add("dir." + std::to_string(id), node.directory()->digest());
     }
-    image.add("futex." + std::to_string(id), home.futexes->table().digest());
+    if (node.futexes() != nullptr) {
+      image.add("futex." + std::to_string(id),
+                node.futexes()->table().digest());
+    }
   }
   if (serving_.has_value()) image.add("serve", serving_->digest());
   // Progress fingerprint: total retired instructions pins the cut to one
@@ -683,7 +640,9 @@ Result<Cluster::RunResult> Cluster::run_parallel(RunLimits limits) {
   // thread count never changes what any window executes.
   const DurationPs lookahead = config_.net.lookahead();
   sim::ThreadPool pool(config_.sim.host_threads);
-  const std::size_t n_queues = queues_.size();
+  std::vector<sim::EventQueue*> queues{&queue_};
+  for (const auto& slave : slave_queues_) queues.push_back(slave.get());
+  const std::size_t n_queues = queues.size();
 
   const bool counters = trace::wants(tracer_, trace::Cat::kCounter);
   TimePs next_snapshot = counters ? tracer_->config().counter_interval : 0;
@@ -697,15 +656,15 @@ Result<Cluster::RunResult> Cluster::run_parallel(RunLimits limits) {
   const std::function<void(std::size_t)> slave_task = [&](std::size_t i) {
     const std::size_t qi = active[i];
     bind_execution_shard(qi);
-    (void)queues_[qi]->run_window(slave_end);
+    (void)queues[qi]->run_window(slave_end);
     unbind_execution_shard();
   };
 
   while (!exit_code_.has_value() && !fatal_set()) {
-    for (sim::EventQueue* q : queues_) (void)q->drain_posted();
+    for (sim::EventQueue* q : queues) (void)q->drain_posted();
 
     std::optional<TimePs> horizon;
-    for (sim::EventQueue* q : queues_) {
+    for (sim::EventQueue* q : queues) {
       const std::optional<TimePs> t = q->next_time();
       if (t.has_value() && (!horizon.has_value() || *t < *horizon)) {
         horizon = t;
@@ -756,13 +715,13 @@ Result<Cluster::RunResult> Cluster::run_parallel(RunLimits limits) {
     // pool traffic, and a master-only window skips the barrier entirely.
     active.clear();
     for (std::size_t qi = 1; qi < n_queues; ++qi) {
-      const std::optional<TimePs> t = queues_[qi]->next_time();
+      const std::optional<TimePs> t = queues[qi]->next_time();
       if (t.has_value() && *t < slave_end) active.push_back(qi);
     }
     pool.run_tasks(active.size(), slave_task);
 
     std::uint64_t fired = 0;
-    for (sim::EventQueue* q : queues_) fired += q->fired();
+    for (sim::EventQueue* q : queues) fired += q->fired();
     if (fired > limits.max_events) {
       limit_hit = Status::resource_exhausted("event limit exceeded");
       break;

@@ -89,10 +89,7 @@ class Cluster {
   /// homes the whole page space unless sharding is on; slaves are homes
   /// only under sharding. Null where no directory runs (a slave when
   /// sharding is off, every node in single-node baseline mode).
-  [[nodiscard]] dsm::Directory* home(NodeId id) {
-    return id < home_table_.size() ? home_table_[id].directory.get()
-                                   : nullptr;
-  }
+  [[nodiscard]] dsm::Directory* home(NodeId id) { return node(id).directory(); }
   /// Home 0's directory; null in single-node baseline mode (no DSM).
   [[nodiscard]] dsm::Directory* directory() { return home(kMasterNode); }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
@@ -147,8 +144,12 @@ class Cluster {
   /// `at` is the virtual timestamp stamped on the sample: the event time in
   /// the serial loop, the window horizon at a parallel barrier.
   void snapshot_counters(TimePs at);
+  /// Node i's event queue at [i]: queue_ for every node in the serial
+  /// kernel; in the parallel one queue_ for node 0 and a slave queue, made
+  /// here, for each slave.
+  [[nodiscard]] std::vector<sim::EventQueue*> make_queue_table();
   /// Conservative-window scheduler (DESIGN.md §16): one event queue per
-  /// node on a host thread pool. Taken by run() when host_threads > 1.
+  /// node on a host thread pool. Taken by run() in the parallel kernel.
   [[nodiscard]] Result<RunResult> run_parallel(RunLimits limits);
   /// Shared end-of-run path: fatal error, guest-deadlock diagnosis, or the
   /// assembled RunResult. Runs single-threaded after the event loop stops.
@@ -181,33 +182,26 @@ class Cluster {
 
   ClusterConfig config_;
   trace::Tracer* tracer_ = nullptr;
+  /// The kernel, picked once from the config: partitioned (DESIGN.md §16)
+  /// when there are host threads to spare and nodes to spread over them.
+  bool parallel_;
   StatsRegistry stats_;
   sim::EventQueue queue_;
-  /// Parallel mode only: one private event queue per slave node (the
-  /// master plane — node 0, directory, syscalls, serving — keeps queue_).
-  /// Declared before network_: the reliable channel's per-link timers
-  /// cancel into these queues on destruction, so they must outlive it.
+  /// Parallel kernel only: one private event queue per slave node (the
+  /// master plane — node 0 with home 0, the syscall engine, serving —
+  /// keeps queue_). Declared before network_: the reliable channel's
+  /// per-link timers cancel into these queues on destruction, so they must
+  /// outlive it.
   std::vector<std::unique_ptr<sim::EventQueue>> slave_queues_;
-  /// Parallel mode only: queues_[i] is node i's queue (queues_[0] ==
-  /// &queue_). Empty in the serial kernel — this doubles as the mode flag.
-  std::vector<sim::EventQueue*> queues_;
+  /// Holds the node-to-queue table (make_queue_table).
   net::Network network_;
   /// Placement authority; lives on the master plane (first-touch assignment
   /// happens in master_handler, so it needs no locking).
   dsm::HomeMap home_map_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  /// What one home node hosts: a directory (null without DSM) and a futex
-  /// service, run on that node's event queue and backed by its address
-  /// space.
-  struct Home {
-    std::unique_ptr<dsm::Directory> directory;
-    std::unique_ptr<sys::FutexService> futexes;
-  };
-  /// Indexed by node id: home 0 is the master's, and slaves follow only
-  /// under sharding. The syscall engine borrows home 0's futex service.
-  std::vector<Home> home_table_;
-  std::optional<sys::MasterSyscalls> syscalls_;
   std::optional<serve::LoadGenerator> serving_;
+  /// Borrows node 0's futex service, home 0's.
+  std::optional<sys::MasterSyscalls> syscalls_;
 
   // Master-side global thread table.
   GuestTid next_tid_ = 1;

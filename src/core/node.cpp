@@ -53,12 +53,24 @@ Node::Node(NodeId id, const ClusterConfig& config, sim::EventQueue& queue,
       space_(config.guest_mem_bytes, config.machine.page_size),
       shadow_(config.machine.page_size, config.dsm.split_shards),
       llsc_(stats),
-      tcache_(space_, config.dbt, stats),
+      // Superblock lifecycle records ride the opt-in kDbt category (not in
+      // the default set: formation is host-side and would differ with the
+      // trace tier disabled). a = trace entry pc, b = guest insns covered.
+      tcache_(space_, config.dbt, stats,
+              [this](dbt::SbEvent event, const dbt::Superblock& sb) {
+                site(trace::Cat::kDbt)
+                    .emit(queue_.now(),
+                          event == dbt::SbEvent::kFormed
+                              ? "dbt.sb_formed"
+                              : "dbt.sb_invalidated",
+                          trace::Kind::kInstant, 0, sb.entry_pc,
+                          sb.guest_insns);
+              }),
       engine_(space_, shadow_, llsc_, tcache_, config.dbt, stats),
       homes_(config.dsm, dsm::home_layout(config)),
       dsm_(id, network, queue, space_, shadow_, llsc_, tcache_, homes_, stats,
            [this](std::uint32_t page) { wake_page_waiters(page); }, tracer,
-           config.dsm.enable_diff_transfers, config.faults.request_timeout),
+           config.dsm.enable_diff_transfers, config.faults.watchdog_timeout()),
       lock_agent_(
           id, queue, network, stats, tracer,
           [this](GuestAddr addr) { return futex_home(addr); },
@@ -66,19 +78,37 @@ Node::Node(NodeId id, const ClusterConfig& config, sim::EventQueue& queue,
           // closes in complete_futex_locally.
           [this](GuestTid tid, std::uint64_t) {
             complete_after_agent(tid, 0);
-          }),
+          },
+          /*keep_returns=*/config.faults.enabled),
       core_busy_(machine_.cores_per_node, false) {
-  // Superblock lifecycle records ride the opt-in kDbt category (not in the
-  // default set: formation is host-side and would differ with the trace
-  // tier disabled). a = trace entry pc, b = guest insns covered.
-  tcache_.set_sb_event_hook(
-      [this](dbt::SbEvent event, const dbt::Superblock& sb) {
-        site(trace::Cat::kDbt)
-            .emit(queue_.now(),
-                  event == dbt::SbEvent::kFormed ? "dbt.sb_formed"
-                                                 : "dbt.sb_invalidated",
-                  trace::Kind::kInstant, 0, sb.entry_pc, sb.guest_insns);
-      });
+  // The home this node hosts (DESIGN.md §17): home 0 on the master, a home
+  // on every slave under sharding.
+  if (id_ != kMasterNode && !homes_.sharded()) return;
+  if (!config.single_node_baseline) {
+    // Home 0 homes the whole shadow pool when sharding is off. Sharded,
+    // the pool is sliced among the slave homes and home 0, which then
+    // never splits pages, gets none of it.
+    const dsm::HomeLayout& layout = homes_.layout();
+    std::uint64_t pool_first = layout.shadow_first_page;
+    std::uint64_t pool_count = homes_.sharded() ? 0 : layout.shadow_page_count;
+    if (id_ != kMasterNode) {
+      pool_first = layout.slice_first(id_);
+      pool_count = layout.slice_count(id_);
+    }
+    dsm::Directory::Params params;
+    params.dsm = config.dsm;
+    params.machine = machine_;
+    params.node_count = config.total_nodes();
+    params.shadow_pool_first_page = static_cast<std::uint32_t>(pool_first);
+    params.shadow_pool_page_count = static_cast<std::uint32_t>(pool_count);
+    params.self = id_;
+    params.sharded = homes_.sharded();
+    directory_ = std::make_unique<dsm::Directory>(network, queue, space_,
+                                                  params, stats, tracer);
+  }
+  futexes_ = std::make_unique<sys::FutexService>(
+      id_, network, queue, machine_, config.sys.lease_min_hold,
+      config.faults.watchdog_timeout(), stats, tracer);
 }
 
 void Node::add_thread(const dbt::CpuContext& ctx, GuestAddr ctid,
@@ -707,8 +737,8 @@ void Node::handle_message(const net::Message& msg) {
     // When this node is a home (sharding), directory-addressed traffic for
     // its slice of the page space lands here; everything else in the DSM
     // range is for this node's client.
-    if (home_shard_ != nullptr && dsm::is_directory_message(msg.type)) {
-      home_shard_->handle_message(msg);
+    if (directory_ != nullptr && dsm::is_directory_message(msg.type)) {
+      directory_->handle_message(msg);
       return;
     }
     dsm_.handle_message(msg);
@@ -721,8 +751,8 @@ void Node::handle_message(const net::Message& msg) {
   // Futex traffic addressed to this node as a *home* (delegated futex ops
   // and lease arbitration). Disjoint from LockAgent::handles, which covers
   // the node-as-lease-owner half of the protocol.
-  if (futex_home_svc_ != nullptr && sys::FutexService::handles(msg.type)) {
-    futex_home_svc_->handle_message(msg);
+  if (futexes_ != nullptr && sys::FutexService::handles(msg.type)) {
+    futexes_->handle_message(msg);
     return;
   }
   if (sys::LockAgent::handles(msg.type)) {
@@ -744,14 +774,24 @@ void Node::handle_message(const net::Message& msg) {
     case CoreMsg::kNodeDead: return on_node_dead(static_cast<NodeId>(msg.a));
     case CoreMsg::kCrashFlush:
       // A dying owner's last writeback of a page this node homes.
-      if (home_shard_ != nullptr) return home_shard_->on_crash_flush(msg);
+      if (directory_ != nullptr) return directory_->on_crash_flush(msg);
       break;
     case CoreMsg::kCrashLeaseReturn:
-      if (futex_home_svc_ != nullptr) {
-        return futex_home_svc_->on_crash_lease_return(
+      if (futexes_ != nullptr) {
+        return futexes_->on_crash_lease_return(
             msg.src, static_cast<GuestAddr>(msg.a),
             sys::FutexTable::unpack_waiters(msg.data));
       }
+      break;
+    // A dying home's shard, adopted by the master (DESIGN.md §18).
+    case CoreMsg::kHomeHandoff:
+      if (directory_ != nullptr) {
+        return directory_->adopt_entry(static_cast<std::uint32_t>(msg.a),
+                                       msg.data);
+      }
+      break;
+    case CoreMsg::kFutexHandoff:
+      if (futexes_ != nullptr) return futexes_->adopt_handoff(msg.data);
       break;
     default:
       break;
@@ -955,31 +995,31 @@ void Node::crash() {
   // below is serialized).
   lock_agent_.return_all(
       [this](GuestAddr addr, const std::vector<sys::FutexTable::Waiter>& q) {
-        if (futex_home_svc_ != nullptr) {
-          futex_home_svc_->crash_revoke_local(addr, q);
+        if (futexes_ != nullptr) {
+          futexes_->crash_revoke_local(addr, q);
         }
       });
 
   // (3) Hand any hosted home shard to the master: one kHomeHandoff per
   // directory entry, one kFutexHandoff for the whole futex/lease table.
   // FIFO on the master link orders these after the flushes above.
-  if (home_shard_ != nullptr) {
-    for (const std::uint32_t page : home_shard_->handoff_pages()) {
+  if (directory_ != nullptr) {
+    for (const std::uint32_t page : directory_->handoff_pages()) {
       net::Message hand;
       hand.src = id_;
       hand.dst = kMasterNode;
       hand.type = static_cast<std::uint32_t>(CoreMsg::kHomeHandoff);
       hand.a = page;
-      home_shard_->serialize_entry(page, hand.data);
+      directory_->serialize_entry(page, hand.data);
       network_.send(std::move(hand));
     }
   }
-  if (futex_home_svc_ != nullptr) {
+  if (futexes_ != nullptr) {
     net::Message hand;
     hand.src = id_;
     hand.dst = kMasterNode;
     hand.type = static_cast<std::uint32_t>(CoreMsg::kFutexHandoff);
-    futex_home_svc_->serialize_for_handoff(hand.data);
+    futexes_->serialize_for_handoff(hand.data);
     network_.send(std::move(hand));
   }
 
@@ -1007,7 +1047,7 @@ void Node::crash() {
   // thread state, silence the links. Closures already in the event queue
   // hit the dead_ guards and fall through.
   dsm_.crash_teardown();
-  if (futex_home_svc_ != nullptr) futex_home_svc_->cancel_watchdogs();
+  if (futexes_ != nullptr) futexes_->cancel_watchdogs();
   threads_.clear();
   run_queue_.clear();
   std::fill(core_busy_.begin(), core_busy_.end(), false);
@@ -1041,8 +1081,8 @@ void Node::pause(DurationPs pause_for) {
 void Node::on_node_dead(NodeId dead) {
   homes_.invalidate_home(dead);
   lock_agent_.on_peer_dead(dead);
-  if (futex_home_svc_ != nullptr) futex_home_svc_->on_node_dead(dead);
-  if (home_shard_ != nullptr) home_shard_->on_node_dead(dead);
+  if (futexes_ != nullptr) futexes_->on_node_dead(dead);
+  if (directory_ != nullptr) directory_->on_node_dead(dead);
   network_.note_peer_dead(id_, dead);
 }
 

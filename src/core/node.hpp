@@ -3,9 +3,8 @@
 // Owns the node's copy of the guest address space, the DBT (translation
 // cache + execution engine + LL/SC table), the DSM client, and the node's
 // guest threads with their core scheduler. A home node — the master always,
-// every slave under home sharding — also hosts a directory and a futex
-// service; the Cluster's home table owns them, and they operate on this
-// node's memory and event queue.
+// every slave under home sharding — also builds and owns a directory and a
+// futex service, which run on this node's memory and event queue.
 //
 // Scheduling model: `cores_per_node` simulated cores multiplex the node's
 // runnable TCG-threads in FIFO order; one engine call = one quantum of at
@@ -16,6 +15,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "common/config.hpp"
@@ -26,21 +26,16 @@
 #include "dbt/llsc_table.hpp"
 #include "dbt/translation.hpp"
 #include "dsm/client.hpp"
+#include "dsm/directory.hpp"
 #include "mem/address_space.hpp"
 #include "mem/shadow_map.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
 #include "sys/classify.hpp"
+#include "sys/futex_home.hpp"
 #include "sys/lock_agent.hpp"
 #include "sys/master_syscalls.hpp"
 #include "trace/tracer.hpp"
-
-namespace dqemu::dsm {
-class Directory;
-}  // namespace dqemu::dsm
-namespace dqemu::sys {
-class FutexService;
-}  // namespace dqemu::sys
 
 namespace dqemu::core {
 
@@ -72,16 +67,13 @@ class Node {
   void add_thread(const dbt::CpuContext& ctx, GuestAddr ctid,
                   std::int32_t hint_group);
 
-  /// Makes this node a home (DESIGN.md §17): handle_message routes the
-  /// home-plane traffic addressed here to `shard` and `futexes`, and
-  /// on_node_dead sweeps them. The master is home 0 — of every page when
-  /// sharding is off — and each slave is a home only under sharding; null
-  /// pointers (a slave's default, the directory in single-node baseline)
-  /// host nothing.
-  void host_home_shard(dsm::Directory* shard, sys::FutexService* futexes) {
-    home_shard_ = shard;
-    futex_home_svc_ = futexes;
-  }
+  /// The home this node hosts (DESIGN.md §17): handle_message routes the
+  /// home-plane traffic addressed here to it, and on_node_dead sweeps it.
+  /// The master is home 0 — of every page when sharding is off — and each
+  /// slave is a home only under sharding. Null where this node hosts none,
+  /// and the directory in single-node baseline mode, which runs no DSM.
+  [[nodiscard]] dsm::Directory* directory() { return directory_.get(); }
+  [[nodiscard]] sys::FutexService* futexes() { return futexes_.get(); }
 
   /// This node's placement view: home of each page (kMasterNode throughout
   /// when sharding is off).
@@ -212,9 +204,9 @@ class Node {
   dsm::HomeView homes_;
   dsm::DsmClient dsm_;
   sys::LockAgent lock_agent_;
-  /// Set by host_home_shard when this node is a home.
-  dsm::Directory* home_shard_ = nullptr;
-  sys::FutexService* futex_home_svc_ = nullptr;
+  /// The hosted home; see directory().
+  std::unique_ptr<dsm::Directory> directory_;
+  std::unique_ptr<sys::FutexService> futexes_;
 
   std::map<GuestTid, GuestThread> threads_;
   std::deque<GuestTid> run_queue_;

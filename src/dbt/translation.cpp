@@ -6,8 +6,12 @@ namespace dqemu::dbt {
 
 TranslationCache::TranslationCache(const mem::AddressSpace& space,
                                    const DbtConfig& config,
-                                   StatsRegistry& stats)
-    : space_(space), config_(config), stats_(stats) {}
+                                   StatsRegistry& stats,
+                                   SbEventHook sb_event_hook)
+    : space_(space),
+      config_(config),
+      stats_(stats),
+      sb_event_hook_(std::move(sb_event_hook)) {}
 
 TranslationBlock* TranslationCache::lookup(GuestAddr pc) {
   auto it = blocks_.find(pc);
@@ -159,11 +163,6 @@ std::vector<SuperblockInfo> TranslationCache::superblock_census() const {
         sb->side_exits});
   }
   return rows;
-}
-
-void TranslationCache::set_sb_event_hook(
-    std::function<void(SbEvent, const Superblock&)> hook) {
-  sb_event_hook_ = std::move(hook);
 }
 
 }  // namespace dqemu::dbt

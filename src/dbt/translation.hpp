@@ -110,9 +110,13 @@ enum class SbEvent : std::uint8_t { kFormed, kInvalidated };
 /// Per-node translation cache.
 class TranslationCache {
  public:
-  /// `space` and `stats` must outlive the cache.
+  /// Observer of every superblock formation and invalidation.
+  using SbEventHook = std::function<void(SbEvent, const Superblock&)>;
+
+  /// `space` and `stats` must outlive the cache; `sb_event_hook` may be
+  /// empty.
   TranslationCache(const mem::AddressSpace& space, const DbtConfig& config,
-                   StatsRegistry& stats);
+                   StatsRegistry& stats, SbEventHook sb_event_hook = {});
 
   /// Cached block at `pc`, or nullptr.
   [[nodiscard]] TranslationBlock* lookup(GuestAddr pc);
@@ -164,9 +168,6 @@ class TranslationCache {
   [[nodiscard]] std::vector<HotBlockInfo> hot_census() const;
   [[nodiscard]] std::vector<SuperblockInfo> superblock_census() const;
 
-  /// Installs a superblock lifecycle observer (formation/invalidation).
-  void set_sb_event_hook(std::function<void(SbEvent, const Superblock&)> hook);
-
  private:
   const mem::AddressSpace& space_;
   DbtConfig config_;
@@ -174,7 +175,7 @@ class TranslationCache {
   std::uint64_t generation_ = 0;
   std::unordered_map<GuestAddr, std::unique_ptr<TranslationBlock>> blocks_;
   std::unordered_map<GuestAddr, std::unique_ptr<Superblock>> superblocks_;
-  std::function<void(SbEvent, const Superblock&)> sb_event_hook_;
+  SbEventHook sb_event_hook_;
 };
 
 }  // namespace dqemu::dbt

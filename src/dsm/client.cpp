@@ -52,10 +52,7 @@ void DsmClient::request_page(std::uint32_t page, std::uint32_t offset,
   pending.tid = tid;
   stats_.add(write ? "dsm.write_requests" : "dsm.read_requests");
   send_request(page, pending);
-  // The watchdog only makes sense over the lossy wire: on the reliable
-  // path requests cannot be lost, and an idle far-future timer would keep
-  // the event queue from draining at simulation end.
-  if (request_timeout_ > 0 && network_.faults_active()) {
+  if (request_timeout_ > 0) {
     pending.timeout = request_timeout_;
     arm_watchdog(page);
   }

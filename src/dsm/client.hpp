@@ -38,8 +38,9 @@ class DsmClient {
   /// `enable_diff_transfers` must match the directory's setting
   /// (cluster-wide DsmConfig). `request_timeout` > 0 arms a per-request
   /// watchdog (DESIGN.md §13) that re-issues a page request still
-  /// outstanding after that long; it is only active when the network's
-  /// fault path is (requests cannot get stuck on the reliable wire).
+  /// outstanding after that long. Pass 0 over a fault-free network:
+  /// requests cannot get stuck on the reliable wire, and an idle far-future
+  /// timer would keep the event queue from draining at simulation end.
   DsmClient(NodeId self, net::Network& network, sim::EventQueue& queue,
             mem::AddressSpace& space, mem::ShadowMap& shadow,
             dbt::LlscTable& llsc, dbt::TranslationCache& tcache,

@@ -120,6 +120,7 @@ class HomeView {
   HomeView(const DsmConfig& dsm, const HomeLayout& layout);
 
   [[nodiscard]] bool sharded() const { return sharded_; }
+  [[nodiscard]] const HomeLayout& layout() const { return layout_; }
   [[nodiscard]] NodeId home_of(std::uint64_t page) const;
   /// Records that authoritative traffic for `page` came from `home`.
   void learn(std::uint64_t page, NodeId home);

@@ -8,48 +8,38 @@
 
 namespace dqemu::net {
 
-Network::Network(sim::EventQueue& queue, NetworkConfig config,
-                 std::uint32_t node_count, StatsRegistry& stats,
-                 trace::Tracer* tracer, FaultConfig faults)
-    : queue_(queue),
+Network::Network(std::vector<sim::EventQueue*> queues, NetworkConfig config,
+                 StatsRegistry& stats, trace::Tracer* tracer,
+                 FaultConfig faults)
+    : queues_(std::move(queues)),
       config_(config),
       stats_(stats),
       tracer_(tracer),
-      handlers_(node_count),
-      egress_free_(node_count, 0),
-      channel_last_(static_cast<std::size_t>(node_count) * node_count, 0),
-      node_count_(node_count),
-      post_order_(node_count, 0),
+      handlers_(queues_.size()),
+      egress_free_(queues_.size(), 0),
+      channel_last_(queues_.size() * queues_.size(), 0),
+      node_count_(static_cast<std::uint32_t>(queues_.size())),
+      post_order_(queues_.size(), 0),
       faults_(std::move(faults)),
-      peer_dead_(static_cast<std::size_t>(node_count) * node_count, 0) {
+      peer_dead_(queues_.size() * queues_.size(), 0) {
   if (faults_.enabled) {
-    injector_ = std::make_unique<FaultInjector>(faults_, node_count);
+    injector_ = std::make_unique<FaultInjector>(faults_, node_count_);
+    // Bounded give-up: the declaring node stops sending to the suspect
+    // through its own dead filter.
     reliable_ = std::make_unique<ReliableChannel>(
-        queue_, faults_, stats_, tracer_,
+        queues_, faults_, stats_, tracer_,
         [this](Message m, TxKind kind) { transmit(std::move(m), kind); },
-        [this](Message m) { deliver(std::move(m)); });
-    // Bounded give-up: the declaring node immediately stops sending to the
-    // suspect (its own dead filter), then the embedder's hook decides what
-    // else to do (report to the fault plane, sweep state).
-    reliable_->set_peer_dead_hook([this](NodeId self, NodeId peer) {
-      peer_dead_[static_cast<std::size_t>(self) * node_count_ + peer] = 1;
-      if (user_peer_dead_) user_peer_dead_(self, peer);
-    });
+        [this](Message m) { deliver(std::move(m)); },
+        [this](NodeId self, NodeId peer) {
+          peer_dead_[static_cast<std::size_t>(self) * node_count_ + peer] = 1;
+        });
   }
-}
-
-void Network::bind_queues(const std::vector<sim::EventQueue*>& queues) {
-  DQEMU_CHECK(queues.size() == node_count_,
-              "net: bind_queues with %zu queues for %u nodes", queues.size(),
-              node_count_);
-  queues_ = queues;
-  if (reliable_ != nullptr) reliable_->bind_queues(queues);
 }
 
 void Network::schedule_into(NodeId src, NodeId dst, TimePs when,
                             sim::EventQueue::Callback fn) {
   sim::EventQueue& dst_queue = queue_for(dst);
-  if (queues_.empty() || &queue_for(src) == &dst_queue) {
+  if (&queue_for(src) == &dst_queue) {
     dst_queue.schedule_at(when, std::move(fn));
   } else {
     dst_queue.post(when, src, post_order_[src]++, std::move(fn));

@@ -35,10 +35,15 @@ class Network {
  public:
   using Handler = std::function<void(Message)>;
 
-  /// `queue` and `stats` must outlive the Network; `tracer` may be null.
-  Network(sim::EventQueue& queue, NetworkConfig config,
-          std::uint32_t node_count, StatsRegistry& stats,
-          trace::Tracer* tracer = nullptr, FaultConfig faults = {});
+  /// `queues[n]` is node n's event queue, where its deliveries land and its
+  /// link timers live: one queue for every node in the serial kernel, one
+  /// per node in the parallel one (DESIGN.md §16), where a delivery to
+  /// another queue becomes a barrier-drained post ordered by (time, src,
+  /// send order). The queues and `stats` must outlive the Network;
+  /// `tracer` may be null.
+  Network(std::vector<sim::EventQueue*> queues, NetworkConfig config,
+          StatsRegistry& stats, trace::Tracer* tracer = nullptr,
+          FaultConfig faults = {});
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -56,32 +61,13 @@ class Network {
     return egress_free_[node];
   }
 
-  /// `node`'s own event queue — where that node's timers must live so
-  /// they fire in its execution context. The shared queue unless
-  /// bind_queues was called.
+  /// `node`'s own event queue: every send, delivery and timer of `node`
+  /// runs in its context.
   [[nodiscard]] sim::EventQueue& queue_for(NodeId node) {
-    return queues_.empty() ? queue_ : *queues_[node];
+    return *queues_[node];
   }
-
-  /// Parallel scheduler (DESIGN.md §16): gives every node its own event
-  /// queue. Deliveries then cross queues as barrier-drained posts ordered
-  /// by (time, src, send order); the reliable channel rebinds its per-link
-  /// timers to the owning ends. Call once, before any traffic.
-  void bind_queues(const std::vector<sim::EventQueue*>& queues);
-
-  /// True when the lossy-wire + reliable-channel path is active
-  /// (FaultConfig::enabled).
-  [[nodiscard]] bool faults_active() const { return reliable_ != nullptr; }
 
   // ---- whole-node fault plane (DESIGN.md §18) ---------------------------
-
-  /// Installs the bounded give-up callback (fires in the suspecting node's
-  /// context when FaultConfig::giveup_retrans trips). The network's own
-  /// dead filter for that (observer, peer) pair is set before the hook
-  /// runs, so the observer is already quiet when the hook fires.
-  void set_peer_dead_hook(ReliableChannel::PeerDeadFn fn) {
-    user_peer_dead_ = std::move(fn);
-  }
 
   /// Crash teardown, run in `dead`'s own execution context: cancels every
   /// channel timer the dead node owns and black-holes future arrivals to
@@ -98,7 +84,8 @@ class Network {
   /// partitioned kernel.
   void note_peer_dead(NodeId observer, NodeId dead);
 
-  /// True when `observer` has been told `node` is dead.
+  /// True when `observer` has been told `node` is dead, or gave up on it
+  /// (FaultConfig::giveup_retrans).
   [[nodiscard]] bool peer_dead(NodeId observer, NodeId node) const {
     return peer_dead_[static_cast<std::size_t>(observer) * node_count_ +
                       node] != 0;
@@ -117,14 +104,15 @@ class Network {
   /// reliable channel. Fault path only.
   void transmit(Message msg, TxKind kind);
   /// Schedules `fn` at `when` in dst's context, from src's context: a
-  /// plain schedule_at on a shared queue, a deterministic cross-queue post
-  /// otherwise. `when` is always >= the conservative window bound
+  /// plain schedule_at when both share a queue, a deterministic cross-queue
+  /// post otherwise. `when` is always >= the conservative window bound
   /// (NetworkConfig::lookahead) past src's clock, which is what makes the
   /// post invisible until the next window barrier safe.
   void schedule_into(NodeId src, NodeId dst, TimePs when,
                      sim::EventQueue::Callback fn);
 
-  sim::EventQueue& queue_;
+  /// queues_[n] is node n's event queue.
+  std::vector<sim::EventQueue*> queues_;
   NetworkConfig config_;
   StatsRegistry& stats_;
   trace::Tracer* tracer_;
@@ -136,8 +124,6 @@ class Network {
   /// check supersedes it.
   std::vector<TimePs> channel_last_;
   std::uint32_t node_count_;
-  /// Per-node queues when running partitioned; empty in the serial kernel.
-  std::vector<sim::EventQueue*> queues_;
   /// Per src node: cross-queue posts issued, the deterministic order key
   /// for posts at equal times. Owned by src's execution context.
   std::vector<std::uint64_t> post_order_;
@@ -146,11 +132,9 @@ class Network {
   std::unique_ptr<FaultInjector> injector_;   ///< non-null iff faults active
   std::unique_ptr<ReliableChannel> reliable_; ///< non-null iff faults active
   /// Per-observer dead-peer bitmap, [observer * node_count_ + node]. All
-  /// zero unless the node-fault plane declares a crash (see note_peer_dead
-  /// for the context-ownership argument).
+  /// zero unless the node-fault plane declares a crash or a sender gives up
+  /// on a peer (see note_peer_dead for the context-ownership argument).
   std::vector<std::uint8_t> peer_dead_;
-  /// Embedder's give-up callback, run after the dead filter is set.
-  ReliableChannel::PeerDeadFn user_peer_dead_;
 };
 
 }  // namespace dqemu::net

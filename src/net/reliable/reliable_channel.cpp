@@ -1,38 +1,28 @@
 #include "net/reliable/reliable_channel.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 
 namespace dqemu::net {
 
-ReliableChannel::Link& ReliableChannel::link(NodeId src, NodeId dst) {
-  auto it = links_.find({src, dst});
-  if (it == links_.end()) {
-    it = links_
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(src, dst),
-                      std::forward_as_tuple(queue_for(src), queue_for(dst),
-                                            config_.retrans_timeout))
-             .first;
-  }
-  return it->second;
-}
-
-void ReliableChannel::bind_queues(
-    const std::vector<sim::EventQueue*>& queues) {
-  DQEMU_CHECK(links_.empty(),
-              "net: reliable channel rebound after traffic started");
-  queues_ = queues;
-  // Pre-size so silence() never reallocates while windows run concurrently;
-  // each entry is only ever written by its own node's context.
-  silenced_.assign(queues.size(), 0);
-  // Eagerly create every directed link so the map never mutates while
-  // windows execute concurrently; link() then always hits.
-  const auto n = static_cast<NodeId>(queues_.size());
-  for (NodeId src = 0; src < n; ++src) {
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (src != dst) link(src, dst);
+ReliableChannel::ReliableChannel(std::vector<sim::EventQueue*> queues,
+                                 const FaultConfig& config,
+                                 StatsRegistry& stats, trace::Tracer* tracer,
+                                 TransmitFn transmit, DeliverFn deliver,
+                                 PeerDeadFn peer_dead)
+    : queues_(std::move(queues)),
+      config_(config),
+      stats_(stats),
+      tracer_(tracer),
+      transmit_(std::move(transmit)),
+      deliver_(std::move(deliver)),
+      peer_dead_(std::move(peer_dead)),
+      silenced_(queues_.size(), 0) {
+  for (sim::EventQueue* src : queues_) {
+    for (sim::EventQueue* dst : queues_) {
+      links_.emplace_back(*src, *dst, config_.retrans_timeout);
     }
   }
 }
@@ -40,7 +30,7 @@ void ReliableChannel::bind_queues(
 void ReliableChannel::trace_step(const Message& msg, const char* name,
                                  NodeId node) {
   if (msg.flow == 0) return;
-  nic_site(tracer_, node).emit(queue_for(node).now(), name,
+  nic_site(tracer_, node).emit(queues_[node]->now(), name,
                                trace::Kind::kFlowStep, msg.flow, msg.seq,
                                msg.type);
 }
@@ -102,7 +92,7 @@ void ReliableChannel::retransmit_all(NodeId src, NodeId dst) {
     stats_.add("net.dead_dropped", l.unacked.size());
     l.unacked.clear();
     l.gone = true;
-    if (peer_dead_) peer_dead_(src, dst);
+    peer_dead_(src, dst);
     return;
   }
   stats_.add("net.retrans", l.unacked.size());
@@ -135,23 +125,21 @@ void ReliableChannel::schedule_ack(NodeId data_src, NodeId data_dst) {
 }
 
 void ReliableChannel::silence(NodeId dead) {
-  if (silenced_.size() <= dead) silenced_.resize(dead + 1, 0);  // serial only
   silenced_[dead] = 1;
   // Cancel every timer the dead node's context owns: retransmits on its
   // outgoing links (sender halves) and delayed acks on its incoming ones
   // (receiver halves). Touching only dead-owned halves keeps this safe to
-  // run inside a parallel window — the map itself is never mutated after
-  // bind_queues, and the other half of each link belongs to the peer.
-  for (auto& [key, l] : links_) {
-    if (key.first == dead) {
-      l.retrans.cancel();
-      l.unacked.clear();
-      l.gone = true;
-    }
-    if (key.second == dead) {
-      l.ack_due.cancel();
-      l.held.clear();
-    }
+  // run inside a parallel window — the other half of each link belongs to
+  // the peer.
+  const auto n = static_cast<NodeId>(queues_.size());
+  for (NodeId peer = 0; peer < n; ++peer) {
+    Link& out = link(dead, peer);
+    out.retrans.cancel();
+    out.unacked.clear();
+    out.gone = true;
+    Link& in = link(peer, dead);
+    in.ack_due.cancel();
+    in.held.clear();
   }
 }
 
@@ -182,7 +170,7 @@ void ReliableChannel::on_wire_arrival(Message msg) {
     // A pure ack carries no payload to deliver; close its trace flow.
     if (msg.flow != 0) {
       nic_site(tracer_, msg.dst)
-          .emit(queue_for(msg.dst).now(), "net.msg", trace::Kind::kFlowEnd,
+          .emit(queues_[msg.dst]->now(), "net.msg", trace::Kind::kFlowEnd,
                 msg.flow, msg.ack, msg.type);
     }
     return;

@@ -19,7 +19,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -51,19 +50,18 @@ class ReliableChannel {
   using DeliverFn = std::function<void(Message)>;
   /// Bounded give-up fired in `self`'s execution context: after
   /// FaultConfig::giveup_retrans consecutive zero-progress retransmit
-  /// rounds, `self` suspects `peer` is dead and abandons the link. The
-  /// fault plane uses this to report the suspected crash.
+  /// rounds, `self` suspects `peer` is dead and abandons the link.
   using PeerDeadFn = std::function<void(NodeId self, NodeId peer)>;
 
-  ReliableChannel(sim::EventQueue& queue, const FaultConfig& config,
-                  StatsRegistry& stats, trace::Tracer* tracer,
-                  TransmitFn transmit, DeliverFn deliver)
-      : queue_(queue),
-        config_(config),
-        stats_(stats),
-        tracer_(tracer),
-        transmit_(std::move(transmit)),
-        deliver_(std::move(deliver)) {}
+  /// `queues[n]` is node n's event queue (the same queue for every node in
+  /// the serial kernel). Every directed link is created here, its
+  /// retransmit timer on the sender's queue and its delayed-ack timer on
+  /// the receiver's, so the link table never changes while partitioned
+  /// windows run (DESIGN.md §16). `peer_dead` runs on a bounded give-up.
+  ReliableChannel(std::vector<sim::EventQueue*> queues,
+                  const FaultConfig& config, StatsRegistry& stats,
+                  trace::Tracer* tracer, TransmitFn transmit,
+                  DeliverFn deliver, PeerDeadFn peer_dead);
 
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
@@ -77,17 +75,6 @@ class ReliableChannel {
   /// duplicates, retransmissions and pure acks). Runs the receive-side
   /// state machine; may invoke the deliver hook zero or more times.
   void on_wire_arrival(Message msg);
-
-  /// Parallel scheduler (DESIGN.md §16): gives every node its own event
-  /// queue and eagerly creates all n^2 links with their timers bound to
-  /// the owning ends — the retransmit timer fires in the sender's context,
-  /// the delayed-ack timer in the receiver's — so the link map is never
-  /// mutated while windows execute concurrently. Call before any traffic.
-  void bind_queues(const std::vector<sim::EventQueue*>& queues);
-
-  /// Installs the bounded give-up callback (see PeerDeadFn). No-op unless
-  /// FaultConfig::giveup_retrans > 0.
-  void set_peer_dead_hook(PeerDeadFn fn) { peer_dead_ = std::move(fn); }
 
   /// Crash teardown, run in `dead`'s own execution context (DESIGN.md §18):
   /// cancels every timer the dead node owns — the retransmit timers of its
@@ -131,21 +118,19 @@ class ReliableChannel {
     sim::Timer ack_due;
   };
 
-  Link& link(NodeId src, NodeId dst);
-  /// Event queue of `node`'s execution context (the shared queue unless
-  /// bind_queues was called).
-  [[nodiscard]] sim::EventQueue& queue_for(NodeId node) {
-    return queues_.empty() ? queue_ : *queues_[node];
+  [[nodiscard]] Link& link(NodeId src, NodeId dst) {
+    return links_[static_cast<std::size_t>(src) * queues_.size() + dst];
   }
   void process_ack(NodeId from, NodeId to, std::uint64_t ack);
   void retransmit_all(NodeId src, NodeId dst);
   void schedule_ack(NodeId from, NodeId to);
   [[nodiscard]] bool silenced(NodeId node) const {
-    return node < silenced_.size() && silenced_[node] != 0;
+    return silenced_[node] != 0;
   }
   void trace_step(const Message& msg, const char* name, NodeId node);
 
-  sim::EventQueue& queue_;
+  /// queues_[n] is node n's event queue.
+  std::vector<sim::EventQueue*> queues_;
   const FaultConfig& config_;
   StatsRegistry& stats_;
   trace::Tracer* tracer_;
@@ -154,15 +139,12 @@ class ReliableChannel {
   PeerDeadFn peer_dead_;
   /// Nodes silenced by a crash. Written only in the silenced node's own
   /// execution context and read only on that node's links, so partitioned
-  /// windows never race on an entry. Sized by bind_queues in the parallel
-  /// kernel; grown lazily (single context, safe) in the serial one.
+  /// windows never race on an entry.
   std::vector<std::uint8_t> silenced_;
-  /// Per-node queues when running partitioned; empty in the serial kernel.
-  std::vector<sim::EventQueue*> queues_;
-  /// Directed links, created on first use (serial) or all at bind_queues
-  /// time (parallel). std::map keeps Link addresses stable, which the
-  /// embedded (non-movable) timers require.
-  std::map<std::pair<NodeId, NodeId>, Link> links_;
+  /// Directed link src->dst at [src * node count + dst]; the src == dst
+  /// entries stay unused (loopback skips the channel). A deque keeps Link
+  /// addresses stable, which the embedded (non-movable) timers require.
+  std::deque<Link> links_;
 };
 
 }  // namespace dqemu::net

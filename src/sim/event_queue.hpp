@@ -32,6 +32,11 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
+  /// `tracer` (may be null) is the flight recorder: dispatch instants go
+  /// to Cat::kQueue (off by default: one record per event).
+  explicit EventQueue(trace::Tracer* tracer = nullptr)
+      : trace_{.tracer = tracer, .cat = trace::Cat::kQueue} {}
+
   /// Current virtual time. Advances only as events fire.
   [[nodiscard]] TimePs now() const { return now_; }
 
@@ -95,10 +100,6 @@ class EventQueue {
   /// Total events fired since construction.
   [[nodiscard]] std::uint64_t fired() const { return fired_; }
 
-  /// Attaches the flight recorder. Dispatch instants go to Cat::kQueue
-  /// (off by default: one record per event). May be null.
-  void set_tracer(trace::Tracer* tracer) { trace_.tracer = tracer; }
-
  private:
   struct Key {
     TimePs time;
@@ -117,7 +118,7 @@ class EventQueue {
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
   std::map<Key, Callback> events_;
-  trace::Site trace_{.cat = trace::Cat::kQueue};
+  trace::Site trace_;
 
   std::mutex post_mutex_;
   std::vector<Posted> posted_;

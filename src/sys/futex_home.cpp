@@ -109,7 +109,6 @@ void FutexService::forward_wait(const SyscallRequest& req) {
 }
 
 void FutexService::forward_wake(GuestAddr addr, std::uint32_t count,
-                                NodeId requester, GuestTid requester_tid,
                                 std::uint64_t flow) {
   net::Message msg;
   msg.src = self_;
@@ -117,9 +116,6 @@ void FutexService::forward_wake(GuestAddr addr, std::uint32_t count,
   msg.type = static_cast<std::uint32_t>(SysMsg::kWakeHandoff);
   msg.a = addr;
   msg.b = count;
-  const std::uint64_t who =
-      requester == kInvalidNode ? kNoWakeResponse : requester;
-  msg.c = (who << 32) | requester_tid;
   msg.flow = flow;
   stats_.add("sys.lease_handoffs");
   trace_.step(queue_.now(), "sys.lock_handoff", flow, addr, count);
@@ -143,8 +139,8 @@ void FutexService::do_futex(const SyscallRequest& req) {
       return;  // deferred response, now owed by the lease owner
     }
     if (phase == FutexTable::LeasePhase::kRecalling) {
-      recall_buffer_[addr].push_back(BufferedFutexOp{
-          req.src, req.tid, op, 0, req.flow, /*respond=*/true});
+      recall_buffer_[addr].push_back(
+          BufferedFutexOp{req.src, req.tid, op, 0, req.flow});
       return;
     }
     // The caller's node already verified *addr == expected while holding a
@@ -159,16 +155,18 @@ void FutexService::do_futex(const SyscallRequest& req) {
   if (op == isa::kFutexWake) {
     // The hierarchical path marks wakes fire-and-forget (kFutexAsyncWake):
     // the waker's agent already acknowledged the syscall, nobody awaits
-    // the count.
+    // the count. A lease exists only on that path, so a wake that meets
+    // one never owes a response.
     const bool respond = (req.args[3] & kFutexAsyncWake) == 0;
     if (phase == FutexTable::LeasePhase::kGranted) {
-      forward_wake(addr, req.args[2], respond ? req.src : kInvalidNode,
-                   req.tid, req.flow);
-      return;  // the owner answers the requester directly (if anyone does)
+      assert(!respond);
+      forward_wake(addr, req.args[2], req.flow);
+      return;
     }
     if (phase == FutexTable::LeasePhase::kRecalling) {
-      recall_buffer_[addr].push_back(BufferedFutexOp{
-          req.src, req.tid, op, req.args[2], req.flow, respond});
+      assert(!respond);
+      recall_buffer_[addr].push_back(
+          BufferedFutexOp{req.src, req.tid, op, req.args[2], req.flow});
       return;
     }
     const std::uint32_t woken = home_wake(addr, req.args[2]);
@@ -183,12 +181,11 @@ void FutexService::exit_wake(const SyscallRequest& req, GuestAddr ctid) {
   // The exiting thread never awaits a count, hence no response either way.
   switch (futexes_.lease_phase(ctid)) {
     case FutexTable::LeasePhase::kGranted:
-      forward_wake(ctid, UINT32_MAX, kInvalidNode, 0, req.flow);
+      forward_wake(ctid, UINT32_MAX, req.flow);
       break;
     case FutexTable::LeasePhase::kRecalling:
       recall_buffer_[ctid].push_back(BufferedFutexOp{
-          req.src, req.tid, isa::kFutexWake, UINT32_MAX, req.flow,
-          /*respond=*/false});
+          req.src, req.tid, isa::kFutexWake, UINT32_MAX, req.flow});
       break;
     case FutexTable::LeasePhase::kNone:
       (void)home_wake(ctid, UINT32_MAX);
@@ -222,7 +219,7 @@ void FutexService::on_lease_request(const net::Message& msg) {
       stats_.add("sys.lease_recalls");
       trace_.step(queue_.now(), "sys.lease_recall", msg.flow, addr, owner);
       send_recall(addr, owner, msg.flow);
-      if (recall_timeout_ > 0 && network_.faults_active()) {
+      if (recall_timeout_ > 0) {
         arm_recall_watchdog(addr, recall_timeout_);
       }
       return;
@@ -333,11 +330,7 @@ void FutexService::replay_buffered(GuestAddr addr) {
       futexes_.wait(addr, FutexTable::Waiter{op.src, op.tid, op.flow});
       stats_.add("sys.futex_waits");
     } else {
-      const std::uint32_t woken = home_wake(addr, op.count);
-      if (op.respond) {
-        stats_.add("sys.futex_wakes", woken);
-        send_response(op.src, op.tid, woken, op.flow);
-      }
+      (void)home_wake(addr, op.count);  // nobody awaits the count
     }
   }
   recall_buffer_.erase(buffered);
@@ -449,8 +442,7 @@ void FutexService::serialize_for_handoff(std::vector<std::uint8_t>& out) {
       le::put_u32(out, op.op);
       le::put_u32(out, op.count);
       le::put_u64(out, op.flow);
-      le::put_u32(out, op.respond ? 1 : 0);
-      le::put_u32(out, 0);
+      le::put_u64(out, 0);  // padding
     }
   }
   // pending_lease_flow_ is trace-only causality; it does not survive the
@@ -474,8 +466,7 @@ void FutexService::adopt_handoff(std::span<const std::uint8_t> data) {
       op.op = in.u32();
       op.count = in.u32();
       op.flow = in.u64();
-      op.respond = in.u32() != 0;
-      (void)in.u32();  // pad
+      (void)in.u64();  // padding
       ops.push_back(op);
     }
     adopted.push_back(addr);
@@ -491,7 +482,7 @@ void FutexService::adopt_handoff(std::span<const std::uint8_t> data) {
   // Adopted in-flight recalls lost their watchdog with the dead home;
   // re-arm so a recall (or return) lost on the wire is re-driven from
   // here. The owner's own kNodeDead replay usually completes it first.
-  if (recall_timeout_ > 0 && network_.faults_active()) {
+  if (recall_timeout_ > 0) {
     for (const GuestAddr addr : futexes_.lease_addrs()) {
       if (futexes_.lease_phase(addr) == FutexTable::LeasePhase::kRecalling &&
           recall_watchdogs_.find(addr) == recall_watchdogs_.end()) {

@@ -41,9 +41,9 @@ class FutexService {
   /// protocol messages are sent from it, and its event `queue` carries the
   /// service delays and recall watchdogs (the node's own queue under the
   /// parallel kernel). A lease younger than `lease_min_hold` is never
-  /// recalled. With a non-zero `recall_timeout` and the network's fault
-  /// path active, every outstanding recall gets a watchdog that re-sends
-  /// the kLeaseRecall (DESIGN.md §13).
+  /// recalled. With a non-zero `recall_timeout` every outstanding recall
+  /// gets a watchdog that re-sends the kLeaseRecall (DESIGN.md §13); pass 0
+  /// over a fault-free network, where a recall cannot get lost.
   FutexService(NodeId self, net::Network& network, sim::EventQueue& queue,
                MachineConfig machine, DurationPs lease_min_hold,
                DurationPs recall_timeout, StatsRegistry& stats,
@@ -137,16 +137,15 @@ class FutexService {
     std::uint32_t op = 0;
     std::uint32_t count = 0;
     std::uint64_t flow = 0;
-    bool respond = true;  ///< false for exit-wakes: the waker is gone
   };
 
   /// Wakes up to `count` waiters of a home-owned address and sends the
   /// deferred responses; returns the number woken.
   std::uint32_t home_wake(GuestAddr addr, std::uint32_t count);
-  /// Forwards a wait/wake on a leased address to its owner agent.
+  /// Forwards a wait/wake on a leased address to its owner agent. Nobody
+  /// awaits a forwarded wake's count (kWakeHandoff).
   void forward_wait(const SyscallRequest& req);
-  void forward_wake(GuestAddr addr, std::uint32_t count, NodeId requester,
-                    GuestTid requester_tid, std::uint64_t flow);
+  void forward_wake(GuestAddr addr, std::uint32_t count, std::uint64_t flow);
   void on_lease_request(const net::Message& msg);
   void on_lease_return(const net::Message& msg);
   /// Grants `addr`'s lease to `owner`: detaches the home queue and ships it

@@ -26,14 +26,16 @@ std::vector<GuestAddr> sorted_addrs(const Map& map) {
 
 LockAgent::LockAgent(NodeId id, sim::EventQueue& queue, net::Network& network,
                      StatsRegistry& stats, trace::Tracer* tracer,
-                     HomeResolver home_of, WakeLocalFn wake_local)
+                     HomeResolver home_of, WakeLocalFn wake_local,
+                     bool keep_returns)
     : id_(id),
       queue_(queue),
       network_(network),
       stats_(stats),
       trace_{tracer, trace::Cat::kSys, id},
       home_of_(std::move(home_of)),
-      wake_local_(std::move(wake_local)) {}
+      wake_local_(std::move(wake_local)),
+      keep_returns_(keep_returns) {}
 
 void LockAgent::crash_return(NodeId home, GuestAddr addr,
                              const std::vector<FutexTable::Waiter>& queue) {
@@ -254,9 +256,7 @@ void LockAgent::on_lease_recall(const net::Message& msg) {
                 msg.flow, addr, queue.size());
   }
   network_.send(std::move(ret));
-  if (network_.faults_active()) {
-    // Keep a copy so the return can be replayed to the master if the
-    // recalling home dies with it in flight (DESIGN.md §18).
+  if (keep_returns_) {
     sent_returns_[addr] = SentReturn{msg.src, std::move(queue)};
   }
 }
@@ -275,12 +275,7 @@ void LockAgent::on_wait_handoff(const net::Message& msg) {
 void LockAgent::on_wake_handoff(const net::Message& msg) {
   const auto addr = static_cast<GuestAddr>(msg.a);
   assert(owns(addr));
-  const std::uint32_t woken =
-      wake_from_entry(addr, owned_[addr], static_cast<std::uint32_t>(msg.b));
-  const auto requester = static_cast<std::uint32_t>(msg.c >> 32);
-  if (requester == kNoWakeResponse) return;  // e.g. thread-exit wakes
-  respond(static_cast<NodeId>(requester), static_cast<GuestTid>(msg.c), woken,
-          msg.flow);
+  (void)wake_from_entry(addr, owned_[addr], static_cast<std::uint32_t>(msg.b));
 }
 
 void LockAgent::respond(NodeId node, GuestTid tid, std::int64_t result,

@@ -17,7 +17,7 @@
 // lease, and every futex op takes the master-delegation path.
 //
 // The agent builds the node-side protocol messages: kLeaseReq, kLeaseReturn,
-// kWakeBatch, the kSyscallResp of a remote waiter or waker (respond) and
+// kWakeBatch, the kSyscallResp of a remote waiter (respond) and
 // the kCrashLeaseReturn of the fault plane (crash_return).
 #pragma once
 
@@ -47,9 +47,12 @@ class LockAgent {
   /// *returns* go to whichever home sent the recall, so they need none.
   using HomeResolver = std::function<NodeId(GuestAddr)>;
 
+  /// `keep_returns` keeps a copy of each lease return sent, which the
+  /// fault plane replays to the master if the recalling home dies with the
+  /// return in flight (DESIGN.md §18); off on a fault-free network.
   LockAgent(NodeId id, sim::EventQueue& queue, net::Network& network,
             StatsRegistry& stats, trace::Tracer* tracer, HomeResolver home_of,
-            WakeLocalFn wake_local);
+            WakeLocalFn wake_local, bool keep_returns);
 
   /// True when this agent holds the lease for `addr`.
   [[nodiscard]] bool owns(GuestAddr addr) const {
@@ -139,12 +142,13 @@ class LockAgent {
   trace::Site trace_;  ///< kSys records on this node's track
   HomeResolver home_of_;
   WakeLocalFn wake_local_;
+  bool keep_returns_;
 
   std::unordered_map<GuestAddr, Entry> owned_;
   /// Delegated-op counts for addresses we do not own (reset on request).
   std::unordered_map<GuestAddr, std::uint32_t> delegated_ops_;
-  /// Last lease return sent per address (kept only while the fault plane is
-  /// active): destination home + the returned queue, so a return lost to a
+  /// Last lease return sent per address (kept only with keep_returns_):
+  /// destination home + the returned queue, so a return lost to a
   /// crashing home can be re-sent to the master that adopted it. Replaced
   /// by the next recall's return; cleared when the lease comes back.
   struct SentReturn {

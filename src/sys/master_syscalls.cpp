@@ -38,12 +38,15 @@ SyscallRequest parse_syscall_request(const net::Message& msg) {
 
 MasterSyscalls::MasterSyscalls(net::Network& network, sim::EventQueue& queue,
                                std::uint32_t page_size, FutexService& futexes,
-                               FutexHomeResolver futex_home,
+                               FutexHomeResolver futex_home, Hooks hooks,
+                               ServeHandler serve_handler,
                                StatsRegistry& stats, trace::Tracer* tracer)
     : network_(network),
       queue_(queue),
       stats_(stats),
       trace_{tracer, trace::Cat::kSys, kMasterNode, trace::kTrackManager},
+      hooks_(std::move(hooks)),
+      serve_handler_(std::move(serve_handler)),
       futex_(futexes),
       futex_home_(std::move(futex_home)),
       page_mask_(page_size - 1) {}
@@ -135,7 +138,7 @@ void MasterSyscalls::dispatch(const SyscallRequest& req) {
       futex_.do_futex(req);
       return;
     case Sys::kClone: {
-      assert(hooks_.on_clone && "core layer must install the clone hook");
+      assert(hooks_.on_clone && "core layer must pass the clone hook");
       const std::int32_t child = hooks_.on_clone(req);
       futex_.send_response(req.src, req.tid, child, req.flow);
       return;

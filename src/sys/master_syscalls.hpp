@@ -1,12 +1,12 @@
 // Master-side delegated-syscall engine (paper section 4.3).
 //
 // Owns the authoritative system state: the VFS + fd table and the guest
-// heap/mmap break. The engine borrows the master's futex home (home 0 of
-// the cluster's home table, DESIGN.md §17): futex calls delegated to the
-// master are served there, and every response the engine sends goes out
-// through it, paying the one manager service delay. Thread lifecycle calls
+// heap/mmap break. The engine borrows the master's futex home (home 0,
+// which node 0 hosts; DESIGN.md §17): futex calls delegated to the master
+// are served there, and every response the engine sends goes out through
+// it, paying the one manager service delay. Thread lifecycle calls
 // (clone / exit / exit_group) are forwarded to hooks the core layer
-// installs, because placement and thread accounting live there.
+// passes in, because placement and thread accounting live there.
 #pragma once
 
 #include <array>
@@ -65,28 +65,26 @@ class MasterSyscalls {
   /// is not node 0.
   using FutexHomeResolver = std::function<NodeId(GuestAddr)>;
 
-  /// `futexes` is the master's futex home; it must outlive the engine.
-  /// `page_size` rounds anonymous mmap lengths.
-  MasterSyscalls(net::Network& network, sim::EventQueue& queue,
-                 std::uint32_t page_size, FutexService& futexes,
-                 FutexHomeResolver futex_home, StatsRegistry& stats,
-                 trace::Tracer* tracer = nullptr);
-
-  /// Guest heap layout: brk grows in [brk_start, mmap_start); anonymous
-  /// mmaps grow in [mmap_start, mmap_end).
-  void configure_memory(GuestAddr brk_start, GuestAddr mmap_start,
-                        GuestAddr mmap_end);
-
-  void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
-
   /// Serving-plane escape hatch: kServeGet / kServeDone requests are handed
   /// to this callback (the core layer binds it to the load generator),
   /// which replies — possibly much later, for parked workers — through
-  /// home 0's send_response. Without a handler both calls return -ENOSYS.
+  /// home 0's send_response.
   using ServeHandler = std::function<void(const SyscallRequest&)>;
-  void set_serve_handler(ServeHandler handler) {
-    serve_handler_ = std::move(handler);
-  }
+
+  /// `futexes` is the master's futex home; it must outlive the engine.
+  /// `page_size` rounds anonymous mmap lengths. `serve_handler` is empty
+  /// when serving is off: both serve calls then return -ENOSYS.
+  MasterSyscalls(net::Network& network, sim::EventQueue& queue,
+                 std::uint32_t page_size, FutexService& futexes,
+                 FutexHomeResolver futex_home, Hooks hooks,
+                 ServeHandler serve_handler, StatsRegistry& stats,
+                 trace::Tracer* tracer = nullptr);
+
+  /// Guest heap layout: brk grows in [brk_start, mmap_start); anonymous
+  /// mmaps grow in [mmap_start, mmap_end). Known only once the program is
+  /// loaded.
+  void configure_memory(GuestAddr brk_start, GuestAddr mmap_start,
+                        GuestAddr mmap_end);
 
   [[nodiscard]] Vfs& vfs() { return vfs_; }
   [[nodiscard]] const Vfs& vfs() const { return vfs_; }

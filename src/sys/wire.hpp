@@ -42,19 +42,16 @@ enum class SysMsg : std::uint32_t {
   /// forwarded to the lease owner. a = address, b = waiter tid,
   /// c = waiter node; flow = the waiter's causal chain.
   kWaitHandoff = 0x214,
-  /// Master -> owner: a FUTEX_WAKE delegated by a non-owner node.
-  /// a = address, b = count, c = (requester node << 32) | requester tid;
-  /// requester node == kNoWakeResponse means nobody awaits the count
-  /// (thread-exit wakes). The owner responds to the requester directly.
+  /// Master -> owner: a FUTEX_WAKE delegated by a non-owner node, or a
+  /// thread-exit wake. a = address, b = count. Nobody awaits the count:
+  /// every delegated wake is fire-and-forget under hierarchical locking
+  /// (kFutexAsyncWake), the only mode with leases.
   kWakeHandoff = 0x215,
   /// Master or owner -> node: one message waking several parked threads on
   /// the destination node. a = address, b = entry count; data = packed
   /// Waiters (tid + flow per entry). Each tid gets futex result 0.
   kWakeBatch = 0x216,
 };
-
-/// Requester-node sentinel in kWakeHandoff: no count response wanted.
-inline constexpr std::uint32_t kNoWakeResponse = 0xFFFFFFFFu;
 
 /// FUTEX_WAKE arg[3] flag: fire-and-forget. The waker's lock agent already
 /// acknowledged the syscall locally (result 0), so the master must not send

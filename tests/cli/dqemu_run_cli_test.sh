@@ -42,7 +42,8 @@ esac
 "$RUN" >/dev/null 2>&1 && fail "no arguments exited 0"
 
 # A numeric flag takes only a value its field can hold: no sign and nothing
-# past UINT32_MAX for a count, no empty or trailing text for a real number.
+# past UINT32_MAX for a count or a node id, no time in microseconds whose
+# picosecond form overflows, no empty or trailing text for a real number.
 expect_bad_value() {
   out=$("$RUN" "$GUEST" "$@" 2>&1)
   status=$?
@@ -60,6 +61,31 @@ expect_bad_value --gbps 2x
 expect_bad_value --gbps ""
 expect_bad_value --drop-pct abc
 expect_bad_value --rate 8000/s
+expect_bad_value --crash 4294967297@3500
+expect_bad_value --crash 1@-5
+expect_bad_value --pause 1@+100:-1
+expect_bad_value --checkpoint -1:x.ckpt
+expect_bad_value --checkpoint 18446744073709552:x.ckpt
+
+# A real number the configuration cannot run with is refused up front:
+# NaN or infinity, or a bandwidth or rate so low that one message's wire
+# time or one arrival gap overflows the picosecond clock.
+expect_bad_config() {
+  out=$("$RUN" "$@" 2>&1)
+  status=$?
+  [ "$status" -eq 2 ] || fail "$* exited $status, want 2"
+  case "$out" in
+    *"bad configuration"*) ;;
+    *) fail "$* printed no 'bad configuration': $out" ;;
+  esac
+}
+expect_bad_config "$GUEST" --nodes 2 --gbps nan
+expect_bad_config "$GUEST" --gbps inf
+expect_bad_config "$GUEST" --gbps 1e-300
+expect_bad_config "$GUEST" --faults --drop-pct nan
+expect_bad_config --serve --nodes 2 --requests 50 --rate nan
+expect_bad_config --serve --nodes 2 --requests 50 --rate inf
+expect_bad_config --serve --nodes 2 --requests 50 --rate 1e-300
 
 # An operand the encoder cannot hold is an assembler error naming the line
 # (exit 1), not an abort.
@@ -216,6 +242,16 @@ status=$?
 case "$out" in
   *"(match)"*) ;;
   *) fail "traced restore did not match the untraced checkpoint: $out" ;;
+esac
+# Nor does a checkpoint depend on the host thread count: the serial one
+# restores under the parallel kernel.
+# shellcheck disable=SC2086
+out=$("$RUN" $crash --restore "$tmp/crash.ckpt" --host-threads 2 2>&1 >/dev/null)
+status=$?
+[ "$status" -eq 0 ] || fail "--host-threads 2 restore exited $status: $out"
+case "$out" in
+  *"(match)"*) ;;
+  *) fail "--host-threads 2 restore did not match the serial checkpoint: $out" ;;
 esac
 rm -rf "$tmp"
 

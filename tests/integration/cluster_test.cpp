@@ -125,6 +125,27 @@ TEST(Cluster, LocalSyscallsAnswerLocally) {
   EXPECT_EQ(outcome.result.guest_stdout, "1\n1\n0\n");
 }
 
+TEST(Cluster, YieldReturnsZeroAndTheThreadContinues) {
+  Assembler a;
+  Assembler::Label main_fn = a.make_label("main");
+  guestlib::emit_crt0(a, main_fn);
+  guestlib::Runtime rt = guestlib::emit_runtime(a);
+  a.bind(main_fn);
+  a.addi(kSp, kSp, -16);
+  a.sw(kSp, kRa, 0);
+  a.syscall(static_cast<std::int32_t>(Sys::kYield));
+  a.call(rt.print_u32);
+  a.li(kA0, 7);
+  a.call(rt.print_u32);
+  a.li(kA0, 0);
+  a.lw(kRa, kSp, 0);
+  a.addi(kSp, kSp, 16);
+  a.ret();
+  auto outcome = run_program(test_config(2), must_finalize(a));
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.result.guest_stdout, "0\n7\n");
+}
+
 TEST(Cluster, ClockGettimeAdvances) {
   Assembler a;
   Assembler::Label main_fn = a.make_label("main");

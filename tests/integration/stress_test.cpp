@@ -38,7 +38,8 @@ TEST_P(ProtocolStorm, InvariantsAndConvergence) {
 
   sim::EventQueue queue;
   StatsRegistry stats;
-  net::Network network(queue, NetworkConfig{}, kNodes, stats);
+  net::Network network(std::vector<sim::EventQueue*>(kNodes, &queue),
+                       NetworkConfig{}, stats);
   std::vector<std::unique_ptr<mem::AddressSpace>> spaces;
   std::vector<std::unique_ptr<mem::ShadowMap>> shadows;
   std::vector<std::unique_ptr<test::ClientDeps>> deps;

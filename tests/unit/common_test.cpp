@@ -1,6 +1,7 @@
 // Unit tests: common module (status/result, hash, rng, stats, config, time).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <span>
 #include <vector>
@@ -234,6 +235,70 @@ TEST(Config, TotalNodesCountsMaster) {
   EXPECT_EQ(config.total_nodes(), 7u);
   config.single_node_baseline = true;
   EXPECT_EQ(config.total_nodes(), 1u);
+}
+
+// Every double validate() reads must be finite, and the bandwidth and the
+// open-loop rate large enough that the time they convert to fits the
+// picosecond clock: NaN compares false against every bound, and an
+// out-of-range float-to-integer cast is undefined behaviour.
+TEST(ConfigValidation, RejectsNonFiniteDoubles) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    ClusterConfig config;
+    config.machine.cpu_ghz = bad;
+    EXPECT_FALSE(config.validate().is_ok());
+
+    config = ClusterConfig{};
+    config.node_machines.assign(config.total_nodes(), MachineConfig{});
+    config.node_machines.back().cpu_ghz = bad;
+    EXPECT_FALSE(config.validate().is_ok());
+
+    config = ClusterConfig{};
+    config.net.bandwidth_gbps = bad;
+    EXPECT_FALSE(config.validate().is_ok());
+
+    for (double FaultConfig::*pct :
+         {&FaultConfig::drop_pct, &FaultConfig::dup_pct,
+          &FaultConfig::jitter_pct, &FaultConfig::reorder_pct}) {
+      config = ClusterConfig{};
+      config.faults.enabled = true;
+      config.faults.*pct = bad;
+      EXPECT_FALSE(config.validate().is_ok());
+    }
+
+    config = ClusterConfig{};
+    config.serve.enabled = true;
+    config.serve.rate = bad;
+    EXPECT_FALSE(config.validate().is_ok());
+  }
+}
+
+TEST(ConfigValidation, BandwidthMustKeepTheWireTimeInRange) {
+  ClusterConfig config;
+  config.net.bandwidth_gbps = NetworkConfig::min_bandwidth_gbps;
+  EXPECT_TRUE(config.validate().is_ok());
+  // A 4 GiB message's wire time still fits the clock at the minimum.
+  EXPECT_LT(config.net.wire_time(std::uint64_t{1} << 32), UINT64_MAX / 2);
+  config.net.bandwidth_gbps = NetworkConfig::min_bandwidth_gbps / 2;
+  EXPECT_FALSE(config.validate().is_ok());
+  config.net.bandwidth_gbps = 1e-300;
+  EXPECT_FALSE(config.validate().is_ok());
+}
+
+TEST(ConfigValidation, OpenLoopRateMustKeepTheArrivalGapInRange) {
+  ClusterConfig config;
+  config.serve.enabled = true;
+  config.serve.rate = ServeConfig::min_rate;
+  EXPECT_TRUE(config.validate().is_ok());
+  config.serve.rate = 1e-300;
+  EXPECT_FALSE(config.validate().is_ok());
+  config.serve.arrival = ArrivalProcess::kUniform;
+  EXPECT_FALSE(config.validate().is_ok());
+  // A closed loop has no rate to check.
+  config.serve.arrival = ArrivalProcess::kClosed;
+  EXPECT_TRUE(config.validate().is_ok());
 }
 
 TEST(Config, WireTimeScalesWithBytes) {

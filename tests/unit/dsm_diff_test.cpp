@@ -167,8 +167,8 @@ struct DiffProtocolFixture : ::testing::Test {
 
   void build(DsmConfig dsm) {
     queue = std::make_unique<sim::EventQueue>();
-    network = std::make_unique<net::Network>(*queue, NetworkConfig{}, 3,
-                                             stats);
+    network = std::make_unique<net::Network>(
+        std::vector<sim::EventQueue*>(3, queue.get()), NetworkConfig{}, stats);
     for (int i = 0; i < 3; ++i) {
       spaces[i] = std::make_unique<mem::AddressSpace>(kMem, kPage);
       shadows[i] = std::make_unique<mem::ShadowMap>(kPage, 4);
@@ -428,8 +428,9 @@ TEST(DiffEquivalence, ProtocolStateMatchesFullPagePlane) {
     };
     auto w = std::make_unique<World>();
     w->queue = std::make_unique<sim::EventQueue>();
-    w->network = std::make_unique<net::Network>(*w->queue, NetworkConfig{}, 3,
-                                                w->stats);
+    w->network = std::make_unique<net::Network>(
+        std::vector<sim::EventQueue*>(3, w->queue.get()), NetworkConfig{},
+        w->stats);
     for (int i = 0; i < 3; ++i) {
       w->spaces[i] = std::make_unique<mem::AddressSpace>(kMem, kPage);
       w->shadows[i] = std::make_unique<mem::ShadowMap>(kPage, 4);
@@ -517,7 +518,7 @@ TEST(DiffEquivalence, RuntimeOffSendsNoDiffMessages) {
   // classic vocabulary even in a diff-capable build.
   StatsRegistry stats;
   sim::EventQueue queue;
-  net::Network network(queue, NetworkConfig{}, 2, stats);
+  net::Network network({&queue, &queue}, NetworkConfig{}, stats);
   mem::AddressSpace home(kMem, kPage);
   mem::AddressSpace remote(kMem, kPage);
   mem::ShadowMap shadow_home(kPage, 4);

@@ -25,8 +25,8 @@ struct ProtocolFixture : ::testing::Test {
 
   void build(DsmConfig dsm) {
     queue = std::make_unique<sim::EventQueue>();
-    network = std::make_unique<net::Network>(*queue, NetworkConfig{}, 3,
-                                             stats);
+    network = std::make_unique<net::Network>(
+        std::vector<sim::EventQueue*>(3, queue.get()), NetworkConfig{}, stats);
     for (int i = 0; i < 3; ++i) {
       spaces[i] = std::make_unique<mem::AddressSpace>(kMem, kPage);
       shadows[i] = std::make_unique<mem::ShadowMap>(kPage, 4);

@@ -183,8 +183,9 @@ struct LossyNetFixture : ::testing::Test {
   /// Builds the network lazily so each test can set `faults` first.
   net::Network& build() {
     faults.enabled = true;
-    network = std::make_unique<net::Network>(queue, config, 3, stats,
-                                             nullptr, faults);
+    network = std::make_unique<net::Network>(
+        std::vector<sim::EventQueue*>(3, &queue), config, stats, nullptr,
+        faults);
     for (NodeId n = 0; n < 3; ++n) {
       network->attach(n, [this, n](net::Message msg) {
         deliveries.push_back({n, queue.now(), std::move(msg)});

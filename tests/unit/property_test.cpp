@@ -90,7 +90,8 @@ TEST_P(NetworkOrdering, ChannelFifoHolds) {
   Rng rng(GetParam());
   sim::EventQueue queue;
   StatsRegistry stats;
-  net::Network network(queue, NetworkConfig{}, 4, stats);
+  net::Network network({&queue, &queue, &queue, &queue}, NetworkConfig{},
+                       stats);
   // delivered[src][dst] = sequence numbers in delivery order.
   std::map<std::pair<NodeId, NodeId>, std::vector<std::uint64_t>> delivered;
   for (NodeId n = 0; n < 4; ++n) {

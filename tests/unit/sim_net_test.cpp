@@ -104,7 +104,7 @@ TEST(EventQueue, FiredCounts) {
 // ---- Network -------------------------------------------------------------------
 
 struct NetFixture : ::testing::Test {
-  NetFixture() : network(queue, config, 3, stats) {
+  NetFixture() : network({&queue, &queue, &queue}, config, stats) {
     for (NodeId n = 0; n < 3; ++n) {
       network.attach(n, [this, n](net::Message msg) {
         deliveries.push_back({n, queue.now(), std::move(msg)});
@@ -220,7 +220,7 @@ TEST(NetDeath, DeliverToUnattachedNodeDies) {
       {
         sim::EventQueue queue;
         StatsRegistry stats;
-        net::Network network(queue, NetworkConfig{}, 2, stats);
+        net::Network network({&queue, &queue}, NetworkConfig{}, stats);
         network.attach(0, [](net::Message) {});
         net::Message msg;
         msg.src = 0;
@@ -238,7 +238,7 @@ TEST(NetDeath, AttachOutOfRangeNodeDies) {
       {
         sim::EventQueue queue;
         StatsRegistry stats;
-        net::Network network(queue, NetworkConfig{}, 2, stats);
+        net::Network network({&queue, &queue}, NetworkConfig{}, stats);
         network.attach(5, [](net::Message) {});
       },
       "out-of-range node");

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "dbt/exec.hpp"
@@ -26,11 +27,12 @@ constexpr GuestAddr kData = 0x00100000;  // scratch page, RW in the harness
 /// Same single-space harness as dbt_test, with superblock knobs exposed.
 struct Harness {
   explicit Harness(std::function<void(Assembler&)> emit,
-                   bool check_protection = false, DbtConfig dbt_config = {})
+                   bool check_protection = false, DbtConfig dbt_config = {},
+                   TranslationCache::SbEventHook sb_event_hook = {})
       : space(32u << 20, 4096),
         config(dbt_config),
         llsc(stats),
-        cache(space, config, stats),
+        cache(space, config, stats, std::move(sb_event_hook)),
         engine(space, shadow, llsc, cache, config, stats),
         shadow(4096, 4) {
     Assembler a;
@@ -307,14 +309,13 @@ TEST(SuperblockInvalidation, DroppingAConstituentPageKillsTheTrace) {
 }
 
 TEST(SuperblockInvalidation, EventHookSeesFormationAndFlush) {
-  Harness h([](Assembler& a) { emit_fusion_loop(a, 100); }, false,
-            hot_config());
   std::vector<SbEvent> events;
   std::vector<GuestAddr> entries;
-  h.cache.set_sb_event_hook([&](SbEvent e, const Superblock& sb) {
-    events.push_back(e);
-    entries.push_back(sb.entry_pc);
-  });
+  Harness h([](Assembler& a) { emit_fusion_loop(a, 100); }, false,
+            hot_config(), [&](SbEvent e, const Superblock& sb) {
+              events.push_back(e);
+              entries.push_back(sb.entry_pc);
+            });
   ASSERT_EQ(h.run().reason, StopReason::kSyscall);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0], SbEvent::kFormed);

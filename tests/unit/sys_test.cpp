@@ -2,6 +2,7 @@
 // delegation engine and the lock agent's wake policy.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "isa/syscall_abi.hpp"
@@ -173,11 +174,20 @@ TEST(PreAccess, FutexWaitNeedsWord) {
 
 struct DelegationFixture : ::testing::Test {
   DelegationFixture()
-      : network(queue, NetworkConfig{}, 2, stats),
+      : network({&queue, &queue}, NetworkConfig{}, stats),
         futexes(kMasterNode, network, queue, MachineConfig{},
                 SysConfig{}.lease_min_hold, /*recall_timeout=*/0, stats),
         master(network, queue, MachineConfig{}.page_size, futexes,
-               [](GuestAddr) { return kMasterNode; }, stats) {
+               [](GuestAddr) { return kMasterNode; },
+               MasterSyscalls::Hooks{
+                   .on_clone = [this](const SyscallRequest& req) {
+                     return on_clone(req);
+                   },
+                   .on_exit = [this](const SyscallRequest& req) {
+                     if (on_exit) on_exit(req);
+                   },
+                   .on_exit_group = {}},
+               /*serve_handler=*/{}, stats) {
     master.configure_memory(0x100000, 0x800000, 0xF00000);
     network.attach(0, [this](net::Message msg) {
       master.handle_message(msg);
@@ -202,6 +212,9 @@ struct DelegationFixture : ::testing::Test {
   StatsRegistry stats;
   net::Network network;
   FutexService futexes;
+  /// What the engine's clone and exit hooks run; a test sets them.
+  std::function<std::int32_t(const SyscallRequest&)> on_clone;
+  std::function<void(const SyscallRequest&)> on_exit;
   MasterSyscalls master;
   std::vector<net::Message> responses;
 };
@@ -250,6 +263,32 @@ TEST_F(DelegationFixture, OpenReadThroughPayloads) {
   EXPECT_EQ(responses.back().data[0], 'x');
 }
 
+TEST_F(DelegationFixture, LseekMovesTheFileOffset) {
+  master.vfs().preload("cfg", std::string_view("abcdef"));
+  const char* path = "cfg";
+  call(Sys::kOpen, {0, 0, 0, 0},
+       {reinterpret_cast<const std::uint8_t*>(path), 4});
+  const auto fd = static_cast<std::uint32_t>(last_result());
+  call(Sys::kLseek, {fd, 4, isa::kSeekSet, 0});
+  EXPECT_EQ(last_result(), 4);
+  // The offset is a signed argument: -2 from the end is byte 4 of 6.
+  call(Sys::kLseek, {fd, static_cast<std::uint32_t>(-2), isa::kSeekEnd, 0});
+  EXPECT_EQ(last_result(), 4);
+  call(Sys::kRead, {fd, 0x9000, 16, 0});
+  EXPECT_EQ(last_result(), 2);
+  ASSERT_EQ(responses.back().data.size(), 2u);
+  EXPECT_EQ(responses.back().data[0], 'e');
+  call(Sys::kLseek, {fd, static_cast<std::uint32_t>(-7), isa::kSeekEnd, 0});
+  EXPECT_EQ(last_result(), -isa::kEINVAL);
+}
+
+TEST_F(DelegationFixture, MunmapSucceeds) {
+  call(Sys::kMmap, {4096, 0, 0, 0});
+  const auto addr = static_cast<std::uint32_t>(last_result());
+  call(Sys::kMunmap, {addr, 4096, 0, 0});
+  EXPECT_EQ(last_result(), 0);
+}
+
 TEST_F(DelegationFixture, FutexWaitDefersUntilWake) {
   call(Sys::kFutex, {0x4000, isa::kFutexWait, 1, 0});
   EXPECT_TRUE(responses.empty());  // no response yet: thread blocked
@@ -286,9 +325,7 @@ TEST_F(DelegationFixture, ExitWakesJoinersOnCtid) {
   call(Sys::kFutex, {0xABC0, isa::kFutexWait, 1, 0});
   EXPECT_TRUE(responses.empty());
   bool exited = false;
-  MasterSyscalls::Hooks hooks;
-  hooks.on_exit = [&](const SyscallRequest&) { exited = true; };
-  master.set_hooks(std::move(hooks));
+  on_exit = [&](const SyscallRequest&) { exited = true; };
   network.send(make_syscall_request(1, /*tid=*/9, Sys::kExit,
                                     {0, 0xABC0, 0, 0}, {}));
   queue.run(10000);
@@ -298,12 +335,10 @@ TEST_F(DelegationFixture, ExitWakesJoinersOnCtid) {
 }
 
 TEST_F(DelegationFixture, CloneHookInvoked) {
-  MasterSyscalls::Hooks hooks;
-  hooks.on_clone = [](const SyscallRequest& req) {
+  on_clone = [](const SyscallRequest& req) {
     EXPECT_EQ(req.args[1], 0x5555u);
     return 42;
   };
-  master.set_hooks(std::move(hooks));
   call(Sys::kClone, {0, 0x5555, 0x6666, 0});
   EXPECT_EQ(last_result(), 42);
 }
@@ -317,7 +352,7 @@ TEST(LockAgentCohort, OldestRemoteWaiterIsServedAfterTheLocalStreak) {
   constexpr GuestTid kFirstLocalTid = 10;
   sim::EventQueue queue;
   StatsRegistry stats;
-  net::Network network(queue, NetworkConfig{}, 3, stats);
+  net::Network network({&queue, &queue, &queue}, NetworkConfig{}, stats);
   std::vector<net::Message> to_remote;
   network.attach(2, [&](net::Message msg) {
     to_remote.push_back(std::move(msg));
@@ -326,7 +361,8 @@ TEST(LockAgentCohort, OldestRemoteWaiterIsServedAfterTheLocalStreak) {
   LockAgent agent(
       kSelf, queue, network, stats, nullptr,
       [](GuestAddr) { return kMasterNode; },
-      [&](GuestTid tid, std::uint64_t) { local_woken.push_back(tid); });
+      [&](GuestTid tid, std::uint64_t) { local_woken.push_back(tid); },
+      /*keep_returns=*/false);
 
   // The lease arrives carrying one waiter of node 2; 65 local threads park
   // behind it.

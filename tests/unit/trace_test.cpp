@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -427,22 +428,35 @@ TEST(TraceFlows, SendRecordsReconcileWithWireStats) {
 
 TEST(TraceCounters, SnapshotsAreMonotonicTimelines) {
   const auto program = workloads::pi_taylor(2, 3, 100).take();
-  const TracedRun run = run_traced(test::test_config(2), program);
+  // A short interval samples the run several times. The parallel kernel
+  // samples at window barriers, from merged shards.
+  trace::TraceConfig trace_config;
+  trace_config.counter_interval = 100 * time_literals::kUs;
+  std::map<std::string, std::uint64_t> serial_last;
+  for (const std::uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE("host_threads=" + std::to_string(threads));
+    ClusterConfig config = test::test_config(2);
+    config.sim.host_threads = threads;
+    const TracedRun run = run_traced(config, program, trace_config);
 
-  std::map<std::string, std::uint64_t> last;
-  std::size_t samples = 0;
-  for (const Record& r : run.records) {
-    if (r.kind != Kind::kCounter) continue;
-    ++samples;
-    auto [it, fresh] = last.try_emplace(r.name, r.a);
-    if (!fresh) {
-      EXPECT_GE(r.a, it->second) << "counter " << r.name << " went backwards";
-      it->second = r.a;
+    std::map<std::string, std::uint64_t> last;
+    std::size_t execute_samples = 0;
+    for (const Record& r : run.records) {
+      if (r.kind != Kind::kCounter) continue;
+      if (std::string_view(r.name) == "time.execute") ++execute_samples;
+      auto [it, fresh] = last.try_emplace(r.name, r.a);
+      if (!fresh) {
+        EXPECT_GE(r.a, it->second)
+            << "counter " << r.name << " went backwards";
+        it->second = r.a;
+      }
     }
+    EXPECT_GT(execute_samples, 2u);  // periodic samples, then the final one
+    EXPECT_TRUE(last.contains("time.execute"));
+    EXPECT_TRUE(last.contains("dbt.insns"));
+    if (threads == 1) serial_last = last;
+    EXPECT_EQ(last, serial_last);  // the final sample is the same
   }
-  EXPECT_GT(samples, 0u);
-  EXPECT_TRUE(last.contains("time.execute"));
-  EXPECT_TRUE(last.contains("dbt.insns"));
 }
 
 TEST(TraceCategories, MaskSuppressesLayers) {

@@ -16,7 +16,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -144,13 +145,29 @@ const FlagSpec* find_flag(const char* arg) {
   return nullptr;
 }
 
-/// Decimal digits only (no sign, no space), at most UINT32_MAX.
-bool parse_u32(const char* text, std::uint32_t* out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || value > UINT32_MAX) return false;
+/// The one integer parser every integer field of every flag goes through:
+/// decimal digits only (no sign, no space, no empty value), at most `max`.
+bool parse_uint(std::string_view text, std::uint64_t max, std::uint64_t* out) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value > max) return false;
+  *out = value;
+  return true;
+}
+
+bool parse_u32(std::string_view text, std::uint32_t* out) {
+  std::uint64_t value = 0;
+  if (!parse_uint(text, UINT32_MAX, &value)) return false;
   *out = static_cast<std::uint32_t>(value);
+  return true;
+}
+
+/// Microseconds whose picosecond form fits the virtual clock.
+bool parse_us(std::string_view text, TimePs* out) {
+  std::uint64_t us = 0;
+  if (!parse_uint(text, UINT64_MAX / time_literals::kUs, &us)) return false;
+  *out = us * time_literals::kUs;
   return true;
 }
 
@@ -164,24 +181,25 @@ bool parse_double(const char* text, double* out) {
 }
 
 /// "N@T[:D]" — node id, virtual time in microseconds, optional duration in
-/// microseconds. Used by --crash (no :D) and --pause (requires :D).
-bool parse_node_fault(const char* text, bool want_duration,
+/// microseconds. Used by --crash (no :D) and --pause (requires :D > 0).
+bool parse_node_fault(std::string_view text, bool want_duration,
                       FaultConfig::NodeFault* out) {
-  char* end = nullptr;
-  const unsigned long node = std::strtoul(text, &end, 10);
-  if (end == text || *end != '@') return false;
-  const char* at_text = end + 1;
-  const unsigned long long at_us = std::strtoull(at_text, &end, 10);
-  if (end == at_text) return false;
-  out->node = static_cast<std::uint32_t>(node);
-  out->at = static_cast<TimePs>(at_us) * time_literals::kUs;
-  if (!want_duration) return *end == '\0';
-  if (*end != ':') return false;
-  const char* dur_text = end + 1;
-  const unsigned long long dur_us = std::strtoull(dur_text, &end, 10);
-  if (end == dur_text || *end != '\0' || dur_us == 0) return false;
-  out->pause_for = static_cast<DurationPs>(dur_us) * time_literals::kUs;
-  return true;
+  const std::size_t at = text.find('@');
+  if (at == std::string_view::npos) return false;
+  std::string_view time = text.substr(at + 1);
+  std::string_view duration;
+  if (want_duration) {
+    const std::size_t colon = time.find(':');
+    if (colon == std::string_view::npos) return false;
+    duration = time.substr(colon + 1);
+    time = time.substr(0, colon);
+  }
+  if (!parse_u32(text.substr(0, at), &out->node) ||
+      !parse_us(time, &out->at)) {
+    return false;
+  }
+  return !want_duration ||
+         (parse_us(duration, &out->pause_for) && out->pause_for != 0);
 }
 
 }  // namespace
@@ -302,12 +320,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--giveup-retrans") == 0) {
       ok = parse_u32(value, &config.faults.giveup_retrans);
     } else if (std::strcmp(arg, "--checkpoint") == 0) {
-      char* end = nullptr;
-      const unsigned long long at_us = std::strtoull(value, &end, 10);
-      ok = end != value && *end == ':' && end[1] != '\0' && at_us > 0;
+      const std::string_view cut(value);
+      const std::size_t colon = cut.find(':');
+      TimePs at = 0;
+      ok = colon != std::string_view::npos && colon + 1 < cut.size() &&
+           parse_us(cut.substr(0, colon), &at) && at > 0;
       if (ok) {
-        checkpoint_at = static_cast<TimePs>(at_us) * time_literals::kUs;
-        checkpoint_path = end + 1;
+        checkpoint_at = at;
+        checkpoint_path = value + colon + 1;
       }
     } else if (std::strcmp(arg, "--restore") == 0) {
       restore_path = value;
