@@ -186,11 +186,13 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
   // keeping one jump per handler measured slower, DESIGN.md section 15.)
   // The builder picked each kind when it built the trace, so a handler
   // runs exactly one instruction (or one fused addi+branch) with operands
-  // read straight from the op, and nothing is decoded again. The quantum
-  // is checked only between blocks — at the top of the entry loop below
-  // and, inside a trace, at its block boundaries — so stop points, and
-  // with them virtual time, do not depend on how blocks were stitched or
-  // fused.
+  // read straight from the op, and nothing is decoded again. A block's
+  // instructions retire together, at the op that ends it (a branch or
+  // jump, a syscall, a Boundary), from that op's through-counts; a
+  // straight-line handler only steps to the next op. The quantum is
+  // checked only between blocks — at the top of the entry loop below and,
+  // inside a trace, where a block retires — so stop points, and with them
+  // virtual time, do not depend on how blocks were stitched or fused.
 
   // Slow path of a trace load or store whose own TLB line missed: resolves
   // `vaddr` through mem_access and adopts the page as the op's line when it
@@ -265,30 +267,28 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
 #define DQEMU_INSN_HANDLER(name) &&op_##name,
 #define DQEMU_FUSED_HANDLER(branch) &&op_Addi##branch,
   static void* const kHandlers[] = {
-      &&op_Unset, DQEMU_SB_OP_KINDS(DQEMU_INSN_HANDLER, DQEMU_FUSED_HANDLER)};
+      &&op_Unset, DQEMU_SB_OP_KINDS(DQEMU_INSN_HANDLER, DQEMU_FUSED_HANDLER,
+                                    DQEMU_INSN_HANDLER)};
 #undef DQEMU_INSN_HANDLER
 #undef DQEMU_FUSED_HANDLER
 
 #define DQEMU_DISPATCH() goto* kHandlers[static_cast<unsigned>(op->kind)]
-  // The tail of every non-control handler: the single instruction retires,
-  // and the handler dispatches the next op itself. A cut-block boundary
-  // instead goes to the shared quantum check at `boundary`.
-#define DQEMU_RETIRE_NEXT()          \
-  do {                               \
-    ++insns;                         \
-    cycles += op->cost_a;            \
-    if (op->boundary) goto boundary; \
-    ++op;                            \
-    DQEMU_DISPATCH();                \
+  // The tail of every non-control handler: its block has not ended (a cut
+  // block ends at a Boundary op), so the handler dispatches the next op
+  // itself.
+#define DQEMU_NEXT()  \
+  do {                \
+    ++op;             \
+    DQEMU_DISPATCH(); \
   } while (false)
-  // The guard tail of every branch and jump, fused or not: when control
-  // goes where the trace continues (a block boundary, so the quantum is
-  // checked), the handler dispatches that op itself; otherwise control
-  // leaves the trace.
+  // The guard tail of every branch and jump, fused or not: the block
+  // retires, and when control goes where the trace continues (a block
+  // boundary, so the quantum is checked), the handler dispatches that op
+  // itself; otherwise control leaves the trace.
 #define DQEMU_GUARD_NEXT()                     \
   do {                                         \
-    insns += op->n_insns;                      \
-    cycles += op->cost_a + op->cost_b;         \
+    insns += op->through_insns;                \
+    cycles += op->through_cycles;              \
     if (target != op->on_trace_pc) goto leave; \
     if (insns >= max_insns) goto quantum;      \
     op = ops + op->next_index;                 \
@@ -296,8 +296,8 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
   } while (false)
 
   // Retirement counters accumulate in locals and flush to `result`/`hot`
-  // once, at `stop`: read-modify-writes through `result` on every op would
-  // dominate the dispatch this loop exists to shrink.
+  // once, at `stop`: read-modify-writes through `result` at every block
+  // would dominate the dispatch this loop exists to shrink.
   std::uint64_t insns = 0;
   std::uint64_t cycles = 0;
   std::uint64_t fused = 0;
@@ -368,80 +368,80 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
 
   op_Unset:
     assert(false && "every trace op has a kind");
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
 
   // Integer ALU.
   op_Add:
     write_gpr(op->a.rd, gpr[op->a.rs1] + gpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Sub:
     write_gpr(op->a.rd, gpr[op->a.rs1] - gpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_And:
     write_gpr(op->a.rd, gpr[op->a.rs1] & gpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Or:
     write_gpr(op->a.rd, gpr[op->a.rs1] | gpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Xor:
     write_gpr(op->a.rd, gpr[op->a.rs1] ^ gpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Sll:
     write_gpr(op->a.rd, gpr[op->a.rs1] << (gpr[op->a.rs2] & 31));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Srl:
     write_gpr(op->a.rd, gpr[op->a.rs1] >> (gpr[op->a.rs2] & 31));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Sra:
     write_gpr(op->a.rd, to_unsigned(to_signed(gpr[op->a.rs1]) >>
                                     (gpr[op->a.rs2] & 31)));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Slt:
     write_gpr(op->a.rd,
               to_signed(gpr[op->a.rs1]) < to_signed(gpr[op->a.rs2]));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Sltu:
     write_gpr(op->a.rd, gpr[op->a.rs1] < gpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Addi:
     write_gpr(op->a.rd, gpr[op->a.rs1] + to_unsigned(op->a.imm));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Andi:
     write_gpr(op->a.rd, gpr[op->a.rs1] & to_unsigned(op->a.imm));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Ori:
     write_gpr(op->a.rd, gpr[op->a.rs1] | to_unsigned(op->a.imm));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Xori:
     write_gpr(op->a.rd, gpr[op->a.rs1] ^ to_unsigned(op->a.imm));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Slli:
     write_gpr(op->a.rd, gpr[op->a.rs1] << (op->a.imm & 31));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Srli:
     write_gpr(op->a.rd, gpr[op->a.rs1] >> (op->a.imm & 31));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Srai:
     write_gpr(op->a.rd,
               to_unsigned(to_signed(gpr[op->a.rs1]) >> (op->a.imm & 31)));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Slti:
     write_gpr(op->a.rd, to_signed(gpr[op->a.rs1]) < op->a.imm);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Sltiu:
     write_gpr(op->a.rd, gpr[op->a.rs1] < to_unsigned(op->a.imm));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Lui:
     write_gpr(op->a.rd, to_unsigned(op->a.imm) << 12);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Auipc:
     write_gpr(op->a.rd, op->pc + (to_unsigned(op->a.imm) << 12));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
 
   // Multiply and divide.
   op_Mul:
     write_gpr(op->a.rd, gpr[op->a.rs1] * gpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Div: {
     const std::int32_t a = to_signed(gpr[op->a.rs1]);
     const std::int32_t b = to_signed(gpr[op->a.rs2]);
@@ -454,12 +454,12 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       q = a / b;
     }
     write_gpr(op->a.rd, to_unsigned(q));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Divu: {
     const std::uint32_t b = gpr[op->a.rs2];
     write_gpr(op->a.rd, b == 0 ? ~0u : gpr[op->a.rs1] / b);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Rem: {
     const std::int32_t a = to_signed(gpr[op->a.rs1]);
@@ -473,12 +473,12 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       r = a % b;
     }
     write_gpr(op->a.rd, to_unsigned(r));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Remu: {
     const std::uint32_t b = gpr[op->a.rs2];
     write_gpr(op->a.rd, b == 0 ? gpr[op->a.rs1] : gpr[op->a.rs1] % b);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
 
   // Loads and stores through the op's TLB line.
@@ -486,52 +486,52 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
     std::int8_t v = 0;
     if (!load(*op, v)) goto fault;
     write_gpr(op->a.rd, static_cast<std::uint32_t>(v));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Lbu: {
     std::uint8_t v = 0;
     if (!load(*op, v)) goto fault;
     write_gpr(op->a.rd, v);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Lh: {
     std::int16_t v = 0;
     if (!load(*op, v)) goto fault;
     write_gpr(op->a.rd, static_cast<std::uint32_t>(v));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Lhu: {
     std::uint16_t v = 0;
     if (!load(*op, v)) goto fault;
     write_gpr(op->a.rd, v);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Lw: {
     std::uint32_t v = 0;
     if (!load(*op, v)) goto fault;
     write_gpr(op->a.rd, v);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Fld: {
     std::uint64_t raw = 0;
     if (!load(*op, raw)) goto fault;
     fpr[op->a.rd] = std::bit_cast<double>(raw);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Sb:
     if (!store(*op, static_cast<std::uint8_t>(gpr[op->a.rs2]))) goto fault;
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Sh:
     if (!store(*op, static_cast<std::uint16_t>(gpr[op->a.rs2]))) goto fault;
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Sw:
     if (!store(*op, gpr[op->a.rs2])) goto fault;
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fsd:
     if (!store(*op, std::bit_cast<std::uint64_t>(fpr[op->a.rs2]))) {
       goto fault;
     }
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
 
   // LL/SC go through the shared TLB: no per-op line.
   op_Ll: {
@@ -543,7 +543,7 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
     write_gpr(op->a.rd, static_cast<std::uint32_t>(space_.load(addr, 4)));
     llsc_.on_ll(addr, ctx.tid);
     ++hot.llsc_ll;
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
   op_Sc: {
     GuestAddr addr = 0;
@@ -558,20 +558,20 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
       write_gpr(op->a.rd, 1);
       ++hot.llsc_sc_fail;
     }
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   }
 
   op_Fence:
-    DQEMU_RETIRE_NEXT();  // sequential DES: ordering is already total
+    DQEMU_NEXT();  // sequential DES: ordering is already total
   op_Hint:
     // 0xFFFF is the "no group" sentinel (N-format immediates are
     // zero-extended on decode).
     ctx.hint_group = op->a.imm == 0xFFFF ? -1 : op->a.imm;
     ++hot.hints;
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Syscall:
-    ++insns;
-    cycles += op->cost_a;
+    insns += op->through_insns;
+    cycles += op->through_cycles;
     result.reason = StopReason::kSyscall;
     result.syscall_num = op->a.imm;
     ctx.pc = op->pc + 4;
@@ -580,67 +580,67 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
   // Floating point.
   op_Fadd:
     fpr[op->a.rd] = fpr[op->a.rs1] + fpr[op->a.rs2];
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fsub:
     fpr[op->a.rd] = fpr[op->a.rs1] - fpr[op->a.rs2];
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fmul:
     fpr[op->a.rd] = fpr[op->a.rs1] * fpr[op->a.rs2];
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fdiv:
     fpr[op->a.rd] = fpr[op->a.rs1] / fpr[op->a.rs2];
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fmin:
     fpr[op->a.rd] = std::fmin(fpr[op->a.rs1], fpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fmax:
     fpr[op->a.rd] = std::fmax(fpr[op->a.rs1], fpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fneg:
     fpr[op->a.rd] = -fpr[op->a.rs1];
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fabs:
     fpr[op->a.rd] = std::fabs(fpr[op->a.rs1]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fmov:
     fpr[op->a.rd] = fpr[op->a.rs1];
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fcvtdw:
     fpr[op->a.rd] = static_cast<double>(to_signed(gpr[op->a.rs1]));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fcvtwd:
     write_gpr(op->a.rd, to_unsigned(fp_to_int(fpr[op->a.rs1])));
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Flt:
     write_gpr(op->a.rd, fpr[op->a.rs1] < fpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fle:
     write_gpr(op->a.rd, fpr[op->a.rs1] <= fpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Feq:
     write_gpr(op->a.rd, fpr[op->a.rs1] == fpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fsqrt:
     fpr[op->a.rd] = std::sqrt(fpr[op->a.rs1]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fexp:
     fpr[op->a.rd] = std::exp(fpr[op->a.rs1]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Flog:
     fpr[op->a.rd] = std::log(fpr[op->a.rs1]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fpow:
     fpr[op->a.rd] = std::pow(fpr[op->a.rs1], fpr[op->a.rs2]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Ferf:
     fpr[op->a.rd] = std::erf(fpr[op->a.rs1]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fsin:
     fpr[op->a.rd] = std::sin(fpr[op->a.rs1]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
   op_Fcos:
     fpr[op->a.rd] = std::cos(fpr[op->a.rs1]);
-    DQEMU_RETIRE_NEXT();
+    DQEMU_NEXT();
 
   // Control transfer: each handler picks `target`, then takes the guard
   // tail.
@@ -712,9 +712,11 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
     ++fused;
     DQEMU_GUARD_NEXT();
 
-  boundary:
-    // A single non-control instruction retired at the end of a cut block:
-    // a quantum guard point, so every trace stops at the same insn counts.
+  op_Boundary:
+    // The end of a cut block: the block retires, and the quantum is
+    // checked, as at a branch, so every trace stops at the same insn counts.
+    insns += op->through_insns;
+    cycles += op->through_cycles;
     target = op->boundary_pc;
     if (insns >= max_insns) goto quantum;
     if (op->next_index == kSbExitIndex) goto exit_trace;
@@ -748,12 +750,17 @@ ExecResult ExecEngine::run_loop(CpuContext& ctx, std::uint64_t max_insns,
 
   fault:
     // The op at `op` faulted (`result` says how): it re-executes once the
-    // fault is serviced.
+    // fault is serviced, and the ops before it in its block retire — its
+    // predecessor's through-counts, unless it opens the block.
+    if (!op->block_head) {
+      insns += op[-1].through_insns;
+      cycles += op[-1].through_cycles;
+    }
     ctx.pc = op->pc;
     goto stop;
   }
 #undef DQEMU_DISPATCH
-#undef DQEMU_RETIRE_NEXT
+#undef DQEMU_NEXT
 #undef DQEMU_GUARD_NEXT
 
 stop:

@@ -3,7 +3,8 @@
 //
 // append_trace_ops() turns one block's MicroOps into trace ops: kind
 // selection (a single instruction's kind names its opcode; addi + terminal
-// conditional branch fuse into one op) and terminal wiring. translate()
+// conditional branch fuse into one op), the block's through-counts, and
+// terminal wiring (a cut block gets a Boundary op). translate()
 // calls it once per block to build the block's own one-block trace, and
 // maybe_form_superblock() once per constituent block of a stitched trace.
 //
@@ -76,18 +77,22 @@ GuestAddr successor_pc(const TranslationBlock* tb) {
 void append_trace_ops(const TranslationBlock& block, GuestAddr next_start,
                       Superblock& trace) {
   const std::size_t n = block.ops.size();
+  // The block's cycles through the op being built; `j` counts its
+  // instructions (one MicroOp each).
+  std::uint32_t cycles = 0;
   std::size_t j = 0;
   while (j < n) {
     const MicroOp& m = block.ops[j];
     SbOp op;
     op.kind = op_kind(m.insn.op);
+    op.block_head = j == 0;
     op.pc = m.pc;
     op.a = m.insn;
-    op.cost_a = m.cost_cycles;
+    cycles += m.cost_cycles;
 
     // Fusion: addi followed by the block's terminal conditional branch
     // that tests the addi's result (the loop-closing decrement-and-test).
-    // Costs are copied from the MicroOps, never recomputed, so the fused
+    // Costs are summed from the MicroOps, never recomputed, so the fused
     // op charges its two instructions exactly.
     if (m.insn.op == Opcode::kAddi && m.insn.rd != 0 && j + 2 == n) {
       const MicroOp& br = block.ops[j + 1];
@@ -96,16 +101,16 @@ void append_trace_ops(const TranslationBlock& block, GuestAddr next_start,
         op.kind = addi_branch_kind(br.insn.op);
         op.n_insns = 2;
         op.b = br.insn;
-        op.cost_b = br.cost_cycles;
+        cycles += br.cost_cycles;
         ++trace.fused_pairs;
       }
     }
     j += op.n_insns;
+    op.through_insns = static_cast<std::uint32_t>(j);
+    op.through_cycles = cycles;
 
-    // Terminal wiring: the op consuming the block's last instruction either
-    // branches (guarded kinds, with on-trace target `next_start`) or falls
-    // through a cut-block boundary. (A syscall terminal returns to the
-    // engine before its boundary is reached.)
+    // Terminal wiring: the op consuming a branch or jump terminal is
+    // guarded, with on-trace target `next_start`.
     if (j >= n) {
       const MicroOp& last = block.ops.back();
       const Opcode lop = last.insn.op;
@@ -118,13 +123,20 @@ void append_trace_ops(const TranslationBlock& block, GuestAddr next_start,
         op.on_trace_pc = next_start;
       } else if (lop == Opcode::kJalr) {
         op.on_trace_pc = next_start;
-      } else {
-        // Cut block: plain fall-through boundary (quantum guard point).
-        op.boundary = true;
-        op.boundary_pc = block.end_pc();
       }
     }
     trace.ops.push_back(op);
+  }
+  // A block cut by length or page falls through to its end: a Boundary op
+  // retires it there, a quantum guard point like any branch.
+  if (!isa::insn_info(block.ops.back().insn.op).ends_block) {
+    SbOp boundary;
+    boundary.kind = SbOpKind::kBoundary;
+    boundary.n_insns = 0;
+    boundary.through_insns = block.insn_count();
+    boundary.through_cycles = cycles;
+    boundary.boundary_pc = block.end_pc();
+    trace.ops.push_back(boundary);
   }
   trace.guest_insns += block.insn_count();
 }

@@ -8,9 +8,15 @@
 // leave the trace. The op builder picks each op's kind once, at build
 // time: a single instruction's kind names its opcode, and the one fused
 // shape, addi + the terminal conditional branch that tests its result,
-// has one kind per branch condition. Memory ops carry their own TLB line.
-// So the threaded dispatch in ExecEngine runs each op with exactly one
-// indirect jump and decodes nothing at run time.
+// has one kind per branch condition. A block cut by length or page gets a
+// Boundary op after its last instruction. Memory ops carry their own TLB
+// line. So the threaded dispatch in ExecEngine runs each op with exactly
+// one indirect jump and decodes nothing at run time.
+//
+// Retirement is per block: every op carries the instructions and cycles
+// of its block up to and including itself, and only the op that ends the
+// block (a branch or jump, a syscall, a Boundary) adds them. A faulting op
+// retires the ops before it in its block from its predecessor's counts.
 //
 // Everything here is host-side only: a fused op charges exactly the
 // virtual-time cost of its two instructions, guards stop at the same
@@ -37,11 +43,13 @@ inline constexpr std::uint32_t kSbExitIndex = ~std::uint32_t{0};
 /// kind of isa::Opcode::kName, so each of its handlers runs exactly one
 /// instruction. FUSED(Branch) is addi followed by the block's terminal
 /// conditional branch isa::Opcode::kBranch reading the addi's rd, kind
-/// kAddiBranch. SbOpKind, op_kind(), addi_branch_kind() and the trace
-/// loop's label table (src/dbt/exec.cpp) are all built from this list, so
-/// a kind without a handler label, a handler label without a kind, and an
-/// opcode without a kind (op_kind()'s switch, -Wswitch) each fail the build.
-#define DQEMU_SB_OP_KINDS(INSN, FUSED)                                       \
+/// kAddiBranch. TRACE(Name) runs no guest instruction: kBoundary ends a
+/// block cut by length or page. SbOpKind, op_kind(), addi_branch_kind()
+/// and the trace loop's label table (src/dbt/exec.cpp) are all built from
+/// this list, so a kind without a handler label, a handler label without a
+/// kind, and an opcode without a kind (op_kind()'s switch, -Wswitch) each
+/// fail the build.
+#define DQEMU_SB_OP_KINDS(INSN, FUSED, TRACE)                                \
   /* Integer ALU, multiply and divide. */                                    \
   INSN(Add) INSN(Sub) INSN(And) INSN(Or) INSN(Xor) INSN(Sll) INSN(Srl)      \
   INSN(Sra) INSN(Slt) INSN(Sltu) INSN(Addi) INSN(Andi) INSN(Ori) INSN(Xori) \
@@ -61,7 +69,9 @@ inline constexpr std::uint32_t kSbExitIndex = ~std::uint32_t{0};
   INSN(Beq) INSN(Bne) INSN(Blt) INSN(Bge) INSN(Bltu) INSN(Bgeu) INSN(Jal)   \
   INSN(Jalr)                                                                 \
   /* addi + terminal branch on its result. */                                \
-  FUSED(Beq) FUSED(Bne) FUSED(Blt) FUSED(Bge) FUSED(Bltu) FUSED(Bgeu)
+  FUSED(Beq) FUSED(Bne) FUSED(Blt) FUSED(Bge) FUSED(Bltu) FUSED(Bgeu)       \
+  /* Cut-block boundary. */                                                  \
+  TRACE(Boundary)
 
 /// Dispatch kind of a trace op: the index of its handler in the trace
 /// loop's label table. kUnset is a default-constructed op's kind, which the
@@ -70,7 +80,8 @@ enum class SbOpKind : std::uint8_t {
   kUnset,
 #define DQEMU_SB_INSN_KIND(name) k##name,
 #define DQEMU_SB_FUSED_KIND(branch) kAddi##branch,
-  DQEMU_SB_OP_KINDS(DQEMU_SB_INSN_KIND, DQEMU_SB_FUSED_KIND)
+  DQEMU_SB_OP_KINDS(DQEMU_SB_INSN_KIND, DQEMU_SB_FUSED_KIND,
+                    DQEMU_SB_INSN_KIND)
 #undef DQEMU_SB_INSN_KIND
 #undef DQEMU_SB_FUSED_KIND
 };
@@ -82,7 +93,9 @@ enum class SbOpKind : std::uint8_t {
 #define DQEMU_SB_INSN_CASE(name) \
   case isa::Opcode::k##name:     \
     return SbOpKind::k##name;
-  switch (op) { DQEMU_SB_OP_KINDS(DQEMU_SB_INSN_CASE, DQEMU_SB_NO_CASE) }
+  switch (op) {
+    DQEMU_SB_OP_KINDS(DQEMU_SB_INSN_CASE, DQEMU_SB_NO_CASE, DQEMU_SB_NO_CASE)
+  }
 #undef DQEMU_SB_INSN_CASE
   return SbOpKind::kUnset;  // not an opcode
 }
@@ -93,7 +106,7 @@ enum class SbOpKind : std::uint8_t {
   case isa::Opcode::k##name:      \
     return SbOpKind::kAddi##name;
   switch (branch) {
-    DQEMU_SB_OP_KINDS(DQEMU_SB_NO_CASE, DQEMU_SB_FUSED_CASE)
+    DQEMU_SB_OP_KINDS(DQEMU_SB_NO_CASE, DQEMU_SB_FUSED_CASE, DQEMU_SB_NO_CASE)
     default:
       return SbOpKind::kUnset;  // not a conditional branch
   }
@@ -102,21 +115,24 @@ enum class SbOpKind : std::uint8_t {
 
 #undef DQEMU_SB_NO_CASE
 
-/// One op of a trace: a single guest instruction, or a fused addi+branch.
+/// One op of a trace: a single guest instruction, a fused addi+branch, or
+/// a cut block's Boundary.
 ///
-/// Cost accounting: `cost_a`/`cost_b` are copied verbatim from the
-/// constituent MicroOps, so a fused op charges exactly the virtual-time
-/// cost of its two instructions. Neither half of a fused op can fault, so
-/// it always retires both.
+/// Cost accounting: `through_insns`/`through_cycles` sum the instructions
+/// and the MicroOp costs of this op's block from its first op up to and
+/// including this one, so the block-ending op carries the block's totals
+/// and a fused op charges exactly the virtual-time cost of its two
+/// instructions. Neither half of a fused op can fault, so it always
+/// retires both.
 struct SbOp {
   SbOpKind kind{};
-  std::uint8_t n_insns = 1;      ///< guest instructions covered (1 or 2)
-  bool boundary = false;         ///< cut-block boundary follows this op
+  std::uint8_t n_insns = 1;      ///< guest instructions run (0, 1 or 2)
+  bool block_head = false;       ///< first op of its block
   isa::Insn a;                   ///< first (or only) guest instruction
   isa::Insn b;                   ///< fused companion (valid when n_insns == 2)
   GuestAddr pc = 0;              ///< guest pc of `a`; companion is at pc + 4
-  std::uint32_t cost_a = 0;      ///< virtual cost of `a` (== its MicroOp)
-  std::uint32_t cost_b = 0;      ///< virtual cost of `b` (0 if single)
+  std::uint32_t through_insns = 0;   ///< block's instructions up to here
+  std::uint32_t through_cycles = 0;  ///< block's cycles up to here
   GuestAddr taken_pc = 0;        ///< branch/jal taken target
   GuestAddr fall_pc = 0;         ///< branch fall-through target
   /// Successor start pc that keeps execution on the trace (kSbNoPc when the
@@ -124,7 +140,7 @@ struct SbOp {
   GuestAddr on_trace_pc = kSbNoPc;
   /// Trace index to continue at when staying on-trace (kSbExitIndex: leave).
   std::uint32_t next_index = kSbExitIndex;
-  /// Resume pc for a cut-block boundary (valid when `boundary`).
+  /// Resume pc of a Boundary op: the cut block's end.
   GuestAddr boundary_pc = 0;
   /// Pre-resolved TLB line of a load or store: page-aligned guest address
   /// proven identity-mapped, in bounds and accessible for this op's access
@@ -137,6 +153,7 @@ struct SbOp {
   /// materialization, which is protocol-observable.
   std::uint8_t* host_page = nullptr;
 };
+static_assert(sizeof(SbOp) == 64, "a trace op is 64 bytes");
 
 /// A trace. Either a block's own one-block trace (a member of its
 /// TranslationBlock), or a stitched superblock: owned by the

@@ -147,7 +147,8 @@ class TranslationCache {
   [[nodiscard]] bool contains_block(const TranslationBlock* tb) const;
 
   /// Per-execution virtual-time cost of one guest instruction — the single
-  /// source every trace op charges from (SbOp::cost_a/cost_b copy it), so
+  /// source every trace op charges from (each MicroOp holds it, and an
+  /// op's SbOp::through_cycles sums them over its block up to the op), so
   /// fused ops cost exactly their unfused sequence.
   [[nodiscard]] std::uint32_t op_cost(const isa::Insn& insn) const;
 

@@ -13,17 +13,19 @@ AddressSpace::AddressSpace(GuestSize size, std::uint32_t page_size)
   assert(page_size != 0 && (page_size & (page_size - 1)) == 0);
   assert(size != 0 && (size % page_size) == 0);
   page_shift_ = static_cast<std::uint32_t>(std::countr_zero(page_size));
-  pages_.resize(size / page_size);
-  access_.resize(pages_.size(), PageAccess::kNone);
+  const std::uint32_t pages = size / page_size;
+  chunks_.resize((pages + kChunkPages - 1) >> kChunkShift);
+  access_.resize(pages, PageAccess::kNone);
 }
 
 std::uint8_t* AddressSpace::materialize(std::uint32_t page) {
-  assert(page < pages_.size());
-  if (pages_[page] == nullptr) {
-    pages_[page] = std::make_unique<std::uint8_t[]>(page_size_);
-    std::memset(pages_[page].get(), 0, page_size_);
-  }
-  return pages_[page].get();
+  assert(page < num_pages());
+  std::unique_ptr<Chunk>& chunk = chunks_[page >> kChunkShift];
+  if (chunk == nullptr) chunk = std::make_unique<Chunk>();
+  std::unique_ptr<std::uint8_t[]>& data = (*chunk)[page & (kChunkPages - 1)];
+  // make_unique<T[]> value-initializes: a new page reads as zeros.
+  if (data == nullptr) data = std::make_unique<std::uint8_t[]>(page_size_);
+  return data.get();
 }
 
 void AddressSpace::read_bytes(GuestAddr addr, std::span<std::uint8_t> out) const {
@@ -35,10 +37,10 @@ void AddressSpace::read_bytes(GuestAddr addr, std::span<std::uint8_t> out) const
     const std::uint32_t offset = offset_in_page(at);
     const std::size_t chunk =
         std::min<std::size_t>(out.size() - done, page_size_ - offset);
-    if (pages_[page] == nullptr) {
+    if (const std::uint8_t* data = page_ptr(page); data == nullptr) {
       std::memset(out.data() + done, 0, chunk);
     } else {
-      std::memcpy(out.data() + done, pages_[page].get() + offset, chunk);
+      std::memcpy(out.data() + done, data + offset, chunk);
     }
     done += chunk;
   }

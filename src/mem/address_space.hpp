@@ -5,13 +5,15 @@
 // DSM protocol moves bytes between copies, so coherence is enforced for
 // real: a protocol bug yields wrong guest results, not just wrong stats.
 //
-// Pages are allocated lazily on first touch — a 256 MiB space costs nothing
-// until the guest actually uses it. Each page carries a protection level
+// Pages, and the pointers to them (in chunks of 256, DESIGN.md section 2),
+// are allocated lazily on first touch — a 256 MiB space costs nothing until
+// the guest actually uses it. Each page carries a protection level
 // derived from its MSI state (Invalid -> kNone, Shared -> kRead,
 // Modified -> kReadWrite); the DBT's load/store path checks it and raises
 // a page fault into the DSM layer, standing in for mprotect + SIGSEGV.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -46,7 +48,7 @@ class AddressSpace {
   [[nodiscard]] std::uint32_t page_size() const { return page_size_; }
   [[nodiscard]] std::uint32_t page_shift() const { return page_shift_; }
   [[nodiscard]] std::uint32_t num_pages() const {
-    return static_cast<std::uint32_t>(pages_.size());
+    return static_cast<std::uint32_t>(access_.size());
   }
 
   [[nodiscard]] std::uint32_t page_of(GuestAddr addr) const {
@@ -65,7 +67,7 @@ class AddressSpace {
   // ---- cross a page boundary. Inline: this is the DBT's hottest path.
   [[nodiscard]] std::uint64_t load(GuestAddr addr, unsigned bytes) const {
     assert((addr & (bytes - 1)) == 0 && addr + bytes <= size_);
-    const std::uint8_t* page = pages_[addr >> page_shift_].get();
+    const std::uint8_t* page = page_ptr(addr >> page_shift_);
     if (page == nullptr) return 0;  // untouched memory reads as zero
     std::uint64_t value = 0;
     std::memcpy(&value, page + (addr & (page_size_ - 1)), bytes);
@@ -74,7 +76,7 @@ class AddressSpace {
   void store(GuestAddr addr, std::uint64_t value, unsigned bytes) {
     assert((addr & (bytes - 1)) == 0 && addr + bytes <= size_);
     const std::uint32_t index = addr >> page_shift_;
-    std::uint8_t* page = pages_[index].get();
+    std::uint8_t* page = page_ptr(index);
     if (page == nullptr) page = materialize(index);
     std::memcpy(page + (addr & (page_size_ - 1)), &value, bytes);
   }
@@ -93,7 +95,7 @@ class AddressSpace {
   [[nodiscard]] std::span<std::uint8_t> page_data(std::uint32_t page);
   /// True if the page has ever been touched (has backing storage).
   [[nodiscard]] bool page_materialized(std::uint32_t page) const {
-    return pages_[page] != nullptr;
+    return page_ptr(page) != nullptr;
   }
 
   // ---- protection (driven by the DSM state machine).
@@ -120,14 +122,30 @@ class AddressSpace {
   void load_program(const isa::Program& program);
 
  private:
-  [[nodiscard]] std::uint8_t* materialize(std::uint32_t page);
+  /// Page pointers come in chunks of kChunkPages, like dsm::Directory's
+  /// entries: a chunk is allocated at the first materialization in its
+  /// range, so a node that touches a few pages builds a few 2 KiB chunks,
+  /// not a pointer for every page of the space. A page's storage never
+  /// moves once allocated, so the DBT may cache a raw pointer to it.
+  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunkPages = 1u << kChunkShift;
+  using Chunk = std::array<std::unique_ptr<std::uint8_t[]>, kChunkPages>;
 
+  /// `page`'s storage, or null while the page is untouched.
+  [[nodiscard]] std::uint8_t* page_ptr(std::uint32_t page) const {
+    const Chunk* chunk = chunks_[page >> kChunkShift].get();
+    return chunk == nullptr ? nullptr
+                            : (*chunk)[page & (kChunkPages - 1)].get();
+  }
+  [[nodiscard]] std::uint8_t* materialize(std::uint32_t page);
 
   GuestSize size_ = 0;
   std::uint32_t page_size_ = 0;
   std::uint32_t page_shift_ = 0;
-  // unique_ptr<uint8_t[]> per page, allocated on first touch.
-  std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
+  /// Slot `page >> kChunkShift` holds that chunk, or null while no page of
+  /// it has storage.
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  /// Dense: the unsharded master sets every page's level at boot anyway.
   std::vector<PageAccess> access_;
   std::uint64_t protection_generation_ = 0;
 };

@@ -428,6 +428,52 @@ TEST(ExecFaults, WriteToReadOnlyFaults) {
   EXPECT_EQ(h.space.load(0x00800000, 4), 0x00800000u);
 }
 
+// A fault mid-block stops a cold one-block trace with exactly the ops
+// before the faulting one retired: their instructions and their cycles,
+// not the load's, and nothing after it.
+TEST(ExecFaults, MidBlockLoadFaultRetiresExactlyTheOpsBeforeIt) {
+  Harness h(
+      [](Assembler& a) {
+        a.li(kT0, 0x00800000);
+        a.addi(kT1, kT1, 3);
+        a.slli(kT1, kT1, 2);
+        a.here("load");
+        a.lw(kT2, kT0, 0);
+        a.addi(kT3, kT3, 1);
+        a.syscall(1);
+      },
+      /*check_protection=*/true);
+  for (std::uint32_t p = 0; p < h.space.num_pages(); ++p) {
+    h.space.set_access(p, mem::PageAccess::kRead);
+  }
+  h.space.set_access(0x00800000 / 4096, mem::PageAccess::kNone);
+  const ExecResult r = h.run();
+  ASSERT_EQ(r.reason, StopReason::kPageFault);
+  EXPECT_EQ(r.insns, 3u);
+  EXPECT_EQ(r.exec_cycles, 18u);
+  EXPECT_EQ(h.ctx.pc, h.program.symbol("load"));
+  EXPECT_EQ(h.ctx.gpr[kT1], 12u);
+  EXPECT_EQ(h.ctx.gpr[kT3], 0u);
+  EXPECT_EQ(h.stats.get("dbt.sb_formed"), 0u);
+}
+
+TEST(ExecFaults, MidBlockGuestErrorRetiresExactlyTheOpsBeforeIt) {
+  Harness h([](Assembler& a) {
+    a.li(kT0, 0x00800002);
+    a.addi(kT1, kT1, 3);
+    a.here("load");
+    a.lw(kT2, kT0, 0);  // misaligned
+    a.addi(kT3, kT3, 1);
+    a.syscall(1);
+  });
+  const ExecResult r = h.run();
+  ASSERT_EQ(r.reason, StopReason::kGuestError);
+  EXPECT_EQ(r.insns, 3u);
+  EXPECT_EQ(r.exec_cycles, 18u);
+  EXPECT_EQ(h.ctx.pc, h.program.symbol("load"));
+  EXPECT_EQ(h.ctx.gpr[kT3], 0u);
+}
+
 TEST(ExecFaults, CodeFetchFaultIsIfetch) {
   Harness h(
       [](Assembler& a) {

@@ -3,6 +3,7 @@
 // bit-identical final CPU and memory state.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -426,6 +427,81 @@ TEST_P(LoopedDifferential, SuperblockEngineMatchesReference) {
   }
 }
 
+/// A looped program run to its syscall in quanta of `quantum` instructions:
+/// what the quanta retired, summed, and the final guest state.
+struct QuantumRun {
+  std::uint64_t insns = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t superblocks_formed = 0;
+  CpuContext ctx;
+  std::array<std::uint64_t, isa::kNumFpr> fpr_bits{};
+  std::vector<std::uint64_t> scratch;
+};
+
+constexpr std::uint32_t kNeverHot = ~std::uint32_t{0};
+
+QuantumRun run_in_quanta(const isa::Program& program,
+                         std::uint32_t sb_hot_threshold,
+                         std::uint64_t quantum) {
+  DbtConfig dbt;
+  dbt.sb_hot_threshold = sb_hot_threshold;
+  mem::AddressSpace space(32u << 20, 4096);
+  space.load_program(program);
+  space.set_all_access(mem::PageAccess::kReadWrite);
+  StatsRegistry stats;
+  const mem::ShadowMap shadow(4096, 4);
+  LlscTable llsc(stats);
+  TranslationCache cache(space, dbt, stats);
+  ExecEngine engine(space, shadow, llsc, cache, dbt, stats);
+  QuantumRun out;
+  out.ctx.pc = program.entry;
+  out.ctx.tid = 1;
+  bool reached_syscall = false;
+  for (int step = 0; step < 100'000 && !reached_syscall; ++step) {
+    const ExecResult r = engine.run(out.ctx, quantum);
+    out.insns += r.insns;
+    out.cycles += r.exec_cycles;
+    if (r.reason != StopReason::kQuantum) {
+      EXPECT_EQ(r.reason, StopReason::kSyscall) << r.error;
+      reached_syscall = true;
+    }
+  }
+  EXPECT_TRUE(reached_syscall);
+  out.superblocks_formed = stats.get("dbt.sb_formed");
+  std::memcpy(out.fpr_bits.data(), out.ctx.fpr.data(), sizeof out.fpr_bits);
+  const GuestAddr scratch = program.symbol("scratch");
+  for (std::uint32_t off = 0; off < kScratchBytes; off += 8) {
+    out.scratch.push_back(space.load(scratch + off, 8));
+  }
+  return out;
+}
+
+// Where a quantum stops, and what it has retired there, cannot depend on
+// the quantum or on stitching: quanta of 1, 7 and 64 instructions, with
+// superblocks and without, sum to the instructions and cycles of one
+// unbroken run, and end in its state.
+TEST_P(LoopedDifferential, RetirementIsIndependentOfQuantumAndStitching) {
+  const isa::Program program =
+      looped_random_program(GetParam(), /*body_length=*/60, /*reps=*/40);
+  const QuantumRun whole = run_in_quanta(program, kNeverHot, 10'000'000);
+  EXPECT_EQ(whole.superblocks_formed, 0u);
+  for (const std::uint32_t threshold : {4u, kNeverHot}) {
+    for (const std::uint64_t quantum : {1u, 7u, 64u}) {
+      SCOPED_TRACE(::testing::Message() << "sb_hot_threshold " << threshold
+                                        << ", quantum " << quantum);
+      const QuantumRun run = run_in_quanta(program, threshold, quantum);
+      EXPECT_EQ(run.superblocks_formed > 0, threshold != kNeverHot);
+      EXPECT_EQ(run.insns, whole.insns);
+      EXPECT_EQ(run.cycles, whole.cycles);
+      EXPECT_EQ(run.ctx.pc, whole.ctx.pc);
+      EXPECT_EQ(run.ctx.gpr, whole.ctx.gpr);
+      EXPECT_EQ(run.fpr_bits, whole.fpr_bits);
+      EXPECT_EQ(run.ctx.hint_group, whole.ctx.hint_group);
+      EXPECT_EQ(run.scratch, whole.scratch);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, LoopedDifferential,
                          ::testing::Range(kLoopedSeeds.begin,
                                           kLoopedSeeds.end));
@@ -461,9 +537,9 @@ TEST(DifferentialCoverage, SeedRangesEmitEveryOpcode) {
 }
 
 // The same holds for the trace builder: running both seed ranges must
-// build every op kind it can select — each opcode as a single op, and addi
-// fused with each of the six conditional branches — in some block's
-// one-block trace or in a stitched superblock.
+// build every op kind it can select — each opcode as a single op, addi
+// fused with each of the six conditional branches, and the Boundary of a
+// cut block — in some block's one-block trace or in a stitched superblock.
 TEST(DifferentialCoverage, SeedRangesBuildEveryTraceOpKind) {
   std::set<SbOpKind> seen;
   auto collect = [&](const isa::Program& program, const DbtConfig& config) {
@@ -515,6 +591,7 @@ TEST(DifferentialCoverage, SeedRangesBuildEveryTraceOpKind) {
     EXPECT_TRUE(seen.contains(addi_branch_kind(branch)))
         << "addi+" << isa::insn_info(branch).mnemonic;
   }
+  EXPECT_TRUE(seen.contains(SbOpKind::kBoundary));
 }
 
 }  // namespace

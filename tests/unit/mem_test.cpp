@@ -1,6 +1,9 @@
 // Unit tests: address space and shadow-page mapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/address_space.hpp"
 #include "mem/shadow_map.hpp"
 
@@ -95,6 +98,72 @@ TEST(AddressSpace, LoadProgramPlacesSections) {
   space.load_program(program);
   EXPECT_EQ(space.load(0x10000, 4), 0x04030201u);
   EXPECT_EQ(space.load(0x20000, 2), 0x0909u);
+}
+
+// ---- page-pointer chunks ----------------------------------------------------
+// Page pointers live in chunks of 256 pages, allocated at the first
+// materialization in their range.
+
+TEST(AddressSpacePageChunks, UntouchedPagesReadZeroAndStayUnmaterialized) {
+  AddressSpace space(64u << 20, 4096);
+  space.store(300 * 4096, 7, 4);  // allocates the chunk of pages 256-511
+  std::vector<std::uint8_t> out(4096);
+  for (const std::uint32_t page : {0u, 299u, 301u, 511u, 512u, 16383u}) {
+    EXPECT_EQ(space.load(page * 4096 + 8, 8), 0u) << page;
+    std::fill(out.begin(), out.end(), 0xFF);
+    space.read_bytes(page * 4096, out);
+    for (const std::uint8_t b : out) ASSERT_EQ(b, 0) << page;
+    EXPECT_FALSE(space.page_materialized(page)) << page;
+  }
+  EXPECT_TRUE(space.page_materialized(300));
+}
+
+TEST(AddressSpacePageChunks, BulkAccessCrossesAChunkEdge) {
+  AddressSpace space(64u << 20, 4096);
+  const GuestAddr edge = 256 * 4096;  // first byte of the second chunk
+  std::vector<std::uint8_t> in(600);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::uint8_t(i * 13);
+  space.write_bytes(edge - 300, in);
+  EXPECT_TRUE(space.page_materialized(255));
+  EXPECT_TRUE(space.page_materialized(256));
+  std::vector<std::uint8_t> out(in.size() + 8, 0xFF);
+  space.read_bytes(edge - 304, out);
+  EXPECT_EQ(std::vector<std::uint8_t>(out.begin() + 4, out.end() - 4), in);
+  for (const std::size_t i : {0u, 1u, 2u, 3u}) {
+    EXPECT_EQ(out[i], 0);
+    EXPECT_EQ(out[out.size() - 1 - i], 0);
+  }
+}
+
+TEST(AddressSpacePageChunks, LastPageOfA256MiBSpaceWorks) {
+  const GuestSize size = 256u << 20;
+  AddressSpace space(size, 4096);
+  const std::uint32_t last = space.num_pages() - 1;
+  EXPECT_EQ(last, 65535u);
+  EXPECT_EQ(space.load(size - 8, 8), 0u);
+  space.store(size - 8, 0x0123456789ABCDEFULL, 8);
+  EXPECT_EQ(space.load(size - 8, 8), 0x0123456789ABCDEFULL);
+  EXPECT_TRUE(space.page_materialized(last));
+  EXPECT_FALSE(space.page_materialized(last - 1));
+  std::vector<std::uint8_t> out(16);
+  space.read_bytes(size - 16, out);
+  EXPECT_EQ(out[8], 0xEF);
+  EXPECT_EQ(out[15], 0x01);
+  EXPECT_EQ(out[7], 0);
+}
+
+TEST(AddressSpacePageChunks, PagePointerSurvivesLaterMaterializations) {
+  AddressSpace space(64u << 20, 4096);
+  std::uint8_t* const host = space.page_data(512).data();
+  host[12] = 0x5A;
+  for (std::uint32_t page = 513; page < 768; ++page) {
+    space.store(page * 4096, page, 4);
+  }
+  EXPECT_EQ(space.page_data(512).data(), host);
+  EXPECT_EQ(space.load(512 * 4096 + 12, 1), 0x5Au);
+  host[13] = 0xA5;
+  EXPECT_EQ(space.load(512 * 4096 + 13, 1), 0xA5u);
+  EXPECT_EQ(space.load(767 * 4096, 4), 767u);
 }
 
 // ---- ShadowMap ------------------------------------------------------------

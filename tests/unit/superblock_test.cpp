@@ -171,6 +171,92 @@ TEST(SuperblockEquivalence, ProtectionFaultMidLoopMatchesBlockEngine) {
   EXPECT_EQ(h.ctx.gpr[kT3], 0xffffffffu);
 }
 
+// ---- stops inside a stitched trace -------------------------------------------
+//
+// A loop whose stitched trace crosses both kinds of inner block edge: the
+// head block is 64 addi, cut by length, so a cut-block boundary follows
+// it; the next block opens with a load and ends in a jal, a guard; the
+// last opens with a store and closes the loop. Each stop below lands on
+// the first op after one of those edges, where the ops before it belong
+// to the previous block. Values recorded at
+// 593a42ae546a59569c6a3ccf46baa146daacdec7, which retired every op as it
+// ran.
+
+constexpr GuestAddr kLoadPage = 0x00200000;   // read after the cut
+constexpr GuestAddr kStorePage = 0x00300000;  // written after the jal
+
+void emit_edge_loop(Assembler& a) {
+  a.li(kT1, kLoadPage);
+  a.li(kS0, kStorePage);
+  a.li(kT0, 1000);
+  Assembler::Label loop = a.here("loop");
+  for (int i = 0; i < 64; ++i) a.addi(kT3, kT3, 1);
+  a.here("after_cut");
+  a.lw(kT2, kT1, 0);
+  a.add(kT3, kT3, kT2);
+  Assembler::Label after_jal = a.make_label("after_jal");
+  a.j(after_jal);
+  a.bind(after_jal);
+  a.sw(kS0, kT3, 0);
+  a.addi(kT0, kT0, -1);
+  a.bne(kT0, kZero, loop);
+  a.syscall(1);
+}
+
+/// Runs the edge loop in quanta of one block until its head has a stitched
+/// trace and the next run enters it there.
+void warm_edge_loop(Harness& h) {
+  h.space.set_all_access(mem::PageAccess::kReadWrite);
+  const GuestAddr loop = h.program.symbol("loop");
+  for (int steps = 0; steps < 1000; ++steps) {
+    ASSERT_EQ(h.run(1).reason, StopReason::kQuantum);
+    if (h.ctx.pc == loop && h.cache.superblock_at(loop) != nullptr) return;
+  }
+  FAIL() << "the edge loop never stitched";
+}
+
+TEST(SuperblockStops, FaultOnTheFirstOpAfterAGuard) {
+  Harness h(emit_edge_loop, /*check_protection=*/true, hot_config());
+  warm_edge_loop(h);
+  h.space.set_access(h.space.page_of(kStorePage), mem::PageAccess::kRead);
+  const std::uint64_t sb_exec = h.stats.get("dbt.sb_exec");
+  const ExecResult r = h.run();
+  ASSERT_EQ(r.reason, StopReason::kPageFault);
+  EXPECT_TRUE(r.fault_is_write);
+  EXPECT_EQ(r.fault_addr, kStorePage);
+  EXPECT_EQ(r.insns, 67u);
+  EXPECT_EQ(r.exec_cycles, 410u);
+  EXPECT_EQ(h.ctx.pc, h.program.symbol("after_jal"));
+  EXPECT_EQ(h.stats.get("dbt.sb_exec"), sb_exec + 1);
+}
+
+TEST(SuperblockStops, FaultOnTheFirstOpAfterACutBlockBoundary) {
+  Harness h(emit_edge_loop, /*check_protection=*/true, hot_config());
+  warm_edge_loop(h);
+  h.space.set_access(h.space.page_of(kLoadPage), mem::PageAccess::kNone);
+  const std::uint64_t sb_exec = h.stats.get("dbt.sb_exec");
+  const ExecResult r = h.run();
+  ASSERT_EQ(r.reason, StopReason::kPageFault);
+  EXPECT_FALSE(r.fault_is_write);
+  EXPECT_EQ(r.fault_addr, kLoadPage);
+  EXPECT_EQ(r.insns, 64u);
+  EXPECT_EQ(r.exec_cycles, 384u);
+  EXPECT_EQ(h.ctx.pc, h.program.symbol("after_cut"));
+  EXPECT_EQ(h.stats.get("dbt.sb_exec"), sb_exec + 1);
+}
+
+TEST(SuperblockStops, QuantumStopsAtACutBlockBoundary) {
+  Harness h(emit_edge_loop, /*check_protection=*/true, hot_config());
+  warm_edge_loop(h);
+  const std::uint64_t sb_exec = h.stats.get("dbt.sb_exec");
+  const ExecResult r = h.run(64);
+  ASSERT_EQ(r.reason, StopReason::kQuantum);
+  EXPECT_EQ(r.insns, 64u);
+  EXPECT_EQ(r.exec_cycles, 384u);
+  EXPECT_EQ(h.ctx.pc, h.program.symbol("after_cut"));
+  EXPECT_EQ(h.stats.get("dbt.sb_exec"), sb_exec + 1);
+}
+
 // ---- formation introspection ------------------------------------------------
 
 TEST(SuperblockFormation, HotLoopFormsLoopingTraceWithFusedPairs) {
@@ -201,32 +287,30 @@ TEST(SuperblockFormation, HotLoopFormsLoopingTraceWithFusedPairs) {
   EXPECT_TRUE(head_flagged);
 }
 
-TEST(SuperblockFormation, FusedOpsChargeExactlyTheUnfusedCosts) {
-  // Satellite: cost equivalence pinned against both the per-insn cost
-  // source (op_cost) and the constituent blocks' MicroOps.
-  Harness h([](Assembler& a) { emit_fusion_loop(a, 64); }, false,
-            hot_config());
-  ASSERT_EQ(h.run().reason, StopReason::kSyscall);
-  const std::vector<SuperblockInfo> census = h.cache.superblock_census();
-  ASSERT_EQ(census.size(), 1u);
-  const Superblock* sb = h.cache.superblock_at(census[0].entry_pc);
-  ASSERT_NE(sb, nullptr);
-
+/// Cost equivalence of a stitched trace, pinned against both the per-insn
+/// cost source (op_cost) and the constituent blocks' MicroOps. An op's own
+/// instructions and cost are its through-counts less its predecessor's in
+/// the same block.
+void expect_trace_charges_its_blocks(Harness& h, const Superblock& sb) {
   std::uint64_t sb_cost = 0;
   std::uint32_t sb_insns = 0;
-  for (const SbOp& op : sb->ops) {
-    EXPECT_EQ(op.cost_a, h.cache.op_cost(op.a));
-    sb_cost += op.cost_a;
-    sb_insns += 1;
-    if (op.n_insns == 2) {
-      EXPECT_EQ(op.cost_b, h.cache.op_cost(op.b));
-      sb_cost += op.cost_b;
-      sb_insns += 1;
-    }
+  for (std::size_t i = 0; i < sb.ops.size(); ++i) {
+    const SbOp& op = sb.ops[i];
+    const SbOp* prev = op.block_head ? nullptr : &sb.ops[i - 1];
+    const std::uint32_t own_insns =
+        op.through_insns - (prev != nullptr ? prev->through_insns : 0);
+    const std::uint32_t own_cost =
+        op.through_cycles - (prev != nullptr ? prev->through_cycles : 0);
+    EXPECT_EQ(own_insns, op.n_insns) << "op " << i;
+    std::uint32_t want_cost = op.n_insns == 0 ? 0 : h.cache.op_cost(op.a);
+    if (op.n_insns == 2) want_cost += h.cache.op_cost(op.b);
+    EXPECT_EQ(own_cost, want_cost) << "op " << i;
+    sb_cost += own_cost;
+    sb_insns += own_insns;
   }
   std::uint64_t block_cost = 0;
   std::uint32_t block_insns = 0;
-  for (const GuestAddr pc : sb->block_pcs) {
+  for (const GuestAddr pc : sb.block_pcs) {
     TranslationBlock* tb = h.cache.lookup(pc);
     ASSERT_NE(tb, nullptr);
     for (const MicroOp& mop : tb->ops) {
@@ -236,7 +320,34 @@ TEST(SuperblockFormation, FusedOpsChargeExactlyTheUnfusedCosts) {
   }
   EXPECT_EQ(sb_cost, block_cost);
   EXPECT_EQ(sb_insns, block_insns);
-  EXPECT_EQ(sb_insns, sb->guest_insns);
+  EXPECT_EQ(sb_insns, sb.guest_insns);
+}
+
+TEST(SuperblockFormation, FusedOpsChargeExactlyTheUnfusedCosts) {
+  Harness h([](Assembler& a) { emit_fusion_loop(a, 64); }, false,
+            hot_config());
+  ASSERT_EQ(h.run().reason, StopReason::kSyscall);
+  const std::vector<SuperblockInfo> census = h.cache.superblock_census();
+  ASSERT_EQ(census.size(), 1u);
+  const Superblock* sb = h.cache.superblock_at(census[0].entry_pc);
+  ASSERT_NE(sb, nullptr);
+  expect_trace_charges_its_blocks(h, *sb);
+}
+
+// The same across a Boundary op, which runs no instruction and charges
+// nothing of its own.
+TEST(SuperblockFormation, BoundaryOpsChargeNothingOfTheirOwn) {
+  Harness h(emit_edge_loop, /*check_protection=*/true, hot_config());
+  warm_edge_loop(h);
+  const Superblock* sb = h.cache.superblock_at(h.program.symbol("loop"));
+  ASSERT_NE(sb, nullptr);
+  ASSERT_EQ(sb->block_pcs.size(), 3u);
+  ASSERT_EQ(sb->ops.size(), 64u + 1 + 3 + 2);
+  const SbOp& boundary = sb->ops[64];
+  EXPECT_EQ(boundary.kind, SbOpKind::kBoundary);
+  EXPECT_EQ(boundary.through_insns, 64u);
+  EXPECT_EQ(boundary.boundary_pc, h.program.symbol("after_cut"));
+  expect_trace_charges_its_blocks(h, *sb);
 }
 
 TEST(SuperblockFormation, InnerLoopExitIsACountedSideExit) {
